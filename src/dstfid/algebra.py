@@ -81,8 +81,6 @@ class StateParams:
     beta : float
         Inverse temperature, strictly positive and finite.  The mean photon
         number is ``nbar = 1/(exp(beta) - 1)``.
-    squeeze_phase : float
-        Reserved for a future phase extension; must be exactly 0.0.
 
     Either temperature convention works at the surface: construct with
     ``StateParams(k, r, beta)`` or ``StateParams.from_nbar(k, r, nbar)``.
@@ -92,7 +90,6 @@ class StateParams:
     k: complex
     r: float
     beta: float
-    squeeze_phase: float = 0.0
 
     def __post_init__(self):
         k = complex(self.k)
@@ -111,11 +108,6 @@ class StateParams:
             raise ValueError(
                 f"beta must be strictly positive (infinite-temperature "
                 f"point beta <= 0 is excluded), got {self.beta!r}"
-            )
-        if self.squeeze_phase != 0.0:
-            raise ValueError(
-                "nonzero squeeze phase is reserved but not implemented; "
-                f"got {self.squeeze_phase!r}"
             )
 
     @classmethod
@@ -207,14 +199,14 @@ def is_pair_vec(v: PairVec, tol: float = 1e-10) -> bool:
 #
 # For beta > 30 the reduction assembles products like sinh(b1) sinh(b2) / Delta
 # from logarithms instead of raw floats, per the overflow policy.  These forms
-# are exact for all x > 0 (log1p soaks up the tail), not just asymptotically.
+# are exact for all x > 0 (log1p/expm1 soak up the tail), not just asymptotically.
 
 
 def log_sinh(x: float) -> float:
-    """log(sinh x) for x > 0 without overflow: x - log 2 + log1p(-exp(-2x))."""
+    """log(sinh x) for x > 0 without overflow: x - log 2 + log(-expm1(-2x))."""
     if x <= 0.0:
         raise ValueError(f"log_sinh needs x > 0, got {x!r}")
-    return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
+    return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
 
 
 def log_cosh(x: float) -> float:

@@ -49,7 +49,7 @@ _CSV_COLUMNS = (
     "re_g", "im_g",
     "f_pipeline", "f_printed", "f_oracle",
     "ratio_pipeline", "ratio_printed",
-    "base_calibrated", "base_printed",
+    "base_exact", "base_printed",
     "dev_printed_pipeline", "dev_pipeline_oracle",
     "oracle_cutoff", "oracle_gap",
     "flags",
@@ -191,7 +191,7 @@ def _row_for(idx: int, s1: StateParams, s2: StateParams, rep: FidelityReport) ->
         "f_oracle": _g17(rep.value_oracle),
         "ratio_pipeline": _g17(rep.pipeline.ratio),
         "ratio_printed": _g17(rep.printed.ratio),
-        "base_calibrated": _g17(rep.base.oracle_value),
+        "base_exact": _g17(rep.base.base),
         "base_printed": _g17(rep.base.printed_value),
         "dev_printed_pipeline": _g17(dev_po),
         "dev_pipeline_oracle": _g17(dev_or),
@@ -240,10 +240,8 @@ def _report_record(s1: StateParams, s2: StateParams, rep: FidelityReport) -> dic
         },
         "base": {
             "Y": _jnum(rep.base.Y),
-            "source": rep.base.source,
             "value": _jnum(rep.base.base),
             "printed_value": _jnum(rep.base.printed_value),
-            "oracle_value": _jnum(rep.base.oracle_value),
             "printed_domain_error": rep.base.printed_domain_error,
         },
         "oracle": None,
@@ -279,7 +277,7 @@ def _human_compute(s1, s2, rep: FidelityReport, method: str) -> str:
         )
     lines.append(
         f"ratio delta1/delta2: {rep.pipeline.ratio:.12g}"
-        f"   base factor ({rep.base.source}): {rep.base.base:.12g}"
+        f"   base factor (exact): {rep.base.base:.12g}"
         f" (printed display: {rep.base.printed_value:.6g})"
     )
     if rep.discrepancy_flags:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StateParams, squeeze_matrix, state, thermal_matrix
+from .fock import fidelity_oracle
 from . import reduction as _red
 from .reduction import FidelityOptions, FidelityReport, fidelity
 
@@ -127,11 +128,16 @@ class ReconciliationReport:
 
 @dataclass(frozen=True, eq=False)
 class PairResult:
-    """One grid pair with its three-way report and derived deviations."""
+    """One grid pair with its three-way report and derived deviations.
+
+    ``undisplaced_oracle`` is the oracle fidelity of the same pair with the
+    displacements dropped (None when the oracle was off).
+    """
 
     s1: StateParams
     s2: StateParams
     report: FidelityReport
+    undisplaced_oracle: float | None = None
 
     @property
     def pipeline_vs_oracle(self) -> float:
@@ -141,7 +147,7 @@ class PairResult:
     def decomposition_dev(self) -> float:
         """|oracle F(displaced)/F(undisplaced) - pipeline ratio|."""
         return abs(
-            self.report.value_oracle / self.report.base.oracle_value
+            self.report.value_oracle / self.undisplaced_oracle
             - self.report.pipeline.ratio
         )
 
@@ -213,7 +219,26 @@ def undisplaced_pair_grid() -> list[tuple[StateParams, StateParams]]:
 def evaluate_pairs(
     pairs: list[tuple[StateParams, StateParams]], opts: FidelityOptions
 ) -> list[PairResult]:
-    return [PairResult(s1, s2, fidelity(s1, s2, opts)) for s1, s2 in pairs]
+    """Evaluate every pair three ways.  With the oracle on, each result also
+    carries the oracle fidelity of its undisplaced pair, run once per
+    distinct undisplaced (r, beta) pair."""
+    undisplaced: dict[tuple, float] = {}
+    results = []
+    for s1, s2 in pairs:
+        f0 = None
+        if opts.oracle:
+            key = tuple(sorted(((s1.r, s1.beta), (s2.r, s2.beta))))
+            if key not in undisplaced:
+                (ra, ba), (rb, bb) = key
+                undisplaced[key] = fidelity_oracle(
+                    StateParams(0.0, ra, ba),
+                    StateParams(0.0, rb, bb),
+                    tol=opts.oracle_tol,
+                    ceiling=opts.oracle_ceiling,
+                ).fidelity
+            f0 = undisplaced[key]
+        results.append(PairResult(s1, s2, fidelity(s1, s2, opts), f0))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +261,7 @@ def _entry_difference_convention(tol: float) -> tuple[ReconciliationEntry, Verif
     # Same pair evaluated under the printed convention.
     g_flip = s2.k - s1.k.conjugate()
     flip_trace = _red._pipeline_trace(s1, s2, g_flip)
-    value_flip = flip_trace.ratio * rep.base.oracle_value
+    value_flip = flip_trace.ratio * rep.base.base
     margin = abs(value_flip - rep.value_oracle)
     entry = ReconciliationEntry(
         formula=DIFFERENCE_CONVENTION,
@@ -429,7 +454,7 @@ def _entry_overlap_prefactor() -> ReconciliationEntry:
             f"is {', '.join(f'nbar={n:g}: {v:.6f}' for n, v in vals)} and "
             f"diverges toward the pure limit ({printed_cold:.4f} at "
             "nbar=1e-6), so the error is not a constant normalization "
-            "convention; the calibrated base factor sidesteps the display "
+            "convention; the exact base factor sidesteps the display "
             "entirely"
         ),
     )
@@ -535,11 +560,11 @@ def run_verification(
         s2 = state(k2, 0.0, nbar=1e-6)
         rep = fidelity(s1, s2, opts)
         want = math.exp(-k2 * k2)
-        printed_ratio_calibrated = rep.printed.ratio * rep.base.oracle_value
+        printed_ratio_exact_base = rep.printed.ratio * rep.base.base
         for label, val in (
             ("pipeline", rep.value_matrix_pipeline),
             ("oracle", rep.value_oracle),
-            ("printed-ratio-calibrated-base", printed_ratio_calibrated),
+            ("printed-ratio-exact-base", printed_ratio_exact_base),
         ):
             limit_devs.append((abs(val - want), f"k2={k2:g} [{label}]"))
     worst, at = _worst(limit_devs)

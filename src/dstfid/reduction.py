@@ -11,9 +11,11 @@ Two closed-form paths live here:
 
 The full fidelity factorizes as F = (delta1/delta2) * base, where the base is
 the fidelity of the corresponding *undisplaced* pair.  The pipeline computes
-delta1/delta2 exactly; the base is calibrated against the Fock oracle by
-default because the printed base display fails its own self-consistency
-checks (see the reconciliation report).
+delta1/delta2 exactly and the base from the exact single-mode Gaussian
+fidelity written in the matching denominator (Twamley 1996); the printed
+base display fails its own self-consistency checks (see the reconciliation
+report), so it is evaluated and flagged but never adopted.  No Fock-space
+work happens here unless the oracle is requested.
 
 Convention note: the conjugation matrix that matches the operator definitions
 (S(r) = exp((r/2)(a^2 - a^dag^2)), verified against the Fock oracle) is
@@ -27,7 +29,6 @@ assembly so near-pure states never overflow.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +51,6 @@ from .bch import displacement_compose
 from .fock import DEFAULT_CUTOFF_CEILING, OracleResult, fidelity_oracle
 
 __all__ = [
-    "FormulaDomainError",
     "DiscrepancyFlag",
     "ReductionTrace",
     "BaseFactorTrace",
@@ -63,7 +63,6 @@ __all__ = [
     "ratio_printed",
     "base_factor",
     "fidelity",
-    "thermal_base_exact",
     "LOG_SCALE_BETA",
 ]
 
@@ -78,10 +77,6 @@ _DET_FLOOR = 1e-14
 _DUAL_TOL = 1e-10
 
 _EXP_MAX = 709.0  # math.exp overflows just above this
-
-
-class FormulaDomainError(ValueError):
-    """The printed closed form left its validity domain."""
 
 
 @dataclass(frozen=True)
@@ -119,24 +114,21 @@ class ReductionTrace:
 
 @dataclass(frozen=True)
 class BaseFactorTrace:
-    """Undisplaced-pair fidelity: printed and calibrated values side by side.
+    """Undisplaced-pair fidelity: exact and printed values side by side.
 
-    ``base`` is the adopted value (per ``source``); both ingredients are kept:
-    ``printed_value`` from the verbatim closed-form display, ``oracle_value``
-    from the Fock oracle.  ``printed_domain_error`` carries the message if the
-    printed display left its domain (the oracle value is still produced).
+    ``base`` is the exact closed form; ``printed_value`` comes from the
+    verbatim printed display, and ``printed_domain_error`` carries the
+    message if that display left its domain (``base`` is still produced).
     """
 
     Y: float
     base: float
-    source: str  # "oracle-calibrated" | "printed-closed-form"
     printed_value: float
-    oracle_value: float
     printed_domain_error: str | None = None
 
     @property
     def discrepancy(self) -> float:
-        return abs(self.printed_value - self.oracle_value)
+        return abs(self.printed_value - self.base)
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,6 @@ class FidelityOptions:
     oracle_tol: float = 1e-8
     oracle_start: int | None = None
     oracle_ceiling: int = DEFAULT_CUTOFF_CEILING
-    base_source: str = "oracle-calibrated"
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,33 +169,76 @@ def _gg_terms(g: complex) -> tuple[float, float]:
 
 
 def _delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
-    """Common positive denominator ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1."""
-    return (
-        math.cosh(beta1) * math.cosh(beta2)
-        + math.sinh(beta1) * math.sinh(beta2) * math.cosh(2.0 * (r1 - r2))
-        - 1.0
+    """Common positive denominator ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1.
+
+    Summed as sh^2((b1+b2)/2) + sh^2((b1-b2)/2) + sh b1 sh b2 ch 2(r1-r2):
+    three nonnegative terms, so hot states (small beta) keep their digits.
+    Squares are products, which overflow to inf rather than raise.
+    """
+    s = math.sinh(0.5 * (beta1 + beta2))
+    d = math.sinh(0.5 * (beta1 - beta2))
+    return s * s + d * d + math.sinh(beta1) * math.sinh(beta2) * math.cosh(
+        2.0 * (r1 - r2)
     )
 
 
 def _log_delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
-    """log of the denominator, assembled from log-scaled hyperbolics."""
+    """log of the denominator: log-sum-exp of the same three terms."""
     terms = [
-        log_cosh(beta1) + log_cosh(beta2),
+        2.0 * log_sinh(0.5 * (beta1 + beta2)),
         log_sinh(beta1) + log_sinh(beta2) + log_cosh(abs(2.0 * (r1 - r2))),
-        0.0,
     ]
-    val, sign = logsumexp(terms, b=[1.0, 1.0, -1.0], return_sign=True)
-    if sign <= 0:
-        raise DegenerateInputError(
-            "denominator determinant is nonpositive; parameters degenerate"
-        )
-    return float(val)
+    if beta1 != beta2:
+        terms.append(2.0 * log_sinh(0.5 * abs(beta1 - beta2)))
+    return float(logsumexp(terms))
 
 
 def _safe_exp(x: float) -> float:
     if x > _EXP_MAX:
         return math.inf
     return math.exp(x)
+
+
+def _exp_in_range(name: str, x: float) -> float:
+    """exp(x) for a public scalar, refusing values past double range."""
+    if x > _EXP_MAX:
+        raise OverflowError(
+            f"{name} = exp({x:.6g}) exceeds double range; evaluate through "
+            "the report pipeline, which carries log values"
+        )
+    return math.exp(x)
+
+
+def _sinh_times(beta: float, bracket: float) -> float:
+    """sinh(beta) * bracket, from logarithms beyond beta = 30."""
+    if beta <= LOG_SCALE_BETA:
+        return math.sinh(beta) * bracket
+    if bracket == 0.0:
+        return 0.0
+    return math.copysign(1.0, bracket) * _safe_exp(
+        log_sinh(beta) + math.log(abs(bracket))
+    )
+
+
+def _ratio_log_from(
+    b1: float, b2: float, r1: float, r2: float, c1: float, c2: float
+) -> float:
+    """(sh b1 sh^2(b2/2) c1 + sh^2(b1/2) sh b2 c2) / denominator, assembled
+    by signed log-sum-exp so neither the terms nor the quotient overflow."""
+    terms = []
+    signs = []
+    if c1 != 0.0:
+        terms.append(log_sinh(b1) + 2.0 * log_sinh(0.5 * b2) + math.log(abs(c1)))
+        signs.append(math.copysign(1.0, c1))
+    if c2 != 0.0:
+        terms.append(2.0 * log_sinh(0.5 * b1) + log_sinh(b2) + math.log(abs(c2)))
+        signs.append(math.copysign(1.0, c2))
+    if not terms:
+        return 0.0
+    lnum, sign = logsumexp(terms, b=signs, return_sign=True)
+    if sign == 0.0:
+        return 0.0
+    return float(sign) * _safe_exp(float(lnum) - _log_delta_denom(b1, b2, r1, r2))
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +263,7 @@ def _delta1_log_scalar(s2: StateParams, g: complex) -> float:
     if g2 == 0.0:
         return 0.0
     bracket = -0.5 * math.sinh(2.0 * s2.r) * gg - math.cosh(2.0 * s2.r) * g2
-    if s2.beta <= LOG_SCALE_BETA:
-        return math.sinh(s2.beta) * bracket
-    if bracket == 0.0:
-        return 0.0
-    sign = math.copysign(1.0, bracket)
-    return sign * _safe_exp(log_sinh(s2.beta) + math.log(abs(bracket)))
+    return _sinh_times(s2.beta, bracket)
 
 
 def _delta1_log_matrix(s1: StateParams, s2: StateParams, g: complex) -> float:
@@ -260,19 +289,10 @@ def delta1(s1: StateParams, s2: StateParams, g: complex) -> float:
     form under the second state's thermal/squeeze conjugation.
 
     Mathematically it depends only on (s2, g); s1 is accepted for signature
-    symmetry with the rest of the pipeline.  g = 0 gives exactly 1.
+    symmetry with the rest of the pipeline.  g = 0 gives exactly 1.  Read
+    from the full pipeline evaluation, so every dual-path check runs.
     """
-    g = complex(g)
-    if max(s1.beta, s2.beta) <= LOG_SCALE_BETA:
-        lg = _delta1_log_matrix(s1, s2, g)
-    else:
-        lg = _delta1_log_scalar(s2, g)
-    if lg > _EXP_MAX:
-        raise OverflowError(
-            f"delta1 = exp({lg:.6g}) exceeds double range; evaluate through "
-            "the report pipeline, which carries log values"
-        )
-    return math.exp(lg)
+    return _exp_in_range("delta1", _pipeline_trace(s1, s2, g).log_delta1)
 
 
 def matching_matrix(s1: StateParams, s2: StateParams) -> Mat2C:
@@ -379,37 +399,24 @@ def _scaled_coeffs(s1: StateParams, s2: StateParams) -> tuple[float, float]:
 def _ratio_log_scalar(s1: StateParams, s2: StateParams, g: complex) -> float:
     """log(delta1/delta2) in the pipeline convention via log-scaled assembly.
 
-    Only used beyond beta = 30; agrees with the matrix route to 1e-10 in the
-    overlap region (property-tested).
+    The reported ratio at every beta; agrees with the matrix route to 1e-10
+    wherever that route runs (beta <= 30, property-tested).
     """
     gg, g2 = _gg_terms(g)
     if g2 == 0.0:
         return 0.0
-    b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
+    r1, r2 = s1.r, s2.r
     c1 = -gg * math.sinh(2.0 * r1) - 2.0 * g2 * math.cosh(2.0 * r1)
     c2 = -gg * math.sinh(2.0 * r2) - 2.0 * g2 * math.cosh(2.0 * r2)
-    terms = []
-    signs = []
-    if c1 != 0.0:
-        terms.append(log_sinh(b1) + 2.0 * log_sinh(0.5 * b2) + math.log(abs(c1)))
-        signs.append(math.copysign(1.0, c1))
-    if c2 != 0.0:
-        terms.append(2.0 * log_sinh(0.5 * b1) + log_sinh(b2) + math.log(abs(c2)))
-        signs.append(math.copysign(1.0, c2))
-    if not terms:
-        return 0.0
-    lnum, sign = logsumexp(terms, b=signs, return_sign=True)
-    if sign == 0.0:
-        return 0.0
-    return float(sign) * _safe_exp(float(lnum) - _log_delta_denom(b1, b2, r1, r2))
+    return _ratio_log_from(s1.beta, s2.beta, r1, r2, c1, c2)
 
 
 def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
     """Full matrix-pipeline evaluation (log-scaled beyond beta = 30)."""
     g = complex(g)
     scaled = max(s1.beta, s2.beta) > LOG_SCALE_BETA
-    dd = _delta_denom(s1.beta, s2.beta, s1.r, s2.r)
     if not scaled:
+        dd = _delta_denom(s1.beta, s2.beta, s1.r, s2.r)
         ld1 = _delta1_log_matrix(s1, s2, g)
         ld2, lvec, p, residual = _delta2_log_matrix(s1, s2, g)
         # The difference ld1 - ld2 cancels catastrophically as beta grows
@@ -425,6 +432,8 @@ def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTr
                 f"direct {lratio!r}"
             )
     else:
+        # sinh(beta) overflows past beta ~ 710; the log form reaches 745
+        dd = _safe_exp(_log_delta_denom(s1.beta, s2.beta, s1.r, s2.r))
         ld1 = _delta1_log_scalar(s2, g)
         lratio = _ratio_log_scalar(s1, s2, g)
         ld2 = ld1 - lratio
@@ -456,19 +465,9 @@ def delta2(s1: StateParams, s2: StateParams, g: complex) -> float:
 
     The quadratic multiplier term is not assumed to vanish: its residual is
     checked against 1e-10 inside every matrix-path evaluation.  g = 0 gives
-    exactly 1.
+    exactly 1.  Read from the full pipeline evaluation.
     """
-    g = complex(g)
-    if max(s1.beta, s2.beta) <= LOG_SCALE_BETA:
-        lg, _, _, _ = _delta2_log_matrix(s1, s2, g)
-    else:
-        lg = _delta1_log_scalar(s2, g) - _ratio_log_scalar(s1, s2, g)
-    if lg > _EXP_MAX:
-        raise OverflowError(
-            f"delta2 = exp({lg:.6g}) exceeds double range; evaluate through "
-            "the report pipeline, which carries log values"
-        )
-    return math.exp(lg)
+    return _exp_in_range("delta2", _pipeline_trace(s1, s2, g).log_delta2)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +481,7 @@ def _printed_delta1_log(s2: StateParams, g: complex) -> float:
     if g2 == 0.0:
         return 0.0
     bracket = 0.5 * math.sinh(2.0 * s2.r) * gg - math.cosh(2.0 * s2.r) * g2
-    if s2.beta <= LOG_SCALE_BETA:
-        return math.sinh(s2.beta) * bracket
-    if bracket == 0.0:
-        return 0.0
-    return math.copysign(1.0, bracket) * _safe_exp(
-        log_sinh(s2.beta) + math.log(abs(bracket))
-    )
+    return _sinh_times(s2.beta, bracket)
 
 
 def _printed_ratio_log(s1: StateParams, s2: StateParams, g: complex) -> float:
@@ -503,20 +496,7 @@ def _printed_ratio_log(s1: StateParams, s2: StateParams, g: complex) -> float:
         eps1 = math.sinh(b1) * math.sinh(0.5 * b2) ** 2 * c1
         eps2 = math.sinh(0.5 * b1) ** 2 * math.sinh(b2) * c2
         return (eps1 + eps2) / _delta_denom(b1, b2, r1, r2)
-    terms = []
-    signs = []
-    if c1 != 0.0:
-        terms.append(log_sinh(b1) + 2.0 * log_sinh(0.5 * b2) + math.log(abs(c1)))
-        signs.append(math.copysign(1.0, c1))
-    if c2 != 0.0:
-        terms.append(2.0 * log_sinh(0.5 * b1) + log_sinh(b2) + math.log(abs(c2)))
-        signs.append(math.copysign(1.0, c2))
-    if not terms:
-        return 0.0
-    lnum, sign = logsumexp(terms, b=signs, return_sign=True)
-    if sign == 0.0:
-        return 0.0
-    return float(sign) * _safe_exp(float(lnum) - _log_delta_denom(b1, b2, r1, r2))
+    return _ratio_log_from(b1, b2, r1, r2, c1, c2)
 
 
 def ratio_printed(s1: StateParams, s2: StateParams, g: complex) -> float:
@@ -621,72 +601,39 @@ def _printed_base(s1: StateParams, s2: StateParams) -> tuple[float, float, str |
     return y, pre / math.sqrt(math.sqrt(y) - 1.0), None
 
 
-def thermal_base_exact(beta1: float, beta2: float) -> float:
-    """Exact fidelity of two thermal states (no displacement, no squeeze):
-    sinh(b1/2) sinh(b2/2) / sinh((b1+b2)/4)^2."""
-    if max(beta1, beta2) <= LOG_SCALE_BETA:
-        return (
-            math.sinh(0.5 * beta1)
-            * math.sinh(0.5 * beta2)
-            / math.sinh(0.25 * (beta1 + beta2)) ** 2
-        )
-    lg = (
-        log_sinh(0.5 * beta1)
-        + log_sinh(0.5 * beta2)
-        - 2.0 * log_sinh(0.25 * (beta1 + beta2))
-    )
-    return _safe_exp(lg)
+def base_factor(s1: StateParams, s2: StateParams) -> BaseFactorTrace:
+    """Fidelity of the undisplaced pair, exact and printed side by side.
 
+    The exact value is the single-mode Gaussian fidelity (Twamley 1996)
+    written in the matching denominator Delta = -det(P)/2:
 
-@functools.lru_cache(maxsize=4096)
-def _undisplaced_oracle(
-    r1: float, beta1: float, r2: float, beta2: float, tol: float, ceiling: int
-) -> float:
-    if (r1, beta1) == (r2, beta2):
-        return 1.0  # fidelity of a state with itself, no computation needed
-    res = fidelity_oracle(
-        StateParams(0.0, r1, beta1),
-        StateParams(0.0, r2, beta2),
-        tol=tol,
-        ceiling=ceiling,
-    )
-    return min(1.0, max(0.0, res.fidelity))
+        F0 = 4 sinh(b1/2) sinh(b2/2) (1 + sqrt(1 + Delta/2)) / Delta,
 
-
-def base_factor(
-    s1: StateParams,
-    s2: StateParams,
-    source: str = "oracle-calibrated",
-    tol: float = 1e-8,
-    ceiling: int = DEFAULT_CUTOFF_CEILING,
-) -> BaseFactorTrace:
-    """Fidelity of the undisplaced pair, printed and calibrated side by side.
-
-    The calibrated value is the Fock-oracle fidelity of the two states with
-    displacement dropped (memoized; symmetric in the pair).  The printed
-    display is evaluated verbatim and the gap between the two is exposed, not
-    hidden.  source selects which value populates ``base``.
+    the covariance form 2/(sqrt(Delta_V + delta_V) - sqrt(delta_V))
+    rationalised so nothing cancels; beyond beta = 30 it is assembled from
+    logarithms.  Identical (r, beta) give exactly 1.  The printed display is
+    evaluated verbatim and the gap between the two is exposed, not hidden.
     """
-    if source not in ("oracle-calibrated", "printed-closed-form"):
-        raise ValueError(f"unknown base source {source!r}")
     y, printed, domain_err = _printed_base(s1, s2)
-    key1 = (s1.r, s1.beta)
-    key2 = (s2.r, s2.beta)
-    lo, hi = sorted((key1, key2))
-    oracle_val = _undisplaced_oracle(lo[0], lo[1], hi[0], hi[1], tol, ceiling)
-    if source == "printed-closed-form":
-        if domain_err is not None:
-            raise FormulaDomainError(domain_err)
-        base = printed
+    b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
+    if (r1, b1) == (r2, b2):
+        base = 1.0
+    elif max(b1, b2) <= LOG_SCALE_BETA:
+        dd = _delta_denom(b1, b2, r1, r2)
+        base = (
+            4.0 * math.sinh(0.5 * b1) * math.sinh(0.5 * b2)
+            * (1.0 + math.sqrt(1.0 + 0.5 * dd)) / dd
+        )
     else:
-        base = oracle_val
+        ldd = _log_delta_denom(b1, b2, r1, r2)
+        # log sqrt(1 + Delta/2), then log(1 + sqrt(1 + Delta/2))
+        half = 0.5 * (ldd - math.log(2.0) + math.log1p(2.0 * math.exp(-ldd)))
+        lone = half + math.log1p(math.exp(-half))
+        base = _safe_exp(
+            math.log(4.0) + log_sinh(0.5 * b1) + log_sinh(0.5 * b2) + lone - ldd
+        )
     return BaseFactorTrace(
-        Y=y,
-        base=base,
-        source=source,
-        printed_value=printed,
-        oracle_value=oracle_val,
-        printed_domain_error=domain_err,
+        Y=y, base=base, printed_value=printed, printed_domain_error=domain_err
     )
 
 
@@ -710,7 +657,7 @@ def fidelity(
     """Full three-way fidelity report for a pair of states.
 
     value_matrix_pipeline = exp(log ratio from the matrix pipeline) times the
-    base factor (oracle-calibrated by default); value_printed is the fully
+    exact base factor; value_printed is the fully
     verbatim printed path (printed ratio times printed base); value_oracle is
     the adaptive-cutoff brute-force fidelity (None only when disabled).
     Every mismatch beyond opts.tol is flagged by name, in pipeline order, and
@@ -722,9 +669,7 @@ def fidelity(
 
     pipe = _pipeline_trace(s1, s2, g)
     printed = _printed_trace(s1, s2, g)
-    base = base_factor(
-        s1, s2, source=opts.base_source, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling
-    )
+    base = base_factor(s1, s2)
 
     if pipe.log_scaled:
         flags.append(DiscrepancyFlag("log-scaled-path", 0.0))
@@ -742,9 +687,7 @@ def fidelity(
     elif base.discrepancy > opts.tol:
         flags.append(DiscrepancyFlag("printed-base-factor", base.discrepancy))
 
-    value_pipe = pipe.ratio * base.oracle_value
-    if opts.base_source == "printed-closed-form":
-        value_pipe = pipe.ratio * base.base
+    value_pipe = pipe.ratio * base.base
     value_printed = (
         math.nan if math.isnan(base.printed_value) else printed.ratio * base.printed_value
     )

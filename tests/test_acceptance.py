@@ -103,9 +103,9 @@ def test_a6_coherent_limit_all_methods():
         assert abs(rep.value_matrix_pipeline - expected) <= 1e-4
         assert abs(rep.value_oracle - expected) <= 1e-4
         # printed method: its ratio exponent is convention-blind at r = 0 and
-        # lands on the same value once paired with the calibrated base factor
-        printed_on_calibrated_base = rep.printed.ratio * rep.base.oracle_value
-        assert abs(printed_on_calibrated_base - expected) <= 1e-4
+        # lands on the same value once paired with the exact base factor
+        printed_on_exact_base = rep.printed.ratio * rep.base.base
+        assert abs(printed_on_exact_base - expected) <= 1e-4
 
 
 @pytest.mark.xfail(

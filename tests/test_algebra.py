@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dstfid.algebra import (
     SIGMA,
-    StateParams,
     check_symplectic,
     is_pair_vec,
     log_cosh,
@@ -53,13 +52,11 @@ def test_state_rejects_nonpositive_temperatures():
         state(0.0, 0.0, beta=1e6)
 
 
-def test_state_rejects_nonfinite_and_phase():
+def test_state_rejects_nonfinite():
     with pytest.raises(ValueError):
         state(complex("nan"), 0.0, beta=1.0)
     with pytest.raises(ValueError):
         state(0.0, float("inf"), beta=1.0)
-    with pytest.raises(ValueError):
-        StateParams(0.0, 0.0, 1.0, squeeze_phase=0.1)
 
 
 def test_sigma_is_the_antisymmetric_form():
@@ -138,3 +135,9 @@ def test_log_hyperbolics_large_argument():
         log_sinh(0.0)
     with pytest.raises(ValueError):
         log_cosh(-1.0)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-7])
+def test_log_sinh_small_argument(x):
+    # sinh x = x (1 + x^2/6 + ...); no cancellation may eat the digits
+    assert math.isclose(log_sinh(x), math.log(x) + math.log1p(x * x / 6.0), rel_tol=1e-14)

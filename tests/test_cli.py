@@ -146,6 +146,23 @@ def test_sweep_mismatch_ray_fidelity_strictly_decreasing():
     assert all(b < a for a, b in zip(fid_col, fid_col[1:]))
 
 
+@pytest.mark.parametrize(
+    "states",
+    [
+        ("--r1", "20", "--nbar1", "0.5", "--r2", "-20", "--nbar2", "1.0"),
+        ("--nbar1", "1e6", "--nbar2", "1.0"),
+    ],
+    ids=["opposed-squeeze-20", "nbar1-1e6"],
+)
+def test_closed_form_sweep_reaches_states_beyond_the_oracle(states):
+    # far past any Fock cutoff: the closed form needs none
+    res = run_cli("sweep", *states, "--sweep", "re_k2=0:1:3", "--method", "closed-form")
+    assert res.returncode == 0, res.stderr
+    rows = [ln for ln in res.stdout.splitlines() if not ln.startswith("#")][1:]
+    fid = [float(r.split(",")[13]) for r in rows]
+    assert len(fid) == 3 and all(0.0 < f < 1.0 for f in fid)
+
+
 def test_sweep_rejects_three_axes():
     res = run_cli(
         "sweep", "--nbar1", "0.5", "--nbar2", "0.5",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from dstfid.algebra import DegenerateInputError, state
 from dstfid.fock import thermal_state
+from dstfid.golden import default_golden_path, read_snapshots
 from dstfid.reduction import (
     FidelityOptions,
-    FormulaDomainError,
     base_factor,
     delta1,
     delta2,
@@ -20,7 +21,6 @@ from dstfid.reduction import (
     printed_matching_display,
     ratio_printed,
     solve_l,
-    thermal_base_exact,
 )
 from dstfid.reduction import _delta_denom, _pipeline_trace
 
@@ -30,6 +30,30 @@ S2 = state(0.0, 0.3, beta=1.0)
 nbars = st.floats(min_value=0.05, max_value=3.0)
 radii = st.floats(min_value=-1.0, max_value=1.0)
 gs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+wide_radii = st.floats(min_value=-4.0, max_value=4.0)
+# inverse temperatures from n-bar = 1e6 (beta ~ 1e-6) to near-pure, on both
+# sides of the beta = 30 switch to log-scaled assembly
+hot_to_warm = st.floats(min_value=1e-3, max_value=1e6).map(lambda n: math.log1p(1.0 / n))
+cold = st.floats(min_value=25.0, max_value=700.0)
+log_scaled = st.floats(min_value=30.0, max_value=700.0, exclude_min=True)
+wide_betas = st.one_of(hot_to_warm, cold)
+
+
+def gaussian_reference(r1, beta1, r2, beta2, g=0j):
+    """(F0, F, log(F/F0)) at 50 digits from the quadrature covariance matrices
+    V = coth(beta/2) diag(e^{-2r}, e^{2r}) (vacuum = identity) and the mean
+    difference d = sqrt(2) (Re g, Im g):
+    F = 2/(sqrt(det(V1+V2) + delta) - sqrt(delta)) exp(-d^T (V1+V2)^{-1} d),
+    delta = (det V1 - 1)(det V2 - 1)."""
+    with mp.workdps(50):
+        r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
+        c1, c2 = mp.coth(beta1 / 2), mp.coth(beta2 / 2)
+        sx = c1 * mp.exp(-2 * r1) + c2 * mp.exp(-2 * r2)
+        sp = c1 * mp.exp(2 * r1) + c2 * mp.exp(2 * r2)
+        delta = 1 / (mp.sinh(beta1 / 2) * mp.sinh(beta2 / 2)) ** 2
+        f0 = 2 / (mp.sqrt(sx * sp + delta) - mp.sqrt(delta))
+        expo = -2 * mp.mpf(g.real) ** 2 / sx - 2 * mp.mpf(g.imag) ** 2 / sp
+        return float(f0), float(f0 * mp.exp(expo)), float(expo)
 
 
 # --- delta1 -----------------------------------------------------------------
@@ -51,6 +75,13 @@ def test_delta1_no_squeeze_closed_form():
 def test_delta1_equal_displacements_exact_one():
     assert delta1(S1, S2, 0.0) == 1.0
     assert delta2(S1, S2, 0.0) == 1.0
+
+
+def test_delta_factors_past_sinh_overflow():
+    # sinh(beta) overflows near beta = 710; the model accepts beta < 745
+    cold = state(0.0, 0.2, beta=740.0)
+    assert delta1(S1, cold, 0.0) == 1.0 and delta2(S1, cold, 0.0) == 1.0
+    assert delta1(S1, cold, 0.1) == 0.0
 
 
 @given(gs, radii, nbars)
@@ -85,6 +116,16 @@ def test_matching_determinant_is_minus_two_denominators():
     det = (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]).real
     dd = _delta_denom(a.beta, b.beta, a.r, b.r)
     assert math.isclose(det, -2.0 * dd, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("beta1,beta2", [(1e-6, 1e-6), (1e-6, 1e-3), (1e-3, 1e-3)])
+@pytest.mark.parametrize("dr", [0.0, 0.3, -2.5])
+def test_delta_denom_hot_states_keep_their_digits(beta1, beta2, dr):
+    """ch b1 ch b2 - 1 cancels for hot states; the summed form must not."""
+    with mp.workdps(50):
+        b1, b2 = mp.mpf(beta1), mp.mpf(beta2)
+        want = mp.cosh(b1) * mp.cosh(b2) + mp.sinh(b1) * mp.sinh(b2) * mp.cosh(2 * mp.mpf(dr)) - 1
+    assert math.isclose(_delta_denom(beta1, beta2, dr, 0.0), float(want), rel_tol=1e-12)
 
 
 def test_printed_display_is_scaled_inverse_of_system():
@@ -195,22 +236,24 @@ def test_thermal_base_against_diagonal_series():
     p = np.real(np.diag(thermal_state(b1, n)))
     q = np.real(np.diag(thermal_state(b2, n)))
     series = float(np.sum(np.sqrt(p * q)) ** 2)
-    assert math.isclose(thermal_base_exact(b1, b2), series, rel_tol=1e-12)
+    base = base_factor(state(0.0, 0.0, beta=b1), state(0.0, 0.0, beta=b2)).base
+    assert math.isclose(base, series, rel_tol=1e-12)
 
 
 def test_base_factor_self_pair_is_exactly_one():
     s = state(0.4, 0.6, nbar=1.2)  # displacement ignored by the base
     trace = base_factor(s, s)
-    assert trace.oracle_value == 1.0
     assert trace.base == 1.0
 
 
-def test_base_factor_symmetric_and_cached():
-    a = state(0.0, 0.5, nbar=1.0)
-    b = state(0.0, 0.2, nbar=0.7)
-    t1 = base_factor(a, b)
-    t2 = base_factor(b, a)
-    assert t1.oracle_value == t2.oracle_value  # same memoized entry
+def test_base_factor_symmetric():
+    pairs = [
+        (state(0.0, 0.5, nbar=1.0), state(0.0, 0.2, nbar=0.7)),
+        (state(0.0, -1.5, nbar=1e5), state(0.0, 2.0, nbar=1e-3)),
+        (state(0.0, 0.3, beta=32.0), state(0.0, -0.1, beta=300.0)),  # log-scaled
+    ]
+    for a, b in pairs:
+        assert math.isclose(base_factor(a, b).base, base_factor(b, a).base, rel_tol=1e-14)
 
 
 def test_base_factor_flags_broken_printed_display():
@@ -219,22 +262,58 @@ def test_base_factor_flags_broken_printed_display():
     trace = base_factor(a, b)
     assert trace.printed_domain_error is None
     assert trace.discrepancy > 0.01  # printed display far from the true value
-    assert 0.0 < trace.oracle_value <= 1.0
+    assert 0.0 < trace.base <= 1.0
 
 
-def test_base_factor_source_selection():
-    a = state(0.0, 0.0, nbar=0.5)
-    b = state(0.0, 0.0, nbar=1.5)
-    cal = base_factor(a, b, source="oracle-calibrated")
-    prt = base_factor(a, b, source="printed-closed-form")
-    assert cal.base == cal.oracle_value
-    assert prt.base == prt.printed_value
-    assert math.isclose(
-        cal.oracle_value, thermal_base_exact(a.beta, b.beta), rel_tol=0, abs_tol=1e-8
-    )
-    with pytest.raises(ValueError):
-        base_factor(a, b, source="guesswork")
-    assert issubclass(FormulaDomainError, ValueError)
+@settings(max_examples=60)
+@given(wide_radii, wide_betas, wide_radii, wide_betas)
+def test_closed_form_base_matches_gaussian_reference(r1, b1, r2, b2):
+    """Undisplaced pairs over the whole domain, no oracle: the exact base and
+    the reported pipeline value against a 50-digit reference."""
+    rep = fidelity(state(0.3j, r1, beta=b1), state(0.3j, r2, beta=b2),
+                   FidelityOptions(oracle=False))
+    want, _, _ = gaussian_reference(r1, b1, r2, b2)
+    assert math.isclose(rep.base.base, want, rel_tol=1e-11)
+    assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-11)
+
+
+@settings(max_examples=40)
+@given(log_scaled, wide_betas, wide_radii, wide_radii, gs, st.booleans())
+def test_log_scaled_fidelity_matches_gaussian_reference(b_cold, b_other, r1, r2, g, swap):
+    """Displaced pairs with a state beyond beta = 30 (log-scaled assembly)."""
+    b1, b2 = (b_other, b_cold) if swap else (b_cold, b_other)
+    rep = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2),
+                   FidelityOptions(oracle=False))
+    _, want, expo = gaussian_reference(r1, b1, r2, b2, g)
+    assert rep.pipeline.log_scaled
+    assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-11, abs_tol=1e-11)
+    assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-9, abs_tol=1e-300)
+
+
+def test_closed_form_runs_no_fock_code(monkeypatch, capsys):
+    import dstfid.cli as cli
+    import dstfid.fock as fock
+    import dstfid.reduction as red
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fock-space code ran on the closed-form path")
+
+    for module, name in ((red, "fidelity_oracle"), (fock, "fidelity_oracle"), (fock, "dst_state")):
+        monkeypatch.setattr(module, name, refuse)
+    rep = fidelity(state(0.2, 0.3, nbar=0.5), state(-0.1j, 0.1, nbar=1.0),
+                   FidelityOptions(oracle=False))
+    assert 0.0 < rep.value_matrix_pipeline < 1.0
+    for method in ("closed-form", "pipeline", "printed"):
+        argv = ["sweep", "--nbar1", "0.5", "--k2", "0.3", "--nbar2", "1.0",
+                "--sweep", "r2=0:1:3", "--method", method]
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("\n0,") == 3  # every sweep wrote row 0
+
+
+@pytest.mark.parametrize("rec", read_snapshots(default_golden_path()), ids=range(5))
+def test_closed_form_matches_golden_records(rec):
+    rep = fidelity(rec.s1, rec.s2, FidelityOptions(oracle=False))
+    assert abs(rep.value_matrix_pipeline - rec.fidelity) <= rec.tol
 
 
 # --- assembled fidelity -----------------------------------------------------
@@ -245,7 +324,7 @@ def test_fidelity_report_composes_ratio_and_base():
                    FidelityOptions(oracle=False))
     assert math.isclose(
         rep.value_matrix_pipeline,
-        rep.pipeline.ratio * rep.base.oracle_value,
+        rep.pipeline.ratio * rep.base.base,
         rel_tol=1e-12,
     )
     assert rep.value_oracle is None and rep.oracle is None
