@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Brute-force oracle convergence versus Fock-space cutoff.
 
-Evaluates the Uhlmann fidelity of one pair of states at a fixed ladder of
-cutoffs and tabulates the successive gaps, i.e. the evidence behind the
-adaptive-cutoff policy (grow by x1.5 until the change drops below tol).
+Evaluates the oracle's rung function (the Uhlmann fidelity of one pair of
+states truncated at a cutoff) on a fixed ladder of cutoffs and tabulates the
+successive gaps, i.e. the evidence behind the adaptive-cutoff policy (grow by
+x1.5 until the change drops below tol).
 
 Example:
     python3 scripts/cutoff_convergence.py --k2 1.5 --r1 0.3 --r2 0.5
@@ -14,7 +15,7 @@ import sys
 
 from dstfid.algebra import state
 from dstfid.cli import parse_complex
-from dstfid.fock import dst_state, fidelity_oracle, uhlmann_fidelity
+from dstfid.fock import fidelity_oracle, rung_fidelity
 
 
 def main(argv=None) -> int:
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
     prev = None
     for _ in range(args.rungs):
         try:
-            fid = uhlmann_fidelity(dst_state(s1, cutoff), dst_state(s2, cutoff))
+            fid = rung_fidelity(s1, s2, cutoff)
         except ValueError as exc:  # thermal tail contract not yet satisfiable
             print(f"# cutoff {cutoff}: skipped ({exc})", file=sys.stderr)
             cutoff = int(round(cutoff * 1.5))

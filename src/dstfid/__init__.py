@@ -47,6 +47,7 @@ from .reduction import (
     FidelityOptions,
     FidelityReport,
     ReductionTrace,
+    SqueezeGapError,
     base_factor,
     delta1,
     delta2,

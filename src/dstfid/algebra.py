@@ -123,7 +123,10 @@ class StateParams:
 
     @property
     def nbar(self) -> float:
-        """Mean photon number 1/(exp(beta) - 1)."""
+        """Mean photon number 1/(exp(beta) - 1); past beta = 700, where
+        exp(beta) nears overflow, it equals exp(-beta) to double precision."""
+        if self.beta > 700.0:
+            return math.exp(-self.beta)
         return 1.0 / math.expm1(self.beta)
 
 

@@ -255,7 +255,6 @@ def _report_record(s1: StateParams, s2: StateParams, rep: FidelityReport) -> dic
             "fidelity": _jnum(rep.oracle.fidelity),
             "cutoff_used": rep.oracle.cutoff_used,
             "convergence_gap": _jnum(rep.oracle.convergence_gap),
-            "spectrum_floor": _jnum(rep.oracle.spectrum_floor),
         }
     return rec
 

@@ -1,18 +1,29 @@
 """Brute-force oracle in a truncated number basis.
 
-Builds the displaced squeezed thermal density matrix rho = D S rho_th S^dag
-D^dag as a dense cutoff-N matrix and evaluates the Uhlmann/Bures fidelity
-F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 by Hermitian eigendecomposition.
-An adaptive cutoff ladder (grow by x1.5 until two successive values agree)
-certifies convergence.
+Each state is rho = U rho_th U^dag with U = D(k) S(r) and rho_th the
+diagonal thermal state with populations p.  D and S are the exponentials of
+their generators truncated at cutoff N; each generator is a phase
+conjugation of a real symmetric tridiagonal matrix (a + a^dag for D, and
+a^2 + a^dag^2 on each parity for S), so it is exponentiated through that
+matrix's eigenbasis rather than by a dense matrix exponential.
+
+One rung of the oracle evaluates the Uhlmann/Bures fidelity
+F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
+either density matrix: F_N is the squared sum of the singular values of
+diag(sqrt p1) U1^dag U2 diag(sqrt p2).  An adaptive cutoff ladder (grow by
+x1.5 until two successive values agree) certifies convergence.
+uhlmann_fidelity keeps the density-matrix route for matrices that callers
+supply.
 
 The oracle is deliberately independent of the 2x2 reduction: it never touches
-the conjugation matrices, so agreement between the two is evidence, not
-circularity.
+the conjugation matrices, and it builds D(k1) and D(k2) as separate factors
+rather than assuming the displacement difference, so agreement between the
+two is evidence, not circularity.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,9 +41,11 @@ __all__ = [
     "matrix_exp",
     "displacement_op",
     "squeeze_op",
+    "thermal_weights",
     "thermal_state",
     "dst_state",
     "uhlmann_fidelity",
+    "rung_fidelity",
     "fidelity_oracle",
     "DEFAULT_CUTOFF_CEILING",
 ]
@@ -64,10 +77,14 @@ class ContractViolationError(ValueError):
     """An input that was promised to be a density matrix is not one."""
 
 
-def annihilation(cutoff: int) -> FockMatrix:
-    """Ladder operator a with entries a[n-1, n] = sqrt(n), zero elsewhere."""
+def _check_cutoff(cutoff: int) -> None:
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff!r}")
+
+
+def annihilation(cutoff: int) -> FockMatrix:
+    """Ladder operator a with entries a[n-1, n] = sqrt(n), zero elsewhere."""
+    _check_cutoff(cutoff)
     return np.diagflat(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
@@ -89,18 +106,84 @@ def matrix_exp(m: FockMatrix) -> FockMatrix:
     return out
 
 
-def displacement_op(k: complex, cutoff: int) -> FockMatrix:
-    """D(k) = exp(k a^dag - conj(k) a); unitary up to truncation."""
-    a = annihilation(cutoff)
+# i**n for n mod 4, exact.
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _zero_diagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, V) of the real symmetric tridiagonal matrix with zero
+    diagonal and the given off-diagonal."""
+    if off.size == 0:
+        return np.zeros(1), np.ones((1, 1))
+    return scipy.linalg.eigh_tridiagonal(np.zeros(off.size + 1), off)
+
+
+def _real_eigenbasis_exp(v: np.ndarray, theta: np.ndarray) -> FockMatrix:
+    """V diag(exp(i theta)) V^T for real V, as two real products."""
+    return (v * np.cos(theta)) @ v.T + 1j * ((v * np.sin(theta)) @ v.T)
+
+
+# Eigenpairs of the real tridiagonal generators at one cutoff: (x, V) of
+# X = a + a^dag, and (levels, y, V) of Y = a^2 + a^dag^2 on each parity.
+_XPairs = tuple[np.ndarray, np.ndarray]
+_YPairs = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _x_eigenpairs(cutoff: int) -> _XPairs:
+    return _zero_diagonal_eigh(np.sqrt(np.arange(1, cutoff, dtype=float)))
+
+
+def _y_eigenpairs(cutoff: int) -> _YPairs:
+    blocks = []
+    for parity in (0, 1):
+        m = np.arange(parity, cutoff, 2)
+        blocks.append((m, *_zero_diagonal_eigh(np.sqrt((m[:-1] + 1.0) * (m[:-1] + 2.0)))))
+    return blocks
+
+
+def _displacement(k: complex, x_pairs: _XPairs) -> FockMatrix:
+    x, v = x_pairs
+    n = np.arange(x.size)
     k = complex(k)
-    return matrix_exp(k * a.conj().T - k.conjugate() * a)
+    phase = _I_POWERS[n % 4] * np.exp(1j * cmath.phase(k) * n)
+    return phase[:, None] * _real_eigenbasis_exp(v, -abs(k) * x) * phase.conj()
+
+
+def _squeeze(r: float, y_pairs: _YPairs) -> FockMatrix:
+    half_r = 0.5 * float(r)
+    cutoff = sum(m.size for m, _, _ in y_pairs)
+    out = np.zeros((cutoff, cutoff), dtype=complex)
+    for m, y, v in y_pairs:
+        phase = _I_POWERS[np.arange(m.size) % 4]
+        out[np.ix_(m, m)] = (
+            phase[:, None] * _real_eigenbasis_exp(v, half_r * y) * phase.conj()
+        )
+    return out
+
+
+def displacement_op(k: complex, cutoff: int) -> FockMatrix:
+    """D(k) = exp(k a^dag - conj(k) a) of the truncated generator; unitary.
+
+    With k = |k| e^{i phi} the generator is -i|k| B X B^dag, where
+    X = a + a^dag is real symmetric tridiagonal and
+    B = diag(e^{i phi n}) diag(i^n), so D(k) = B V diag(e^{-i|k|x}) V^T B^dag
+    from the eigenpairs (x, V) of X.
+    """
+    _check_cutoff(cutoff)
+    return _displacement(k, _x_eigenpairs(cutoff))
 
 
 def squeeze_op(r: float, cutoff: int) -> FockMatrix:
-    """S(r) = exp((r/2)(a^2 - a^dag^2)); unitary up to truncation."""
-    a = annihilation(cutoff)
-    adag = a.conj().T
-    return matrix_exp(0.5 * float(r) * (a @ a - adag @ adag))
+    """S(r) = exp((r/2)(a^2 - a^dag^2)) of the truncated generator; unitary.
+
+    a^2 - a^dag^2 = i B' Y B'^dag with Y = a^2 + a^dag^2 and
+    B' = diag(e^{i pi n/4}).  Y couples only levels of equal parity, and on
+    each parity it is real symmetric tridiagonal with off-diagonal
+    sqrt((m+1)(m+2)), so S(r) = B' V diag(e^{i r y/2}) V^T B'^dag block by
+    block.  Within a block the phases differ by powers of i.
+    """
+    _check_cutoff(cutoff)
+    return _squeeze(r, _y_eigenpairs(cutoff))
 
 
 def thermal_cutoff_requirement(beta: float) -> int:
@@ -108,8 +191,8 @@ def thermal_cutoff_requirement(beta: float) -> int:
     return max(2, math.ceil(_THERMAL_TAIL_LOG / beta))
 
 
-def thermal_state(beta: float, cutoff: int) -> FockMatrix:
-    """Normalized thermal state diag((1 - e^-beta) e^-beta*n).
+def thermal_weights(beta: float, cutoff: int) -> np.ndarray:
+    """Thermal populations (1 - e^-beta) e^-beta*n for n < cutoff.
 
     The cutoff must keep the discarded tail (= trace deficit) below 1e-12;
     otherwise the call refuses and names the cutoff that would suffice.
@@ -124,17 +207,19 @@ def thermal_state(beta: float, cutoff: int) -> FockMatrix:
             f"{beta:g}; need at least {needed}"
         )
     n = np.arange(cutoff, dtype=float)
-    pops = -math.expm1(-beta) * np.exp(-beta * n)
-    return np.diag(pops).astype(complex)
+    return -math.expm1(-beta) * np.exp(-beta * n)
+
+
+def thermal_state(beta: float, cutoff: int) -> FockMatrix:
+    """Normalized thermal state diag(thermal_weights(beta, cutoff))."""
+    return np.diag(thermal_weights(beta, cutoff)).astype(complex)
 
 
 def dst_state(s: StateParams, cutoff: int) -> FockMatrix:
     """rho = D S rho_thermal S^dag D^dag at the given cutoff."""
-    rho = thermal_state(s.beta, cutoff)
-    sq = squeeze_op(s.r, cutoff)
-    disp = displacement_op(s.k, cutoff)
-    u = disp @ sq
-    return u @ rho @ u.conj().T
+    pops = thermal_weights(s.beta, cutoff)
+    u = displacement_op(s.k, cutoff) @ squeeze_op(s.r, cutoff)
+    return (u * pops) @ u.conj().T
 
 
 def _check_density(rho: FockMatrix, name: str) -> None:
@@ -151,37 +236,47 @@ def _check_density(rho: FockMatrix, name: str) -> None:
         )
 
 
-def _psd_sqrt(rho: FockMatrix) -> tuple[FockMatrix, float]:
-    """Hermitian square root via eigendecomposition; returns (root, floor).
-
-    floor is the most negative eigenvalue encountered (0.0 if none); negative
-    eigenvalues are clamped to zero before the square root.
-    """
+def _psd_sqrt(rho: FockMatrix) -> FockMatrix:
+    """Hermitian square root via eigendecomposition; negative eigenvalues
+    (rounding of a PSD input) are clamped to zero before the square root."""
     vals, vecs = np.linalg.eigh(rho)
-    floor = float(min(vals[0], 0.0))
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T, floor
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
     """F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 for two density matrices."""
-    fid, _ = _uhlmann_with_floor(rho1, rho2)
-    return fid
-
-
-def _uhlmann_with_floor(rho1: FockMatrix, rho2: FockMatrix) -> tuple[float, float]:
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     _check_density(rho1, "rho1")
     _check_density(rho2, "rho2")
-    root1, floor1 = _psd_sqrt(rho1)
+    root1 = _psd_sqrt(rho1)
     inner = root1 @ rho2 @ root1
     # inner is Hermitian PSD up to rounding; evaluate tr sqrt by eigenvalues.
     vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    floor2 = float(min(vals[0], 0.0))
     vals = np.clip(vals, 0.0, None)
-    fid = float(np.sum(np.sqrt(vals)) ** 2)
-    return fid, min(floor1, floor2)
+    return float(np.sum(np.sqrt(vals)) ** 2)
+
+
+def rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
+    """Uhlmann fidelity of the two states truncated at one cutoff: one rung
+    of the oracle's ladder, without forming either density matrix.
+
+    rho_i = U_i diag(p_i) U_i^dag with U_i = D(k_i) S(r_i) unitary, so
+    sqrt(rho1) rho2 sqrt(rho1) = U1 M M^dag U1^dag for
+    M = diag(sqrt p1) U1^dag U2 diag(sqrt p2), and F is the squared sum of
+    the singular values of M.  Equal to uhlmann_fidelity(dst_state(s1, N),
+    dst_state(s2, N)) up to rounding.
+    """
+    root1 = np.sqrt(thermal_weights(s1.beta, cutoff))
+    root2 = np.sqrt(thermal_weights(s2.beta, cutoff))
+    # Both states share the generators' eigenpairs at this cutoff.
+    x_pairs, y_pairs = _x_eigenpairs(cutoff), _y_eigenpairs(cutoff)
+    u1 = _displacement(s1.k, x_pairs) @ _squeeze(s1.r, y_pairs)
+    u2 = _displacement(s2.k, x_pairs) @ _squeeze(s2.r, y_pairs)
+    overlap = u1.conj().T @ u2
+    sv = scipy.linalg.svdvals(root1[:, None] * overlap * root2)
+    return float(np.sum(sv) ** 2)
 
 
 @dataclass(frozen=True)
@@ -191,7 +286,6 @@ class OracleResult:
     fidelity: float
     cutoff_used: int
     convergence_gap: float
-    spectrum_floor: float
 
 
 def _starting_cutoff(s1: StateParams, s2: StateParams) -> int:
@@ -214,7 +308,6 @@ def fidelity_oracle(
     s1: StateParams,
     s2: StateParams,
     tol: float = 1e-8,
-    start: int | None = None,
     ceiling: int = DEFAULT_CUTOFF_CEILING,
 ) -> OracleResult:
     """Adaptive-cutoff Uhlmann fidelity between two parameterized states.
@@ -225,20 +318,17 @@ def fidelity_oracle(
     """
     if tol < 1e-10:
         raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
-    cutoff = start if start is not None else _starting_cutoff(s1, s2)
-    cutoff = max(2, min(cutoff, ceiling))
+    cutoff = max(2, min(_starting_cutoff(s1, s2), ceiling))
 
     gaps: list[tuple[int, float]] = []
     prev: float | None = None
-    floor = 0.0
     while True:
-        fid, fl = _uhlmann_with_floor(dst_state(s1, cutoff), dst_state(s2, cutoff))
-        floor = min(floor, fl)
+        fid = rung_fidelity(s1, s2, cutoff)
         if prev is not None:
             gap = abs(fid - prev)
             gaps.append((cutoff, gap))
             if gap <= tol:
-                return OracleResult(fid, cutoff, gap, floor)
+                return OracleResult(fid, cutoff, gap)
         prev = fid
         if cutoff >= ceiling:
             trace = ", ".join(f"N={n}: {g:.3e}" for n, g in gaps) or "no rungs"

@@ -64,6 +64,7 @@ __all__ = [
     "base_factor",
     "fidelity",
     "LOG_SCALE_BETA",
+    "SqueezeGapError",
 ]
 
 # Above this inverse temperature, sinh/cosh products are assembled from
@@ -77,6 +78,10 @@ _DET_FLOOR = 1e-14
 _DUAL_TOL = 1e-10
 
 _EXP_MAX = 709.0  # math.exp overflows just above this
+
+
+class SqueezeGapError(ValueError):
+    """The squeeze factors differ by more than double precision can carry."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,6 @@ class FidelityOptions:
     tol: float = 1e-8  # physical comparison tolerance (flag threshold)
     oracle: bool = True  # run the full Fock oracle alongside
     oracle_tol: float = 1e-8
-    oracle_start: int | None = None
     oracle_ceiling: int = DEFAULT_CUTOFF_CEILING
 
 
@@ -168,25 +172,40 @@ def _gg_terms(g: complex) -> tuple[float, float]:
     return 2.0 * (g * g).real, g.real * g.real + g.imag * g.imag
 
 
+def _squeeze_gap(r1: float, r2: float) -> float:
+    """2(r1 - r2), the argument of the denominator's cosh; refused with
+    SqueezeGapError where that cosh leaves double range."""
+    x = 2.0 * (r1 - r2)
+    if abs(x) > _EXP_MAX:
+        raise SqueezeGapError(
+            f"squeeze factors r1={r1!r}, r2={r2!r} differ by {abs(r1 - r2):g}; "
+            f"cosh 2(r1 - r2) leaves double range beyond |r1 - r2| = "
+            f"{0.5 * _EXP_MAX:g}"
+        )
+    return x
+
+
 def _delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
     """Common positive denominator ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1.
 
     Summed as sh^2((b1+b2)/2) + sh^2((b1-b2)/2) + sh b1 sh b2 ch 2(r1-r2):
     three nonnegative terms, so hot states (small beta) keep their digits.
-    Squares are products, which overflow to inf rather than raise.
+    Squares are products, which overflow to inf rather than raise.  Beyond
+    beta = 30 it is exponentiated from the log form (inf past double range).
     """
+    if max(beta1, beta2) > LOG_SCALE_BETA:
+        return _safe_exp(_log_delta_denom(beta1, beta2, r1, r2))
+    x = _squeeze_gap(r1, r2)
     s = math.sinh(0.5 * (beta1 + beta2))
     d = math.sinh(0.5 * (beta1 - beta2))
-    return s * s + d * d + math.sinh(beta1) * math.sinh(beta2) * math.cosh(
-        2.0 * (r1 - r2)
-    )
+    return s * s + d * d + math.sinh(beta1) * math.sinh(beta2) * math.cosh(x)
 
 
 def _log_delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
     """log of the denominator: log-sum-exp of the same three terms."""
     terms = [
         2.0 * log_sinh(0.5 * (beta1 + beta2)),
-        log_sinh(beta1) + log_sinh(beta2) + log_cosh(abs(2.0 * (r1 - r2))),
+        log_sinh(beta1) + log_sinh(beta2) + log_cosh(abs(_squeeze_gap(r1, r2))),
     ]
     if beta1 != beta2:
         terms.append(2.0 * log_sinh(0.5 * abs(beta1 - beta2)))
@@ -415,8 +434,8 @@ def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTr
     """Full matrix-pipeline evaluation (log-scaled beyond beta = 30)."""
     g = complex(g)
     scaled = max(s1.beta, s2.beta) > LOG_SCALE_BETA
+    dd = _delta_denom(s1.beta, s2.beta, s1.r, s2.r)
     if not scaled:
-        dd = _delta_denom(s1.beta, s2.beta, s1.r, s2.r)
         ld1 = _delta1_log_matrix(s1, s2, g)
         ld2, lvec, p, residual = _delta2_log_matrix(s1, s2, g)
         # The difference ld1 - ld2 cancels catastrophically as beta grows
@@ -432,8 +451,6 @@ def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTr
                 f"direct {lratio!r}"
             )
     else:
-        # sinh(beta) overflows past beta ~ 710; the log form reaches 745
-        dd = _safe_exp(_log_delta_denom(s1.beta, s2.beta, s1.r, s2.r))
         ld1 = _delta1_log_scalar(s2, g)
         lratio = _ratio_log_scalar(s1, s2, g)
         ld2 = ld1 - lratio
@@ -518,11 +535,22 @@ def printed_matching_display(s1: StateParams, s2: StateParams) -> Mat2C:
     convention) — it is not the system matrix its surrounding text defines.
     """
     b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
-    dd = _delta_denom(b1, b2, r1, r2)
-    shs = math.sinh(0.5 * (b2 + b1))
-    shd2 = math.sinh(0.5 * (b2 - b1))
     chr_ = math.cosh(r1 - r2)
     shr = math.sinh(r1 - r2)
+    if max(b1, b2) <= LOG_SCALE_BETA:
+        dd = _delta_denom(b1, b2, r1, r2)
+        shs = math.sinh(0.5 * (b2 + b1))
+        shd2 = math.sinh(0.5 * (b2 - b1))
+    else:
+        # sinh(beta) overflows past beta ~ 710: the sinh/denominator
+        # quotients come from logarithms, so the prefactor is already applied
+        ldd = _log_delta_denom(b1, b2, r1, r2)
+        dd = 1.0
+        shs = _safe_exp(log_sinh(0.5 * (b2 + b1)) - ldd)
+        half_diff = 0.5 * (b2 - b1)
+        shd2 = 0.0
+        if half_diff != 0.0:
+            shd2 = math.copysign(_safe_exp(log_sinh(abs(half_diff)) - ldd), half_diff)
     return (
         np.array(
             [[shs * chr_, shd2 * shr], [-shd2 * shr, -shs * chr_]], dtype=complex
@@ -591,7 +619,13 @@ def printed_overlap_argument(s1: StateParams, s2: StateParams) -> float:
 def _printed_base(s1: StateParams, s2: StateParams) -> tuple[float, float, str | None]:
     """(Y, printed base value, domain-error message or None), verbatim:
     2 sinh(b1/4) sinh(b2/4) / sqrt(sqrt(Y) - 1)."""
-    y = printed_overlap_argument(s1, s2)
+    try:
+        y = printed_overlap_argument(s1, s2)
+    except OverflowError:
+        return math.inf, math.nan, (
+            "printed base-factor argument Y overflows double precision "
+            "(its squared hyperbolics of (b1+b2)/4 and r1+r2 leave range)"
+        )
     pre = 2.0 * math.sinh(0.25 * s1.beta) * math.sinh(0.25 * s2.beta)
     if y < 0.0 or math.sqrt(y) <= 1.0:
         return y, math.nan, (
@@ -698,11 +732,7 @@ def fidelity(
     value_oracle: float | None = None
     if opts.oracle:
         oracle_res = fidelity_oracle(
-            s1,
-            s2,
-            tol=opts.oracle_tol,
-            start=opts.oracle_start,
-            ceiling=opts.oracle_ceiling,
+            s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling
         )
         value_oracle = _clamp01(oracle_res.fidelity, "oracle-value", flags)
         if abs(value_pipe - value_oracle) > max(opts.tol, 1e-6):

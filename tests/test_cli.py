@@ -151,8 +151,9 @@ def test_sweep_mismatch_ray_fidelity_strictly_decreasing():
     [
         ("--r1", "20", "--nbar1", "0.5", "--r2", "-20", "--nbar2", "1.0"),
         ("--nbar1", "1e6", "--nbar2", "1.0"),
+        ("--beta1", "740", "--nbar2", "1.0"),
     ],
-    ids=["opposed-squeeze-20", "nbar1-1e6"],
+    ids=["opposed-squeeze-20", "nbar1-1e6", "beta1-740"],
 )
 def test_closed_form_sweep_reaches_states_beyond_the_oracle(states):
     # far past any Fock cutoff: the closed form needs none
@@ -161,6 +162,16 @@ def test_closed_form_sweep_reaches_states_beyond_the_oracle(states):
     rows = [ln for ln in res.stdout.splitlines() if not ln.startswith("#")][1:]
     fid = [float(r.split(",")[13]) for r in rows]
     assert len(fid) == 3 and all(0.0 < f < 1.0 for f in fid)
+
+
+def test_compute_squeeze_gap_past_double_range_exits_2():
+    res = run_cli(
+        "compute", "--r1", "200", "--nbar1", "1", "--r2", "-200", "--nbar2", "1",
+        "--method", "closed-form",
+    )
+    assert res.returncode == 2
+    assert "differ by 400" in res.stderr and "leaves double range" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_sweep_rejects_three_axes():

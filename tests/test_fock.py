@@ -16,6 +16,7 @@ from dstfid.fock import (
     dst_state,
     fidelity_oracle,
     matrix_exp,
+    rung_fidelity,
     squeeze_op,
     thermal_cutoff_requirement,
     thermal_state,
@@ -46,6 +47,23 @@ def test_matrix_exp_unitary_for_antihermitian():
     h = 0.4 * a.conj().T - 0.4 * a  # anti-Hermitian
     u = matrix_exp(h)
     assert np.max(np.abs(u @ u.conj().T - np.eye(30))) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
+@pytest.mark.parametrize("k", [0.7 + 0.3j, -1.5, -0.4j, 0.0])
+def test_displacement_equals_exp_of_truncated_generator(k, cutoff):
+    a = annihilation(cutoff)
+    want = matrix_exp(k * a.conj().T - np.conj(k) * a)
+    assert np.max(np.abs(displacement_op(k, cutoff) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
+@pytest.mark.parametrize("r", [0.8, -0.8, -0.05, 0.0])
+def test_squeeze_equals_exp_of_truncated_generator(r, cutoff):
+    a = annihilation(cutoff)
+    adag = a.conj().T
+    want = matrix_exp(0.5 * r * (a @ a - adag @ adag))
+    assert np.max(np.abs(squeeze_op(r, cutoff) - want)) <= 1e-12
 
 
 def test_displacement_vacuum_is_coherent_poisson():
@@ -193,17 +211,54 @@ def test_oracle_converges_and_reports_rungs():
     assert res.convergence_gap <= 1e-8
     assert res.cutoff_used >= 30
     assert 0.0 < res.fidelity < 1.0
-    assert res.spectrum_floor > -1e-12
 
 
 def test_oracle_fidelity_monotone_under_cutoff_growth():
     s1 = state(0.3, 0.2, nbar=0.5)
     s2 = state(0.1 + 0.2j, 0.5, nbar=1.0)
-    fids = [
-        uhlmann_fidelity(dst_state(s1, n), dst_state(s2, n)) for n in (40, 60, 90)
-    ]
+    fids = [rung_fidelity(s1, s2, n) for n in (40, 60, 90)]
     gaps = [abs(fids[i + 1] - fids[i]) for i in range(len(fids) - 1)]
     assert gaps[1] < gaps[0]  # refinement shrinks the change
+
+
+@pytest.mark.parametrize(
+    "s1,s2",
+    [
+        (state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0)),
+        (state(-0.2j, -0.4, nbar=1.5), state(0.5, 0.3, beta=3.0)),
+        (state(0.3 + 0.4j, 0.8, nbar=2.0), state(0.3 + 0.4j, 0.8, nbar=2.0)),
+    ],
+)
+def test_rung_equals_uhlmann_of_dense_states(s1, s2):
+    cutoff = 80
+    dense = uhlmann_fidelity(dst_state(s1, cutoff), dst_state(s2, cutoff))
+    assert abs(rung_fidelity(s1, s2, cutoff) - dense) <= 1e-8
+
+
+def test_oracle_self_pair_is_one_to_rounding():
+    s = state(0.3 + 0.4j, 0.8, nbar=2.0)
+    res = fidelity_oracle(s, s)
+    assert abs(res.fidelity - 1.0) <= 1e-13
+
+
+def test_oracle_runs_no_matrix_exponential(monkeypatch):
+    import scipy.linalg
+
+    import dstfid.fock as fock
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a dense matrix exponential")
+
+    monkeypatch.setattr(fock, "matrix_exp", refuse)
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    res = fidelity_oracle(state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0))
+    assert math.isclose(res.fidelity, 0.8509993417886631, rel_tol=0, abs_tol=5e-8)
+
+
+def test_oracle_refuses_ceiling_below_thermal_tail():
+    hot = state(0.0, 0.0, beta=0.01)
+    with pytest.raises(ValueError, match="thermal tail"):
+        fidelity_oracle(hot, hot, ceiling=100)
 
 
 def test_oracle_golden_point():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstfid.algebra import DegenerateInputError, state
-from dstfid.fock import thermal_state
+from dstfid.fock import fidelity_oracle, thermal_state
 from dstfid.golden import default_golden_path, read_snapshots
 from dstfid.reduction import (
     FidelityOptions,
@@ -21,6 +21,7 @@ from dstfid.reduction import (
     printed_matching_display,
     ratio_printed,
     solve_l,
+    SqueezeGapError,
 )
 from dstfid.reduction import _delta_denom, _pipeline_trace
 
@@ -35,7 +36,7 @@ wide_radii = st.floats(min_value=-4.0, max_value=4.0)
 # sides of the beta = 30 switch to log-scaled assembly
 hot_to_warm = st.floats(min_value=1e-3, max_value=1e6).map(lambda n: math.log1p(1.0 / n))
 cold = st.floats(min_value=25.0, max_value=700.0)
-log_scaled = st.floats(min_value=30.0, max_value=700.0, exclude_min=True)
+log_scaled = st.floats(min_value=30.0, max_value=744.0, exclude_min=True)
 wide_betas = st.one_of(hot_to_warm, cold)
 
 
@@ -288,6 +289,33 @@ def test_log_scaled_fidelity_matches_gaussian_reference(b_cold, b_other, r1, r2,
     assert rep.pipeline.log_scaled
     assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-11, abs_tol=1e-11)
     assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-9, abs_tol=1e-300)
+
+
+def test_fidelity_past_sinh_overflow_matches_gaussian_reference():
+    # sinh(740) overflows: the printed path's denominator and display come
+    # from logarithms there, as the pipeline's do
+    cold, hot = state(0.0, 0.0, beta=740.0), state(0.1, 0.0, nbar=1.0)
+    rep = fidelity(cold, hot, FidelityOptions(oracle=False))
+    _, want, _ = gaussian_reference(0.0, 740.0, 0.0, hot.beta, 0.1)
+    assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-11)
+    assert np.all(np.isfinite(rep.printed.P))
+
+
+def test_squeeze_gap_past_cosh_overflow_is_a_named_error():
+    with pytest.raises(SqueezeGapError, match="leaves double range"):
+        fidelity(state(0.0, 200.0, nbar=1.0), state(0.0, -200.0, nbar=1.0),
+                 FidelityOptions(oracle=False))
+
+
+def test_oracle_matches_gaussian_reference_on_seeded_pairs():
+    rng = np.random.default_rng(2026)
+    for _ in range(6):
+        k1, k2 = complex(*rng.uniform(-1.0, 1.0, 2)), complex(*rng.uniform(-1.0, 1.0, 2))
+        r1, r2 = rng.uniform(-0.6, 0.6, 2)
+        n1, n2 = rng.uniform(0.05, 2.0, 2)
+        s1, s2 = state(k1, r1, nbar=n1), state(k2, r2, nbar=n2)
+        _, want, _ = gaussian_reference(r1, s1.beta, r2, s2.beta, k2 - k1)
+        assert abs(fidelity_oracle(s1, s2).fidelity - want) <= 1e-10
 
 
 def test_closed_form_runs_no_fock_code(monkeypatch, capsys):
