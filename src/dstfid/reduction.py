@@ -459,7 +459,9 @@ def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTr
         h = complex((m2inv @ pair_vec(g))[0])
         l0 = ca * h + cb * h.conjugate()
         lvec = np.array([l0, -l0.conjugate()], dtype=complex)
-        p = matching_matrix(s1, s2)
+        # reported only; past beta1 + beta2 ~ 1418 its entries read inf/nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = matching_matrix(s1, s2)
         residual = None
     return ReductionTrace(
         delta1=_safe_exp(ld1),
@@ -572,7 +574,10 @@ def _printed_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTra
     diff = thermal_matrix(s2.beta, -0.5) - thermal_matrix(s2.beta, 0.5)
     try:
         pt_inv = np.linalg.inv(p.T)
-        lrow = pair_vec(g) @ m2inv_printed.T @ diff @ pt_inv
+        # Deep in the log-scaled regime this chain leaves double range; its
+        # entries then read inf/nan like the trace's other out-of-range values.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lrow = pair_vec(g) @ m2inv_printed.T @ diff @ pt_inv
         lvec = np.array([lrow[0], lrow[1]], dtype=complex)
     except np.linalg.LinAlgError:
         lvec = np.array([math.nan, math.nan], dtype=complex)

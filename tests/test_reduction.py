@@ -13,6 +13,7 @@ from dstfid.fock import fidelity_oracle, thermal_state
 from dstfid.golden import default_golden_path, read_snapshots
 from dstfid.reduction import (
     FidelityOptions,
+    SqueezeGapError,
     base_factor,
     delta1,
     delta2,
@@ -21,7 +22,6 @@ from dstfid.reduction import (
     printed_matching_display,
     ratio_printed,
     solve_l,
-    SqueezeGapError,
 )
 from dstfid.reduction import _delta_denom, _pipeline_trace
 
