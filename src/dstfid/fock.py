@@ -113,8 +113,6 @@ _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 def _zero_diagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, V) of the real symmetric tridiagonal matrix with zero
     diagonal and the given off-diagonal."""
-    if off.size == 0:
-        return np.zeros(1), np.ones((1, 1))
     return scipy.linalg.eigh_tridiagonal(np.zeros(off.size + 1), off)
 
 
