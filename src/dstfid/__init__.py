@@ -46,6 +46,7 @@ from .reduction import (
     BaseFactorTrace,
     FidelityOptions,
     FidelityReport,
+    PipelineCheckError,
     ReductionTrace,
     SqueezeGapError,
     base_factor,

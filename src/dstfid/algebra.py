@@ -200,9 +200,10 @@ def is_pair_vec(v: PairVec, tol: float = 1e-10) -> bool:
 
 # --- log-scaled hyperbolics -------------------------------------------------
 #
-# For beta > 30 the reduction assembles products like sinh(b1) sinh(b2) / Delta
-# from logarithms instead of raw floats, per the overflow policy.  These forms
-# are exact for all x > 0 (log1p/expm1 soak up the tail), not just asymptotically.
+# The reduction assembles products like sinh(b1) sinh(b2) / Delta from these
+# logarithms at every beta, so nothing overflows toward the pure-state limit.
+# The forms are exact for all x > 0 (log1p/expm1 soak up the tail), not just
+# asymptotically.
 
 
 def log_sinh(x: float) -> float:

@@ -1,6 +1,7 @@
 """Command-line front end: compute, sweep, verify, snapshot.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage, 3 convergence, 4 I/O.
+Exit codes: 0 ok, 1 verification failure or a refused pipeline check,
+2 usage, 3 convergence, 4 I/O.
 Machine-readable output is deterministic — no wall clock anywhere, numbers
 at 17 significant digits — so identical invocations produce byte-identical
 files.
@@ -29,7 +30,7 @@ from .golden import (
     write_snapshots,
 )
 from .reconcile import ReconciliationReport, run_verification
-from .reduction import FidelityOptions, FidelityReport, fidelity
+from .reduction import FidelityOptions, FidelityReport, PipelineCheckError, fidelity
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -606,6 +607,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except PipelineCheckError as exc:
+        print(f"pipeline check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

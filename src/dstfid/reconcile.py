@@ -319,9 +319,9 @@ def _entry_matching_display(results: list[PairResult]) -> ReconciliationEntry:
     rel_devs = []
     for pr in results:
         s1, s2 = pr.s1, pr.s2
-        printed = _red.printed_matching_display(s1, s2)
-        system = _red.matching_matrix(s1, s2)
-        dd = _red._delta_denom(s1.beta, s2.beta, s1.r, s2.r)
+        printed = pr.report.printed.P
+        system = pr.report.pipeline.P
+        dd = pr.report.pipeline.DeltaDenom
         # The definition line beside the display: printed squeeze convention
         # and a bare B1 where the matching condition has B1^(-1/2).
         m1p = squeeze_matrix(s1.r)
@@ -355,11 +355,10 @@ def _entry_matching_display(results: list[PairResult]) -> ReconciliationEntry:
 def _entry_denominator(results: list[PairResult]) -> ReconciliationEntry:
     devs = []
     for pr in results:
-        s1, s2 = pr.s1, pr.s2
-        system = _red.matching_matrix(s1, s2)
-        dd = _red._delta_denom(s1.beta, s2.beta, s1.r, s2.r)
+        system = pr.report.pipeline.P
+        dd = pr.report.pipeline.DeltaDenom
         det = complex(system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0])
-        devs.append((abs(det + 2.0 * dd) / (2.0 * dd), _fmt_pair(s1, s2)))
+        devs.append((abs(det + 2.0 * dd) / (2.0 * dd), _fmt_pair(pr.s1, pr.s2)))
     worst, at = _worst(devs)
     return ReconciliationEntry(
         formula=DENOMINATOR,

@@ -22,9 +22,11 @@ Convention note: the conjugation matrix that matches the operator definitions
 squeeze_matrix(-r); the printed displays consistently use the opposite sign,
 which the comparison path reproduces verbatim.
 
-All exponents are assembled in log form and only exponentiated at the report
-boundary; beyond beta = 30 the sinh/cosh products switch to log-scaled
-assembly so near-pure states never overflow.
+Every closed-form scalar is assembled from logarithms (log_sinh, log_cosh, a
+signed log-sum-exp) at every beta and only exponentiated at the report
+boundary, so hot states keep their digits and near-pure states never overflow.
+Beyond beta = 30 the matrix route (thermal factors exp(+-beta/2)) and its
+cross-checks are skipped.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .algebra import (
     SIGMA,
@@ -64,11 +65,13 @@ __all__ = [
     "base_factor",
     "fidelity",
     "LOG_SCALE_BETA",
+    "PipelineCheckError",
     "SqueezeGapError",
 ]
 
-# Above this inverse temperature, sinh/cosh products are assembled from
-# logarithms instead of raw floats.
+# Above this inverse temperature the pipeline skips the matrix route and its
+# cross-checks: the thermal factors exp(+-beta/2) leave the products without
+# digits to check.
 LOG_SCALE_BETA = 30.0
 
 # Determinant floor for the 2x2 matching solve.
@@ -82,6 +85,11 @@ _EXP_MAX = 709.0  # math.exp overflows just above this
 
 class SqueezeGapError(ValueError):
     """The squeeze factors differ by more than double precision can carry."""
+
+
+class PipelineCheckError(RuntimeError):
+    """A matrix-route check (imaginary part, dual path, solve residual,
+    conjugate-pair form, annihilation residual) left its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,25 @@ def _gg_terms(g: complex) -> tuple[float, float]:
     return 2.0 * (g * g).real, g.real * g.real + g.imag * g.imag
 
 
+def _squeezed_norm(g: complex, r: float) -> float:
+    """(1/2)(g^2 + conj(g)^2) sinh 2r + |g|^2 cosh 2r, written as the exact
+    (Re g)^2 e^{2r} + (Im g)^2 e^{-2r}: two nonnegative terms, no cancellation."""
+    if g == 0:
+        return 0.0
+    return g.real * g.real * math.exp(2.0 * r) + g.imag * g.imag * math.exp(-2.0 * r)
+
+
+def logsumexp(terms: list[float], signs: list[float] | None = None) -> tuple[float, float]:
+    """(log|sum_i s_i exp(t_i)|, sign of the sum) with math alone; signs
+    default to +1, and a vanishing sum gives (-inf, 0.0)."""
+    top = max(terms)
+    signs = signs or [1.0] * len(terms)
+    total = math.fsum(s * math.exp(t - top) for s, t in zip(signs, terms))
+    if total == 0.0:
+        return -math.inf, 0.0
+    return top + math.log(abs(total)), math.copysign(1.0, total)
+
+
 def _squeeze_gap(r1: float, r2: float) -> float:
     """2(r1 - r2), the argument of the denominator's cosh; refused with
     SqueezeGapError where that cosh leaves double range."""
@@ -186,30 +213,22 @@ def _squeeze_gap(r1: float, r2: float) -> float:
 
 
 def _delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
-    """Common positive denominator ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1.
-
-    Summed as sh^2((b1+b2)/2) + sh^2((b1-b2)/2) + sh b1 sh b2 ch 2(r1-r2):
-    three nonnegative terms, so hot states (small beta) keep their digits.
-    Squares are products, which overflow to inf rather than raise.  Beyond
-    beta = 30 it is exponentiated from the log form (inf past double range).
-    """
-    if max(beta1, beta2) > LOG_SCALE_BETA:
-        return _safe_exp(_log_delta_denom(beta1, beta2, r1, r2))
-    x = _squeeze_gap(r1, r2)
-    s = math.sinh(0.5 * (beta1 + beta2))
-    d = math.sinh(0.5 * (beta1 - beta2))
-    return s * s + d * d + math.sinh(beta1) * math.sinh(beta2) * math.cosh(x)
+    """Common positive denominator ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1,
+    exponentiated from its log form at every beta (inf past double range)."""
+    return _safe_exp(_log_delta_denom(beta1, beta2, r1, r2))
 
 
 def _log_delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
-    """log of the denominator: log-sum-exp of the same three terms."""
+    """log of the denominator, summed as
+    sh^2((b1+b2)/2) + sh^2((b1-b2)/2) + sh b1 sh b2 ch 2(r1-r2):
+    three nonnegative terms, so hot states (small beta) keep their digits."""
     terms = [
         2.0 * log_sinh(0.5 * (beta1 + beta2)),
         log_sinh(beta1) + log_sinh(beta2) + log_cosh(abs(_squeeze_gap(r1, r2))),
     ]
     if beta1 != beta2:
         terms.append(2.0 * log_sinh(0.5 * abs(beta1 - beta2)))
-    return float(logsumexp(terms))
+    return logsumexp(terms)[0]
 
 
 def _safe_exp(x: float) -> float:
@@ -229,14 +248,10 @@ def _exp_in_range(name: str, x: float) -> float:
 
 
 def _sinh_times(beta: float, bracket: float) -> float:
-    """sinh(beta) * bracket, from logarithms beyond beta = 30."""
-    if beta <= LOG_SCALE_BETA:
-        return math.sinh(beta) * bracket
+    """sinh(beta) * bracket, from logarithms."""
     if bracket == 0.0:
         return 0.0
-    return math.copysign(1.0, bracket) * _safe_exp(
-        log_sinh(beta) + math.log(abs(bracket))
-    )
+    return math.copysign(_safe_exp(log_sinh(beta) + math.log(abs(bracket))), bracket)
 
 
 def _ratio_log_from(
@@ -254,10 +269,10 @@ def _ratio_log_from(
         signs.append(math.copysign(1.0, c2))
     if not terms:
         return 0.0
-    lnum, sign = logsumexp(terms, b=signs, return_sign=True)
+    lnum, sign = logsumexp(terms, signs)
     if sign == 0.0:
         return 0.0
-    return float(sign) * _safe_exp(float(lnum) - _log_delta_denom(b1, b2, r1, r2))
+    return sign * _safe_exp(lnum - _log_delta_denom(b1, b2, r1, r2))
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +293,22 @@ def _pipe_factors(s1: StateParams, s2: StateParams):
 
 def _delta1_log_scalar(s2: StateParams, g: complex) -> float:
     """Pipeline-convention exponent of delta1 (depends on state 2 only)."""
-    gg, g2 = _gg_terms(g)
-    if g2 == 0.0:
-        return 0.0
-    bracket = -0.5 * math.sinh(2.0 * s2.r) * gg - math.cosh(2.0 * s2.r) * g2
-    return _sinh_times(s2.beta, bracket)
+    return _sinh_times(s2.beta, -_squeezed_norm(g, s2.r))
 
 
-def _delta1_log_matrix(s1: StateParams, s2: StateParams, g: complex) -> float:
+def _delta1_log_matrix(factors, s2: StateParams, g: complex) -> float:
     """Raw matrix-product exponent of delta1, dual-checked against the scalar
     form to 1e-10."""
-    _, m2inv, _, _, b2m, b2p = _pipe_factors(s1, s2)
+    _, m2inv, _, _, b2m, b2p = factors
     gvec = pair_vec(g)
     q1 = m2inv.T @ b2m @ SIGMA @ b2p @ m2inv
     expo = 0.5 * (gvec @ (q1 @ gvec))
-    if abs(expo.imag) > 1e-10 * max(1.0, abs(expo)):
-        raise RuntimeError(f"delta1 exponent acquired an imaginary part: {expo!r}")
+    if not abs(expo.imag) <= 1e-10 * max(1.0, abs(expo)):
+        raise PipelineCheckError(f"delta1 exponent acquired an imaginary part: {expo!r}")
     got = float(expo.real)
     want = _delta1_log_scalar(s2, g)
-    if abs(got - want) > _DUAL_TOL * max(1.0, abs(got)):
-        raise RuntimeError(
+    if not abs(got - want) <= _DUAL_TOL * max(1.0, abs(got)):
+        raise PipelineCheckError(
             f"delta1 dual-path mismatch: matrix {got!r} vs scalar {want!r}"
         )
     return got
@@ -314,6 +325,12 @@ def delta1(s1: StateParams, s2: StateParams, g: complex) -> float:
     return _exp_in_range("delta1", _pipeline_trace(s1, s2, g).log_delta1)
 
 
+def _matching_from(factors) -> Mat2C:
+    m1, m2inv, b1m, b1p, b2m, b2p = factors
+    core = m2inv @ m1
+    return b2m @ core @ b1m - b2p @ core @ b1p
+
+
 def matching_matrix(s1: StateParams, s2: StateParams) -> Mat2C:
     """Left-hand 2x2 matrix of the linear condition the multiplier l solves.
 
@@ -322,26 +339,17 @@ def matching_matrix(s1: StateParams, s2: StateParams) -> Mat2C:
     Its determinant equals -2 * DeltaDenom, which is strictly negative for
     positive temperatures, so the system is always solvable.
     """
-    m1, m2inv, b1m, b1p, b2m, b2p = _pipe_factors(s1, s2)
-    core = m2inv @ m1
-    return b2m @ core @ b1m - b2p @ core @ b1p
+    return _matching_from(_pipe_factors(s1, s2))
 
 
-def _rhs_vec(s1: StateParams, s2: StateParams, g: complex) -> PairVec:
-    _, m2inv, _, _, b2m, b2p = _pipe_factors(s1, s2)
+def _rhs_from(factors, g: complex) -> PairVec:
+    _, m2inv, _, _, b2m, b2p = factors
     return (b2m - b2p) @ (m2inv @ pair_vec(g))
 
 
-def solve_l(s1: StateParams, s2: StateParams, g: complex) -> PairVec:
-    """Solve the matching system for the conjugate-pair multiplier (l, -l*).
-
-    Uses the explicit 2x2 adjugate; refuses when |det| falls below 1e-14
-    (degenerate parameters, the positive denominator collapsed).  The result
-    is substituted back and must reproduce the right-hand side to 1e-10.
-    """
-    g = complex(g)
-    p = matching_matrix(s1, s2)
-    rhs = _rhs_vec(s1, s2, g)
+def _solve_matching(p: Mat2C, rhs: PairVec) -> PairVec:
+    """Adjugate solve of p @ l = rhs with the determinant floor, the
+    substitution residual and the conjugate-pair form checked."""
     det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
     if abs(det) < _DET_FLOOR:
         raise DegenerateInputError(
@@ -357,29 +365,38 @@ def solve_l(s1: StateParams, s2: StateParams, g: complex) -> PairVec:
     )
     rhs_norm = float(np.linalg.norm(rhs))
     resid = float(np.linalg.norm(p @ sol - rhs))
-    if resid > 1e-10 * max(1.0, rhs_norm):
-        raise RuntimeError(f"matching solve residual {resid:g} too large")
+    if not resid <= 1e-10 * max(1.0, rhs_norm):
+        raise PipelineCheckError(f"matching solve residual {resid:g} too large")
     pair_dev = abs(sol[1] + sol[0].conjugate())
-    if pair_dev > 1e-10 * max(1.0, abs(sol[0])):
-        raise RuntimeError(
+    if not pair_dev <= 1e-10 * max(1.0, abs(sol[0])):
+        raise PipelineCheckError(
             f"solved multiplier lost conjugate-pair form (dev {pair_dev:g})"
         )
     return sol
 
 
-def _delta2_log_matrix(
-    s1: StateParams, s2: StateParams, g: complex
-) -> tuple[float, PairVec, Mat2C, float]:
+def solve_l(s1: StateParams, s2: StateParams, g: complex) -> PairVec:
+    """Solve the matching system for the conjugate-pair multiplier (l, -l*).
+
+    Uses the explicit 2x2 adjugate; refuses when |det| falls below 1e-14
+    (degenerate parameters, the positive denominator collapsed).  The result
+    is substituted back and must reproduce the right-hand side to 1e-10.
+    """
+    rhs = _rhs_from(_pipe_factors(s1, s2), complex(g))
+    return _solve_matching(matching_matrix(s1, s2), rhs)
+
+
+def _delta2_log_matrix(factors, g: complex) -> tuple[float, PairVec, Mat2C, float]:
     """Raw matrix-product exponent of delta2.
 
     Returns (log_delta2, l_vec, matching matrix, annihilation residual).  The
     annihilation residual is the quadratic multiplier term that the symplectic
     structure kills; it is asserted <= 1e-10 here on every call.
     """
-    m1, m2inv, b1m, _, b2m, _ = _pipe_factors(s1, s2)
-    lvec = solve_l(s1, s2, g)
-    p = matching_matrix(s1, s2)
-    rhs = _rhs_vec(s1, s2, g)
+    m1, m2inv, b1m, _, b2m, _ = factors
+    p = _matching_from(factors)
+    rhs = _rhs_from(factors, g)
+    lvec = _solve_matching(p, rhs)
     a_minus = b2m @ m2inv @ m1 @ b1m
     core = a_minus.T @ SIGMA
     # Quadratic term: symplectic conjugation reduces it to the antisymmetric
@@ -387,11 +404,11 @@ def _delta2_log_matrix(
     quad = complex(lvec @ (core @ (a_minus @ lvec)))
     scale = max(1.0, float(np.linalg.norm(a_minus @ lvec)) ** 2)
     residual = abs(quad) / scale
-    if residual > 1e-10:
-        raise RuntimeError(f"annihilation identity violated: residual {residual:g}")
+    if not residual <= 1e-10:
+        raise PipelineCheckError(f"annihilation identity violated: residual {residual:g}")
     expo = -0.5 * complex(lvec @ (core @ rhs))
-    if abs(expo.imag) > 1e-10 * max(1.0, abs(expo)):
-        raise RuntimeError(f"delta2 exponent acquired an imaginary part: {expo!r}")
+    if not abs(expo.imag) <= 1e-10 * max(1.0, abs(expo)):
+        raise PipelineCheckError(f"delta2 exponent acquired an imaginary part: {expo!r}")
     return float(expo.real), lvec, p, residual
 
 
@@ -421,38 +438,37 @@ def _ratio_log_scalar(s1: StateParams, s2: StateParams, g: complex) -> float:
     The reported ratio at every beta; agrees with the matrix route to 1e-10
     wherever that route runs (beta <= 30, property-tested).
     """
-    gg, g2 = _gg_terms(g)
-    if g2 == 0.0:
-        return 0.0
-    r1, r2 = s1.r, s2.r
-    c1 = -gg * math.sinh(2.0 * r1) - 2.0 * g2 * math.cosh(2.0 * r1)
-    c2 = -gg * math.sinh(2.0 * r2) - 2.0 * g2 * math.cosh(2.0 * r2)
-    return _ratio_log_from(s1.beta, s2.beta, r1, r2, c1, c2)
+    c1 = -2.0 * _squeezed_norm(g, s1.r)
+    c2 = -2.0 * _squeezed_norm(g, s2.r)
+    return _ratio_log_from(s1.beta, s2.beta, s1.r, s2.r, c1, c2)
 
 
 def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
-    """Full matrix-pipeline evaluation (log-scaled beyond beta = 30)."""
+    """Full matrix-pipeline evaluation; the matrix route and its checks run
+    only up to beta = 30."""
     g = complex(g)
     scaled = max(s1.beta, s2.beta) > LOG_SCALE_BETA
     dd = _delta_denom(s1.beta, s2.beta, s1.r, s2.r)
+    # The difference ld1 - ld2 cancels catastrophically as beta grows (both
+    # exponents scale like sinh(beta) while the ratio stays order one), so the
+    # reported ratio always comes from the direct cancellation-free
+    # combination; the matrix route cross-checks it up to its own conditioning.
+    lratio = _ratio_log_scalar(s1, s2, g)
     if not scaled:
-        ld1 = _delta1_log_matrix(s1, s2, g)
-        ld2, lvec, p, residual = _delta2_log_matrix(s1, s2, g)
-        # The difference ld1 - ld2 cancels catastrophically as beta grows
-        # (both exponents scale like sinh(beta) while the ratio stays order
-        # one), so the reported ratio always comes from the direct
-        # cancellation-free combination; the matrix route cross-checks it
-        # up to its own conditioning.
-        lratio = _ratio_log_scalar(s1, s2, g)
+        # Out-of-range products are refused by the checks (NaN fails each),
+        # not reported as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = _pipe_factors(s1, s2)
+            ld1 = _delta1_log_matrix(factors, s2, g)
+            ld2, lvec, p, residual = _delta2_log_matrix(factors, g)
         cond = max(1.0, abs(ld1), abs(ld2))
-        if abs((ld1 - ld2) - lratio) > 1e-10 * cond:
-            raise RuntimeError(
+        if not abs((ld1 - ld2) - lratio) <= 1e-10 * cond:
+            raise PipelineCheckError(
                 f"ratio dual-path mismatch: matrix {ld1 - ld2!r} vs "
                 f"direct {lratio!r}"
             )
     else:
         ld1 = _delta1_log_scalar(s2, g)
-        lratio = _ratio_log_scalar(s1, s2, g)
         ld2 = ld1 - lratio
         ca, cb = _scaled_coeffs(s1, s2)
         m2inv = squeeze_matrix(s2.r)
@@ -497,8 +513,6 @@ def delta2(s1: StateParams, s2: StateParams, g: complex) -> float:
 def _printed_delta1_log(s2: StateParams, g: complex) -> float:
     """Verbatim printed quadratic form (opposite squeeze-sign convention)."""
     gg, g2 = _gg_terms(g)
-    if g2 == 0.0:
-        return 0.0
     bracket = 0.5 * math.sinh(2.0 * s2.r) * gg - math.cosh(2.0 * s2.r) * g2
     return _sinh_times(s2.beta, bracket)
 
@@ -506,16 +520,10 @@ def _printed_delta1_log(s2: StateParams, g: complex) -> float:
 def _printed_ratio_log(s1: StateParams, s2: StateParams, g: complex) -> float:
     """Verbatim printed exponent (eps1 + eps2)/denominator."""
     gg, g2 = _gg_terms(g)
-    if g2 == 0.0:
-        return 0.0
-    b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
+    r1, r2 = s1.r, s2.r
     c1 = gg * math.sinh(2.0 * r1) - 2.0 * g2 * math.cosh(2.0 * r1)
     c2 = gg * math.sinh(2.0 * r2) - 2.0 * g2 * math.cosh(2.0 * r2)
-    if max(b1, b2) <= LOG_SCALE_BETA:
-        eps1 = math.sinh(b1) * math.sinh(0.5 * b2) ** 2 * c1
-        eps2 = math.sinh(0.5 * b1) ** 2 * math.sinh(b2) * c2
-        return (eps1 + eps2) / _delta_denom(b1, b2, r1, r2)
-    return _ratio_log_from(b1, b2, r1, r2, c1, c2)
+    return _ratio_log_from(s1.beta, s2.beta, r1, r2, c1, c2)
 
 
 def ratio_printed(s1: StateParams, s2: StateParams, g: complex) -> float:
@@ -539,25 +547,16 @@ def printed_matching_display(s1: StateParams, s2: StateParams) -> Mat2C:
     b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
     chr_ = math.cosh(r1 - r2)
     shr = math.sinh(r1 - r2)
-    if max(b1, b2) <= LOG_SCALE_BETA:
-        dd = _delta_denom(b1, b2, r1, r2)
-        shs = math.sinh(0.5 * (b2 + b1))
-        shd2 = math.sinh(0.5 * (b2 - b1))
-    else:
-        # sinh(beta) overflows past beta ~ 710: the sinh/denominator
-        # quotients come from logarithms, so the prefactor is already applied
-        ldd = _log_delta_denom(b1, b2, r1, r2)
-        dd = 1.0
-        shs = _safe_exp(log_sinh(0.5 * (b2 + b1)) - ldd)
-        half_diff = 0.5 * (b2 - b1)
-        shd2 = 0.0
-        if half_diff != 0.0:
-            shd2 = math.copysign(_safe_exp(log_sinh(abs(half_diff)) - ldd), half_diff)
-    return (
-        np.array(
-            [[shs * chr_, shd2 * shr], [-shd2 * shr, -shs * chr_]], dtype=complex
-        )
-        / dd
+    # the sinh/denominator quotients come from logarithms, so the 1/denominator
+    # prefactor is already applied and nothing overflows past beta ~ 710
+    ldd = _log_delta_denom(b1, b2, r1, r2)
+    shs = _safe_exp(log_sinh(0.5 * (b2 + b1)) - ldd)
+    half_diff = 0.5 * (b2 - b1)
+    shd2 = 0.0
+    if half_diff != 0.0:
+        shd2 = math.copysign(_safe_exp(log_sinh(abs(half_diff)) - ldd), half_diff)
+    return np.array(
+        [[shs * chr_, shd2 * shr], [-shd2 * shr, -shs * chr_]], dtype=complex
     )
 
 
@@ -649,25 +648,19 @@ def base_factor(s1: StateParams, s2: StateParams) -> BaseFactorTrace:
         F0 = 4 sinh(b1/2) sinh(b2/2) (1 + sqrt(1 + Delta/2)) / Delta,
 
     the covariance form 2/(sqrt(Delta_V + delta_V) - sqrt(delta_V))
-    rationalised so nothing cancels; beyond beta = 30 it is assembled from
-    logarithms.  Identical (r, beta) give exactly 1.  The printed display is
+    rationalised so nothing cancels, and assembled from logarithms at every
+    beta.  Identical (r, beta) give exactly 1.  The printed display is
     evaluated verbatim and the gap between the two is exposed, not hidden.
     """
     y, printed, domain_err = _printed_base(s1, s2)
     b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
     if (r1, b1) == (r2, b2):
         base = 1.0
-    elif max(b1, b2) <= LOG_SCALE_BETA:
-        dd = _delta_denom(b1, b2, r1, r2)
-        base = (
-            4.0 * math.sinh(0.5 * b1) * math.sinh(0.5 * b2)
-            * (1.0 + math.sqrt(1.0 + 0.5 * dd)) / dd
-        )
     else:
         ldd = _log_delta_denom(b1, b2, r1, r2)
         # log sqrt(1 + Delta/2), then log(1 + sqrt(1 + Delta/2))
-        half = 0.5 * (ldd - math.log(2.0) + math.log1p(2.0 * math.exp(-ldd)))
-        lone = half + math.log1p(math.exp(-half))
+        half = 0.5 * logsumexp([0.0, ldd - math.log(2.0)])[0]
+        lone = logsumexp([0.0, half])[0]
         base = _safe_exp(
             math.log(4.0) + log_sinh(0.5 * b1) + log_sinh(0.5 * b2) + lone - ldd
         )

@@ -57,6 +57,17 @@ def test_compute_oracle_matches_frozen_golden_snapshot():
     assert abs(record["value_matrix_pipeline"] - frozen) < 1e-6
 
 
+def test_compute_refused_pipeline_check_is_one_line_exit_1():
+    res = run_cli(
+        "compute", "--r1", "200", "--r2", "200", "--nbar1", "1", "--nbar2", "1",
+        "--k2", "0.5", "--method", "closed-form",
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("pipeline check failed: matching solve residual")
+    assert len(res.stderr.splitlines()) == 1  # no traceback, no numpy warning
+
+
 def test_compute_rejects_double_temperature_spec():
     res = run_cli("compute", "--nbar1", "0.5", "--beta1", "1.0", "--nbar2", "1.0")
     assert res.returncode == 2

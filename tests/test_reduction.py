@@ -1,6 +1,7 @@
 """Matrix-reduction pipeline, printed comparison path, and base factor."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ from dstfid.fock import fidelity_oracle, thermal_state
 from dstfid.golden import default_golden_path, read_snapshots
 from dstfid.reduction import (
     FidelityOptions,
+    PipelineCheckError,
     SqueezeGapError,
     base_factor,
     delta1,
@@ -55,6 +57,26 @@ def gaussian_reference(r1, beta1, r2, beta2, g=0j):
         f0 = 2 / (mp.sqrt(sx * sp + delta) - mp.sqrt(delta))
         expo = -2 * mp.mpf(g.real) ** 2 / sx - 2 * mp.mpf(g.imag) ** 2 / sp
         return float(f0), float(f0 * mp.exp(expo)), float(expo)
+
+
+def printed_reference(r1, beta1, r2, beta2, g):
+    """The printed displays transcribed at 50 digits: (the exponent
+    (eps1 + eps2)/Delta, the delta1 quadratic form, the solve-ready matrix)."""
+    with mp.workdps(50):
+        r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
+        g = mp.mpc(g.real, g.imag)
+        gg, g2 = 2 * mp.re(g * g), abs(g) ** 2
+        c1 = gg * mp.sinh(2 * r1) - 2 * g2 * mp.cosh(2 * r1)
+        c2 = gg * mp.sinh(2 * r2) - 2 * g2 * mp.cosh(2 * r2)
+        dd = (mp.cosh(beta1) * mp.cosh(beta2)
+              + mp.sinh(beta1) * mp.sinh(beta2) * mp.cosh(2 * (r1 - r2)) - 1)
+        eps1 = mp.sinh(beta1) * mp.sinh(beta2 / 2) ** 2 * c1
+        eps2 = mp.sinh(beta1 / 2) ** 2 * mp.sinh(beta2) * c2
+        quad = mp.sinh(beta2) * (gg / 2 * mp.sinh(2 * r2) - g2 * mp.cosh(2 * r2))
+        shs = mp.sinh((beta2 + beta1) / 2) * mp.cosh(r1 - r2) / dd
+        shd = mp.sinh((beta2 - beta1) / 2) * mp.sinh(r1 - r2) / dd
+        display = np.array([[float(shs), float(shd)], [float(-shd), float(-shs)]])
+        return float((eps1 + eps2) / dd), float(quad), display
 
 
 # --- delta1 -----------------------------------------------------------------
@@ -220,6 +242,26 @@ def test_ratio_swap_symmetry(g, r1, r2, n1, n2):
     assert math.isclose(fwd, rev, rel_tol=1e-10, abs_tol=1e-13)
 
 
+@pytest.mark.parametrize("r, g", [(4.0, 0.5j), (-4.0, 0.5)])
+def test_ratio_free_of_squeeze_cancellation(r, g):
+    """-(1/2)(g^2 + conj(g)^2) sinh 2r - |g|^2 cosh 2r cancels when Im g
+    dominates at r > 0 (Re g at r < 0); the pipeline must not."""
+    tr = _pipeline_trace(state(0.0, r, beta=1.0), state(g, r, beta=1.0), g)
+    _, _, expo = gaussian_reference(r, 1.0, r, 1.0, g)
+    assert math.isclose(tr.log_ratio, expo, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("r", [8.0, 200.0])
+def test_matrix_route_refusal_is_a_named_error(r):
+    # equal large squeezes: the matching products lose the conjugate-pair
+    # form (r = 8) or overflow the solve (r = 200); no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PipelineCheckError):
+            fidelity(state(0.0, r, nbar=1.0), state(0.5, r, nbar=1.0),
+                     FidelityOptions(oracle=False))
+
+
 def test_annihilation_residual_reported_small():
     tr = _pipeline_trace(S1, S2, 0.7 - 0.4j)
     assert tr.annihilation_residual is not None
@@ -289,6 +331,39 @@ def test_log_scaled_fidelity_matches_gaussian_reference(b_cold, b_other, r1, r2,
     assert rep.pipeline.log_scaled
     assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-11, abs_tol=1e-11)
     assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-9, abs_tol=1e-300)
+
+
+@settings(max_examples=60)
+@given(radii, hot_to_warm, radii, hot_to_warm, gs)
+def test_displaced_fidelity_below_log_scale_matches_gaussian_reference(r1, b1, r2, b2, g):
+    """Displaced pairs with both beta <= 30, where the matrix route checks
+    the log-assembled scalars."""
+    rep = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2),
+                   FidelityOptions(oracle=False))
+    _, want, expo = gaussian_reference(r1, b1, r2, b2, g)
+    assert not rep.pipeline.log_scaled
+    assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-11, abs_tol=1e-300)
+    assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "r1, b1, r2, b2, g",
+    [
+        (0.3, 0.7, -0.5, 1.9, 0.4 - 0.3j),
+        (1.2, 0.01, 0.4, 12.0, 1.1 + 0.2j),
+        (-0.8, 25.0, 0.6, 45.0, 0.3 + 0.5j),
+        (0.5, 40.0, -0.2, 700.0, 0.2 - 0.1j),
+    ],
+)
+def test_printed_path_matches_its_transcription(r1, b1, r2, b2, g):
+    """The printed displays at 50 digits, on both sides of beta = 30."""
+    s1, s2 = state(0.0, r1, beta=b1), state(g, r2, beta=b2)
+    want_ratio, want_quad, want_display = printed_reference(r1, b1, r2, b2, g)
+    rep = fidelity(s1, s2, FidelityOptions(oracle=False))
+    assert math.isclose(ratio_printed(s1, s2, g), math.exp(want_ratio), rel_tol=1e-12)
+    assert math.isclose(rep.printed.log_delta1, want_quad, rel_tol=1e-12)
+    display = printed_matching_display(s1, s2)
+    assert np.all(np.abs(display - want_display) <= 1e-12 * np.abs(want_display))
 
 
 def test_fidelity_past_sinh_overflow_matches_gaussian_reference():
