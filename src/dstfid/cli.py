@@ -424,17 +424,21 @@ def run_sweep(spec: SweepSpec) -> str:
         meta[f"axis{i}"] = f"{name}={_g17(start)}:{_g17(stop)}:{count}"
     lines = [_csv_header(meta)]
     grids = [_grid_values(a) for a in spec.axes]
-    idx = 0
     if len(grids) == 1:
         combos = [(v,) for v in grids[0]]
     else:
         combos = [(u, v) for u in grids[0] for v in grids[1]]
-    for values in combos:
+    for idx, values in enumerate(combos):
         assignment = {spec.axes[i][0]: values[i] for i in range(len(values))}
         s1, s2 = _sweep_states(spec, assignment)
-        rep = fidelity(s1, s2, spec.opts)
+        try:
+            rep = fidelity(s1, s2, spec.opts)
+        except ConvergenceError as exc:
+            swept = ", ".join(f"{k}={_g17(v)}" for k, v in assignment.items())
+            raise ConvergenceError(
+                f"sweep row {idx} ({swept}): {exc}; no rows written", exc.gaps
+            ) from None
         lines.append(_row_for(idx, s1, s2, rep))
-        idx += 1
     return "\n".join(lines) + "\n"
 
 

@@ -294,8 +294,7 @@ def _entry_quadratic_form(results: list[PairResult]) -> ReconciliationEntry:
         devs.append((dev, _fmt_pair(pr.s1, pr.s2)))
         s2f = StateParams(pr.s2.k, -pr.s2.r, pr.s2.beta)
         flip = abs(
-            _red._printed_delta1_log(pr.s2, pr.report.g)
-            - _red._delta1_log_scalar(s2f, pr.report.g)
+            pr.report.printed.log_delta1 - _red._delta1_log_scalar(s2f, pr.report.g)
         )
         flips.append(flip)
     worst, at = _worst(devs)
@@ -380,9 +379,11 @@ def _entry_ratio_form(results: list[PairResult]) -> ReconciliationEntry:
         devs.append((dev, _fmt_pair(pr.s1, pr.s2)))
         s1f = StateParams(pr.s1.k, -pr.s1.r, pr.s1.beta)
         s2f = StateParams(pr.s2.k, -pr.s2.r, pr.s2.beta)
+        # flipping both squeezes leaves r1 - r2, and so the denominator, alone
+        ldd = _red._log_delta_denom(pr.s1.beta, pr.s2.beta, pr.s1.r, pr.s2.r)
         flip = abs(
-            _red._printed_ratio_log(pr.s1, pr.s2, pr.report.g)
-            - _red._ratio_log_scalar(s1f, s2f, pr.report.g)
+            pr.report.printed.log_ratio
+            - _red._ratio_log_scalar(s1f, s2f, pr.report.g, ldd)
         )
         flips.append(flip)
     worst, at = _worst(devs)

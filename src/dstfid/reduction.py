@@ -2,9 +2,11 @@
 
 Two closed-form paths live here:
 
-* the **matrix pipeline** (authoritative): every factor is built from the
-  2x2 conjugation matrices and the final exponents come out of explicit
-  matrix products, with the structural identities asserted along the way;
+* the **pipeline** (reported): delta1, delta2, the multiplier l and the
+  matching denominator come from closed-form scalars at every beta, and up to
+  beta = 30 the 2x2 conjugation-matrix route the paper derives them with is
+  evaluated on the same pair as a check, with the structural identities
+  asserted along the way;
 * the **printed formulas** (comparison path): a verbatim transcription of
   the published closed-form displays, kept so their deviations can be
   measured and flagged rather than silently corrected.
@@ -25,8 +27,7 @@ which the comparison path reproduces verbatim.
 Every closed-form scalar is assembled from logarithms (log_sinh, log_cosh, a
 signed log-sum-exp) at every beta and only exponentiated at the report
 boundary, so hot states keep their digits and near-pure states never overflow.
-Beyond beta = 30 the matrix route (thermal factors exp(+-beta/2)) and its
-cross-checks are skipped.
+Beyond beta = 30 the matrix route's checks are skipped.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ __all__ = [
     "SqueezeGapError",
 ]
 
-# Above this inverse temperature the pipeline skips the matrix route and its
-# cross-checks: the thermal factors exp(+-beta/2) leave the products without
-# digits to check.
+# Above this inverse temperature the pipeline skips the matrix route's checks:
+# the thermal factors exp(+-beta/2) leave the products without digits to check.
 LOG_SCALE_BETA = 30.0
 
 # Determinant floor for the 2x2 matching solve.
@@ -80,16 +80,21 @@ _DET_FLOOR = 1e-14
 # Internal consistency tolerance for dual-path (matrix vs scalar) evaluation.
 _DUAL_TOL = 1e-10
 
+# Tolerance of the multiplier check, in units of the matrix route's first-order
+# rounding bound (about 450 ulps; seeded scans of accepted pairs used <= 0.04).
+_L_TOL = 1e-13
+
 _EXP_MAX = 709.0  # math.exp overflows just above this
 
 
 class SqueezeGapError(ValueError):
-    """The squeeze factors differ by more than double precision can carry."""
+    """A squeeze factor or squeeze gap past double range."""
 
 
 class PipelineCheckError(RuntimeError):
-    """A matrix-route check (imaginary part, dual path, solve residual,
-    conjugate-pair form, annihilation residual) left its tolerance."""
+    """A matrix-route check (imaginary part, dual path of delta1, the ratio or
+    l, solve residual, conjugate-pair form, annihilation residual) left its
+    tolerance."""
 
 
 @dataclass(frozen=True)
@@ -104,25 +109,24 @@ class DiscrepancyFlag:
 class ReductionTrace:
     """Everything one closed-form evaluation produced.
 
-    ``method`` is "matrix-pipeline" or "printed-formula".  The log fields are
-    always finite-informative even when the exponentiated values leave double
-    range; ``annihilation_residual`` is the inline check that the quadratic
-    multiplier term vanished (None on the log-scaled path, which never forms
-    the matrices).
+    The log fields are always finite-informative even when the exponentiated
+    values leave double range.  The pipeline trace reports every field from
+    the closed-form scalars; ``annihilation_residual`` comes from the matrix
+    route that checks them (None beyond beta = 30, where it does not run).
+    The printed trace leaves the pipeline-only fields (from ``l_vec`` on) None.
     """
 
     delta1: float
     delta2: float
     ratio: float
-    l_vec: PairVec
     P: Mat2C
-    DeltaDenom: float
-    method: str
-    log_delta1: float = 0.0
-    log_delta2: float = 0.0
-    log_ratio: float = 0.0
+    log_delta1: float
+    log_delta2: float
+    log_ratio: float
+    l_vec: PairVec | None = None
+    DeltaDenom: float | None = None
     annihilation_residual: float | None = None
-    log_scaled: bool = False
+    log_scaled: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -183,9 +187,8 @@ def _gg_terms(g: complex) -> tuple[float, float]:
 def _squeezed_norm(g: complex, r: float) -> float:
     """(1/2)(g^2 + conj(g)^2) sinh 2r + |g|^2 cosh 2r, written as the exact
     (Re g)^2 e^{2r} + (Im g)^2 e^{-2r}: two nonnegative terms, no cancellation."""
-    if g == 0:
-        return 0.0
-    return g.real * g.real * math.exp(2.0 * r) + g.imag * g.imag * math.exp(-2.0 * r)
+    x = _squeeze_arg(r)
+    return g.real * g.real * math.exp(x) + g.imag * g.imag * math.exp(-x)
 
 
 def logsumexp(terms: list[float], signs: list[float] | None = None) -> tuple[float, float]:
@@ -212,14 +215,21 @@ def _squeeze_gap(r1: float, r2: float) -> float:
     return x
 
 
-def _delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
-    """Common positive denominator ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1,
-    exponentiated from its log form at every beta (inf past double range)."""
-    return _safe_exp(_log_delta_denom(beta1, beta2, r1, r2))
+def _squeeze_arg(r: float) -> float:
+    """2r, the argument of a squeeze coefficient's exp, sinh and cosh;
+    refused with SqueezeGapError where those leave double range."""
+    x = 2.0 * r
+    if abs(x) > _EXP_MAX:
+        raise SqueezeGapError(
+            f"squeeze factor r={r!r}: the squeeze coefficients exp(2|r|) leave "
+            f"double range beyond |r| = {0.5 * _EXP_MAX:g}"
+        )
+    return x
 
 
 def _log_delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
-    """log of the denominator, summed as
+    """log of the common positive denominator
+    ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1, summed as
     sh^2((b1+b2)/2) + sh^2((b1-b2)/2) + sh b1 sh b2 ch 2(r1-r2):
     three nonnegative terms, so hot states (small beta) keep their digits."""
     terms = [
@@ -254,11 +264,10 @@ def _sinh_times(beta: float, bracket: float) -> float:
     return math.copysign(_safe_exp(log_sinh(beta) + math.log(abs(bracket))), bracket)
 
 
-def _ratio_log_from(
-    b1: float, b2: float, r1: float, r2: float, c1: float, c2: float
-) -> float:
-    """(sh b1 sh^2(b2/2) c1 + sh^2(b1/2) sh b2 c2) / denominator, assembled
-    by signed log-sum-exp so neither the terms nor the quotient overflow."""
+def _ratio_log_from(b1: float, b2: float, ldd: float, c1: float, c2: float) -> float:
+    """(sh b1 sh^2(b2/2) c1 + sh^2(b1/2) sh b2 c2) / exp(ldd), with ldd the log
+    denominator, assembled by signed log-sum-exp so neither the terms nor the
+    quotient overflow."""
     terms = []
     signs = []
     if c1 != 0.0:
@@ -272,7 +281,7 @@ def _ratio_log_from(
     lnum, sign = logsumexp(terms, signs)
     if sign == 0.0:
         return 0.0
-    return sign * _safe_exp(lnum - _log_delta_denom(b1, b2, r1, r2))
+    return sign * _safe_exp(lnum - ldd)
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +303,6 @@ def _pipe_factors(s1: StateParams, s2: StateParams):
 def _delta1_log_scalar(s2: StateParams, g: complex) -> float:
     """Pipeline-convention exponent of delta1 (depends on state 2 only)."""
     return _sinh_times(s2.beta, -_squeezed_norm(g, s2.r))
-
-
-def _delta1_log_matrix(factors, s2: StateParams, g: complex) -> float:
-    """Raw matrix-product exponent of delta1, dual-checked against the scalar
-    form to 1e-10."""
-    _, m2inv, _, _, b2m, b2p = factors
-    gvec = pair_vec(g)
-    q1 = m2inv.T @ b2m @ SIGMA @ b2p @ m2inv
-    expo = 0.5 * (gvec @ (q1 @ gvec))
-    if not abs(expo.imag) <= 1e-10 * max(1.0, abs(expo)):
-        raise PipelineCheckError(f"delta1 exponent acquired an imaginary part: {expo!r}")
-    got = float(expo.real)
-    want = _delta1_log_scalar(s2, g)
-    if not abs(got - want) <= _DUAL_TOL * max(1.0, abs(got)):
-        raise PipelineCheckError(
-            f"delta1 dual-path mismatch: matrix {got!r} vs scalar {want!r}"
-        )
-    return got
 
 
 def delta1(s1: StateParams, s2: StateParams, g: complex) -> float:
@@ -386,122 +377,133 @@ def solve_l(s1: StateParams, s2: StateParams, g: complex) -> PairVec:
     return _solve_matching(matching_matrix(s1, s2), rhs)
 
 
-def _delta2_log_matrix(factors, g: complex) -> tuple[float, PairVec, Mat2C, float]:
-    """Raw matrix-product exponent of delta2.
+def _multiplier(s1: StateParams, s2: StateParams, g: complex, ldd: float) -> complex:
+    """The solved multiplier l in closed form, with ldd the log denominator:
 
-    Returns (log_delta2, l_vec, matching matrix, annihilation residual).  The
-    annihilation residual is the quadratic multiplier term that the symplectic
-    structure kills; it is asserted <= 1e-10 here on every call.
+        Re l = 2 sh(b2/2) Re g [e^{r1} ch(b1/2) sh(b2/2)
+                                + e^{2 r2 - r1} sh(b1/2) ch(b2/2)] / Delta,
+        Im l = 2 sh(b2/2) Im g [e^{r1 - 2 r2} sh(b1/2) ch(b2/2)
+                                + e^{-r1} ch(b1/2) sh(b2/2)] / Delta.
+
+    This is the adjugate solve of the matching system written as two
+    nonnegative terms per component, each exponentiated from its logarithm,
+    so nothing cancels or overflows.
     """
-    m1, m2inv, b1m, _, b2m, _ = factors
-    p = _matching_from(factors)
+    h1, h2 = 0.5 * s1.beta, 0.5 * s2.beta
+    lpre = math.log(2.0) + log_sinh(h2) - ldd
+    cs = lpre + log_cosh(h1) + log_sinh(h2)
+    sc = lpre + log_sinh(h1) + log_cosh(h2)
+    r1, r2 = s1.r, s2.r
+    re = g.real * (_safe_exp(cs + r1) + _safe_exp(sc + 2.0 * r2 - r1))
+    im = g.imag * (_safe_exp(sc + r1 - 2.0 * r2) + _safe_exp(cs - r1))
+    return complex(re, im)
+
+
+def _ratio_log_scalar(s1: StateParams, s2: StateParams, g: complex, ldd: float) -> float:
+    """log(delta1/delta2) in the pipeline convention via log-scaled assembly,
+    with ldd the log denominator; the reported ratio at every beta."""
+    c1 = -2.0 * _squeezed_norm(g, s1.r)
+    c2 = -2.0 * _squeezed_norm(g, s2.r)
+    return _ratio_log_from(s1.beta, s2.beta, ldd, c1, c2)
+
+
+def _check_matrix_route(factors, p: Mat2C, g: complex, ld1: float, lratio: float,
+                        lvec: PairVec) -> float:
+    """Evaluate the 2x2 matrix route on the pair and check the reported
+    closed-form values against it; returns the annihilation residual.
+
+    In order: both exponents real and delta1 equal to the scalar form to
+    1e-10; the solve (see _solve_matching); the quadratic multiplier term,
+    which the symplectic structure kills, below 1e-10; the ratio to a
+    conditioning-aware 1e-10; the solved l within _L_TOL of the solve's
+    first-order rounding bound |adj p| (|p| |l| + |rhs|)/|det p|, with |p|
+    and |rhs| formed from the factors' absolute values (floored at 1).
+    """
+    m1, m2inv, b1m, b1p, b2m, b2p = factors
+    gvec = pair_vec(g)
+    expo = 0.5 * (gvec @ (m2inv.T @ b2m @ SIGMA @ b2p @ m2inv @ gvec))
+    if not abs(expo.imag) <= 1e-10 * max(1.0, abs(expo)):
+        raise PipelineCheckError(f"delta1 exponent acquired an imaginary part: {expo!r}")
+    ld1m = float(expo.real)
+    if not abs(ld1m - ld1) <= _DUAL_TOL * max(1.0, abs(ld1m)):
+        raise PipelineCheckError(
+            f"delta1 dual-path mismatch: matrix {ld1m!r} vs scalar {ld1!r}"
+        )
     rhs = _rhs_from(factors, g)
-    lvec = _solve_matching(p, rhs)
+    lm = _solve_matching(p, rhs)
     a_minus = b2m @ m2inv @ m1 @ b1m
     core = a_minus.T @ SIGMA
     # Quadratic term: symplectic conjugation reduces it to the antisymmetric
     # form on a single vector, which vanishes identically.
-    quad = complex(lvec @ (core @ (a_minus @ lvec)))
-    scale = max(1.0, float(np.linalg.norm(a_minus @ lvec)) ** 2)
-    residual = abs(quad) / scale
+    quad = complex(lm @ (core @ (a_minus @ lm)))
+    residual = abs(quad) / max(1.0, float(np.linalg.norm(a_minus @ lm)) ** 2)
     if not residual <= 1e-10:
         raise PipelineCheckError(f"annihilation identity violated: residual {residual:g}")
-    expo = -0.5 * complex(lvec @ (core @ rhs))
+    expo = -0.5 * complex(lm @ (core @ rhs))
     if not abs(expo.imag) <= 1e-10 * max(1.0, abs(expo)):
         raise PipelineCheckError(f"delta2 exponent acquired an imaginary part: {expo!r}")
-    return float(expo.real), lvec, p, residual
-
-
-def _scaled_coeffs(s1: StateParams, s2: StateParams) -> tuple[float, float]:
-    """(ca, cb) with l = ca*h + cb*conj(h), assembled from log-scaled
-    hyperbolics (beta > 30 path)."""
-    b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
-    ldelta = _log_delta_denom(b1, b2, r1, r2)
-    s = 0.5 * (b1 + b2)
-    d = 0.5 * (b1 - b2)
-    lrho = math.log(2.0) + log_sinh(0.5 * b2)
-    x = math.cosh(r1 - r2)
-    y = math.sinh(r1 - r2)
-    ca = _safe_exp(lrho + math.log(x) + log_sinh(s) - ldelta)
-    if d == 0.0 or y == 0.0:
-        cb = 0.0
-    else:
-        cb = -math.copysign(1.0, y * d) * _safe_exp(
-            lrho + math.log(abs(y)) + log_sinh(abs(d)) - ldelta
+    ld2m = float(expo.real)
+    if not abs((ld1m - ld2m) - lratio) <= 1e-10 * max(1.0, abs(ld1m), abs(ld2m)):
+        raise PipelineCheckError(
+            f"ratio dual-path mismatch: matrix {ld1m - ld2m!r} vs direct {lratio!r}"
         )
-    return ca, cb
-
-
-def _ratio_log_scalar(s1: StateParams, s2: StateParams, g: complex) -> float:
-    """log(delta1/delta2) in the pipeline convention via log-scaled assembly.
-
-    The reported ratio at every beta; agrees with the matrix route to 1e-10
-    wherever that route runs (beta <= 30, property-tested).
-    """
-    c1 = -2.0 * _squeezed_norm(g, s1.r)
-    c2 = -2.0 * _squeezed_norm(g, s2.r)
-    return _ratio_log_from(s1.beta, s2.beta, s1.r, s2.r, c1, c2)
+    # the same products in absolute values bound the rounding of p and rhs
+    m1, m2inv, b1m, b1p, b2m, b2p = (np.abs(f) for f in factors)
+    core = m2inv @ m1
+    p_abs = b2m @ core @ b1m + b2p @ core @ b1p
+    rhs_abs = (b2m + b2p) @ (m2inv @ np.abs(gvec))
+    det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
+    bound = np.abs([p[1, 1], p[0, 1]]) @ (p_abs @ np.abs(lvec) + rhs_abs) / abs(det)
+    if not abs(lm[0] - lvec[0]) <= _L_TOL * max(1.0, bound):
+        raise PipelineCheckError(
+            f"multiplier dual-path mismatch: matrix {complex(lm[0])!r} vs "
+            f"closed form {complex(lvec[0])!r}"
+        )
+    return residual
 
 
 def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
-    """Full matrix-pipeline evaluation; the matrix route and its checks run
-    only up to beta = 30."""
+    """Pipeline evaluation: every reported field comes from the closed-form
+    scalars at every beta; up to beta = 30 the matrix route checks them."""
     g = complex(g)
     scaled = max(s1.beta, s2.beta) > LOG_SCALE_BETA
-    dd = _delta_denom(s1.beta, s2.beta, s1.r, s2.r)
+    ldd = _log_delta_denom(s1.beta, s2.beta, s1.r, s2.r)
+    ld1 = _delta1_log_scalar(s2, g)
     # The difference ld1 - ld2 cancels catastrophically as beta grows (both
-    # exponents scale like sinh(beta) while the ratio stays order one), so the
-    # reported ratio always comes from the direct cancellation-free
-    # combination; the matrix route cross-checks it up to its own conditioning.
-    lratio = _ratio_log_scalar(s1, s2, g)
-    if not scaled:
-        # Out-of-range products are refused by the checks (NaN fails each),
-        # not reported as numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            factors = _pipe_factors(s1, s2)
-            ld1 = _delta1_log_matrix(factors, s2, g)
-            ld2, lvec, p, residual = _delta2_log_matrix(factors, g)
-        cond = max(1.0, abs(ld1), abs(ld2))
-        if not abs((ld1 - ld2) - lratio) <= 1e-10 * cond:
-            raise PipelineCheckError(
-                f"ratio dual-path mismatch: matrix {ld1 - ld2!r} vs "
-                f"direct {lratio!r}"
-            )
-    else:
-        ld1 = _delta1_log_scalar(s2, g)
-        ld2 = ld1 - lratio
-        ca, cb = _scaled_coeffs(s1, s2)
-        m2inv = squeeze_matrix(s2.r)
-        h = complex((m2inv @ pair_vec(g))[0])
-        l0 = ca * h + cb * h.conjugate()
-        lvec = np.array([l0, -l0.conjugate()], dtype=complex)
-        # reported only; past beta1 + beta2 ~ 1418 its entries read inf/nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = matching_matrix(s1, s2)
-        residual = None
+    # exponents scale like sinh(beta) while the ratio stays order one), so
+    # delta2 follows from the direct cancellation-free ratio.
+    lratio = _ratio_log_scalar(s1, s2, g, ldd)
+    l0 = _multiplier(s1, s2, g, ldd)
+    lvec = np.array([l0, -l0.conjugate()], dtype=complex)
+    residual = None
+    # Out-of-range products are refused by the checks (NaN fails each), not
+    # reported as numpy warnings; past beta1 + beta2 ~ 1418 the reported P
+    # reads inf/nan (the values are unaffected).
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _pipe_factors(s1, s2)
+        p = _matching_from(factors)
+        if not scaled:
+            residual = _check_matrix_route(factors, p, g, ld1, lratio, lvec)
     return ReductionTrace(
         delta1=_safe_exp(ld1),
-        delta2=_safe_exp(ld2),
+        delta2=_safe_exp(ld1 - lratio),
         ratio=_safe_exp(lratio),
-        l_vec=lvec,
         P=p,
-        DeltaDenom=dd,
-        method="matrix-pipeline",
         log_delta1=ld1,
-        log_delta2=ld2,
+        log_delta2=ld1 - lratio,
         log_ratio=lratio,
+        l_vec=lvec,
+        DeltaDenom=_safe_exp(ldd),
         annihilation_residual=residual,
         log_scaled=scaled,
     )
 
 
 def delta2(s1: StateParams, s2: StateParams, g: complex) -> float:
-    """Second Gaussian correction from the solved multiplier.
-
-    The quadratic multiplier term is not assumed to vanish: its residual is
-    checked against 1e-10 inside every matrix-path evaluation.  g = 0 gives
-    exactly 1.  Read from the full pipeline evaluation.
-    """
+    """Second Gaussian correction, exp(log delta1 - log ratio) from the
+    closed-form scalars; up to beta = 30 the matrix route's solved multiplier
+    reproduces it.  g = 0 gives exactly 1.  Read from the full pipeline
+    evaluation, so every check runs."""
     return _exp_in_range("delta2", _pipeline_trace(s1, s2, g).log_delta2)
 
 
@@ -513,17 +515,19 @@ def delta2(s1: StateParams, s2: StateParams, g: complex) -> float:
 def _printed_delta1_log(s2: StateParams, g: complex) -> float:
     """Verbatim printed quadratic form (opposite squeeze-sign convention)."""
     gg, g2 = _gg_terms(g)
-    bracket = 0.5 * math.sinh(2.0 * s2.r) * gg - math.cosh(2.0 * s2.r) * g2
+    x = _squeeze_arg(s2.r)
+    bracket = 0.5 * math.sinh(x) * gg - math.cosh(x) * g2
     return _sinh_times(s2.beta, bracket)
 
 
-def _printed_ratio_log(s1: StateParams, s2: StateParams, g: complex) -> float:
-    """Verbatim printed exponent (eps1 + eps2)/denominator."""
+def _printed_ratio_log(s1: StateParams, s2: StateParams, g: complex, ldd: float) -> float:
+    """Verbatim printed exponent (eps1 + eps2)/denominator, with ldd the log
+    denominator."""
     gg, g2 = _gg_terms(g)
-    r1, r2 = s1.r, s2.r
-    c1 = gg * math.sinh(2.0 * r1) - 2.0 * g2 * math.cosh(2.0 * r1)
-    c2 = gg * math.sinh(2.0 * r2) - 2.0 * g2 * math.cosh(2.0 * r2)
-    return _ratio_log_from(s1.beta, s2.beta, r1, r2, c1, c2)
+    x1, x2 = _squeeze_arg(s1.r), _squeeze_arg(s2.r)
+    c1 = gg * math.sinh(x1) - 2.0 * g2 * math.cosh(x1)
+    c2 = gg * math.sinh(x2) - 2.0 * g2 * math.cosh(x2)
+    return _ratio_log_from(s1.beta, s2.beta, ldd, c1, c2)
 
 
 def ratio_printed(s1: StateParams, s2: StateParams, g: complex) -> float:
@@ -534,7 +538,8 @@ def ratio_printed(s1: StateParams, s2: StateParams, g: complex) -> float:
     matrix pipeline; the deviation is what the flags and the reconciliation
     report measure.  g = 0 gives exactly 1.
     """
-    return _safe_exp(_printed_ratio_log(s1, s2, complex(g)))
+    ldd = _log_delta_denom(s1.beta, s2.beta, s1.r, s2.r)
+    return _safe_exp(_printed_ratio_log(s1, s2, complex(g), ldd))
 
 
 def printed_matching_display(s1: StateParams, s2: StateParams) -> Mat2C:
@@ -544,12 +549,16 @@ def printed_matching_display(s1: StateParams, s2: StateParams) -> Mat2C:
     the oracle-true convention (and the transpose-inverse in the printed
     convention) — it is not the system matrix its surrounding text defines.
     """
+    return _printed_display(s1, s2, _log_delta_denom(s1.beta, s2.beta, s1.r, s2.r))
+
+
+def _printed_display(s1: StateParams, s2: StateParams, ldd: float) -> Mat2C:
+    """The printed display with ldd the log denominator."""
     b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
     chr_ = math.cosh(r1 - r2)
     shr = math.sinh(r1 - r2)
     # the sinh/denominator quotients come from logarithms, so the 1/denominator
     # prefactor is already applied and nothing overflows past beta ~ 710
-    ldd = _log_delta_denom(b1, b2, r1, r2)
     shs = _safe_exp(log_sinh(0.5 * (b2 + b1)) - ldd)
     half_diff = 0.5 * (b2 - b1)
     shd2 = 0.0
@@ -561,38 +570,21 @@ def printed_matching_display(s1: StateParams, s2: StateParams) -> Mat2C:
 
 
 def _printed_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
-    """Verbatim printed-path evaluation, packaged like the pipeline trace."""
+    """Verbatim printed-path evaluation: the deltas, ratio and matching
+    display that the printed formulas define."""
     g = complex(g)
+    ldd = _log_delta_denom(s1.beta, s2.beta, s1.r, s2.r)
     ld1 = _printed_delta1_log(s2, g)
-    lratio = _printed_ratio_log(s1, s2, g)
+    lratio = _printed_ratio_log(s1, s2, g, ldd)
     ld2 = ld1 - lratio  # implied by the printed decomposition
-    p = printed_matching_display(s1, s2)
-    # Verbatim multiplier chain: (l, -l*) = (g, -g*) M~2^-1 (B2^-1/2 - B2^1/2) P~^-1
-    # with the printed convention's squeeze matrix and the printed display as P.
-    m2inv_printed = squeeze_matrix(-s2.r)  # inverse of the printed M2
-    diff = thermal_matrix(s2.beta, -0.5) - thermal_matrix(s2.beta, 0.5)
-    try:
-        pt_inv = np.linalg.inv(p.T)
-        # Deep in the log-scaled regime this chain leaves double range; its
-        # entries then read inf/nan like the trace's other out-of-range values.
-        with np.errstate(over="ignore", invalid="ignore"):
-            lrow = pair_vec(g) @ m2inv_printed.T @ diff @ pt_inv
-        lvec = np.array([lrow[0], lrow[1]], dtype=complex)
-    except np.linalg.LinAlgError:
-        lvec = np.array([math.nan, math.nan], dtype=complex)
     return ReductionTrace(
         delta1=_safe_exp(ld1),
         delta2=_safe_exp(ld2),
         ratio=_safe_exp(lratio),
-        l_vec=lvec,
-        P=p,
-        DeltaDenom=_delta_denom(s1.beta, s2.beta, s1.r, s2.r),
-        method="printed-formula",
+        P=_printed_display(s1, s2, ldd),
         log_delta1=ld1,
         log_delta2=ld2,
         log_ratio=lratio,
-        annihilation_residual=None,
-        log_scaled=max(s1.beta, s2.beta) > LOG_SCALE_BETA,
     )
 
 
@@ -688,8 +680,8 @@ def fidelity(
 ) -> FidelityReport:
     """Full three-way fidelity report for a pair of states.
 
-    value_matrix_pipeline = exp(log ratio from the matrix pipeline) times the
-    exact base factor; value_printed is the fully
+    value_matrix_pipeline = exp(the pipeline's closed-form log ratio) times
+    the exact base factor; value_printed is the fully
     verbatim printed path (printed ratio times printed base); value_oracle is
     the adaptive-cutoff brute-force fidelity (None only when disabled).
     Every mismatch beyond opts.tol is flagged by name, in pipeline order, and

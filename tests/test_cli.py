@@ -185,6 +185,32 @@ def test_compute_squeeze_gap_past_double_range_exits_2():
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--beta1", "40", "--beta2", "40"),
+        ("--nbar1", "1", "--nbar2", "1", "--k2", "0.5i"),
+    ],
+    ids=["printed-display", "pipeline-coefficient"],
+)
+def test_compute_single_squeeze_past_double_range_exits_2(args):
+    res = run_cli("compute", "--r1", "360", "--r2", "360", *args, "--method", "closed-form")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: squeeze factor r=360.0")
+    assert len(res.stderr.splitlines()) == 1  # no traceback
+
+
+def test_sweep_convergence_failure_names_the_row():
+    res = run_cli(
+        "sweep", "--nbar1", "0.5", "--nbar2", "0.5", "--sweep", "re_k2=0:3:4",
+        "--method", "all", "--ceiling", "40",
+    )
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert "sweep row 1 (re_k2=1)" in res.stderr
+    assert "no rows written" in res.stderr
+
+
 def test_sweep_rejects_three_axes():
     res = run_cli(
         "sweep", "--nbar1", "0.5", "--nbar2", "0.5",

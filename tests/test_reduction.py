@@ -25,7 +25,7 @@ from dstfid.reduction import (
     ratio_printed,
     solve_l,
 )
-from dstfid.reduction import _delta_denom, _pipeline_trace
+from dstfid.reduction import _delta1_log_scalar, _log_delta_denom, _pipeline_trace
 
 S1 = state(0.0, 0.2, nbar=0.8)
 S2 = state(0.0, 0.3, beta=1.0)
@@ -77,6 +77,26 @@ def printed_reference(r1, beta1, r2, beta2, g):
         shd = mp.sinh((beta2 - beta1) / 2) * mp.sinh(r1 - r2) / dd
         display = np.array([[float(shs), float(shd)], [float(-shd), float(-shs)]])
         return float((eps1 + eps2) / dd), float(quad), display
+
+
+def multiplier_reference(r1, beta1, r2, beta2, g):
+    """l, the first entry of the solution of the matching system P l = rhs,
+    built from the conjugation factors and solved at 50 digits."""
+    with mp.workdps(50):
+        r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
+
+        def squeeze(r):
+            return mp.matrix([[mp.cosh(r), -mp.sinh(r)], [-mp.sinh(r), mp.cosh(r)]])
+
+        def thermal(beta, power):
+            return mp.diag([mp.exp(-power * beta), mp.exp(power * beta)])
+
+        core = squeeze(r2) * squeeze(-r1)
+        p = (thermal(beta2, -0.5) * core * thermal(beta1, -0.5)
+             - thermal(beta2, 0.5) * core * thermal(beta1, 0.5))
+        gvec = mp.matrix([mp.mpc(g.real, g.imag), -mp.mpc(g.real, -g.imag)])
+        rhs = (thermal(beta2, -0.5) - thermal(beta2, 0.5)) * squeeze(r2) * gvec
+        return complex(mp.lu_solve(p, rhs)[0])
 
 
 # --- delta1 -----------------------------------------------------------------
@@ -137,7 +157,7 @@ def test_matching_determinant_is_minus_two_denominators():
     b = state(0.0, -0.2, nbar=1.8)
     p = matching_matrix(a, b)
     det = (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]).real
-    dd = _delta_denom(a.beta, b.beta, a.r, b.r)
+    dd = math.exp(_log_delta_denom(a.beta, b.beta, a.r, b.r))
     assert math.isclose(det, -2.0 * dd, rel_tol=1e-13)
 
 
@@ -148,7 +168,7 @@ def test_delta_denom_hot_states_keep_their_digits(beta1, beta2, dr):
     with mp.workdps(50):
         b1, b2 = mp.mpf(beta1), mp.mpf(beta2)
         want = mp.cosh(b1) * mp.cosh(b2) + mp.sinh(b1) * mp.sinh(b2) * mp.cosh(2 * mp.mpf(dr)) - 1
-    assert math.isclose(_delta_denom(beta1, beta2, dr, 0.0), float(want), rel_tol=1e-12)
+    assert math.isclose(math.exp(_log_delta_denom(beta1, beta2, dr, 0.0)), float(want), rel_tol=1e-12)
 
 
 def test_printed_display_is_scaled_inverse_of_system():
@@ -158,7 +178,7 @@ def test_printed_display_is_scaled_inverse_of_system():
     b = state(0.0, -0.1, nbar=2.0)
     p = matching_matrix(a, b)
     disp = printed_matching_display(a, b)
-    dd = _delta_denom(a.beta, b.beta, a.r, b.r)
+    dd = math.exp(_log_delta_denom(a.beta, b.beta, a.r, b.r))
     assert np.allclose(2.0 * dd * disp, p, rtol=1e-12, atol=1e-12)
     assert np.allclose(p @ p, 2.0 * dd * np.eye(2), rtol=1e-12, atol=1e-10)
 
@@ -260,6 +280,52 @@ def test_matrix_route_refusal_is_a_named_error(r):
         with pytest.raises(PipelineCheckError):
             fidelity(state(0.0, r, nbar=1.0), state(0.5, r, nbar=1.0),
                      FidelityOptions(oracle=False))
+
+
+def test_pipeline_reports_the_scalars_below_log_scale():
+    # one source at every beta: the matrix route only checks
+    g = 0.7 - 0.4j
+    tr = _pipeline_trace(S1, S2, g)
+    assert not tr.log_scaled
+    assert tr.log_delta1 == _delta1_log_scalar(S2, g)
+    assert tr.log_delta2 == tr.log_delta1 - tr.log_ratio
+
+
+def test_reported_multiplier_matches_reference_on_hot_pair():
+    # a hot pair where the matrix solve loses digits (1.3e-10 relative here)
+    r1, b1, r2, b2, g = -0.302, 5.08e-5, -2.46, 1.14e-6, 0.5j
+    tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
+    want = multiplier_reference(r1, b1, r2, b2, g)
+    assert abs(tr.l_vec[0] - want) <= 1e-12 * abs(want)
+    assert tr.l_vec[1] == -tr.l_vec[0].conjugate()
+
+
+@pytest.mark.parametrize("r1, b1, r2, b2, g, rel", [
+    (0.3, 0.7, -0.5, 1.9, 0.4 - 0.3j, 1e-13),
+    (1.2, 0.01, 0.4, 12.0, 1.1 + 0.2j, 1e-13),
+    (-3.2, 2.8e-6, 3.9, 26.4, -2.3 - 1.5j, 1e-13),  # squeeze gap 7, hot against cold
+    # log-scaled: exponents near 350 cost their absolute rounding in relative digits
+    (3.5, 40.0, -0.2, 700.0, 0.2 - 0.1j, 1e-11),
+])
+def test_reported_multiplier_matches_reference(r1, b1, r2, b2, g, rel):
+    tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
+    want = multiplier_reference(r1, b1, r2, b2, g)
+    assert abs(tr.l_vec[0] - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("beta_shift, refused", [(0.0, True), (31.0, False)])
+def test_multiplier_check_catches_a_wrong_closed_form(monkeypatch, beta_shift, refused):
+    import dstfid.reduction as red
+
+    right = red._multiplier
+    monkeypatch.setattr(red, "_multiplier", lambda *args: right(*args) * (1.0 + 1e-8))
+    s1 = state(0.0, S1.r, beta=S1.beta + beta_shift)
+    s2 = state(0.0, S2.r, beta=S2.beta + beta_shift)
+    if refused:
+        with pytest.raises(PipelineCheckError, match="multiplier"):
+            _pipeline_trace(s1, s2, 0.5)
+    else:
+        assert _pipeline_trace(s1, s2, 0.5).log_scaled  # the check does not run
 
 
 def test_annihilation_residual_reported_small():
@@ -379,6 +445,15 @@ def test_fidelity_past_sinh_overflow_matches_gaussian_reference():
 def test_squeeze_gap_past_cosh_overflow_is_a_named_error():
     with pytest.raises(SqueezeGapError, match="leaves double range"):
         fidelity(state(0.0, 200.0, nbar=1.0), state(0.0, -200.0, nbar=1.0),
+                 FidelityOptions(oracle=False))
+
+
+@pytest.mark.parametrize("beta, g", [(40.0, 0.0), (math.log(2.0), 0.5j)])
+def test_single_squeeze_past_double_range_is_a_named_error(beta, g):
+    # exp(2r) and sinh(2r) leave double range past |r| = 354.5, in the
+    # printed path (g = 0) and in the pipeline's coefficient (g != 0)
+    with pytest.raises(SqueezeGapError, match="squeeze factor r=360"):
+        fidelity(state(0.0, 360.0, beta=beta), state(g, 360.0, beta=beta),
                  FidelityOptions(oracle=False))
 
 
