@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from dstfid.algebra import state
-from dstfid.reduction import FidelityOptions, fidelity
+from dstfid.reduction import closed_form
 
 SETTINGS = (
     # (r1, r2, nbar1, nbar2, label)
@@ -36,17 +36,21 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="-", help="output CSV path (default stdout)")
     args = ap.parse_args(argv)
 
-    opts = FidelityOptions(oracle=False)
     direction = complex(math.cos(args.phase), math.sin(args.phase))
 
     lines = ["label,r1,r2,nbar1,nbar2,abs_g,fidelity,coherent_reference"]
     for r1, r2, n1, n2, label in SETTINGS:
-        for t in np.linspace(0.0, args.gmax, args.points):
-            g = t * direction
-            rep = fidelity(state(0.0, r1, nbar=n1), state(g, r2, nbar=n2), opts)
+        # the whole ray is one closed-form batch
+        ts = np.linspace(0.0, args.gmax, args.points)
+        batch = closed_form([state(0.0, r1, nbar=n1)] * len(ts),
+                            [state(t * direction, r2, nbar=n2) for t in ts])
+        bad = batch.first_failing_row()
+        if bad is not None:
+            raise batch.error(bad)
+        for t, value in zip(ts, batch.value_matrix_pipeline.tolist()):
             lines.append(
                 f"{label},{r1:g},{r2:g},{n1:g},{n2:g},{t:.17g},"
-                f"{rep.value_matrix_pipeline:.17g},{math.exp(-t * t):.17g}"
+                f"{value:.17g},{math.exp(-t * t):.17g}"
             )
     text = "\n".join(lines) + "\n"
     if args.out == "-":

@@ -44,12 +44,14 @@ from .reconcile import (
 )
 from .reduction import (
     BaseFactorTrace,
+    ClosedForm,
     FidelityOptions,
     FidelityReport,
     PipelineCheckError,
     ReductionTrace,
     SqueezeGapError,
     base_factor,
+    closed_form,
     delta1,
     delta2,
     fidelity,

@@ -203,18 +203,32 @@ def is_pair_vec(v: PairVec, tol: float = 1e-10) -> bool:
 # The reduction assembles products like sinh(b1) sinh(b2) / Delta from these
 # logarithms at every beta, so nothing overflows toward the pure-state limit.
 # The forms are exact for all x > 0 (log1p/expm1 soak up the tail), not just
-# asymptotically.
+# asymptotically.  Both work elementwise on arrays.
+
+_LOG2 = math.log(2.0)
 
 
-def log_sinh(x: float) -> float:
+def log_sinh(x):
     """log(sinh x) for x > 0 without overflow: x - log 2 + log(-expm1(-2x))."""
-    if x <= 0.0:
+    if not np.greater(x, 0.0).all():
         raise ValueError(f"log_sinh needs x > 0, got {x!r}")
-    return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
+    return _log_sinh(x)
 
 
-def log_cosh(x: float) -> float:
+def log_cosh(x):
     """log(cosh x) for x >= 0 without overflow: x - log 2 + log1p(exp(-2x))."""
-    if x < 0.0:
+    if not np.greater_equal(x, 0.0).all():
         raise ValueError(f"log_cosh needs x >= 0, got {x!r}")
-    return x - math.log(2.0) + math.log1p(math.exp(-2.0 * x))
+    return _log_cosh(x)
+
+
+# Unchecked forms for arguments already known to be in range, such as those
+# derived from validated states; _log_sinh(0) is -inf (under np.errstate).
+
+
+def _log_sinh(x):
+    return x - _LOG2 + np.log(-np.expm1(-2.0 * x))
+
+
+def _log_cosh(x):
+    return x - _LOG2 + np.log1p(np.exp(-2.0 * x))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Mat2C, pair_vec
+from .algebra import Mat2C
 
 __all__ = ["LinExpOp", "MergeResult", "commutator_scalar", "bch_merge", "displacement_compose"]
 
@@ -92,20 +92,14 @@ def bch_merge(op1: LinExpOp, op2: LinExpOp) -> MergeResult:
     )
 
 
-def displacement_compose(k1: complex, k2: complex) -> tuple[complex, complex]:
-    """D(k1)^dag D(k2) = exp(c_log) D(g): returns (g, c_log).
+def displacement_compose(k1, k2):
+    """D(k1)^dag D(k2) = exp(c_log) D(g): returns (g, c_log), elementwise on arrays.
 
-    g = k2 - k1; c_log = (conj(k1) k2 - k1 conj(k2))/2 is purely imaginary
-    (|c| = 1) and cancels out of every fidelity, so it is carried for
-    diagnostics only.
+    The merge of the two pure displacements (bch_merge of the LinExpOps with
+    vectors pair_vec(-k1) and pair_vec(k2)) in closed form: g = k2 - k1 and
+    c_log = (conj(k1) k2 - k1 conj(k2))/2 = i Im(conj(k1) k2), purely
+    imaginary (|c| = 1), which cancels out of every fidelity and is carried
+    for diagnostics only.
     """
-    k1 = complex(k1)
-    k2 = complex(k2)
-    eye = np.eye(2, dtype=complex)
-    # D(k1)^dag = D(-k1); merge the two pure displacements.
-    merged = bch_merge(
-        LinExpOp(0.0, eye, pair_vec(-k1)),
-        LinExpOp(0.0, eye, pair_vec(k2)),
-    )
-    g = complex(merged.combined_vec[0])
-    return g, complex(merged.scalar_log)
+    # + 0.0 turns the -0.0 real part that 1j * (negative) leaves into +0.0
+    return k2 - k1, 1j * (k1.real * k2.imag - k1.imag * k2.real) + 0.0

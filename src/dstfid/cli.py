@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import StateParams, state
-from .fock import ConvergenceError
+from .fock import ConvergenceError, fidelity_oracle
 from .golden import (
     check_snapshots,
     compute_record,
@@ -30,7 +30,13 @@ from .golden import (
     write_snapshots,
 )
 from .reconcile import ReconciliationReport, run_verification
-from .reduction import FidelityOptions, FidelityReport, PipelineCheckError, fidelity
+from .reduction import (
+    FidelityOptions,
+    FidelityReport,
+    PipelineCheckError,
+    closed_form,
+    fidelity,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -172,35 +178,27 @@ def _jnum(x):
 
 
 def _row_for(idx: int, s1: StateParams, s2: StateParams, rep: FidelityReport) -> str:
-    oracle_cutoff = rep.oracle.cutoff_used if rep.oracle else None
-    oracle_gap = rep.oracle.convergence_gap if rep.oracle else None
-    dev_po = abs(rep.value_printed - rep.value_matrix_pipeline)
+    """One CSV row, its cells in _CSV_COLUMNS order."""
+    oracle = rep.oracle
     dev_or = (
         abs(rep.value_matrix_pipeline - rep.value_oracle)
         if rep.value_oracle is not None
         else None
     )
-    cells = {
-        "idx": str(idx),
-        "re_k1": _g17(s1.k.real), "im_k1": _g17(s1.k.imag),
-        "r1": _g17(s1.r), "nbar1": _g17(s1.nbar), "beta1": _g17(s1.beta),
-        "re_k2": _g17(s2.k.real), "im_k2": _g17(s2.k.imag),
-        "r2": _g17(s2.r), "nbar2": _g17(s2.nbar), "beta2": _g17(s2.beta),
-        "re_g": _g17(rep.g.real), "im_g": _g17(rep.g.imag),
-        "f_pipeline": _g17(rep.value_matrix_pipeline),
-        "f_printed": _g17(rep.value_printed),
-        "f_oracle": _g17(rep.value_oracle),
-        "ratio_pipeline": _g17(rep.pipeline.ratio),
-        "ratio_printed": _g17(rep.printed.ratio),
-        "base_exact": _g17(rep.base.base),
-        "base_printed": _g17(rep.base.printed_value),
-        "dev_printed_pipeline": _g17(dev_po),
-        "dev_pipeline_oracle": _g17(dev_or),
-        "oracle_cutoff": _g17(oracle_cutoff),
-        "oracle_gap": _g17(oracle_gap),
-        "flags": ";".join(f.name for f in rep.discrepancy_flags),
-    }
-    return ",".join(cells[c] for c in _CSV_COLUMNS)
+    cells = [
+        str(idx),
+        _g17(s1.k.real), _g17(s1.k.imag), _g17(s1.r), _g17(s1.nbar), _g17(s1.beta),
+        _g17(s2.k.real), _g17(s2.k.imag), _g17(s2.r), _g17(s2.nbar), _g17(s2.beta),
+        _g17(rep.g.real), _g17(rep.g.imag),
+        _g17(rep.value_matrix_pipeline), _g17(rep.value_printed), _g17(rep.value_oracle),
+        _g17(rep.pipeline.ratio), _g17(rep.printed.ratio),
+        _g17(rep.base.base), _g17(rep.base.printed_value),
+        _g17(abs(rep.value_printed - rep.value_matrix_pipeline)), _g17(dev_or),
+        _g17(oracle.cutoff_used if oracle else None),
+        _g17(oracle.convergence_gap if oracle else None),
+        ";".join(f.name for f in rep.discrepancy_flags),
+    ]
+    return ",".join(cells)
 
 
 def _csv_header(meta: dict[str, str]) -> str:
@@ -413,7 +411,9 @@ def _sweep_states(spec: SweepSpec, assignment: dict[str, float]) -> tuple[StateP
 
 
 def run_sweep(spec: SweepSpec) -> str:
-    """Evaluate the grid and render the CSV (deterministic row order)."""
+    """Evaluate the grid as one closed-form batch (plus the oracle per row when
+    the method asks for it) and render the CSV in grid order.  The first
+    failing row raises its error, named by row, and no rows are written."""
     meta = {
         "command": "sweep",
         "method": spec.method,
@@ -428,17 +428,35 @@ def run_sweep(spec: SweepSpec) -> str:
         combos = [(v,) for v in grids[0]]
     else:
         combos = [(u, v) for u in grids[0] for v in grids[1]]
-    for idx, values in enumerate(combos):
-        assignment = {spec.axes[i][0]: values[i] for i in range(len(values))}
-        s1, s2 = _sweep_states(spec, assignment)
+    assignments = [
+        {spec.axes[i][0]: values[i] for i in range(len(values))} for values in combos
+    ]
+
+    def named(idx: int, exc: Exception) -> str:
+        swept = ", ".join(f"{k}={_g17(v)}" for k, v in assignments[idx].items())
+        return f"sweep row {idx} ({swept}): {exc}; no rows written"
+
+    pairs = []
+    for idx, assignment in enumerate(assignments):
         try:
-            rep = fidelity(s1, s2, spec.opts)
-        except ConvergenceError as exc:
-            swept = ", ".join(f"{k}={_g17(v)}" for k, v in assignment.items())
-            raise ConvergenceError(
-                f"sweep row {idx} ({swept}): {exc}; no rows written", exc.gaps
-            ) from None
-        lines.append(_row_for(idx, s1, s2, rep))
+            pairs.append(_sweep_states(spec, assignment))
+        except ValueError as exc:
+            raise type(exc)(named(idx, exc)) from None
+    batch = closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], spec.opts.tol)
+    idx = batch.first_failing_row()
+    if idx is not None:
+        err = batch.error(idx)
+        raise type(err)(named(idx, err)) from None
+    for idx, (s1, s2) in enumerate(pairs):
+        oracle = None
+        if spec.opts.oracle:
+            try:
+                oracle = fidelity_oracle(
+                    s1, s2, tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling
+                )
+            except ConvergenceError as exc:
+                raise ConvergenceError(named(idx, exc), exc.gaps) from None
+        lines.append(_row_for(idx, s1, s2, batch.report(idx, oracle)))
     return "\n".join(lines) + "\n"
 
 

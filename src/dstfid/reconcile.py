@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import StateParams, squeeze_matrix, state, thermal_matrix
 from .fock import fidelity_oracle
 from . import reduction as _red
-from .reduction import FidelityOptions, FidelityReport, fidelity
+from .reduction import FidelityOptions, FidelityReport, base_factor, closed_form, fidelity
 
 __all__ = [
     "QUADRATIC_FORM",
@@ -286,17 +286,20 @@ def _entry_difference_convention(tol: float) -> tuple[ReconciliationEntry, Verif
     return entry, check
 
 
+def _flipped(s: StateParams) -> StateParams:
+    return StateParams(s.k, -s.r, s.beta)
+
+
 def _entry_quadratic_form(results: list[PairResult]) -> ReconciliationEntry:
     devs = []
-    flips = []
     for pr in results:
         dev = abs(pr.report.printed.log_delta1 - pr.report.pipeline.log_delta1)
         devs.append((dev, _fmt_pair(pr.s1, pr.s2)))
-        s2f = StateParams(pr.s2.k, -pr.s2.r, pr.s2.beta)
-        flip = abs(
-            pr.report.printed.log_delta1 - _red._delta1_log_scalar(s2f, pr.report.g)
-        )
-        flips.append(flip)
+    flipped = closed_form([pr.s1 for pr in results], [_flipped(pr.s2) for pr in results])
+    flips = np.abs(
+        np.array([pr.report.printed.log_delta1 for pr in results])
+        - flipped.pipeline.log_delta1
+    )
     worst, at = _worst(devs)
     return ReconciliationEntry(
         formula=QUADRATIC_FORM,
@@ -305,7 +308,7 @@ def _entry_quadratic_form(results: list[PairResult]) -> ReconciliationEntry:
         verdict="typo-confirmed" if worst > 1e-8 else "consistent",
         note=(
             "printed quadratic form equals the pipeline one with the squeeze "
-            f"sign reversed (flip residual <= {max(flips):.3e}); the sign "
+            f"sign reversed (flip residual <= {flips.max():.3e}); the sign "
             "itself is fixed by the Fock conjugation rule, which the pipeline "
             "matches and the print does not"
         ),
@@ -373,19 +376,16 @@ def _entry_denominator(results: list[PairResult]) -> ReconciliationEntry:
 
 def _entry_ratio_form(results: list[PairResult]) -> ReconciliationEntry:
     devs = []
-    flips = []
     for pr in results:
         dev = abs(pr.report.printed.log_ratio - pr.report.pipeline.log_ratio)
         devs.append((dev, _fmt_pair(pr.s1, pr.s2)))
-        s1f = StateParams(pr.s1.k, -pr.s1.r, pr.s1.beta)
-        s2f = StateParams(pr.s2.k, -pr.s2.r, pr.s2.beta)
-        # flipping both squeezes leaves r1 - r2, and so the denominator, alone
-        ldd = _red._log_delta_denom(pr.s1.beta, pr.s2.beta, pr.s1.r, pr.s2.r)
-        flip = abs(
-            pr.report.printed.log_ratio
-            - _red._ratio_log_scalar(s1f, s2f, pr.report.g, ldd)
-        )
-        flips.append(flip)
+    # flipping both squeezes leaves r1 - r2, and so the denominator, alone
+    flipped = closed_form([_flipped(pr.s1) for pr in results],
+                          [_flipped(pr.s2) for pr in results])
+    flips = np.abs(
+        np.array([pr.report.printed.log_ratio for pr in results])
+        - flipped.pipeline.log_ratio
+    )
     worst, at = _worst(devs)
     return ReconciliationEntry(
         formula=RATIO_FORM,
@@ -395,7 +395,7 @@ def _entry_ratio_form(results: list[PairResult]) -> ReconciliationEntry:
         note=(
             "printed exponent (eps1 + eps2)/Delta equals the pipeline ratio "
             f"with both squeeze signs reversed (flip residual <= "
-            f"{max(flips):.3e}): same single convention slip as the "
+            f"{flips.max():.3e}): same single convention slip as the "
             "quadratic form, invisible wherever Re(g^2)*sinh(2r) = 0"
         ),
     )
@@ -409,8 +409,7 @@ def _entry_overlap_argument() -> ReconciliationEntry:
     vals = []
     for r in (0.0, 0.4, 0.9):
         s = state(0.0, r, beta=beta)
-        _, printed, _ = _red._printed_base(s, s)
-        vals.append((r, printed))
+        vals.append((r, base_factor(s, s).printed_value))
     base0 = vals[0][1]
     for r, v in vals[1:]:
         devs.append((abs(v - base0), f"self pair r={r:g} beta={beta:.6g}"))
@@ -438,11 +437,11 @@ def _entry_overlap_prefactor() -> ReconciliationEntry:
     vals = []
     for nbar in (0.2, 1.0, 2.0):
         s = state(0.0, 0.0, nbar=nbar)
-        _, printed, _ = _red._printed_base(s, s)
+        printed = base_factor(s, s).printed_value
         devs.append((abs(printed - 1.0), f"thermal self pair nbar={nbar:g}"))
         vals.append((nbar, printed))
     s_cold = state(0.0, 0.0, nbar=1e-6)
-    _, printed_cold, _ = _red._printed_base(s_cold, s_cold)
+    printed_cold = base_factor(s_cold, s_cold).printed_value
     worst, at = _worst(devs)
     return ReconciliationEntry(
         formula=OVERLAP_PREFACTOR,

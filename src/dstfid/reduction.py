@@ -24,30 +24,35 @@ Convention note: the conjugation matrix that matches the operator definitions
 squeeze_matrix(-r); the printed displays consistently use the opposite sign,
 which the comparison path reproduces verbatim.
 
-Every closed-form scalar is assembled from logarithms (log_sinh, log_cosh, a
-signed log-sum-exp) at every beta and only exponentiated at the report
-boundary, so hot states keep their digits and near-pure states never overflow.
-Beyond beta = 30 the matrix route's checks are skipped.
+Both paths, the base factor, the flags and every check are evaluated by
+`closed_form`, elementwise over arrays of pairs: a sweep is one call, and
+`fidelity` is a batch of one plus the optional oracle.  Every closed-form
+scalar is assembled from logarithms (log_sinh, log_cosh, a signed
+log-sum-exp) at every beta and only exponentiated at the report boundary, so
+hot states keep their digits and near-pure states never overflow.  The matrix
+route is written without differences of nearly equal products (see
+_matching_system); beyond beta = 30 its checks are skipped.  A row that fails
+a check carries its first failure instead of raising, so one refused row
+leaves the rest of the batch evaluated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import (
-    SIGMA,
     DegenerateInputError,
     Mat2C,
     PairVec,
     StateParams,
-    log_cosh,
-    log_sinh,
-    pair_vec,
-    squeeze_matrix,
-    thermal_matrix,
+    _log_cosh,
+    _log_sinh,
+    squeeze_matrix,  # noqa: F401  (perfbench's tracer wraps these names here)
+    thermal_matrix,  # noqa: F401
 )
 from .bch import displacement_compose
 from .fock import DEFAULT_CUTOFF_CEILING, OracleResult, fidelity_oracle
@@ -58,6 +63,8 @@ __all__ = [
     "BaseFactorTrace",
     "FidelityOptions",
     "FidelityReport",
+    "ClosedForm",
+    "closed_form",
     "delta1",
     "matching_matrix",
     "solve_l",
@@ -71,20 +78,21 @@ __all__ = [
 ]
 
 # Above this inverse temperature the pipeline skips the matrix route's checks:
-# the thermal factors exp(+-beta/2) leave the products without digits to check.
+# the conjugation factors exp(+-beta/2) leave the products without digits to check.
 LOG_SCALE_BETA = 30.0
-
-# Determinant floor for the 2x2 matching solve.
-_DET_FLOOR = 1e-14
 
 # Internal consistency tolerance for dual-path (matrix vs scalar) evaluation.
 _DUAL_TOL = 1e-10
 
 # Tolerance of the multiplier check, in units of the matrix route's first-order
-# rounding bound (about 450 ulps; seeded scans of accepted pairs used <= 0.04).
+# rounding bound (about 450 ulps).
 _L_TOL = 1e-13
 
 _EXP_MAX = 709.0  # math.exp overflows just above this
+_LOG2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
+_LOG_TINY = math.log(1e-300)
 
 
 class SqueezeGapError(ValueError):
@@ -92,9 +100,9 @@ class SqueezeGapError(ValueError):
 
 
 class PipelineCheckError(RuntimeError):
-    """A matrix-route check (imaginary part, dual path of delta1, the ratio or
-    l, solve residual, conjugate-pair form, annihilation residual) left its
-    tolerance."""
+    """A matrix-route check (imaginary part, dual path of delta1, the
+    determinant, the ratio or l, solve residual, conjugate-pair form,
+    annihilation residual) left its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,7 @@ class ReductionTrace:
     the closed-form scalars; ``annihilation_residual`` comes from the matrix
     route that checks them (None beyond beta = 30, where it does not run).
     The printed trace leaves the pipeline-only fields (from ``l_vec`` on) None.
+    Inside a `ClosedForm` every field holds one array entry per row.
     """
 
     delta1: float
@@ -136,6 +145,7 @@ class BaseFactorTrace:
     ``base`` is the exact closed form; ``printed_value`` comes from the
     verbatim printed display, and ``printed_domain_error`` carries the
     message if that display left its domain (``base`` is still produced).
+    Inside a `ClosedForm` every field holds one array entry per row.
     """
 
     Y: float
@@ -175,76 +185,616 @@ class FidelityReport:
 
 
 # ---------------------------------------------------------------------------
-# shared scalar ingredients
+# elementwise ingredients: each maps arrays of rows to arrays of rows
 # ---------------------------------------------------------------------------
 
-
-def _gg_terms(g: complex) -> tuple[float, float]:
-    """(g^2 + conj(g)^2, |g|^2) — both real."""
-    return 2.0 * (g * g).real, g.real * g.real + g.imag * g.imag
+# keeps t - top defined in logsumexp when every term is -inf
+_MOST_NEGATIVE = -np.finfo(float).max
 
 
-def _squeezed_norm(g: complex, r: float) -> float:
+def _complex(re, im):
+    """re + i im elementwise, exactly (no signed-zero or inf * 0 artefacts)."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmul(a, b):
+    """a * b elementwise in real arithmetic: numpy's complex multiply rounds
+    differently on arrays (fused multiply-add) than on scalars, and a batch of
+    one runs on scalars (see _pair)."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def logsumexp(terms, signs):
+    """(log|sum_i s_i exp(t_i)|, sign of the sum), elementwise over arrays of
+    terms and signs; a -inf term drops out, and a vanishing sum gives
+    (-inf, 0)."""
+    top = terms[0]
+    for t in terms[1:]:
+        top = np.maximum(top, t)
+    top = np.maximum(top, _MOST_NEGATIVE)
+    total = 0.0
+    for s, t in zip(signs, terms):
+        total = total + s * np.exp(t - top)
+    return top + np.log(np.abs(total)), np.sign(total)
+
+
+def _squeezed_norm(g, r):
     """(1/2)(g^2 + conj(g)^2) sinh 2r + |g|^2 cosh 2r, written as the exact
     (Re g)^2 e^{2r} + (Im g)^2 e^{-2r}: two nonnegative terms, no cancellation."""
-    x = _squeeze_arg(r)
-    return g.real * g.real * math.exp(x) + g.imag * g.imag * math.exp(-x)
-
-
-def logsumexp(terms: list[float], signs: list[float] | None = None) -> tuple[float, float]:
-    """(log|sum_i s_i exp(t_i)|, sign of the sum) with math alone; signs
-    default to +1, and a vanishing sum gives (-inf, 0.0)."""
-    top = max(terms)
-    signs = signs or [1.0] * len(terms)
-    total = math.fsum(s * math.exp(t - top) for s, t in zip(signs, terms))
-    if total == 0.0:
-        return -math.inf, 0.0
-    return top + math.log(abs(total)), math.copysign(1.0, total)
-
-
-def _squeeze_gap(r1: float, r2: float) -> float:
-    """2(r1 - r2), the argument of the denominator's cosh; refused with
-    SqueezeGapError where that cosh leaves double range."""
-    x = 2.0 * (r1 - r2)
-    if abs(x) > _EXP_MAX:
-        raise SqueezeGapError(
-            f"squeeze factors r1={r1!r}, r2={r2!r} differ by {abs(r1 - r2):g}; "
-            f"cosh 2(r1 - r2) leaves double range beyond |r1 - r2| = "
-            f"{0.5 * _EXP_MAX:g}"
-        )
-    return x
-
-
-def _squeeze_arg(r: float) -> float:
-    """2r, the argument of a squeeze coefficient's exp, sinh and cosh;
-    refused with SqueezeGapError where those leave double range."""
     x = 2.0 * r
-    if abs(x) > _EXP_MAX:
-        raise SqueezeGapError(
-            f"squeeze factor r={r!r}: the squeeze coefficients exp(2|r|) leave "
-            f"double range beyond |r| = {0.5 * _EXP_MAX:g}"
-        )
-    return x
+    return g.real * g.real * np.exp(x) + g.imag * g.imag * np.exp(-x)
 
 
-def _log_delta_denom(beta1: float, beta2: float, r1: float, r2: float) -> float:
+def _log_hyperbolics(b1, b2):
+    """log sinh of (b1, b2, b1/2, b2/2, (b1 + b2)/2, |b1 - b2|/2) and log cosh
+    of (b1/2, b2/2), as one array each, evaluated once per batch; the last
+    log sinh is -inf at b1 = b2 (under np.errstate)."""
+    x = np.array([b1, b2, 0.5 * b1, 0.5 * b2, 0.5 * (b1 + b2), 0.5 * np.abs(b1 - b2)])
+    return _log_sinh(x), _log_cosh(x[2:4])
+
+
+def _sinh_times(log_sinh_beta, bracket):
+    """sinh(beta) * bracket from logarithms; + 0.0 makes a vanishing bracket
+    of either sign give +0.0."""
+    return np.copysign(np.exp(log_sinh_beta + np.log(np.abs(bracket))), bracket) + 0.0
+
+
+def _log_denominator(lh, r1, r2):
     """log of the common positive denominator
     ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1, summed as
     sh^2((b1+b2)/2) + sh^2((b1-b2)/2) + sh b1 sh b2 ch 2(r1-r2):
-    three nonnegative terms, so hot states (small beta) keep their digits."""
-    terms = [
-        2.0 * log_sinh(0.5 * (beta1 + beta2)),
-        log_sinh(beta1) + log_sinh(beta2) + log_cosh(abs(_squeeze_gap(r1, r2))),
+    three nonnegative terms, so hot states (small beta) keep their digits
+    (the middle one is -inf, dropping out, at b1 = b2).  lh is
+    _log_hyperbolics(b1, b2)."""
+    ls, _ = lh
+    top = ls[0] + ls[1] + _log_cosh(np.abs(2.0 * (r1 - r2)))
+    return np.logaddexp(np.logaddexp(2.0 * ls[4], 2.0 * ls[5]), top)
+
+
+def _log_delta_denom(beta1, beta2, r1, r2):
+    """_log_denominator from the inverse temperatures themselves."""
+    with np.errstate(divide="ignore"):
+        return _log_denominator(_log_hyperbolics(beta1, beta2), r1, r2)
+
+
+def _ratio_log(lh, ldd, c1, c2):
+    """(sh b1 sh^2(b2/2) c1 + sh^2(b1/2) sh b2 c2) / exp(ldd), with ldd the log
+    denominator, assembled by signed log-sum-exp so neither the terms nor the
+    quotient overflow; exactly 0.0 where both coefficients vanish."""
+    ls, _ = lh
+    lnum, sign = logsumexp(
+        [
+            ls[0] + 2.0 * ls[3] + np.log(np.abs(c1)),
+            2.0 * ls[2] + ls[1] + np.log(np.abs(c2)),
+        ],
+        [np.sign(c1), np.sign(c2)],
+    )
+    return sign * np.exp(lnum - ldd)
+
+
+def _delta1_log(g, r2, log_sinh_b2):
+    """Pipeline-convention exponent of delta1 (depends on state 2 only)."""
+    return _sinh_times(log_sinh_b2, -_squeezed_norm(g, r2))
+
+
+def _multiplier(r1, r2, g, lh, ldd):
+    """The solved multiplier l in closed form, with ldd the log denominator:
+
+        Re l = 2 sh(b2/2) Re g [e^{r1} ch(b1/2) sh(b2/2)
+                                + e^{2 r2 - r1} sh(b1/2) ch(b2/2)] / Delta,
+        Im l = 2 sh(b2/2) Im g [e^{r1 - 2 r2} sh(b1/2) ch(b2/2)
+                                + e^{-r1} ch(b1/2) sh(b2/2)] / Delta.
+
+    This is the adjugate solve of the matching system written as two
+    nonnegative terms per component, each exponentiated from its logarithm,
+    so nothing cancels or overflows.
+    """
+    ls, lc = lh
+    lpre = _LOG2 + ls[3] - ldd
+    cs = lpre + lc[0] + ls[3]
+    sc = lpre + ls[2] + lc[1]
+    re = g.real * (np.exp(cs + r1) + np.exp(sc + 2.0 * r2 - r1))
+    im = g.imag * (np.exp(sc + r1 - 2.0 * r2) + np.exp(cs - r1))
+    return _complex(re, im)
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 matrix route (checks the scalars up to beta = 30)
+# ---------------------------------------------------------------------------
+
+
+def _matching_system(r1, b1, r2, b2, g):
+    """The matching system P l = rhs: (P entries, rhs entries, v, P in the
+    quadrature basis, rhs in the quadrature basis, the factors ch, sh of
+    beta1/2 and beta2/2 and e^{-+d}), each a tuple of arrays.
+
+    With c, s = ch, sh(beta/2) the thermal factors are B^{-+1/2} = c I +- s Z,
+    Z = diag(1, -1), so the differences of nearly equal products in
+    B2^{-1/2} C B1^{-1/2} - B2^{+1/2} C B1^{+1/2} cancel exactly:
+
+        P = 2 (c2 s1 C Z + s2 c1 Z C),    rhs = 2 s2 Z v,
+
+    with C = M2^{-1} M1 = squeeze_matrix(r2 - r1) by the group law and
+    v = M2^{-1} pair_vec(g) = pair_vec(e^{r2} Re g + i e^{-r2} Im g).  P is
+    reported in this (a^dag, a) basis, its entries 2 sh((b1 +- b2)/2) times
+    ch, sh(r2 - r1) by the addition theorems.  Its entries still nearly cancel
+    against each other for a hot state against a cold one across a wide
+    squeeze gap, so the route solves it in the quadrature basis
+    R = (1 1; 1 -1)/sqrt 2 instead, where the squeeze is diagonal,
+    R C R = diag(e^{-d}, e^{d}) with d = r2 - r1, and R Z R = X:
+
+        R P R = 2 (c2 s1 diag(e^{-d}, e^{d}) X + s2 c1 X diag(e^{-d}, e^{d}))
+
+    is anti-diagonal with entries 2 (c2 s1 e^{-+d} + s2 c1 e^{+-d}), sums of
+    positive products, and R rhs = 2 sqrt2 s2 (Re u, i Im u) with u = v[0].
+    """
+    d = r2 - r1
+    p_diag = 2.0 * np.sinh(0.5 * (b1 + b2)) * np.cosh(d)
+    p_off = 2.0 * np.sinh(0.5 * (b1 - b2)) * np.sinh(d)
+    v0 = _complex(np.exp(r2) * g.real, np.exp(-r2) * g.imag)
+    v1 = -v0.conj()
+    factors = c1, s1, c2, s2, m, big = (
+        np.cosh(0.5 * b1), np.sinh(0.5 * b1), np.cosh(0.5 * b2), np.sinh(0.5 * b2),
+        np.exp(-d), np.exp(d),
+    )
+    cs, sc = c2 * s1, s2 * c1
+    p_quadrature = (0.0, 2.0 * (cs * m + sc * big), 2.0 * (cs * big + sc * m), 0.0)
+    rhs_quadrature = (2.0 * _SQRT2 * s2 * v0.real + 0j, 2.0j * _SQRT2 * s2 * v0.imag)
+    rhs = (2.0 * s2 * v0, -2.0 * s2 * v1)
+    return (p_diag, p_off, -p_off, -p_diag), rhs, (v0, v1), p_quadrature, rhs_quadrature, factors
+
+
+def _solve(p, rhs, two_delta):
+    """Adjugate solve of p l = rhs, elementwise.  Returns (l, det, checks):
+    the determinant against -2*Delta (zero or non-finite is degenerate) and
+    the substitution residual."""
+    p00, p01, p10, p11 = p
+    rhs0, rhs1 = rhs
+    det = p00 * p11 - p01 * p10
+    sol0 = (p11 * rhs0 - p01 * rhs1) / det
+    sol1 = (p00 * rhs1 - p10 * rhs0) / det
+    rhs_norm = np.hypot(np.abs(rhs0), np.abs(rhs1))
+    resid = np.hypot(
+        np.abs(p00 * sol0 + p01 * sol1 - rhs0), np.abs(p10 * sol0 + p11 * sol1 - rhs1)
+    )
+    checks = [
+        ("determinant", DegenerateInputError, ~np.isfinite(det) | (det == 0.0),
+         lambda i: f"matching matrix determinant {det.item(i)!r} is zero or not "
+                   "finite; the positive denominator (det = -2*DeltaDenom) has "
+                   "degenerated"),
+        ("determinant-dual-path", PipelineCheckError,
+         ~(np.abs(det + two_delta) <= _DUAL_TOL * two_delta),
+         lambda i: f"determinant dual-path mismatch: matrix {det.item(i)!r} vs "
+                   f"-2*DeltaDenom {-two_delta.item(i)!r}"),
+        ("solve-residual", PipelineCheckError,
+         ~(resid <= 1e-10 * np.maximum(1.0, rhs_norm)),
+         lambda i: f"matching solve residual {resid.item(i):g} too large"),
     ]
-    if beta1 != beta2:
-        terms.append(2.0 * log_sinh(0.5 * abs(beta1 - beta2)))
-    return logsumexp(terms)[0]
+    return (sol0, sol1), det, checks
 
 
-def _safe_exp(x: float) -> float:
-    if x > _EXP_MAX:
-        return math.inf
-    return math.exp(x)
+def _pair_check(l0, l1):
+    """The conjugate-pair check l1 = -conj(l0) of a solved multiplier."""
+    pair_dev = np.abs(l1 + l0.conj())
+    return ("conjugate-pair", PipelineCheckError,
+            ~(pair_dev <= 1e-10 * np.maximum(1.0, np.abs(l0))),
+            lambda i: f"solved multiplier lost conjugate-pair form (dev {pair_dev.item(i):g})")
+
+
+def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
+    """Evaluate the 2x2 matrix route and check the closed-form values against
+    it.  Returns (P entries, annihilation residual, checks), in check order:
+
+    both exponents real and delta1 equal to the scalar form to 1e-10; the
+    solve (see _solve) and the conjugate-pair form of its l; the quadratic
+    multiplier term, which the symplectic structure kills, below 1e-10; the
+    ratio to a conditioning-aware 1e-10; the solved l within _L_TOL of the
+    solve's first-order rounding bound |adj p| (|p| |l| + |rhs|)/|det p|.
+    Everything past delta1 runs in the quadrature basis (see
+    _matching_system), where R Sigma R = -Sigma and every product below is a
+    sum of same-signed terms.
+    """
+    p, _, (v0, v1), q, rhs, (c1, s1, c2, s2, m, big) = _matching_system(r1, b1, r2, b2, g)
+    # (1/2) v^T B2^{-1/2} Sigma B2^{+1/2} v = sh(b2) v0 v1: the e^{b2} - e^{-b2}
+    # of the conjugated form is 2 sh b2.
+    expo1 = _cmul(np.sinh(b2) * v0, v1)
+    ld1m = expo1.real
+    (h0, h1), det, solve_checks = _solve(q, rhs, two_delta)
+    m0, m1 = _SQRT_HALF * (h0 + h1), _SQRT_HALF * (h0 - h1)  # back to (a^dag, a)
+    # R A R for A = B2^{-1/2} C B1^{-1/2}, with R B^{-1/2} R = c I + s X
+    a00, a01 = c2 * m * c1 + s2 * big * s1, c2 * m * s1 + s2 * big * c1
+    a10, a11 = s2 * m * c1 + c2 * big * s1, s2 * m * s1 + c2 * big * c1
+    # Quadratic term l^T A^T Sigma A l: symplectic conjugation reduces it to
+    # the antisymmetric form on a single vector, which vanishes identically.
+    w0, w1 = a00 * h0 + a01 * h1, a10 * h0 + a11 * h1
+    quad = _cmul(h0, a00 * w1 - a10 * w0) + _cmul(h1, a01 * w1 - a11 * w0)
+    aw0, aw1 = np.abs(w0), np.abs(w1)
+    residual = np.abs(quad) / np.maximum(1.0, aw0 * aw0 + aw1 * aw1)
+    rhs0, rhs1 = rhs
+    expo2 = 0.5 * (_cmul(h0, a00 * rhs1 - a10 * rhs0) + _cmul(h1, a01 * rhs1 - a11 * rhs0))
+    ld2m = expo2.real
+    # the bound for the anti-diagonal quadrature solve, whose l has components
+    # sqrt2 i Im l[0] and sqrt2 Re l[0], mapped back to l[0]
+    _, q01, q10, _ = q
+    x0 = q01 * _SQRT2 * np.abs(l0.real) + np.abs(rhs0)
+    x1 = q10 * _SQRT2 * np.abs(l0.imag) + np.abs(rhs1)
+    bound = _SQRT_HALF * (q01 * x1 + q10 * x0) / np.abs(det)
+    checks = [
+        ("delta1-imaginary", PipelineCheckError,
+         ~(np.abs(expo1.imag) <= 1e-10 * np.maximum(1.0, np.abs(expo1))),
+         lambda i: f"delta1 exponent acquired an imaginary part: {expo1.item(i)!r}"),
+        ("delta1-dual-path", PipelineCheckError,
+         ~(np.abs(ld1m - ld1) <= _DUAL_TOL * np.maximum(1.0, np.abs(ld1m))),
+         lambda i: f"delta1 dual-path mismatch: matrix {ld1m.item(i)!r} vs "
+                   f"scalar {ld1.item(i)!r}"),
+        *solve_checks,
+        _pair_check(m0, m1),
+        ("annihilation", PipelineCheckError, ~(residual <= 1e-10),
+         lambda i: f"annihilation identity violated: residual {residual.item(i):g}"),
+        ("delta2-imaginary", PipelineCheckError,
+         ~(np.abs(expo2.imag) <= 1e-10 * np.maximum(1.0, np.abs(expo2))),
+         lambda i: f"delta2 exponent acquired an imaginary part: {expo2.item(i)!r}"),
+        ("ratio-dual-path", PipelineCheckError,
+         ~(np.abs((ld1m - ld2m) - lratio)
+           <= 1e-10 * np.maximum(np.maximum(1.0, np.abs(ld1m)), np.abs(ld2m))),
+         lambda i: f"ratio dual-path mismatch: matrix {(ld1m - ld2m).item(i)!r} vs "
+                   f"direct {lratio.item(i)!r}"),
+        ("multiplier-dual-path", PipelineCheckError,
+         ~(np.abs(m0 - l0) <= _L_TOL * np.maximum(1.0, bound)),
+         lambda i: f"multiplier dual-path mismatch: matrix {m0.item(i)!r} vs "
+                   f"closed form {l0.item(i)!r}"),
+    ]
+    return p, residual, checks
+
+
+# ---------------------------------------------------------------------------
+# printed comparison path (verbatim transcription)
+# ---------------------------------------------------------------------------
+
+
+def _printed_path(g, r1, b1, r2, b2, lh, ldd):
+    """Verbatim printed displays (opposite squeeze-sign convention): the log
+    delta1 quadratic form, the log ratio (eps1 + eps2)/denominator, and the
+    four entries of the solve-ready matrix with its 1/denominator prefactor."""
+    gg, g2 = 2.0 * (g.real * g.real - g.imag * g.imag), g.real * g.real + g.imag * g.imag
+    x1, x2 = 2.0 * r1, 2.0 * r2
+    ld1 = _sinh_times(lh[0][1], 0.5 * np.sinh(x2) * gg - np.cosh(x2) * g2)
+    c1 = gg * np.sinh(x1) - 2.0 * g2 * np.cosh(x1)
+    c2 = gg * np.sinh(x2) - 2.0 * g2 * np.cosh(x2)
+    lratio = _ratio_log(lh, ldd, c1, c2)
+    chr_, shr = np.cosh(r1 - r2), np.sinh(r1 - r2)
+    # the sinh/denominator quotients come from logarithms, so the 1/denominator
+    # prefactor is already applied and nothing overflows past beta ~ 710
+    shs = np.exp(lh[0][4] - ldd)
+    # sh((b2 - b1)/2) carries the sign of b2 - b1, +0.0 at b1 = b2
+    shd2 = np.copysign(np.exp(lh[0][5] - ldd), b2 - b1)
+    return ld1, lratio, (shs * chr_, shd2 * shr, -shd2 * shr, -shs * chr_)
+
+
+def _printed_base(r1, b1, r2, b2):
+    """(Y, printed base value, Y overflowed) of the verbatim display
+    2 sinh(b1/4) sinh(b2/4) / sqrt(sqrt(Y) - 1).  Y is even in both squeeze
+    factors (every term is a squared hyperbolic), so the squeeze-sign
+    convention cannot rescue it."""
+    # squares as products: ** 2 on a numpy scalar calls pow, which can round
+    # differently from the array loop (see _pair)
+    chu, chv = np.cosh(0.25 * (b1 + b2)), np.cosh(0.25 * (b1 - b2))
+    cm, cp, sm = np.cosh(r1 - r2), np.cosh(r1 + r2), np.sinh(r1 - r2)
+    chu2, chv2, cm2, cp2, sm2 = chu * chu, chv * chv, cm * cm, cp * cp, sm * sm
+    overflow = ~(np.isfinite(chu2) & np.isfinite(chv2) & np.isfinite(cm2)
+                 & np.isfinite(cp2) & np.isfinite(sm2))
+    y = np.where(overflow, np.inf, cm2 * chu2 + cp2 * chu2 - sm2 * chv2 - cp2 * chv2)
+    pre = 2.0 * np.sinh(0.25 * b1) * np.sinh(0.25 * b2)
+    outside = overflow | (y < 0.0) | (np.sqrt(np.maximum(y, 0.0)) <= 1.0)
+    return y, np.where(outside, np.nan, pre / np.sqrt(np.sqrt(y) - 1.0)), overflow
+
+
+def _printed_domain_error(y: float, overflow: bool) -> str:
+    if overflow:
+        return ("printed base-factor argument Y overflows double precision "
+                "(its squared hyperbolics of (b1+b2)/4 and r1+r2 leave range)")
+    return (f"printed base-factor argument sqrt(Y) = {math.sqrt(max(y, 0.0)):g} "
+            "<= 1; display undefined here")
+
+
+# ---------------------------------------------------------------------------
+# the batched evaluation
+# ---------------------------------------------------------------------------
+
+
+def _clamp01(value):
+    """(value clamped to [0, 1], the amount clamped); NaN passes through with
+    a NaN amount, so it is never flagged."""
+    clamped = np.minimum(np.maximum(value, 0.0), 1.0)
+    return clamped, np.abs(value - clamped)
+
+
+def _as_rows(column, n: int, shape: tuple = ()) -> list:
+    """A batch column as a list of its n rows (array views for matrix
+    fields); a batch of one run on scalars (see _pair) has no row axis."""
+    if column is None:
+        return [None] * n
+    if shape:
+        return list(np.reshape(column, (n,) + shape))
+    if isinstance(column, np.generic):
+        return [_PYTHON[column.dtype.kind](column)]  # faster than .item()
+    return np.reshape(column, n).tolist() if isinstance(column, np.ndarray) else [column]
+
+
+_PYTHON = {"f": float, "c": complex, "b": bool}
+
+
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (ReductionTrace, BaseFactorTrace)}
+_ROW_SHAPES = {"P": (2, 2), "l_vec": (2,)}
+
+
+def _listed(trace, n: int) -> list:
+    """A trace of batch columns as one list of rows per field, so building
+    row i is a list lookup per field."""
+    return [_as_rows(getattr(trace, name), n, _ROW_SHAPES.get(name, ()))
+            for name in _FIELDS[type(trace)]]
+
+
+def _mat(p00, p01, p10, p11) -> np.ndarray:
+    """(..., 2, 2) complex stack from four entry arrays of shape (...)."""
+    out = np.empty(np.shape(p00) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = p00, p01, p10, p11
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ClosedForm:
+    """Every closed-form result for a batch of pairs, one array entry per row
+    (numpy scalars in the batch of one that _pair makes).
+
+    ``pipeline``, ``printed`` and ``base`` are the report's traces with a
+    column per field; ``flags`` lists (name, row mask, magnitudes) in report
+    order, with the oracle's flags going in at ``oracle_flags_at``; ``checks``
+    lists (name, error class, message builder) in check order, and
+    ``first_failure`` holds each row's first failing check index
+    (len(checks) where every check passed).
+    """
+
+    tol: float
+    g: np.ndarray
+    c_log: np.ndarray
+    value_matrix_pipeline: np.ndarray
+    value_printed: np.ndarray
+    pipeline: ReductionTrace
+    printed: ReductionTrace
+    base: BaseFactorTrace
+    flags: tuple
+    oracle_flags_at: int
+    checks: tuple
+    first_failure: np.ndarray
+
+    def __len__(self) -> int:
+        return np.size(self.g)
+
+    def first_failing_row(self) -> int | None:
+        """Index of the first row that failed a check, or None."""
+        rows = np.flatnonzero(self.first_failure < len(self.checks))
+        return int(rows[0]) if rows.size else None
+
+    def failure(self, i: int) -> tuple[str, str] | None:
+        """(check name, message) of row i's first failing check, or None."""
+        k = self.first_failure.item(i)
+        if k == len(self.checks):
+            return None
+        name, _, message = self.checks[k]
+        return name, message(i)
+
+    def error(self, i: int) -> Exception | None:
+        """Row i's first failing check as the exception it raises, or None."""
+        k = self.first_failure.item(i)
+        if k == len(self.checks):
+            return None
+        _, kind, message = self.checks[k]
+        return kind(message(i))
+
+    @cached_property
+    def _rows(self):
+        """Every column as a Python list, built once per batch."""
+        n = len(self)
+        scalars = [_as_rows(c, n) for c in
+                   (self.g, self.c_log, self.value_matrix_pipeline, self.value_printed)]
+        flags = [(name, _as_rows(mask, n), _as_rows(mag, n)) for name, mask, mag in self.flags]
+        return (_listed(self.pipeline, n), _listed(self.printed, n), _listed(self.base, n),
+                scalars, flags)
+
+    def report(self, i: int, oracle: OracleResult | None = None) -> FidelityReport:
+        """Row i as a FidelityReport, with the oracle result when one ran."""
+        pipeline, printed, base, (g, c_log, value_pipe, value_printed), flag_cols = self._rows
+        flags = [DiscrepancyFlag(name, mag[i]) for name, mask, mag in flag_cols if mask[i]]
+        value_oracle = None
+        if oracle is not None:
+            clamped, amount = _clamp01(oracle.fidelity)
+            value_oracle = float(clamped)
+            extra = []
+            if amount > 0.0:
+                extra.append(DiscrepancyFlag("oracle-value-clamped", float(amount)))
+            dev = abs(value_pipe[i] - value_oracle)
+            if dev > max(self.tol, 1e-6):
+                extra.append(DiscrepancyFlag("pipeline-vs-oracle", dev))
+            cut = sum(mask[i] for _, mask, _ in flag_cols[: self.oracle_flags_at])
+            flags[cut:cut] = extra
+        return FidelityReport(
+            value_matrix_pipeline=value_pipe[i],
+            value_printed=value_printed[i],
+            value_oracle=value_oracle,
+            pipeline=ReductionTrace(*[c[i] for c in pipeline]),
+            printed=ReductionTrace(*[c[i] for c in printed]),
+            base=BaseFactorTrace(*[c[i] for c in base]),
+            oracle=oracle,
+            g=g[i],
+            c_log=c_log[i],
+            discrepancy_flags=tuple(flags),
+        )
+
+
+def closed_form(states1, states2, tol: float = 1e-8) -> ClosedForm:
+    """Evaluate both closed-form paths, the base factor, the flags and every
+    check for the pairs (states1[i], states2[i]), elementwise.
+
+    Nothing raises for a refused row: its first failing check is kept, in
+    this order: the squeeze gap, each squeeze factor (SqueezeGapError), a
+    finite mismatch, then up to beta = 30 the matrix-route checks (see
+    _matrix_route).  tol is the flag threshold of FidelityOptions.
+    """
+    def column(states, attr, dtype):
+        return np.array([getattr(s, attr) for s in states], dtype=dtype)
+
+    k1, r1, b1 = (column(states1, a, t) for a, t in (("k", complex), ("r", float), ("beta", float)))
+    k2, r2, b2 = (column(states2, a, t) for a, t in (("k", complex), ("r", float), ("beta", float)))
+    # Out-of-range rows are refused by their checks (NaN fails each), not
+    # reported as numpy warnings.
+    with np.errstate(all="ignore"):
+        return _evaluate(k1, r1, b1, k2, r2, b2, tol)
+
+
+def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
+    shape = np.shape(k1)
+    g, c_log = displacement_compose(k1, k2)
+    scaled = np.maximum(b1, b2) > LOG_SCALE_BETA
+
+    # pipeline scalars
+    lh = _log_hyperbolics(b1, b2)
+    ldd = _log_denominator(lh, r1, r2)
+    ld1 = _delta1_log(g, r2, lh[0][1])
+    # The difference ld1 - ld2 cancels catastrophically as beta grows (both
+    # exponents scale like sinh(beta) while the ratio stays order one), so
+    # delta2 follows from the direct cancellation-free ratio.
+    lratio = _ratio_log(lh, ldd, -2.0 * _squeezed_norm(g, r1), -2.0 * _squeezed_norm(g, r2))
+    l0 = _multiplier(r1, r2, g, lh, ldd)
+    two_delta = 2.0 * np.exp(ldd)
+    p, residual, route_checks = _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0)
+    l_vec = np.empty(shape + (2,), dtype=complex)
+    l_vec[..., 0], l_vec[..., 1] = l0, -l0.conj()
+    pipeline = ReductionTrace(
+        delta1=np.exp(ld1),
+        delta2=np.exp(ld1 - lratio),
+        ratio=np.exp(lratio),
+        P=_mat(*p),
+        log_delta1=ld1,
+        log_delta2=ld1 - lratio,
+        log_ratio=lratio,
+        l_vec=l_vec,
+        DeltaDenom=np.exp(ldd),
+        annihilation_residual=np.where(scaled, None, residual),
+        log_scaled=scaled,
+    )
+
+    pr_ld1, pr_lratio, display = _printed_path(g, r1, b1, r2, b2, lh, ldd)
+    printed = ReductionTrace(
+        delta1=np.exp(pr_ld1),
+        delta2=np.exp(pr_ld1 - pr_lratio),  # implied by the printed decomposition
+        ratio=np.exp(pr_lratio),
+        P=_mat(*display),
+        log_delta1=pr_ld1,
+        log_delta2=pr_ld1 - pr_lratio,
+        log_ratio=pr_lratio,
+    )
+
+    # base factor: F0 = 4 sh(b1/2) sh(b2/2) (1 + sqrt(1 + Delta/2)) / Delta
+    lone = np.logaddexp(0.0, 0.5 * np.logaddexp(0.0, ldd - _LOG2))  # log(1 + sqrt(1 + Delta/2))
+    exact = np.where(
+        (r1 == r2) & (b1 == b2), 1.0,
+        np.exp(math.log(4.0) + lh[0][2] + lh[0][3] + lone - ldd),
+    )
+    y, printed_base, overflow = _printed_base(r1, b1, r2, b2)
+    domain_error = np.full(shape, None, dtype=object)
+    for i in np.flatnonzero(np.isnan(printed_base)):
+        domain_error.flat[i] = _printed_domain_error(y.item(i), overflow.item(i))
+    base = BaseFactorTrace(Y=y, base=exact, printed_value=printed_base,
+                           printed_domain_error=domain_error)
+
+    value_pipe, pipe_clamp = _clamp01(pipeline.ratio * exact)
+    value_printed, printed_clamp = _clamp01(printed.ratio * printed_base)
+    d1_dev = np.abs(pr_ld1 - ld1)
+    ratio_dev = np.abs(printed.ratio - pipeline.ratio)
+    # Comparison flags, in the order the printed path diverges from the
+    # matrix pipeline: mismatch factor, then ratio, then base display; the
+    # oracle's flags go in after the clamps.
+    before_oracle = (
+        ("log-scaled-path", scaled, np.zeros(shape)),
+        ("printed-displacement-quadratic-form",
+         d1_dev > tol * np.maximum(1.0, np.abs(ld1)), d1_dev),
+        ("printed-ratio-quadratic-form", ratio_dev > tol, ratio_dev),
+        ("printed-base-domain", np.isnan(printed_base), np.full(shape, np.inf)),
+        ("printed-base-factor", base.discrepancy > tol, base.discrepancy),
+        ("pipeline-value-clamped", pipe_clamp > 0.0, pipe_clamp),
+        ("printed-value-clamped", printed_clamp > 0.0, printed_clamp),
+    )
+    after_oracle = (
+        ("delta1-outside-float-range",
+         (ld1 < _LOG_TINY) | ~np.isfinite(pipeline.delta1), np.abs(ld1)),
+        ("delta2-outside-float-range",
+         (pipeline.log_delta2 < _LOG_TINY) | ~np.isfinite(pipeline.delta2),
+         np.abs(pipeline.log_delta2)),
+    )
+
+    def gap_message(i):
+        a, b = r1.item(i), r2.item(i)
+        return (f"squeeze factors r1={a!r}, r2={b!r} differ by {abs(a - b):g}; "
+                f"cosh 2(r1 - r2) leaves double range beyond |r1 - r2| = "
+                f"{0.5 * _EXP_MAX:g}")
+
+    def squeeze_message(r):
+        return lambda i: (f"squeeze factor r={r.item(i)!r}: the squeeze coefficients "
+                          f"exp(2|r|) leave double range beyond |r| = {0.5 * _EXP_MAX:g}")
+
+    input_checks = [
+        ("squeeze-gap", SqueezeGapError, np.abs(2.0 * (r1 - r2)) > _EXP_MAX, gap_message),
+        ("squeeze-factor-2", SqueezeGapError, np.abs(2.0 * r2) > _EXP_MAX, squeeze_message(r2)),
+        ("squeeze-factor-1", SqueezeGapError, np.abs(2.0 * r1) > _EXP_MAX, squeeze_message(r1)),
+        ("finite-mismatch", ValueError, ~np.isfinite(g),
+         lambda i: f"g must be finite, got {g.item(i)!r}"),
+    ]
+    checks = input_checks + route_checks
+    failed = np.array([mask for _, _, mask, _ in checks])
+    failed[len(input_checks):] &= ~scaled  # the matrix route checks up to beta = 30
+    first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(checks))
+    return ClosedForm(
+        tol=tol, g=g, c_log=c_log,
+        value_matrix_pipeline=value_pipe, value_printed=value_printed,
+        pipeline=pipeline, printed=printed, base=base,
+        flags=before_oracle + after_oracle, oracle_flags_at=len(before_oracle),
+        checks=tuple((name, kind, message) for name, kind, _, message in checks),
+        first_failure=first,
+    )
+
+
+# ---------------------------------------------------------------------------
+# one pair: a batch of one
+# ---------------------------------------------------------------------------
+
+
+def _pair(s1: StateParams, s2: StateParams, tol: float = 1e-8) -> ClosedForm:
+    """A batch of one, with its first failing check raised.  It runs the
+    batch code on numpy scalars rather than one-element arrays, which numpy
+    evaluates several times faster per operation and rounds alike (the
+    complex products are written in real arithmetic for this)."""
+    with np.errstate(all="ignore"):
+        cf = _evaluate(np.complex128(s1.k), np.float64(s1.r), np.float64(s1.beta),
+                       np.complex128(s2.k), np.float64(s2.r), np.float64(s2.beta), tol)
+    err = cf.error(0)
+    if err is not None:
+        raise err
+    return cf
+
+
+def _at_mismatch(s1: StateParams, s2: StateParams, g: complex) -> ClosedForm:
+    """The pair evaluated at displacement mismatch g (only the mismatch enters
+    the closed forms), with its first failing check raised."""
+    return _pair(StateParams(0.0, s1.r, s1.beta), StateParams(g, s2.r, s2.beta))
+
+
+def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
+    """Pipeline trace of the pair at mismatch g."""
+    return _at_mismatch(s1, s2, g).report(0).pipeline
 
 
 def _exp_in_range(name: str, x: float) -> float:
@@ -255,54 +805,6 @@ def _exp_in_range(name: str, x: float) -> float:
             "the report pipeline, which carries log values"
         )
     return math.exp(x)
-
-
-def _sinh_times(beta: float, bracket: float) -> float:
-    """sinh(beta) * bracket, from logarithms."""
-    if bracket == 0.0:
-        return 0.0
-    return math.copysign(_safe_exp(log_sinh(beta) + math.log(abs(bracket))), bracket)
-
-
-def _ratio_log_from(b1: float, b2: float, ldd: float, c1: float, c2: float) -> float:
-    """(sh b1 sh^2(b2/2) c1 + sh^2(b1/2) sh b2 c2) / exp(ldd), with ldd the log
-    denominator, assembled by signed log-sum-exp so neither the terms nor the
-    quotient overflow."""
-    terms = []
-    signs = []
-    if c1 != 0.0:
-        terms.append(log_sinh(b1) + 2.0 * log_sinh(0.5 * b2) + math.log(abs(c1)))
-        signs.append(math.copysign(1.0, c1))
-    if c2 != 0.0:
-        terms.append(2.0 * log_sinh(0.5 * b1) + log_sinh(b2) + math.log(abs(c2)))
-        signs.append(math.copysign(1.0, c2))
-    if not terms:
-        return 0.0
-    lnum, sign = logsumexp(terms, signs)
-    if sign == 0.0:
-        return 0.0
-    return sign * _safe_exp(lnum - ldd)
-
-
-# ---------------------------------------------------------------------------
-# pipeline factors (oracle-true convention)
-# ---------------------------------------------------------------------------
-
-
-def _pipe_factors(s1: StateParams, s2: StateParams):
-    """Conjugation factors in the convention the oracle confirms."""
-    m1 = squeeze_matrix(-s1.r)
-    m2inv = squeeze_matrix(s2.r)
-    b1m = thermal_matrix(s1.beta, -0.5)
-    b1p = thermal_matrix(s1.beta, 0.5)
-    b2m = thermal_matrix(s2.beta, -0.5)
-    b2p = thermal_matrix(s2.beta, 0.5)
-    return m1, m2inv, b1m, b1p, b2m, b2p
-
-
-def _delta1_log_scalar(s2: StateParams, g: complex) -> float:
-    """Pipeline-convention exponent of delta1 (depends on state 2 only)."""
-    return _sinh_times(s2.beta, -_squeezed_norm(g, s2.r))
 
 
 def delta1(s1: StateParams, s2: StateParams, g: complex) -> float:
@@ -316,189 +818,6 @@ def delta1(s1: StateParams, s2: StateParams, g: complex) -> float:
     return _exp_in_range("delta1", _pipeline_trace(s1, s2, g).log_delta1)
 
 
-def _matching_from(factors) -> Mat2C:
-    m1, m2inv, b1m, b1p, b2m, b2p = factors
-    core = m2inv @ m1
-    return b2m @ core @ b1m - b2p @ core @ b1p
-
-
-def matching_matrix(s1: StateParams, s2: StateParams) -> Mat2C:
-    """Left-hand 2x2 matrix of the linear condition the multiplier l solves.
-
-    Built directly from the conjugation factors:
-    B2^{-1/2} M2^{-1} M1 B1^{-1/2}  -  B2^{+1/2} M2^{-1} M1 B1^{+1/2}.
-    Its determinant equals -2 * DeltaDenom, which is strictly negative for
-    positive temperatures, so the system is always solvable.
-    """
-    return _matching_from(_pipe_factors(s1, s2))
-
-
-def _rhs_from(factors, g: complex) -> PairVec:
-    _, m2inv, _, _, b2m, b2p = factors
-    return (b2m - b2p) @ (m2inv @ pair_vec(g))
-
-
-def _solve_matching(p: Mat2C, rhs: PairVec) -> PairVec:
-    """Adjugate solve of p @ l = rhs with the determinant floor, the
-    substitution residual and the conjugate-pair form checked."""
-    det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-    if abs(det) < _DET_FLOOR:
-        raise DegenerateInputError(
-            f"matching matrix determinant {det!r} below {_DET_FLOOR:g}; the "
-            "positive denominator (det = -2*DeltaDenom) has degenerated"
-        )
-    sol = np.array(
-        [
-            (p[1, 1] * rhs[0] - p[0, 1] * rhs[1]) / det,
-            (p[0, 0] * rhs[1] - p[1, 0] * rhs[0]) / det,
-        ],
-        dtype=complex,
-    )
-    rhs_norm = float(np.linalg.norm(rhs))
-    resid = float(np.linalg.norm(p @ sol - rhs))
-    if not resid <= 1e-10 * max(1.0, rhs_norm):
-        raise PipelineCheckError(f"matching solve residual {resid:g} too large")
-    pair_dev = abs(sol[1] + sol[0].conjugate())
-    if not pair_dev <= 1e-10 * max(1.0, abs(sol[0])):
-        raise PipelineCheckError(
-            f"solved multiplier lost conjugate-pair form (dev {pair_dev:g})"
-        )
-    return sol
-
-
-def solve_l(s1: StateParams, s2: StateParams, g: complex) -> PairVec:
-    """Solve the matching system for the conjugate-pair multiplier (l, -l*).
-
-    Uses the explicit 2x2 adjugate; refuses when |det| falls below 1e-14
-    (degenerate parameters, the positive denominator collapsed).  The result
-    is substituted back and must reproduce the right-hand side to 1e-10.
-    """
-    rhs = _rhs_from(_pipe_factors(s1, s2), complex(g))
-    return _solve_matching(matching_matrix(s1, s2), rhs)
-
-
-def _multiplier(s1: StateParams, s2: StateParams, g: complex, ldd: float) -> complex:
-    """The solved multiplier l in closed form, with ldd the log denominator:
-
-        Re l = 2 sh(b2/2) Re g [e^{r1} ch(b1/2) sh(b2/2)
-                                + e^{2 r2 - r1} sh(b1/2) ch(b2/2)] / Delta,
-        Im l = 2 sh(b2/2) Im g [e^{r1 - 2 r2} sh(b1/2) ch(b2/2)
-                                + e^{-r1} ch(b1/2) sh(b2/2)] / Delta.
-
-    This is the adjugate solve of the matching system written as two
-    nonnegative terms per component, each exponentiated from its logarithm,
-    so nothing cancels or overflows.
-    """
-    h1, h2 = 0.5 * s1.beta, 0.5 * s2.beta
-    lpre = math.log(2.0) + log_sinh(h2) - ldd
-    cs = lpre + log_cosh(h1) + log_sinh(h2)
-    sc = lpre + log_sinh(h1) + log_cosh(h2)
-    r1, r2 = s1.r, s2.r
-    re = g.real * (_safe_exp(cs + r1) + _safe_exp(sc + 2.0 * r2 - r1))
-    im = g.imag * (_safe_exp(sc + r1 - 2.0 * r2) + _safe_exp(cs - r1))
-    return complex(re, im)
-
-
-def _ratio_log_scalar(s1: StateParams, s2: StateParams, g: complex, ldd: float) -> float:
-    """log(delta1/delta2) in the pipeline convention via log-scaled assembly,
-    with ldd the log denominator; the reported ratio at every beta."""
-    c1 = -2.0 * _squeezed_norm(g, s1.r)
-    c2 = -2.0 * _squeezed_norm(g, s2.r)
-    return _ratio_log_from(s1.beta, s2.beta, ldd, c1, c2)
-
-
-def _check_matrix_route(factors, p: Mat2C, g: complex, ld1: float, lratio: float,
-                        lvec: PairVec) -> float:
-    """Evaluate the 2x2 matrix route on the pair and check the reported
-    closed-form values against it; returns the annihilation residual.
-
-    In order: both exponents real and delta1 equal to the scalar form to
-    1e-10; the solve (see _solve_matching); the quadratic multiplier term,
-    which the symplectic structure kills, below 1e-10; the ratio to a
-    conditioning-aware 1e-10; the solved l within _L_TOL of the solve's
-    first-order rounding bound |adj p| (|p| |l| + |rhs|)/|det p|, with |p|
-    and |rhs| formed from the factors' absolute values (floored at 1).
-    """
-    m1, m2inv, b1m, b1p, b2m, b2p = factors
-    gvec = pair_vec(g)
-    expo = 0.5 * (gvec @ (m2inv.T @ b2m @ SIGMA @ b2p @ m2inv @ gvec))
-    if not abs(expo.imag) <= 1e-10 * max(1.0, abs(expo)):
-        raise PipelineCheckError(f"delta1 exponent acquired an imaginary part: {expo!r}")
-    ld1m = float(expo.real)
-    if not abs(ld1m - ld1) <= _DUAL_TOL * max(1.0, abs(ld1m)):
-        raise PipelineCheckError(
-            f"delta1 dual-path mismatch: matrix {ld1m!r} vs scalar {ld1!r}"
-        )
-    rhs = _rhs_from(factors, g)
-    lm = _solve_matching(p, rhs)
-    a_minus = b2m @ m2inv @ m1 @ b1m
-    core = a_minus.T @ SIGMA
-    # Quadratic term: symplectic conjugation reduces it to the antisymmetric
-    # form on a single vector, which vanishes identically.
-    quad = complex(lm @ (core @ (a_minus @ lm)))
-    residual = abs(quad) / max(1.0, float(np.linalg.norm(a_minus @ lm)) ** 2)
-    if not residual <= 1e-10:
-        raise PipelineCheckError(f"annihilation identity violated: residual {residual:g}")
-    expo = -0.5 * complex(lm @ (core @ rhs))
-    if not abs(expo.imag) <= 1e-10 * max(1.0, abs(expo)):
-        raise PipelineCheckError(f"delta2 exponent acquired an imaginary part: {expo!r}")
-    ld2m = float(expo.real)
-    if not abs((ld1m - ld2m) - lratio) <= 1e-10 * max(1.0, abs(ld1m), abs(ld2m)):
-        raise PipelineCheckError(
-            f"ratio dual-path mismatch: matrix {ld1m - ld2m!r} vs direct {lratio!r}"
-        )
-    # the same products in absolute values bound the rounding of p and rhs
-    m1, m2inv, b1m, b1p, b2m, b2p = (np.abs(f) for f in factors)
-    core = m2inv @ m1
-    p_abs = b2m @ core @ b1m + b2p @ core @ b1p
-    rhs_abs = (b2m + b2p) @ (m2inv @ np.abs(gvec))
-    det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-    bound = np.abs([p[1, 1], p[0, 1]]) @ (p_abs @ np.abs(lvec) + rhs_abs) / abs(det)
-    if not abs(lm[0] - lvec[0]) <= _L_TOL * max(1.0, bound):
-        raise PipelineCheckError(
-            f"multiplier dual-path mismatch: matrix {complex(lm[0])!r} vs "
-            f"closed form {complex(lvec[0])!r}"
-        )
-    return residual
-
-
-def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
-    """Pipeline evaluation: every reported field comes from the closed-form
-    scalars at every beta; up to beta = 30 the matrix route checks them."""
-    g = complex(g)
-    scaled = max(s1.beta, s2.beta) > LOG_SCALE_BETA
-    ldd = _log_delta_denom(s1.beta, s2.beta, s1.r, s2.r)
-    ld1 = _delta1_log_scalar(s2, g)
-    # The difference ld1 - ld2 cancels catastrophically as beta grows (both
-    # exponents scale like sinh(beta) while the ratio stays order one), so
-    # delta2 follows from the direct cancellation-free ratio.
-    lratio = _ratio_log_scalar(s1, s2, g, ldd)
-    l0 = _multiplier(s1, s2, g, ldd)
-    lvec = np.array([l0, -l0.conjugate()], dtype=complex)
-    residual = None
-    # Out-of-range products are refused by the checks (NaN fails each), not
-    # reported as numpy warnings; past beta1 + beta2 ~ 1418 the reported P
-    # reads inf/nan (the values are unaffected).
-    with np.errstate(over="ignore", invalid="ignore"):
-        factors = _pipe_factors(s1, s2)
-        p = _matching_from(factors)
-        if not scaled:
-            residual = _check_matrix_route(factors, p, g, ld1, lratio, lvec)
-    return ReductionTrace(
-        delta1=_safe_exp(ld1),
-        delta2=_safe_exp(ld1 - lratio),
-        ratio=_safe_exp(lratio),
-        P=p,
-        log_delta1=ld1,
-        log_delta2=ld1 - lratio,
-        log_ratio=lratio,
-        l_vec=lvec,
-        DeltaDenom=_safe_exp(ldd),
-        annihilation_residual=residual,
-        log_scaled=scaled,
-    )
-
-
 def delta2(s1: StateParams, s2: StateParams, g: complex) -> float:
     """Second Gaussian correction, exp(log delta1 - log ratio) from the
     closed-form scalars; up to beta = 30 the matrix route's solved multiplier
@@ -507,27 +826,34 @@ def delta2(s1: StateParams, s2: StateParams, g: complex) -> float:
     return _exp_in_range("delta2", _pipeline_trace(s1, s2, g).log_delta2)
 
 
-# ---------------------------------------------------------------------------
-# printed comparison path (verbatim transcription)
-# ---------------------------------------------------------------------------
+def matching_matrix(s1: StateParams, s2: StateParams) -> Mat2C:
+    """Left-hand 2x2 matrix of the linear condition the multiplier l solves:
+    B2^{-1/2} M2^{-1} M1 B1^{-1/2}  -  B2^{+1/2} M2^{-1} M1 B1^{+1/2},
+    evaluated without cancellation (see _matching_system).  Its determinant
+    equals -2 * DeltaDenom, which is strictly negative for positive
+    temperatures, so the system is always solvable.
+    """
+    return _at_mismatch(s1, s2, 0.0).report(0).pipeline.P
 
 
-def _printed_delta1_log(s2: StateParams, g: complex) -> float:
-    """Verbatim printed quadratic form (opposite squeeze-sign convention)."""
-    gg, g2 = _gg_terms(g)
-    x = _squeeze_arg(s2.r)
-    bracket = 0.5 * math.sinh(x) * gg - math.cosh(x) * g2
-    return _sinh_times(s2.beta, bracket)
+def solve_l(s1: StateParams, s2: StateParams, g: complex) -> PairVec:
+    """Solve the matching system for the conjugate-pair multiplier (l, -l*).
 
-
-def _printed_ratio_log(s1: StateParams, s2: StateParams, g: complex, ldd: float) -> float:
-    """Verbatim printed exponent (eps1 + eps2)/denominator, with ldd the log
-    denominator."""
-    gg, g2 = _gg_terms(g)
-    x1, x2 = _squeeze_arg(s1.r), _squeeze_arg(s2.r)
-    c1 = gg * math.sinh(x1) - 2.0 * g2 * math.cosh(x1)
-    c2 = gg * math.sinh(x2) - 2.0 * g2 * math.cosh(x2)
-    return _ratio_log_from(s1.beta, s2.beta, ldd, c1, c2)
+    The explicit 2x2 adjugate solve the pipeline checks with: refuses a zero
+    or non-finite determinant (DegenerateInputError) and one off -2*Delta by
+    more than 1e-10 relative; the result is substituted back and must
+    reproduce the right-hand side to 1e-10.
+    """
+    p = matching_matrix(s1, s2)
+    one = [np.array([x]) for x in (s1.r, s1.beta, s2.r, s2.beta, complex(g))]
+    with np.errstate(all="ignore"):
+        rhs = _matching_system(*one)[1]
+        two_delta = 2.0 * np.exp(_log_delta_denom(one[1], one[3], one[0], one[2]))
+        sol, _, checks = _solve([np.array([x]) for x in p.ravel()], rhs, two_delta)
+    for _, kind, failed, message in [*checks, _pair_check(*sol)]:
+        if failed[0]:
+            raise kind(message(0))
+    return np.array([sol[0][0], sol[1][0]], dtype=complex)
 
 
 def ratio_printed(s1: StateParams, s2: StateParams, g: complex) -> float:
@@ -538,8 +864,7 @@ def ratio_printed(s1: StateParams, s2: StateParams, g: complex) -> float:
     matrix pipeline; the deviation is what the flags and the reconciliation
     report measure.  g = 0 gives exactly 1.
     """
-    ldd = _log_delta_denom(s1.beta, s2.beta, s1.r, s2.r)
-    return _safe_exp(_printed_ratio_log(s1, s2, complex(g), ldd))
+    return _at_mismatch(s1, s2, g).report(0).printed.ratio
 
 
 def printed_matching_display(s1: StateParams, s2: StateParams) -> Mat2C:
@@ -549,86 +874,7 @@ def printed_matching_display(s1: StateParams, s2: StateParams) -> Mat2C:
     the oracle-true convention (and the transpose-inverse in the printed
     convention) — it is not the system matrix its surrounding text defines.
     """
-    return _printed_display(s1, s2, _log_delta_denom(s1.beta, s2.beta, s1.r, s2.r))
-
-
-def _printed_display(s1: StateParams, s2: StateParams, ldd: float) -> Mat2C:
-    """The printed display with ldd the log denominator."""
-    b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
-    chr_ = math.cosh(r1 - r2)
-    shr = math.sinh(r1 - r2)
-    # the sinh/denominator quotients come from logarithms, so the 1/denominator
-    # prefactor is already applied and nothing overflows past beta ~ 710
-    shs = _safe_exp(log_sinh(0.5 * (b2 + b1)) - ldd)
-    half_diff = 0.5 * (b2 - b1)
-    shd2 = 0.0
-    if half_diff != 0.0:
-        shd2 = math.copysign(_safe_exp(log_sinh(abs(half_diff)) - ldd), half_diff)
-    return np.array(
-        [[shs * chr_, shd2 * shr], [-shd2 * shr, -shs * chr_]], dtype=complex
-    )
-
-
-def _printed_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
-    """Verbatim printed-path evaluation: the deltas, ratio and matching
-    display that the printed formulas define."""
-    g = complex(g)
-    ldd = _log_delta_denom(s1.beta, s2.beta, s1.r, s2.r)
-    ld1 = _printed_delta1_log(s2, g)
-    lratio = _printed_ratio_log(s1, s2, g, ldd)
-    ld2 = ld1 - lratio  # implied by the printed decomposition
-    return ReductionTrace(
-        delta1=_safe_exp(ld1),
-        delta2=_safe_exp(ld2),
-        ratio=_safe_exp(lratio),
-        P=_printed_display(s1, s2, ldd),
-        log_delta1=ld1,
-        log_delta2=ld2,
-        log_ratio=lratio,
-    )
-
-
-# ---------------------------------------------------------------------------
-# base factor (undisplaced-pair fidelity)
-# ---------------------------------------------------------------------------
-
-
-def printed_overlap_argument(s1: StateParams, s2: StateParams) -> float:
-    """The printed argument Y of the base-factor display, verbatim.
-
-    Even in both squeeze factors (every term is a squared hyperbolic), so the
-    squeeze-sign convention cannot rescue it.
-    """
-    b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
-    u = 0.25 * (b1 + b2)
-    v = 0.25 * (b1 - b2)
-    chu2 = math.cosh(u) ** 2
-    chv2 = math.cosh(v) ** 2
-    return (
-        math.cosh(r1 - r2) ** 2 * chu2
-        + math.cosh(r1 + r2) ** 2 * chu2
-        - math.sinh(r1 - r2) ** 2 * chv2
-        - math.cosh(r1 + r2) ** 2 * chv2
-    )
-
-
-def _printed_base(s1: StateParams, s2: StateParams) -> tuple[float, float, str | None]:
-    """(Y, printed base value, domain-error message or None), verbatim:
-    2 sinh(b1/4) sinh(b2/4) / sqrt(sqrt(Y) - 1)."""
-    try:
-        y = printed_overlap_argument(s1, s2)
-    except OverflowError:
-        return math.inf, math.nan, (
-            "printed base-factor argument Y overflows double precision "
-            "(its squared hyperbolics of (b1+b2)/4 and r1+r2 leave range)"
-        )
-    pre = 2.0 * math.sinh(0.25 * s1.beta) * math.sinh(0.25 * s2.beta)
-    if y < 0.0 or math.sqrt(y) <= 1.0:
-        return y, math.nan, (
-            f"printed base-factor argument sqrt(Y) = {math.sqrt(max(y, 0.0)):g} "
-            "<= 1; display undefined here"
-        )
-    return y, pre / math.sqrt(math.sqrt(y) - 1.0), None
+    return _at_mismatch(s1, s2, 0.0).report(0).printed.P
 
 
 def base_factor(s1: StateParams, s2: StateParams) -> BaseFactorTrace:
@@ -644,35 +890,7 @@ def base_factor(s1: StateParams, s2: StateParams) -> BaseFactorTrace:
     beta.  Identical (r, beta) give exactly 1.  The printed display is
     evaluated verbatim and the gap between the two is exposed, not hidden.
     """
-    y, printed, domain_err = _printed_base(s1, s2)
-    b1, b2, r1, r2 = s1.beta, s2.beta, s1.r, s2.r
-    if (r1, b1) == (r2, b2):
-        base = 1.0
-    else:
-        ldd = _log_delta_denom(b1, b2, r1, r2)
-        # log sqrt(1 + Delta/2), then log(1 + sqrt(1 + Delta/2))
-        half = 0.5 * logsumexp([0.0, ldd - math.log(2.0)])[0]
-        lone = logsumexp([0.0, half])[0]
-        base = _safe_exp(
-            math.log(4.0) + log_sinh(0.5 * b1) + log_sinh(0.5 * b2) + lone - ldd
-        )
-    return BaseFactorTrace(
-        Y=y, base=base, printed_value=printed, printed_domain_error=domain_err
-    )
-
-
-# ---------------------------------------------------------------------------
-# assembled fidelity
-# ---------------------------------------------------------------------------
-
-
-def _clamp01(value: float, name: str, flags: list[DiscrepancyFlag]) -> float:
-    if math.isnan(value):
-        return value
-    clamped = min(1.0, max(0.0, value))
-    if clamped != value:
-        flags.append(DiscrepancyFlag(f"{name}-clamped", abs(value - clamped)))
-    return clamped
+    return _at_mismatch(s1, s2, 0.0).report(0).base
 
 
 def fidelity(
@@ -685,67 +903,13 @@ def fidelity(
     verbatim printed path (printed ratio times printed base); value_oracle is
     the adaptive-cutoff brute-force fidelity (None only when disabled).
     Every mismatch beyond opts.tol is flagged by name, in pipeline order, and
-    out-of-range values are clamped loudly, never silently.
+    out-of-range values are clamped loudly, never silently.  The closed forms
+    are `closed_form` on a batch of one; a refused pair raises its first
+    failing check before the oracle runs.
     """
     opts = opts or FidelityOptions()
-    g, c_log = displacement_compose(s1.k, s2.k)
-    flags: list[DiscrepancyFlag] = []
-
-    pipe = _pipeline_trace(s1, s2, g)
-    printed = _printed_trace(s1, s2, g)
-    base = base_factor(s1, s2)
-
-    if pipe.log_scaled:
-        flags.append(DiscrepancyFlag("log-scaled-path", 0.0))
-
-    # Comparison flags, in the order the printed path diverges from the
-    # matrix pipeline: mismatch factor, then ratio, then base display.
-    d1_dev = abs(printed.log_delta1 - pipe.log_delta1)
-    if d1_dev > opts.tol * max(1.0, abs(pipe.log_delta1)):
-        flags.append(DiscrepancyFlag("printed-displacement-quadratic-form", d1_dev))
-    ratio_dev = abs(printed.ratio - pipe.ratio)
-    if ratio_dev > opts.tol:
-        flags.append(DiscrepancyFlag("printed-ratio-quadratic-form", ratio_dev))
-    if math.isnan(base.printed_value):
-        flags.append(DiscrepancyFlag("printed-base-domain", math.inf))
-    elif base.discrepancy > opts.tol:
-        flags.append(DiscrepancyFlag("printed-base-factor", base.discrepancy))
-
-    value_pipe = pipe.ratio * base.base
-    value_printed = (
-        math.nan if math.isnan(base.printed_value) else printed.ratio * base.printed_value
-    )
-    value_pipe = _clamp01(value_pipe, "pipeline-value", flags)
-    value_printed = _clamp01(value_printed, "printed-value", flags)
-
-    oracle_res: OracleResult | None = None
-    value_oracle: float | None = None
+    cf = _pair(s1, s2, opts.tol)
+    oracle = None
     if opts.oracle:
-        oracle_res = fidelity_oracle(
-            s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling
-        )
-        value_oracle = _clamp01(oracle_res.fidelity, "oracle-value", flags)
-        if abs(value_pipe - value_oracle) > max(opts.tol, 1e-6):
-            flags.append(
-                DiscrepancyFlag(
-                    "pipeline-vs-oracle", abs(value_pipe - value_oracle)
-                )
-            )
-
-    if pipe.log_delta1 < math.log(1e-300) or not math.isfinite(pipe.delta1):
-        flags.append(DiscrepancyFlag("delta1-outside-float-range", abs(pipe.log_delta1)))
-    if pipe.log_delta2 < math.log(1e-300) or not math.isfinite(pipe.delta2):
-        flags.append(DiscrepancyFlag("delta2-outside-float-range", abs(pipe.log_delta2)))
-
-    return FidelityReport(
-        value_matrix_pipeline=value_pipe,
-        value_printed=value_printed,
-        value_oracle=value_oracle,
-        pipeline=pipe,
-        printed=printed,
-        base=base,
-        oracle=oracle_res,
-        g=g,
-        c_log=c_log,
-        discrepancy_flags=tuple(flags),
-    )
+        oracle = fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)
+    return cf.report(0, oracle)

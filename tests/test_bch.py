@@ -111,6 +111,18 @@ def test_displacement_compose_phase_is_imaginary(k1, k2):
     assert abs(c_log.real) < 1e-15
 
 
+@given(small_c, small_c)
+def test_displacement_compose_is_the_merged_displacements(k1, k2):
+    # the closed form against the BCH merge it replaces, and elementwise on arrays
+    eye = np.eye(2)
+    merged = bch_merge(LinExpOp(0.0, eye, pair_vec(-k1)), LinExpOp(0.0, eye, pair_vec(k2)))
+    g, c_log = displacement_compose(k1, k2)
+    assert abs(g - merged.combined_vec[0]) <= 1e-15
+    assert abs(c_log - merged.scalar_log) <= 1e-15
+    gs, cs = displacement_compose(np.array([k1, 0.3j]), np.array([k2, 1.0]))
+    assert abs(gs[0] - g) <= 1e-15 and abs(cs[0] - c_log) <= 1e-15
+
+
 def test_linexpop_rejects_bad_shapes():
     with pytest.raises(ValueError):
         LinExpOp(0.0, np.eye(3), (1.0, 0.0))

@@ -58,13 +58,15 @@ def test_compute_oracle_matches_frozen_golden_snapshot():
 
 
 def test_compute_refused_pipeline_check_is_one_line_exit_1():
+    # equal squeezes at r = 354: sinh(beta) |v|^2 overflows on both paths of
+    # delta1, and inf - inf fails the dual-path check
     res = run_cli(
-        "compute", "--r1", "200", "--r2", "200", "--nbar1", "1", "--nbar2", "1",
+        "compute", "--r1", "354", "--r2", "354", "--beta1", "5", "--beta2", "5",
         "--k2", "0.5", "--method", "closed-form",
     )
     assert res.returncode == 1
     assert res.stdout == ""
-    assert res.stderr.startswith("pipeline check failed: matching solve residual")
+    assert res.stderr.startswith("pipeline check failed: delta1 dual-path mismatch")
     assert len(res.stderr.splitlines()) == 1  # no traceback, no numpy warning
 
 
@@ -209,6 +211,26 @@ def test_sweep_convergence_failure_names_the_row():
     assert res.stdout == ""
     assert "sweep row 1 (re_k2=1)" in res.stderr
     assert "no rows written" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "fixed, axis, code, row",
+    [
+        (("--r1", "354", "--beta1", "5", "--beta2", "5"), "r2=352:356:5", 1,
+         "pipeline check failed: sweep row 2 (r2=354): delta1 dual-path"),
+        (("--nbar1", "1", "--nbar2", "1"), "r2=353:357:5", 2,
+         "error: sweep row 2 (r2=355): squeeze factors"),
+    ],
+    ids=["refused-check", "squeeze-past-double-range"],
+)
+def test_sweep_bad_row_is_named_and_nothing_written(tmp_path, fixed, axis, code, row):
+    out = tmp_path / "sweep.csv"
+    res = run_cli("sweep", *fixed, "--k2", "0.5", "--sweep", axis,
+                  "--method", "closed-form", "--out", str(out))
+    assert res.returncode == code
+    assert res.stderr.startswith(row) and "no rows written" in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stdout == "" and not out.exists()
 
 
 def test_sweep_rejects_three_axes():

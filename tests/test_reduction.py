@@ -1,15 +1,17 @@
 """Matrix-reduction pipeline, printed comparison path, and base factor."""
 
+import json
 import math
+import re
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dstfid.algebra import DegenerateInputError, state
+from dstfid.algebra import DegenerateInputError, log_sinh, state
 from dstfid.fock import fidelity_oracle, thermal_state
 from dstfid.golden import default_golden_path, read_snapshots
 from dstfid.reduction import (
@@ -17,6 +19,7 @@ from dstfid.reduction import (
     PipelineCheckError,
     SqueezeGapError,
     base_factor,
+    closed_form,
     delta1,
     delta2,
     fidelity,
@@ -25,7 +28,7 @@ from dstfid.reduction import (
     ratio_printed,
     solve_l,
 )
-from dstfid.reduction import _delta1_log_scalar, _log_delta_denom, _pipeline_trace
+from dstfid.reduction import _delta1_log, _log_delta_denom, _pipeline_trace
 
 S1 = state(0.0, 0.2, nbar=0.8)
 S2 = state(0.0, 0.3, beta=1.0)
@@ -42,13 +45,13 @@ log_scaled = st.floats(min_value=30.0, max_value=744.0, exclude_min=True)
 wide_betas = st.one_of(hot_to_warm, cold)
 
 
-def gaussian_reference(r1, beta1, r2, beta2, g=0j):
-    """(F0, F, log(F/F0)) at 50 digits from the quadrature covariance matrices
+def gaussian_reference(r1, beta1, r2, beta2, g=0j, dps=50):
+    """(F0, F, log(F/F0)) at dps digits from the quadrature covariance matrices
     V = coth(beta/2) diag(e^{-2r}, e^{2r}) (vacuum = identity) and the mean
     difference d = sqrt(2) (Re g, Im g):
     F = 2/(sqrt(det(V1+V2) + delta) - sqrt(delta)) exp(-d^T (V1+V2)^{-1} d),
     delta = (det V1 - 1)(det V2 - 1)."""
-    with mp.workdps(50):
+    with mp.workdps(dps):
         r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
         c1, c2 = mp.coth(beta1 / 2), mp.coth(beta2 / 2)
         sx = c1 * mp.exp(-2 * r1) + c2 * mp.exp(-2 * r2)
@@ -272,14 +275,66 @@ def test_ratio_free_of_squeeze_cancellation(r, g):
 
 
 @pytest.mark.parametrize("r", [8.0, 200.0])
-def test_matrix_route_refusal_is_a_named_error(r):
-    # equal large squeezes: the matching products lose the conjugate-pair
-    # form (r = 8) or overflow the solve (r = 200); no numpy warning escapes
+def test_matrix_route_refusal_is_a_named_error(monkeypatch, r):
+    # equal large squeezes, where products in the (a^dag, a) basis lose the
+    # conjugate-pair form (r = 8) or overflow the solve (r = 200): a refusal
+    # there is still a named error and no numpy warning escapes
+    import dstfid.reduction as red
+
+    right = red._multiplier
+    monkeypatch.setattr(red, "_multiplier", lambda *args: right(*args) * (1.0 + 1e-8))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PipelineCheckError):
+        with pytest.raises(PipelineCheckError, match="multiplier dual-path"):
             fidelity(state(0.0, r, nbar=1.0), state(0.5, r, nbar=1.0),
                      FidelityOptions(oracle=False))
+
+
+@pytest.mark.parametrize("r", [8.0, 200.0, 354.0])
+def test_equal_large_squeezes_match_gaussian_reference(r):
+    # the quadrature-basis matrix route has nothing to cancel here, so these
+    # pairs are checked and reported, not refused
+    rep = fidelity(state(0.0, r, nbar=1.0), state(0.5, r, nbar=1.0),
+                   FidelityOptions(oracle=False))
+    b = math.log(2.0)
+    _, _, expo = gaussian_reference(r, b, r, b, 0.5)
+    assert not rep.pipeline.log_scaled and rep.pipeline.annihilation_residual is not None
+    assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-13)
+
+
+def test_extremely_hot_pair_is_accepted_and_matches_reference(capsys):
+    # both nbar = 1e100: the determinant (~1e-200) is checked against
+    # -2*Delta, relatively, so no absolute floor refuses the pair
+    import dstfid.cli as cli
+
+    argv = ["compute", "--r1", "0.2", "--r2", "0.3", "--nbar1", "1e100", "--nbar2", "1e100",
+            "--k2", "0.5", "--method", "closed-form", "--format", "record"]
+    assert cli.main(argv) == 0
+    rec = json.loads(capsys.readouterr().out)
+    beta = math.log1p(1e-100)
+    # F0 = 2/(sqrt(A + delta) - sqrt(delta)) cancels over ~200 digits here
+    _, want, _ = gaussian_reference(0.2, beta, 0.3, beta, 0.5, dps=250)
+    assert math.isclose(rec["value_matrix_pipeline"], want, rel_tol=1e-11)
+    assert rec["pipeline"]["annihilation_residual"] is not None  # the check ran
+
+
+@pytest.mark.parametrize("entry", ["fidelity", "sweep"])
+def test_wrong_closed_form_multiplier_is_refused_by_the_batched_check(monkeypatch, capsys, entry):
+    import dstfid.cli as cli
+    import dstfid.reduction as red
+
+    right = red._multiplier
+    monkeypatch.setattr(red, "_multiplier", lambda *args: right(*args) * (1.0 + 1e-8))
+    if entry == "fidelity":
+        with pytest.raises(PipelineCheckError, match="multiplier dual-path"):
+            fidelity(S1, state(0.5, S2.r, beta=S2.beta), FidelityOptions(oracle=False))
+        return
+    argv = ["sweep", "--r1", "0.2", "--nbar1", "0.8", "--r2", "0.3", "--beta2", "1.0",
+            "--sweep", "re_k2=0.5:0.5:1", "--method", "closed-form"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("pipeline check failed: sweep row 0 (re_k2=0.5): multiplier dual-path")
 
 
 def test_pipeline_reports_the_scalars_below_log_scale():
@@ -287,7 +342,7 @@ def test_pipeline_reports_the_scalars_below_log_scale():
     g = 0.7 - 0.4j
     tr = _pipeline_trace(S1, S2, g)
     assert not tr.log_scaled
-    assert tr.log_delta1 == _delta1_log_scalar(S2, g)
+    assert tr.log_delta1 == _delta1_log(np.array([g]), np.array([S2.r]), log_sinh(np.array([S2.beta])))[0]
     assert tr.log_delta2 == tr.log_delta1 - tr.log_ratio
 
 
@@ -401,6 +456,8 @@ def test_log_scaled_fidelity_matches_gaussian_reference(b_cold, b_other, r1, r2,
 
 @settings(max_examples=60)
 @given(radii, hot_to_warm, radii, hot_to_warm, gs)
+# a hot pair the (a^dag, a)-basis solve refused (conjugate-pair form off by 1.2e-10)
+@example(0.5, 1.0000015e-6, 0.0, 2.1021762779925653e-6, 2j)
 def test_displaced_fidelity_below_log_scale_matches_gaussian_reference(r1, b1, r2, b2, g):
     """Displaced pairs with both beta <= 30, where the matrix route checks
     the log-assembled scalars."""
@@ -492,6 +549,48 @@ def test_closed_form_runs_no_fock_code(monkeypatch, capsys):
 def test_closed_form_matches_golden_records(rec):
     rep = fidelity(rec.s1, rec.s2, FidelityOptions(oracle=False))
     assert abs(rep.value_matrix_pipeline - rec.fidelity) <= rec.tol
+
+
+# --- batch = rows of batches of one -------------------------------------------
+
+any_radii = st.one_of(radii, wide_radii, st.floats(min_value=-360.0, max_value=360.0))
+any_betas = st.one_of(wide_betas, log_scaled)
+pairs = st.tuples(any_radii, any_betas, any_radii, any_betas, gs)
+
+
+def _carried(rep):
+    """Every value a report carries, as one comparable text (repr keeps NaN
+    equal to NaN and -0.0 apart from 0.0)."""
+    out = [rep.value_matrix_pipeline, rep.value_printed, rep.g, rep.c_log,
+           rep.base.Y, rep.base.base, rep.base.printed_value, rep.base.printed_domain_error]
+    for tr in (rep.pipeline, rep.printed):
+        out += [tr.delta1, tr.delta2, tr.ratio, tr.log_delta1, tr.log_delta2, tr.log_ratio,
+                tr.DeltaDenom, tr.annihilation_residual, tr.log_scaled, tr.P.tolist()]
+        out += [] if tr.l_vec is None else tr.l_vec.tolist()
+    out += [(f.name, f.magnitude) for f in rep.discrepancy_flags]
+    return repr(out)
+
+
+@settings(max_examples=60)
+@given(st.lists(pairs, min_size=1, max_size=6))
+def test_batch_rows_equal_batches_of_one(rows):
+    """Values, logs, flags and the first failing check of every row of a batch
+    equal those of the same pair evaluated alone: as a one-row batch, and as
+    the batch of one that fidelity runs on numpy scalars."""
+    import dstfid.reduction as red
+
+    s1 = [state(0.0, r1, beta=b1) for r1, b1, _, _, _ in rows]
+    s2 = [state(g, r2, beta=b2) for _, _, r2, b2, g in rows]
+    batch = closed_form(s1, s2)
+    for i in range(len(rows)):
+        one = closed_form([s1[i]], [s2[i]])
+        assert batch.failure(i) == one.failure(0)
+        assert _carried(batch.report(i)) == _carried(one.report(0))
+        if batch.failure(i) is None:
+            assert _carried(batch.report(i)) == _carried(red._pair(s1[i], s2[i]).report(0))
+        else:
+            with pytest.raises(type(batch.error(i)), match=re.escape(batch.failure(i)[1])):
+                red._pair(s1[i], s2[i])
 
 
 # --- assembled fidelity -----------------------------------------------------
