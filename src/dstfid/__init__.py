@@ -14,14 +14,12 @@ from .algebra import (
     Mat2C,
     PairVec,
     StateParams,
-    SymplecticForm,
     check_symplectic,
     pair_vec,
     squeeze_matrix,
     state,
     thermal_matrix,
 )
-from .bch import LinExpOp, MergeResult, bch_merge, commutator_scalar, displacement_compose
 from .fock import (
     ContractViolationError,
     ConvergenceError,
@@ -57,7 +55,6 @@ from .reduction import (
     fidelity,
     matching_matrix,
     ratio_printed,
-    solve_l,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Small exact-matrix kit for single-mode Gaussian state algebra.
 
 Everything here is 2x2: conjugating a linear form ``x = (a^dag, a) . v`` by a
-squeeze, thermal, or displacement operator maps ``v`` through one of the
-matrices below.  The module also carries the state-parameter model (complex
-displacement, real squeeze factor, inverse temperature) shared by the
-reduction pipeline and the Fock oracle.
+squeeze or thermal operator maps ``v`` through one of the matrices below (a
+displacement only shifts ``x`` by a scalar).  The module also carries the
+state-parameter model (complex displacement, real squeeze factor, inverse
+temperature) shared by the reduction pipeline and the Fock oracle.
 
 All values are immutable after construction and every function is pure.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "DegenerateInputError",
     "Mat2C",
     "PairVec",
-    "SymplecticForm",
     "SIGMA",
     "StateParams",
     "state",
@@ -47,19 +46,11 @@ class DegenerateInputError(ValueError):
     """Raised when parameters collapse a linear system we must invert."""
 
 
-class SymplecticForm:
-    """The antisymmetric form on (a^dag, a) coefficient pairs.
-
-    ``matrix`` is [[0, 1], [-1, 0]]; it is antisymmetric and squares to
-    minus the identity.  A 2x2 matrix A preserves it (A^T S A = S) exactly
-    when det A = 1.
-    """
-
-    matrix = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    matrix.setflags(write=False)
-
-
-SIGMA: Mat2C = SymplecticForm.matrix
+# The antisymmetric form on (a^dag, a) coefficient pairs: it squares to minus
+# the identity, and a 2x2 matrix A preserves it (A^T SIGMA A = SIGMA) exactly
+# when det A = 1.
+SIGMA: Mat2C = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+SIGMA.setflags(write=False)
 
 
 def _require_finite(name: str, *values: complex) -> None:
@@ -189,13 +180,6 @@ def pair_vec(g: complex) -> PairVec:
     g = complex(g)
     _require_finite("g", g)
     return np.array([g, -g.conjugate()], dtype=complex)
-
-
-def is_pair_vec(v: PairVec, tol: float = 1e-10) -> bool:
-    """Check the conjugate-pair invariant v[1] == -conj(v[0]) within tol."""
-    v = np.asarray(v, dtype=complex)
-    scale = max(1.0, abs(v[0]))
-    return abs(v[1] + v[0].conjugate()) <= tol * scale
 
 
 # --- log-scaled hyperbolics -------------------------------------------------

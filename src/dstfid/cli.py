@@ -215,7 +215,6 @@ def _report_record(s1: StateParams, s2: StateParams, rep: FidelityReport) -> dic
         "state1": {"k": _jnum(s1.k), "r": s1.r, "nbar": s1.nbar, "beta": s1.beta},
         "state2": {"k": _jnum(s2.k), "r": s2.r, "nbar": s2.nbar, "beta": s2.beta},
         "g": _jnum(rep.g),
-        "c_log": _jnum(rep.c_log),
         "value_matrix_pipeline": _jnum(rep.value_matrix_pipeline),
         "value_printed": _jnum(rep.value_printed),
         "value_oracle": _jnum(rep.value_oracle),

@@ -312,11 +312,14 @@ def fidelity_oracle(
 
     Evaluates at a starting cutoff, grows by x1.5 (rounded) and stops when two
     successive fidelities differ by at most tol.  Raises ConvergenceError
-    with the gap trace if the ceiling is reached first.
+    with the gap trace if the ceiling is reached first, and ValueError for a
+    tol below 1e-10 or a ceiling below the smallest cutoff, 2.
     """
-    if tol < 1e-10:
+    if not tol >= 1e-10:  # NaN too: no gap would ever be <= it
         raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
-    cutoff = max(2, min(_starting_cutoff(s1, s2), ceiling))
+    if ceiling < 2:
+        raise ValueError(f"ceiling must be >= 2 (the smallest cutoff), got {ceiling!r}")
+    cutoff = min(_starting_cutoff(s1, s2), ceiling)
 
     gaps: list[tuple[int, float]] = []
     prev: float | None = None

@@ -54,7 +54,6 @@ from .algebra import (
     squeeze_matrix,  # noqa: F401  (perfbench's tracer wraps these names here)
     thermal_matrix,  # noqa: F401
 )
-from .bch import displacement_compose
 from .fock import DEFAULT_CUTOFF_CEILING, OracleResult, fidelity_oracle
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "closed_form",
     "delta1",
     "matching_matrix",
-    "solve_l",
     "delta2",
     "ratio_printed",
     "base_factor",
@@ -167,6 +165,12 @@ class FidelityOptions:
     oracle_tol: float = 1e-8
     oracle_ceiling: int = DEFAULT_CUTOFF_CEILING
 
+    def __post_init__(self):
+        # a NaN threshold compares False against every mismatch (no flag ever
+        # raised), and a non-positive one flags exact agreement
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class FidelityReport:
@@ -180,7 +184,6 @@ class FidelityReport:
     base: BaseFactorTrace
     oracle: OracleResult | None
     g: complex
-    c_log: complex
     discrepancy_flags: tuple[DiscrepancyFlag, ...]
 
 
@@ -254,12 +257,6 @@ def _log_denominator(lh, r1, r2):
     return np.logaddexp(np.logaddexp(2.0 * ls[4], 2.0 * ls[5]), top)
 
 
-def _log_delta_denom(beta1, beta2, r1, r2):
-    """_log_denominator from the inverse temperatures themselves."""
-    with np.errstate(divide="ignore"):
-        return _log_denominator(_log_hyperbolics(beta1, beta2), r1, r2)
-
-
 def _ratio_log(lh, ldd, c1, c2):
     """(sh b1 sh^2(b2/2) c1 + sh^2(b1/2) sh b2 c2) / exp(ldd), with ldd the log
     denominator, assembled by signed log-sum-exp so neither the terms nor the
@@ -307,15 +304,15 @@ def _multiplier(r1, r2, g, lh, ldd):
 
 
 def _matching_system(r1, b1, r2, b2, g):
-    """The matching system P l = rhs: (P entries, rhs entries, v, P in the
-    quadrature basis, rhs in the quadrature basis, the factors ch, sh of
-    beta1/2 and beta2/2 and e^{-+d}), each a tuple of arrays.
+    """The matching system P l = 2 s2 Z v: (P entries, v, P in the
+    quadrature basis, the right-hand side in the quadrature basis, the factors
+    ch, sh of beta1/2 and beta2/2 and e^{-+d}), each a tuple of arrays.
 
     With c, s = ch, sh(beta/2) the thermal factors are B^{-+1/2} = c I +- s Z,
     Z = diag(1, -1), so the differences of nearly equal products in
     B2^{-1/2} C B1^{-1/2} - B2^{+1/2} C B1^{+1/2} cancel exactly:
 
-        P = 2 (c2 s1 C Z + s2 c1 Z C),    rhs = 2 s2 Z v,
+        P = 2 (c2 s1 C Z + s2 c1 Z C),
 
     with C = M2^{-1} M1 = squeeze_matrix(r2 - r1) by the group law and
     v = M2^{-1} pair_vec(g) = pair_vec(e^{r2} Re g + i e^{-r2} Im g).  P is
@@ -329,7 +326,8 @@ def _matching_system(r1, b1, r2, b2, g):
         R P R = 2 (c2 s1 diag(e^{-d}, e^{d}) X + s2 c1 X diag(e^{-d}, e^{d}))
 
     is anti-diagonal with entries 2 (c2 s1 e^{-+d} + s2 c1 e^{+-d}), sums of
-    positive products, and R rhs = 2 sqrt2 s2 (Re u, i Im u) with u = v[0].
+    positive products, and the right-hand side is R (2 s2 Z v) =
+    2 sqrt2 s2 (Re u, i Im u) with u = v[0]; it is formed in that basis only.
     """
     d = r2 - r1
     p_diag = 2.0 * np.sinh(0.5 * (b1 + b2)) * np.cosh(d)
@@ -343,45 +341,7 @@ def _matching_system(r1, b1, r2, b2, g):
     cs, sc = c2 * s1, s2 * c1
     p_quadrature = (0.0, 2.0 * (cs * m + sc * big), 2.0 * (cs * big + sc * m), 0.0)
     rhs_quadrature = (2.0 * _SQRT2 * s2 * v0.real + 0j, 2.0j * _SQRT2 * s2 * v0.imag)
-    rhs = (2.0 * s2 * v0, -2.0 * s2 * v1)
-    return (p_diag, p_off, -p_off, -p_diag), rhs, (v0, v1), p_quadrature, rhs_quadrature, factors
-
-
-def _solve(p, rhs, two_delta):
-    """Adjugate solve of p l = rhs, elementwise.  Returns (l, det, checks):
-    the determinant against -2*Delta (zero or non-finite is degenerate) and
-    the substitution residual."""
-    p00, p01, p10, p11 = p
-    rhs0, rhs1 = rhs
-    det = p00 * p11 - p01 * p10
-    sol0 = (p11 * rhs0 - p01 * rhs1) / det
-    sol1 = (p00 * rhs1 - p10 * rhs0) / det
-    rhs_norm = np.hypot(np.abs(rhs0), np.abs(rhs1))
-    resid = np.hypot(
-        np.abs(p00 * sol0 + p01 * sol1 - rhs0), np.abs(p10 * sol0 + p11 * sol1 - rhs1)
-    )
-    checks = [
-        ("determinant", DegenerateInputError, ~np.isfinite(det) | (det == 0.0),
-         lambda i: f"matching matrix determinant {det.item(i)!r} is zero or not "
-                   "finite; the positive denominator (det = -2*DeltaDenom) has "
-                   "degenerated"),
-        ("determinant-dual-path", PipelineCheckError,
-         ~(np.abs(det + two_delta) <= _DUAL_TOL * two_delta),
-         lambda i: f"determinant dual-path mismatch: matrix {det.item(i)!r} vs "
-                   f"-2*DeltaDenom {-two_delta.item(i)!r}"),
-        ("solve-residual", PipelineCheckError,
-         ~(resid <= 1e-10 * np.maximum(1.0, rhs_norm)),
-         lambda i: f"matching solve residual {resid.item(i):g} too large"),
-    ]
-    return (sol0, sol1), det, checks
-
-
-def _pair_check(l0, l1):
-    """The conjugate-pair check l1 = -conj(l0) of a solved multiplier."""
-    pair_dev = np.abs(l1 + l0.conj())
-    return ("conjugate-pair", PipelineCheckError,
-            ~(pair_dev <= 1e-10 * np.maximum(1.0, np.abs(l0))),
-            lambda i: f"solved multiplier lost conjugate-pair form (dev {pair_dev.item(i):g})")
+    return (p_diag, p_off, -p_off, -p_diag), (v0, v1), p_quadrature, rhs_quadrature, factors
 
 
 def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
@@ -389,21 +349,30 @@ def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
     it.  Returns (P entries, annihilation residual, checks), in check order:
 
     both exponents real and delta1 equal to the scalar form to 1e-10; the
-    solve (see _solve) and the conjugate-pair form of its l; the quadratic
-    multiplier term, which the symplectic structure kills, below 1e-10; the
-    ratio to a conditioning-aware 1e-10; the solved l within _L_TOL of the
-    solve's first-order rounding bound |adj p| (|p| |l| + |rhs|)/|det p|.
+    adjugate solve's determinant against -2*Delta (zero or non-finite is
+    degenerate) and its substitution residual; the conjugate-pair form of the
+    solved l; the quadratic multiplier term, which the symplectic structure
+    kills, below 1e-10; the ratio to a conditioning-aware 1e-10; the solved l
+    within _L_TOL of the solve's first-order rounding bound
+    |adj p| (|p| |l| + |rhs|)/|det p|.
     Everything past delta1 runs in the quadrature basis (see
     _matching_system), where R Sigma R = -Sigma and every product below is a
     sum of same-signed terms.
     """
-    p, _, (v0, v1), q, rhs, (c1, s1, c2, s2, m, big) = _matching_system(r1, b1, r2, b2, g)
+    p, (v0, v1), q, rhs, (c1, s1, c2, s2, m, big) = _matching_system(r1, b1, r2, b2, g)
     # (1/2) v^T B2^{-1/2} Sigma B2^{+1/2} v = sh(b2) v0 v1: the e^{b2} - e^{-b2}
     # of the conjugated form is 2 sh b2.
     expo1 = _cmul(np.sinh(b2) * v0, v1)
     ld1m = expo1.real
-    (h0, h1), det, solve_checks = _solve(q, rhs, two_delta)
+    q00, q01, q10, q11 = q
+    rhs0, rhs1 = rhs
+    det = q00 * q11 - q01 * q10
+    h0 = (q11 * rhs0 - q01 * rhs1) / det
+    h1 = (q00 * rhs1 - q10 * rhs0) / det
+    rhs_norm = np.hypot(np.abs(rhs0), np.abs(rhs1))
+    resid = np.hypot(np.abs(q00 * h0 + q01 * h1 - rhs0), np.abs(q10 * h0 + q11 * h1 - rhs1))
     m0, m1 = _SQRT_HALF * (h0 + h1), _SQRT_HALF * (h0 - h1)  # back to (a^dag, a)
+    pair_dev = np.abs(m1 + m0.conj())
     # R A R for A = B2^{-1/2} C B1^{-1/2}, with R B^{-1/2} R = c I + s X
     a00, a01 = c2 * m * c1 + s2 * big * s1, c2 * m * s1 + s2 * big * c1
     a10, a11 = s2 * m * c1 + c2 * big * s1, s2 * m * s1 + c2 * big * c1
@@ -413,12 +382,10 @@ def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
     quad = _cmul(h0, a00 * w1 - a10 * w0) + _cmul(h1, a01 * w1 - a11 * w0)
     aw0, aw1 = np.abs(w0), np.abs(w1)
     residual = np.abs(quad) / np.maximum(1.0, aw0 * aw0 + aw1 * aw1)
-    rhs0, rhs1 = rhs
     expo2 = 0.5 * (_cmul(h0, a00 * rhs1 - a10 * rhs0) + _cmul(h1, a01 * rhs1 - a11 * rhs0))
     ld2m = expo2.real
     # the bound for the anti-diagonal quadrature solve, whose l has components
     # sqrt2 i Im l[0] and sqrt2 Re l[0], mapped back to l[0]
-    _, q01, q10, _ = q
     x0 = q01 * _SQRT2 * np.abs(l0.real) + np.abs(rhs0)
     x1 = q10 * _SQRT2 * np.abs(l0.imag) + np.abs(rhs1)
     bound = _SQRT_HALF * (q01 * x1 + q10 * x0) / np.abs(det)
@@ -430,8 +397,20 @@ def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
          ~(np.abs(ld1m - ld1) <= _DUAL_TOL * np.maximum(1.0, np.abs(ld1m))),
          lambda i: f"delta1 dual-path mismatch: matrix {ld1m.item(i)!r} vs "
                    f"scalar {ld1.item(i)!r}"),
-        *solve_checks,
-        _pair_check(m0, m1),
+        ("determinant", DegenerateInputError, ~np.isfinite(det) | (det == 0.0),
+         lambda i: f"matching matrix determinant {det.item(i)!r} is zero or not "
+                   "finite; the positive denominator (det = -2*DeltaDenom) has "
+                   "degenerated"),
+        ("determinant-dual-path", PipelineCheckError,
+         ~(np.abs(det + two_delta) <= _DUAL_TOL * two_delta),
+         lambda i: f"determinant dual-path mismatch: matrix {det.item(i)!r} vs "
+                   f"-2*DeltaDenom {-two_delta.item(i)!r}"),
+        ("solve-residual", PipelineCheckError,
+         ~(resid <= 1e-10 * np.maximum(1.0, rhs_norm)),
+         lambda i: f"matching solve residual {resid.item(i):g} too large"),
+        ("conjugate-pair", PipelineCheckError,
+         ~(pair_dev <= 1e-10 * np.maximum(1.0, np.abs(m0))),
+         lambda i: f"solved multiplier lost conjugate-pair form (dev {pair_dev.item(i):g})"),
         ("annihilation", PipelineCheckError, ~(residual <= 1e-10),
          lambda i: f"annihilation identity violated: residual {residual.item(i):g}"),
         ("delta2-imaginary", PipelineCheckError,
@@ -560,7 +539,6 @@ class ClosedForm:
 
     tol: float
     g: np.ndarray
-    c_log: np.ndarray
     value_matrix_pipeline: np.ndarray
     value_printed: np.ndarray
     pipeline: ReductionTrace
@@ -600,14 +578,14 @@ class ClosedForm:
         """Every column as a Python list, built once per batch."""
         n = len(self)
         scalars = [_as_rows(c, n) for c in
-                   (self.g, self.c_log, self.value_matrix_pipeline, self.value_printed)]
+                   (self.g, self.value_matrix_pipeline, self.value_printed)]
         flags = [(name, _as_rows(mask, n), _as_rows(mag, n)) for name, mask, mag in self.flags]
         return (_listed(self.pipeline, n), _listed(self.printed, n), _listed(self.base, n),
                 scalars, flags)
 
     def report(self, i: int, oracle: OracleResult | None = None) -> FidelityReport:
         """Row i as a FidelityReport, with the oracle result when one ran."""
-        pipeline, printed, base, (g, c_log, value_pipe, value_printed), flag_cols = self._rows
+        pipeline, printed, base, (g, value_pipe, value_printed), flag_cols = self._rows
         flags = [DiscrepancyFlag(name, mag[i]) for name, mask, mag in flag_cols if mask[i]]
         value_oracle = None
         if oracle is not None:
@@ -630,7 +608,6 @@ class ClosedForm:
             base=BaseFactorTrace(*[c[i] for c in base]),
             oracle=oracle,
             g=g[i],
-            c_log=c_log[i],
             discrepancy_flags=tuple(flags),
         )
 
@@ -657,7 +634,9 @@ def closed_form(states1, states2, tol: float = 1e-8) -> ClosedForm:
 
 def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     shape = np.shape(k1)
-    g, c_log = displacement_compose(k1, k2)
+    # only the mismatch enters the fidelity: D(k1)^dag D(k2) is D(k2 - k1)
+    # up to a phase, which cancels
+    g = k2 - k1
     scaled = np.maximum(b1, b2) > LOG_SCALE_BETA
 
     # pipeline scalars
@@ -758,7 +737,7 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     failed[len(input_checks):] &= ~scaled  # the matrix route checks up to beta = 30
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(checks))
     return ClosedForm(
-        tol=tol, g=g, c_log=c_log,
+        tol=tol, g=g,
         value_matrix_pipeline=value_pipe, value_printed=value_printed,
         pipeline=pipeline, printed=printed, base=base,
         flags=before_oracle + after_oracle, oracle_flags_at=len(before_oracle),
@@ -834,26 +813,6 @@ def matching_matrix(s1: StateParams, s2: StateParams) -> Mat2C:
     temperatures, so the system is always solvable.
     """
     return _at_mismatch(s1, s2, 0.0).report(0).pipeline.P
-
-
-def solve_l(s1: StateParams, s2: StateParams, g: complex) -> PairVec:
-    """Solve the matching system for the conjugate-pair multiplier (l, -l*).
-
-    The explicit 2x2 adjugate solve the pipeline checks with: refuses a zero
-    or non-finite determinant (DegenerateInputError) and one off -2*Delta by
-    more than 1e-10 relative; the result is substituted back and must
-    reproduce the right-hand side to 1e-10.
-    """
-    p = matching_matrix(s1, s2)
-    one = [np.array([x]) for x in (s1.r, s1.beta, s2.r, s2.beta, complex(g))]
-    with np.errstate(all="ignore"):
-        rhs = _matching_system(*one)[1]
-        two_delta = 2.0 * np.exp(_log_delta_denom(one[1], one[3], one[0], one[2]))
-        sol, _, checks = _solve([np.array([x]) for x in p.ravel()], rhs, two_delta)
-    for _, kind, failed, message in [*checks, _pair_check(*sol)]:
-        if failed[0]:
-            raise kind(message(0))
-    return np.array([sol[0][0], sol[1][0]], dtype=complex)
 
 
 def ratio_printed(s1: StateParams, s2: StateParams, g: complex) -> float:

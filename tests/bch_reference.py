@@ -1,4 +1,4 @@
-"""Exact merging of exponentials of ladder-linear operators.
+"""Exact merging of exponentials of ladder-linear operators (test reference).
 
 An operator of the form Omega = (a^dag, a) . N . z is linear in a and a^dag,
 so the commutator of two of them is a plain scalar and the product of their
@@ -8,6 +8,11 @@ exponentials collapses exactly (no series truncation):
 
 The guard against non-scalar commutators is structural: LinExpOp can only
 represent ladder-linear exponents, so the precondition holds by construction.
+
+The package uses one consequence only: D(k1)^dag D(k2) is D(k2 - k1) times a
+phase, so the fidelity sees the displacements through g = k2 - k1.  The tests
+check the merge rule, and that consequence, against dense truncated-space
+exponentials.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Mat2C
+from dstfid.algebra import Mat2C
 
-__all__ = ["LinExpOp", "MergeResult", "commutator_scalar", "bch_merge", "displacement_compose"]
+__all__ = ["LinExpOp", "MergeResult", "commutator_scalar", "bch_merge"]
 
 
 def _as_finite(arr, shape, name: str) -> np.ndarray:
@@ -91,15 +96,3 @@ def bch_merge(op1: LinExpOp, op2: LinExpOp) -> MergeResult:
         combined_vec=op1.exponent_vec + op2.exponent_vec,
     )
 
-
-def displacement_compose(k1, k2):
-    """D(k1)^dag D(k2) = exp(c_log) D(g): returns (g, c_log), elementwise on arrays.
-
-    The merge of the two pure displacements (bch_merge of the LinExpOps with
-    vectors pair_vec(-k1) and pair_vec(k2)) in closed form: g = k2 - k1 and
-    c_log = (conj(k1) k2 - k1 conj(k2))/2 = i Im(conj(k1) k2), purely
-    imaginary (|c| = 1), which cancels out of every fidelity and is carried
-    for diagnostics only.
-    """
-    # + 0.0 turns the -0.0 real part that 1j * (negative) leaves into +0.0
-    return k2 - k1, 1j * (k1.real * k2.imag - k1.imag * k2.real) + 0.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dstfid.algebra import check_symplectic, squeeze_matrix, state, thermal_matrix
-from dstfid.bch import commutator_scalar
+from bch_reference import LinExpOp, bch_merge, commutator_scalar
 from dstfid.fock import annihilation, fidelity_oracle, matrix_exp
 from dstfid.reconcile import (
     ALL_FORMULAS,
@@ -150,8 +150,6 @@ def test_a7_displacement_covariance():
 
 
 def test_a8_merge_reconstruction_and_antisymmetry():
-    from dstfid.bch import LinExpOp, bch_merge
-
     rng = np.random.default_rng(12345)
 
     def draw_unit_disk(shape):

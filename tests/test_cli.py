@@ -90,6 +90,23 @@ def test_compute_convergence_failure_exits_3():
     assert "did not stabilize" in res.stderr
 
 
+def test_compute_rejects_ceiling_below_two():
+    res = run_cli("compute", "--beta1", "40", "--beta2", "40", "--k2", "0.3", "--ceiling", "1")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ceiling must be >= 2")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-8"])
+def test_compute_rejects_a_tolerance_that_cannot_flag(tol):
+    res = run_cli(
+        "compute", "--r1", "0.2", "--nbar1", "1", "--k2", "0.5", "--r2", "0.2", "--nbar2", "1",
+        f"--tol={tol}", "--method", "closed-form",
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: tol must be finite and > 0")
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [

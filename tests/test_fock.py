@@ -275,3 +275,13 @@ def test_oracle_ceiling_exhaustion_raises_with_trace():
 def test_oracle_rejects_unreachable_tolerance():
     with pytest.raises(ValueError):
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=1e-12)
+    # no gap compares <= NaN, so the ladder would run to the ceiling
+    with pytest.raises(ValueError, match="tol must be >= 1e-10"):
+        fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=math.nan)
+
+
+@pytest.mark.parametrize("ceiling", [1, 0, -5])
+def test_oracle_refuses_ceiling_below_two(ceiling):
+    # a usage error, not a ladder that "did not stabilize by cutoff 1"
+    with pytest.raises(ValueError, match="ceiling must be >= 2"):
+        fidelity_oracle(state(0.0, 0.0, beta=40.0), state(0.3, 0.0, beta=40.0), ceiling=ceiling)

@@ -26,9 +26,8 @@ from dstfid.reduction import (
     matching_matrix,
     printed_matching_display,
     ratio_printed,
-    solve_l,
 )
-from dstfid.reduction import _delta1_log, _log_delta_denom, _pipeline_trace
+from dstfid.reduction import _delta1_log, _pipeline_trace
 
 S1 = state(0.0, 0.2, nbar=0.8)
 S2 = state(0.0, 0.3, beta=1.0)
@@ -160,7 +159,7 @@ def test_matching_determinant_is_minus_two_denominators():
     b = state(0.0, -0.2, nbar=1.8)
     p = matching_matrix(a, b)
     det = (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]).real
-    dd = math.exp(_log_delta_denom(a.beta, b.beta, a.r, b.r))
+    dd = _pipeline_trace(a, b, 0.0).DeltaDenom
     assert math.isclose(det, -2.0 * dd, rel_tol=1e-13)
 
 
@@ -171,7 +170,8 @@ def test_delta_denom_hot_states_keep_their_digits(beta1, beta2, dr):
     with mp.workdps(50):
         b1, b2 = mp.mpf(beta1), mp.mpf(beta2)
         want = mp.cosh(b1) * mp.cosh(b2) + mp.sinh(b1) * mp.sinh(b2) * mp.cosh(2 * mp.mpf(dr)) - 1
-    assert math.isclose(math.exp(_log_delta_denom(beta1, beta2, dr, 0.0)), float(want), rel_tol=1e-12)
+    dd = _pipeline_trace(state(0.0, dr, beta=beta1), state(0.0, 0.0, beta=beta2), 0.0).DeltaDenom
+    assert math.isclose(dd, float(want), rel_tol=1e-12)
 
 
 def test_printed_display_is_scaled_inverse_of_system():
@@ -181,29 +181,46 @@ def test_printed_display_is_scaled_inverse_of_system():
     b = state(0.0, -0.1, nbar=2.0)
     p = matching_matrix(a, b)
     disp = printed_matching_display(a, b)
-    dd = math.exp(_log_delta_denom(a.beta, b.beta, a.r, b.r))
+    dd = _pipeline_trace(a, b, 0.0).DeltaDenom
     assert np.allclose(2.0 * dd * disp, p, rtol=1e-12, atol=1e-12)
     assert np.allclose(p @ p, 2.0 * dd * np.eye(2), rtol=1e-12, atol=1e-10)
 
 
-def test_solve_l_zero_mismatch_gives_zero():
-    sol = solve_l(S1, S2, 0.0)
-    assert np.array_equal(sol, np.zeros(2, dtype=complex))
+def test_multiplier_zero_mismatch_gives_zero():
+    l_vec = _pipeline_trace(S1, S2, 0.0).l_vec
+    assert np.array_equal(l_vec, np.zeros(2, dtype=complex))
 
 
-def test_solve_l_satisfies_conjugate_pair_form():
-    sol = solve_l(S1, S2, 0.3 - 0.8j)
-    assert abs(sol[1] + sol[0].conjugate()) < 1e-12 * max(1.0, abs(sol[0]))
+def test_multiplier_satisfies_conjugate_pair_form():
+    l_vec = _pipeline_trace(S1, S2, 0.3 - 0.8j).l_vec
+    assert abs(l_vec[1] + l_vec[0].conjugate()) < 1e-12 * max(1.0, abs(l_vec[0]))
 
 
-def test_solve_l_rejects_degenerate_system(monkeypatch):
+@pytest.mark.parametrize("scale", [0.0, math.inf], ids=["zero", "non-finite"])
+@pytest.mark.parametrize("entry", ["fidelity", "sweep"])
+def test_degenerate_matching_system_is_a_named_error(monkeypatch, capsys, entry, scale):
+    # a quadrature determinant of 0 or -inf is refused as degenerate input
+    # (CLI exit 2), before the solve's other checks
+    import dstfid.cli as cli
     import dstfid.reduction as red
 
-    monkeypatch.setattr(
-        red, "matching_matrix", lambda s1, s2: np.zeros((2, 2), dtype=complex)
-    )
-    with pytest.raises(DegenerateInputError):
-        red.solve_l(S1, S2, 0.1)
+    right = red._matching_system
+
+    def degenerate(*args):
+        p, v, (q00, q01, q10, q11), rhs, factors = right(*args)
+        return p, v, (q00, q01 * scale, q10, q11), rhs, factors
+
+    monkeypatch.setattr(red, "_matching_system", degenerate)
+    if entry == "fidelity":
+        with pytest.raises(DegenerateInputError, match="matching matrix determinant"):
+            fidelity(S1, state(0.1, S2.r, beta=S2.beta), FidelityOptions(oracle=False))
+        return
+    argv = ["sweep", "--r1", "0.2", "--nbar1", "0.8", "--r2", "0.3", "--beta2", "1.0",
+            "--sweep", "re_k2=0:0.1:2", "--method", "closed-form"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: sweep row 0 (re_k2=0): matching matrix determinant")
 
 
 # --- ratio ------------------------------------------------------------------
@@ -561,7 +578,7 @@ pairs = st.tuples(any_radii, any_betas, any_radii, any_betas, gs)
 def _carried(rep):
     """Every value a report carries, as one comparable text (repr keeps NaN
     equal to NaN and -0.0 apart from 0.0)."""
-    out = [rep.value_matrix_pipeline, rep.value_printed, rep.g, rep.c_log,
+    out = [rep.value_matrix_pipeline, rep.value_printed, rep.g,
            rep.base.Y, rep.base.base, rep.base.printed_value, rep.base.printed_domain_error]
     for tr in (rep.pipeline, rep.printed):
         out += [tr.delta1, tr.delta2, tr.ratio, tr.log_delta1, tr.log_delta2, tr.log_ratio,
@@ -594,6 +611,14 @@ def test_batch_rows_equal_batches_of_one(rows):
 
 
 # --- assembled fidelity -----------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_options_refuse_a_tolerance_that_cannot_flag(tol):
+    # NaN compares False against every mismatch, so it would drop every flag;
+    # a non-positive threshold would flag exact agreement
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        FidelityOptions(tol=tol)
 
 
 def test_fidelity_report_composes_ratio_and_base():
