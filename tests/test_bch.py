@@ -7,12 +7,13 @@ against dense truncated-space matrix exponentials.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch_reference import LinExpOp, bch_merge, commutator_scalar
-from dstfid.algebra import pair_vec
+from dstfid.algebra import pair_vec, state
 from dstfid.fock import annihilation, matrix_exp
+from dstfid.reduction import closed_form
 
 small_c = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -91,18 +92,51 @@ def test_merge_matches_dense_product(z1, z2):
     assert np.max(np.abs(lhs[:n, :n] - rhs[:n, :n])) < 1e-8
 
 
-@given(small_c, small_c)
-@example(1.0 + 0j, 1j)
-@example(0.3 + 0.4j, 0.3 + 0.4j)
-def test_merged_displacements_are_the_mismatch_times_a_phase(k1, k2):
-    """D(k1)^dag D(k2) = D(-k1) D(k2) merges to exp(i Im(conj(k1) k2)) D(k2 - k1):
-    the mismatch g = k2 - k1 the package evaluates at, times a pure phase,
-    which cancels out of every fidelity."""
+def _merged_displacements(k1, k2):
+    """(g, c_log) with D(k1)^dag D(k2) = D(-k1) D(k2) = exp(c_log) D(g), read
+    off the reference merge; the merged column must be pair_vec(g)."""
     eye = np.eye(2)
     merged = bch_merge(LinExpOp(0.0, eye, pair_vec(-k1)), LinExpOp(0.0, eye, pair_vec(k2)))
-    assert np.array_equal(merged.combined_vec, pair_vec(k2 - k1))
-    assert abs(merged.scalar_log.real) <= 1e-15
-    assert abs(merged.scalar_log.imag - (k1.conjugate() * k2).imag) <= 1e-15
+    g = merged.combined_vec[0]
+    assert np.array_equal(merged.combined_vec, pair_vec(g))
+    return g, merged.scalar_log
+
+
+def test_displacement_compose_example():
+    g, c_log = _merged_displacements(1.0, 1j)
+    assert g == -1 + 1j
+    assert c_log == 1j
+
+
+def test_displacement_compose_difference_is_plain():
+    g, c_log = _merged_displacements(0.3 + 0.4j, 0.3 + 0.4j)
+    assert g == 0.0
+    assert c_log == 0.0
+    g, _ = _merged_displacements(0.25j, 0.5)
+    assert g == 0.5 - 0.25j
+
+
+@given(small_c, small_c)
+def test_displacement_compose_phase_is_imaginary(k1, k2):
+    g, c_log = _merged_displacements(k1, k2)
+    assert g == k2 - k1
+    assert abs(c_log.real) < 1e-15
+
+
+@given(small_c, small_c)
+def test_displacement_compose_is_the_merged_displacements(k1, k2):
+    """The merge is the mismatch g = k2 - k1 the package evaluates at, times
+    the pure phase exp(i Im(conj(k1) k2)), which cancels out of every
+    fidelity; and the batched closed form carries that g on every row."""
+    g, c_log = _merged_displacements(k1, k2)
+    assert abs(g - (k2 - k1)) <= 1e-15
+    assert abs(c_log - 1j * (k1.conjugate() * k2).imag) <= 1e-15
+    batch = closed_form(
+        [state(k1, 0.2, beta=1.0), state(0.3j, 0.0, beta=2.0)],
+        [state(k2, -0.1, beta=1.5), state(1.0, 0.0, beta=2.0)],
+    )
+    assert abs(batch.g[0] - g) <= 1e-15
+    assert batch.g[1] == _merged_displacements(0.3j, 1.0)[0]
 
 
 def test_linexpop_rejects_bad_shapes():
