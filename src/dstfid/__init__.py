@@ -8,32 +8,8 @@
 See the README for the CLI (compute / sweep / verify / snapshot).
 """
 
-from .algebra import (
-    SIGMA,
-    DegenerateInputError,
-    Mat2C,
-    PairVec,
-    StateParams,
-    check_symplectic,
-    pair_vec,
-    squeeze_matrix,
-    state,
-    thermal_matrix,
-)
-from .fock import (
-    ContractViolationError,
-    ConvergenceError,
-    FockMatrix,
-    OracleResult,
-    annihilation,
-    displacement_op,
-    dst_state,
-    fidelity_oracle,
-    matrix_exp,
-    squeeze_op,
-    thermal_state,
-    uhlmann_fidelity,
-)
+from .algebra import DegenerateInputError, StateParams, state
+from .fock import ConvergenceError, OracleResult, fidelity_oracle
 from .reconcile import (
     ReconciliationEntry,
     ReconciliationReport,
@@ -50,11 +26,7 @@ from .reduction import (
     SqueezeGapError,
     base_factor,
     closed_form,
-    delta1,
-    delta2,
     fidelity,
-    matching_matrix,
-    ratio_printed,
 )
 
 __version__ = "0.1.0"

@@ -86,6 +86,10 @@ def parse_complex(text: str) -> complex:
 # ---------------------------------------------------------------------------
 
 
+# one key set for every subcommand, so one file can serve them all
+CONFIG_KEYS = ("tol", "oracle_tol", "ceiling", "method", "preset")
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     config: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -95,7 +99,11 @@ def load_config(path: str | Path) -> dict[str, str]:
         if "=" not in text:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, val = text.split("=", 1)
-        config[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r} "
+                             f"(choose from {', '.join(CONFIG_KEYS)})")
+        config[key] = val.strip()
     return config
 
 

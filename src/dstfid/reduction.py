@@ -64,10 +64,6 @@ __all__ = [
     "FidelityReport",
     "ClosedForm",
     "closed_form",
-    "delta1",
-    "matching_matrix",
-    "delta2",
-    "ratio_printed",
     "base_factor",
     "fidelity",
     "LOG_SCALE_BETA",
@@ -156,6 +152,13 @@ class BaseFactorTrace:
         return abs(self.printed_value - self.base)
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN threshold compares False against every mismatch (no flag ever
+    # raised), and a non-positive one flags exact agreement
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class FidelityOptions:
     """Knobs for a fidelity evaluation."""
@@ -166,10 +169,7 @@ class FidelityOptions:
     oracle_ceiling: int = DEFAULT_CUTOFF_CEILING
 
     def __post_init__(self):
-        # a NaN threshold compares False against every mismatch (no flag ever
-        # raised), and a non-positive one flags exact agreement
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,9 +304,10 @@ def _multiplier(r1, r2, g, lh, ldd):
 
 
 def _matching_system(r1, b1, r2, b2, g):
-    """The matching system P l = 2 s2 Z v: (P entries, v, P in the
-    quadrature basis, the right-hand side in the quadrature basis, the factors
-    ch, sh of beta1/2 and beta2/2 and e^{-+d}), each a tuple of arrays.
+    """The matching system P l = 2 s2 Z v: (P entries, v, the two
+    anti-diagonal entries of P in the quadrature basis, the right-hand side in
+    the quadrature basis, the factors ch, sh of beta1/2 and beta2/2 and
+    e^{-+d}), each a tuple of arrays.
 
     With c, s = ch, sh(beta/2) the thermal factors are B^{-+1/2} = c I +- s Z,
     Z = diag(1, -1), so the differences of nearly equal products in
@@ -339,38 +340,39 @@ def _matching_system(r1, b1, r2, b2, g):
         np.exp(-d), np.exp(d),
     )
     cs, sc = c2 * s1, s2 * c1
-    p_quadrature = (0.0, 2.0 * (cs * m + sc * big), 2.0 * (cs * big + sc * m), 0.0)
+    p_quadrature = (2.0 * (cs * m + sc * big), 2.0 * (cs * big + sc * m))
     rhs_quadrature = (2.0 * _SQRT2 * s2 * v0.real + 0j, 2.0j * _SQRT2 * s2 * v0.imag)
     return (p_diag, p_off, -p_off, -p_diag), (v0, v1), p_quadrature, rhs_quadrature, factors
 
 
-def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
+def _matrix_route(r1, b1, r2, b2, g, ldd, ld1, lratio, l0):
     """Evaluate the 2x2 matrix route and check the closed-form values against
-    it.  Returns (P entries, annihilation residual, checks), in check order:
+    it, with ldd the log denominator.  Returns (P entries, annihilation
+    residual, checks), in check order:
 
     both exponents real and delta1 equal to the scalar form to 1e-10; the
-    adjugate solve's determinant against -2*Delta (zero or non-finite is
-    degenerate) and its substitution residual; the conjugate-pair form of the
-    solved l; the quadratic multiplier term, which the symplectic structure
-    kills, below 1e-10; the ratio to a conditioning-aware 1e-10; the solved l
-    within _L_TOL of the solve's first-order rounding bound
-    |adj p| (|p| |l| + |rhs|)/|det p|.
+    determinant against -2*Delta, checked normalised as
+    (q01/sqrt(2 Delta)) (q10/sqrt(2 Delta)) = 1 so a wide squeeze gap cannot
+    overflow it (zero or non-finite is degenerate), and the solve's
+    substitution residual; the conjugate-pair form of the solved l; the
+    quadratic multiplier term, which the symplectic structure kills, below
+    1e-10; the ratio to a conditioning-aware 1e-10; the solved l within
+    _L_TOL of the solve's first-order rounding bound.
     Everything past delta1 runs in the quadrature basis (see
-    _matching_system), where R Sigma R = -Sigma and every product below is a
-    sum of same-signed terms.
+    _matching_system), where P is anti-diagonal, R Sigma R = -Sigma and every
+    product below is a sum of same-signed terms.
     """
-    p, (v0, v1), q, rhs, (c1, s1, c2, s2, m, big) = _matching_system(r1, b1, r2, b2, g)
+    p, (v0, v1), (q01, q10), (rhs0, rhs1), (c1, s1, c2, s2, m, big) = \
+        _matching_system(r1, b1, r2, b2, g)
     # (1/2) v^T B2^{-1/2} Sigma B2^{+1/2} v = sh(b2) v0 v1: the e^{b2} - e^{-b2}
     # of the conjugated form is 2 sh b2.
     expo1 = _cmul(np.sinh(b2) * v0, v1)
     ld1m = expo1.real
-    q00, q01, q10, q11 = q
-    rhs0, rhs1 = rhs
-    det = q00 * q11 - q01 * q10
-    h0 = (q11 * rhs0 - q01 * rhs1) / det
-    h1 = (q00 * rhs1 - q10 * rhs0) / det
+    root = np.exp(0.5 * (_LOG2 + ldd))  # sqrt(2 Delta) = sqrt(-det P)
+    det_unit = (q01 / root) * (q10 / root)
+    h0, h1 = rhs1 / q10, rhs0 / q01
     rhs_norm = np.hypot(np.abs(rhs0), np.abs(rhs1))
-    resid = np.hypot(np.abs(q00 * h0 + q01 * h1 - rhs0), np.abs(q10 * h0 + q11 * h1 - rhs1))
+    resid = np.hypot(np.abs(q01 * h1 - rhs0), np.abs(q10 * h0 - rhs1))
     m0, m1 = _SQRT_HALF * (h0 + h1), _SQRT_HALF * (h0 - h1)  # back to (a^dag, a)
     pair_dev = np.abs(m1 + m0.conj())
     # R A R for A = B2^{-1/2} C B1^{-1/2}, with R B^{-1/2} R = c I + s X
@@ -388,7 +390,7 @@ def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
     # sqrt2 i Im l[0] and sqrt2 Re l[0], mapped back to l[0]
     x0 = q01 * _SQRT2 * np.abs(l0.real) + np.abs(rhs0)
     x1 = q10 * _SQRT2 * np.abs(l0.imag) + np.abs(rhs1)
-    bound = _SQRT_HALF * (q01 * x1 + q10 * x0) / np.abs(det)
+    bound = _SQRT_HALF * (x1 / q10 + x0 / q01)
     checks = [
         ("delta1-imaginary", PipelineCheckError,
          ~(np.abs(expo1.imag) <= 1e-10 * np.maximum(1.0, np.abs(expo1))),
@@ -397,14 +399,14 @@ def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
          ~(np.abs(ld1m - ld1) <= _DUAL_TOL * np.maximum(1.0, np.abs(ld1m))),
          lambda i: f"delta1 dual-path mismatch: matrix {ld1m.item(i)!r} vs "
                    f"scalar {ld1.item(i)!r}"),
-        ("determinant", DegenerateInputError, ~np.isfinite(det) | (det == 0.0),
-         lambda i: f"matching matrix determinant {det.item(i)!r} is zero or not "
+        ("determinant", DegenerateInputError, ~np.isfinite(det_unit) | (det_unit == 0.0),
+         lambda i: f"matching matrix determinant {_det_of(q01, q10, i)!r} is zero or not "
                    "finite; the positive denominator (det = -2*DeltaDenom) has "
                    "degenerated"),
         ("determinant-dual-path", PipelineCheckError,
-         ~(np.abs(det + two_delta) <= _DUAL_TOL * two_delta),
-         lambda i: f"determinant dual-path mismatch: matrix {det.item(i)!r} vs "
-                   f"-2*DeltaDenom {-two_delta.item(i)!r}"),
+         ~(np.abs(det_unit - 1.0) <= _DUAL_TOL),
+         lambda i: f"determinant dual-path mismatch: matrix {_det_of(q01, q10, i)!r} vs "
+                   f"-2*DeltaDenom {_det_of(root, root, i)!r}"),
         ("solve-residual", PipelineCheckError,
          ~(resid <= 1e-10 * np.maximum(1.0, rhs_norm)),
          lambda i: f"matching solve residual {resid.item(i):g} too large"),
@@ -427,6 +429,12 @@ def _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0):
                    f"closed form {l0.item(i)!r}"),
     ]
     return p, residual, checks
+
+
+def _det_of(a, b, i):
+    """-a[i] b[i] in Python floats, which overflow to inf without raising:
+    the unnormalised determinant, for a refusal message."""
+    return -(a.item(i) * b.item(i))
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +627,11 @@ def closed_form(states1, states2, tol: float = 1e-8) -> ClosedForm:
     Nothing raises for a refused row: its first failing check is kept, in
     this order: the squeeze gap, each squeeze factor (SqueezeGapError), a
     finite mismatch, then up to beta = 30 the matrix-route checks (see
-    _matrix_route).  tol is the flag threshold of FidelityOptions.
+    _matrix_route).  tol is the flag threshold of FidelityOptions, refused
+    alike when it is not finite and positive.
     """
+    _check_tol(tol)
+
     def column(states, attr, dtype):
         return np.array([getattr(s, attr) for s in states], dtype=dtype)
 
@@ -648,8 +659,7 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     # delta2 follows from the direct cancellation-free ratio.
     lratio = _ratio_log(lh, ldd, -2.0 * _squeezed_norm(g, r1), -2.0 * _squeezed_norm(g, r2))
     l0 = _multiplier(r1, r2, g, lh, ldd)
-    two_delta = 2.0 * np.exp(ldd)
-    p, residual, route_checks = _matrix_route(r1, b1, r2, b2, g, two_delta, ld1, lratio, l0)
+    p, residual, route_checks = _matrix_route(r1, b1, r2, b2, g, ldd, ld1, lratio, l0)
     l_vec = np.empty(shape + (2,), dtype=complex)
     l_vec[..., 0], l_vec[..., 1] = l0, -l0.conj()
     pipeline = ReductionTrace(
@@ -774,66 +784,6 @@ def _at_mismatch(s1: StateParams, s2: StateParams, g: complex) -> ClosedForm:
 def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
     """Pipeline trace of the pair at mismatch g."""
     return _at_mismatch(s1, s2, g).report(0).pipeline
-
-
-def _exp_in_range(name: str, x: float) -> float:
-    """exp(x) for a public scalar, refusing values past double range."""
-    if x > _EXP_MAX:
-        raise OverflowError(
-            f"{name} = exp({x:.6g}) exceeds double range; evaluate through "
-            "the report pipeline, which carries log values"
-        )
-    return math.exp(x)
-
-
-def delta1(s1: StateParams, s2: StateParams, g: complex) -> float:
-    """First Gaussian correction: exp of the displacement-mismatch quadratic
-    form under the second state's thermal/squeeze conjugation.
-
-    Mathematically it depends only on (s2, g); s1 is accepted for signature
-    symmetry with the rest of the pipeline.  g = 0 gives exactly 1.  Read
-    from the full pipeline evaluation, so every dual-path check runs.
-    """
-    return _exp_in_range("delta1", _pipeline_trace(s1, s2, g).log_delta1)
-
-
-def delta2(s1: StateParams, s2: StateParams, g: complex) -> float:
-    """Second Gaussian correction, exp(log delta1 - log ratio) from the
-    closed-form scalars; up to beta = 30 the matrix route's solved multiplier
-    reproduces it.  g = 0 gives exactly 1.  Read from the full pipeline
-    evaluation, so every check runs."""
-    return _exp_in_range("delta2", _pipeline_trace(s1, s2, g).log_delta2)
-
-
-def matching_matrix(s1: StateParams, s2: StateParams) -> Mat2C:
-    """Left-hand 2x2 matrix of the linear condition the multiplier l solves:
-    B2^{-1/2} M2^{-1} M1 B1^{-1/2}  -  B2^{+1/2} M2^{-1} M1 B1^{+1/2},
-    evaluated without cancellation (see _matching_system).  Its determinant
-    equals -2 * DeltaDenom, which is strictly negative for positive
-    temperatures, so the system is always solvable.
-    """
-    return _at_mismatch(s1, s2, 0.0).report(0).pipeline.P
-
-
-def ratio_printed(s1: StateParams, s2: StateParams, g: complex) -> float:
-    """delta1/delta2 evaluated from the printed explicit exponent, verbatim.
-
-    The transcription keeps the printed squeeze-sign convention, so on
-    squeezed states with complex displacement mismatch this deviates from the
-    matrix pipeline; the deviation is what the flags and the reconciliation
-    report measure.  g = 0 gives exactly 1.
-    """
-    return _at_mismatch(s1, s2, g).report(0).printed.ratio
-
-
-def printed_matching_display(s1: StateParams, s2: StateParams) -> Mat2C:
-    """The printed solve-ready matrix (with its 1/denominator prefactor).
-
-    Numerically this equals the *inverse* of the matching system matrix in
-    the oracle-true convention (and the transpose-inverse in the printed
-    convention) — it is not the system matrix its surrounding text defines.
-    """
-    return _at_mismatch(s1, s2, 0.0).report(0).printed.P
 
 
 def base_factor(s1: StateParams, s2: StateParams) -> BaseFactorTrace:

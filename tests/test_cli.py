@@ -342,3 +342,19 @@ def test_config_file_sets_method_and_flags_override(tmp_path):
     res2 = run_cli(*base, "--method", "oracle")
     assert res2.returncode == 0
     assert "fock oracle" in res2.stdout  # explicit flag wins over config
+
+
+def test_config_file_refuses_unknown_keys(tmp_path, capsys):
+    from dstfid.cli import main
+
+    shared = tmp_path / "shared.conf"
+    shared.write_text("preset = quick\nmethod = closed-form\n")
+    argv = ["compute", "--nbar1", "0.5", "--nbar2", "1.0", "--k2", "0.4", "--config"]
+    assert main(argv + [str(shared)]) == 0  # a key another subcommand reads is fine
+    capsys.readouterr()
+    typo = tmp_path / "typo.conf"
+    typo.write_text("# state keys are flags, not config\nmethd = oracle\nr1 = 0.5\n")
+    assert main(argv + [str(typo)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{typo}:2: unknown config key 'methd'" in out.err

@@ -20,14 +20,9 @@ from dstfid.reduction import (
     SqueezeGapError,
     base_factor,
     closed_form,
-    delta1,
-    delta2,
     fidelity,
-    matching_matrix,
-    printed_matching_display,
-    ratio_printed,
 )
-from dstfid.reduction import _delta1_log, _pipeline_trace
+from dstfid.reduction import _at_mismatch, _delta1_log, _pipeline_trace
 
 S1 = state(0.0, 0.2, nbar=0.8)
 S2 = state(0.0, 0.3, beta=1.0)
@@ -106,7 +101,7 @@ def multiplier_reference(r1, beta1, r2, beta2, g):
 
 def test_delta1_frozen_example():
     # dual-path value, frozen once the matrix and scalar forms agreed
-    val = delta1(S1, S2, 0.5)
+    val = _pipeline_trace(S1, S2, 0.5).delta1
     assert math.isclose(val, 0.585470754214681, rel_tol=0, abs_tol=1e-14)
 
 
@@ -114,25 +109,27 @@ def test_delta1_no_squeeze_closed_form():
     s2 = state(0.0, 0.0, beta=0.9)
     g = 0.4 - 0.3j
     expected = math.exp(-math.sinh(0.9) * abs(g) ** 2)
-    assert math.isclose(delta1(S1, s2, g), expected, rel_tol=1e-13)
+    assert math.isclose(_pipeline_trace(S1, s2, g).delta1, expected, rel_tol=1e-13)
 
 
 def test_delta1_equal_displacements_exact_one():
-    assert delta1(S1, S2, 0.0) == 1.0
-    assert delta2(S1, S2, 0.0) == 1.0
+    tr = _pipeline_trace(S1, S2, 0.0)
+    assert tr.delta1 == 1.0
+    assert tr.delta2 == 1.0
 
 
 def test_delta_factors_past_sinh_overflow():
     # sinh(beta) overflows near beta = 710; the model accepts beta < 745
     cold = state(0.0, 0.2, beta=740.0)
-    assert delta1(S1, cold, 0.0) == 1.0 and delta2(S1, cold, 0.0) == 1.0
-    assert delta1(S1, cold, 0.1) == 0.0
+    tr = _pipeline_trace(S1, cold, 0.0)
+    assert tr.delta1 == 1.0 and tr.delta2 == 1.0
+    assert _pipeline_trace(S1, cold, 0.1).delta1 == 0.0
 
 
 @given(gs, radii, nbars)
 def test_delta1_bounded_by_one(g, r2, n2):
     s2 = state(0.0, r2, nbar=n2)
-    assert delta1(S1, s2, g) <= 1.0
+    assert _pipeline_trace(S1, s2, g).delta1 <= 1.0
 
 
 # --- matching system ---------------------------------------------------------
@@ -140,7 +137,7 @@ def test_delta1_bounded_by_one(g, r2, n2):
 
 def test_matching_matrix_same_state_is_diagonal():
     s = state(0.0, 0.4, beta=1.3)
-    p = matching_matrix(s, s)
+    p = _pipeline_trace(s, s, 0.0).P
     twosh = 2.0 * math.sinh(1.3)
     assert np.allclose(p, np.diag([twosh, -twosh]), atol=1e-13)
     det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
@@ -150,16 +147,17 @@ def test_matching_matrix_same_state_is_diagonal():
 def test_matching_matrix_equal_squeezes_kills_off_diagonal():
     a = state(0.0, 0.5, nbar=0.4)
     b = state(0.0, 0.5, nbar=1.1)
-    p = matching_matrix(a, b)
+    p = _pipeline_trace(a, b, 0.0).P
     assert abs(p[0, 1]) < 1e-14 and abs(p[1, 0]) < 1e-14
 
 
 def test_matching_determinant_is_minus_two_denominators():
     a = state(0.0, 0.7, nbar=0.3)
     b = state(0.0, -0.2, nbar=1.8)
-    p = matching_matrix(a, b)
+    tr = _pipeline_trace(a, b, 0.0)
+    p = tr.P
     det = (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]).real
-    dd = _pipeline_trace(a, b, 0.0).DeltaDenom
+    dd = tr.DeltaDenom
     assert math.isclose(det, -2.0 * dd, rel_tol=1e-13)
 
 
@@ -179,9 +177,10 @@ def test_printed_display_is_scaled_inverse_of_system():
     system squares to 2*Delta times the identity, so it is also its inverse)."""
     a = state(0.0, 0.6, nbar=0.5)
     b = state(0.0, -0.1, nbar=2.0)
-    p = matching_matrix(a, b)
-    disp = printed_matching_display(a, b)
-    dd = _pipeline_trace(a, b, 0.0).DeltaDenom
+    rep = _at_mismatch(a, b, 0.0).report(0)
+    p = rep.pipeline.P
+    disp = rep.printed.P
+    dd = rep.pipeline.DeltaDenom
     assert np.allclose(2.0 * dd * disp, p, rtol=1e-12, atol=1e-12)
     assert np.allclose(p @ p, 2.0 * dd * np.eye(2), rtol=1e-12, atol=1e-10)
 
@@ -207,8 +206,8 @@ def test_degenerate_matching_system_is_a_named_error(monkeypatch, capsys, entry,
     right = red._matching_system
 
     def degenerate(*args):
-        p, v, (q00, q01, q10, q11), rhs, factors = right(*args)
-        return p, v, (q00, q01 * scale, q10, q11), rhs, factors
+        p, v, (q01, q10), rhs, factors = right(*args)
+        return p, v, (q01 * scale, q10), rhs, factors
 
     monkeypatch.setattr(red, "_matching_system", degenerate)
     if entry == "fidelity":
@@ -229,7 +228,7 @@ def test_degenerate_matching_system_is_a_named_error(monkeypatch, capsys, entry,
 def test_ratio_decomposes_as_delta_quotient():
     g = 0.4 + 0.1j
     tr = _pipeline_trace(S1, S2, g)
-    assert math.isclose(tr.ratio, delta1(S1, S2, g) / delta2(S1, S2, g), rel_tol=1e-10)
+    assert math.isclose(tr.ratio, tr.delta1 / tr.delta2, rel_tol=1e-10)
 
 
 def test_ratio_thermal_pair_closed_form():
@@ -248,18 +247,20 @@ def test_ratio_printed_matches_pipeline_without_squeeze():
     b = state(0.0, 0.0, beta=1.7)
     g = 0.6 - 0.2j
     assert math.isclose(
-        ratio_printed(a, b, g), _pipeline_trace(a, b, g).ratio, rel_tol=1e-12
+        _at_mismatch(a, b, g).report(0).printed.ratio, _pipeline_trace(a, b, g).ratio,
+        rel_tol=1e-12,
     )
 
 
 def test_ratio_printed_deviates_on_squeezed_complex_mismatch():
     g = 1.0  # real, so Re(g^2) != 0 and the sign slip is visible
-    dev = abs(ratio_printed(S1, S2, g) - _pipeline_trace(S1, S2, g).ratio)
+    rep = _at_mismatch(S1, S2, g).report(0)
+    dev = abs(rep.printed.ratio - rep.pipeline.ratio)
     assert dev > 1e-3
 
 
 def test_ratio_printed_equal_displacements():
-    assert ratio_printed(S1, S2, 0.0) == 1.0
+    assert _at_mismatch(S1, S2, 0.0).report(0).printed.ratio == 1.0
 
 
 @given(gs, radii, radii, nbars, nbars)
@@ -317,6 +318,21 @@ def test_equal_large_squeezes_match_gaussian_reference(r):
     _, _, expo = gaussian_reference(r, b, r, b, 0.5)
     assert not rep.pipeline.log_scaled and rep.pipeline.annihilation_residual is not None
     assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("r1, b1, r2, b2", [
+    (177.0, 29.0, -177.0, 29.0),
+    (193.234, 13.5, -161.02, 13.4),
+    (-162.67, 1.43, 190.697, 4.49),
+])
+def test_wide_squeeze_gap_matches_gaussian_reference(r1, b1, r2, b2):
+    # q01 q10 = 2 Delta passes e^709 here: the determinant is checked
+    # normalised by 2 Delta, so the pair is checked and reported, not refused
+    rep = fidelity(state(0.0, r1, beta=b1), state(0.5, r2, beta=b2),
+                   FidelityOptions(oracle=False))
+    _, want, _ = gaussian_reference(r1, b1, r2, b2, 0.5, dps=400)
+    assert rep.pipeline.annihilation_residual is not None  # the check ran
+    assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-12)
 
 
 def test_extremely_hot_pair_is_accepted_and_matches_reference(capsys):
@@ -500,9 +516,9 @@ def test_printed_path_matches_its_transcription(r1, b1, r2, b2, g):
     s1, s2 = state(0.0, r1, beta=b1), state(g, r2, beta=b2)
     want_ratio, want_quad, want_display = printed_reference(r1, b1, r2, b2, g)
     rep = fidelity(s1, s2, FidelityOptions(oracle=False))
-    assert math.isclose(ratio_printed(s1, s2, g), math.exp(want_ratio), rel_tol=1e-12)
+    assert math.isclose(rep.printed.ratio, math.exp(want_ratio), rel_tol=1e-12)
     assert math.isclose(rep.printed.log_delta1, want_quad, rel_tol=1e-12)
-    display = printed_matching_display(s1, s2)
+    display = rep.printed.P
     assert np.all(np.abs(display - want_display) <= 1e-12 * np.abs(want_display))
 
 
@@ -616,9 +632,12 @@ def test_batch_rows_equal_batches_of_one(rows):
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
 def test_options_refuse_a_tolerance_that_cannot_flag(tol):
     # NaN compares False against every mismatch, so it would drop every flag;
-    # a non-positive threshold would flag exact agreement
+    # a non-positive threshold would flag exact agreement.  A batch takes the
+    # same threshold and refuses it alike.
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         FidelityOptions(tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        closed_form([state(0.0, 0.2, nbar=1.0)], [state(0.5, 0.2, nbar=1.0)], tol)
 
 
 def test_fidelity_report_composes_ratio_and_base():

@@ -21,9 +21,7 @@ def _load(name: str):
         # four (squeeze, temperature) settings, three points along the ray each
         ("displacement_decay", ["--points", "3"],
          "label,r1,r2,nbar1,nbar2,abs_g,fidelity,coherent_reference", 12),
-        # the default first rung (24) is below the default pair's thermal-tail
-        # requirement (40), so start where both rungs are evaluated
-        ("cutoff_convergence", ["--rungs", "2", "--start", "40"],
+        ("cutoff_convergence", ["--rungs", "2"],
          "cutoff,fidelity,gap_prev,gap_adaptive", 2),
     ],
     ids=["displacement_decay", "cutoff_convergence"],
