@@ -25,8 +25,6 @@ __all__ = [
     "state",
     "squeeze_matrix",
     "thermal_matrix",
-    "check_symplectic",
-    "pair_vec",
     "log_sinh",
     "log_cosh",
 ]
@@ -163,23 +161,6 @@ def thermal_matrix(beta: float, power: float) -> Mat2C:
         raise ValueError(f"power must be finite, got {power!r}")
     e = math.exp(-power * beta)
     return np.array([[e, 0.0], [0.0, 1.0 / e]], dtype=complex)
-
-
-def check_symplectic(m: Mat2C, tol: float = 1e-12) -> bool:
-    """True iff m^T Sigma m equals Sigma entrywise within tol (max norm)."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    m = np.asarray(m, dtype=complex)
-    dev = m.T @ SIGMA @ m - SIGMA
-    return float(np.max(np.abs(dev))) <= tol
-
-
-def pair_vec(g: complex) -> PairVec:
-    """Column (g, -conj(g)) — the conjugate-pair form every displacement
-    amplitude, mismatch, and solved multiplier takes in the reduction."""
-    g = complex(g)
-    _require_finite("g", g)
-    return np.array([g, -g.conjugate()], dtype=complex)
 
 
 # --- log-scaled hyperbolics -------------------------------------------------

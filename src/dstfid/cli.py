@@ -10,6 +10,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -583,22 +584,14 @@ def _add_common(p: argparse.ArgumentParser, default_method: str) -> None:
     p.set_defaults(default_method=default_method)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dstfid",
-        description="Fidelity of displaced squeezed thermal states, three ways: "
-        "exact matrix pipeline, printed closed-form comparison, Fock oracle.",
-    )
-    parser.add_argument("--version", action="version", version=f"dstfid {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("compute", help="fidelity of one pair of states")
+def _compute_args(p: argparse.ArgumentParser) -> None:
     _add_state_args(p)
     _add_common(p, default_method="all")
     p.add_argument("--format", choices=("human", "csv", "record"), default="human")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("sweep", help="parameter sweep over one or two axes")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_state_args(p)
     _add_common(p, default_method="closed-form")
     p.add_argument("--sweep", action="append", default=[],
@@ -607,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", help="run the standard grids and reconciliation report")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=("full", "quick"), default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--ceiling", type=int, default=None)
@@ -615,18 +609,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("human", "record"), default="human")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("snapshot", help="check (default) or regenerate golden oracle records")
+
+def _snapshot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", default=None, help="snapshot path (default: repo golden file)")
     p.add_argument("--regolden", action="store_true",
                    help="rewrite the golden file from a fresh oracle run")
     p.add_argument("--ceiling", type=int, default=None)
     p.set_defaults(func=cmd_snapshot)
 
+
+_SUBCOMMANDS = {
+    "compute": ("fidelity of one pair of states", _compute_args),
+    "sweep": ("parameter sweep over one or two axes", _sweep_args),
+    "verify": ("run the standard grids and reconciliation report", _verify_args),
+    "snapshot": ("check (default) or regenerate golden oracle records", _snapshot_args),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with `only` naming a subcommand, the other three get
+    no arguments.  A run parses one subcommand, so main builds only its
+    arguments: argparse checks every added argument with a fresh help
+    formatter, a start-up cost that a small sweep pays per run."""
+    parser = argparse.ArgumentParser(
+        prog="dstfid",
+        description="Fidelity of displaced squeezed thermal states, three ways: "
+        "exact matrix pipeline, printed closed-form comparison, Fock oracle.",
+    )
+    parser.add_argument("--version", action="version", version=f"dstfid {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, add_args) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if only in (None, name):
+            add_args(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -646,6 +667,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
+
+# What exists at the end of this import is mostly import-time state (modules,
+# classes, functions) that lives as long as the process; frozen once, here
+# rather than in main, which callers may run many times in one process, it is
+# left out of every later collection instead of rescanned.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

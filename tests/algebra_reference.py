@@ -1,0 +1,34 @@
+"""Test-side helpers for the 2x2 algebra kit (the package does not use them).
+
+pair_vec builds the conjugate-pair column that displacement amplitudes take
+in the (a^dag, a) basis; check_symplectic tests a 2x2 factor against the
+antisymmetric form SIGMA.
+"""
+
+from __future__ import annotations
+
+import cmath
+
+import numpy as np
+
+from dstfid.algebra import SIGMA, Mat2C, PairVec
+
+__all__ = ["check_symplectic", "pair_vec"]
+
+
+def check_symplectic(m: Mat2C, tol: float = 1e-12) -> bool:
+    """True iff m^T Sigma m equals Sigma entrywise within tol (max norm)."""
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    m = np.asarray(m, dtype=complex)
+    dev = m.T @ SIGMA @ m - SIGMA
+    return float(np.max(np.abs(dev))) <= tol
+
+
+def pair_vec(g: complex) -> PairVec:
+    """Column (g, -conj(g)): the conjugate-pair form every displacement
+    amplitude and mismatch takes in the (a^dag, a) basis."""
+    g = complex(g)
+    if not cmath.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
+    return np.array([g, -g.conjugate()], dtype=complex)

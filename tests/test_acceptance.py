@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from dstfid.algebra import check_symplectic, squeeze_matrix, state, thermal_matrix
+from algebra_reference import check_symplectic
+from dstfid.algebra import squeeze_matrix, state, thermal_matrix
 from bch_reference import LinExpOp, bch_merge, commutator_scalar
 from dstfid.fock import annihilation, fidelity_oracle, matrix_exp
 from dstfid.reconcile import (

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from algebra_reference import check_symplectic, pair_vec
 from dstfid.algebra import (
     SIGMA,
-    check_symplectic,
     log_cosh,
     log_sinh,
-    pair_vec,
     squeeze_matrix,
     state,
     thermal_matrix,

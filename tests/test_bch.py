@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_reference import pair_vec
 from bch_reference import LinExpOp, bch_merge, commutator_scalar
-from dstfid.algebra import pair_vec, state
+from dstfid.algebra import state
 from dstfid.fock import annihilation, matrix_exp
 from dstfid.reduction import closed_form
 

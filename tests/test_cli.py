@@ -358,3 +358,45 @@ def test_config_file_refuses_unknown_keys(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"{typo}:2: unknown config key 'methd'" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--k2", "0.1+0.2i", "--nbar1", "0.5", "--beta2", "2", "--format", "csv"],
+        ["sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "r2=0:1:3", "--method", "pipeline"],
+        ["verify", "--preset", "quick", "--ceiling", "300"],
+        ["snapshot", "--regolden", "--file", "x.txt"],
+    ],
+)
+def test_parser_for_one_subcommand_matches_the_full_parser(argv):
+    # main builds only the invoked subcommand's arguments; its parse, its
+    # help and the top-level usage must be the full parser's.
+    import argparse
+
+    from dstfid.cli import build_parser
+
+    def subparser(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices[argv[0]]
+
+    full, alone = build_parser(), build_parser(argv[0])
+    assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv))
+    assert subparser(alone).format_help() == subparser(full).format_help()
+    assert alone.format_usage() == full.format_usage()
+
+
+def test_main_freezes_no_objects_of_its_callers(capsys):
+    # dstfid.cli freezes its import-time objects once, at import; main runs
+    # in-process many times (tests, benchmarks) and must not freeze what
+    # each run leaves behind.  Frozen objects can still be freed, so the
+    # count may fall.
+    import gc
+
+    from dstfid.cli import main
+
+    before = gc.get_freeze_count()
+    for _ in range(2):
+        assert main(["compute", "--nbar1", "1", "--nbar2", "1", "--k2", "0.1",
+                     "--method", "pipeline", "--format", "csv"]) == 0
+    assert gc.get_freeze_count() <= before

@@ -1,6 +1,10 @@
 """Truncated Fock-space oracle: operators, states, Uhlmann fidelity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +54,7 @@ def test_matrix_exp_unitary_for_antihermitian():
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
-@pytest.mark.parametrize("k", [0.7 + 0.3j, -1.5, -0.4j, 0.0])
+@pytest.mark.parametrize("k", [0.7 + 0.3j, -1.5, -0.4j, 0.0, 3 - 2j])
 def test_displacement_equals_exp_of_truncated_generator(k, cutoff):
     a = annihilation(cutoff)
     want = matrix_exp(k * a.conj().T - np.conj(k) * a)
@@ -58,12 +62,23 @@ def test_displacement_equals_exp_of_truncated_generator(k, cutoff):
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
-@pytest.mark.parametrize("r", [0.8, -0.8, -0.05, 0.0])
+@pytest.mark.parametrize("r", [0.8, -0.8, -0.05, 0.0, 2.0])
 def test_squeeze_equals_exp_of_truncated_generator(r, cutoff):
     a = annihilation(cutoff)
     adag = a.conj().T
     want = matrix_exp(0.5 * r * (a @ a - adag @ adag))
     assert np.max(np.abs(squeeze_op(r, cutoff) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "op", [lambda n: displacement_op(1.3, n), lambda n: displacement_op(-0.6, n), lambda n: squeeze_op(-0.9, n)]
+)
+@pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
+def test_real_displacement_and_squeeze_are_real_orthogonal(op, cutoff):
+    q = op(cutoff)
+    assert np.all(np.imag(q) == 0.0)
+    q = np.real(q)
+    assert np.max(np.abs(q.T @ q - np.eye(cutoff))) <= 1e-13
 
 
 def test_displacement_vacuum_is_coherent_poisson():
@@ -227,6 +242,9 @@ def test_oracle_fidelity_monotone_under_cutoff_growth():
         (state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0)),
         (state(-0.2j, -0.4, nbar=1.5), state(0.5, 0.3, beta=3.0)),
         (state(0.3 + 0.4j, 0.8, nbar=2.0), state(0.3 + 0.4j, 0.8, nbar=2.0)),
+        (state(0.0, 0.3, nbar=0.4), state(0.4 - 0.3j, -0.5, nbar=1.2)),
+        (state(0.4 - 0.3j, -0.5, nbar=1.2), state(0.0, 0.3, nbar=0.4)),
+        (state(0.0, 0.3, nbar=0.4), state(0.0, -0.5, nbar=1.2)),
     ],
 )
 def test_rung_equals_uhlmann_of_dense_states(s1, s2):
@@ -270,6 +288,68 @@ def test_oracle_ceiling_exhaustion_raises_with_trace():
     with pytest.raises(ConvergenceError) as exc:
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5), ceiling=40)
     assert exc.value.gaps == []  # clamped straight to the ceiling, no rungs
+
+
+def _refuse_rungs(monkeypatch):
+    import dstfid.fock as fock
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle computed a rung it cannot use")
+
+    monkeypatch.setattr(fock, "rung_fidelity", refuse)
+
+
+def test_oracle_starting_at_the_ceiling_computes_no_rung(monkeypatch):
+    # The first rung would already sit at the default ceiling (1024), so no
+    # second rung could confirm it.
+    _refuse_rungs(monkeypatch)
+    with pytest.raises(ConvergenceError, match=r"by cutoff 1024 \(gap trace: no rungs\)") as exc:
+        fidelity_oracle(state(0.0, 30.0, nbar=1.0), state(0.1, 30.0, nbar=1.0))
+    assert exc.value.gaps == []
+
+
+def test_cli_compute_past_the_ceiling_exits_before_any_rung(monkeypatch, capsys):
+    from dstfid.cli import main
+
+    _refuse_rungs(monkeypatch)
+    argv = ["compute", "--r1", "30", "--r2", "30", "--nbar1", "1", "--nbar2", "1", "--k2", "0.1"]
+    assert main([*argv, "--method", "all"]) == 3
+    assert "gap trace: no rungs" in capsys.readouterr().err
+
+
+def test_oracle_squeeze_past_double_range_is_a_convergence_error(monkeypatch):
+    # 10 sinh^2(400) is past double range: the start lies above any ceiling,
+    # a named ConvergenceError rather than a bare OverflowError.
+    _refuse_rungs(monkeypatch)
+    with pytest.raises(ConvergenceError) as exc:
+        fidelity_oracle(state(0.0, 400.0, nbar=1.0), state(0.1, 400.0, nbar=1.0))
+    assert exc.value.gaps == []
+
+
+def test_oracle_subnormal_beta_is_a_thermal_tail_error(monkeypatch):
+    # nbar = 1/expm1(5e-324) is inf: no cutoff holds the tail, and the oracle
+    # says so instead of overflowing in math.ceil.
+    _refuse_rungs(monkeypatch)
+    hot = state(0.0, 0.0, beta=5e-324)
+    with pytest.raises(ValueError, match="thermal tail .* need at least inf"):
+        fidelity_oracle(hot, state(0.1, 0.0, nbar=1.0))
+
+
+def test_oracle_run_imports_no_scipy():
+    # scipy backs only the dense matrix_exp reference; the CLI and an oracle
+    # evaluation must not pay for importing it.
+    code = (
+        "import sys\n"
+        "import dstfid.cli\n"
+        "from dstfid import FidelityOptions, fidelity, state\n"
+        "rep = fidelity(state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0), FidelityOptions())\n"
+        "assert abs(rep.value_oracle - 0.8509993417886631) <= 5e-8, rep.value_oracle\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_oracle_rejects_unreachable_tolerance():
