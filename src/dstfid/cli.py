@@ -32,10 +32,12 @@ from .golden import (
 )
 from .reconcile import ReconciliationReport, run_verification
 from .reduction import (
+    ClosedForm,
     FidelityOptions,
     FidelityReport,
     PipelineCheckError,
-    closed_form,
+    _pair,
+    closed_form_columns,
     fidelity,
 )
 
@@ -151,11 +153,7 @@ def _build_state(
 # ---------------------------------------------------------------------------
 
 
-def _g17(x: float | int | None) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, int):
-        return str(x)
+def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
@@ -186,28 +184,51 @@ def _jnum(x):
     return repr(float(x))
 
 
-def _row_for(idx: int, s1: StateParams, s2: StateParams, rep: FidelityReport) -> str:
-    """One CSV row, its cells in _CSV_COLUMNS order."""
-    oracle = rep.oracle
-    dev_or = (
-        abs(rep.value_matrix_pipeline - rep.value_oracle)
-        if rep.value_oracle is not None
-        else None
+# The state cells of a CSV row, per state in _CSV_COLUMNS order: the sweep
+# field each follows and the StateParams value it shows.
+_STATE_CELLS = (
+    ("re_k", lambda s: s.k.real),
+    ("im_k", lambda s: s.k.imag),
+    ("r", lambda s: s.r),
+    ("nbar", lambda s: s.nbar),
+    ("beta", lambda s: s.beta),
+)
+
+
+def _cells(values) -> list[str]:
+    """One CSV cell per value, at 17 significant digits."""
+    return [f"{x:.17g}" for x in np.ravel(values).tolist()]
+
+
+def _csv_rows(states: list[list[str]], cf: ClosedForm, oracles: list | None) -> list[str]:
+    """The CSV rows of batch cf, cells in _CSV_COLUMNS order, rendered a
+    column at a time: states holds the ten state columns as cells, oracles
+    each row's oracle result when the method runs the oracle."""
+    n = len(cf)
+    value_pipe, flags = cf.value_matrix_pipeline, cf.flags
+    oracle_cells = [[""] * n] * 4
+    if oracles is not None:
+        value_oracle, flags = cf.with_oracle(
+            flags, value_pipe, np.array([o.fidelity for o in oracles]))
+        oracle_cells = [
+            _cells(value_oracle), _cells(np.abs(value_pipe - value_oracle)),
+            [str(o.cutoff_used) for o in oracles], _cells([o.convergence_gap for o in oracles]),
+        ]
+    names = [[] for _ in range(n)]
+    for name, mask, _ in flags:
+        for i in np.flatnonzero(mask).tolist():
+            names[i].append(name)
+    f_oracle, dev_oracle, cutoff, gap = oracle_cells
+    columns = (
+        [str(i) for i in range(n)], *states,
+        _cells(cf.g.real), _cells(cf.g.imag),
+        _cells(value_pipe), _cells(cf.value_printed), f_oracle,
+        _cells(cf.pipeline.ratio), _cells(cf.printed.ratio),
+        _cells(cf.base.base), _cells(cf.base.printed_value),
+        _cells(np.abs(cf.value_printed - value_pipe)), dev_oracle, cutoff, gap,
+        [";".join(row) for row in names],
     )
-    cells = [
-        str(idx),
-        _g17(s1.k.real), _g17(s1.k.imag), _g17(s1.r), _g17(s1.nbar), _g17(s1.beta),
-        _g17(s2.k.real), _g17(s2.k.imag), _g17(s2.r), _g17(s2.nbar), _g17(s2.beta),
-        _g17(rep.g.real), _g17(rep.g.imag),
-        _g17(rep.value_matrix_pipeline), _g17(rep.value_printed), _g17(rep.value_oracle),
-        _g17(rep.pipeline.ratio), _g17(rep.printed.ratio),
-        _g17(rep.base.base), _g17(rep.base.printed_value),
-        _g17(abs(rep.value_printed - rep.value_matrix_pipeline)), _g17(dev_or),
-        _g17(oracle.cutoff_used if oracle else None),
-        _g17(oracle.convergence_gap if oracle else None),
-        ";".join(f.name for f in rep.discrepancy_flags),
-    ]
-    return ",".join(cells)
+    return [",".join(row) for row in zip(*columns)]
 
 
 def _csv_header(meta: dict[str, str]) -> str:
@@ -236,6 +257,7 @@ def _report_record(s1: StateParams, s2: StateParams, rep: FidelityReport) -> dic
             "log_ratio": _jnum(rep.pipeline.log_ratio),
             "l": _jnum(complex(rep.pipeline.l_vec[0])),
             "DeltaDenom": _jnum(rep.pipeline.DeltaDenom),
+            "log_DeltaDenom": _jnum(rep.pipeline.log_DeltaDenom),
             "annihilation_residual": _jnum(rep.pipeline.annihilation_residual),
             "log_scaled": rep.pipeline.log_scaled,
         },
@@ -304,14 +326,20 @@ def cmd_compute(args) -> int:
     opts, method = _options_from(args, config)
     s1 = _build_state(args.k1, args.r1, args.nbar1, args.beta1, "1")
     s2 = _build_state(args.k2, args.r2, args.nbar2, args.beta2, "2")
+    if args.format == "csv":  # a batch of one, rendered as a sweep's rows are
+        cf = _pair(s1, s2, opts.tol)
+        oracles = None
+        if opts.oracle:
+            oracles = [fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)]
+        meta = {"command": "compute", "method": method,
+                "oracle_tol": _g17(opts.oracle_tol), "ceiling": str(opts.oracle_ceiling)}
+        states = [_cells(get(s)) for s in (s1, s2) for _, get in _STATE_CELLS]
+        print(_csv_header(meta))
+        print(_csv_rows(states, cf, oracles)[0])
+        return EXIT_OK
     rep = fidelity(s1, s2, opts)
     if args.format == "human":
         print(_human_compute(s1, s2, rep, method))
-    elif args.format == "csv":
-        meta = {"command": "compute", "method": method,
-                "oracle_tol": _g17(opts.oracle_tol), "ceiling": str(opts.oracle_ceiling)}
-        print(_csv_header(meta))
-        print(_row_for(0, s1, s2, rep))
     else:  # record
         print(json.dumps(_report_record(s1, s2, rep), sort_keys=True, indent=1))
     return EXIT_OK
@@ -325,17 +353,12 @@ def cmd_compute(args) -> int:
 @dataclass(frozen=True)
 class SweepSpec:
     """A validated sweep request: up to two linear axes over state parameters,
-    fixed values for everything else, and output/method/tolerance choices."""
+    per state the fields the axes sweep (field -> axis index) and its fixed
+    fields (see _fixed_fields), and output/method/tolerance choices."""
 
     axes: tuple[tuple[str, float, float, int], ...]
-    fixed_k1: complex
-    fixed_r1: float
-    fixed_nbar1: float | None
-    fixed_beta1: float | None
-    fixed_k2: complex
-    fixed_r2: float
-    fixed_nbar2: float | None
-    fixed_beta2: float | None
+    swept: tuple[dict[str, int], dict[str, int]]
+    fixed: tuple[dict[str, float], dict[str, float]]
     out: str
     method: str
     opts: FidelityOptions
@@ -360,6 +383,25 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
     return name, start, stop, count
 
 
+def _fixed_fields(args, which: str, swept: dict[str, int]) -> dict[str, float]:
+    """State `which`'s fields as the sweep fixes them: re_k, im_k, r and the
+    temperature, keyed nbar or beta as given (a swept temperature overrides a
+    fixed one).  A swept field holds 1.0, a value every field accepts, for
+    the axis values to replace."""
+    k = getattr(args, f"k{which}")
+    fields = {"re_k": k.real, "im_k": k.imag, "r": getattr(args, f"r{which}")}
+    if not swept.keys() & {"nbar", "beta"}:
+        temps = {key: getattr(args, key + which) for key in ("nbar", "beta")}
+        given = {key: value for key, value in temps.items() if value is not None}
+        if len(given) != 1:
+            raise UsageError(
+                f"state {which}: exactly one temperature source required "
+                f"(--nbar{which}, --beta{which}, or a swept axis)"
+            )
+        fields.update(given)
+    return {**fields, **dict.fromkeys(swept, 1.0)}
+
+
 def build_sweep_spec(args, config: dict[str, str]) -> SweepSpec:
     axes = tuple(_parse_axis(a) for a in args.sweep)
     if not axes:
@@ -370,12 +412,14 @@ def build_sweep_spec(args, config: dict[str, str]) -> SweepSpec:
     if len(set(names)) != len(names):
         raise UsageError("sweep axes must be distinct")
     opts, method = _options_from(args, config)
+    swept = tuple({name[:-1]: a for a, name in enumerate(names) if name[-1] == w} for w in "12")
+    for fields in swept:
+        if "nbar" in fields:  # an nbar axis wins over a beta axis of the same state
+            fields.pop("beta", None)
     return SweepSpec(
         axes=axes,
-        fixed_k1=args.k1, fixed_r1=args.r1,
-        fixed_nbar1=args.nbar1, fixed_beta1=args.beta1,
-        fixed_k2=args.k2, fixed_r2=args.r2,
-        fixed_nbar2=args.nbar2, fixed_beta2=args.beta2,
+        swept=swept,
+        fixed=tuple(_fixed_fields(args, w, fields) for w, fields in zip("12", swept)),
         out=args.out,
         method=method,
         opts=opts,
@@ -389,39 +433,34 @@ def _grid_values(axis: tuple[str, float, float, int]) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _sweep_states(spec: SweepSpec, assignment: dict[str, float]) -> tuple[StateParams, StateParams]:
-    re_k1 = assignment.get("re_k1", spec.fixed_k1.real)
-    im_k1 = assignment.get("im_k1", spec.fixed_k1.imag)
-    re_k2 = assignment.get("re_k2", spec.fixed_k2.real)
-    im_k2 = assignment.get("im_k2", spec.fixed_k2.imag)
-    r1 = assignment.get("r1", spec.fixed_r1)
-    r2 = assignment.get("r2", spec.fixed_r2)
+def _spread(column: np.ndarray, axis: int | None, shape: tuple[int, int]) -> np.ndarray:
+    """A field's values laid over the grid in row order (axis 0 outer): the
+    fixed value (axis None), or one value per point of its axis."""
+    nu, nv = shape
+    if axis is None:
+        return np.repeat(column, nu * nv)
+    return np.repeat(column, nv) if axis == 0 else np.tile(column, nu)
 
-    def temp(which: str, fixed_nbar, fixed_beta):
-        nbar = assignment.get(f"nbar{which}", fixed_nbar)
-        beta = assignment.get(f"beta{which}", fixed_beta)
-        if f"nbar{which}" in assignment:
-            beta = None
-        elif f"beta{which}" in assignment:
-            nbar = None
-        if (nbar is None) == (beta is None):
-            raise UsageError(
-                f"state {which}: exactly one temperature source required "
-                f"(--nbar{which}, --beta{which}, or a swept axis)"
-            )
-        return nbar, beta
 
-    nbar1, beta1 = temp("1", spec.fixed_nbar1, spec.fixed_beta1)
-    nbar2, beta2 = temp("2", spec.fixed_nbar2, spec.fixed_beta2)
-    s1 = state(complex(re_k1, im_k1), r1, nbar=nbar1, beta=beta1)
-    s2 = state(complex(re_k2, im_k2), r2, nbar=nbar2, beta=beta2)
-    return s1, s2
+def _state_of(fields: dict[str, float]) -> StateParams:
+    """A state from its sweep fields: re_k, im_k, r and one of nbar, beta."""
+    return state(complex(fields["re_k"], fields["im_k"]), fields["r"],
+                 nbar=fields.get("nbar"), beta=fields.get("beta"))
+
+
+def _checked(fields: dict[str, float]) -> StateParams | None:
+    """_state_of, or None where StateParams refuses a field."""
+    try:
+        return _state_of(fields)
+    except ValueError:
+        return None
 
 
 def run_sweep(spec: SweepSpec) -> str:
     """Evaluate the grid as one closed-form batch (plus the oracle per row when
-    the method asks for it) and render the CSV in grid order.  The first
-    failing row raises its error, named by row, and no rows are written."""
+    the method asks for it) and render the CSV in grid order, a column at a
+    time.  The first failing row raises its error, named by row, and no rows
+    are written."""
     meta = {
         "command": "sweep",
         "method": spec.method,
@@ -430,42 +469,73 @@ def run_sweep(spec: SweepSpec) -> str:
     }
     for i, (name, start, stop, count) in enumerate(spec.axes):
         meta[f"axis{i}"] = f"{name}={_g17(start)}:{_g17(stop)}:{count}"
-    lines = [_csv_header(meta)]
     grids = [_grid_values(a) for a in spec.axes]
-    if len(grids) == 1:
-        combos = [(v,) for v in grids[0]]
-    else:
-        combos = [(u, v) for u in grids[0] for v in grids[1]]
-    assignments = [
-        {spec.axes[i][0]: values[i] for i in range(len(values))} for values in combos
-    ]
+    shape = (len(grids[0]), len(grids[1]) if len(grids) == 2 else 1)
+    n = shape[0] * shape[1]
+
+    def assignment(idx: int) -> dict[str, float]:
+        at = divmod(idx, shape[1])
+        return {name: grids[a][at[a]] for a, (name, *_) in enumerate(spec.axes)}
 
     def named(idx: int, exc: Exception) -> str:
-        swept = ", ".join(f"{k}={_g17(v)}" for k, v in assignments[idx].items())
+        swept = ", ".join(f"{k}={_g17(v)}" for k, v in assignment(idx).items())
         return f"sweep row {idx} ({swept}): {exc}; no rows written"
 
-    pairs = []
-    for idx, assignment in enumerate(assignments):
+    def pair(idx: int) -> tuple[StateParams, StateParams]:
+        values = assignment(idx)
+        return tuple(_state_of({**fixed, **{f: values[f + w] for f in swept}})
+                     for w, swept, fixed in zip("12", spec.swept, spec.fixed))
+
+    # Each field is fixed or one axis's, so every distinct value is checked
+    # and converted once, as a state with that value in place: per state and
+    # field, (axis, one state per axis point) for a swept field and (None,
+    # [the state at the fixed values]) for the others.  The nbar and beta
+    # cells both follow the temperature.
+    sources = []
+    for swept, fixed in zip(spec.swept, spec.fixed):
+        src = dict.fromkeys(("re_k", "im_k", "r", "nbar", "beta"), (None, [_checked(fixed)]))
+        src.update((f, (a, [_checked({**fixed, f: v}) for v in grids[a]]))
+                   for f, a in swept.items())
+        src["nbar"] = src["beta"] = src["nbar" if "nbar" in swept else "beta"]
+        sources.append(src)
+
+    def column(j: int, field: str, get, dtype=float) -> np.ndarray:
+        a, states = sources[j][field]
+        return _spread(np.array([get(s) for s in states], dtype=dtype), a, shape)
+
+    # A row is refused exactly when one of its fields is; rebuilding the
+    # first such row raises its error.
+    ok = np.logical_and.reduce([column(j, f, lambda s: s is not None, bool)
+                                for j in (0, 1) for f, _ in _STATE_CELLS])
+    if not ok.all():
+        idx = int(np.argmin(ok))
         try:
-            pairs.append(_sweep_states(spec, assignment))
+            pair(idx)
         except ValueError as exc:
             raise type(exc)(named(idx, exc)) from None
-    batch = closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], spec.opts.tol)
-    idx = batch.first_failing_row()
+    inputs = []
+    for j in (0, 1):
+        re, im, r, _, beta = (column(j, f, get) for f, get in _STATE_CELLS)
+        k = re.astype(complex)
+        k.imag = im
+        inputs += [k, r, beta]
+    cf = closed_form_columns(*inputs, spec.opts.tol)
+    idx = cf.first_failing_row()
     if idx is not None:
-        err = batch.error(idx)
+        err = cf.error(idx)
         raise type(err)(named(idx, err)) from None
-    for idx, (s1, s2) in enumerate(pairs):
-        oracle = None
-        if spec.opts.oracle:
+    oracles = None
+    if spec.opts.oracle:
+        oracles = []
+        for idx in range(n):
             try:
-                oracle = fidelity_oracle(
-                    s1, s2, tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling
-                )
+                oracles.append(fidelity_oracle(
+                    *pair(idx), tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling))
             except ConvergenceError as exc:
                 raise ConvergenceError(named(idx, exc), exc.gaps) from None
-        lines.append(_row_for(idx, s1, s2, batch.report(idx, oracle)))
-    return "\n".join(lines) + "\n"
+    states = [column(j, f, lambda s, get=get: f"{get(s):.17g}", object).tolist()
+              for j in (0, 1) for f, get in _STATE_CELLS]
+    return "\n".join([_csv_header(meta), *_csv_rows(states, cf, oracles)]) + "\n"
 
 
 def cmd_sweep(args) -> int:

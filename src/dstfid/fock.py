@@ -9,15 +9,14 @@ their exponentials as real orthogonal matrices in closed form; a complex k
 enters through the diagonal phase R = diag(e^{i phi n}), D(k) =
 R D(|k|) R^dag.  No dense matrix exponential and no scipy: numpy alone runs
 the oracle, and only matrix_exp, the dense reference the tests compare the
-operators against, imports scipy.
+operators against, imports scipy.  The density-matrix route the tests check a
+rung against (uhlmann_fidelity) lives with the tests, in fock_reference.
 
 One rung of the oracle evaluates the Uhlmann/Bures fidelity
 F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
 either density matrix: F_N is the squared sum of the singular values of
 diag(sqrt p1) U1^dag U2 diag(sqrt p2).  An adaptive cutoff ladder (grow by
 x1.5 until two successive values agree) certifies convergence.
-uhlmann_fidelity keeps the density-matrix route for matrices that callers
-supply.
 
 The oracle is deliberately independent of the 2x2 reduction: it never touches
 the conjugation matrices, and it builds D(k1) and D(k2) as separate factors
@@ -37,17 +36,13 @@ from .algebra import StateParams
 
 __all__ = [
     "ConvergenceError",
-    "ContractViolationError",
     "FockMatrix",
     "OracleResult",
-    "annihilation",
     "matrix_exp",
     "displacement_op",
     "squeeze_op",
     "thermal_weights",
-    "thermal_state",
     "dst_state",
-    "uhlmann_fidelity",
     "rung_fidelity",
     "fidelity_oracle",
     "DEFAULT_CUTOFF_CEILING",
@@ -58,10 +53,6 @@ __all__ = [
 FockMatrix = np.ndarray
 
 DEFAULT_CUTOFF_CEILING = 1024
-
-# How hermitian / normalized a density matrix must be before we trust it.
-_HERMITICITY_TOL = 1e-10
-_TRACE_TOL = 1e-8
 
 # exp(-beta * N) <= 1e-12 keeps the truncated thermal tail (and hence the
 # trace deficit) below 1e-12.
@@ -76,19 +67,9 @@ class ConvergenceError(RuntimeError):
         self.gaps = gaps
 
 
-class ContractViolationError(ValueError):
-    """An input that was promised to be a density matrix is not one."""
-
-
 def _check_cutoff(cutoff: int) -> None:
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff!r}")
-
-
-def annihilation(cutoff: int) -> FockMatrix:
-    """Ladder operator a with entries a[n-1, n] = sqrt(n), zero elsewhere."""
-    _check_cutoff(cutoff)
-    return np.diagflat(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
 def matrix_exp(m: FockMatrix) -> FockMatrix:
@@ -231,52 +212,11 @@ def thermal_weights(beta: float, cutoff: int) -> np.ndarray:
     return -math.expm1(-beta) * np.exp(-beta * n)
 
 
-def thermal_state(beta: float, cutoff: int) -> FockMatrix:
-    """Normalized thermal state diag(thermal_weights(beta, cutoff))."""
-    return np.diag(thermal_weights(beta, cutoff)).astype(complex)
-
-
 def dst_state(s: StateParams, cutoff: int) -> FockMatrix:
     """rho = D S rho_thermal S^dag D^dag at the given cutoff."""
     pops = thermal_weights(s.beta, cutoff)
     u = displacement_op(s.k, cutoff) @ squeeze_op(s.r, cutoff)
     return (u * pops) @ u.conj().T
-
-
-def _check_density(rho: FockMatrix, name: str) -> None:
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > _HERMITICITY_TOL:
-        raise ContractViolationError(
-            f"{name} is not Hermitian within {_HERMITICITY_TOL:g} "
-            f"(max deviation {herm:.3e})"
-        )
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise ContractViolationError(
-            f"{name} has trace {tr!r}, more than {_TRACE_TOL:g} away from 1"
-        )
-
-
-def _psd_sqrt(rho: FockMatrix) -> FockMatrix:
-    """Hermitian square root via eigendecomposition; negative eigenvalues
-    (rounding of a PSD input) are clamped to zero before the square root."""
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
-    """F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 for two density matrices."""
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
-    _check_density(rho1, "rho1")
-    _check_density(rho2, "rho2")
-    root1 = _psd_sqrt(rho1)
-    inner = root1 @ rho2 @ root1
-    # inner is Hermitian PSD up to rounding; evaluate tr sqrt by eigenvalues.
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    return float(np.sum(np.sqrt(vals)) ** 2)
 
 
 def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:

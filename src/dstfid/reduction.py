@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +63,7 @@ __all__ = [
     "FidelityReport",
     "ClosedForm",
     "closed_form",
+    "closed_form_columns",
     "base_factor",
     "fidelity",
     "LOG_SCALE_BETA",
@@ -112,9 +112,10 @@ class ReductionTrace:
     """Everything one closed-form evaluation produced.
 
     The log fields are always finite-informative even when the exponentiated
-    values leave double range.  The pipeline trace reports every field from
-    the closed-form scalars; ``annihilation_residual`` comes from the matrix
-    route that checks them (None beyond beta = 30, where it does not run).
+    values leave double range (``log_DeltaDenom`` where ``DeltaDenom`` does).
+    The pipeline trace reports every field from the closed-form scalars;
+    ``annihilation_residual`` comes from the matrix route that checks them
+    (None beyond beta = 30, where it does not run).
     The printed trace leaves the pipeline-only fields (from ``l_vec`` on) None.
     Inside a `ClosedForm` every field holds one array entry per row.
     """
@@ -128,6 +129,7 @@ class ReductionTrace:
     log_ratio: float
     l_vec: PairVec | None = None
     DeltaDenom: float | None = None
+    log_DeltaDenom: float | None = None
     annihilation_residual: float | None = None
     log_scaled: bool | None = None
 
@@ -499,30 +501,7 @@ def _clamp01(value):
     return clamped, np.abs(value - clamped)
 
 
-def _as_rows(column, n: int, shape: tuple = ()) -> list:
-    """A batch column as a list of its n rows (array views for matrix
-    fields); a batch of one run on scalars (see _pair) has no row axis."""
-    if column is None:
-        return [None] * n
-    if shape:
-        return list(np.reshape(column, (n,) + shape))
-    if isinstance(column, np.generic):
-        return [_PYTHON[column.dtype.kind](column)]  # faster than .item()
-    return np.reshape(column, n).tolist() if isinstance(column, np.ndarray) else [column]
-
-
-_PYTHON = {"f": float, "c": complex, "b": bool}
-
-
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (ReductionTrace, BaseFactorTrace)}
-_ROW_SHAPES = {"P": (2, 2), "l_vec": (2,)}
-
-
-def _listed(trace, n: int) -> list:
-    """A trace of batch columns as one list of rows per field, so building
-    row i is a list lookup per field."""
-    return [_as_rows(getattr(trace, name), n, _ROW_SHAPES.get(name, ()))
-            for name in _FIELDS[type(trace)]]
 
 
 def _mat(p00, p01, p10, p11) -> np.ndarray:
@@ -539,10 +518,10 @@ class ClosedForm:
 
     ``pipeline``, ``printed`` and ``base`` are the report's traces with a
     column per field; ``flags`` lists (name, row mask, magnitudes) in report
-    order, with the oracle's flags going in at ``oracle_flags_at``; ``checks``
-    lists (name, error class, message builder) in check order, and
-    ``first_failure`` holds each row's first failing check index
-    (len(checks) where every check passed).
+    order, but for the oracle's two, which `with_oracle` puts in at
+    ``oracle_flags_at``; ``checks`` lists (name, error class, message
+    builder) in check order, and ``first_failure`` holds each row's first
+    failing check index (len(checks) where every check passed).
     """
 
     tol: float
@@ -581,42 +560,52 @@ class ClosedForm:
         _, kind, message = self.checks[k]
         return kind(message(i))
 
-    @cached_property
-    def _rows(self):
-        """Every column as a Python list, built once per batch."""
-        n = len(self)
-        scalars = [_as_rows(c, n) for c in
-                   (self.g, self.value_matrix_pipeline, self.value_printed)]
-        flags = [(name, _as_rows(mask, n), _as_rows(mag, n)) for name, mask, mag in self.flags]
-        return (_listed(self.pipeline, n), _listed(self.printed, n), _listed(self.base, n),
-                scalars, flags)
+    def with_oracle(self, flags, value_pipe, fidelity):
+        """(the oracle fidelity clamped to [0, 1], flags with the oracle's two
+        flags put in after the clamps).  Elementwise: flags are the batch's
+        (name, mask, magnitudes) in report order, either as whole columns,
+        with value_pipe and fidelity columns too, or as one row's entries,
+        with that row's values."""
+        value_oracle, amount = _clamp01(fidelity)
+        dev = np.abs(value_pipe - value_oracle)
+        oracle = (("oracle-value-clamped", amount > 0.0, amount),
+                  ("pipeline-vs-oracle", dev > max(self.tol, 1e-6), dev))
+        at = self.oracle_flags_at
+        return value_oracle, (*flags[:at], *oracle, *flags[at:])
 
     def report(self, i: int, oracle: OracleResult | None = None) -> FidelityReport:
         """Row i as a FidelityReport, with the oracle result when one ran."""
-        pipeline, printed, base, (g, value_pipe, value_printed), flag_cols = self._rows
-        flags = [DiscrepancyFlag(name, mag[i]) for name, mask, mag in flag_cols if mask[i]]
+
+        rank = np.ndim(self.g)  # 0 in a batch of one run on scalars (see _pair)
+
+        def row(column):
+            # a Python scalar, or an array view for a matrix field (P, l_vec)
+            if column is None:
+                return None
+            if column.ndim > rank:
+                return np.reshape(column, (-1,) + column.shape[rank:])[i]
+            return column.item(i)
+
+        def trace(tr):
+            return type(tr)(*[row(getattr(tr, name)) for name in _FIELDS[type(tr)]])
+
+        value_pipe = row(self.value_matrix_pipeline)
+        flags = [(name, row(mask), row(mag)) for name, mask, mag in self.flags]
         value_oracle = None
         if oracle is not None:
-            clamped, amount = _clamp01(oracle.fidelity)
-            value_oracle = float(clamped)
-            extra = []
-            if amount > 0.0:
-                extra.append(DiscrepancyFlag("oracle-value-clamped", float(amount)))
-            dev = abs(value_pipe[i] - value_oracle)
-            if dev > max(self.tol, 1e-6):
-                extra.append(DiscrepancyFlag("pipeline-vs-oracle", dev))
-            cut = sum(mask[i] for _, mask, _ in flag_cols[: self.oracle_flags_at])
-            flags[cut:cut] = extra
+            value_oracle, flags = self.with_oracle(flags, value_pipe, oracle.fidelity)
+            value_oracle = float(value_oracle)
         return FidelityReport(
-            value_matrix_pipeline=value_pipe[i],
-            value_printed=value_printed[i],
+            value_matrix_pipeline=value_pipe,
+            value_printed=row(self.value_printed),
             value_oracle=value_oracle,
-            pipeline=ReductionTrace(*[c[i] for c in pipeline]),
-            printed=ReductionTrace(*[c[i] for c in printed]),
-            base=BaseFactorTrace(*[c[i] for c in base]),
+            pipeline=trace(self.pipeline),
+            printed=trace(self.printed),
+            base=trace(self.base),
             oracle=oracle,
-            g=g[i],
-            discrepancy_flags=tuple(flags),
+            g=row(self.g),
+            discrepancy_flags=tuple(
+                DiscrepancyFlag(name, float(mag)) for name, on, mag in flags if on),
         )
 
 
@@ -630,13 +619,20 @@ def closed_form(states1, states2, tol: float = 1e-8) -> ClosedForm:
     _matrix_route).  tol is the flag threshold of FidelityOptions, refused
     alike when it is not finite and positive.
     """
-    _check_tol(tol)
 
     def column(states, attr, dtype):
         return np.array([getattr(s, attr) for s in states], dtype=dtype)
 
     k1, r1, b1 = (column(states1, a, t) for a, t in (("k", complex), ("r", float), ("beta", float)))
     k2, r2, b2 = (column(states2, a, t) for a, t in (("k", complex), ("r", float), ("beta", float)))
+    return closed_form_columns(k1, r1, b1, k2, r2, b2, tol)
+
+
+def closed_form_columns(k1, r1, b1, k2, r2, b2, tol: float = 1e-8) -> ClosedForm:
+    """`closed_form` on the pairs' parameters as (n,) arrays: the complex
+    displacements k, squeeze factors r and inverse temperatures beta of
+    states that StateParams accepted, one entry per row."""
+    _check_tol(tol)
     # Out-of-range rows are refused by their checks (NaN fails each), not
     # reported as numpy warnings.
     with np.errstate(all="ignore"):
@@ -672,6 +668,7 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
         log_ratio=lratio,
         l_vec=l_vec,
         DeltaDenom=np.exp(ldd),
+        log_DeltaDenom=ldd,
         annihilation_residual=np.where(scaled, None, residual),
         log_scaled=scaled,
     )

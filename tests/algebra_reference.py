@@ -2,7 +2,8 @@
 
 pair_vec builds the conjugate-pair column that displacement amplitudes take
 in the (a^dag, a) basis; check_symplectic tests a 2x2 factor against the
-antisymmetric form SIGMA.
+antisymmetric form SIGMA; log_sinh and log_cosh are the package's unchecked
+log-hyperbolics with their domains checked.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import cmath
 
 import numpy as np
 
-from dstfid.algebra import SIGMA, Mat2C, PairVec
+from dstfid.algebra import SIGMA, Mat2C, PairVec, _log_cosh, _log_sinh
 
-__all__ = ["check_symplectic", "pair_vec"]
+__all__ = ["check_symplectic", "pair_vec", "log_sinh", "log_cosh"]
 
 
 def check_symplectic(m: Mat2C, tol: float = 1e-12) -> bool:
@@ -32,3 +33,17 @@ def pair_vec(g: complex) -> PairVec:
     if not cmath.isfinite(g):
         raise ValueError(f"g must be finite, got {g!r}")
     return np.array([g, -g.conjugate()], dtype=complex)
+
+
+def log_sinh(x):
+    """log(sinh x) for x > 0 without overflow: x - log 2 + log(-expm1(-2x))."""
+    if not np.greater(x, 0.0).all():
+        raise ValueError(f"log_sinh needs x > 0, got {x!r}")
+    return _log_sinh(x)
+
+
+def log_cosh(x):
+    """log(cosh x) for x >= 0 without overflow: x - log 2 + log1p(exp(-2x))."""
+    if not np.greater_equal(x, 0.0).all():
+        raise ValueError(f"log_cosh needs x >= 0, got {x!r}")
+    return _log_cosh(x)

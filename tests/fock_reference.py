@@ -1,0 +1,70 @@
+"""The density-matrix route of the Fock oracle (test reference).
+
+The oracle evaluates each cutoff rung without forming a density matrix (see
+`dstfid.fock.rung_fidelity`).  The tests check it against the plain route
+kept here: the ladder operator, the thermal state as a matrix, and the
+Uhlmann fidelity of two density matrices, each checked to be one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dstfid.fock import FockMatrix, _check_cutoff, thermal_weights
+
+__all__ = ["ContractViolationError", "annihilation", "thermal_state", "uhlmann_fidelity"]
+
+# How hermitian / normalized a density matrix must be before we trust it.
+_HERMITICITY_TOL = 1e-10
+_TRACE_TOL = 1e-8
+
+
+class ContractViolationError(ValueError):
+    """An input that was promised to be a density matrix is not one."""
+
+
+def annihilation(cutoff: int) -> FockMatrix:
+    """Ladder operator a with entries a[n-1, n] = sqrt(n), zero elsewhere."""
+    _check_cutoff(cutoff)
+    return np.diagflat(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
+
+
+def thermal_state(beta: float, cutoff: int) -> FockMatrix:
+    """Normalized thermal state diag(thermal_weights(beta, cutoff))."""
+    return np.diag(thermal_weights(beta, cutoff)).astype(complex)
+
+
+def _check_density(rho: FockMatrix, name: str) -> None:
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm > _HERMITICITY_TOL:
+        raise ContractViolationError(
+            f"{name} is not Hermitian within {_HERMITICITY_TOL:g} "
+            f"(max deviation {herm:.3e})"
+        )
+    tr = float(np.real(np.trace(rho)))
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise ContractViolationError(
+            f"{name} has trace {tr!r}, more than {_TRACE_TOL:g} away from 1"
+        )
+
+
+def _psd_sqrt(rho: FockMatrix) -> FockMatrix:
+    """Hermitian square root via eigendecomposition; negative eigenvalues
+    (rounding of a PSD input) are clamped to zero before the square root."""
+    vals, vecs = np.linalg.eigh(rho)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
+    """F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 for two density matrices."""
+    rho1 = np.asarray(rho1, dtype=complex)
+    rho2 = np.asarray(rho2, dtype=complex)
+    _check_density(rho1, "rho1")
+    _check_density(rho2, "rho2")
+    root1 = _psd_sqrt(rho1)
+    inner = root1 @ rho2 @ root1
+    # inner is Hermitian PSD up to rounding; evaluate tr sqrt by eigenvalues.
+    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    vals = np.clip(vals, 0.0, None)
+    return float(np.sum(np.sqrt(vals)) ** 2)

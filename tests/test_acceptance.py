@@ -14,7 +14,8 @@ import pytest
 from algebra_reference import check_symplectic
 from dstfid.algebra import squeeze_matrix, state, thermal_matrix
 from bch_reference import LinExpOp, bch_merge, commutator_scalar
-from dstfid.fock import annihilation, fidelity_oracle, matrix_exp
+from dstfid.fock import fidelity_oracle, matrix_exp
+from fock_reference import annihilation
 from dstfid.reconcile import (
     ALL_FORMULAS,
     DENOMINATOR,

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algebra_reference import check_symplectic, pair_vec
+from algebra_reference import check_symplectic, log_cosh, log_sinh, pair_vec
 from dstfid.algebra import (
     SIGMA,
-    log_cosh,
-    log_sinh,
     squeeze_matrix,
     state,
     thermal_matrix,
@@ -48,6 +46,15 @@ def test_state_rejects_nonpositive_temperatures():
     # pure-state limit is excluded, not silently clamped
     with pytest.raises(ValueError):
         state(0.0, 0.0, beta=1e6)
+
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-320, 5.56e-309])
+def test_state_rejects_a_beta_whose_nbar_overflows(beta):
+    # nbar = 1/expm1(beta) overflows below ~5.6e-309; from_nbar refuses a
+    # non-finite nbar, and StateParams refuses the beta that would give one
+    with pytest.raises(ValueError, match="nbar = 1/expm1\\(beta\\) leaves double range"):
+        state(0.0, 0.0, beta=beta)
+    assert math.isfinite(state(0.0, 0.0, beta=5.57e-309).nbar)
 
 
 def test_state_rejects_nonfinite():

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from algebra_reference import pair_vec
 from bch_reference import LinExpOp, bch_merge, commutator_scalar
 from dstfid.algebra import state
-from dstfid.fock import annihilation, matrix_exp
+from dstfid.fock import matrix_exp
 from dstfid.reduction import closed_form
+from fock_reference import annihilation
 
 small_c = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 

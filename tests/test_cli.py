@@ -1,6 +1,7 @@
 """End-to-end CLI smoke tests (subprocess, installed entry point)."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -230,24 +231,72 @@ def test_sweep_convergence_failure_names_the_row():
     assert "no rows written" in res.stderr
 
 
+_NBAR_REFUSED = "nbar must be a finite positive number, got {} (nbar = 0 is the pure-state " \
+    "limit; use a large beta instead); no rows written"
+
+
 @pytest.mark.parametrize(
-    "fixed, axis, code, row",
+    "fixed, axes, code, row",
     [
-        (("--r1", "354", "--beta1", "5", "--beta2", "5"), "r2=352:356:5", 1,
+        (("--r1", "354", "--beta1", "5", "--beta2", "5"), ("r2=352:356:5",), 1,
          "pipeline check failed: sweep row 2 (r2=354): delta1 dual-path"),
-        (("--nbar1", "1", "--nbar2", "1"), "r2=353:357:5", 2,
+        (("--nbar1", "1", "--nbar2", "1"), ("r2=353:357:5",), 2,
          "error: sweep row 2 (r2=355): squeeze factors"),
+        (("--nbar1", "1"), ("nbar2=-1:1:3",), 2,
+         "error: sweep row 0 (nbar2=-1): " + _NBAR_REFUSED.format("-1.0")),
+        (("--nbar1", "1", "--beta2", "1"), ("beta2=1:-1:3",), 2,
+         "error: sweep row 1 (beta2=0): beta must be strictly positive (infinite-temperature "
+         "point beta <= 0 is excluded), got 0.0; no rows written"),
+        (("--nbar1", "1"), ("r1=0:1:2", "nbar2=2:0:3"), 2,
+         "error: sweep row 2 (r1=0, nbar2=0): " + _NBAR_REFUSED.format("0.0")),
+        (("--nbar2", "1"), ("nbar1=1:0:2", "re_k2=0:1:3"), 2,
+         "error: sweep row 3 (nbar1=0, re_k2=0): " + _NBAR_REFUSED.format("0.0")),
+        (("--r1", "nan", "--nbar1", "1", "--nbar2", "1"), ("re_k2=0:1:3",), 2,
+         "error: sweep row 0 (re_k2=0): squeeze factor r must be finite, got nan; "
+         "no rows written"),
+        (("--nbar1", "-1", "--nbar2", "1"), ("re_k2=0:1:3",), 2,
+         "error: sweep row 0 (re_k2=0): " + _NBAR_REFUSED.format("-1.0")),
     ],
-    ids=["refused-check", "squeeze-past-double-range"],
+    ids=["refused-check", "squeeze-past-double-range", "nbar-axis-row-0", "beta-axis-zero",
+         "inner-axis-of-2d", "outer-axis-of-2d", "fixed-squeeze-nan", "fixed-nbar-negative"],
 )
-def test_sweep_bad_row_is_named_and_nothing_written(tmp_path, fixed, axis, code, row):
+def test_sweep_bad_row_is_named_and_nothing_written(tmp_path, fixed, axes, code, row):
     out = tmp_path / "sweep.csv"
-    res = run_cli("sweep", *fixed, "--k2", "0.5", "--sweep", axis,
+    swept = [arg for axis in axes for arg in ("--sweep", axis)]
+    res = run_cli("sweep", *fixed, "--k2", "0.5", *swept,
                   "--method", "closed-form", "--out", str(out))
     assert res.returncode == code
     assert res.stderr.startswith(row) and "no rows written" in res.stderr
     assert len(res.stderr.splitlines()) == 1
     assert res.stdout == "" and not out.exists()
+
+
+def test_subnormal_beta_is_refused_by_compute_and_as_sweep_row_0():
+    # nbar = 1/expm1(beta) overflows to inf for beta below ~5.6e-309
+    res = run_cli("compute", "--beta1", "5e-324", "--nbar2", "1", "--k2", "0.1",
+                  "--method", "closed-form")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == ("error: beta=5e-324 is below ~5.6e-309, where the mean photon "
+                          "number nbar = 1/expm1(beta) leaves double range\n")
+    res = run_cli("sweep", "--nbar1", "1", "--beta2", "1", "--sweep", "beta2=1e-320:1:3")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith(
+        "error: sweep row 0 (beta2=9.9998886718268301e-321): beta=1e-320 is below ~5.6e-309")
+    assert res.stderr.endswith("; no rows written\n")
+
+
+def test_record_reports_log_delta_denom_where_delta_denom_overflows():
+    res = run_cli("compute", "--r1", "177", "--r2", "-177", "--beta1", "29", "--beta2", "29",
+                  "--k2", "0.5", "--method", "closed-form", "--format", "record")
+    assert res.returncode == 0, res.stderr
+    pipeline = json.loads(res.stdout)["pipeline"]
+    assert pipeline["DeltaDenom"] == "inf"
+    assert math.isfinite(pipeline["log_DeltaDenom"]) and pipeline["log_DeltaDenom"] > 700.0
+    res = run_cli("compute", "--r1", "0.2", "--r2", "0.5", "--nbar1", "0.5", "--nbar2", "1",
+                  "--k2", "0.5", "--method", "closed-form", "--format", "record")
+    pipeline = json.loads(res.stdout)["pipeline"]
+    assert pipeline["log_DeltaDenom"] == pytest.approx(math.log(pipeline["DeltaDenom"]),
+                                                       rel=1e-15, abs=1e-15)
 
 
 def test_sweep_rejects_three_axes():

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dstfid.algebra import DegenerateInputError, log_sinh, state
-from dstfid.fock import fidelity_oracle, thermal_state
+from algebra_reference import log_sinh
+from dstfid.algebra import DegenerateInputError, state
+from dstfid.fock import fidelity_oracle
 from dstfid.golden import default_golden_path, read_snapshots
 from dstfid.reduction import (
     FidelityOptions,
@@ -23,6 +24,7 @@ from dstfid.reduction import (
     fidelity,
 )
 from dstfid.reduction import _at_mismatch, _delta1_log, _pipeline_trace
+from fock_reference import thermal_state
 
 S1 = state(0.0, 0.2, nbar=0.8)
 S2 = state(0.0, 0.3, beta=1.0)
@@ -598,7 +600,8 @@ def _carried(rep):
            rep.base.Y, rep.base.base, rep.base.printed_value, rep.base.printed_domain_error]
     for tr in (rep.pipeline, rep.printed):
         out += [tr.delta1, tr.delta2, tr.ratio, tr.log_delta1, tr.log_delta2, tr.log_ratio,
-                tr.DeltaDenom, tr.annihilation_residual, tr.log_scaled, tr.P.tolist()]
+                tr.DeltaDenom, tr.log_DeltaDenom, tr.annihilation_residual, tr.log_scaled,
+                tr.P.tolist()]
         out += [] if tr.l_vec is None else tr.l_vec.tolist()
     out += [(f.name, f.magnitude) for f in rep.discrepancy_flags]
     return repr(out)
