@@ -14,14 +14,14 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .algebra import StateParams, state
-from .fock import ConvergenceError, fidelity_oracle
+from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError, fidelity_oracle
 from .golden import (
     check_snapshots,
     compute_record,
@@ -30,7 +30,7 @@ from .golden import (
     standard_cases,
     write_snapshots,
 )
-from .reconcile import ReconciliationReport, run_verification
+from .reconcile import VERIFY_CEILING, VERIFY_TOL, ReconciliationReport, run_verification
 from .reduction import (
     ClosedForm,
     FidelityOptions,
@@ -128,7 +128,7 @@ def _options_from(args, config: dict[str, str]) -> tuple[FidelityOptions, str]:
         raise UsageError(f"unknown method {method!r}")
     tol = _resolve(args.tol, config, "tol", 1e-8, float)
     oracle_tol = _resolve(args.oracle_tol, config, "oracle_tol", 1e-8, float)
-    ceiling = _resolve(args.ceiling, config, "ceiling", 1024, int)
+    ceiling = _resolve(args.ceiling, config, "ceiling", DEFAULT_CUTOFF_CEILING, int)
     opts = FidelityOptions(
         tol=tol,
         oracle=method in ("all", "oracle"),
@@ -380,6 +380,8 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
         raise UsageError(f"sweep axis {name}: count must be >= 1")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise UsageError(f"sweep axis {name}: range must be finite")
+    if not math.isfinite(stop - start):
+        raise UsageError(f"sweep axis {name}: span stop - start leaves double range")
     return name, start, stop, count
 
 
@@ -413,9 +415,9 @@ def build_sweep_spec(args, config: dict[str, str]) -> SweepSpec:
         raise UsageError("sweep axes must be distinct")
     opts, method = _options_from(args, config)
     swept = tuple({name[:-1]: a for a, name in enumerate(names) if name[-1] == w} for w in "12")
-    for fields in swept:
-        if "nbar" in fields:  # an nbar axis wins over a beta axis of the same state
-            fields.pop("beta", None)
+    for w, fields in zip("12", swept):
+        if fields.keys() >= {"nbar", "beta"}:
+            raise UsageError(f"state {w}: sweep nbar{w} or beta{w}, not both (one temperature)")
     return SweepSpec(
         axes=axes,
         swept=swept,
@@ -585,12 +587,11 @@ def _human_verify(report: ReconciliationReport) -> str:
 def cmd_verify(args) -> int:
     config = load_config(args.config) if args.config else {}
     preset = _resolve(args.preset, config, "preset", "full", str)
-    tol = _resolve(args.tol, config, "tol", 1e-8, float)
-    ceiling = _resolve(args.ceiling, config, "ceiling", 512, int)
+    tol = _resolve(args.tol, config, "tol", VERIFY_TOL, float)
+    ceiling = _resolve(args.ceiling, config, "ceiling", VERIFY_CEILING, int)
     report = run_verification(preset=preset, tol=tol, ceiling=ceiling)
     if args.format == "record":
-        payload = report.as_dict()
-        payload["version"] = __version__
+        payload = {**asdict(report), "passed": report.passed, "version": __version__}
         print(json.dumps(payload, sort_keys=True, indent=1, default=_jnum))
     else:
         print(_human_verify(report))
@@ -606,7 +607,7 @@ def cmd_verify(args) -> int:
 
 def cmd_snapshot(args) -> int:
     path = Path(args.file) if args.file else default_golden_path()
-    ceiling = args.ceiling if args.ceiling is not None else 1024
+    ceiling = args.ceiling if args.ceiling is not None else DEFAULT_CUTOFF_CEILING
     if args.regolden:
         records = [
             compute_record(s1, s2, tol, __version__, ceiling=ceiling)

@@ -73,7 +73,9 @@ def _check_cutoff(cutoff: int) -> None:
 
 
 def matrix_exp(m: FockMatrix) -> FockMatrix:
-    """Dense matrix exponential (scaling-and-squaring core).
+    """Dense matrix exponential (scaling-and-squaring core), the reference
+    the tests check the oracle's operators against; it needs scipy, which
+    the test extra (dstfid[test]) installs.
 
     Inputs must be finite; a result that overflows double precision raises
     instead of returning infs.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import StateParams, state
-from .fock import fidelity_oracle
+from .fock import DEFAULT_CUTOFF_CEILING, fidelity_oracle
 
 __all__ = [
     "SnapshotRecord",
@@ -87,7 +87,8 @@ def standard_cases() -> list[tuple[StateParams, StateParams, float]]:
 
 
 def compute_record(
-    s1: StateParams, s2: StateParams, tol: float, version: str, ceiling: int = 1024
+    s1: StateParams, s2: StateParams, tol: float, version: str,
+    ceiling: int = DEFAULT_CUTOFF_CEILING,
 ) -> SnapshotRecord:
     res = fidelity_oracle(s1, s2, tol=tol, ceiling=ceiling)
     return SnapshotRecord(
@@ -133,7 +134,7 @@ def write_snapshots(path: Path | str, records: list[SnapshotRecord]) -> None:
 
 
 def check_snapshots(
-    path: Path | str, version: str, ceiling: int = 1024
+    path: Path | str, version: str, ceiling: int = DEFAULT_CUTOFF_CEILING
 ) -> list[str]:
     """Recompute every frozen record and report mismatches (empty = clean).
 

@@ -334,6 +334,21 @@ def test_sweep_axis_can_carry_temperature(tmp_path):
     assert len(rows) == 4
 
 
+def test_sweep_refuses_two_temperature_axes_on_one_state():
+    res = run_cli("sweep", "--nbar1", "1", "--k2", "0.3",
+                  "--sweep", "nbar2=1:2:2", "--sweep", "beta2=1:2:2")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: state 2: sweep nbar2 or beta2, not both")
+
+
+def test_sweep_refuses_an_axis_span_past_double_range():
+    res = run_cli("sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "r2=-1.7e308:1.7e308:3")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: sweep axis r2: ")
+    assert "RuntimeWarning" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+
+
 def test_verify_quick_preset_passes():
     res = run_cli("verify", "--preset", "quick")
     assert res.returncode == 0
@@ -347,6 +362,12 @@ def test_verify_record_format_is_json():
     payload = json.loads(res.stdout)
     assert payload["passed"] is True
     assert len(payload["entries"]) == 7
+
+
+def test_verify_record_reruns_byte_identical():
+    runs = [run_cli("verify", "--preset", "quick", "--format", "record") for _ in range(2)]
+    assert all(res.returncode == 0 for res in runs)
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_snapshot_check_mode_passes_on_fresh_golden():

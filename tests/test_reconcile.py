@@ -1,0 +1,52 @@
+"""The verification grids run as closed-form batches: every row's report is
+the one fidelity() gives for the same pair."""
+
+import pytest
+
+from dstfid.algebra import state
+from dstfid.reconcile import evaluate_pairs, pair_grid, self_grid
+from dstfid.reduction import FidelityOptions, SqueezeGapError, fidelity
+from test_reduction import _carried
+
+OPTS = FidelityOptions(oracle_tol=1e-8, oracle_ceiling=512)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 0.3], ids=["tol-1e-8", "tol-0.3"])
+@pytest.mark.parametrize(
+    "pairs",
+    [pair_grid(quick=True), [(s, s) for s in self_grid(quick=True)]],
+    ids=["quick-pair-grid", "quick-self-grid"],
+)
+def test_batch_reports_equal_fidelity(pairs, tol):
+    # a coarse flag threshold drops some flags, so the batch must use opts.tol
+    opts = FidelityOptions(tol=tol, oracle_tol=1e-8, oracle_ceiling=512)
+    results = evaluate_pairs(pairs, opts)
+    assert len(results) == len(pairs)
+    for (s1, s2), pr in zip(pairs, results):
+        want = fidelity(s1, s2, opts)
+        assert (pr.s1, pr.s2) == (s1, s2)
+        assert _carried(pr.report) == _carried(want)
+        assert [f.name for f in pr.report.discrepancy_flags] == \
+            [f.name for f in want.discrepancy_flags]
+        assert repr(pr.report.value_oracle) == repr(want.value_oracle)
+        assert pr.report.oracle == want.oracle
+        assert pr.undisplaced_oracle is not None
+
+
+def test_batch_without_oracle_carries_no_oracle_values():
+    pairs = pair_grid(quick=True)[:3]
+    for (s1, s2), pr in zip(pairs, evaluate_pairs(pairs, FidelityOptions(oracle=False))):
+        assert pr.report.oracle is None and pr.undisplaced_oracle is None
+        assert _carried(pr.report) == _carried(fidelity(s1, s2, FidelityOptions(oracle=False)))
+
+
+def test_refused_pair_raises_as_fidelity_does():
+    # a squeeze gap of 356 puts cosh 2(r1 - r2) past double range
+    good = (state(0.0, 0.2, nbar=1.0), state(0.5, 0.3, nbar=1.0))
+    refused = (state(0.0, -178.0, nbar=1.0), state(0.5, 178.0, nbar=1.0))
+    with pytest.raises(SqueezeGapError) as want:
+        fidelity(*refused, OPTS)
+    with pytest.raises(SqueezeGapError) as got:
+        evaluate_pairs([good, refused, good], OPTS)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
