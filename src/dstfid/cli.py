@@ -196,37 +196,43 @@ _STATE_CELLS = (
 
 
 def _cells(values) -> list[str]:
-    """One CSV cell per value, at 17 significant digits."""
-    return [f"{x:.17g}" for x in np.ravel(values).tolist()]
+    """One CSV cell per value, at 17 significant digits, each distinct bit
+    pattern formatted once (so -0 and 0, and NaN payloads, stay apart): one
+    sort, as np.unique(return_inverse=True) without its per-call overhead."""
+    bits = np.ravel(np.asarray(values, dtype=float)).view(np.int64)
+    order = bits.argsort()
+    keys = bits[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    at = np.empty_like(order)
+    at[order] = first.cumsum() - 1
+    return np.array([_g17(x) for x in keys[first].view(float).tolist()], dtype=object)[at].tolist()
 
 
-def _csv_rows(states: list[list[str]], cf: ClosedForm, oracles: list | None) -> list[str]:
+def _csv_rows(states: list, cf: ClosedForm, oracles: list | None) -> list[str]:
     """The CSV rows of batch cf, cells in _CSV_COLUMNS order, rendered a
-    column at a time: states holds the ten state columns as cells, oracles
-    each row's oracle result when the method runs the oracle."""
+    column at a time: states holds the ten state columns' values, oracles
+    each row's oracle result when the method runs the oracle.  Rows with the
+    same flags share one joined flags cell."""
     n = len(cf)
     value_pipe, flags = cf.value_matrix_pipeline, cf.flags
-    oracle_cells = [[""] * n] * 4
+    f_oracle = dev_oracle = cutoff = gap = [""] * n
     if oracles is not None:
         value_oracle, flags = cf.with_oracle(
             flags, value_pipe, np.array([o.fidelity for o in oracles]))
-        oracle_cells = [
-            _cells(value_oracle), _cells(np.abs(value_pipe - value_oracle)),
-            [str(o.cutoff_used) for o in oracles], _cells([o.convergence_gap for o in oracles]),
-        ]
-    names = [[] for _ in range(n)]
-    for name, mask, _ in flags:
-        for i in np.flatnonzero(mask).tolist():
-            names[i].append(name)
-    f_oracle, dev_oracle, cutoff, gap = oracle_cells
+        f_oracle, dev_oracle = _cells(value_oracle), _cells(np.abs(value_pipe - value_oracle))
+        cutoff = [str(o.cutoff_used) for o in oracles]
+        gap = _cells([o.convergence_gap for o in oracles])
+    flag_sets, at = np.unique(sum(np.left_shift(mask, b, dtype=np.int64)
+                                  for b, (_, mask, _) in enumerate(flags)), return_inverse=True)
+    names = [";".join(f[0] for b, f in enumerate(flags) if s >> b & 1) for s in flag_sets.tolist()]
     columns = (
-        [str(i) for i in range(n)], *states,
+        [str(i) for i in range(n)], *map(_cells, states),
         _cells(cf.g.real), _cells(cf.g.imag),
         _cells(value_pipe), _cells(cf.value_printed), f_oracle,
         _cells(cf.pipeline.ratio), _cells(cf.printed.ratio),
         _cells(cf.base.base), _cells(cf.base.printed_value),
         _cells(np.abs(cf.value_printed - value_pipe)), dev_oracle, cutoff, gap,
-        [";".join(row) for row in names],
+        np.array(names, dtype=object)[np.ravel(at)].tolist(),
     )
     return [",".join(row) for row in zip(*columns)]
 
@@ -333,7 +339,7 @@ def cmd_compute(args) -> int:
             oracles = [fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)]
         meta = {"command": "compute", "method": method,
                 "oracle_tol": _g17(opts.oracle_tol), "ceiling": str(opts.oracle_ceiling)}
-        states = [_cells(get(s)) for s in (s1, s2) for _, get in _STATE_CELLS]
+        states = [get(s) for s in (s1, s2) for _, get in _STATE_CELLS]
         print(_csv_header(meta))
         print(_csv_rows(states, cf, oracles)[0])
         return EXIT_OK
@@ -463,12 +469,8 @@ def run_sweep(spec: SweepSpec) -> str:
     the method asks for it) and render the CSV in grid order, a column at a
     time.  The first failing row raises its error, named by row, and no rows
     are written."""
-    meta = {
-        "command": "sweep",
-        "method": spec.method,
-        "oracle_tol": _g17(spec.opts.oracle_tol),
-        "ceiling": str(spec.opts.oracle_ceiling),
-    }
+    meta = {"command": "sweep", "method": spec.method,
+            "oracle_tol": _g17(spec.opts.oracle_tol), "ceiling": str(spec.opts.oracle_ceiling)}
     for i, (name, start, stop, count) in enumerate(spec.axes):
         meta[f"axis{i}"] = f"{name}={_g17(start)}:{_g17(stop)}:{count}"
     grids = [_grid_values(a) for a in spec.axes]
@@ -515,9 +517,9 @@ def run_sweep(spec: SweepSpec) -> str:
             pair(idx)
         except ValueError as exc:
             raise type(exc)(named(idx, exc)) from None
+    fields = [column(j, f, get) for j in (0, 1) for f, get in _STATE_CELLS]
     inputs = []
-    for j in (0, 1):
-        re, im, r, _, beta = (column(j, f, get) for f, get in _STATE_CELLS)
+    for re, im, r, _, beta in (fields[:5], fields[5:]):
         k = re.astype(complex)
         k.imag = im
         inputs += [k, r, beta]
@@ -535,9 +537,7 @@ def run_sweep(spec: SweepSpec) -> str:
                     *pair(idx), tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling))
             except ConvergenceError as exc:
                 raise ConvergenceError(named(idx, exc), exc.gaps) from None
-    states = [column(j, f, lambda s, get=get: f"{get(s):.17g}", object).tolist()
-              for j in (0, 1) for f, get in _STATE_CELLS]
-    return "\n".join([_csv_header(meta), *_csv_rows(states, cf, oracles)]) + "\n"
+    return "\n".join([_csv_header(meta), *_csv_rows(fields, cf, oracles)]) + "\n"
 
 
 def cmd_sweep(args) -> int:

@@ -259,10 +259,13 @@ def _verdict(worst: float) -> str:
     return "typo-confirmed" if worst > 1e-8 else "consistent"
 
 
-def _entry_difference_convention(tol: float) -> tuple[ReconciliationEntry, VerificationCheck]:
-    """Adjudicate g = k2 - k1 against the printed k2 - conj(k1)."""
+def _entry_difference_convention(
+    opts: FidelityOptions,
+) -> tuple[ReconciliationEntry, VerificationCheck]:
+    """Adjudicate g = k2 - k1 against the printed k2 - conj(k1), the oracle
+    at the run's tolerance and ceiling."""
     s = state(0.3j, 0.3, nbar=0.5)
-    rep, = _reports([(s, s)], FidelityOptions(oracle_tol=tol))
+    rep, = _reports([(s, s)], opts)
     correct_dev = abs(rep.value_matrix_pipeline - rep.value_oracle)
     # Same pair evaluated under the printed convention.
     g_flip = s.k - s.k.conjugate()
@@ -474,7 +477,7 @@ def run_verification(
             limit_labels.append(f"k2={k2:g} [{label}]")
     checks.append(_bound("coherent-limit", limit_devs, limit_labels, 1e-4))
 
-    conv_entry, conv_check = _entry_difference_convention(tol)
+    conv_entry, conv_check = _entry_difference_convention(opts)
     checks.append(conv_check)
 
     entries = (

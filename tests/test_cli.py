@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +10,18 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "fidelity_snapshots.txt"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, **kwargs):
+    # the child imports the package from src/, as pytest's pythonpath does here
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "dstfid.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kwargs,
     )
 

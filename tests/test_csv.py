@@ -6,7 +6,10 @@ closed-form sweep."""
 import csv
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import csv_reference
 import dstfid.cli as cli
@@ -43,6 +46,9 @@ CASES = {
     "wide-squeeze-gap": (["sweep", "--r1", "177", "--r2", "-177", "--beta1", "29",
                           "--beta2", "29", "--sweep", "re_k2=0:1:3"],
                          "printed-displacement-quadratic-form"),
+    # k1 = 0 on a grid symmetric about 0: g -> -g mirrors row i onto row 24 - i
+    "symmetric-2d": (["sweep", "--r1", "0.3", "--nbar1", "0.5", "--r2", "0.6", "--nbar2", "1.2",
+                      "--sweep", "re_k2=-1:1:5", "--sweep", "im_k2=-1:1:5"], "\n24,"),
     "oracle": (["sweep", "--r1", "0.3", "--nbar1", "0.5", "--r2", "0.3", "--nbar2", "0.5",
                 "--k1", "0.2", "--sweep", "re_k2=0.2:1:3", "--method", "all"], "\n2,"),
     "oracle-loose-tol": (["sweep", "--r1", "0.2", "--nbar1", "0.5", "--r2", "0.1",
@@ -73,6 +79,74 @@ def test_sweep_csv_is_byte_identical_to_the_row_by_row_reference(argv, carries, 
     rows = list(csv.DictReader(ln for ln in out.splitlines() if not ln.startswith("#")))
     method = argv[argv.index("--method") + 1] if "--method" in argv else "closed-form"
     assert all(bool(row["oracle_cutoff"]) == (method in ("all", "oracle")) for row in rows)
+
+
+def _table(out: str) -> tuple[list[str], list[list[str]]]:
+    header, *body = csv.reader(ln for ln in out.splitlines() if not ln.startswith("#"))
+    return header, body
+
+
+def test_symmetric_sweep_repeats_values_under_g_sign_flip(capsys):
+    # the displaced factor is even in g, so every value column repeats bit
+    # for bit across the mirror rows, the repeats a per-value formatter shares
+    header, body = _table(_cli_csv(CASES["symmetric-2d"][0], capsys))
+    for name in ("f_pipeline", "f_printed", "ratio_pipeline", "ratio_printed",
+                 "dev_printed_pipeline"):
+        c = header.index(name)
+        assert [row[c] for row in body] == [row[c] for row in body[::-1]], name
+        assert len({row[c] for row in body}) < len(body), name
+
+
+def test_sweep_formats_each_distinct_value_of_a_column_once(monkeypatch, capsys):
+    # every float cell goes through _g17, once per distinct value of its
+    # column: fails if any column goes back to formatting one cell per row
+    formatted = []
+    g17 = cli._g17
+
+    def counted(x):
+        formatted.append(x)
+        return g17(x)
+
+    monkeypatch.setattr(cli, "_g17", counted)
+    argv = ["sweep", "--r1", "0.2", "--nbar1", "0.5", "--r2", "0.7", "--nbar2", "1.5",
+            "--sweep", "re_k2=-2:2:41", "--sweep", "im_k2=-2:2:41", "--method", "closed-form"]
+    header, body = _table(_cli_csv(argv, capsys))
+    assert len(body) == 41 * 41
+    distinct = sum(len({row[c] for row in body} - {""})
+                   for c, name in enumerate(header) if name not in ("idx", "oracle_cutoff", "flags"))
+    header_values = 1 + 2 * 2  # oracle_tol, and each axis's start and stop
+    assert len(formatted) == distinct + header_values
+
+
+# Raw float64 bit patterns: signed zeros, infinities, NaNs with distinct
+# payloads and signs (quiet and signalling), subnormals, and any other draw.
+_SPECIAL_BITS = (0, -2**63, 0x7FF0000000000000, -0x0010000000000000,
+                 0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                 -0x0008000000000000, -0x0007FFFFFFFFFFFF, 1, 0x000FFFFFFFFFFFFF, -2**63 + 1)
+_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(-2**63, 2**63 - 1),
+                  st.floats(width=64).map(lambda x: int(np.float64(x).view(np.int64))))
+
+
+@st.composite
+def _float_inputs(draw):
+    """A few distinct values, repeated, as a 0-d array, a list, a 1-D array,
+    or a 2-D spread (each value over a grid row, possibly transposed)."""
+    pool = np.array(draw(st.lists(_BITS, min_size=1, max_size=6)), np.int64).view(np.float64)
+    picks = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))]
+    kind = draw(st.sampled_from(("0-d", "list", "1-d", "2-d")))
+    if kind == "0-d":
+        return np.array(picks[0])
+    if kind == "list":
+        return picks.tolist()
+    if kind == "1-d":
+        return picks
+    spread = np.repeat(picks, draw(st.integers(1, 4))).reshape(len(picks), -1)
+    return spread.T if draw(st.booleans()) else spread
+
+
+@given(_float_inputs())
+def test_cells_equal_per_value_formatting(values):
+    assert cli._cells(values) == [f"{x:.17g}" for x in np.ravel(values)]
 
 
 @pytest.mark.parametrize("argv", COMPUTE.values(), ids=COMPUTE.keys())

@@ -3,8 +3,10 @@ the one fidelity() gives for the same pair."""
 
 import pytest
 
+import dstfid.reconcile as reconcile
 from dstfid.algebra import state
-from dstfid.reconcile import evaluate_pairs, pair_grid, self_grid
+from dstfid.fock import fidelity_oracle
+from dstfid.reconcile import evaluate_pairs, pair_grid, run_verification, self_grid
 from dstfid.reduction import FidelityOptions, SqueezeGapError, fidelity
 from test_reduction import _carried
 
@@ -50,3 +52,16 @@ def test_refused_pair_raises_as_fidelity_does():
         evaluate_pairs([good, refused, good], OPTS)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def test_every_oracle_run_uses_the_run_ceiling(monkeypatch):
+    # the difference-convention pair included, not the default ceiling 1024
+    ceilings = []
+
+    def recorded(s1, s2, tol, ceiling):
+        ceilings.append(ceiling)
+        return fidelity_oracle(s1, s2, tol=tol, ceiling=ceiling)
+
+    monkeypatch.setattr(reconcile, "fidelity_oracle", recorded)
+    assert run_verification(preset="quick", ceiling=300).passed
+    assert ceilings and set(ceilings) == {300}
