@@ -208,20 +208,19 @@ def _cells(values) -> list[str]:
     return np.array([_g17(x) for x in keys[first].view(float).tolist()], dtype=object)[at].tolist()
 
 
-def _csv_rows(states: list, cf: ClosedForm, oracles: list | None) -> list[str]:
+def _csv_rows(states: list, cf: ClosedForm) -> list[str]:
     """The CSV rows of batch cf, cells in _CSV_COLUMNS order, rendered a
-    column at a time: states holds the ten state columns' values, oracles
-    each row's oracle result when the method runs the oracle.  Rows with the
+    column at a time: states holds the ten state columns' values, and the
+    oracle columns are filled when cf carries the oracle's.  Rows with the
     same flags share one joined flags cell."""
     n = len(cf)
     value_pipe, flags = cf.value_matrix_pipeline, cf.flags
     f_oracle = dev_oracle = cutoff = gap = [""] * n
-    if oracles is not None:
-        value_oracle, flags = cf.with_oracle(
-            flags, value_pipe, np.array([o.fidelity for o in oracles]))
-        f_oracle, dev_oracle = _cells(value_oracle), _cells(np.abs(value_pipe - value_oracle))
-        cutoff = [str(o.cutoff_used) for o in oracles]
-        gap = _cells([o.convergence_gap for o in oracles])
+    if cf.oracle is not None:
+        f_oracle = _cells(cf.value_oracle)
+        dev_oracle = _cells(np.abs(value_pipe - cf.value_oracle))
+        cutoff = [str(o.cutoff_used) for o in cf.oracle]
+        gap = _cells([o.convergence_gap for o in cf.oracle])
     flag_sets, at = np.unique(sum(np.left_shift(mask, b, dtype=np.int64)
                                   for b, (_, mask, _) in enumerate(flags)), return_inverse=True)
     names = [";".join(f[0] for b, f in enumerate(flags) if s >> b & 1) for s in flag_sets.tolist()]
@@ -334,14 +333,14 @@ def cmd_compute(args) -> int:
     s2 = _build_state(args.k2, args.r2, args.nbar2, args.beta2, "2")
     if args.format == "csv":  # a batch of one, rendered as a sweep's rows are
         cf = _pair(s1, s2, opts.tol)
-        oracles = None
         if opts.oracle:
-            oracles = [fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)]
+            cf = cf.with_oracle(
+                [fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)])
         meta = {"command": "compute", "method": method,
                 "oracle_tol": _g17(opts.oracle_tol), "ceiling": str(opts.oracle_ceiling)}
         states = [get(s) for s in (s1, s2) for _, get in _STATE_CELLS]
         print(_csv_header(meta))
-        print(_csv_rows(states, cf, oracles)[0])
+        print(_csv_rows(states, cf)[0])
         return EXIT_OK
     rep = fidelity(s1, s2, opts)
     if args.format == "human":
@@ -528,7 +527,6 @@ def run_sweep(spec: SweepSpec) -> str:
     if idx is not None:
         err = cf.error(idx)
         raise type(err)(named(idx, err)) from None
-    oracles = None
     if spec.opts.oracle:
         oracles = []
         for idx in range(n):
@@ -537,7 +535,8 @@ def run_sweep(spec: SweepSpec) -> str:
                     *pair(idx), tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling))
             except ConvergenceError as exc:
                 raise ConvergenceError(named(idx, exc), exc.gaps) from None
-    return "\n".join([_csv_header(meta), *_csv_rows(fields, cf, oracles)]) + "\n"
+        cf = cf.with_oracle(oracles)
+    return "\n".join([_csv_header(meta), *_csv_rows(fields, cf)]) + "\n"
 
 
 def cmd_sweep(args) -> int:

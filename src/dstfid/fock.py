@@ -232,9 +232,9 @@ def _displacement_overlap(k1: complex, k2: complex, levels: np.ndarray) -> np.nd
 
     D(k) = R(phi) Q(t) R(phi)^dag with Q(t) real orthogonal and R diagonal,
     so the product is R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag.  A
-    zero k1, or else a zero k2, is the identity: that factor is neither
-    built nor multiplied.  The oracle-stream benchmark has k1 = 0 on every
-    pair, where this runs about 10% more pairs per second than the product.
+    zero k1 is the identity: that factor is neither built nor multiplied.
+    The oracle-stream benchmark has k1 = 0 on every pair, where this runs
+    about 10% more pairs per second than the product.
     """
     chain = _displacement_chain(levels.size)
     (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
@@ -244,8 +244,6 @@ def _displacement_overlap(k1: complex, k2: complex, levels: np.ndarray) -> np.nd
 
     if k1 == 0:
         phi1, out = phi2, real_factor(t2)
-    elif k2 == 0:
-        phi2, out = phi1, real_factor(-t1)
     else:
         left, right = real_factor(-t1), real_factor(t2)
         turn = (phi2 - phi1) * levels

@@ -112,17 +112,20 @@ def read_snapshots(path: Path | str) -> list[SnapshotRecord]:
             raise ValueError(
                 f"{path}:{lineno}: expected 12 columns, found {len(parts)}"
             )
-        nums = [float(p) for p in parts[:9]]
-        records.append(
-            SnapshotRecord(
-                s1=state(complex(nums[0], nums[1]), nums[2], nbar=nums[6]),
-                s2=state(complex(nums[3], nums[4]), nums[5], nbar=nums[7]),
-                fidelity=nums[8],
-                cutoff=int(parts[9]),
-                tol=float(parts[10]),
-                version=parts[11],
+        try:
+            nums = [float(p) for p in parts[:9]]
+            records.append(
+                SnapshotRecord(
+                    s1=state(complex(nums[0], nums[1]), nums[2], nbar=nums[6]),
+                    s2=state(complex(nums[3], nums[4]), nums[5], nbar=nums[7]),
+                    fidelity=nums[8],
+                    cutoff=int(parts[9]),
+                    tol=float(parts[10]),
+                    version=parts[11],
+                )
             )
-        )
+        except ValueError as exc:  # a field that is no number, or no state
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records
 
 

@@ -7,7 +7,7 @@ transcription error.  Verdicts are earned numerically: a display is
 "typo-confirmed" only when it deviates from the matrix pipeline beyond
 tolerance *and* the matrix pipeline itself passes the oracle checks, so the
 report never rests on one path's say-so.  Each grid is one `closed_form`
-batch, with the oracle run per pair.
+batch, with the oracle run per pair and its results attached as columns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import StateParams, squeeze_matrix, state, thermal_matrix
 from .fock import fidelity_oracle
-from .reduction import FidelityOptions, FidelityReport, closed_form
+from .reduction import ClosedForm, FidelityOptions, closed_form
 
 __all__ = [
     "QUADRATIC_FORM",
@@ -36,11 +36,9 @@ __all__ = [
     "ReconciliationEntry",
     "VerificationCheck",
     "ReconciliationReport",
-    "PairResult",
     "self_grid",
     "pair_grid",
     "undisplaced_pair_grid",
-    "evaluate_pairs",
     "run_verification",
 ]
 
@@ -105,32 +103,6 @@ class ReconciliationReport:
             if e.formula == formula:
                 return e
         raise KeyError(formula)
-
-
-@dataclass(frozen=True, eq=False)
-class PairResult:
-    """One grid pair with its three-way report and derived deviations.
-
-    ``undisplaced_oracle`` is the oracle fidelity of the same pair with the
-    displacements dropped (None when the oracle was off).
-    """
-
-    s1: StateParams
-    s2: StateParams
-    report: FidelityReport
-    undisplaced_oracle: float | None = None
-
-    @property
-    def pipeline_vs_oracle(self) -> float:
-        return abs(self.report.value_matrix_pipeline - self.report.value_oracle)
-
-    @property
-    def decomposition_dev(self) -> float:
-        """|oracle F(displaced)/F(undisplaced) - pipeline ratio|."""
-        return abs(
-            self.report.value_oracle / self.undisplaced_oracle
-            - self.report.pipeline.ratio
-        )
 
 
 def _fmt_state(s: StateParams) -> str:
@@ -201,37 +173,20 @@ def _oracle(s1: StateParams, s2: StateParams, opts: FidelityOptions):
     return fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)
 
 
-def _reports(
+def _batch(
     pairs: list[tuple[StateParams, StateParams]], opts: FidelityOptions
-) -> list[FidelityReport]:
-    """fidelity(s1, s2, opts) for every pair, as one closed-form batch plus
-    the oracle per pair.  The first refused row raises its first failing
-    check, as fidelity does, before any oracle runs."""
+) -> ClosedForm:
+    """fidelity(s1, s2, opts) for every pair, as one closed-form batch with
+    the oracle's results, run per pair, as its columns.  The first refused
+    row raises its first failing check, as fidelity does, before any oracle
+    runs."""
     cf = closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], opts.tol)
     i = cf.first_failing_row()
     if i is not None:
         raise cf.error(i)
-    return [cf.report(i, _oracle(s1, s2, opts) if opts.oracle else None)
-            for i, (s1, s2) in enumerate(pairs)]
-
-
-def evaluate_pairs(
-    pairs: list[tuple[StateParams, StateParams]], opts: FidelityOptions
-) -> list[PairResult]:
-    """Evaluate every pair three ways.  With the oracle on, each result also
-    carries the oracle fidelity of its undisplaced pair, run once per
-    distinct undisplaced (r, beta) pair."""
-
-    @functools.cache
-    def undisplaced(key: tuple) -> float:
-        (ra, ba), (rb, bb) = key
-        return _oracle(StateParams(0.0, ra, ba), StateParams(0.0, rb, bb), opts).fidelity
-
-    return [
-        PairResult(s1, s2, rep, undisplaced(tuple(sorted(((s1.r, s1.beta), (s2.r, s2.beta)))))
-                   if opts.oracle else None)
-        for (s1, s2), rep in zip(pairs, _reports(pairs, opts))
-    ]
+    if not opts.oracle:
+        return cf
+    return cf.with_oracle([_oracle(s1, s2, opts) for s1, s2 in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +220,13 @@ def _entry_difference_convention(
     """Adjudicate g = k2 - k1 against the printed k2 - conj(k1), the oracle
     at the run's tolerance and ceiling."""
     s = state(0.3j, 0.3, nbar=0.5)
-    rep, = _reports([(s, s)], opts)
-    correct_dev = abs(rep.value_matrix_pipeline - rep.value_oracle)
+    cf = _batch([(s, s)], opts)
+    correct_dev = abs(cf.value_matrix_pipeline - cf.value_oracle).item()
     # Same pair evaluated under the printed convention.
     g_flip = s.k - s.k.conjugate()
-    flip, = _reports([(StateParams(0.0, s.r, s.beta), StateParams(g_flip, s.r, s.beta))],
-                     _NO_ORACLE)
-    margin = abs(flip.pipeline.ratio * rep.base.base - rep.value_oracle)
+    flip = _batch([(StateParams(0.0, s.r, s.beta), StateParams(g_flip, s.r, s.beta))],
+                  _NO_ORACLE)
+    margin = abs(flip.pipeline.ratio * cf.base.base - cf.value_oracle).item()
     entry = ReconciliationEntry(
         formula=DIFFERENCE_CONVENTION,
         max_abs_deviation=margin,
@@ -300,34 +255,32 @@ def _flipped(s: StateParams) -> StateParams:
 
 
 def _entry_flipped_sign(
-    formula: str, field: str, results: list[PairResult], labels: list[str],
-    flip_first: bool, note: str,
+    formula: str, field: str, pairs: list[tuple[StateParams, StateParams]], cf: ClosedForm,
+    labels: list[str], flip_first: bool, note: str,
 ) -> ReconciliationEntry:
     """A printed exponent (trace field `field`) against the pipeline's; the
     note's {} takes its residual against the pipeline's with state 2's squeeze
     sign reversed, and state 1's too when flip_first."""
-    printed = np.array([getattr(pr.report.printed, field) for pr in results])
-    pipeline = np.array([getattr(pr.report.pipeline, field) for pr in results])
-    flipped = closed_form([_flipped(pr.s1) if flip_first else pr.s1 for pr in results],
-                          [_flipped(pr.s2) for pr in results])
+    printed, pipeline = getattr(cf.printed, field), getattr(cf.pipeline, field)
+    flipped = closed_form([_flipped(s1) if flip_first else s1 for s1, _ in pairs],
+                          [_flipped(s2) for _, s2 in pairs])
     residual = np.abs(printed - getattr(flipped.pipeline, field)).max()
     worst, at = _worst(np.abs(printed - pipeline), labels)
     return ReconciliationEntry(formula, worst, at, _verdict(worst), note.format(residual))
 
 
 def _entries_matching_system(
-    results: list[PairResult], labels: list[str]
+    pairs: list[tuple[StateParams, StateParams]], cf: ClosedForm, labels: list[str]
 ) -> tuple[ReconciliationEntry, ReconciliationEntry]:
     """The printed solve-ready matrix against the definition line printed
     beside it, and the printed denominator against det(matching system)."""
     def_devs, rel_devs, det_devs = [], [], []
-    for pr in results:
-        b1, b2 = pr.s1.beta, pr.s2.beta
-        printed = pr.report.printed.P
-        system, dd = pr.report.pipeline.P, pr.report.pipeline.DeltaDenom
+    for (s1, s2), printed, system, dd in zip(
+            pairs, cf.printed.P, cf.pipeline.P, cf.pipeline.DeltaDenom.tolist()):
+        b1, b2 = s1.beta, s2.beta
         # The definition line beside the display: printed squeeze convention
         # and a bare B1 where the matching condition has B1^(-1/2).
-        core = squeeze_matrix(-pr.s2.r) @ squeeze_matrix(pr.s1.r)
+        core = squeeze_matrix(-s2.r) @ squeeze_matrix(s1.r)
         defn = (
             thermal_matrix(b2, -0.5) @ core @ thermal_matrix(b1, 1.0)
             - thermal_matrix(b2, 0.5) @ core @ thermal_matrix(b1, 0.5)
@@ -374,7 +327,7 @@ def _entries_overlap() -> tuple[ReconciliationEntry, ReconciliationEntry]:
     rs, nbars = (0.0, 0.4, 0.9), (0.2, 1.0, 2.0)
     selfs = ([state(0.0, r, beta=beta) for r in rs]
              + [state(0.0, 0.0, nbar=nbar) for nbar in (*nbars, 1e-6)])
-    printed = [rep.base.printed_value for rep in _reports([(s, s) for s in selfs], _NO_ORACLE)]
+    printed = _batch([(s, s) for s in selfs], _NO_ORACLE).base.printed_value.tolist()
     by_r, by_nbar, printed_cold = printed[:3], printed[3:6], printed[6]
     worst, at = _worst([abs(v - by_r[0]) for v in by_r[1:]],
                        [f"self pair r={r:g} beta={beta:.6g}" for r in rs[1:]])
@@ -434,48 +387,52 @@ def run_verification(
 
     # Self-fidelity grid.
     selfs = self_grid(quick=quick)
-    reps = _reports([(s, s) for s in selfs], opts)
+    cf = _batch([(s, s) for s in selfs], opts)
     labels = [_fmt_state(s) for s in selfs]
     checks = [
-        _bound("self-fidelity-pipeline",
-               [abs(rep.value_matrix_pipeline - 1.0) for rep in reps], labels, 1e-9),
-        _bound("self-fidelity-oracle",
-               [abs(rep.value_oracle - 1.0) for rep in reps], labels, 1e-8),
+        _bound("self-fidelity-pipeline", np.abs(cf.value_matrix_pipeline - 1.0), labels, 1e-9),
+        _bound("self-fidelity-oracle", np.abs(cf.value_oracle - 1.0), labels, 1e-8),
     ]
 
     # Equal-displacement subgrid: the ratio must be exactly 1 in log form.
     g0_grid = undisplaced_pair_grid()[::3 if quick else 1]
-    devs = [abs(rep.pipeline.ratio - 1.0) for rep in _reports(g0_grid, _NO_ORACLE)]
+    devs = np.abs(_batch(g0_grid, _NO_ORACLE).pipeline.ratio - 1.0)
     # reversed, so that the last of equal deviations is the one reported
     exact = _bound("equal-displacement-ratio-exact", devs[::-1],
                    [_fmt_pair(s1, s2) for s1, s2 in g0_grid][::-1], 0.0)
     checks.append(replace(exact, detail="ratio must equal 1.0 bit-exactly; " + exact.detail))
 
-    # Main pair grid, three ways.
-    results = evaluate_pairs(pair_grid(quick=quick), opts)
-    labels = [_fmt_pair(pr.s1, pr.s2) for pr in results]
+    # Main pair grid, three ways, with the oracle fidelity of each pair's
+    # undisplaced pair, run once per distinct undisplaced (r, beta) pair.
+    @functools.cache
+    def undisplaced(key: tuple) -> float:
+        (ra, ba), (rb, bb) = key
+        return _oracle(StateParams(0.0, ra, ba), StateParams(0.0, rb, bb), opts).fidelity
+
+    pairs = pair_grid(quick=quick)
+    grid = _batch(pairs, opts)
+    f0 = np.array([undisplaced(tuple(sorted(((s1.r, s1.beta), (s2.r, s2.beta)))))
+                   for s1, s2 in pairs])
+    labels = [_fmt_pair(s1, s2) for s1, s2 in pairs]
     checks += [
-        _bound("pipeline-vs-oracle", [pr.pipeline_vs_oracle for pr in results], labels, 1e-6),
+        _bound("pipeline-vs-oracle",
+               np.abs(grid.value_matrix_pipeline - grid.value_oracle), labels, 1e-6),
         _bound("decomposition-identity",
-               [pr.decomposition_dev for pr in results], labels, 1e-6),
+               np.abs(grid.value_oracle / f0 - grid.pipeline.ratio), labels, 1e-6),
         _bound("annihilation-residual",
-               [pr.report.pipeline.annihilation_residual or 0.0 for pr in results],
-               labels, 1e-10),
+               [r or 0.0 for r in grid.pipeline.annihilation_residual.tolist()], labels, 1e-10),
     ]
 
     # Coherent pure-state limit.
     k2s = (0.5, 1.0)
-    limit_devs, limit_labels = [], []
-    for k2, rep in zip(k2s, _reports(
-            [(state(0.0, 0.0, nbar=1e-6), state(k2, 0.0, nbar=1e-6)) for k2 in k2s], opts)):
-        for label, val in (
-            ("pipeline", rep.value_matrix_pipeline),
-            ("oracle", rep.value_oracle),
-            ("printed-ratio-exact-base", rep.printed.ratio * rep.base.base),
-        ):
-            limit_devs.append(abs(val - math.exp(-k2 * k2)))
-            limit_labels.append(f"k2={k2:g} [{label}]")
-    checks.append(_bound("coherent-limit", limit_devs, limit_labels, 1e-4))
+    cf = _batch([(state(0.0, 0.0, nbar=1e-6), state(k2, 0.0, nbar=1e-6)) for k2 in k2s], opts)
+    values = np.stack([cf.value_matrix_pipeline, cf.value_oracle,
+                       cf.printed.ratio * cf.base.base], axis=1)
+    devs = np.abs(values - np.array([[math.exp(-k2 * k2)] for k2 in k2s]))
+    checks.append(_bound("coherent-limit", devs.ravel(),
+                         [f"k2={k2:g} [{label}]" for k2 in k2s
+                          for label in ("pipeline", "oracle", "printed-ratio-exact-base")],
+                         1e-4))
 
     conv_entry, conv_check = _entry_difference_convention(opts)
     checks.append(conv_check)
@@ -483,15 +440,15 @@ def run_verification(
     entries = (
         conv_entry,
         _entry_flipped_sign(
-            QUADRATIC_FORM, "log_delta1", results, labels, False,
+            QUADRATIC_FORM, "log_delta1", pairs, grid, labels, False,
             "printed quadratic form equals the pipeline one with the squeeze "
             "sign reversed (flip residual <= {:.3e}); the sign itself is fixed "
             "by the Fock conjugation rule, which the pipeline matches and the "
             "print does not"),
-        *_entries_matching_system(results, labels),
+        *_entries_matching_system(pairs, grid, labels),
         # flipping both squeezes leaves r1 - r2, and so the denominator, alone
         _entry_flipped_sign(
-            RATIO_FORM, "log_ratio", results, labels, True,
+            RATIO_FORM, "log_ratio", pairs, grid, labels, True,
             "printed exponent (eps1 + eps2)/Delta equals the pipeline ratio "
             "with both squeeze signs reversed (flip residual <= {:.3e}): same "
             "single convention slip as the quadratic form, invisible wherever "
@@ -502,6 +459,6 @@ def run_verification(
         entries=entries,
         checks=tuple(checks),
         preset=preset,
-        pair_points=len(results),
+        pair_points=len(pairs),
         self_points=len(selfs),
     )

@@ -39,7 +39,7 @@ leaves the rest of the batch evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -521,7 +521,9 @@ class ClosedForm:
     order, but for the oracle's two, which `with_oracle` puts in at
     ``oracle_flags_at``; ``checks`` lists (name, error class, message
     builder) in check order, and ``first_failure`` holds each row's first
-    failing check index (len(checks) where every check passed).
+    failing check index (len(checks) where every check passed).  ``oracle``
+    (one OracleResult per row, in flat row order) and ``value_oracle`` are
+    None until `with_oracle` sets them.
     """
 
     tol: float
@@ -535,6 +537,8 @@ class ClosedForm:
     oracle_flags_at: int
     checks: tuple
     first_failure: np.ndarray
+    oracle: tuple[OracleResult, ...] | None = None
+    value_oracle: np.ndarray | None = None
 
     def __len__(self) -> int:
         return np.size(self.g)
@@ -560,21 +564,21 @@ class ClosedForm:
         _, kind, message = self.checks[k]
         return kind(message(i))
 
-    def with_oracle(self, flags, value_pipe, fidelity):
-        """(the oracle fidelity clamped to [0, 1], flags with the oracle's two
-        flags put in after the clamps).  Elementwise: flags are the batch's
-        (name, mask, magnitudes) in report order, either as whole columns,
-        with value_pipe and fidelity columns too, or as one row's entries,
-        with that row's values."""
+    def with_oracle(self, results) -> ClosedForm:
+        """The batch with the oracle's columns: its results (one OracleResult
+        per row, in flat row order), their fidelity clamped to [0, 1] as
+        value_oracle, and the oracle's two flags put in after the clamps."""
+        fidelity = np.reshape([o.fidelity for o in results], np.shape(self.g))[()]
         value_oracle, amount = _clamp01(fidelity)
-        dev = np.abs(value_pipe - value_oracle)
+        dev = np.abs(self.value_matrix_pipeline - value_oracle)
         oracle = (("oracle-value-clamped", amount > 0.0, amount),
                   ("pipeline-vs-oracle", dev > max(self.tol, 1e-6), dev))
         at = self.oracle_flags_at
-        return value_oracle, (*flags[:at], *oracle, *flags[at:])
+        return replace(self, oracle=tuple(results), value_oracle=value_oracle,
+                       flags=(*self.flags[:at], *oracle, *self.flags[at:]))
 
-    def report(self, i: int, oracle: OracleResult | None = None) -> FidelityReport:
-        """Row i as a FidelityReport, with the oracle result when one ran."""
+    def report(self, i: int) -> FidelityReport:
+        """Row i as a FidelityReport, with its oracle result when one ran."""
 
         rank = np.ndim(self.g)  # 0 in a batch of one run on scalars (see _pair)
 
@@ -589,23 +593,17 @@ class ClosedForm:
         def trace(tr):
             return type(tr)(*[row(getattr(tr, name)) for name in _FIELDS[type(tr)]])
 
-        value_pipe = row(self.value_matrix_pipeline)
-        flags = [(name, row(mask), row(mag)) for name, mask, mag in self.flags]
-        value_oracle = None
-        if oracle is not None:
-            value_oracle, flags = self.with_oracle(flags, value_pipe, oracle.fidelity)
-            value_oracle = float(value_oracle)
         return FidelityReport(
-            value_matrix_pipeline=value_pipe,
+            value_matrix_pipeline=row(self.value_matrix_pipeline),
             value_printed=row(self.value_printed),
-            value_oracle=value_oracle,
+            value_oracle=row(self.value_oracle),
             pipeline=trace(self.pipeline),
             printed=trace(self.printed),
             base=trace(self.base),
-            oracle=oracle,
+            oracle=None if self.oracle is None else self.oracle[i],
             g=row(self.g),
             discrepancy_flags=tuple(
-                DiscrepancyFlag(name, float(mag)) for name, on, mag in flags if on),
+                DiscrepancyFlag(name, row(mag)) for name, mask, mag in self.flags if row(mask)),
         )
 
 
@@ -815,7 +813,7 @@ def fidelity(
     """
     opts = opts or FidelityOptions()
     cf = _pair(s1, s2, opts.tol)
-    oracle = None
     if opts.oracle:
-        oracle = fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)
-    return cf.report(0, oracle)
+        cf = cf.with_oracle(
+            [fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)])
+    return cf.report(0)

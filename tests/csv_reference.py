@@ -109,13 +109,13 @@ def sweep_csv(argv: list[str]) -> str:
     idx = batch.first_failing_row()
     if idx is not None:
         raise batch.error(idx)
+    if spec.opts.oracle:
+        batch = batch.with_oracle([
+            fidelity_oracle(s1, s2, tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling)
+            for s1, s2 in pairs
+        ])
     for idx, (s1, s2) in enumerate(pairs):
-        oracle = None
-        if spec.opts.oracle:
-            oracle = fidelity_oracle(
-                s1, s2, tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling
-            )
-        lines.append(row_for(idx, s1, s2, batch.report(idx, oracle)))
+        lines.append(row_for(idx, s1, s2, batch.report(idx)))
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from algebra_reference import check_symplectic
-from dstfid.algebra import squeeze_matrix, state, thermal_matrix
+from dstfid.algebra import StateParams, squeeze_matrix, state, thermal_matrix
 from bch_reference import LinExpOp, bch_merge, commutator_scalar
 from dstfid.fock import fidelity_oracle, matrix_exp
 from fock_reference import annihilation
@@ -20,8 +20,6 @@ from dstfid.reconcile import (
     ALL_FORMULAS,
     DENOMINATOR,
     DIFFERENCE_CONVENTION,
-    PairResult,
-    evaluate_pairs,
     pair_grid,
     run_verification,
     self_grid,
@@ -34,9 +32,15 @@ GRID_OPTS = FidelityOptions(tol=1e-8, oracle=True, oracle_tol=1e-8, oracle_ceili
 
 
 @pytest.fixture(scope="module")
-def a3_grid() -> tuple[list[PairResult], float]:
+def a3_grid():
+    """([(s1, s2, fidelity report, oracle fidelity of the undisplaced pair)]
+    over the 81-pair grid, seconds taken)."""
     t0 = time.monotonic()
-    results = evaluate_pairs(pair_grid(), GRID_OPTS)
+    results = []
+    for s1, s2 in pair_grid():
+        undisplaced = fidelity_oracle(StateParams(0.0, s1.r, s1.beta),
+                                      StateParams(0.0, s2.r, s2.beta), tol=1e-8, ceiling=512)
+        results.append((s1, s2, fidelity(s1, s2, GRID_OPTS), undisplaced.fidelity))
     return results, time.monotonic() - t0
 
 
@@ -65,14 +69,15 @@ def test_a2_zero_mismatch_ratio_exactly_one():
 def test_a3_pipeline_matches_oracle_on_standard_grid(a3_grid):
     results, elapsed = a3_grid
     assert len(results) == 81
-    worst = max(r.pipeline_vs_oracle for r in results)
+    worst = max(abs(rep.value_matrix_pipeline - rep.value_oracle) for _, _, rep, _ in results)
     assert worst <= 1e-6
     assert elapsed < 600.0
 
 
 def test_a4_decomposition_identity_against_oracle(a3_grid):
     results, _ = a3_grid
-    worst = max(r.decomposition_dev for r in results)
+    # |oracle F(displaced)/F(undisplaced) - pipeline ratio|
+    worst = max(abs(rep.value_oracle / f0 - rep.pipeline.ratio) for _, _, rep, f0 in results)
     assert worst <= 1e-6
 
 
@@ -181,8 +186,7 @@ def test_a8_merge_reconstruction_and_antisymmetry():
 
 def test_a9_symplectic_factors_and_annihilation_residual(a3_grid):
     results, _ = a3_grid
-    for res in results:
-        s1, s2 = res.s1, res.s2
+    for s1, s2, rep, _ in results:
         m1 = squeeze_matrix(-s1.r)
         m2inv = squeeze_matrix(s2.r)
         factors = [
@@ -203,7 +207,7 @@ def test_a9_symplectic_factors_and_annihilation_residual(a3_grid):
         )
         assert check_symplectic(prod, tol=1e-12)
 
-        residual = res.report.pipeline.annihilation_residual
+        residual = rep.pipeline.annihilation_residual
         assert residual is not None and residual <= 1e-10
 
 

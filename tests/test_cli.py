@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from dstfid.golden import read_snapshots
+
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "fidelity_snapshots.txt"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -398,6 +400,29 @@ def test_snapshot_check_detects_drift(tmp_path):
     res = run_cli("snapshot", "--file", str(bad))
     assert res.returncode == 1
     assert "drifted" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "column, value, says",
+    [(0, "abc", "could not convert string to float: 'abc'"),
+     (6, "-0.5", "nbar must be a finite positive number, got -0.5")],
+    ids=["non-numeric-re_k1", "nbar1-not-positive"],
+)
+def test_snapshot_bad_field_names_its_line(tmp_path, column, value, says):
+    # the golden file with one field of its first record (line 5) replaced
+    lines = GOLDEN.read_text().splitlines()
+    assert [ln.startswith("#") for ln in lines[:5]] == [True] * 4 + [False]
+    cols = lines[4].split()
+    cols[column] = value
+    lines[4] = " ".join(cols)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_snapshots(bad)
+    assert str(exc.value).startswith(f"{bad}:5: {says}")
+    res = run_cli("snapshot", "--file", str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {bad}:5: {says}")
 
 
 def test_snapshot_missing_file_is_io_error(tmp_path):

@@ -1,0 +1,67 @@
+"""Import hygiene of the package modules: every imported name is used in its
+module, exported through its __all__, or marked `# noqa: F401` on its line
+(a name kept for something that looks it up there)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dstfid"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module):
+    """(bound name, line) of every module-level import but __future__'s."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.lineno
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name the module reads, quoted annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= _used(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_import_is_used_exported_or_marked(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    kept = _used(tree) | _exported(tree)
+    unused = [f"{path.name}:{line}: {name}" for name, line in _imported(tree)
+              if name not in kept and "# noqa: F401" not in lines[line - 1]]
+    assert unused == []
+
+
+def test_a_leftover_import_is_caught():
+    tree = ast.parse("import math\nfrom os import path, sep  # noqa: F401\n"
+                     "__all__ = ['sep']\n\ndef f(x: 'Path') -> int:\n    return 1\n")
+    kept = _used(tree) | _exported(tree)
+    assert [name for name, _ in _imported(tree) if name not in kept] == ["math", "path"]

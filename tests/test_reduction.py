@@ -629,6 +629,36 @@ def test_batch_rows_equal_batches_of_one(rows):
                 red._pair(s1[i], s2[i])
 
 
+def test_with_oracle_rows_equal_on_both_batch_shapes():
+    """One OracleResult attached to the batch of one that fidelity runs on
+    numpy scalars and to a 1-D batch gives equal rows; a fidelity past 1 puts
+    both oracle flags in, after the clamps."""
+    import dstfid.reduction as red
+    from dstfid.fock import OracleResult
+
+    s1, s2 = state(0.0, 0.2, nbar=0.5), state(0.5, 0.3, nbar=1.0)
+    past_one = OracleResult(fidelity=1.0 + 1e-5, cutoff_used=80, convergence_gap=3e-9)
+    other = OracleResult(fidelity=0.5, cutoff_used=60, convergence_gap=1e-9)
+    one = red._pair(s1, s2).with_oracle([past_one])
+    batch = closed_form([S1, s1], [S2, s2]).with_oracle([other, past_one])
+    assert np.ndim(one.value_oracle) == 0 and batch.value_oracle.shape == (2,)
+    for cf in (one, batch):
+        assert [name for name, _, _ in cf.flags] == [
+            "log-scaled-path", "printed-displacement-quadratic-form",
+            "printed-ratio-quadratic-form", "printed-base-domain", "printed-base-factor",
+            "pipeline-value-clamped", "printed-value-clamped",
+            "oracle-value-clamped", "pipeline-vs-oracle",
+            "delta1-outside-float-range", "delta2-outside-float-range",
+        ]
+    got, want = batch.report(1), one.report(0)
+    assert _carried(got) == _carried(want)
+    assert {"oracle-value-clamped", "pipeline-vs-oracle"} <= {
+        f.name for f in want.discrepancy_flags}
+    assert repr(got.value_oracle) == repr(want.value_oracle) == "1.0"
+    assert got.oracle == want.oracle == past_one
+    assert batch.report(0).oracle == other
+
+
 # --- assembled fidelity -----------------------------------------------------
 
 
