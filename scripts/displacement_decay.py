@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from dstfid.algebra import state
-from dstfid.reduction import closed_form
+from dstfid.reduction import FidelityOptions, closed_form
 
 SETTINGS = (
     # (r1, r2, nbar1, nbar2, label)
@@ -43,10 +43,8 @@ def main(argv=None) -> int:
         # the whole ray is one closed-form batch
         ts = np.linspace(0.0, args.gmax, args.points)
         batch = closed_form([state(0.0, r1, nbar=n1)] * len(ts),
-                            [state(t * direction, r2, nbar=n2) for t in ts])
-        bad = batch.first_failing_row()
-        if bad is not None:
-            raise batch.error(bad)
+                            [state(t * direction, r2, nbar=n2) for t in ts],
+                            FidelityOptions(oracle=False))
         for t, value in zip(ts, batch.value_matrix_pipeline.tolist()):
             lines.append(
                 f"{label},{r1:g},{r2:g},{n1:g},{n2:g},{t:.17g},"

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import StateParams, state
-from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError, fidelity_oracle
+from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError
 from .golden import (
     check_snapshots,
     compute_record,
@@ -332,10 +332,7 @@ def cmd_compute(args) -> int:
     s1 = _build_state(args.k1, args.r1, args.nbar1, args.beta1, "1")
     s2 = _build_state(args.k2, args.r2, args.nbar2, args.beta2, "2")
     if args.format == "csv":  # a batch of one, rendered as a sweep's rows are
-        cf = _pair(s1, s2, opts.tol)
-        if opts.oracle:
-            cf = cf.with_oracle(
-                [fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)])
+        cf = _pair(s1, s2, opts)
         meta = {"command": "compute", "method": method,
                 "oracle_tol": _g17(opts.oracle_tol), "ceiling": str(opts.oracle_ceiling)}
         states = [get(s) for s in (s1, s2) for _, get in _STATE_CELLS]
@@ -474,7 +471,6 @@ def run_sweep(spec: SweepSpec) -> str:
         meta[f"axis{i}"] = f"{name}={_g17(start)}:{_g17(stop)}:{count}"
     grids = [_grid_values(a) for a in spec.axes]
     shape = (len(grids[0]), len(grids[1]) if len(grids) == 2 else 1)
-    n = shape[0] * shape[1]
 
     def assignment(idx: int) -> dict[str, float]:
         at = divmod(idx, shape[1])
@@ -522,20 +518,13 @@ def run_sweep(spec: SweepSpec) -> str:
         k = re.astype(complex)
         k.imag = im
         inputs += [k, r, beta]
-    cf = closed_form_columns(*inputs, spec.opts.tol)
-    idx = cf.first_failing_row()
-    if idx is not None:
-        err = cf.error(idx)
-        raise type(err)(named(idx, err)) from None
-    if spec.opts.oracle:
-        oracles = []
-        for idx in range(n):
-            try:
-                oracles.append(fidelity_oracle(
-                    *pair(idx), tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling))
-            except ConvergenceError as exc:
-                raise ConvergenceError(named(idx, exc), exc.gaps) from None
-        cf = cf.with_oracle(oracles)
+    try:
+        cf = closed_form_columns(*inputs, spec.opts)
+    except (ValueError, RuntimeError) as exc:
+        if not hasattr(exc, "row"):  # neither a refused row nor its oracle's failure
+            raise
+        gaps = (exc.gaps,) if isinstance(exc, ConvergenceError) else ()
+        raise type(exc)(named(exc.row, exc), *gaps) from None
     return "\n".join([_csv_header(meta), *_csv_rows(fields, cf)]) + "\n"
 
 

@@ -72,6 +72,15 @@ def _check_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be >= 2, got {cutoff!r}")
 
 
+def _check_oracle_options(tol: float, ceiling: int) -> None:
+    """Refuse a tol below 1e-10 or a ceiling below 2, the smallest cutoff
+    (FidelityOptions too, so whether or not the oracle runs)."""
+    if not tol >= 1e-10:  # NaN too: no gap would ever be <= it
+        raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
+    if ceiling < 2:
+        raise ValueError(f"ceiling must be >= 2 (the smallest cutoff), got {ceiling!r}")
+
+
 def matrix_exp(m: FockMatrix) -> FockMatrix:
     """Dense matrix exponential (scaling-and-squaring core), the reference
     the tests check the oracle's operators against; it needs scipy, which
@@ -328,10 +337,7 @@ def fidelity_oracle(
     tol below 1e-10, a ceiling below the smallest cutoff, 2, or a ceiling
     that truncates more than 1e-12 of either thermal weight.
     """
-    if not tol >= 1e-10:  # NaN too: no gap would ever be <= it
-        raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
-    if ceiling < 2:
-        raise ValueError(f"ceiling must be >= 2 (the smallest cutoff), got {ceiling!r}")
+    _check_oracle_options(tol, ceiling)
     start = _starting_cutoff(s1, s2)
     ladder: list[int] = []
     if start >= ceiling:

@@ -7,7 +7,7 @@ transcription error.  Verdicts are earned numerically: a display is
 "typo-confirmed" only when it deviates from the matrix pipeline beyond
 tolerance *and* the matrix pipeline itself passes the oracle checks, so the
 report never rests on one path's say-so.  Each grid is one `closed_form`
-batch, with the oracle run per pair and its results attached as columns.
+batch, which runs the oracle per pair and carries its results as columns.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import StateParams, squeeze_matrix, state, thermal_matrix
-from .fock import fidelity_oracle
-from .reduction import ClosedForm, FidelityOptions, closed_form
+from .reduction import _NO_ORACLE, ClosedForm, FidelityOptions, closed_form
 
 __all__ = [
     "QUADRATIC_FORM",
@@ -64,8 +63,6 @@ ALL_FORMULAS = (
 # The verification run's oracle convergence tolerance and cutoff ceiling.
 VERIFY_TOL = 1e-8
 VERIFY_CEILING = 512
-
-_NO_ORACLE = FidelityOptions(oracle=False)
 
 
 @dataclass(frozen=True)
@@ -169,24 +166,12 @@ def undisplaced_pair_grid() -> list[tuple[StateParams, StateParams]]:
     return out
 
 
-def _oracle(s1: StateParams, s2: StateParams, opts: FidelityOptions):
-    return fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)
-
-
 def _batch(
     pairs: list[tuple[StateParams, StateParams]], opts: FidelityOptions
 ) -> ClosedForm:
     """fidelity(s1, s2, opts) for every pair, as one closed-form batch with
-    the oracle's results, run per pair, as its columns.  The first refused
-    row raises its first failing check, as fidelity does, before any oracle
-    runs."""
-    cf = closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], opts.tol)
-    i = cf.first_failing_row()
-    if i is not None:
-        raise cf.error(i)
-    if not opts.oracle:
-        return cf
-    return cf.with_oracle([_oracle(s1, s2, opts) for s1, s2 in pairs])
+    the oracle's results as its columns (see closed_form_columns)."""
+    return closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], opts)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +248,7 @@ def _entry_flipped_sign(
     sign reversed, and state 1's too when flip_first."""
     printed, pipeline = getattr(cf.printed, field), getattr(cf.pipeline, field)
     flipped = closed_form([_flipped(s1) if flip_first else s1 for s1, _ in pairs],
-                          [_flipped(s2) for _, s2 in pairs])
+                          [_flipped(s2) for _, s2 in pairs], _NO_ORACLE)
     residual = np.abs(printed - getattr(flipped.pipeline, field)).max()
     worst, at = _worst(np.abs(printed - pipeline), labels)
     return ReconciliationEntry(formula, worst, at, _verdict(worst), note.format(residual))
@@ -406,8 +391,8 @@ def run_verification(
     # undisplaced pair, run once per distinct undisplaced (r, beta) pair.
     @functools.cache
     def undisplaced(key: tuple) -> float:
-        (ra, ba), (rb, bb) = key
-        return _oracle(StateParams(0.0, ra, ba), StateParams(0.0, rb, bb), opts).fidelity
+        pair = tuple(StateParams(0.0, r, beta) for r, beta in key)
+        return _batch([pair], opts).oracle[0].fidelity
 
     pairs = pair_grid(quick=quick)
     grid = _batch(pairs, opts)

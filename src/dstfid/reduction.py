@@ -26,14 +26,15 @@ which the comparison path reproduces verbatim.
 
 Both paths, the base factor, the flags and every check are evaluated by
 `closed_form`, elementwise over arrays of pairs: a sweep is one call, and
-`fidelity` is a batch of one plus the optional oracle.  Every closed-form
+`fidelity` is a batch of one.  Every closed-form
 scalar is assembled from logarithms (log_sinh, log_cosh, a signed
 log-sum-exp) at every beta and only exponentiated at the report boundary, so
 hot states keep their digits and near-pure states never overflow.  The matrix
 route is written without differences of nearly equal products (see
-_matching_system); beyond beta = 30 its checks are skipped.  A row that fails
-a check carries its first failure instead of raising, so one refused row
-leaves the rest of the batch evaluated.
+_matching_system); beyond beta = 30 its checks are skipped.  The batch then
+raises its first refused row's first failing check and, when the options ask
+for it, runs the oracle per row: every refusal and every oracle run of a pair
+evaluation happens in `closed_form_columns`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from .algebra import (
     squeeze_matrix,  # noqa: F401  (perfbench's tracer wraps these names here)
     thermal_matrix,  # noqa: F401
 )
-from .fock import DEFAULT_CUTOFF_CEILING, OracleResult, fidelity_oracle
+from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError, OracleResult, fidelity_oracle
+from .fock import _check_oracle_options
 
 __all__ = [
     "DiscrepancyFlag",
@@ -154,13 +156,6 @@ class BaseFactorTrace:
         return abs(self.printed_value - self.base)
 
 
-def _check_tol(tol: float) -> None:
-    # a NaN threshold compares False against every mismatch (no flag ever
-    # raised), and a non-positive one flags exact agreement
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
 @dataclass(frozen=True)
 class FidelityOptions:
     """Knobs for a fidelity evaluation."""
@@ -171,7 +166,14 @@ class FidelityOptions:
     oracle_ceiling: int = DEFAULT_CUTOFF_CEILING
 
     def __post_init__(self):
-        _check_tol(self.tol)
+        # a NaN threshold compares False against every mismatch (no flag ever
+        # raised), and a non-positive one flags exact agreement
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        _check_oracle_options(self.oracle_tol, self.oracle_ceiling)
+
+
+_NO_ORACLE = FidelityOptions(oracle=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,7 +523,8 @@ class ClosedForm:
     order, but for the oracle's two, which `with_oracle` puts in at
     ``oracle_flags_at``; ``checks`` lists (name, error class, message
     builder) in check order, and ``first_failure`` holds each row's first
-    failing check index (len(checks) where every check passed).  ``oracle``
+    failing check index (len(checks) where every check passed; only
+    `_evaluate` returns a batch with a refused row).  ``oracle``
     (one OracleResult per row, in flat row order) and ``value_oracle`` are
     None until `with_oracle` sets them.
     """
@@ -542,19 +545,6 @@ class ClosedForm:
 
     def __len__(self) -> int:
         return np.size(self.g)
-
-    def first_failing_row(self) -> int | None:
-        """Index of the first row that failed a check, or None."""
-        rows = np.flatnonzero(self.first_failure < len(self.checks))
-        return int(rows[0]) if rows.size else None
-
-    def failure(self, i: int) -> tuple[str, str] | None:
-        """(check name, message) of row i's first failing check, or None."""
-        k = self.first_failure.item(i)
-        if k == len(self.checks):
-            return None
-        name, _, message = self.checks[k]
-        return name, message(i)
 
     def error(self, i: int) -> Exception | None:
         """Row i's first failing check as the exception it raises, or None."""
@@ -607,36 +597,54 @@ class ClosedForm:
         )
 
 
-def closed_form(states1, states2, tol: float = 1e-8) -> ClosedForm:
+def closed_form(states1, states2, opts: FidelityOptions) -> ClosedForm:
     """Evaluate both closed-form paths, the base factor, the flags and every
-    check for the pairs (states1[i], states2[i]), elementwise.
-
-    Nothing raises for a refused row: its first failing check is kept, in
-    this order: the squeeze gap, each squeeze factor (SqueezeGapError), a
-    finite mismatch, then up to beta = 30 the matrix-route checks (see
-    _matrix_route).  tol is the flag threshold of FidelityOptions, refused
-    alike when it is not finite and positive.
-    """
+    check for the pairs (states1[i], states2[i]), elementwise, with the
+    oracle's columns when opts.oracle (see `closed_form_columns`)."""
 
     def column(states, attr, dtype):
         return np.array([getattr(s, attr) for s in states], dtype=dtype)
 
     k1, r1, b1 = (column(states1, a, t) for a, t in (("k", complex), ("r", float), ("beta", float)))
     k2, r2, b2 = (column(states2, a, t) for a, t in (("k", complex), ("r", float), ("beta", float)))
-    return closed_form_columns(k1, r1, b1, k2, r2, b2, tol)
+    return closed_form_columns(k1, r1, b1, k2, r2, b2, opts)
 
 
-def closed_form_columns(k1, r1, b1, k2, r2, b2, tol: float = 1e-8) -> ClosedForm:
-    """`closed_form` on the pairs' parameters as (n,) arrays: the complex
+def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> ClosedForm:
+    """`closed_form` on the pairs' parameters as arrays: the complex
     displacements k, squeeze factors r and inverse temperatures beta of
-    states that StateParams accepted, one entry per row."""
-    _check_tol(tol)
-    # Out-of-range rows are refused by their checks (NaN fails each), not
-    # reported as numpy warnings.
-    with np.errstate(all="ignore"):
-        return _evaluate(k1, r1, b1, k2, r2, b2, tol)
+    states that StateParams accepted, one entry per row.
+
+    The first refused row raises its first failing check, in this order: the
+    squeeze gap, each squeeze factor (SqueezeGapError), a finite mismatch, a
+    squeezed norm in double range, then up to beta = 30 the matrix-route
+    checks (see _matrix_route).  Then, with opts.oracle, the oracle runs on
+    each row's pair; a ConvergenceError, like a refusal, carries its row's
+    index as ``row``.
+    """
+    cf = _evaluate(k1, r1, b1, k2, r2, b2, opts.tol)
+    refused = np.flatnonzero(cf.first_failure < len(cf.checks))
+    if refused.size:
+        err = cf.error(refused[0])
+        err.row = int(refused[0])
+        raise err
+    if not opts.oracle:
+        return cf
+    results = []
+    for row, (ka, ra, ba, kb, rb, bb) in enumerate(
+            zip(*(np.ravel(c).tolist() for c in (k1, r1, b1, k2, r2, b2)))):
+        try:
+            results.append(fidelity_oracle(StateParams(ka, ra, ba), StateParams(kb, rb, bb),
+                                           tol=opts.oracle_tol, ceiling=opts.oracle_ceiling))
+        except ConvergenceError as exc:
+            exc.row = row
+            raise
+    return cf.with_oracle(results)
 
 
+# Out-of-range rows are refused by their checks (NaN fails each), not
+# reported as numpy warnings.
+@np.errstate(all="ignore")
 def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     shape = np.shape(k1)
     # only the mismatch enters the fidelity: D(k1)^dag D(k2) is D(k2 - k1)
@@ -651,7 +659,8 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     # The difference ld1 - ld2 cancels catastrophically as beta grows (both
     # exponents scale like sinh(beta) while the ratio stays order one), so
     # delta2 follows from the direct cancellation-free ratio.
-    lratio = _ratio_log(lh, ldd, -2.0 * _squeezed_norm(g, r1), -2.0 * _squeezed_norm(g, r2))
+    norms = 2.0 * _squeezed_norm(g, r1), 2.0 * _squeezed_norm(g, r2)
+    lratio = _ratio_log(lh, ldd, -norms[0], -norms[1])
     l0 = _multiplier(r1, r2, g, lh, ldd)
     p, residual, route_checks = _matrix_route(r1, b1, r2, b2, g, ldd, ld1, lratio, l0)
     l_vec = np.empty(shape + (2,), dtype=complex)
@@ -736,6 +745,9 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
         ("squeeze-factor-1", SqueezeGapError, np.abs(2.0 * r1) > _EXP_MAX, squeeze_message(r1)),
         ("finite-mismatch", ValueError, ~np.isfinite(g),
          lambda i: f"g must be finite, got {g.item(i)!r}"),
+        ("mismatch-range", ValueError, ~(np.isfinite(norms[0]) & np.isfinite(norms[1])),
+         lambda i: f"displacement mismatch g={g.item(i)!r}: its squeezed norm "
+                   "2((Re g)^2 e^(2r) + (Im g)^2 e^(-2r)) leaves double range"),
     ]
     checks = input_checks + route_checks
     failed = np.array([mask for _, _, mask, _ in checks])
@@ -756,24 +768,19 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def _pair(s1: StateParams, s2: StateParams, tol: float = 1e-8) -> ClosedForm:
-    """A batch of one, with its first failing check raised.  It runs the
-    batch code on numpy scalars rather than one-element arrays, which numpy
-    evaluates several times faster per operation and rounds alike (the
-    complex products are written in real arithmetic for this)."""
-    with np.errstate(all="ignore"):
-        cf = _evaluate(np.complex128(s1.k), np.float64(s1.r), np.float64(s1.beta),
-                       np.complex128(s2.k), np.float64(s2.r), np.float64(s2.beta), tol)
-    err = cf.error(0)
-    if err is not None:
-        raise err
-    return cf
+def _pair(s1: StateParams, s2: StateParams, opts: FidelityOptions) -> ClosedForm:
+    """`closed_form_columns` on a batch of one.  It runs the batch code on
+    numpy scalars rather than one-element arrays, which numpy evaluates
+    several times faster per operation and rounds alike (the complex products
+    are written in real arithmetic for this)."""
+    return closed_form_columns(np.complex128(s1.k), np.float64(s1.r), np.float64(s1.beta),
+                               np.complex128(s2.k), np.float64(s2.r), np.float64(s2.beta), opts)
 
 
 def _at_mismatch(s1: StateParams, s2: StateParams, g: complex) -> ClosedForm:
     """The pair evaluated at displacement mismatch g (only the mismatch enters
     the closed forms), with its first failing check raised."""
-    return _pair(StateParams(0.0, s1.r, s1.beta), StateParams(g, s2.r, s2.beta))
+    return _pair(StateParams(0.0, s1.r, s1.beta), StateParams(g, s2.r, s2.beta), _NO_ORACLE)
 
 
 def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
@@ -807,13 +814,8 @@ def fidelity(
     verbatim printed path (printed ratio times printed base); value_oracle is
     the adaptive-cutoff brute-force fidelity (None only when disabled).
     Every mismatch beyond opts.tol is flagged by name, in pipeline order, and
-    out-of-range values are clamped loudly, never silently.  The closed forms
-    are `closed_form` on a batch of one; a refused pair raises its first
-    failing check before the oracle runs.
+    out-of-range values are clamped loudly, never silently.  It is
+    `closed_form` on a batch of one: a refused pair raises its first failing
+    check before the oracle runs.
     """
-    opts = opts or FidelityOptions()
-    cf = _pair(s1, s2, opts.tol)
-    if opts.oracle:
-        cf = cf.with_oracle(
-            [fidelity_oracle(s1, s2, tol=opts.oracle_tol, ceiling=opts.oracle_ceiling)])
-    return cf.report(0)
+    return _pair(s1, s2, opts or FidelityOptions()).report(0)

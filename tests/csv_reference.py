@@ -18,7 +18,6 @@ from dstfid.cli import (
     build_parser,
     build_sweep_spec,
 )
-from dstfid.fock import fidelity_oracle
 from dstfid.reduction import FidelityReport, closed_form, fidelity
 
 __all__ = ["row_for", "sweep_states", "sweep_csv", "compute_csv", "reference_csv"]
@@ -105,15 +104,7 @@ def sweep_csv(argv: list[str]) -> str:
         sweep_states(args, {spec.axes[i][0]: values[i] for i in range(len(values))})
         for values in combos
     ]
-    batch = closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], spec.opts.tol)
-    idx = batch.first_failing_row()
-    if idx is not None:
-        raise batch.error(idx)
-    if spec.opts.oracle:
-        batch = batch.with_oracle([
-            fidelity_oracle(s1, s2, tol=spec.opts.oracle_tol, ceiling=spec.opts.oracle_ceiling)
-            for s1, s2 in pairs
-        ])
+    batch = closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], spec.opts)
     for idx, (s1, s2) in enumerate(pairs):
         lines.append(row_for(idx, s1, s2, batch.report(idx)))
     return "\n".join(lines) + "\n"

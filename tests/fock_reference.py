@@ -57,14 +57,14 @@ def _psd_sqrt(rho: FockMatrix) -> FockMatrix:
 
 
 def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
-    """F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 for two density matrices."""
+    """F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 for two density matrices,
+    evaluated as the squared nuclear norm ||sqrt(rho1) sqrt(rho2)||_1^2: the
+    sum of singular values, which swapping the states only conjugates, so the
+    value is symmetric to rounding (the eigenvalues of the sandwich are not:
+    their square roots amplify rounding in the tiny ones)."""
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     _check_density(rho1, "rho1")
     _check_density(rho2, "rho2")
-    root1 = _psd_sqrt(rho1)
-    inner = root1 @ rho2 @ root1
-    # inner is Hermitian PSD up to rounding; evaluate tr sqrt by eigenvalues.
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    return float(np.sum(np.sqrt(vals)) ** 2)
+    sv = np.linalg.svd(_psd_sqrt(rho1) @ _psd_sqrt(rho2), compute_uv=False)
+    return float(np.sum(sv) ** 2)

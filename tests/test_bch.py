@@ -14,7 +14,7 @@ from algebra_reference import pair_vec
 from bch_reference import LinExpOp, bch_merge, commutator_scalar
 from dstfid.algebra import state
 from dstfid.fock import matrix_exp
-from dstfid.reduction import closed_form
+from dstfid.reduction import FidelityOptions, closed_form
 from fock_reference import annihilation
 
 small_c = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -136,6 +136,7 @@ def test_displacement_compose_is_the_merged_displacements(k1, k2):
     batch = closed_form(
         [state(k1, 0.2, beta=1.0), state(0.3j, 0.0, beta=2.0)],
         [state(k2, -0.1, beta=1.5), state(1.0, 0.0, beta=2.0)],
+        FidelityOptions(oracle=False),
     )
     assert abs(batch.g[0] - g) <= 1e-15
     assert batch.g[1] == _merged_displacements(0.3j, 1.0)[0]

@@ -228,6 +228,59 @@ def test_compute_single_squeeze_past_double_range_exits_2(args):
     assert len(res.stderr.splitlines()) == 1  # no traceback
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--beta1", "40", "--beta2", "40", "--k2", "1e154"),
+        ("--beta1", "1", "--beta2", "1", "--r2", "300", "--k2", "1e30"),
+    ],
+    ids=["log-scaled", "wide-squeeze"],
+)
+def test_compute_mismatch_past_double_range_exits_2(args):
+    # 2 (Re g)^2 e^(2r) leaves double range, on either side of beta = 30
+    res = run_cli("compute", *args, "--method", "closed-form")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: displacement mismatch g=(1e+")
+    assert "leaves double range" in res.stderr
+    assert len(res.stderr.splitlines()) == 1  # no traceback
+
+
+def test_mismatch_just_inside_double_range_gives_zero_with_its_flags():
+    res = run_cli("compute", "--beta1", "40", "--beta2", "40", "--k2", "1e153",
+                  "--method", "closed-form", "--format", "record")
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["value_matrix_pipeline"] == 0.0
+    assert [f["name"] for f in record["flags"] if "outside" in f["name"]] == [
+        "delta1-outside-float-range", "delta2-outside-float-range"]
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (("compute", "--nbar1", "1", "--nbar2", "1", "--method", "closed-form",
+          "--ceiling", "1", "--oracle-tol", "1e-12"), "error: tol must be >= 1e-10, got 1e-12\n"),
+        (("sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "re_k2=0:1:3", "--ceiling", "1"),
+         "error: ceiling must be >= 2 (the smallest cutoff), got 1\n"),
+        (("sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "re_k2=0:1:3", "--method", "all",
+          "--oracle-tol", "1e-12"), "error: tol must be >= 1e-10, got 1e-12\n"),
+    ],
+    ids=["compute-closed-form", "sweep-closed-form", "sweep-all"],
+)
+def test_oracle_options_are_refused_before_any_evaluation(monkeypatch, capsys, argv, says):
+    # whether or not the method runs the oracle
+    import dstfid.cli as cli
+    import dstfid.reduction as red
+
+    def refuse(*args):
+        raise AssertionError("a batch ran before the options were refused")
+
+    monkeypatch.setattr(red, "_evaluate", refuse)
+    assert cli.main(list(argv)) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == says
+
+
 def test_sweep_convergence_failure_names_the_row():
     res = run_cli(
         "sweep", "--nbar1", "0.5", "--nbar2", "0.5", "--sweep", "re_k2=0:3:4",
@@ -264,9 +317,12 @@ _NBAR_REFUSED = "nbar must be a finite positive number, got {} (nbar = 0 is the 
          "no rows written"),
         (("--nbar1", "-1", "--nbar2", "1"), ("re_k2=0:1:3",), 2,
          "error: sweep row 0 (re_k2=0): " + _NBAR_REFUSED.format("-1.0")),
+        (("--beta1", "40", "--beta2", "40"), ("re_k2=0:1e154:3",), 2,
+         "error: sweep row 2 (re_k2=1e+154): displacement mismatch g=(1e+154+0j)"),
     ],
     ids=["refused-check", "squeeze-past-double-range", "nbar-axis-row-0", "beta-axis-zero",
-         "inner-axis-of-2d", "outer-axis-of-2d", "fixed-squeeze-nan", "fixed-nbar-negative"],
+         "inner-axis-of-2d", "outer-axis-of-2d", "fixed-squeeze-nan", "fixed-nbar-negative",
+         "mismatch-past-double-range"],
 )
 def test_sweep_bad_row_is_named_and_nothing_written(tmp_path, fixed, axes, code, row):
     out = tmp_path / "sweep.csv"

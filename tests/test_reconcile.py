@@ -5,6 +5,7 @@ pair."""
 import pytest
 
 import dstfid.reconcile as reconcile
+import dstfid.reduction as red
 from dstfid.algebra import state
 from dstfid.fock import fidelity_oracle
 from dstfid.reconcile import pair_grid, run_verification, self_grid
@@ -52,7 +53,7 @@ def test_refused_pair_raises_as_fidelity_does(monkeypatch):
     with pytest.raises(SqueezeGapError) as want:
         fidelity(*refused, OPTS)
     calls = []
-    monkeypatch.setattr(reconcile, "fidelity_oracle", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(red, "fidelity_oracle", lambda *a, **kw: calls.append(a))
     with pytest.raises(SqueezeGapError) as got:
         reconcile._batch([good, refused, good], OPTS)
     assert type(got.value) is type(want.value)
@@ -68,6 +69,6 @@ def test_every_oracle_run_uses_the_run_ceiling(monkeypatch):
         ceilings.append(ceiling)
         return fidelity_oracle(s1, s2, tol=tol, ceiling=ceiling)
 
-    monkeypatch.setattr(reconcile, "fidelity_oracle", recorded)
+    monkeypatch.setattr(red, "fidelity_oracle", recorded)
     assert run_verification(preset="quick", ceiling=300).passed
     assert ceilings and set(ceilings) == {300}

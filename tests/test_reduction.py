@@ -28,6 +28,7 @@ from fock_reference import thermal_state
 
 S1 = state(0.0, 0.2, nbar=0.8)
 S2 = state(0.0, 0.3, beta=1.0)
+NO_ORACLE = FidelityOptions(oracle=False)
 
 nbars = st.floats(min_value=0.05, max_value=3.0)
 radii = st.floats(min_value=-1.0, max_value=1.0)
@@ -580,6 +581,29 @@ def test_closed_form_runs_no_fock_code(monkeypatch, capsys):
     assert capsys.readouterr().out.count("\n0,") == 3  # every sweep wrote row 0
 
 
+def test_every_oracle_run_goes_through_reduction(monkeypatch, capsys):
+    import dstfid.cli as cli
+    import dstfid.reduction as red
+
+    calls = []
+    right = red.fidelity_oracle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return right(*args, **kwargs)
+
+    monkeypatch.setattr(red, "fidelity_oracle", counted)
+    fidelity(state(0.0, 0.2, nbar=0.5), state(0.3, 0.1, nbar=1.0))
+    assert len(calls) == 1
+    assert cli.main(["compute", "--nbar1", "0.5", "--nbar2", "0.5", "--k2", "0.3",
+                     "--format", "csv", "--method", "all"]) == 0
+    assert len(calls) == 2
+    assert cli.main(["sweep", "--nbar1", "0.5", "--nbar2", "0.5", "--method", "all",
+                     "--sweep", "re_k2=0:1:3"]) == 0
+    assert len(calls) == 5
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("rec", read_snapshots(default_golden_path()), ids=range(5))
 def test_closed_form_matches_golden_records(rec):
     rep = fidelity(rec.s1, rec.s2, FidelityOptions(oracle=False))
@@ -607,26 +631,48 @@ def _carried(rep):
     return repr(out)
 
 
+def _kept(states1, states2):
+    """The closed-form batch with its refused rows kept (closed_form raises
+    the first)."""
+    import dstfid.reduction as red
+
+    return red._evaluate(*[np.array([getattr(s, a) for s in states], dtype=t)
+                           for states in (states1, states2)
+                           for a, t in (("k", complex), ("r", float), ("beta", float))], 1e-8)
+
+
 @settings(max_examples=60)
 @given(st.lists(pairs, min_size=1, max_size=6))
 def test_batch_rows_equal_batches_of_one(rows):
     """Values, logs, flags and the first failing check of every row of a batch
     equal those of the same pair evaluated alone: as a one-row batch, and as
-    the batch of one that fidelity runs on numpy scalars."""
+    the batch of one that fidelity runs on numpy scalars.  The public batch
+    raises its first refused row's error, with that row's index."""
     import dstfid.reduction as red
 
     s1 = [state(0.0, r1, beta=b1) for r1, b1, _, _, _ in rows]
     s2 = [state(g, r2, beta=b2) for _, _, r2, b2, g in rows]
-    batch = closed_form(s1, s2)
+    batch = _kept(s1, s2)
     for i in range(len(rows)):
-        one = closed_form([s1[i]], [s2[i]])
-        assert batch.failure(i) == one.failure(0)
+        one = _kept([s1[i]], [s2[i]])
+        assert batch.first_failure[i] == one.first_failure[0]
         assert _carried(batch.report(i)) == _carried(one.report(0))
-        if batch.failure(i) is None:
-            assert _carried(batch.report(i)) == _carried(red._pair(s1[i], s2[i]).report(0))
+        err = batch.error(i)
+        if err is None:
+            assert _carried(batch.report(i)) == \
+                _carried(red._pair(s1[i], s2[i], NO_ORACLE).report(0))
         else:
-            with pytest.raises(type(batch.error(i)), match=re.escape(batch.failure(i)[1])):
-                red._pair(s1[i], s2[i])
+            assert str(err) == str(one.error(0))
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                red._pair(s1[i], s2[i], NO_ORACLE)
+    refused = [i for i in range(len(rows)) if batch.error(i) is not None]
+    if refused:
+        with pytest.raises(type(batch.error(refused[0]))) as got:
+            closed_form(s1, s2, NO_ORACLE)
+        assert got.value.row == refused[0]
+        assert str(got.value) == str(batch.error(refused[0]))
+    else:
+        assert _carried(closed_form(s1, s2, NO_ORACLE).report(0)) == _carried(batch.report(0))
 
 
 def test_with_oracle_rows_equal_on_both_batch_shapes():
@@ -639,8 +685,8 @@ def test_with_oracle_rows_equal_on_both_batch_shapes():
     s1, s2 = state(0.0, 0.2, nbar=0.5), state(0.5, 0.3, nbar=1.0)
     past_one = OracleResult(fidelity=1.0 + 1e-5, cutoff_used=80, convergence_gap=3e-9)
     other = OracleResult(fidelity=0.5, cutoff_used=60, convergence_gap=1e-9)
-    one = red._pair(s1, s2).with_oracle([past_one])
-    batch = closed_form([S1, s1], [S2, s2]).with_oracle([other, past_one])
+    one = red._pair(s1, s2, NO_ORACLE).with_oracle([past_one])
+    batch = closed_form([S1, s1], [S2, s2], NO_ORACLE).with_oracle([other, past_one])
     assert np.ndim(one.value_oracle) == 0 and batch.value_oracle.shape == (2,)
     for cf in (one, batch):
         assert [name for name, _, _ in cf.flags] == [
@@ -665,12 +711,10 @@ def test_with_oracle_rows_equal_on_both_batch_shapes():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
 def test_options_refuse_a_tolerance_that_cannot_flag(tol):
     # NaN compares False against every mismatch, so it would drop every flag;
-    # a non-positive threshold would flag exact agreement.  A batch takes the
-    # same threshold and refuses it alike.
+    # a non-positive threshold would flag exact agreement.  A batch takes its
+    # threshold from the options only.
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         FidelityOptions(tol=tol)
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
-        closed_form([state(0.0, 0.2, nbar=1.0)], [state(0.5, 0.2, nbar=1.0)], tol)
 
 
 def test_fidelity_report_composes_ratio_and_base():
