@@ -210,7 +210,7 @@ def _cells(values) -> list[str]:
 
 def _csv_rows(states: list, cf: ClosedForm) -> list[str]:
     """The CSV rows of batch cf, cells in _CSV_COLUMNS order, rendered a
-    column at a time: states holds the ten state columns' values, and the
+    column at a time: states holds the ten state columns' cells, and the
     oracle columns are filled when cf carries the oracle's.  Rows with the
     same flags share one joined flags cell."""
     n = len(cf)
@@ -225,7 +225,7 @@ def _csv_rows(states: list, cf: ClosedForm) -> list[str]:
                                   for b, (_, mask, _) in enumerate(flags)), return_inverse=True)
     names = [";".join(f[0] for b, f in enumerate(flags) if s >> b & 1) for s in flag_sets.tolist()]
     columns = (
-        [str(i) for i in range(n)], *map(_cells, states),
+        [str(i) for i in range(n)], *states,
         _cells(cf.g.real), _cells(cf.g.imag),
         _cells(value_pipe), _cells(cf.value_printed), f_oracle,
         _cells(cf.pipeline.ratio), _cells(cf.printed.ratio),
@@ -264,7 +264,6 @@ def _report_record(s1: StateParams, s2: StateParams, rep: FidelityReport) -> dic
             "DeltaDenom": _jnum(rep.pipeline.DeltaDenom),
             "log_DeltaDenom": _jnum(rep.pipeline.log_DeltaDenom),
             "annihilation_residual": _jnum(rep.pipeline.annihilation_residual),
-            "log_scaled": rep.pipeline.log_scaled,
         },
         "printed": {
             "delta1": _jnum(rep.printed.delta1),
@@ -335,9 +334,9 @@ def cmd_compute(args) -> int:
         cf = _pair(s1, s2, opts)
         meta = {"command": "compute", "method": method,
                 "oracle_tol": _g17(opts.oracle_tol), "ceiling": str(opts.oracle_ceiling)}
-        states = [get(s) for s in (s1, s2) for _, get in _STATE_CELLS]
+        cells = [[_g17(get(s))] for s in (s1, s2) for _, get in _STATE_CELLS]
         print(_csv_header(meta))
-        print(_csv_rows(states, cf)[0])
+        print(_csv_rows(cells, cf)[0])
         return EXIT_OK
     rep = fidelity(s1, s2, opts)
     if args.format == "human":
@@ -513,6 +512,9 @@ def run_sweep(spec: SweepSpec) -> str:
         except ValueError as exc:
             raise type(exc)(named(idx, exc)) from None
     fields = [column(j, f, get) for j in (0, 1) for f, get in _STATE_CELLS]
+    # the state cells: each source value formatted once, spread as the value is
+    cells = [column(j, f, lambda s: _g17(get(s)), object).tolist()
+             for j in (0, 1) for f, get in _STATE_CELLS]
     inputs = []
     for re, im, r, _, beta in (fields[:5], fields[5:]):
         k = re.astype(complex)
@@ -525,7 +527,7 @@ def run_sweep(spec: SweepSpec) -> str:
             raise
         gaps = (exc.gaps,) if isinstance(exc, ConvergenceError) else ()
         raise type(exc)(named(exc.row, exc), *gaps) from None
-    return "\n".join([_csv_header(meta), *_csv_rows(fields, cf)]) + "\n"
+    return "\n".join([_csv_header(meta), *_csv_rows(cells, cf)]) + "\n"
 
 
 def cmd_sweep(args) -> int:

@@ -404,8 +404,7 @@ def run_verification(
                np.abs(grid.value_matrix_pipeline - grid.value_oracle), labels, 1e-6),
         _bound("decomposition-identity",
                np.abs(grid.value_oracle / f0 - grid.pipeline.ratio), labels, 1e-6),
-        _bound("annihilation-residual",
-               [r or 0.0 for r in grid.pipeline.annihilation_residual.tolist()], labels, 1e-10),
+        _bound("annihilation-residual", grid.pipeline.annihilation_residual, labels, 1e-10),
     ]
 
     # Coherent pure-state limit.

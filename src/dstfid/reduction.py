@@ -3,10 +3,10 @@
 Two closed-form paths live here:
 
 * the **pipeline** (reported): delta1, delta2, the multiplier l and the
-  matching denominator come from closed-form scalars at every beta, and up to
-  beta = 30 the 2x2 conjugation-matrix route the paper derives them with is
-  evaluated on the same pair as a check, with the structural identities
-  asserted along the way;
+  matching denominator come from closed-form scalars, and the 2x2
+  conjugation-matrix route the paper derives them with is evaluated on the
+  same pair as a check, with the structural identities asserted along the
+  way, both at every beta;
 * the **printed formulas** (comparison path): a verbatim transcription of
   the published closed-form displays, kept so their deviations can be
   measured and flagged rather than silently corrected.
@@ -26,15 +26,14 @@ which the comparison path reproduces verbatim.
 
 Both paths, the base factor, the flags and every check are evaluated by
 `closed_form`, elementwise over arrays of pairs: a sweep is one call, and
-`fidelity` is a batch of one.  Every closed-form
-scalar is assembled from logarithms (log_sinh, log_cosh, a signed
-log-sum-exp) at every beta and only exponentiated at the report boundary, so
-hot states keep their digits and near-pure states never overflow.  The matrix
-route is written without differences of nearly equal products (see
-_matching_system); beyond beta = 30 its checks are skipped.  The batch then
-raises its first refused row's first failing check and, when the options ask
-for it, runs the oracle per row: every refusal and every oracle run of a pair
-evaluation happens in `closed_form_columns`.
+`fidelity` is a batch of one.  Every closed-form scalar is assembled from
+logarithms and only exponentiated at the report boundary, so hot states keep
+their digits and near-pure states never overflow; the matrix route is written
+without differences of nearly equal products and scaled so that its checks
+run at every beta (see _matrix_route).  The batch then raises its first
+refused row's first failing check and, when the options ask for it, runs the
+oracle per row: every refusal and every oracle run of a pair evaluation
+happens in `closed_form_columns`.
 """
 
 from __future__ import annotations
@@ -68,14 +67,9 @@ __all__ = [
     "closed_form_columns",
     "base_factor",
     "fidelity",
-    "LOG_SCALE_BETA",
     "PipelineCheckError",
     "SqueezeGapError",
 ]
-
-# Above this inverse temperature the pipeline skips the matrix route's checks:
-# the conjugation factors exp(+-beta/2) leave the products without digits to check.
-LOG_SCALE_BETA = 30.0
 
 # Internal consistency tolerance for dual-path (matrix vs scalar) evaluation.
 _DUAL_TOL = 1e-10
@@ -116,8 +110,7 @@ class ReductionTrace:
     The log fields are always finite-informative even when the exponentiated
     values leave double range (``log_DeltaDenom`` where ``DeltaDenom`` does).
     The pipeline trace reports every field from the closed-form scalars;
-    ``annihilation_residual`` comes from the matrix route that checks them
-    (None beyond beta = 30, where it does not run).
+    ``annihilation_residual`` comes from the matrix route that checks them.
     The printed trace leaves the pipeline-only fields (from ``l_vec`` on) None.
     Inside a `ClosedForm` every field holds one array entry per row.
     """
@@ -133,7 +126,6 @@ class ReductionTrace:
     DeltaDenom: float | None = None
     log_DeltaDenom: float | None = None
     annihilation_residual: float | None = None
-    log_scaled: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -235,37 +227,29 @@ def _squeezed_norm(g, r):
     return g.real * g.real * np.exp(x) + g.imag * g.imag * np.exp(-x)
 
 
-def _log_hyperbolics(b1, b2):
-    """log sinh of (b1, b2, b1/2, b2/2, (b1 + b2)/2, |b1 - b2|/2) and log cosh
-    of (b1/2, b2/2), as one array each, evaluated once per batch; the last
-    log sinh is -inf at b1 = b2 (under np.errstate)."""
-    x = np.array([b1, b2, 0.5 * b1, 0.5 * b2, 0.5 * (b1 + b2), 0.5 * np.abs(b1 - b2)])
-    return _log_sinh(x), _log_cosh(x[2:4])
+def _log_sinhs(b1, b2):
+    """log sinh of (b1, b2, b1/2, b2/2, (b1 + b2)/2, |b1 - b2|/2) as one
+    array, evaluated once per batch; the last is -inf at b1 = b2 (under
+    np.errstate)."""
+    return _log_sinh(np.array([b1, b2, 0.5 * b1, 0.5 * b2, 0.5 * (b1 + b2),
+                               0.5 * np.abs(b1 - b2)]))
 
 
-def _sinh_times(log_sinh_beta, bracket):
-    """sinh(beta) * bracket from logarithms; + 0.0 makes a vanishing bracket
-    of either sign give +0.0."""
-    return np.copysign(np.exp(log_sinh_beta + np.log(np.abs(bracket))), bracket) + 0.0
-
-
-def _log_denominator(lh, r1, r2):
+def _log_denominator(ls, r1, r2):
     """log of the common positive denominator
     ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1, summed as
     sh^2((b1+b2)/2) + sh^2((b1-b2)/2) + sh b1 sh b2 ch 2(r1-r2):
     three nonnegative terms, so hot states (small beta) keep their digits
-    (the middle one is -inf, dropping out, at b1 = b2).  lh is
-    _log_hyperbolics(b1, b2)."""
-    ls, _ = lh
+    (the middle one is -inf, dropping out, at b1 = b2).  ls is
+    _log_sinhs(b1, b2)."""
     top = ls[0] + ls[1] + _log_cosh(np.abs(2.0 * (r1 - r2)))
     return np.logaddexp(np.logaddexp(2.0 * ls[4], 2.0 * ls[5]), top)
 
 
-def _ratio_log(lh, ldd, c1, c2):
+def _ratio_log(ls, ldd, c1, c2):
     """(sh b1 sh^2(b2/2) c1 + sh^2(b1/2) sh b2 c2) / exp(ldd), with ldd the log
     denominator, assembled by signed log-sum-exp so neither the terms nor the
     quotient overflow; exactly 0.0 where both coefficients vanish."""
-    ls, _ = lh
     lnum, sign = logsumexp(
         [
             ls[0] + 2.0 * ls[3] + np.log(np.abs(c1)),
@@ -276,42 +260,40 @@ def _ratio_log(lh, ldd, c1, c2):
     return sign * np.exp(lnum - ldd)
 
 
-def _delta1_log(g, r2, log_sinh_b2):
-    """Pipeline-convention exponent of delta1 (depends on state 2 only)."""
-    return _sinh_times(log_sinh_b2, -_squeezed_norm(g, r2))
+def _multiplier(r1, b1, r2, b2, g):
+    """The solved multiplier l in closed form, with t = tanh(beta/2),
+    D = 2 (t1^2 + t2^2) + 4 t1 t2 ch 2(r1 - r2) = Delta/(c1 c2)^2 and
+    a, b = 2 t2^2/D, 2 t1 t2/D:
 
+        Re l = sech(b1/2) Re g [a e^{r1} + b e^{2 r2 - r1}],
+        Im l = sech(b1/2) Im g [b e^{r1 - 2 r2} + a e^{-r1}].
 
-def _multiplier(r1, r2, g, lh, ldd):
-    """The solved multiplier l in closed form, with ldd the log denominator:
-
-        Re l = 2 sh(b2/2) Re g [e^{r1} ch(b1/2) sh(b2/2)
-                                + e^{2 r2 - r1} sh(b1/2) ch(b2/2)] / Delta,
-        Im l = 2 sh(b2/2) Im g [e^{r1 - 2 r2} sh(b1/2) ch(b2/2)
-                                + e^{-r1} ch(b1/2) sh(b2/2)] / Delta.
-
-    This is the adjugate solve of the matching system written as two
-    nonnegative terms per component, each exponentiated from its logarithm,
-    so nothing cancels or overflows.
+    This is the adjugate solve of the matching system as two nonnegative
+    terms per component, each exponentiated from its logarithm, so nothing
+    cancels or overflows; a and b come from u = t/max(t1, t2), so no
+    logarithm grows with beta and no state, hot or cold, costs l digits.
     """
-    ls, lc = lh
-    lpre = _LOG2 + ls[3] - ldd
-    cs = lpre + lc[0] + ls[3]
-    sc = lpre + ls[2] + lc[1]
-    re = g.real * (np.exp(cs + r1) + np.exp(sc + 2.0 * r2 - r1))
-    im = g.imag * (np.exp(sc + r1 - 2.0 * r2) + np.exp(cs - r1))
+    t1, t2 = np.tanh(0.5 * b1), np.tanh(0.5 * b2)
+    top = np.maximum(t1, t2)
+    u1, u2 = t1 / top, t2 / top
+    lu1, lu2 = np.log(u1), np.log(u2)
+    lden = np.log(u1 * u1 + u2 * u2 + 2.0 * (u1 * u2) * np.cosh(2.0 * (r1 - r2)))
+    la, lb = 2.0 * lu2 - lden, lu1 + lu2 - lden
+    sech = 1.0 / np.cosh(0.5 * b1)
+    re = sech * g.real * (np.exp(la + r1) + np.exp(lb + 2.0 * r2 - r1))
+    im = sech * g.imag * (np.exp(lb + r1 - 2.0 * r2) + np.exp(la - r1))
     return _complex(re, im)
 
 
 # ---------------------------------------------------------------------------
-# the 2x2 matrix route (checks the scalars up to beta = 30)
+# the 2x2 matrix route (checks the scalars at every beta)
 # ---------------------------------------------------------------------------
 
 
 def _matching_system(r1, b1, r2, b2, g):
-    """The matching system P l = 2 s2 Z v: (P entries, v, the two
-    anti-diagonal entries of P in the quadrature basis, the right-hand side in
-    the quadrature basis, the factors ch, sh of beta1/2 and beta2/2 and
-    e^{-+d}), each a tuple of arrays.
+    """The matching system P l = 2 s2 Z v: (P entries, v[0], the quadrature-basis
+    anti-diagonal of P/(c1 c2) and right-hand side over c2, and t1, t2 =
+    tanh(beta1/2), tanh(beta2/2) and e^{-+d}), each a tuple of arrays.
 
     With c, s = ch, sh(beta/2) the thermal factors are B^{-+1/2} = c I +- s Z,
     Z = diag(1, -1), so the differences of nearly equal products in
@@ -332,27 +314,32 @@ def _matching_system(r1, b1, r2, b2, g):
 
     is anti-diagonal with entries 2 (c2 s1 e^{-+d} + s2 c1 e^{+-d}), sums of
     positive products, and the right-hand side is R (2 s2 Z v) =
-    2 sqrt2 s2 (Re u, i Im u) with u = v[0]; it is formed in that basis only.
+    2 sqrt2 s2 (Re u, i Im u) with u = v[0].  Both are formed in that basis
+    only, over c1 c2 and c2: 2 (t1 e^{-+d} + t2 e^{+-d}) and
+    2 sqrt2 t2 (Re u, i Im u), whose solution is c1 l, so nothing overflows
+    or underflows as beta grows.
     """
     d = r2 - r1
     p_diag = 2.0 * np.sinh(0.5 * (b1 + b2)) * np.cosh(d)
     p_off = 2.0 * np.sinh(0.5 * (b1 - b2)) * np.sinh(d)
-    v0 = _complex(np.exp(r2) * g.real, np.exp(-r2) * g.imag)
-    v1 = -v0.conj()
-    factors = c1, s1, c2, s2, m, big = (
-        np.cosh(0.5 * b1), np.sinh(0.5 * b1), np.cosh(0.5 * b2), np.sinh(0.5 * b2),
-        np.exp(-d), np.exp(d),
-    )
-    cs, sc = c2 * s1, s2 * c1
-    p_quadrature = (2.0 * (cs * m + sc * big), 2.0 * (cs * big + sc * m))
-    rhs_quadrature = (2.0 * _SQRT2 * s2 * v0.real + 0j, 2.0j * _SQRT2 * s2 * v0.imag)
-    return (p_diag, p_off, -p_off, -p_diag), (v0, v1), p_quadrature, rhs_quadrature, factors
+    v0 = _complex(np.exp(r2) * g.real, np.exp(-r2) * g.imag)  # v = (v0, -conj v0)
+    factors = t1, t2, m, big = np.tanh(0.5 * b1), np.tanh(0.5 * b2), np.exp(-d), np.exp(d)
+    p_quadrature = (2.0 * (t1 * m + t2 * big), 2.0 * (t1 * big + t2 * m))
+    rhs_quadrature = (2.0 * _SQRT2 * t2 * v0.real + 0j, 2.0j * _SQRT2 * t2 * v0.imag)
+    return (p_diag, p_off, -p_off, -p_diag), v0, p_quadrature, rhs_quadrature, factors
 
 
-def _matrix_route(r1, b1, r2, b2, g, ldd, ld1, lratio, l0):
+def _log_within(tol, terms, top):
+    """|sum of s e^t over the terms (t, s)| <= tol e^top, compared in
+    logarithms, so values past double range are checked too; NaN fails."""
+    return logsumexp([t for t, _ in terms], [s for _, s in terms])[0] <= math.log(tol) + top
+
+
+def _matrix_route(r1, b1, r2, b2, g, ls, ldd, ld1, lq1, lratio, l0):
     """Evaluate the 2x2 matrix route and check the closed-form values against
-    it, with ldd the log denominator.  Returns (P entries, annihilation
-    residual, checks), in check order:
+    it, with ls the log sinhs, ldd the log denominator, and ld1 and lq1
+    the closed-form delta1 exponent and the log of its magnitude.  Returns (P
+    entries, annihilation residual, checks), in check order:
 
     both exponents real and delta1 equal to the scalar form to 1e-10; the
     determinant against -2*Delta, checked normalised as
@@ -364,81 +351,89 @@ def _matrix_route(r1, b1, r2, b2, g, ldd, ld1, lratio, l0):
     _L_TOL of the solve's first-order rounding bound.
     Everything past delta1 runs in the quadrature basis (see
     _matching_system), where P is anti-diagonal, R Sigma R = -Sigma and every
-    product below is a sum of same-signed terms.
+    product below is a sum of same-signed terms; P and A are divided by c1 c2
+    and the right-hand side by c2, each max(1, .) floor with them, and the
+    delta exponents are carried as (log magnitude, sign), so every check runs
+    at every beta.
     """
-    p, (v0, v1), (q01, q10), (rhs0, rhs1), (c1, s1, c2, s2, m, big) = \
-        _matching_system(r1, b1, r2, b2, g)
+    p, v0, (q01, q10), (rhs0, rhs1), (t1, t2, m, big) = _matching_system(r1, b1, r2, b2, g)
+    c1, c2 = np.cosh(0.5 * b1), np.cosh(0.5 * b2)  # finite below beta = 745
+    lc2 = np.log(c2)
     # (1/2) v^T B2^{-1/2} Sigma B2^{+1/2} v = sh(b2) v0 v1: the e^{b2} - e^{-b2}
-    # of the conjugated form is 2 sh b2.
-    expo1 = _cmul(np.sinh(b2) * v0, v1)
-    ld1m = expo1.real
-    root = np.exp(0.5 * (_LOG2 + ldd))  # sqrt(2 Delta) = sqrt(-det P)
+    # of the conjugated form is 2 sh b2, which enters as its logarithm.
+    vv = _cmul(v0, -v0.conj())
+    ld1m = ls[1] + np.log(np.abs(vv.real)), np.sign(vv.real)
+    root = np.exp(0.5 * (_LOG2 + ldd) - np.log(c1) - lc2)  # sqrt(2 Delta)/(c1 c2)
     det_unit = (q01 / root) * (q10 / root)
     h0, h1 = rhs1 / q10, rhs0 / q01
     rhs_norm = np.hypot(np.abs(rhs0), np.abs(rhs1))
     resid = np.hypot(np.abs(q01 * h1 - rhs0), np.abs(q10 * h0 - rhs1))
     m0, m1 = _SQRT_HALF * (h0 + h1), _SQRT_HALF * (h0 - h1)  # back to (a^dag, a)
     pair_dev = np.abs(m1 + m0.conj())
-    # R A R for A = B2^{-1/2} C B1^{-1/2}, with R B^{-1/2} R = c I + s X
-    a00, a01 = c2 * m * c1 + s2 * big * s1, c2 * m * s1 + s2 * big * c1
-    a10, a11 = s2 * m * c1 + c2 * big * s1, s2 * m * s1 + c2 * big * c1
-    # Quadratic term l^T A^T Sigma A l: symplectic conjugation reduces it to
-    # the antisymmetric form on a single vector, which vanishes identically.
+    # R A R/(c1 c2) for A = B2^{-1/2} C B1^{-1/2}, with R B^{-1/2} R = c I + s X:
+    # its off-diagonal entries are those of R P R/(2 c1 c2)
+    a00, a01, a10, a11 = m + t1 * t2 * big, 0.5 * q01, 0.5 * q10, t1 * t2 * m + big
+    # Quadratic term l^T A^T Sigma A l, formed on w = A l over its norm nw so no
+    # square overflows: symplectic conjugation reduces it to the antisymmetric
+    # form on a single vector, which vanishes identically.
     w0, w1 = a00 * h0 + a01 * h1, a10 * h0 + a11 * h1
-    quad = _cmul(h0, a00 * w1 - a10 * w0) + _cmul(h1, a01 * w1 - a11 * w0)
-    aw0, aw1 = np.abs(w0), np.abs(w1)
-    residual = np.abs(quad) / np.maximum(1.0, aw0 * aw0 + aw1 * aw1)
+    nw = np.maximum(1.0 / c2, np.hypot(np.abs(w0), np.abs(w1)))
+    u0, u1 = w0 / nw, w1 / nw
+    quad = _cmul(h0, a00 * u1 - a10 * u0) + _cmul(h1, a01 * u1 - a11 * u0)
+    residual = np.abs(quad) / nw
     expo2 = 0.5 * (_cmul(h0, a00 * rhs1 - a10 * rhs0) + _cmul(h1, a01 * rhs1 - a11 * rhs0))
-    ld2m = expo2.real
+    ld2m = 2.0 * lc2 + np.log(np.abs(expo2.real)), np.sign(expo2.real)
     # the bound for the anti-diagonal quadrature solve, whose l has components
-    # sqrt2 i Im l[0] and sqrt2 Re l[0], mapped back to l[0]
-    x0 = q01 * _SQRT2 * np.abs(l0.real) + np.abs(rhs0)
-    x1 = q10 * _SQRT2 * np.abs(l0.imag) + np.abs(rhs1)
-    bound = _SQRT_HALF * (x1 / q10 + x0 / q01)
+    # sqrt2 i Im l[0] and sqrt2 Re l[0], mapped back to l[0] (times c1 here)
+    l0c = c1 * l0
+    bound = np.abs(l0c.real) + np.abs(l0c.imag) + _SQRT_HALF * (np.abs(h0) + np.abs(h1))
     checks = [
         ("delta1-imaginary", PipelineCheckError,
-         ~(np.abs(expo1.imag) <= 1e-10 * np.maximum(1.0, np.abs(expo1))),
-         lambda i: f"delta1 exponent acquired an imaginary part: {expo1.item(i)!r}"),
+         ~(np.abs(vv.imag) <= 1e-10 * np.maximum(np.exp(-ls[1]), np.abs(vv))),
+         lambda i: f"delta1 exponent acquired an imaginary part: {_times_exp(vv, ls[1], i)!r}"),
         ("delta1-dual-path", PipelineCheckError,
-         ~(np.abs(ld1m - ld1) <= _DUAL_TOL * np.maximum(1.0, np.abs(ld1m))),
-         lambda i: f"delta1 dual-path mismatch: matrix {ld1m.item(i)!r} vs "
+         ~_log_within(_DUAL_TOL, [ld1m, (lq1, 1.0)], np.maximum(0.0, ld1m[0])),
+         lambda i: f"delta1 dual-path mismatch: matrix {_times_exp(*ld1m[::-1], i)!r} vs "
                    f"scalar {ld1.item(i)!r}"),
         ("determinant", DegenerateInputError, ~np.isfinite(det_unit) | (det_unit == 0.0),
-         lambda i: f"matching matrix determinant {_det_of(q01, q10, i)!r} is zero or not "
-                   "finite; the positive denominator (det = -2*DeltaDenom) has "
+         lambda i: f"matching matrix determinant {-2 * _times_exp(det_unit, ldd, i)!r} is "
+                   "zero or not finite; the positive denominator (det = -2*DeltaDenom) has "
                    "degenerated"),
         ("determinant-dual-path", PipelineCheckError,
          ~(np.abs(det_unit - 1.0) <= _DUAL_TOL),
-         lambda i: f"determinant dual-path mismatch: matrix {_det_of(q01, q10, i)!r} vs "
-                   f"-2*DeltaDenom {_det_of(root, root, i)!r}"),
+         lambda i: f"determinant dual-path mismatch: matrix {-2 * _times_exp(det_unit, ldd, i)!r}"
+                   f" vs -2*DeltaDenom {-2.0 * float(np.exp(ldd.item(i)))!r}"),
         ("solve-residual", PipelineCheckError,
-         ~(resid <= 1e-10 * np.maximum(1.0, rhs_norm)),
-         lambda i: f"matching solve residual {resid.item(i):g} too large"),
+         ~(resid <= 1e-10 * np.maximum(1.0 / c2, rhs_norm)),
+         lambda i: f"matching solve residual {resid.item(i) * c2.item(i):g} too large"),
         ("conjugate-pair", PipelineCheckError,
-         ~(pair_dev <= 1e-10 * np.maximum(1.0, np.abs(m0))),
-         lambda i: f"solved multiplier lost conjugate-pair form (dev {pair_dev.item(i):g})"),
+         ~(pair_dev <= 1e-10 * np.maximum(c1, np.abs(m0))),
+         lambda i: f"solved multiplier lost conjugate-pair form "
+                   f"(dev {pair_dev.item(i) / c1.item(i):g})"),
         ("annihilation", PipelineCheckError, ~(residual <= 1e-10),
          lambda i: f"annihilation identity violated: residual {residual.item(i):g}"),
         ("delta2-imaginary", PipelineCheckError,
-         ~(np.abs(expo2.imag) <= 1e-10 * np.maximum(1.0, np.abs(expo2))),
-         lambda i: f"delta2 exponent acquired an imaginary part: {expo2.item(i)!r}"),
+         ~(np.abs(expo2.imag) <= 1e-10 * np.maximum(1.0 / (c2 * c2), np.abs(expo2))),
+         lambda i: f"delta2 exponent acquired an imaginary part: "
+                   f"{expo2.item(i) * c2.item(i) * c2.item(i)!r}"),
         ("ratio-dual-path", PipelineCheckError,
-         ~(np.abs((ld1m - ld2m) - lratio)
-           <= 1e-10 * np.maximum(np.maximum(1.0, np.abs(ld1m)), np.abs(ld2m))),
-         lambda i: f"ratio dual-path mismatch: matrix {(ld1m - ld2m).item(i)!r} vs "
+         ~_log_within(1e-10, [ld1m, (ld2m[0], -ld2m[1]),
+                              (np.log(np.abs(lratio)), -np.sign(lratio))],
+                      np.maximum(np.maximum(0.0, ld1m[0]), ld2m[0])),
+         lambda i: f"ratio dual-path mismatch: matrix "
+                   f"{_times_exp(*ld1m[::-1], i) - _times_exp(*ld2m[::-1], i)!r} vs "
                    f"direct {lratio.item(i)!r}"),
         ("multiplier-dual-path", PipelineCheckError,
-         ~(np.abs(m0 - l0) <= _L_TOL * np.maximum(1.0, bound)),
-         lambda i: f"multiplier dual-path mismatch: matrix {m0.item(i)!r} vs "
+         ~(np.abs(m0 - l0c) <= _L_TOL * np.maximum(c1, bound)),
+         lambda i: f"multiplier dual-path mismatch: matrix {m0.item(i) / c1.item(i)!r} vs "
                    f"closed form {l0.item(i)!r}"),
     ]
     return p, residual, checks
 
 
-def _det_of(a, b, i):
-    """-a[i] b[i] in Python floats, which overflow to inf without raising:
-    the unnormalised determinant, for a refusal message."""
-    return -(a.item(i) * b.item(i))
+def _times_exp(x, log, i):
+    """x[i] exp(log[i]) in Python numbers (inf past double range), for a refusal message."""
+    return x.item(i) * float(np.exp(log.item(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +441,24 @@ def _det_of(a, b, i):
 # ---------------------------------------------------------------------------
 
 
-def _printed_path(g, r1, b1, r2, b2, lh, ldd):
+def _printed_path(g, r1, b1, r2, b2, ls, ldd):
     """Verbatim printed displays (opposite squeeze-sign convention): the log
     delta1 quadratic form, the log ratio (eps1 + eps2)/denominator, and the
     four entries of the solve-ready matrix with its 1/denominator prefactor."""
     gg, g2 = 2.0 * (g.real * g.real - g.imag * g.imag), g.real * g.real + g.imag * g.imag
     x1, x2 = 2.0 * r1, 2.0 * r2
-    ld1 = _sinh_times(lh[0][1], 0.5 * np.sinh(x2) * gg - np.cosh(x2) * g2)
+    quad = 0.5 * np.sinh(x2) * gg - np.cosh(x2) * g2
+    # sh(b2) quad from logarithms; + 0.0 makes a vanishing quad of either sign +0.0
+    ld1 = np.copysign(np.exp(ls[1] + np.log(np.abs(quad))), quad) + 0.0
     c1 = gg * np.sinh(x1) - 2.0 * g2 * np.cosh(x1)
     c2 = gg * np.sinh(x2) - 2.0 * g2 * np.cosh(x2)
-    lratio = _ratio_log(lh, ldd, c1, c2)
+    lratio = _ratio_log(ls, ldd, c1, c2)
     chr_, shr = np.cosh(r1 - r2), np.sinh(r1 - r2)
     # the sinh/denominator quotients come from logarithms, so the 1/denominator
     # prefactor is already applied and nothing overflows past beta ~ 710
-    shs = np.exp(lh[0][4] - ldd)
+    shs = np.exp(ls[4] - ldd)
     # sh((b2 - b1)/2) carries the sign of b2 - b1, +0.0 at b1 = b2
-    shd2 = np.copysign(np.exp(lh[0][5] - ldd), b2 - b1)
+    shd2 = np.copysign(np.exp(ls[5] - ldd), b2 - b1)
     return ld1, lratio, (shs * chr_, shd2 * shr, -shd2 * shr, -shs * chr_)
 
 
@@ -552,7 +549,8 @@ class ClosedForm:
         if k == len(self.checks):
             return None
         _, kind, message = self.checks[k]
-        return kind(message(i))
+        with np.errstate(all="ignore"):  # a message value may leave double range
+            return kind(message(i))
 
     def with_oracle(self, results) -> ClosedForm:
         """The batch with the oracle's columns: its results (one OracleResult
@@ -617,10 +615,10 @@ def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> Closed
 
     The first refused row raises its first failing check, in this order: the
     squeeze gap, each squeeze factor (SqueezeGapError), a finite mismatch, a
-    squeezed norm in double range, then up to beta = 30 the matrix-route
-    checks (see _matrix_route).  Then, with opts.oracle, the oracle runs on
-    each row's pair; a ConvergenceError, like a refusal, carries its row's
-    index as ``row``.
+    squeezed norm in double range, then the matrix-route checks (see
+    _matrix_route).  Then, with opts.oracle, the oracle runs on each row's
+    pair; a ConvergenceError, like a refusal, carries its row's index as
+    ``row``.
     """
     cf = _evaluate(k1, r1, b1, k2, r2, b2, opts.tol)
     refused = np.flatnonzero(cf.first_failure < len(cf.checks))
@@ -650,19 +648,20 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     # only the mismatch enters the fidelity: D(k1)^dag D(k2) is D(k2 - k1)
     # up to a phase, which cancels
     g = k2 - k1
-    scaled = np.maximum(b1, b2) > LOG_SCALE_BETA
 
     # pipeline scalars
-    lh = _log_hyperbolics(b1, b2)
-    ldd = _log_denominator(lh, r1, r2)
-    ld1 = _delta1_log(g, r2, lh[0][1])
+    ls = _log_sinhs(b1, b2)
+    ldd = _log_denominator(ls, r1, r2)
+    norms = 2.0 * _squeezed_norm(g, r1), 2.0 * _squeezed_norm(g, r2)
+    # delta1's exponent -sh(b2) norms[1]/2 (state 2 only), and its log magnitude
+    lq1 = ls[1] + np.log(0.5 * norms[1])
+    ld1 = -np.exp(lq1) + 0.0
     # The difference ld1 - ld2 cancels catastrophically as beta grows (both
     # exponents scale like sinh(beta) while the ratio stays order one), so
     # delta2 follows from the direct cancellation-free ratio.
-    norms = 2.0 * _squeezed_norm(g, r1), 2.0 * _squeezed_norm(g, r2)
-    lratio = _ratio_log(lh, ldd, -norms[0], -norms[1])
-    l0 = _multiplier(r1, r2, g, lh, ldd)
-    p, residual, route_checks = _matrix_route(r1, b1, r2, b2, g, ldd, ld1, lratio, l0)
+    lratio = _ratio_log(ls, ldd, -norms[0], -norms[1])
+    l0 = _multiplier(r1, b1, r2, b2, g)
+    p, residual, route_checks = _matrix_route(r1, b1, r2, b2, g, ls, ldd, ld1, lq1, lratio, l0)
     l_vec = np.empty(shape + (2,), dtype=complex)
     l_vec[..., 0], l_vec[..., 1] = l0, -l0.conj()
     pipeline = ReductionTrace(
@@ -676,11 +675,10 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
         l_vec=l_vec,
         DeltaDenom=np.exp(ldd),
         log_DeltaDenom=ldd,
-        annihilation_residual=np.where(scaled, None, residual),
-        log_scaled=scaled,
+        annihilation_residual=residual,
     )
 
-    pr_ld1, pr_lratio, display = _printed_path(g, r1, b1, r2, b2, lh, ldd)
+    pr_ld1, pr_lratio, display = _printed_path(g, r1, b1, r2, b2, ls, ldd)
     printed = ReductionTrace(
         delta1=np.exp(pr_ld1),
         delta2=np.exp(pr_ld1 - pr_lratio),  # implied by the printed decomposition
@@ -695,7 +693,7 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     lone = np.logaddexp(0.0, 0.5 * np.logaddexp(0.0, ldd - _LOG2))  # log(1 + sqrt(1 + Delta/2))
     exact = np.where(
         (r1 == r2) & (b1 == b2), 1.0,
-        np.exp(math.log(4.0) + lh[0][2] + lh[0][3] + lone - ldd),
+        np.exp(math.log(4.0) + ls[2] + ls[3] + lone - ldd),
     )
     y, printed_base, overflow = _printed_base(r1, b1, r2, b2)
     domain_error = np.full(shape, None, dtype=object)
@@ -712,7 +710,6 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     # matrix pipeline: mismatch factor, then ratio, then base display; the
     # oracle's flags go in after the clamps.
     before_oracle = (
-        ("log-scaled-path", scaled, np.zeros(shape)),
         ("printed-displacement-quadratic-form",
          d1_dev > tol * np.maximum(1.0, np.abs(ld1)), d1_dev),
         ("printed-ratio-quadratic-form", ratio_dev > tol, ratio_dev),
@@ -751,7 +748,6 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     ]
     checks = input_checks + route_checks
     failed = np.array([mask for _, _, mask, _ in checks])
-    failed[len(input_checks):] &= ~scaled  # the matrix route checks up to beta = 30
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(checks))
     return ClosedForm(
         tol=tol, g=g,

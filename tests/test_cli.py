@@ -67,15 +67,15 @@ def test_compute_oracle_matches_frozen_golden_snapshot():
 
 
 def test_compute_refused_pipeline_check_is_one_line_exit_1():
-    # equal squeezes at r = 354: sinh(beta) |v|^2 overflows on both paths of
-    # delta1, and inf - inf fails the dual-path check
+    # |v|^2 = (Im g)^2 e^(-2 r2) ~ 1e-322 is subnormal on both paths of delta1,
+    # so sh(744) |v|^2 keeps a few bits, and the ratio check refuses the pair
     res = run_cli(
-        "compute", "--r1", "354", "--r2", "354", "--beta1", "5", "--beta2", "5",
-        "--k2", "0.5", "--method", "closed-form",
+        "compute", "--r2", "352", "--beta1", "1", "--beta2", "744",
+        "--k2", "1e-8i", "--method", "closed-form",
     )
     assert res.returncode == 1
     assert res.stdout == ""
-    assert res.stderr.startswith("pipeline check failed: delta1 dual-path mismatch")
+    assert res.stderr.startswith("pipeline check failed: ratio dual-path mismatch")
     assert len(res.stderr.splitlines()) == 1  # no traceback, no numpy warning
 
 
@@ -237,7 +237,7 @@ def test_compute_single_squeeze_past_double_range_exits_2(args):
     ids=["log-scaled", "wide-squeeze"],
 )
 def test_compute_mismatch_past_double_range_exits_2(args):
-    # 2 (Re g)^2 e^(2r) leaves double range, on either side of beta = 30
+    # 2 (Re g)^2 e^(2r) leaves double range, for a cold pair and across a wide squeeze
     res = run_cli("compute", *args, "--method", "closed-form")
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("error: displacement mismatch g=(1e+")
@@ -245,8 +245,11 @@ def test_compute_mismatch_past_double_range_exits_2(args):
     assert len(res.stderr.splitlines()) == 1  # no traceback
 
 
-def test_mismatch_just_inside_double_range_gives_zero_with_its_flags():
-    res = run_cli("compute", "--beta1", "40", "--beta2", "40", "--k2", "1e153",
+# 2|g|^2 is in double range but sh(beta)|g|^2 is not: the matrix route compares
+# the delta exponents in logarithms, so it checks them on either side of 30
+@pytest.mark.parametrize("beta", ["29", "30", "40"])
+def test_mismatch_just_inside_double_range_gives_zero_with_its_flags(beta):
+    res = run_cli("compute", "--beta1", beta, "--beta2", beta, "--k2", "1e150",
                   "--method", "closed-form", "--format", "record")
     assert res.returncode == 0, res.stderr
     record = json.loads(res.stdout)
@@ -299,8 +302,9 @@ _NBAR_REFUSED = "nbar must be a finite positive number, got {} (nbar = 0 is the 
 @pytest.mark.parametrize(
     "fixed, axes, code, row",
     [
-        (("--r1", "354", "--beta1", "5", "--beta2", "5"), ("r2=352:356:5",), 1,
-         "pipeline check failed: sweep row 2 (r2=354): delta1 dual-path"),
+        # g = -1e-8 i: see test_compute_refused_pipeline_check_is_one_line_exit_1
+        (("--k1", "0.5+1e-8i", "--beta1", "1", "--beta2", "744"), ("r2=0:352:3",), 1,
+         "pipeline check failed: sweep row 2 (r2=352): ratio dual-path"),
         (("--nbar1", "1", "--nbar2", "1"), ("r2=353:357:5",), 2,
          "error: sweep row 2 (r2=355): squeeze factors"),
         (("--nbar1", "1"), ("nbar2=-1:1:3",), 2,

@@ -29,7 +29,7 @@ CASES = {
     "nbar-axis-outer-2d": (["sweep", "--k2", "0.3-0.2i", "--nbar2", "2",
                             "--sweep", "nbar1=0.1:3:4", "--sweep", "r2=-0.5:0.5:3"], "\n11,"),
     "beta-axis-log-scaled": (["sweep", "--nbar2", "1", "--k2", "0.2+0.1i", "--r1", "0.1",
-                              "--sweep", "beta1=0.5:40:5"], "log-scaled-path"),
+                              "--sweep", "beta1=0.5:40:5"], "\n4,"),
     "beta-axis-inner-2d": (["sweep", "--k1=-0.3", "--nbar1", "1", "--k2", "0.5",
                             "--sweep", "r1=-1:1:3", "--sweep", "beta2=1:60:3",
                             "--method", "printed"], "delta2-outside-float-range"),
@@ -42,7 +42,7 @@ CASES = {
     "printed-path-flags": (["sweep", "--nbar1", "0.01", "--nbar2", "0.02",
                             "--sweep", "re_k2=0:60:4"], "delta1-outside-float-range"),
     "beta-740": (["sweep", "--beta1", "740", "--nbar2", "1.0", "--sweep", "re_k2=0:1:3"],
-                 "log-scaled-path"),
+                 "\n2,"),
     "wide-squeeze-gap": (["sweep", "--r1", "177", "--r2", "-177", "--beta1", "29",
                           "--beta2", "29", "--sweep", "re_k2=0:1:3"],
                          "printed-displacement-quadratic-form"),

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 import warnings
 
 import mpmath as mp
@@ -21,9 +22,10 @@ from dstfid.reduction import (
     SqueezeGapError,
     base_factor,
     closed_form,
+    closed_form_columns,
     fidelity,
 )
-from dstfid.reduction import _at_mismatch, _delta1_log, _pipeline_trace
+from dstfid.reduction import _at_mismatch, _pipeline_trace
 from fock_reference import thermal_state
 
 S1 = state(0.0, 0.2, nbar=0.8)
@@ -34,11 +36,10 @@ nbars = st.floats(min_value=0.05, max_value=3.0)
 radii = st.floats(min_value=-1.0, max_value=1.0)
 gs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 wide_radii = st.floats(min_value=-4.0, max_value=4.0)
-# inverse temperatures from n-bar = 1e6 (beta ~ 1e-6) to near-pure, on both
-# sides of the beta = 30 switch to log-scaled assembly
+# inverse temperatures from n-bar = 1e6 (beta ~ 1e-6) to near-pure
 hot_to_warm = st.floats(min_value=1e-3, max_value=1e6).map(lambda n: math.log1p(1.0 / n))
 cold = st.floats(min_value=25.0, max_value=700.0)
-log_scaled = st.floats(min_value=30.0, max_value=744.0, exclude_min=True)
+colder = st.floats(min_value=30.0, max_value=744.0, exclude_min=True)
 wide_betas = st.one_of(hot_to_warm, cold)
 
 
@@ -319,7 +320,7 @@ def test_equal_large_squeezes_match_gaussian_reference(r):
                    FidelityOptions(oracle=False))
     b = math.log(2.0)
     _, _, expo = gaussian_reference(r, b, r, b, 0.5)
-    assert not rep.pipeline.log_scaled and rep.pipeline.annihilation_residual is not None
+    assert rep.pipeline.annihilation_residual <= 1e-10
     assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-13)
 
 
@@ -334,7 +335,7 @@ def test_wide_squeeze_gap_matches_gaussian_reference(r1, b1, r2, b2):
     rep = fidelity(state(0.0, r1, beta=b1), state(0.5, r2, beta=b2),
                    FidelityOptions(oracle=False))
     _, want, _ = gaussian_reference(r1, b1, r2, b2, 0.5, dps=400)
-    assert rep.pipeline.annihilation_residual is not None  # the check ran
+    assert rep.pipeline.annihilation_residual <= 1e-10
     assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-12)
 
 
@@ -351,7 +352,7 @@ def test_extremely_hot_pair_is_accepted_and_matches_reference(capsys):
     # F0 = 2/(sqrt(A + delta) - sqrt(delta)) cancels over ~200 digits here
     _, want, _ = gaussian_reference(0.2, beta, 0.3, beta, 0.5, dps=250)
     assert math.isclose(rec["value_matrix_pipeline"], want, rel_tol=1e-11)
-    assert rec["pipeline"]["annihilation_residual"] is not None  # the check ran
+    assert rec["pipeline"]["annihilation_residual"] <= 1e-10
 
 
 @pytest.mark.parametrize("entry", ["fidelity", "sweep"])
@@ -374,11 +375,14 @@ def test_wrong_closed_form_multiplier_is_refused_by_the_batched_check(monkeypatc
 
 
 def test_pipeline_reports_the_scalars_below_log_scale():
-    # one source at every beta: the matrix route only checks
+    # one source at every beta: the pipeline reports the closed-form scalars,
+    # -sh(b2) ((Re g)^2 e^{2 r2} + (Im g)^2 e^{-2 r2}) for log delta1, and the
+    # matrix route only checks them
     g = 0.7 - 0.4j
     tr = _pipeline_trace(S1, S2, g)
-    assert not tr.log_scaled
-    assert tr.log_delta1 == _delta1_log(np.array([g]), np.array([S2.r]), log_sinh(np.array([S2.beta])))[0]
+    norm = g.real ** 2 * math.exp(2.0 * S2.r) + g.imag ** 2 * math.exp(-2.0 * S2.r)
+    want = -math.exp(log_sinh(np.array([S2.beta]))[0] + math.log(norm))
+    assert math.isclose(tr.log_delta1, want, rel_tol=1e-15)
     assert tr.log_delta2 == tr.log_delta1 - tr.log_ratio
 
 
@@ -395,8 +399,8 @@ def test_reported_multiplier_matches_reference_on_hot_pair():
     (0.3, 0.7, -0.5, 1.9, 0.4 - 0.3j, 1e-13),
     (1.2, 0.01, 0.4, 12.0, 1.1 + 0.2j, 1e-13),
     (-3.2, 2.8e-6, 3.9, 26.4, -2.3 - 1.5j, 1e-13),  # squeeze gap 7, hot against cold
-    # log-scaled: exponents near 350 cost their absolute rounding in relative digits
-    (3.5, 40.0, -0.2, 700.0, 0.2 - 0.1j, 1e-11),
+    # cold: assembled from log tanh, which stays small, so no digits are lost
+    (3.5, 40.0, -0.2, 700.0, 0.2 - 0.1j, 1e-13),
 ])
 def test_reported_multiplier_matches_reference(r1, b1, r2, b2, g, rel):
     tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
@@ -404,19 +408,20 @@ def test_reported_multiplier_matches_reference(r1, b1, r2, b2, g, rel):
     assert abs(tr.l_vec[0] - want) <= rel * abs(want)
 
 
-@pytest.mark.parametrize("beta_shift, refused", [(0.0, True), (31.0, False)])
-def test_multiplier_check_catches_a_wrong_closed_form(monkeypatch, beta_shift, refused):
+# The check runs at every beta; at a shift of 709, b1 + b2 passes 1418, where
+# sh((b1 + b2)/2) in P overflows.  l carries a factor sech(b1/2) and the check
+# an absolute floor of 1, so the mismatch grows with ch(b1/2) to keep l of
+# order one.
+@pytest.mark.parametrize("beta_shift", [0.0, 31.0, 300.0, 709.0])
+def test_multiplier_check_catches_a_wrong_closed_form(monkeypatch, beta_shift):
     import dstfid.reduction as red
 
     right = red._multiplier
     monkeypatch.setattr(red, "_multiplier", lambda *args: right(*args) * (1.0 + 1e-8))
     s1 = state(0.0, S1.r, beta=S1.beta + beta_shift)
     s2 = state(0.0, S2.r, beta=S2.beta + beta_shift)
-    if refused:
-        with pytest.raises(PipelineCheckError, match="multiplier"):
-            _pipeline_trace(s1, s2, 0.5)
-    else:
-        assert _pipeline_trace(s1, s2, 0.5).log_scaled  # the check does not run
+    with pytest.raises(PipelineCheckError, match="multiplier"):
+        _pipeline_trace(s1, s2, 0.5 * math.cosh(0.5 * s1.beta))
 
 
 def test_annihilation_residual_reported_small():
@@ -450,7 +455,7 @@ def test_base_factor_symmetric():
     pairs = [
         (state(0.0, 0.5, nbar=1.0), state(0.0, 0.2, nbar=0.7)),
         (state(0.0, -1.5, nbar=1e5), state(0.0, 2.0, nbar=1e-3)),
-        (state(0.0, 0.3, beta=32.0), state(0.0, -0.1, beta=300.0)),  # log-scaled
+        (state(0.0, 0.3, beta=32.0), state(0.0, -0.1, beta=300.0)),  # cold
     ]
     for a, b in pairs:
         assert math.isclose(base_factor(a, b).base, base_factor(b, a).base, rel_tol=1e-14)
@@ -478,14 +483,14 @@ def test_closed_form_base_matches_gaussian_reference(r1, b1, r2, b2):
 
 
 @settings(max_examples=40)
-@given(log_scaled, wide_betas, wide_radii, wide_radii, gs, st.booleans())
+@given(colder, wide_betas, wide_radii, wide_radii, gs, st.booleans())
 def test_log_scaled_fidelity_matches_gaussian_reference(b_cold, b_other, r1, r2, g, swap):
-    """Displaced pairs with a state beyond beta = 30 (log-scaled assembly)."""
+    """Displaced pairs with a state beyond beta = 30, where the closed-form
+    scalars are assembled from logarithms far past double range."""
     b1, b2 = (b_other, b_cold) if swap else (b_cold, b_other)
     rep = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2),
                    FidelityOptions(oracle=False))
     _, want, expo = gaussian_reference(r1, b1, r2, b2, g)
-    assert rep.pipeline.log_scaled
     assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-11, abs_tol=1e-11)
     assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-9, abs_tol=1e-300)
 
@@ -495,12 +500,10 @@ def test_log_scaled_fidelity_matches_gaussian_reference(b_cold, b_other, r1, r2,
 # a hot pair the (a^dag, a)-basis solve refused (conjugate-pair form off by 1.2e-10)
 @example(0.5, 1.0000015e-6, 0.0, 2.1021762779925653e-6, 2j)
 def test_displaced_fidelity_below_log_scale_matches_gaussian_reference(r1, b1, r2, b2, g):
-    """Displaced pairs with both beta <= 30, where the matrix route checks
-    the log-assembled scalars."""
+    """Displaced pairs of hot to warm states."""
     rep = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2),
                    FidelityOptions(oracle=False))
     _, want, expo = gaussian_reference(r1, b1, r2, b2, g)
-    assert not rep.pipeline.log_scaled
     assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-11, abs_tol=1e-300)
     assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-11)
 
@@ -610,10 +613,50 @@ def test_closed_form_matches_golden_records(rec):
     assert abs(rep.value_matrix_pipeline - rec.fidelity) <= rec.tol
 
 
+# --- every check at every beta -------------------------------------------------
+
+
+def test_a_whole_domain_batch_is_checked_and_refuses_no_row():
+    """One seeded batch over the whole domain: |r| <= 4, each beta
+    log-uniform in (1e-3, 744), Re g and Im g of random sign and magnitude
+    log-uniform in (1e-3, 1e150).  Every matrix-route check runs on every row
+    and none refuses one (closed_form_columns raises the first refusal), in
+    well under a second."""
+    rng = np.random.default_rng(16)
+    n = 20000
+    r1, r2 = rng.uniform(-4.0, 4.0, (2, n))
+    b1, b2 = np.exp(rng.uniform(math.log(1e-3), math.log(744.0), (2, n)))
+    re, im = rng.choice([-1.0, 1.0], (2, n)) * np.exp(
+        rng.uniform(math.log(1e-3), math.log(1e150), (2, n)))
+    start = time.perf_counter()
+    cf = closed_form_columns(np.zeros(n, dtype=complex), r1, b1, re + 1j * im, r2, b2, NO_ORACLE)
+    assert time.perf_counter() - start <= 1.0
+    assert len(cf) == n
+
+
+@pytest.mark.parametrize("seed, bound, n", [(31, 4, 40000), (32, 4, 40000), (33, 8, 40000),
+                                            (34, 12, 20000)])
+def test_seeded_refusal_scan_past_beta_30_refuses_no_row(seed, bound, n):
+    """The seeded refusal scans of the multiplier check (r uniform in
+    [-bound, bound]; each temperature with probability 1/2 hot, nbar
+    log-uniform in [1e-3, 1e6], else beta uniform; g uniform in [-3, 3]^2),
+    redrawn with the uniform beta in (30, 745) in place of (3, 30)."""
+    rng = np.random.default_rng(seed)
+    r1, r2 = rng.uniform(-bound, bound, n), rng.uniform(-bound, bound, n)
+    betas = []
+    for _ in range(2):
+        hot = rng.random(n) < 0.5
+        nbar = 10.0 ** rng.uniform(-3.0, 6.0, n)
+        betas.append(np.where(hot, np.log1p(1.0 / nbar), rng.uniform(30.0, 745.0, n)))
+    g = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    cf = closed_form_columns(np.zeros(n, dtype=complex), r1, betas[0], g, r2, betas[1], NO_ORACLE)
+    assert len(cf) == n
+
+
 # --- batch = rows of batches of one -------------------------------------------
 
 any_radii = st.one_of(radii, wide_radii, st.floats(min_value=-360.0, max_value=360.0))
-any_betas = st.one_of(wide_betas, log_scaled)
+any_betas = st.one_of(wide_betas, colder)
 pairs = st.tuples(any_radii, any_betas, any_radii, any_betas, gs)
 
 
@@ -624,7 +667,7 @@ def _carried(rep):
            rep.base.Y, rep.base.base, rep.base.printed_value, rep.base.printed_domain_error]
     for tr in (rep.pipeline, rep.printed):
         out += [tr.delta1, tr.delta2, tr.ratio, tr.log_delta1, tr.log_delta2, tr.log_ratio,
-                tr.DeltaDenom, tr.log_DeltaDenom, tr.annihilation_residual, tr.log_scaled,
+                tr.DeltaDenom, tr.log_DeltaDenom, tr.annihilation_residual,
                 tr.P.tolist()]
         out += [] if tr.l_vec is None else tr.l_vec.tolist()
     out += [(f.name, f.magnitude) for f in rep.discrepancy_flags]
@@ -690,7 +733,7 @@ def test_with_oracle_rows_equal_on_both_batch_shapes():
     assert np.ndim(one.value_oracle) == 0 and batch.value_oracle.shape == (2,)
     for cf in (one, batch):
         assert [name for name, _, _ in cf.flags] == [
-            "log-scaled-path", "printed-displacement-quadratic-form",
+            "printed-displacement-quadratic-form",
             "printed-ratio-quadratic-form", "printed-base-domain", "printed-base-factor",
             "pipeline-value-clamped", "printed-value-clamped",
             "oracle-value-clamped", "pipeline-vs-oracle",
@@ -770,13 +813,12 @@ def test_fidelity_shift_covariance(k1, k2, d):
 
 
 def test_fidelity_log_scaled_path_agrees_with_oracle():
-    # beta > 30 forces the log-scaled scalar assembly; the states are nearly
-    # pure there, so the oracle is cheap and sharp
+    # beta > 30: the states are nearly pure, so the oracle is cheap and sharp,
+    # and the matrix route checks the pair as it does a hot one
     a = state(0.0, 0.3, beta=32.0)
     b = state(0.4, 0.1, beta=35.0)
     rep = fidelity(a, b, FidelityOptions())
-    assert rep.pipeline.log_scaled
-    assert any(f.name == "log-scaled-path" for f in rep.discrepancy_flags)
+    assert rep.pipeline.annihilation_residual <= 1e-10
     assert abs(rep.value_matrix_pipeline - rep.value_oracle) < 1e-6
 
 
