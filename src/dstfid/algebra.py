@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "DegenerateInputError",
     "Mat2C",
-    "PairVec",
     "SIGMA",
     "StateParams",
     "state",
@@ -27,10 +26,9 @@ __all__ = [
     "thermal_matrix",
 ]
 
-# 2x2 complex matrices and length-2 complex vectors are plain ndarrays; the
-# aliases name the roles they play in signatures.
+# 2x2 complex matrices are plain ndarrays; the alias names the role they play
+# in signatures.
 Mat2C = np.ndarray
-PairVec = np.ndarray
 
 # Largest inverse temperature the model accepts: beyond ~745, exp(-beta)
 # underflows to 0.0 and the derived mean photon number stops being a positive

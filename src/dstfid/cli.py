@@ -260,7 +260,7 @@ def _report_record(s1: StateParams, s2: StateParams, rep: FidelityReport) -> dic
             "log_delta1": _jnum(rep.pipeline.log_delta1),
             "log_delta2": _jnum(rep.pipeline.log_delta2),
             "log_ratio": _jnum(rep.pipeline.log_ratio),
-            "l": _jnum(complex(rep.pipeline.l_vec[0])),
+            "l": _jnum(rep.pipeline.l),
             "DeltaDenom": _jnum(rep.pipeline.DeltaDenom),
             "log_DeltaDenom": _jnum(rep.pipeline.log_DeltaDenom),
             "annihilation_residual": _jnum(rep.pipeline.annihilation_residual),

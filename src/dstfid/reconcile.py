@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import StateParams, squeeze_matrix, state, thermal_matrix
-from .reduction import _NO_ORACLE, ClosedForm, FidelityOptions, closed_form
+from .reduction import _NO_ORACLE, ClosedForm, FidelityOptions, _printed_display, closed_form
 
 __all__ = [
     "QUADRATIC_FORM",
@@ -254,22 +254,29 @@ def _entry_flipped_sign(
     return ReconciliationEntry(formula, worst, at, _verdict(worst), note.format(residual))
 
 
+def _matching_matrices(s1: StateParams, s2: StateParams) -> tuple[np.ndarray, np.ndarray]:
+    """B2^(-1/2) C B1^(p) - B2^(1/2) C B1^(1/2) of the pair twice: the matching
+    system by its definition (C = squeeze_matrix(r2 - r1), p = -1/2), and the
+    definition line printed beside its display (printed squeeze sign, p = 1)."""
+
+    def difference(core, p):
+        return (thermal_matrix(s2.beta, -0.5) @ core @ thermal_matrix(s1.beta, p)
+                - thermal_matrix(s2.beta, 0.5) @ core @ thermal_matrix(s1.beta, 0.5))
+
+    return (difference(squeeze_matrix(s2.r - s1.r), -0.5),
+            difference(squeeze_matrix(-s2.r) @ squeeze_matrix(s1.r), 1.0))
+
+
 def _entries_matching_system(
     pairs: list[tuple[StateParams, StateParams]], cf: ClosedForm, labels: list[str]
 ) -> tuple[ReconciliationEntry, ReconciliationEntry]:
     """The printed solve-ready matrix against the definition line printed
-    beside it, and the printed denominator against det(matching system)."""
+    beside it, and the pipeline's closed-form denominator against
+    det(matching system), the system built from its definition."""
     def_devs, rel_devs, det_devs = [], [], []
-    for (s1, s2), printed, system, dd in zip(
-            pairs, cf.printed.P, cf.pipeline.P, cf.pipeline.DeltaDenom.tolist()):
-        b1, b2 = s1.beta, s2.beta
-        # The definition line beside the display: printed squeeze convention
-        # and a bare B1 where the matching condition has B1^(-1/2).
-        core = squeeze_matrix(-s2.r) @ squeeze_matrix(s1.r)
-        defn = (
-            thermal_matrix(b2, -0.5) @ core @ thermal_matrix(b1, 1.0)
-            - thermal_matrix(b2, 0.5) @ core @ thermal_matrix(b1, 0.5)
-        )
+    for (s1, s2), dd in zip(pairs, cf.pipeline.DeltaDenom.tolist()):
+        printed = _printed_display(s1.r, s1.beta, s2.r, s2.beta)
+        system, defn = _matching_matrices(s1, s2)
         def_devs.append(float(np.abs(printed - defn).max()))
         rel_devs.append(float(np.abs(system - 2.0 * dd * printed).max()))
         det = complex(system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0])

@@ -45,8 +45,6 @@ import numpy as np
 
 from .algebra import (
     DegenerateInputError,
-    Mat2C,
-    PairVec,
     StateParams,
     _log_cosh,
     _log_sinh,
@@ -111,18 +109,17 @@ class ReductionTrace:
     values leave double range (``log_DeltaDenom`` where ``DeltaDenom`` does).
     The pipeline trace reports every field from the closed-form scalars;
     ``annihilation_residual`` comes from the matrix route that checks them.
-    The printed trace leaves the pipeline-only fields (from ``l_vec`` on) None.
-    Inside a `ClosedForm` every field holds one array entry per row.
+    The printed trace leaves the pipeline-only fields (from ``l`` on) None.
+    Every field is one number per pair (an array entry per row in a `ClosedForm`).
     """
 
     delta1: float
     delta2: float
     ratio: float
-    P: Mat2C
     log_delta1: float
     log_delta2: float
     log_ratio: float
-    l_vec: PairVec | None = None
+    l: complex | None = None  # the multiplier's first entry; its second is -conj(l)
     DeltaDenom: float | None = None
     log_DeltaDenom: float | None = None
     annihilation_residual: float | None = None
@@ -260,8 +257,8 @@ def _ratio_log(ls, ldd, c1, c2):
     return sign * np.exp(lnum - ldd)
 
 
-def _multiplier(r1, b1, r2, b2, g):
-    """The solved multiplier l in closed form, with t = tanh(beta/2),
+def _multiplier(r1, r2, g, t1, t2, c1):
+    """The solved multiplier l in closed form, with t, c = tanh, cosh(beta/2),
     D = 2 (t1^2 + t2^2) + 4 t1 t2 ch 2(r1 - r2) = Delta/(c1 c2)^2 and
     a, b = 2 t2^2/D, 2 t1 t2/D:
 
@@ -273,13 +270,12 @@ def _multiplier(r1, b1, r2, b2, g):
     cancels or overflows; a and b come from u = t/max(t1, t2), so no
     logarithm grows with beta and no state, hot or cold, costs l digits.
     """
-    t1, t2 = np.tanh(0.5 * b1), np.tanh(0.5 * b2)
     top = np.maximum(t1, t2)
     u1, u2 = t1 / top, t2 / top
     lu1, lu2 = np.log(u1), np.log(u2)
     lden = np.log(u1 * u1 + u2 * u2 + 2.0 * (u1 * u2) * np.cosh(2.0 * (r1 - r2)))
     la, lb = 2.0 * lu2 - lden, lu1 + lu2 - lden
-    sech = 1.0 / np.cosh(0.5 * b1)
+    sech = 1.0 / c1
     re = sech * g.real * (np.exp(la + r1) + np.exp(lb + 2.0 * r2 - r1))
     im = sech * g.imag * (np.exp(lb + r1 - 2.0 * r2) + np.exp(la - r1))
     return _complex(re, im)
@@ -290,10 +286,10 @@ def _multiplier(r1, b1, r2, b2, g):
 # ---------------------------------------------------------------------------
 
 
-def _matching_system(r1, b1, r2, b2, g):
-    """The matching system P l = 2 s2 Z v: (P entries, v[0], the quadrature-basis
-    anti-diagonal of P/(c1 c2) and right-hand side over c2, and t1, t2 =
-    tanh(beta1/2), tanh(beta2/2) and e^{-+d}), each a tuple of arrays.
+def _matching_system(r1, r2, g, t1, t2):
+    """The matching system P l = 2 s2 Z v, with t1, t2 = tanh(beta1/2),
+    tanh(beta2/2): (v[0], the quadrature-basis anti-diagonal of P/(c1 c2) and
+    right-hand side over c2, and e^{-+d}), each a tuple of arrays.
 
     With c, s = ch, sh(beta/2) the thermal factors are B^{-+1/2} = c I +- s Z,
     Z = diag(1, -1), so the differences of nearly equal products in
@@ -302,9 +298,9 @@ def _matching_system(r1, b1, r2, b2, g):
         P = 2 (c2 s1 C Z + s2 c1 Z C),
 
     with C = M2^{-1} M1 = squeeze_matrix(r2 - r1) by the group law and
-    v = M2^{-1} pair_vec(g) = pair_vec(e^{r2} Re g + i e^{-r2} Im g).  P is
-    reported in this (a^dag, a) basis, its entries 2 sh((b1 +- b2)/2) times
-    ch, sh(r2 - r1) by the addition theorems.  Its entries still nearly cancel
+    v = M2^{-1} pair_vec(g) = pair_vec(e^{r2} Re g + i e^{-r2} Im g).  In
+    this (a^dag, a) basis the entries of P are 2 sh((b1 +- b2)/2) times
+    ch, sh(r2 - r1) by the addition theorems, and they nearly cancel
     against each other for a hot state against a cold one across a wide
     squeeze gap, so the route solves it in the quadrature basis
     R = (1 1; 1 -1)/sqrt 2 instead, where the squeeze is diagonal,
@@ -320,13 +316,11 @@ def _matching_system(r1, b1, r2, b2, g):
     or underflows as beta grows.
     """
     d = r2 - r1
-    p_diag = 2.0 * np.sinh(0.5 * (b1 + b2)) * np.cosh(d)
-    p_off = 2.0 * np.sinh(0.5 * (b1 - b2)) * np.sinh(d)
     v0 = _complex(np.exp(r2) * g.real, np.exp(-r2) * g.imag)  # v = (v0, -conj v0)
-    factors = t1, t2, m, big = np.tanh(0.5 * b1), np.tanh(0.5 * b2), np.exp(-d), np.exp(d)
+    factors = m, big = np.exp(-d), np.exp(d)
     p_quadrature = (2.0 * (t1 * m + t2 * big), 2.0 * (t1 * big + t2 * m))
     rhs_quadrature = (2.0 * _SQRT2 * t2 * v0.real + 0j, 2.0j * _SQRT2 * t2 * v0.imag)
-    return (p_diag, p_off, -p_off, -p_diag), v0, p_quadrature, rhs_quadrature, factors
+    return v0, p_quadrature, rhs_quadrature, factors
 
 
 def _log_within(tol, terms, top):
@@ -335,11 +329,11 @@ def _log_within(tol, terms, top):
     return logsumexp([t for t, _ in terms], [s for _, s in terms])[0] <= math.log(tol) + top
 
 
-def _matrix_route(r1, b1, r2, b2, g, ls, ldd, ld1, lq1, lratio, l0):
+def _matrix_route(r1, r2, g, t1, t2, c1, c2, ls, ldd, ld1, lq1, lratio, l0):
     """Evaluate the 2x2 matrix route and check the closed-form values against
-    it, with ls the log sinhs, ldd the log denominator, and ld1 and lq1
-    the closed-form delta1 exponent and the log of its magnitude.  Returns (P
-    entries, annihilation residual, checks), in check order:
+    it, with t, c = tanh, cosh(beta/2), ls the log sinhs, ldd the log
+    denominator, and ld1 and lq1 the closed-form delta1 exponent and the log
+    of its magnitude.  Returns (annihilation residual, checks), in check order:
 
     both exponents real and delta1 equal to the scalar form to 1e-10; the
     determinant against -2*Delta, checked normalised as
@@ -356,8 +350,7 @@ def _matrix_route(r1, b1, r2, b2, g, ls, ldd, ld1, lq1, lratio, l0):
     delta exponents are carried as (log magnitude, sign), so every check runs
     at every beta.
     """
-    p, v0, (q01, q10), (rhs0, rhs1), (t1, t2, m, big) = _matching_system(r1, b1, r2, b2, g)
-    c1, c2 = np.cosh(0.5 * b1), np.cosh(0.5 * b2)  # finite below beta = 745
+    v0, (q01, q10), (rhs0, rhs1), (m, big) = _matching_system(r1, r2, g, t1, t2)
     lc2 = np.log(c2)
     # (1/2) v^T B2^{-1/2} Sigma B2^{+1/2} v = sh(b2) v0 v1: the e^{b2} - e^{-b2}
     # of the conjugated form is 2 sh b2, which enters as its logarithm.
@@ -428,7 +421,7 @@ def _matrix_route(r1, b1, r2, b2, g, ls, ldd, ld1, lq1, lratio, l0):
          lambda i: f"multiplier dual-path mismatch: matrix {m0.item(i) / c1.item(i)!r} vs "
                    f"closed form {l0.item(i)!r}"),
     ]
-    return p, residual, checks
+    return residual, checks
 
 
 def _times_exp(x, log, i):
@@ -441,10 +434,9 @@ def _times_exp(x, log, i):
 # ---------------------------------------------------------------------------
 
 
-def _printed_path(g, r1, b1, r2, b2, ls, ldd):
+def _printed_path(g, r1, r2, ls, ldd):
     """Verbatim printed displays (opposite squeeze-sign convention): the log
-    delta1 quadratic form, the log ratio (eps1 + eps2)/denominator, and the
-    four entries of the solve-ready matrix with its 1/denominator prefactor."""
+    delta1 quadratic form and the log ratio (eps1 + eps2)/denominator."""
     gg, g2 = 2.0 * (g.real * g.real - g.imag * g.imag), g.real * g.real + g.imag * g.imag
     x1, x2 = 2.0 * r1, 2.0 * r2
     quad = 0.5 * np.sinh(x2) * gg - np.cosh(x2) * g2
@@ -452,14 +444,22 @@ def _printed_path(g, r1, b1, r2, b2, ls, ldd):
     ld1 = np.copysign(np.exp(ls[1] + np.log(np.abs(quad))), quad) + 0.0
     c1 = gg * np.sinh(x1) - 2.0 * g2 * np.cosh(x1)
     c2 = gg * np.sinh(x2) - 2.0 * g2 * np.cosh(x2)
-    lratio = _ratio_log(ls, ldd, c1, c2)
+    return ld1, _ratio_log(ls, ldd, c1, c2)
+
+
+@np.errstate(divide="ignore")  # log sh((b1 - b2)/2) is -inf at b1 = b2
+def _printed_display(r1, b1, r2, b2):
+    """The printed solve-ready matrix of one pair, verbatim, with its
+    1/denominator prefactor (only `verify` reads it)."""
+    ls = _log_sinhs(b1, b2)
+    ldd = _log_denominator(ls, r1, r2)
     chr_, shr = np.cosh(r1 - r2), np.sinh(r1 - r2)
     # the sinh/denominator quotients come from logarithms, so the 1/denominator
     # prefactor is already applied and nothing overflows past beta ~ 710
     shs = np.exp(ls[4] - ldd)
     # sh((b2 - b1)/2) carries the sign of b2 - b1, +0.0 at b1 = b2
     shd2 = np.copysign(np.exp(ls[5] - ldd), b2 - b1)
-    return ld1, lratio, (shs * chr_, shd2 * shr, -shd2 * shr, -shs * chr_)
+    return np.array([[shs * chr_, shd2 * shr], [-shd2 * shr, -shs * chr_]])
 
 
 def _printed_base(r1, b1, r2, b2):
@@ -501,13 +501,6 @@ def _clamp01(value):
 
 
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (ReductionTrace, BaseFactorTrace)}
-
-
-def _mat(p00, p01, p10, p11) -> np.ndarray:
-    """(..., 2, 2) complex stack from four entry arrays of shape (...)."""
-    out = np.empty(np.shape(p00) + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = p00, p01, p10, p11
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,15 +561,8 @@ class ClosedForm:
     def report(self, i: int) -> FidelityReport:
         """Row i as a FidelityReport, with its oracle result when one ran."""
 
-        rank = np.ndim(self.g)  # 0 in a batch of one run on scalars (see _pair)
-
         def row(column):
-            # a Python scalar, or an array view for a matrix field (P, l_vec)
-            if column is None:
-                return None
-            if column.ndim > rank:
-                return np.reshape(column, (-1,) + column.shape[rank:])[i]
-            return column.item(i)
+            return None if column is None else column.item(i)
 
         def trace(tr):
             return type(tr)(*[row(getattr(tr, name)) for name in _FIELDS[type(tr)]])
@@ -660,30 +646,28 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     # exponents scale like sinh(beta) while the ratio stays order one), so
     # delta2 follows from the direct cancellation-free ratio.
     lratio = _ratio_log(ls, ldd, -norms[0], -norms[1])
-    l0 = _multiplier(r1, b1, r2, b2, g)
-    p, residual, route_checks = _matrix_route(r1, b1, r2, b2, g, ls, ldd, ld1, lq1, lratio, l0)
-    l_vec = np.empty(shape + (2,), dtype=complex)
-    l_vec[..., 0], l_vec[..., 1] = l0, -l0.conj()
+    t1, t2 = np.tanh(0.5 * b1), np.tanh(0.5 * b2)
+    c1, c2 = np.cosh(0.5 * b1), np.cosh(0.5 * b2)  # finite below beta = 745
+    l0 = _multiplier(r1, r2, g, t1, t2, c1)
+    residual, route_checks = _matrix_route(r1, r2, g, t1, t2, c1, c2, ls, ldd, ld1, lq1, lratio, l0)
     pipeline = ReductionTrace(
         delta1=np.exp(ld1),
         delta2=np.exp(ld1 - lratio),
         ratio=np.exp(lratio),
-        P=_mat(*p),
         log_delta1=ld1,
         log_delta2=ld1 - lratio,
         log_ratio=lratio,
-        l_vec=l_vec,
+        l=l0,
         DeltaDenom=np.exp(ldd),
         log_DeltaDenom=ldd,
         annihilation_residual=residual,
     )
 
-    pr_ld1, pr_lratio, display = _printed_path(g, r1, b1, r2, b2, ls, ldd)
+    pr_ld1, pr_lratio = _printed_path(g, r1, r2, ls, ldd)
     printed = ReductionTrace(
         delta1=np.exp(pr_ld1),
         delta2=np.exp(pr_ld1 - pr_lratio),  # implied by the printed decomposition
         ratio=np.exp(pr_lratio),
-        P=_mat(*display),
         log_delta1=pr_ld1,
         log_delta2=pr_ld1 - pr_lratio,
         log_ratio=pr_lratio,

@@ -12,7 +12,7 @@ import cmath
 
 import numpy as np
 
-from dstfid.algebra import SIGMA, Mat2C, PairVec, _log_cosh, _log_sinh
+from dstfid.algebra import SIGMA, Mat2C, _log_cosh, _log_sinh
 
 __all__ = ["check_symplectic", "pair_vec", "log_sinh", "log_cosh"]
 
@@ -26,7 +26,7 @@ def check_symplectic(m: Mat2C, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(dev))) <= tol
 
 
-def pair_vec(g: complex) -> PairVec:
+def pair_vec(g: complex) -> np.ndarray:
     """Column (g, -conj(g)): the conjugate-pair form every displacement
     amplitude and mismatch takes in the (a^dag, a) basis."""
     g = complex(g)

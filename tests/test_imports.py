@@ -3,6 +3,9 @@ module, exported through its __all__, or marked `# noqa: F401` on its line
 (a name kept for something that looks it up there)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,13 @@ def test_a_leftover_import_is_caught():
                      "__all__ = ['sep']\n\ndef f(x: 'Path') -> int:\n    return 1\n")
     kept = _used(tree) | _exported(tree)
     assert [name for name, _ in _imported(tree) if name not in kept] == ["math", "path"]
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test-side dependency: the package and its CLI run without it
+    code = ("import sys, dstfid, dstfid.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import math
 import re
 import time
 import warnings
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +26,8 @@ from dstfid.reduction import (
     closed_form_columns,
     fidelity,
 )
-from dstfid.reduction import _at_mismatch, _pipeline_trace
+from dstfid.reduction import _at_mismatch, _pair, _pipeline_trace, _printed_display
+from dstfid.reconcile import _matching_matrices
 from fock_reference import thermal_state
 
 S1 = state(0.0, 0.2, nbar=0.8)
@@ -137,11 +139,13 @@ def test_delta1_bounded_by_one(g, r2, n2):
 
 
 # --- matching system ---------------------------------------------------------
+# The matrices come from `verify`, which builds the system from its definition
+# and the printed display verbatim; the pipeline reports only scalars.
 
 
 def test_matching_matrix_same_state_is_diagonal():
     s = state(0.0, 0.4, beta=1.3)
-    p = _pipeline_trace(s, s, 0.0).P
+    p, _ = _matching_matrices(s, s)
     twosh = 2.0 * math.sinh(1.3)
     assert np.allclose(p, np.diag([twosh, -twosh]), atol=1e-13)
     det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
@@ -151,17 +155,16 @@ def test_matching_matrix_same_state_is_diagonal():
 def test_matching_matrix_equal_squeezes_kills_off_diagonal():
     a = state(0.0, 0.5, nbar=0.4)
     b = state(0.0, 0.5, nbar=1.1)
-    p = _pipeline_trace(a, b, 0.0).P
+    p, _ = _matching_matrices(a, b)
     assert abs(p[0, 1]) < 1e-14 and abs(p[1, 0]) < 1e-14
 
 
 def test_matching_determinant_is_minus_two_denominators():
     a = state(0.0, 0.7, nbar=0.3)
     b = state(0.0, -0.2, nbar=1.8)
-    tr = _pipeline_trace(a, b, 0.0)
-    p = tr.P
+    p, _ = _matching_matrices(a, b)
     det = (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]).real
-    dd = tr.DeltaDenom
+    dd = _pipeline_trace(a, b, 0.0).DeltaDenom
     assert math.isclose(det, -2.0 * dd, rel_tol=1e-13)
 
 
@@ -181,22 +184,34 @@ def test_printed_display_is_scaled_inverse_of_system():
     system squares to 2*Delta times the identity, so it is also its inverse)."""
     a = state(0.0, 0.6, nbar=0.5)
     b = state(0.0, -0.1, nbar=2.0)
-    rep = _at_mismatch(a, b, 0.0).report(0)
-    p = rep.pipeline.P
-    disp = rep.printed.P
-    dd = rep.pipeline.DeltaDenom
+    p, _ = _matching_matrices(a, b)
+    disp = _printed_display(a.r, a.beta, b.r, b.beta)
+    dd = _pipeline_trace(a, b, 0.0).DeltaDenom
     assert np.allclose(2.0 * dd * disp, p, rtol=1e-12, atol=1e-12)
     assert np.allclose(p @ p, 2.0 * dd * np.eye(2), rtol=1e-12, atol=1e-10)
 
 
 def test_multiplier_zero_mismatch_gives_zero():
-    l_vec = _pipeline_trace(S1, S2, 0.0).l_vec
-    assert np.array_equal(l_vec, np.zeros(2, dtype=complex))
+    assert _pipeline_trace(S1, S2, 0.0).l == 0j
 
 
-def test_multiplier_satisfies_conjugate_pair_form():
-    l_vec = _pipeline_trace(S1, S2, 0.3 - 0.8j).l_vec
-    assert abs(l_vec[1] + l_vec[0].conjugate()) < 1e-12 * max(1.0, abs(l_vec[0]))
+def test_multiplier_satisfies_conjugate_pair_form(monkeypatch):
+    # the route solves for both entries of the multiplier and refuses a pair
+    # whose second entry is not -conj of the first: a real part on the
+    # second quadrature right-hand side (imaginary by construction) breaks it
+    import dstfid.reduction as red
+
+    right = red._matching_system
+    s2 = state(0.3 - 0.8j, S2.r, beta=S2.beta)
+    fidelity(S1, s2, NO_ORACLE)
+
+    def unpaired(*args):
+        v, q, (rhs0, rhs1), factors = right(*args)
+        return v, q, (rhs0, rhs1 + 1e-6 * abs(rhs1)), factors
+
+    monkeypatch.setattr(red, "_matching_system", unpaired)
+    with pytest.raises(PipelineCheckError, match="lost conjugate-pair form"):
+        fidelity(S1, s2, NO_ORACLE)
 
 
 @pytest.mark.parametrize("scale", [0.0, math.inf], ids=["zero", "non-finite"])
@@ -210,8 +225,8 @@ def test_degenerate_matching_system_is_a_named_error(monkeypatch, capsys, entry,
     right = red._matching_system
 
     def degenerate(*args):
-        p, v, (q01, q10), rhs, factors = right(*args)
-        return p, v, (q01 * scale, q10), rhs, factors
+        v, (q01, q10), rhs, factors = right(*args)
+        return v, (q01 * scale, q10), rhs, factors
 
     monkeypatch.setattr(red, "_matching_system", degenerate)
     if entry == "fidelity":
@@ -391,8 +406,7 @@ def test_reported_multiplier_matches_reference_on_hot_pair():
     r1, b1, r2, b2, g = -0.302, 5.08e-5, -2.46, 1.14e-6, 0.5j
     tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
     want = multiplier_reference(r1, b1, r2, b2, g)
-    assert abs(tr.l_vec[0] - want) <= 1e-12 * abs(want)
-    assert tr.l_vec[1] == -tr.l_vec[0].conjugate()
+    assert abs(tr.l - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("r1, b1, r2, b2, g, rel", [
@@ -405,7 +419,7 @@ def test_reported_multiplier_matches_reference_on_hot_pair():
 def test_reported_multiplier_matches_reference(r1, b1, r2, b2, g, rel):
     tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
     want = multiplier_reference(r1, b1, r2, b2, g)
-    assert abs(tr.l_vec[0] - want) <= rel * abs(want)
+    assert abs(tr.l - want) <= rel * abs(want)
 
 
 # The check runs at every beta; at a shift of 709, b1 + b2 passes 1418, where
@@ -524,7 +538,7 @@ def test_printed_path_matches_its_transcription(r1, b1, r2, b2, g):
     rep = fidelity(s1, s2, FidelityOptions(oracle=False))
     assert math.isclose(rep.printed.ratio, math.exp(want_ratio), rel_tol=1e-12)
     assert math.isclose(rep.printed.log_delta1, want_quad, rel_tol=1e-12)
-    display = rep.printed.P
+    display = _printed_display(r1, b1, r2, b2)
     assert np.all(np.abs(display - want_display) <= 1e-12 * np.abs(want_display))
 
 
@@ -535,7 +549,7 @@ def test_fidelity_past_sinh_overflow_matches_gaussian_reference():
     rep = fidelity(cold, hot, FidelityOptions(oracle=False))
     _, want, _ = gaussian_reference(0.0, 740.0, 0.0, hot.beta, 0.1)
     assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-11)
-    assert np.all(np.isfinite(rep.printed.P))
+    assert np.all(np.isfinite(_printed_display(cold.r, cold.beta, hot.r, hot.beta)))
 
 
 def test_squeeze_gap_past_cosh_overflow_is_a_named_error():
@@ -653,6 +667,18 @@ def test_seeded_refusal_scan_past_beta_30_refuses_no_row(seed, bound, n):
     assert len(cf) == n
 
 
+def test_every_trace_field_is_one_number_per_row():
+    """Every field of a batch's traces is None or one number per row: shape
+    (3,) on a 3-row batch, 0-d on the batch of one that fidelity runs."""
+    s1 = [S1, state(0.0, -1.0, beta=40.0), state(0.1, 0.3, nbar=2.0)]
+    s2 = [state(0.5, 0.3, beta=1.0), state(0.2j, 0.6, beta=2.0), state(0.1, 0.3, nbar=2.0)]
+    for cf, shape in ((closed_form(s1, s2, NO_ORACLE), (3,)), (_pair(S1, S2, NO_ORACLE), ())):
+        for tr in (cf.pipeline, cf.printed, cf.base):
+            for f in fields(tr):
+                value = getattr(tr, f.name)
+                assert value is None or np.shape(value) == shape, (type(tr).__name__, f.name)
+
+
 # --- batch = rows of batches of one -------------------------------------------
 
 any_radii = st.one_of(radii, wide_radii, st.floats(min_value=-360.0, max_value=360.0))
@@ -667,9 +693,7 @@ def _carried(rep):
            rep.base.Y, rep.base.base, rep.base.printed_value, rep.base.printed_domain_error]
     for tr in (rep.pipeline, rep.printed):
         out += [tr.delta1, tr.delta2, tr.ratio, tr.log_delta1, tr.log_delta2, tr.log_ratio,
-                tr.DeltaDenom, tr.log_DeltaDenom, tr.annihilation_residual,
-                tr.P.tolist()]
-        out += [] if tr.l_vec is None else tr.l_vec.tolist()
+                tr.l, tr.DeltaDenom, tr.log_DeltaDenom, tr.annihilation_residual]
     out += [(f.name, f.magnitude) for f in rep.discrepancy_flags]
     return repr(out)
 
