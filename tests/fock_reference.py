@@ -1,18 +1,20 @@
 """The density-matrix route of the Fock oracle (test reference).
 
 The oracle evaluates each cutoff rung without forming a density matrix (see
-`dstfid.fock.rung_fidelity`).  The tests check it against the plain route
-kept here: the ladder operator, the thermal state as a matrix, and the
-Uhlmann fidelity of two density matrices, each checked to be one.
+`dstfid.fock.rung_fidelity`).  The tests check it against the plain routes
+kept here: the ladder operator, the thermal state as a matrix, the Uhlmann
+fidelity of two density matrices, each checked to be one, and the full-size
+rung, which keeps every level and builds each operator afresh.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dstfid.fock import FockMatrix, _check_cutoff, thermal_weights
+from dstfid.algebra import StateParams
+from dstfid.fock import FockMatrix, _check_cutoff, displacement_op, squeeze_op, thermal_weights
 
-__all__ = ["ContractViolationError", "annihilation", "thermal_state", "uhlmann_fidelity"]
+__all__ = ["ContractViolationError", "annihilation", "full_rung_fidelity", "thermal_state", "uhlmann_fidelity"]
 
 # How hermitian / normalized a density matrix must be before we trust it.
 _HERMITICITY_TOL = 1e-10
@@ -67,4 +69,13 @@ def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
     _check_density(rho1, "rho1")
     _check_density(rho2, "rho2")
     sv = np.linalg.svd(_psd_sqrt(rho1) @ _psd_sqrt(rho2), compute_uv=False)
+    return float(np.sum(sv) ** 2)
+
+
+def full_rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
+    """(sum svdvals(sqrt(L1) U1^dag U2 sqrt(L2)))^2 with U_i = D(k_i) S(r_i):
+    one rung at full size, every level kept and no factor shared."""
+    root1, root2 = (np.sqrt(thermal_weights(s.beta, cutoff)) for s in (s1, s2))
+    u1, u2 = (displacement_op(s.k, cutoff) @ squeeze_op(s.r, cutoff) for s in (s1, s2))
+    sv = np.linalg.svd(root1[:, None] * (u1.conj().T @ u2) * root2, compute_uv=False)
     return float(np.sum(sv) ** 2)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dstfid.fock as fock
 from dstfid.algebra import state
 from dstfid.fock import (
     ConvergenceError,
@@ -21,8 +22,15 @@ from dstfid.fock import (
     rung_fidelity,
     squeeze_op,
     thermal_cutoff_requirement,
+    thermal_weights,
 )
-from fock_reference import ContractViolationError, annihilation, thermal_state, uhlmann_fidelity
+from fock_reference import (
+    ContractViolationError,
+    annihilation,
+    full_rung_fidelity,
+    thermal_state,
+    uhlmann_fidelity,
+)
 
 
 def test_annihilation_smallest_case():
@@ -249,6 +257,40 @@ def test_rung_equals_uhlmann_of_dense_states(s1, s2):
     cutoff = 80
     dense = uhlmann_fidelity(dst_state(s1, cutoff), dst_state(s2, cutoff))
     assert abs(rung_fidelity(s1, s2, cutoff) - dense) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "s1,s2,cutoff,dropped",
+    [
+        (state(0.4, 0.3, beta=4.0), state(-0.7j, -0.2, nbar=2.0), 80, (True, False)),
+        (state(0.0, 0.5, nbar=2.0), state(0.6, 0.1, beta=3.0), 80, (False, True)),
+        (state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, beta=5.0), 60, (True, True)),
+        (state(-0.2j, 0.3, nbar=2.0), state(-0.5, -0.1, nbar=2.0), 80, (False, False)),
+    ],
+)
+def test_rung_matches_the_full_size_rung(s1, s2, cutoff, dropped):
+    # The rung drops the levels of each state whose sqrt-weight tail is at
+    # most 1e-17; the full-size rung keeps every level and shares no factor.
+    kept = [fock._kept_levels(np.sqrt(thermal_weights(s.beta, cutoff))) for s in (s1, s2)]
+    assert tuple(n < cutoff for n in kept) == dropped
+    assert abs(rung_fidelity(s1, s2, cutoff) - full_rung_fidelity(s1, s2, cutoff)) <= 1e-14
+
+
+def test_rung_value_does_not_depend_on_the_chain_cache():
+    s1, s2, cutoff = state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, nbar=2.0), 70
+    fock._generator_chains.cache_clear()
+    cold = rung_fidelity(s1, s2, cutoff)
+    warm = rung_fidelity(s1, s2, cutoff)
+    for chain in fock._generator_chains(cutoff):
+        for part in chain:
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+    for other in range(2, 35):  # 33 other cutoffs evict the entry
+        fock._generator_chains(other)
+    misses = fock._generator_chains.cache_info().misses
+    evicted = rung_fidelity(s1, s2, cutoff)
+    assert fock._generator_chains.cache_info().misses == misses + 1
+    assert cold == warm == evicted
 
 
 def test_oracle_self_pair_is_one_to_rounding():
