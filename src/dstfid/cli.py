@@ -3,8 +3,9 @@
 Exit codes: 0 ok, 1 verification failure or a refused pipeline check,
 2 usage, 3 convergence, 4 I/O.
 Machine-readable output is deterministic — no wall clock anywhere, numbers
-at 17 significant digits — so identical invocations produce byte-identical
-files.
+at 17 significant digits — so identical invocations at the same BLAS thread
+count produce byte-identical files.  At another thread count the oracle's
+BLAS calls may round differently, moving its columns in the last digits.
 """
 
 from __future__ import annotations
@@ -577,7 +578,9 @@ def _human_verify(report: ReconciliationReport) -> str:
 def cmd_verify(args) -> int:
     config = load_config(args.config) if args.config else {}
     preset = _resolve(args.preset, config, "preset", "full", str)
-    tol = _resolve(args.tol, config, "tol", VERIFY_TOL, float)
+    # verify's --tol is the oracle's tolerance, so its config key is
+    # oracle_tol: in a shared file, tol is compute's and sweep's threshold.
+    tol = _resolve(args.tol, config, "oracle_tol", VERIFY_TOL, float)
     ceiling = _resolve(args.ceiling, config, "ceiling", VERIFY_CEILING, int)
     report = run_verification(preset=preset, tol=tol, ceiling=ceiling)
     if args.format == "record":
@@ -664,9 +667,11 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=("full", "quick"), default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--ceiling", type=int, default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="oracle convergence tolerance (default 1e-8; config key oracle_tol)")
+    p.add_argument("--ceiling", type=int, default=None,
+                   help="oracle cutoff ceiling (default 512)")
+    p.add_argument("--config", default=None, help="key = value config file; flags override")
     p.add_argument("--format", choices=("human", "record"), default="human")
     p.set_defaults(func=cmd_verify)
 

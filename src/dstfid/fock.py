@@ -7,10 +7,12 @@ of a^2 - a^dag^2 are real antisymmetric tridiagonal matrices that couple even
 sites to odd sites only, so one SVD of the half-size even-odd block gives
 their exponentials as real orthogonal matrices in closed form; a complex k
 enters through the diagonal phase R = diag(e^{i phi n}), D(k) =
-R D(|k|) R^dag.  No dense matrix exponential and no scipy: numpy alone runs
-the oracle, and only matrix_exp, the dense reference the tests compare the
-operators against, imports scipy.  The density-matrix route the tests check a
-rung against (uhlmann_fidelity) lives with the tests, in fock_reference.
+R D(|k|) R^dag.  Every operator is in level order, the squeeze's parity
+blocks on the strided levels p::2.  No dense matrix exponential and no
+scipy: numpy alone runs the oracle, and only matrix_exp, the dense reference
+the tests compare the operators against, imports scipy.  The density-matrix
+route the tests check a rung against (uhlmann_fidelity) lives with the
+tests, in fock_reference.
 
 One rung of the oracle evaluates the Uhlmann/Bures fidelity
 F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
@@ -124,7 +126,6 @@ def matrix_exp(m: FockMatrix) -> FockMatrix:
 #
 # with cos padded by 1 on U's unpartnered column: real and orthogonal.
 _Chain = tuple[np.ndarray, np.ndarray, np.ndarray]  # (U, s, V^T) of L
-_Blocks = list[list[np.ndarray]]  # [[even-even, even-odd], [odd-even, odd-odd]]
 
 
 def _chain(c: np.ndarray) -> _Chain:
@@ -135,32 +136,18 @@ def _chain(c: np.ndarray) -> _Chain:
     return np.linalg.svd(link)
 
 
-def _chain_exp(chain: _Chain, t: float) -> _Blocks:
+def _chain_exp(chain: _Chain, t: float) -> np.ndarray:
+    """exp(tA) in site order."""
     u, s, vt = chain
     cos = np.ones(u.shape[0])
     cos[: s.size] = np.cos(t * s)
     even_odd = (u[:, : s.size] * np.sin(t * s)) @ vt
-    return [[(u * cos) @ u.T, even_odd], [-even_odd.T, (vt.T * cos[: s.size]) @ vt]]
-
-
-def _interleave(blocks: _Blocks) -> np.ndarray:
-    """The matrix whose entries over (even j, odd j) are the given blocks."""
-    n = blocks[0][0].shape[0] + blocks[1][1].shape[0]
-    out = np.empty((n, n))
-    for p in (0, 1):
-        for q in (0, 1):
-            out[p::2, q::2] = blocks[p][q]
+    out = np.empty((u.shape[0] + vt.shape[0],) * 2)
+    out[0::2, 0::2] = (u * cos) @ u.T
+    out[0::2, 1::2] = even_odd
+    out[1::2, 0::2] = -even_odd.T
+    out[1::2, 1::2] = (vt.T * cos[: s.size]) @ vt
     return out
-
-
-def _displacement_chain(cutoff: int) -> _Chain:
-    return _chain(-np.sqrt(np.arange(1.0, cutoff)))
-
-
-def _squeeze_chains(cutoff: int) -> tuple[_Chain, _Chain]:
-    levels = (np.arange(parity, cutoff, 2.0) for parity in (0, 1))
-    even, odd = (_chain(np.sqrt((m[:-1] + 1.0) * (m[:-1] + 2.0))) for m in levels)
-    return even, odd
 
 
 @functools.lru_cache(maxsize=32)
@@ -174,7 +161,9 @@ def _generator_chains(cutoff: int) -> tuple[_Chain, _Chain, _Chain]:
     N = 512 and ~6.3 MB at N = 1024.  The 32 entries hold at most ~50 MB
     under a ceiling of 512 and ~200 MB under 1024.
     """
-    chains = (_displacement_chain(cutoff), *_squeeze_chains(cutoff))
+    levels = (np.arange(parity, cutoff, 2.0)[:-1] for parity in (0, 1))
+    squeeze = (_chain(np.sqrt((m + 1.0) * (m + 2.0))) for m in levels)
+    chains = (_chain(-np.sqrt(np.arange(1.0, cutoff))), *squeeze)
     for chain in chains:
         for part in chain:
             part.setflags(write=False)
@@ -183,7 +172,7 @@ def _generator_chains(cutoff: int) -> tuple[_Chain, _Chain, _Chain]:
 
 def _squeeze_blocks(r: float, chains: tuple[_Chain, _Chain]) -> list[np.ndarray]:
     """S(r) on the even and on the odd levels, each in level order."""
-    return [_interleave(_chain_exp(chain, 0.5 * float(r))) for chain in chains]
+    return [_chain_exp(chain, 0.5 * float(r)) for chain in chains]
 
 
 def _polar(k: complex) -> tuple[float, float]:
@@ -195,6 +184,28 @@ def _polar(k: complex) -> tuple[float, float]:
     return abs(k), cmath.phase(k)
 
 
+def _displacement_overlap(k1: complex, k2: complex, chain: _Chain) -> np.ndarray:
+    """D(k1)^dag D(k2) in level order, each factor built on its own from the
+    displacement chain at that cutoff.
+
+    D(k) = R(phi) Q(t) R(phi)^dag with Q(t) real orthogonal and R diagonal,
+    so the product is R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag.  A
+    zero k1 is the identity: that factor is neither built nor multiplied.
+    The oracle-stream benchmark has k1 = 0 on every pair, where this runs
+    about 10% more pairs per second than the product.
+    """
+    (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
+    out = _chain_exp(chain, t2)
+    levels = np.arange(out.shape[0])
+    if k1 == 0:
+        phi1 = phi2
+    else:
+        left = _chain_exp(chain, -t1)
+        turn = (phi2 - phi1) * levels
+        out = (left * np.cos(turn)) @ out + 1j * ((left * np.sin(turn)) @ out)
+    return np.exp(1j * phi1 * levels)[:, None] * out * np.exp(-1j * phi2 * levels)
+
+
 def displacement_op(k: complex, cutoff: int) -> FockMatrix:
     """D(k) = exp(k a^dag - conj(k) a) of the truncated generator; unitary.
 
@@ -202,10 +213,7 @@ def displacement_op(k: complex, cutoff: int) -> FockMatrix:
     R = diag(e^{i phi n}), and exp(t (a^dag - a)) is real orthogonal.
     """
     _check_cutoff(cutoff)
-    t, phi = _polar(k)
-    phase = np.exp(1j * phi * np.arange(cutoff))
-    real = _interleave(_chain_exp(_displacement_chain(cutoff), t))
-    return phase[:, None] * real * phase.conj()
+    return _displacement_overlap(0, k, _generator_chains(cutoff)[0])
 
 
 def squeeze_op(r: float, cutoff: int) -> FockMatrix:
@@ -216,7 +224,7 @@ def squeeze_op(r: float, cutoff: int) -> FockMatrix:
     """
     _check_cutoff(cutoff)
     out = np.zeros((cutoff, cutoff), dtype=complex)
-    for parity, block in enumerate(_squeeze_blocks(r, _squeeze_chains(cutoff))):
+    for parity, block in enumerate(_squeeze_blocks(r, _generator_chains(cutoff)[1:])):
         out[parity::2, parity::2] = block
     return out
 
@@ -263,45 +271,11 @@ def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ x.real @ b + 1j * (a.T @ x.imag @ b)
 
 
-def _displacement_overlap(k1: complex, k2: complex, levels: np.ndarray, chain: _Chain) -> np.ndarray:
-    """D(k1)^dag D(k2) over the given ordering of the levels, each factor
-    built on its own from the displacement chain at that cutoff.
-
-    D(k) = R(phi) Q(t) R(phi)^dag with Q(t) real orthogonal and R diagonal,
-    so the product is R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag.  A
-    zero k1 is the identity: that factor is neither built nor multiplied.
-    The oracle-stream benchmark has k1 = 0 on every pair, where this runs
-    about 10% more pairs per second than the product.
-    """
-    (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
-
-    def real_factor(t: float) -> np.ndarray:
-        return np.block(_chain_exp(chain, t))
-
-    if k1 == 0:
-        phi1, out = phi2, real_factor(t2)
-    else:
-        left, right = real_factor(-t1), real_factor(t2)
-        turn = (phi2 - phi1) * levels
-        out = (left * np.cos(turn)) @ right + 1j * ((left * np.sin(turn)) @ right)
-    return np.exp(1j * phi1 * levels)[:, None] * out * np.exp(-1j * phi2 * levels)
-
-
 def _kept_levels(root: np.ndarray) -> int:
     """How many leading levels a rung keeps of a state with sqrt-weights
     root: level n is dropped when root[n:] sums to at most _TRIM_TAIL."""
     tail = np.cumsum(root[::-1])[::-1]
     return int(np.count_nonzero(tail > _TRIM_TAIL))
-
-
-def _even_first(x: np.ndarray) -> np.ndarray:
-    return np.concatenate((x[0::2], x[1::2]))
-
-
-def _parity_parts(n: int) -> tuple[slice, slice]:
-    """Where the even and the odd levels below n sit in even-first order."""
-    even = (n + 1) // 2
-    return slice(0, even), slice(even, n)
 
 
 def rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
@@ -321,25 +295,24 @@ def rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
     uhlmann_fidelity(dst_state(s1, N), dst_state(s2, N)) to <= 4e-17 plus
     rounding.
 
-    The levels are taken even first, then odd: the squeezes are block
-    diagonal there, and singular values do not see the reordering.
+    S_i acts on the levels of each parity, p::2, on its own, so W is filled
+    a parity block at a time on those strided views.
     """
     root1 = np.sqrt(thermal_weights(s1.beta, cutoff))
     root2 = np.sqrt(thermal_weights(s2.beta, cutoff))
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
     chains = _generator_chains(cutoff)
     sq1, sq2 = _squeeze_blocks(s1.r, chains[1:]), _squeeze_blocks(s2.r, chains[1:])
-    overlap = _displacement_overlap(s1.k, s2.k, _even_first(np.arange(cutoff)), chains[0])
+    overlap = _displacement_overlap(s1.k, s2.k, chains[0])
 
-    parts, rows, cols = _parity_parts(cutoff), _parity_parts(n1), _parity_parts(n2)
     w = np.empty((n1, n2), dtype=complex)
     for p in (0, 1):
         for q in (0, 1):
             # Only the kept levels' columns of S1 and S2 enter the sandwich.
-            left = sq1[p][:, : rows[p].stop - rows[p].start]
-            right = sq2[q][:, : cols[q].stop - cols[q].start]
-            w[rows[p], cols[q]] = _sandwich(left, overlap[parts[p], parts[q]], right)
-    m = _even_first(root1[:n1])[:, None] * w * _even_first(root2[:n2])
+            left = sq1[p][:, : (n1 - p + 1) // 2]
+            right = sq2[q][:, : (n2 - q + 1) // 2]
+            w[p::2, q::2] = _sandwich(left, overlap[p::2, q::2], right)
+    m = root1[:n1, None] * w * root2[:n2]
     sv = np.linalg.svd(m, compute_uv=False)
     return float(np.sum(sv) ** 2)
 

@@ -266,18 +266,20 @@ def _multiplier(r1, r2, g, t1, t2, c1):
         Im l = sech(b1/2) Im g [b e^{r1 - 2 r2} + a e^{-r1}].
 
     This is the adjugate solve of the matching system as two nonnegative
-    terms per component, each exponentiated from its logarithm, so nothing
-    cancels or overflows; a and b come from u = t/max(t1, t2), so no
-    logarithm grows with beta and no state, hot or cold, costs l digits.
+    terms per component, each exponentiated from its logarithm with
+    log sech(b1/2) and log |g| folded in, so nothing cancels, overflows or
+    underflows before the e^{+-r} factors scale it back; a and b come from
+    u = t/max(t1, t2), so no logarithm grows with beta and no state, hot or
+    cold, costs l digits.  The sign is g's, signed zeros included.
     """
     top = np.maximum(t1, t2)
     u1, u2 = t1 / top, t2 / top
     lu1, lu2 = np.log(u1), np.log(u2)
     lden = np.log(u1 * u1 + u2 * u2 + 2.0 * (u1 * u2) * np.cosh(2.0 * (r1 - r2)))
     la, lb = 2.0 * lu2 - lden, lu1 + lu2 - lden
-    sech = 1.0 / c1
-    re = sech * g.real * (np.exp(la + r1) + np.exp(lb + 2.0 * r2 - r1))
-    im = sech * g.imag * (np.exp(lb + r1 - 2.0 * r2) + np.exp(la - r1))
+    lre, lim = (np.log(np.abs(part)) - np.log(c1) for part in (g.real, g.imag))
+    re = np.copysign(np.exp(la + r1 + lre) + np.exp(lb + 2.0 * r2 - r1 + lre), g.real)
+    im = np.copysign(np.exp(lb + r1 - 2.0 * r2 + lim) + np.exp(la - r1 + lim), g.imag)
     return _complex(re, im)
 
 

@@ -4,7 +4,7 @@ The oracle evaluates each cutoff rung without forming a density matrix (see
 `dstfid.fock.rung_fidelity`).  The tests check it against the plain routes
 kept here: the ladder operator, the thermal state as a matrix, the Uhlmann
 fidelity of two density matrices, each checked to be one, and the full-size
-rung, which keeps every level and builds each operator afresh.
+rung, which keeps every level and multiplies the full operators.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
 
 def full_rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
     """(sum svdvals(sqrt(L1) U1^dag U2 sqrt(L2)))^2 with U_i = D(k_i) S(r_i):
-    one rung at full size, every level kept and no factor shared."""
+    one rung at full size, every level kept and each U_i a full matrix."""
     root1, root2 = (np.sqrt(thermal_weights(s.beta, cutoff)) for s in (s1, s2))
     u1, u2 = (displacement_op(s.k, cutoff) @ squeeze_op(s.r, cutoff) for s in (s1, s2))
     sv = np.linalg.svd(root1[:, None] * (u1.conj().T @ u2) * root2, compute_uv=False)

@@ -521,6 +521,25 @@ def test_config_file_refuses_unknown_keys(tmp_path, capsys):
     assert f"{typo}:2: unknown config key 'methd'" in out.err
 
 
+def test_verify_reads_oracle_tol_not_the_threshold_key(tmp_path, capsys):
+    # A file shared with compute sets tol, compute's flag threshold: verify
+    # must not take it as its oracle tolerance.
+    from dstfid.cli import main
+
+    def record(config=None):
+        argv = ["verify", "--preset", "quick", "--format", "record"]
+        if config is not None:
+            conf = tmp_path / "verify.conf"
+            conf.write_text(config + "\n")
+            argv += ["--config", str(conf)]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    plain = record()
+    assert record("tol = 0.5") == plain
+    assert record("oracle_tol = 1e-4") != plain
+
+
 @pytest.mark.parametrize(
     "argv",
     [

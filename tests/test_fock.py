@@ -266,13 +266,19 @@ def test_rung_equals_uhlmann_of_dense_states(s1, s2):
         (state(0.0, 0.5, nbar=2.0), state(0.6, 0.1, beta=3.0), 80, (False, True)),
         (state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, beta=5.0), 60, (True, True)),
         (state(-0.2j, 0.3, nbar=2.0), state(-0.5, -0.1, nbar=2.0), 80, (False, False)),
+        # Odd cutoffs, with an odd number of kept levels in each state.
+        (state(0.3 - 0.2j, 0.4, beta=3.0), state(-0.5j, -0.3, nbar=1.0), 61, (True, False)),
+        (state(-0.4 + 0.1j, -0.3, nbar=1.5), state(0.6 + 0.2j, 0.2, beta=3.5), 79, (False, True)),
     ],
 )
 def test_rung_matches_the_full_size_rung(s1, s2, cutoff, dropped):
     # The rung drops the levels of each state whose sqrt-weight tail is at
-    # most 1e-17; the full-size rung keeps every level and shares no factor.
+    # most 1e-17; the full-size rung keeps every level and multiplies the
+    # full operators.
     kept = [fock._kept_levels(np.sqrt(thermal_weights(s.beta, cutoff))) for s in (s1, s2)]
     assert tuple(n < cutoff for n in kept) == dropped
+    if cutoff % 2:
+        assert all(n % 2 for n in kept)
     assert abs(rung_fidelity(s1, s2, cutoff) - full_rung_fidelity(s1, s2, cutoff)) <= 1e-14
 
 

@@ -84,8 +84,9 @@ def printed_reference(r1, beta1, r2, beta2, g):
 
 def multiplier_reference(r1, beta1, r2, beta2, g):
     """l, the first entry of the solution of the matching system P l = rhs,
-    built from the conjugation factors and solved at 50 digits."""
-    with mp.workdps(50):
+    built from the conjugation factors and solved at 450 digits: at wide
+    squeeze and high beta, P's products cancel over hundreds of digits."""
+    with mp.workdps(450):
         r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
 
         def squeeze(r):
@@ -415,6 +416,9 @@ def test_reported_multiplier_matches_reference_on_hot_pair():
     (-3.2, 2.8e-6, 3.9, 26.4, -2.3 - 1.5j, 1e-13),  # squeeze gap 7, hot against cold
     # cold: assembled from log tanh, which stays small, so no digits are lost
     (3.5, 40.0, -0.2, 700.0, 0.2 - 0.1j, 1e-13),
+    # wide squeeze, tiny g: sech(b1/2) Re g alone underflows, l does not
+    (138.40139964516487, 578.5014305265621, 310.8220577730099, 5.747205534066755e-06,
+     -9.509412743919048e-223 + 3.426443387747805e-256j, 1e-12),
 ])
 def test_reported_multiplier_matches_reference(r1, b1, r2, b2, g, rel):
     tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
