@@ -2,21 +2,23 @@
 """Brute-force oracle convergence versus Fock-space cutoff.
 
 Evaluates the oracle's rung function (the Uhlmann fidelity of one pair of
-states truncated at a cutoff) on a fixed ladder of cutoffs, starting at the
+states truncated at a cutoff) on the oracle's own cutoff ladder, the fixed
+x1.5 sequence 2, 3, 4, 6, 9, ... from its first member at or above the
 smallest cutoff whose thermal tails both states accept, and tabulates the
-successive gaps, i.e. the evidence behind the adaptive-cutoff policy (grow by
-x1.5 until the change drops below tol).
+successive gaps, i.e. the evidence behind the adaptive-cutoff policy (climb
+that ladder until the change drops below tol).
 
 Example:
     python3 scripts/cutoff_convergence.py --k2 1.5 --r1 0.3 --r2 0.5
 """
 
 import argparse
+import itertools
 import sys
 
 from dstfid.algebra import state
 from dstfid.cli import parse_complex
-from dstfid.fock import fidelity_oracle, rung_fidelity, thermal_cutoff_requirement
+from dstfid.fock import cutoff_ladder, fidelity_oracle, rung_fidelity, thermal_cutoff_requirement
 
 
 def main(argv=None) -> int:
@@ -38,14 +40,13 @@ def main(argv=None) -> int:
           f"{adaptive.cutoff_used} (gap {adaptive.convergence_gap:.3e})")
     print("cutoff,fidelity,gap_prev,gap_adaptive")
 
-    cutoff = max(thermal_cutoff_requirement(s1.beta), thermal_cutoff_requirement(s2.beta))
+    floor = max(thermal_cutoff_requirement(s1.beta), thermal_cutoff_requirement(s2.beta))
     prev = None
-    for _ in range(args.rungs):
+    for cutoff in itertools.islice(cutoff_ladder(floor), args.rungs):
         fid = rung_fidelity(s1, s2, cutoff)
         gap = "" if prev is None else f"{abs(fid - prev):.6e}"
         print(f"{cutoff},{fid:.17g},{gap},{abs(fid - adaptive.fidelity):.6e}")
         prev = fid
-        cutoff = int(round(cutoff * 1.5))
     return 0
 
 

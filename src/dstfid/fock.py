@@ -21,8 +21,11 @@ diag(sqrt p1) U1^dag U2 diag(sqrt p2).  Its rows and columns stop at the
 first level from which a state's sqrt p sum to at most 1e-17, which moves
 F_N by at most 4e-17; the generator SVDs depend on the cutoff alone and are
 computed once per cutoff (a bounded cache of 32).  An adaptive cutoff
-ladder (grow by x1.5 until two successive values agree) certifies
-convergence.
+ladder certifies convergence: it climbs one fixed sequence of cutoffs, 2, 3,
+4, 6, 9, ..., each x1.5 (rounded) of the one before, from the first member
+at or above a per-pair starting cutoff, until two successive values agree.
+Every pair's rungs are then members of that one sequence, so they share the
+cached SVDs.
 
 The oracle is deliberately independent of the 2x2 reduction: it never touches
 the conjugation matrices, and it builds D(k1) and D(k2) as separate factors
@@ -35,6 +38,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +162,11 @@ def _generator_chains(cutoff: int) -> tuple[_Chain, _Chain, _Chain]:
     made read-only.
 
     An entry holds the three chains' U and V^T, ~6 N^2 bytes: ~1.6 MB at
-    N = 512 and ~6.3 MB at N = 1024.  The 32 entries hold at most ~50 MB
-    under a ceiling of 512 and ~200 MB under 1024.
+    N = 512 and ~6.3 MB at N = 1024.  The oracle's rungs are members of
+    cutoff_ladder's fixed sequence or a ceiling: its 16 members below 1024
+    plus a ceiling of 1024 hold ~13.5 MB.  The bound of 32 entries still
+    covers arbitrary ceilings and direct callers: at most ~50 MB under a
+    ceiling of 512 and ~200 MB under 1024.
     """
     levels = (np.arange(parity, cutoff, 2.0)[:-1] for parity in (0, 1))
     squeeze = (_chain(np.sqrt((m + 1.0) * (m + 2.0))) for m in levels)
@@ -347,6 +354,29 @@ def _starting_cutoff(s1: StateParams, s2: StateParams) -> float:
     )
 
 
+def cutoff_ladder(start: float, ceiling: float = math.inf) -> Iterator[int]:
+    """The oracle's cutoffs from start: the members of the fixed sequence
+    2, 3, 4, 6, 9, 14, 21, 32, 48, 72, 108, 162, 243, 364, 546, 819, ...
+    (each int(round(1.5 N)) of the one before) from the first one >= start,
+    the last clamped to the ceiling.  Every ladder climbs the same sequence,
+    so its rungs share the cached generator SVDs.
+
+    Empty when start >= ceiling (an inf start included); start, ceiling when
+    the first member already reaches the ceiling.
+    """
+    if start >= ceiling:
+        return
+    cutoff = 2
+    while cutoff < start:
+        cutoff = int(round(cutoff * 1.5))
+    if cutoff >= ceiling:
+        cutoff = start  # 1.5 start is past the ceiling too
+    while cutoff < ceiling:
+        yield cutoff
+        cutoff = int(round(cutoff * 1.5))
+    yield ceiling
+
+
 def fidelity_oracle(
     s1: StateParams,
     s2: StateParams,
@@ -355,7 +385,8 @@ def fidelity_oracle(
 ) -> OracleResult:
     """Adaptive-cutoff Uhlmann fidelity between two parameterized states.
 
-    Evaluates at a starting cutoff, grows by x1.5 (rounded) and stops when two
+    Climbs cutoff_ladder from a starting cutoff (the first member of the
+    fixed x1.5 sequence at or above _starting_cutoff) and stops when two
     successive fidelities differ by at most tol.  Raises ConvergenceError
     with the gap trace if the ceiling is reached first (at once, computing no
     rung, when the starting cutoff already reaches it), and ValueError for a
@@ -364,19 +395,15 @@ def fidelity_oracle(
     """
     _check_oracle_options(tol, ceiling)
     start = _starting_cutoff(s1, s2)
-    ladder: list[int] = []
     if start >= ceiling:
-        # A lone rung at the ceiling has nothing to agree with.
+        # A lone rung at the ceiling has nothing to agree with: the ladder is
+        # empty.
         for s in (s1, s2):
             _check_thermal_tail(s.beta, ceiling)
-    else:
-        ladder.append(start)
-        while ladder[-1] < ceiling:
-            ladder.append(min(ceiling, int(round(ladder[-1] * 1.5))))
 
     gaps: list[tuple[int, float]] = []
     prev: float | None = None
-    for cutoff in ladder:
+    for cutoff in cutoff_ladder(start, ceiling):
         fid = rung_fidelity(s1, s2, cutoff)
         if prev is not None:
             gap = abs(fid - prev)

@@ -1,5 +1,7 @@
 """Truncated Fock-space oracle: operators, states, Uhlmann fidelity."""
 
+import cmath
+import itertools
 import math
 import os
 import subprocess
@@ -15,6 +17,7 @@ import dstfid.fock as fock
 from dstfid.algebra import state
 from dstfid.fock import (
     ConvergenceError,
+    cutoff_ladder,
     displacement_op,
     dst_state,
     fidelity_oracle,
@@ -297,6 +300,78 @@ def test_rung_value_does_not_depend_on_the_chain_cache():
     evicted = rung_fidelity(s1, s2, cutoff)
     assert fock._generator_chains.cache_info().misses == misses + 1
     assert cold == warm == evicted
+
+
+# The oracle's fixed cutoff sequence: 2, then int(round(1.5 N)) of each.
+CUTOFF_SEQUENCE = (2, 3, 4, 6, 9, 14, 21, 32, 48, 72, 108, 162, 243, 364, 546, 819, 1228)
+
+
+def _record_rungs(monkeypatch) -> list[int]:
+    rungs: list[int] = []
+
+    def recorded(s1, s2, cutoff):
+        rungs.append(cutoff)
+        return rung_fidelity(s1, s2, cutoff)
+
+    monkeypatch.setattr(fock, "rung_fidelity", recorded)
+    return rungs
+
+
+def test_cutoff_ladder_climbs_the_fixed_sequence():
+    assert tuple(itertools.islice(cutoff_ladder(2), len(CUTOFF_SEQUENCE))) == CUTOFF_SEQUENCE
+    assert list(cutoff_ladder(30, 1024)) == [32, 48, 72, 108, 162, 243, 364, 546, 819, 1024]
+    assert list(cutoff_ladder(48, 100)) == [48, 72, 100]
+    # The first member (48) already reaches the ceiling: the start itself
+    # is the first rung, so the ceiling still has a rung to agree with.
+    assert list(cutoff_ladder(35, 40)) == [35, 40]
+    assert list(cutoff_ladder(40, 48)) == [40, 48]
+    # A start at or past the ceiling, an infinite one included, has no rung.
+    assert list(cutoff_ladder(1024, 1024)) == []
+    assert list(cutoff_ladder(math.inf, 1024)) == []
+
+
+@pytest.mark.parametrize(
+    "s1, s2, ceiling",
+    [
+        (state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0), 1024),
+        (state(0.0, -0.7, beta=3.0), state(1.2 - 0.4j, 0.6, nbar=1.9), 1024),
+        # hot: the thermal floor sets the start, the ladder passes 243
+        (state(0.0, 0.1, nbar=8.0), state(0.2, -0.1, nbar=6.0), 1024),
+        # displaced, k1 != 0, to an odd ceiling
+        (state(-1.5 + 1.0j, 0.3, nbar=0.2), state(1.5 - 0.5j, -0.2, nbar=0.4), 151),
+        # the first member (32) reaches the ceiling: [start, ceiling]
+        (state(0.0, 0.0, nbar=0.05), state(0.1, 0.0, nbar=0.05), 32),
+    ],
+    ids=["readme", "squeezed", "hot", "displaced", "edge"],
+)
+def test_oracle_rungs_are_sequence_members(monkeypatch, s1, s2, ceiling):
+    rungs = _record_rungs(monkeypatch)
+    start = fock._starting_cutoff(s1, s2)
+    res = fidelity_oracle(s1, s2, ceiling=ceiling)
+    assert rungs[0] >= start
+    assert res.cutoff_used == rungs[-1]
+    if min(n for n in CUTOFF_SEQUENCE if n >= start) >= ceiling:
+        assert rungs == [start, ceiling]
+    else:
+        assert set(rungs) <= {*CUTOFF_SEQUENCE, ceiling}, rungs
+
+
+def test_stream_pairs_miss_the_chain_cache_once_per_cutoff(monkeypatch):
+    # A work count, not a timing: 32 seeded k1 = 0 pairs from the stream
+    # benchmark's box (|k2| <= 1.5, |r| <= 0.8, 0.05 <= nbar <= 2) climb the
+    # fixed sequence, a handful of cutoffs, and compute each one's generator
+    # SVDs once.  A start-dependent ladder spreads such pairs over ~50
+    # cutoffs, more than the cache holds.
+    rng = np.random.default_rng(2020)
+    rungs = _record_rungs(monkeypatch)
+    fock._generator_chains.cache_clear()
+    for _ in range(32):
+        r1, r2 = rng.uniform(-0.8, 0.8, size=2)
+        nbar1, nbar2 = rng.uniform(0.05, 2.0, size=2)
+        k2 = cmath.rect(1.5 * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi))
+        fidelity_oracle(state(0.0, r1, nbar=nbar1), state(k2, r2, nbar=nbar2))
+    assert set(rungs) <= set(CUTOFF_SEQUENCE)
+    assert fock._generator_chains.cache_info().misses <= len(set(rungs))
 
 
 def test_oracle_self_pair_is_one_to_rounding():
