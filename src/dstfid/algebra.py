@@ -164,13 +164,13 @@ def thermal_matrix(beta: float, power: float) -> Mat2C:
     return np.array([[e, 0.0], [0.0, 1.0 / e]], dtype=complex)
 
 
-# --- log-scaled hyperbolics -------------------------------------------------
+# --- log-scaled sinh -------------------------------------------------------
 #
-# The reduction assembles products like sinh(b1) sinh(b2) / Delta from these
-# logarithms at every beta, so nothing overflows toward the pure-state limit.
-# The forms are exact for all x > 0 (log1p/expm1 soak up the tail), not just
-# asymptotically.  Both work elementwise on arrays, and neither checks its
-# argument: the reduction passes values derived from validated states.
+# The reduction takes sinh b2 (delta1's exponent) and the printed display's
+# sinh numerators as this logarithm, so nothing overflows toward the pure-state
+# limit.  It is exact for all x > 0 (expm1 soaks up the tail), works
+# elementwise on arrays and does not check its argument: the reduction passes
+# values derived from validated states.
 
 _LOG2 = math.log(2.0)
 
@@ -179,8 +179,3 @@ def _log_sinh(x):
     """log(sinh x) = x - log 2 + log(-expm1(-2x)); -inf at x = 0 (under
     np.errstate)."""
     return x - _LOG2 + np.log(-np.expm1(-2.0 * x))
-
-
-def _log_cosh(x):
-    """log(cosh x) = x - log 2 + log1p(exp(-2x))."""
-    return x - _LOG2 + np.log1p(np.exp(-2.0 * x))

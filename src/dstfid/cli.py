@@ -578,9 +578,10 @@ def _human_verify(report: ReconciliationReport) -> str:
 def cmd_verify(args) -> int:
     config = load_config(args.config) if args.config else {}
     preset = _resolve(args.preset, config, "preset", "full", str)
-    # verify's --tol is the oracle's tolerance, so its config key is
-    # oracle_tol: in a shared file, tol is compute's and sweep's threshold.
-    tol = _resolve(args.tol, config, "oracle_tol", VERIFY_TOL, float)
+    if args.tol is not None:
+        raise UsageError("verify takes the oracle tolerance as --oracle-tol; --tol is the "
+                         "flag threshold of compute and sweep")
+    tol = _resolve(args.oracle_tol, config, "oracle_tol", VERIFY_TOL, float)
     ceiling = _resolve(args.ceiling, config, "ceiling", VERIFY_CEILING, int)
     report = run_verification(preset=preset, tol=tol, ceiling=ceiling)
     if args.format == "record":
@@ -667,8 +668,9 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=("full", "quick"), default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="oracle convergence tolerance (default 1e-8; config key oracle_tol)")
+    p.add_argument("--oracle-tol", dest="oracle_tol", type=float, default=None,
+                   help="oracle convergence tolerance (default 1e-8)")
+    p.add_argument("--tol", help=argparse.SUPPRESS)  # compute's threshold: refused here
     p.add_argument("--ceiling", type=int, default=None,
                    help="oracle cutoff ceiling (default 512)")
     p.add_argument("--config", default=None, help="key = value config file; flags override")
@@ -688,7 +690,8 @@ _SUBCOMMANDS = {
     "compute": ("fidelity of one pair of states", _compute_args),
     "sweep": ("parameter sweep over one or two axes", _sweep_args),
     "verify": ("run the standard grids and reconciliation report", _verify_args),
-    "snapshot": ("check (default) or regenerate golden oracle records", _snapshot_args),
+    "snapshot": ("check (default) or regenerate golden oracle records; takes no config "
+                 "file", _snapshot_args),
 }
 
 
@@ -705,7 +708,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dstfid {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, add_args) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         if only in (None, name):
             add_args(p)
     return parser

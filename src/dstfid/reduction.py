@@ -26,9 +26,9 @@ which the comparison path reproduces verbatim.
 
 Both paths, the base factor, the flags and every check are evaluated by
 `closed_form`, elementwise over arrays of pairs: a sweep is one call, and
-`fidelity` is a batch of one.  Every closed-form scalar is assembled from
-logarithms and only exponentiated at the report boundary, so hot states keep
-their digits and near-pure states never overflow; the matrix route is written
+`fidelity` is a batch of one.  Every closed-form scalar is built from one set
+of variables, tanh and sech of beta/2 and a normalised denominator, with no
+logarithm that grows with beta (see _variables); the matrix route is written
 without differences of nearly equal products and scaled so that its checks
 run at every beta (see _matrix_route).  The batch then raises its first
 refused row's first failing check and, when the options ask for it, runs the
@@ -46,7 +46,6 @@ import numpy as np
 from .algebra import (
     DegenerateInputError,
     StateParams,
-    _log_cosh,
     _log_sinh,
     squeeze_matrix,  # noqa: F401  (perfbench's tracer wraps these names here)
     thermal_matrix,  # noqa: F401
@@ -77,7 +76,6 @@ _DUAL_TOL = 1e-10
 _L_TOL = 1e-13
 
 _EXP_MAX = 709.0  # math.exp overflows just above this
-_LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_TINY = math.log(1e-300)
@@ -224,43 +222,30 @@ def _squeezed_norm(g, r):
     return g.real * g.real * np.exp(x) + g.imag * g.imag * np.exp(-x)
 
 
-def _log_sinhs(b1, b2):
-    """log sinh of (b1, b2, b1/2, b2/2, (b1 + b2)/2, |b1 - b2|/2) as one
-    array, evaluated once per batch; the last is -inf at b1 = b2 (under
-    np.errstate)."""
-    return _log_sinh(np.array([b1, b2, 0.5 * b1, 0.5 * b2, 0.5 * (b1 + b2),
-                               0.5 * np.abs(b1 - b2)]))
+def _variables(r1, b1, r2, b2):
+    """(t1, t2, c1, c2, u1, u2, T, D', log Delta), once per batch: t, c = tanh,
+    cosh(beta/2), T = max(t1, t2), u = t/T and D' = 2 (u1^2 + u2^2) +
+    4 u1 u2 ch 2(r1 - r2) = Delta/(c1 c2 T)^2 (as sh b = 2 c^2 t, 1/c^2 =
+    1 - t^2), with Delta = ch b1 ch b2 + sh b1 sh b2 ch 2(r1 - r2) - 1 the
+    common positive denominator: D' >= 2 sums nonnegative terms, none growing
+    with beta, so no state costs it digits."""
+    t1, t2 = np.tanh(0.5 * b1), np.tanh(0.5 * b2)
+    c1, c2 = np.cosh(0.5 * b1), np.cosh(0.5 * b2)  # finite below beta = 745
+    top = np.maximum(t1, t2)
+    u1, u2 = t1 / top, t2 / top
+    # ch 2(r1 - r2) to first order in the gap's rounding error err (Knuth's
+    # two-sum), which cosh(x) would turn into a relative error x times larger
+    gap = r1 - r2
+    err = (r1 - (gap - (gap - r1))) - (r2 + (gap - r1))
+    ch = np.cosh(2.0 * gap) + 2.0 * err * np.sinh(2.0 * gap)
+    dp = 2.0 * (u1 * u1 + u2 * u2) + 4.0 * (u1 * u2) * ch
+    ldd = 2.0 * (np.log(c1) + np.log(c2) + np.log(top)) + np.log(dp)  # log Delta
+    return t1, t2, c1, c2, u1, u2, top, dp, ldd
 
 
-def _log_denominator(ls, r1, r2):
-    """log of the common positive denominator
-    ch b1 ch b2 + sh b1 sh b2 ch 2(r1-r2) - 1, summed as
-    sh^2((b1+b2)/2) + sh^2((b1-b2)/2) + sh b1 sh b2 ch 2(r1-r2):
-    three nonnegative terms, so hot states (small beta) keep their digits
-    (the middle one is -inf, dropping out, at b1 = b2).  ls is
-    _log_sinhs(b1, b2)."""
-    top = ls[0] + ls[1] + _log_cosh(np.abs(2.0 * (r1 - r2)))
-    return np.logaddexp(np.logaddexp(2.0 * ls[4], 2.0 * ls[5]), top)
-
-
-def _ratio_log(ls, ldd, c1, c2):
-    """(sh b1 sh^2(b2/2) c1 + sh^2(b1/2) sh b2 c2) / exp(ldd), with ldd the log
-    denominator, assembled by signed log-sum-exp so neither the terms nor the
-    quotient overflow; exactly 0.0 where both coefficients vanish."""
-    lnum, sign = logsumexp(
-        [
-            ls[0] + 2.0 * ls[3] + np.log(np.abs(c1)),
-            2.0 * ls[2] + ls[1] + np.log(np.abs(c2)),
-        ],
-        [np.sign(c1), np.sign(c2)],
-    )
-    return sign * np.exp(lnum - ldd)
-
-
-def _multiplier(r1, r2, g, t1, t2, c1):
-    """The solved multiplier l in closed form, with t, c = tanh, cosh(beta/2),
-    D = 2 (t1^2 + t2^2) + 4 t1 t2 ch 2(r1 - r2) = Delta/(c1 c2)^2 and
-    a, b = 2 t2^2/D, 2 t1 t2/D:
+def _multiplier(r1, r2, g, u1, u2, dp, c1):
+    """The solved multiplier l in closed form, with u, D' from _variables,
+    c1 = cosh(b1/2) and a, b = 2 u2^2/D', 2 u1 u2/D':
 
         Re l = sech(b1/2) Re g [a e^{r1} + b e^{2 r2 - r1}],
         Im l = sech(b1/2) Im g [b e^{r1 - 2 r2} + a e^{-r1}].
@@ -268,14 +253,11 @@ def _multiplier(r1, r2, g, t1, t2, c1):
     This is the adjugate solve of the matching system as two nonnegative
     terms per component, each exponentiated from its logarithm with
     log sech(b1/2) and log |g| folded in, so nothing cancels, overflows or
-    underflows before the e^{+-r} factors scale it back; a and b come from
-    u = t/max(t1, t2), so no logarithm grows with beta and no state, hot or
-    cold, costs l digits.  The sign is g's, signed zeros included.
+    underflows before the e^{+-r} factors scale it back; no logarithm in a
+    or b grows with beta, so no state, hot or cold, costs l digits.  The
+    sign is g's, signed zeros included.
     """
-    top = np.maximum(t1, t2)
-    u1, u2 = t1 / top, t2 / top
-    lu1, lu2 = np.log(u1), np.log(u2)
-    lden = np.log(u1 * u1 + u2 * u2 + 2.0 * (u1 * u2) * np.cosh(2.0 * (r1 - r2)))
+    lu1, lu2, lden = np.log(u1), np.log(u2), np.log(0.5 * dp)
     la, lb = 2.0 * lu2 - lden, lu1 + lu2 - lden
     lre, lim = (np.log(np.abs(part)) - np.log(c1) for part in (g.real, g.imag))
     re = np.copysign(np.exp(la + r1 + lre) + np.exp(lb + 2.0 * r2 - r1 + lre), g.real)
@@ -331,11 +313,11 @@ def _log_within(tol, terms, top):
     return logsumexp([t for t, _ in terms], [s for _, s in terms])[0] <= math.log(tol) + top
 
 
-def _matrix_route(r1, r2, g, t1, t2, c1, c2, ls, ldd, ld1, lq1, lratio, l0):
+def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, l0):
     """Evaluate the 2x2 matrix route and check the closed-form values against
-    it, with t, c = tanh, cosh(beta/2), ls the log sinhs, ldd the log
-    denominator, and ld1 and lq1 the closed-form delta1 exponent and the log
-    of its magnitude.  Returns (annihilation residual, checks), in check order:
+    it, with t, c, ldd from _variables, lsh2 = log sh b2, root = sqrt(2 Delta)
+    /(c1 c2), ld1 and lq1 the delta1 exponent and the log of its magnitude.
+    Returns (annihilation residual, checks), in check order:
 
     both exponents real and delta1 equal to the scalar form to 1e-10; the
     determinant against -2*Delta, checked normalised as
@@ -357,8 +339,7 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, ls, ldd, ld1, lq1, lratio, l0):
     # (1/2) v^T B2^{-1/2} Sigma B2^{+1/2} v = sh(b2) v0 v1: the e^{b2} - e^{-b2}
     # of the conjugated form is 2 sh b2, which enters as its logarithm.
     vv = _cmul(v0, -v0.conj())
-    ld1m = ls[1] + np.log(np.abs(vv.real)), np.sign(vv.real)
-    root = np.exp(0.5 * (_LOG2 + ldd) - np.log(c1) - lc2)  # sqrt(2 Delta)/(c1 c2)
+    ld1m = lsh2 + np.log(np.abs(vv.real)), np.sign(vv.real)
     det_unit = (q01 / root) * (q10 / root)
     h0, h1 = rhs1 / q10, rhs0 / q01
     rhs_norm = np.hypot(np.abs(rhs0), np.abs(rhs1))
@@ -384,8 +365,8 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, ls, ldd, ld1, lq1, lratio, l0):
     bound = np.abs(l0c.real) + np.abs(l0c.imag) + _SQRT_HALF * (np.abs(h0) + np.abs(h1))
     checks = [
         ("delta1-imaginary", PipelineCheckError,
-         ~(np.abs(vv.imag) <= 1e-10 * np.maximum(np.exp(-ls[1]), np.abs(vv))),
-         lambda i: f"delta1 exponent acquired an imaginary part: {_times_exp(vv, ls[1], i)!r}"),
+         ~(np.abs(vv.imag) <= 1e-10 * np.maximum(np.exp(-lsh2), np.abs(vv))),
+         lambda i: f"delta1 exponent acquired an imaginary part: {_times_exp(vv, lsh2, i)!r}"),
         ("delta1-dual-path", PipelineCheckError,
          ~_log_within(_DUAL_TOL, [ld1m, (lq1, 1.0)], np.maximum(0.0, ld1m[0])),
          lambda i: f"delta1 dual-path mismatch: matrix {_times_exp(*ld1m[::-1], i)!r} vs "
@@ -436,31 +417,31 @@ def _times_exp(x, log, i):
 # ---------------------------------------------------------------------------
 
 
-def _printed_path(g, r1, r2, ls, ldd):
+def _printed_path(g, r1, r2, lsh2):
     """Verbatim printed displays (opposite squeeze-sign convention): the log
-    delta1 quadratic form and the log ratio (eps1 + eps2)/denominator."""
+    delta1 quadratic form and the two coefficients of the printed ratio's
+    exponent, which enter it as the pipeline's -2N do (see _evaluate)."""
     gg, g2 = 2.0 * (g.real * g.real - g.imag * g.imag), g.real * g.real + g.imag * g.imag
     x1, x2 = 2.0 * r1, 2.0 * r2
     quad = 0.5 * np.sinh(x2) * gg - np.cosh(x2) * g2
     # sh(b2) quad from logarithms; + 0.0 makes a vanishing quad of either sign +0.0
-    ld1 = np.copysign(np.exp(ls[1] + np.log(np.abs(quad))), quad) + 0.0
+    ld1 = np.copysign(np.exp(lsh2 + np.log(np.abs(quad))), quad) + 0.0
     c1 = gg * np.sinh(x1) - 2.0 * g2 * np.cosh(x1)
     c2 = gg * np.sinh(x2) - 2.0 * g2 * np.cosh(x2)
-    return ld1, _ratio_log(ls, ldd, c1, c2)
+    return ld1, (c1, c2)
 
 
 @np.errstate(divide="ignore")  # log sh((b1 - b2)/2) is -inf at b1 = b2
 def _printed_display(r1, b1, r2, b2):
     """The printed solve-ready matrix of one pair, verbatim, with its
     1/denominator prefactor (only `verify` reads it)."""
-    ls = _log_sinhs(b1, b2)
-    ldd = _log_denominator(ls, r1, r2)
+    ldd = _variables(r1, b1, r2, b2)[-1]
     chr_, shr = np.cosh(r1 - r2), np.sinh(r1 - r2)
     # the sinh/denominator quotients come from logarithms, so the 1/denominator
     # prefactor is already applied and nothing overflows past beta ~ 710
-    shs = np.exp(ls[4] - ldd)
+    shs = np.exp(_log_sinh(0.5 * (b1 + b2)) - ldd)
     # sh((b2 - b1)/2) carries the sign of b2 - b1, +0.0 at b1 = b2
-    shd2 = np.copysign(np.exp(ls[5] - ldd), b2 - b1)
+    shd2 = np.copysign(np.exp(_log_sinh(0.5 * np.abs(b1 - b2)) - ldd), b2 - b1)
     return np.array([[shs * chr_, shd2 * shr], [-shd2 * shr, -shs * chr_]])
 
 
@@ -637,21 +618,29 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     # up to a phase, which cancels
     g = k2 - k1
 
-    # pipeline scalars
-    ls = _log_sinhs(b1, b2)
-    ldd = _log_denominator(ls, r1, r2)
+    # pipeline scalars, all from one set of variables
+    t1, t2, c1, c2, u1, u2, top, dp, ldd = _variables(r1, b1, r2, b2)
+    lsh2 = _log_sinh(b2)
     norms = 2.0 * _squeezed_norm(g, r1), 2.0 * _squeezed_norm(g, r2)
     # delta1's exponent -sh(b2) norms[1]/2 (state 2 only), and its log magnitude
-    lq1 = ls[1] + np.log(0.5 * norms[1])
+    lq1 = lsh2 + np.log(0.5 * norms[1])
     ld1 = -np.exp(lq1) + 0.0
     # The difference ld1 - ld2 cancels catastrophically as beta grows (both
     # exponents scale like sinh(beta) while the ratio stays order one), so
-    # delta2 follows from the direct cancellation-free ratio.
-    lratio = _ratio_log(ls, ldd, -norms[0], -norms[1])
-    t1, t2 = np.tanh(0.5 * b1), np.tanh(0.5 * b2)
-    c1, c2 = np.cosh(0.5 * b1), np.cosh(0.5 * b2)  # finite below beta = 745
-    l0 = _multiplier(r1, r2, g, t1, t2, c1)
-    residual, route_checks = _matrix_route(r1, r2, g, t1, t2, c1, c2, ls, ldd, ld1, lq1, lratio, l0)
+    # delta2 follows from the direct ratio.  Its exponent, shared with the
+    # printed path (e = -2N here), is (sh b1 sh^2(b2/2) e1 + sh^2(b1/2) sh b2 e2)
+    # /Delta = 2 u1 u2 (t2 e1 + t1 e2)/D'; each weight is <= 1/2, so no term
+    # overflows before the sum, and + 0.0 makes a vanishing one +0.0.
+    w = 2.0 * (u1 * u2) / dp
+
+    def log_ratio(e1, e2):
+        return (w * t2) * e1 + (w * t1) * e2 + 0.0
+
+    lratio = log_ratio(-norms[0], -norms[1])
+    l0 = _multiplier(r1, r2, g, u1, u2, dp, c1)
+    root = top * _SQRT2 * np.sqrt(dp)  # sqrt(2 Delta)/(c1 c2); sqrt(2 D') can overflow
+    residual, route_checks = _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1,
+                                           lq1, lratio, l0)
     pipeline = ReductionTrace(
         delta1=np.exp(ld1),
         delta2=np.exp(ld1 - lratio),
@@ -665,7 +654,8 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
         annihilation_residual=residual,
     )
 
-    pr_ld1, pr_lratio = _printed_path(g, r1, r2, ls, ldd)
+    pr_ld1, pr_coefficients = _printed_path(g, r1, r2, lsh2)
+    pr_lratio = log_ratio(*pr_coefficients)
     printed = ReductionTrace(
         delta1=np.exp(pr_ld1),
         delta2=np.exp(pr_ld1 - pr_lratio),  # implied by the printed decomposition
@@ -675,12 +665,9 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
         log_ratio=pr_lratio,
     )
 
-    # base factor: F0 = 4 sh(b1/2) sh(b2/2) (1 + sqrt(1 + Delta/2)) / Delta
-    lone = np.logaddexp(0.0, 0.5 * np.logaddexp(0.0, ldd - _LOG2))  # log(1 + sqrt(1 + Delta/2))
-    exact = np.where(
-        (r1 == r2) & (b1 == b2), 1.0,
-        np.exp(math.log(4.0) + ls[2] + ls[3] + lone - ldd),
-    )
+    sigma = (1.0 / c1) * (1.0 / c2)  # the base factor F0 (see base_factor)
+    f0 = 4.0 * (u1 * u2) * (sigma + np.sqrt(sigma * sigma + 0.5 * dp * top * top)) / dp
+    exact = np.where((r1 == r2) & (b1 == b2), 1.0, f0)
     y, printed_base, overflow = _printed_base(r1, b1, r2, b2)
     domain_error = np.full(shape, None, dtype=object)
     for i in np.flatnonzero(np.isnan(printed_base)):
@@ -779,9 +766,11 @@ def base_factor(s1: StateParams, s2: StateParams) -> BaseFactorTrace:
         F0 = 4 sinh(b1/2) sinh(b2/2) (1 + sqrt(1 + Delta/2)) / Delta,
 
     the covariance form 2/(sqrt(Delta_V + delta_V) - sqrt(delta_V))
-    rationalised so nothing cancels, and assembled from logarithms at every
-    beta.  Identical (r, beta) give exactly 1.  The printed display is
-    evaluated verbatim and the gap between the two is exposed, not hidden.
+    rationalised, and divided through by (c1 c2 T)^2 (see _variables):
+    4 u1 u2 (sigma + sqrt(sigma^2 + T^2 D'/2))/D' with sigma = sech(b1/2)
+    sech(b2/2), so no term cancels or overflows.  Identical (r, beta) give
+    exactly 1.  The printed display is evaluated verbatim and the gap between
+    the two is exposed, not hidden.
     """
     return _at_mismatch(s1, s2, 0.0).report(0).base
 

@@ -2,8 +2,8 @@
 
 pair_vec builds the conjugate-pair column that displacement amplitudes take
 in the (a^dag, a) basis; check_symplectic tests a 2x2 factor against the
-antisymmetric form SIGMA; log_sinh and log_cosh are the package's unchecked
-log-hyperbolics with their domains checked.
+antisymmetric form SIGMA; log_sinh is the package's unchecked log-sinh with
+its domain checked.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import cmath
 
 import numpy as np
 
-from dstfid.algebra import SIGMA, Mat2C, _log_cosh, _log_sinh
+from dstfid.algebra import SIGMA, Mat2C, _log_sinh
 
-__all__ = ["check_symplectic", "pair_vec", "log_sinh", "log_cosh"]
+__all__ = ["check_symplectic", "pair_vec", "log_sinh"]
 
 
 def check_symplectic(m: Mat2C, tol: float = 1e-12) -> bool:
@@ -40,10 +40,3 @@ def log_sinh(x):
     if not np.greater(x, 0.0).all():
         raise ValueError(f"log_sinh needs x > 0, got {x!r}")
     return _log_sinh(x)
-
-
-def log_cosh(x):
-    """log(cosh x) for x >= 0 without overflow: x - log 2 + log1p(exp(-2x))."""
-    if not np.greater_equal(x, 0.0).all():
-        raise ValueError(f"log_cosh needs x >= 0, got {x!r}")
-    return _log_cosh(x)

@@ -540,6 +540,31 @@ def test_verify_reads_oracle_tol_not_the_threshold_key(tmp_path, capsys):
     assert record("oracle_tol = 1e-4") != plain
 
 
+def test_verify_takes_the_oracle_tolerance_as_oracle_tol(capsys):
+    # the flag is named as compute's and sweep's oracle flag and as the config
+    # key; --tol, their flag threshold, is a usage error naming it
+    from dstfid.cli import main
+
+    argv = ["verify", "--preset", "quick", "--format", "record"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--oracle-tol", "1e-8"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(argv + ["--oracle-tol", "1e-4"]) == 0
+    assert capsys.readouterr().out != plain
+    assert main(argv + ["--tol", "1e-6"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: verify takes the oracle tolerance as --oracle-tol")
+
+
+def test_snapshot_help_says_it_takes_no_config_file():
+    res = run_cli("snapshot", "--help")
+    assert res.returncode == 0
+    assert "takes no config file" in res.stdout
+    assert "--config" not in res.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [

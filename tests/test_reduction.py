@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import time
 import warnings
 from dataclasses import fields
@@ -10,7 +11,7 @@ from dataclasses import fields
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algebra_reference import log_sinh
@@ -45,21 +46,36 @@ colder = st.floats(min_value=30.0, max_value=744.0, exclude_min=True)
 wide_betas = st.one_of(hot_to_warm, cold)
 
 
+def _gaussian(r1, beta1, r2, beta2, g):
+    """(F0, log(F/F0)) at the working precision from the quadrature covariance
+    matrices V = coth(beta/2) diag(e^{-2r}, e^{2r}) (vacuum = identity) and
+    the mean difference d = sqrt(2) (Re g, Im g):
+    F = 2 (sqrt(a + delta) + sqrt(delta))/a exp(-d^T (V1+V2)^{-1} d), with
+    a = det(V1+V2) and delta = (det V1 - 1)(det V2 - 1).  That is
+    2/(sqrt(a + delta) - sqrt(delta)) rationalised: the difference cancels
+    over hundreds of digits for hot states, the sum does not."""
+    r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
+    c1, c2 = mp.coth(beta1 / 2), mp.coth(beta2 / 2)
+    sx = c1 * mp.exp(-2 * r1) + c2 * mp.exp(-2 * r2)
+    sp = c1 * mp.exp(2 * r1) + c2 * mp.exp(2 * r2)
+    a = sx * sp
+    delta = 1 / (mp.sinh(beta1 / 2) * mp.sinh(beta2 / 2)) ** 2
+    f0 = 2 * (mp.sqrt(a + delta) + mp.sqrt(delta)) / a
+    return f0, -2 * mp.mpf(g.real) ** 2 / sx - 2 * mp.mpf(g.imag) ** 2 / sp
+
+
 def gaussian_reference(r1, beta1, r2, beta2, g=0j, dps=50):
-    """(F0, F, log(F/F0)) at dps digits from the quadrature covariance matrices
-    V = coth(beta/2) diag(e^{-2r}, e^{2r}) (vacuum = identity) and the mean
-    difference d = sqrt(2) (Re g, Im g):
-    F = 2/(sqrt(det(V1+V2) + delta) - sqrt(delta)) exp(-d^T (V1+V2)^{-1} d),
-    delta = (det V1 - 1)(det V2 - 1)."""
+    """(F0, F, log(F/F0)) at dps digits (see _gaussian)."""
     with mp.workdps(dps):
-        r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
-        c1, c2 = mp.coth(beta1 / 2), mp.coth(beta2 / 2)
-        sx = c1 * mp.exp(-2 * r1) + c2 * mp.exp(-2 * r2)
-        sp = c1 * mp.exp(2 * r1) + c2 * mp.exp(2 * r2)
-        delta = 1 / (mp.sinh(beta1 / 2) * mp.sinh(beta2 / 2)) ** 2
-        f0 = 2 / (mp.sqrt(sx * sp + delta) - mp.sqrt(delta))
-        expo = -2 * mp.mpf(g.real) ** 2 / sx - 2 * mp.mpf(g.imag) ** 2 / sp
+        f0, expo = _gaussian(r1, beta1, r2, beta2, g)
         return float(f0), float(f0 * mp.exp(expo)), float(expo)
+
+
+def log_fidelity_reference(r1, beta1, r2, beta2, g, dps=60):
+    """log F at dps digits (see _gaussian), defined where F underflows."""
+    with mp.workdps(dps):
+        f0, expo = _gaussian(r1, beta1, r2, beta2, g)
+        return float(mp.log(f0) + expo)
 
 
 def printed_reference(r1, beta1, r2, beta2, g):
@@ -365,8 +381,7 @@ def test_extremely_hot_pair_is_accepted_and_matches_reference(capsys):
     assert cli.main(argv) == 0
     rec = json.loads(capsys.readouterr().out)
     beta = math.log1p(1e-100)
-    # F0 = 2/(sqrt(A + delta) - sqrt(delta)) cancels over ~200 digits here
-    _, want, _ = gaussian_reference(0.2, beta, 0.3, beta, 0.5, dps=250)
+    _, want, _ = gaussian_reference(0.2, beta, 0.3, beta, 0.5)
     assert math.isclose(rec["value_matrix_pipeline"], want, rel_tol=1e-11)
     assert rec["pipeline"]["annihilation_residual"] <= 1e-10
 
@@ -419,6 +434,10 @@ def test_reported_multiplier_matches_reference_on_hot_pair():
     # wide squeeze, tiny g: sech(b1/2) Re g alone underflows, l does not
     (138.40139964516487, 578.5014305265621, 310.8220577730099, 5.747205534066755e-06,
      -9.509412743919048e-223 + 3.426443387747805e-256j, 1e-12),
+    # a hot state 2 and tiny g: the route's solved c1 l underflows to 0 here
+    # while l is right, so a check floor relative to l alone would refuse it
+    (-1.865649044675376, 2.9529287669883216e-41, -84.76737684580922, 1.229855962832237e-287,
+     -1.4656057472203098e-104 - 1.019902106193979e-121j, 1e-12),
 ])
 def test_reported_multiplier_matches_reference(r1, b1, r2, b2, g, rel):
     tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
@@ -524,6 +543,25 @@ def test_displaced_fidelity_below_log_scale_matches_gaussian_reference(r1, b1, r
     _, want, expo = gaussian_reference(r1, b1, r2, b2, g)
     assert math.isclose(rep.pipeline.log_ratio, expo, rel_tol=1e-11, abs_tol=1e-300)
     assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-11)
+
+
+log_betas = st.floats(min_value=math.log(1e-300), max_value=math.log(744.0)).map(math.exp)
+squeezes = st.floats(min_value=-20.0, max_value=20.0)
+parts = st.floats(min_value=-100.0, max_value=100.0)
+
+
+@settings(max_examples=300)
+@given(squeezes, log_betas, squeezes, log_betas, parts, parts)
+def test_log_fidelity_within_four_ulps_at_every_beta(r1, b1, r2, b2, re, im):
+    """Wherever F is a normal double, log F is within 4 ulps of
+    max(1, |log F|) of a 60-digit reference, for beta from 1e-300 to 744:
+    that unit separates the algorithm's loss from the conditioning of exp,
+    and F is well conditioned in beta there, so no digit may go with it."""
+    g = complex(re, im)
+    f = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2), NO_ORACLE).value_matrix_pipeline
+    assume(f >= sys.float_info.min)
+    want = log_fidelity_reference(r1, b1, r2, b2, g)
+    assert abs(math.log(f) - want) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize(
@@ -650,6 +688,30 @@ def test_a_whole_domain_batch_is_checked_and_refuses_no_row():
     cf = closed_form_columns(np.zeros(n, dtype=complex), r1, b1, re + 1j * im, r2, b2, NO_ORACLE)
     assert time.perf_counter() - start <= 1.0
     assert len(cf) == n
+
+
+def test_a_whole_domain_draw_is_refused_by_a_check_or_reported_finite():
+    """One seeded batch over the whole domain, with no reference: r uniform
+    in [-3, 3], plus +-400 on half the rows; beta log-uniform in
+    [1e-300, 744]; Re g and Im g of random sign and magnitude 10^U(-300, 300),
+    30% of the rows scaled by 1e-300.  Every row is refused by a named check
+    or reports a finite F in [0, 1] with a finite log ratio and log Delta."""
+    import dstfid.reduction as red
+
+    rng = np.random.default_rng(22)
+    n = 20000
+    r1, r2 = rng.uniform(-3.0, 3.0, (2, n)) + np.where(
+        rng.random((2, n)) < 0.5, rng.choice([-400.0, 400.0], (2, n)), 0.0)
+    b1, b2 = np.exp(rng.uniform(math.log(1e-300), math.log(744.0), (2, n)))
+    re, im = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+    g = np.where(rng.random(n) < 0.3, 1e-300, 1.0) * (re + 1j * im)
+    cf = red._evaluate(np.zeros(n, dtype=complex), r1, b1, g, r2, b2, 1e-8)
+    passed = cf.first_failure == len(cf.checks)
+    assert passed.any() and not passed.all()
+    f = cf.value_matrix_pipeline[passed]
+    assert np.all(np.isfinite(f) & (f >= 0.0) & (f <= 1.0))
+    assert np.all(np.isfinite(cf.pipeline.log_ratio[passed]))
+    assert np.all(np.isfinite(cf.pipeline.log_DeltaDenom[passed]))
 
 
 @pytest.mark.parametrize("seed, bound, n", [(31, 4, 40000), (32, 4, 40000), (33, 8, 40000),
