@@ -223,29 +223,30 @@ def _squeezed_norm(g, r):
 
 
 def _variables(r1, b1, r2, b2):
-    """(t1, t2, c1, c2, u1, u2, T, D', log Delta), once per batch: t, c = tanh,
-    cosh(beta/2), T = max(t1, t2), u = t/T and D' = 2 (u1^2 + u2^2) +
-    4 u1 u2 ch 2(r1 - r2) = Delta/(c1 c2 T)^2 (as sh b = 2 c^2 t, 1/c^2 =
-    1 - t^2), with Delta = ch b1 ch b2 + sh b1 sh b2 ch 2(r1 - r2) - 1 the
-    common positive denominator: D' >= 2 sums nonnegative terms, none growing
-    with beta, so no state costs it digits."""
+    """(t1, t2, c1, c2, u1, u2, T, X, D', D'_l, log Delta), once per batch: t,
+    c = tanh, cosh(beta/2), T = max(t1, t2), u = t/T, X = 4 u1 u2 ch 2(r1 - r2)
+    and D' = 2 (u1^2 + u2^2) + X = Delta/(c1 c2 T)^2 >= 2 (as sh b = 2 c^2 t,
+    1/c^2 = 1 - t^2), with Delta = ch b1 ch b2 + sh b1 sh b2 ch 2(r1 - r2) - 1:
+    no term grows with beta, so no state costs D' digits."""
     t1, t2 = np.tanh(0.5 * b1), np.tanh(0.5 * b2)
     c1, c2 = np.cosh(0.5 * b1), np.cosh(0.5 * b2)  # finite below beta = 745
     top = np.maximum(t1, t2)
     u1, u2 = t1 / top, t2 / top
-    # ch 2(r1 - r2) to first order in the gap's rounding error err (Knuth's
-    # two-sum), which cosh(x) would turn into a relative error x times larger
     gap = r1 - r2
+    x = 4.0 * (u1 * u2) * np.cosh(2.0 * gap)
+    dp_l = 2.0 * (u1 * u1 + u2 * u2) + x  # l's D' (its folded logarithms set its error)
+    # X and D' take ch 2(r1 - r2) to first order in the gap's rounding error err
+    # (Knuth's two-sum), which cosh(y) would turn into a relative error y times larger
     err = (r1 - (gap - (gap - r1))) - (r2 + (gap - r1))
-    ch = np.cosh(2.0 * gap) + 2.0 * err * np.sinh(2.0 * gap)
-    dp = 2.0 * (u1 * u1 + u2 * u2) + 4.0 * (u1 * u2) * ch
+    x = x + 8.0 * (u1 * u2) * err * np.sinh(2.0 * gap)
+    dp = 2.0 * (u1 * u1 + u2 * u2) + x
     ldd = 2.0 * (np.log(c1) + np.log(c2) + np.log(top)) + np.log(dp)  # log Delta
-    return t1, t2, c1, c2, u1, u2, top, dp, ldd
+    return t1, t2, c1, c2, u1, u2, top, x, dp, dp_l, ldd
 
 
 def _multiplier(r1, r2, g, u1, u2, dp, c1):
-    """The solved multiplier l in closed form, with u, D' from _variables,
-    c1 = cosh(b1/2) and a, b = 2 u2^2/D', 2 u1 u2/D':
+    """The solved multiplier l in closed form, with u and D' = D'_l from
+    _variables, c1 = cosh(b1/2) and a, b = 2 u2^2/D', 2 u1 u2/D':
 
         Re l = sech(b1/2) Re g [a e^{r1} + b e^{2 r2 - r1}],
         Im l = sech(b1/2) Im g [b e^{r1 - 2 r2} + a e^{-r1}].
@@ -619,51 +620,44 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     g = k2 - k1
 
     # pipeline scalars, all from one set of variables
-    t1, t2, c1, c2, u1, u2, top, dp, ldd = _variables(r1, b1, r2, b2)
+    t1, t2, c1, c2, u1, u2, top, x, dp, dp_l, ldd = _variables(r1, b1, r2, b2)
     lsh2 = _log_sinh(b2)
     norms = 2.0 * _squeezed_norm(g, r1), 2.0 * _squeezed_norm(g, r2)
     # delta1's exponent -sh(b2) norms[1]/2 (state 2 only), and its log magnitude
     lq1 = lsh2 + np.log(0.5 * norms[1])
     ld1 = -np.exp(lq1) + 0.0
-    # The difference ld1 - ld2 cancels catastrophically as beta grows (both
-    # exponents scale like sinh(beta) while the ratio stays order one), so
-    # delta2 follows from the direct ratio.  Its exponent, shared with the
-    # printed path (e = -2N here), is (sh b1 sh^2(b2/2) e1 + sh^2(b1/2) sh b2 e2)
-    # /Delta = 2 u1 u2 (t2 e1 + t1 e2)/D'; each weight is <= 1/2, so no term
-    # overflows before the sum, and + 0.0 makes a vanishing one +0.0.
+    # The ratio's exponent, shared with the printed path (e = -2N here), is
+    # (sh b1 sh^2(b2/2) e1 + sh^2(b1/2) sh b2 e2)/Delta = 2 u1 u2 (t2 e1 + t1 e2)/D';
+    # each weight is <= 1/2, so no term overflows before the sum, and + 0.0
+    # makes a vanishing one +0.0.
     w = 2.0 * (u1 * u2) / dp
 
     def log_ratio(e1, e2):
         return (w * t2) * e1 + (w * t1) * e2 + 0.0
 
     lratio = log_ratio(-norms[0], -norms[1])
-    l0 = _multiplier(r1, r2, g, u1, u2, dp, c1)
+    # delta2's exponent ld1 - lratio as two terms of one sign, so nothing cancels:
+    # -2 t2 w N(2 r2 - r1) - sh(b2) N2 q with q = (2 u2^2 + t2^2 (2 u1^2 + X))/D'
+    # in (0, 1]; w e^{-+2(r1 - r2)} <= 1 scales N(2 r2 - r1)'s terms to N2's
+    m = (g.real * g.real * np.exp(2.0 * r2) * (w * np.exp(2.0 * (r2 - r1)))
+         + g.imag * g.imag * np.exp(-2.0 * r2) * (w * np.exp(2.0 * (r1 - r2))))
+    q = (2.0 * (u2 * u2) + (t2 * t2) * (2.0 * (u1 * u1) + x)) / dp
+    ld2 = -2.0 * t2 * m - np.exp(lq1 + np.log(q)) + 0.0
+    l0 = _multiplier(r1, r2, g, u1, u2, dp_l, c1)
     root = top * _SQRT2 * np.sqrt(dp)  # sqrt(2 Delta)/(c1 c2); sqrt(2 D') can overflow
     residual, route_checks = _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1,
                                            lq1, lratio, l0)
-    pipeline = ReductionTrace(
-        delta1=np.exp(ld1),
-        delta2=np.exp(ld1 - lratio),
-        ratio=np.exp(lratio),
-        log_delta1=ld1,
-        log_delta2=ld1 - lratio,
-        log_ratio=lratio,
-        l=l0,
-        DeltaDenom=np.exp(ldd),
-        log_DeltaDenom=ldd,
-        annihilation_residual=residual,
-    )
 
+    def trace(log1, log2, logr, **pipeline_only):  # the logs and their exponentials
+        return ReductionTrace(np.exp(log1), np.exp(log2), np.exp(logr), log1, log2, logr,
+                              **pipeline_only)
+
+    pipeline = trace(ld1, ld2, lratio, l=l0, DeltaDenom=np.exp(ldd), log_DeltaDenom=ldd,
+                     annihilation_residual=residual)
     pr_ld1, pr_coefficients = _printed_path(g, r1, r2, lsh2)
     pr_lratio = log_ratio(*pr_coefficients)
-    printed = ReductionTrace(
-        delta1=np.exp(pr_ld1),
-        delta2=np.exp(pr_ld1 - pr_lratio),  # implied by the printed decomposition
-        ratio=np.exp(pr_lratio),
-        log_delta1=pr_ld1,
-        log_delta2=pr_ld1 - pr_lratio,
-        log_ratio=pr_lratio,
-    )
+    # the printed delta2 is implied by the printed decomposition
+    printed = trace(pr_ld1, pr_ld1 - pr_lratio, pr_lratio)
 
     sigma = (1.0 / c1) * (1.0 / c2)  # the base factor F0 (see base_factor)
     f0 = 4.0 * (u1 * u2) * (sigma + np.sqrt(sigma * sigma + 0.5 * dp * top * top)) / dp
@@ -695,8 +689,7 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
         ("delta1-outside-float-range",
          (ld1 < _LOG_TINY) | ~np.isfinite(pipeline.delta1), np.abs(ld1)),
         ("delta2-outside-float-range",
-         (pipeline.log_delta2 < _LOG_TINY) | ~np.isfinite(pipeline.delta2),
-         np.abs(pipeline.log_delta2)),
+         (ld2 < _LOG_TINY) | ~np.isfinite(pipeline.delta2), np.abs(ld2)),
     )
 
     def gap_message(i):

@@ -98,6 +98,24 @@ def printed_reference(r1, beta1, r2, beta2, g):
         return float((eps1 + eps2) / dd), float(quad), display
 
 
+def delta_exponents_reference(r1, beta1, r2, beta2, g, dps=50):
+    """(log delta1, log delta2) at dps digits from the defining displays:
+    log delta1 = -sh(b2) N2 and log delta2 = log delta1 minus the log ratio
+    (sh b1 sh^2(b2/2) (-2 N1) + sh^2(b1/2) sh b2 (-2 N2))/Delta, with
+    N = (Re g)^2 e^{2r} + (Im g)^2 e^{-2r}.  The difference cancels over as
+    many digits as sh(b2) N2 exceeds log delta2, so dps must cover that."""
+    with mp.workdps(dps):
+        r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
+        re, im = mp.mpf(g.real), mp.mpf(g.imag)
+        n1, n2 = (re ** 2 * mp.exp(2 * r) + im ** 2 * mp.exp(-2 * r) for r in (r1, r2))
+        dd = (mp.cosh(beta1) * mp.cosh(beta2)
+              + mp.sinh(beta1) * mp.sinh(beta2) * mp.cosh(2 * (r1 - r2)) - 1)
+        ld1 = -mp.sinh(beta2) * n2
+        lratio = (mp.sinh(beta1) * mp.sinh(beta2 / 2) ** 2 * (-2 * n1)
+                  + mp.sinh(beta1 / 2) ** 2 * mp.sinh(beta2) * (-2 * n2)) / dd
+        return float(ld1), float(ld1 - lratio)
+
+
 def multiplier_reference(r1, beta1, r2, beta2, g):
     """l, the first entry of the solution of the matching system P l = rhs,
     built from the conjugation factors and solved at 450 digits: at wide
@@ -414,7 +432,26 @@ def test_pipeline_reports_the_scalars_below_log_scale():
     norm = g.real ** 2 * math.exp(2.0 * S2.r) + g.imag ** 2 * math.exp(-2.0 * S2.r)
     want = -math.exp(log_sinh(np.array([S2.beta]))[0] + math.log(norm))
     assert math.isclose(tr.log_delta1, want, rel_tol=1e-15)
-    assert tr.log_delta2 == tr.log_delta1 - tr.log_ratio
+    _, want2 = delta_exponents_reference(S1.r, S1.beta, S2.r, S2.beta, g)
+    assert math.isclose(tr.log_delta2, want2, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("r1, b1, r2, b2, g", [
+    # state 2 far hotter than state 1: log delta1 and the log ratio are both
+    # -2.2e58 and agree to 124 digits, log delta2 is -2.7e-66
+    (-0.8099564189486461, 5.939511990856741e-23, -2.87530503504841, 1.1651756950833742e-148,
+     -1.016900756912597e-292 + 7.766475826739296e+101j),
+    # the same across a squeeze gap of 4.7, where even the shorter difference
+    # w t2 2 N1 - sh(b2) N2 (2 u2^2 + 2 (u1 t2)^2 + X)/D' of two 1.4e33 terms
+    # keeps only 5 of log delta2's digits
+    (2.447653833447398, 5.554104530318378e-21, -2.292930001890616, 2.9702437030444874e-147,
+     8.167289377416941e+151 - 2.5412506405629706e-111j),
+])
+def test_log_delta2_keeps_its_digits_when_state_2_is_far_hotter(r1, b1, r2, b2, g):
+    tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
+    want1, want2 = delta_exponents_reference(r1, b1, r2, b2, g, dps=250)
+    assert math.isclose(tr.log_delta1, want1, rel_tol=1e-13)
+    assert math.isclose(tr.log_delta2, want2, rel_tol=1e-13)
 
 
 def test_reported_multiplier_matches_reference_on_hot_pair():
@@ -695,7 +732,8 @@ def test_a_whole_domain_draw_is_refused_by_a_check_or_reported_finite():
     in [-3, 3], plus +-400 on half the rows; beta log-uniform in
     [1e-300, 744]; Re g and Im g of random sign and magnitude 10^U(-300, 300),
     30% of the rows scaled by 1e-300.  Every row is refused by a named check
-    or reports a finite F in [0, 1] with a finite log ratio and log Delta."""
+    or reports a finite F in [0, 1] with a finite log ratio and log Delta,
+    and a log delta2 <= 0 (delta2 <= 1 for every pair)."""
     import dstfid.reduction as red
 
     rng = np.random.default_rng(22)
@@ -712,6 +750,7 @@ def test_a_whole_domain_draw_is_refused_by_a_check_or_reported_finite():
     assert np.all(np.isfinite(f) & (f >= 0.0) & (f <= 1.0))
     assert np.all(np.isfinite(cf.pipeline.log_ratio[passed]))
     assert np.all(np.isfinite(cf.pipeline.log_DeltaDenom[passed]))
+    assert np.all(cf.pipeline.log_delta2[passed] <= 0.0)
 
 
 @pytest.mark.parametrize("seed, bound, n", [(31, 4, 40000), (32, 4, 40000), (33, 8, 40000),
