@@ -137,7 +137,7 @@ def write_snapshots(path: Path | str, records: list[SnapshotRecord]) -> None:
 
 
 def check_snapshots(
-    path: Path | str, version: str, ceiling: int = DEFAULT_CUTOFF_CEILING
+    records: list[SnapshotRecord], ceiling: int = DEFAULT_CUTOFF_CEILING
 ) -> list[str]:
     """Recompute every frozen record and report mismatches (empty = clean).
 
@@ -146,14 +146,14 @@ def check_snapshots(
     adaptive ladder's last gap.
     """
     problems = []
-    for i, rec in enumerate(read_snapshots(path)):
-        fresh = compute_record(rec.s1, rec.s2, rec.tol, version, ceiling=ceiling)
+    for i, rec in enumerate(records):
+        fresh = fidelity_oracle(rec.s1, rec.s2, tol=rec.tol, ceiling=ceiling).fidelity
         allowed = 10.0 * rec.tol
-        diff = abs(fresh.fidelity - rec.fidelity)
+        diff = abs(fresh - rec.fidelity)
         if not math.isfinite(diff) or diff > allowed:
             problems.append(
                 f"record {i}: fidelity drifted by {diff:.3e} "
-                f"(frozen {rec.fidelity:.12g}, fresh {fresh.fidelity:.12g}, "
+                f"(frozen {rec.fidelity:.12g}, fresh {fresh:.12g}, "
                 f"allowed {allowed:.1e})"
             )
     return problems

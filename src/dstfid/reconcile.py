@@ -30,7 +30,6 @@ __all__ = [
     "OVERLAP_PREFACTOR",
     "DIFFERENCE_CONVENTION",
     "ALL_FORMULAS",
-    "VERIFY_TOL",
     "VERIFY_CEILING",
     "ReconciliationEntry",
     "VerificationCheck",
@@ -60,8 +59,7 @@ ALL_FORMULAS = (
     OVERLAP_PREFACTOR,
 )
 
-# The verification run's oracle convergence tolerance and cutoff ceiling.
-VERIFY_TOL = 1e-8
+# The verification run's cutoff ceiling, the A3 grid's.
 VERIFY_CEILING = 512
 
 
@@ -363,7 +361,7 @@ def _entries_overlap() -> tuple[ReconciliationEntry, ReconciliationEntry]:
 
 def run_verification(
     preset: str = "full",
-    tol: float = VERIFY_TOL,
+    tol: float = FidelityOptions.oracle_tol,
     ceiling: int = VERIFY_CEILING,
 ) -> ReconciliationReport:
     """Run the standard grids three ways and build the reconciliation report.

@@ -391,8 +391,9 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
          lambda i: f"annihilation identity violated: residual {residual.item(i):g}"),
         ("delta2-imaginary", PipelineCheckError,
          ~(np.abs(expo2.imag) <= 1e-10 * np.maximum(1.0 / (c2 * c2), np.abs(expo2))),
-         lambda i: f"delta2 exponent acquired an imaginary part: "
-                   f"{expo2.item(i) * c2.item(i) * c2.item(i)!r}"),
+         lambda i: ("delta2 exponent acquired an imaginary part: " if np.isfinite(expo2.item(i))
+                    else "delta2 exponent is not finite: ")
+                   + f"{expo2.item(i) * c2.item(i) * c2.item(i)!r}"),
         ("ratio-dual-path", PipelineCheckError,
          ~_log_within(1e-10, [ld1m, (ld2m[0], -ld2m[1]),
                               (np.log(np.abs(lratio)), -np.sign(lratio))],
@@ -739,17 +740,6 @@ def _pair(s1: StateParams, s2: StateParams, opts: FidelityOptions) -> ClosedForm
                                np.complex128(s2.k), np.float64(s2.r), np.float64(s2.beta), opts)
 
 
-def _at_mismatch(s1: StateParams, s2: StateParams, g: complex) -> ClosedForm:
-    """The pair evaluated at displacement mismatch g (only the mismatch enters
-    the closed forms), with its first failing check raised."""
-    return _pair(StateParams(0.0, s1.r, s1.beta), StateParams(g, s2.r, s2.beta), _NO_ORACLE)
-
-
-def _pipeline_trace(s1: StateParams, s2: StateParams, g: complex) -> ReductionTrace:
-    """Pipeline trace of the pair at mismatch g."""
-    return _at_mismatch(s1, s2, g).report(0).pipeline
-
-
 def base_factor(s1: StateParams, s2: StateParams) -> BaseFactorTrace:
     """Fidelity of the undisplaced pair, exact and printed side by side.
 
@@ -765,7 +755,8 @@ def base_factor(s1: StateParams, s2: StateParams) -> BaseFactorTrace:
     exactly 1.  The printed display is evaluated verbatim and the gap between
     the two is exposed, not hidden.
     """
-    return _at_mismatch(s1, s2, 0.0).report(0).base
+    return _pair(StateParams(0.0, s1.r, s1.beta), StateParams(0.0, s2.r, s2.beta),
+                 _NO_ORACLE).report(0).base
 
 
 def fidelity(

@@ -26,7 +26,6 @@ from dstfid.reconcile import (
     undisplaced_pair_grid,
 )
 from dstfid.reduction import FidelityOptions, fidelity
-from dstfid.reduction import _pipeline_trace
 
 GRID_OPTS = FidelityOptions(tol=1e-8, oracle=True, oracle_tol=1e-8, oracle_ceiling=512)
 
@@ -85,10 +84,11 @@ def test_a5_mismatch_convention_adjudicated_by_oracle(full_report):
     s = state(0.3j, 0.3, nbar=0.5)
     oracle = fidelity_oracle(s, s, tol=1e-8, ceiling=512).fidelity
 
-    g_difference = s.k - s.k  # k2 - k1 = 0
-    g_printed = s.k - s.k.conjugate()  # k2 - conj(k1) = 0.6i
-    f_difference = _pipeline_trace(s, s, g_difference).ratio  # base factor is 1
-    f_printed = _pipeline_trace(s, s, g_printed).ratio
+    no_oracle = FidelityOptions(oracle=False)
+    # mismatch k2 - k1 = 0; the printed k2 - conj(k1) = 0.6i is the mismatch
+    # of the pair with k1 conjugated
+    f_difference = fidelity(s, s, no_oracle).pipeline.ratio  # base factor is 1
+    f_printed = fidelity(StateParams(s.k.conjugate(), s.r, s.beta), s, no_oracle).pipeline.ratio
 
     assert abs(oracle - 1.0) <= 1e-8  # only k2 - k1 enters the physics
     assert abs(f_difference - oracle) <= 1e-6

@@ -565,30 +565,69 @@ def test_snapshot_help_says_it_takes_no_config_file():
     assert "--config" not in res.stdout
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["compute", "--k2", "0.1+0.2i", "--nbar1", "0.5", "--beta2", "2", "--format", "csv"],
-        ["sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "r2=0:1:3", "--method", "pipeline"],
-        ["verify", "--preset", "quick", "--ceiling", "300"],
-        ["snapshot", "--regolden", "--file", "x.txt"],
-    ],
+def test_non_finite_delta2_exponent_is_refused_as_not_finite(capsys):
+    # the route's delta2 exponent overflows to NaN on this pair (the closed
+    # form's log delta1 is -inf); the refusal names that, not an imaginary part
+    from dstfid.cli import main
+
+    assert main(["compute", "--r1", "2.514573631676037", "--beta1", "2.2687897883326802e-21",
+                 "--r2", "177.19411243212278", "--beta2", "18.470574823807027",
+                 "--k2=-8.214789107378263e+76-4.300931720814783e+74i",
+                 "--method", "closed-form"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline check failed: delta2 exponent is not finite: ")
+    assert "imaginary" not in err
+
+
+def _key_paths(value, at=""):
+    """Every key path of a JSON value, a list's entries under "[]"."""
+    if isinstance(value, dict):
+        return {p for key, v in value.items() for p in {at + key} | _key_paths(v, f"{at}{key}.")}
+    if isinstance(value, list):
+        return set().union(*(_key_paths(v, at + "[].") for v in value))
+    return set()
+
+
+def _under(key, subkeys):
+    return {key} | {f"{key}.{sub}" for sub in subkeys.split()}
+
+
+def _bare_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+_PAIR_RECORD = (
+    {"version", "g", "g.re", "g.im", "value_matrix_pipeline", "value_printed", "value_oracle",
+     "oracle"}
+    | _under("state1", "k k.re k.im r nbar beta") | _under("state2", "k k.re k.im r nbar beta")
+    | _under("pipeline", "delta1 delta2 ratio log_delta1 log_delta2 log_ratio l l.re l.im "
+                         "DeltaDenom log_DeltaDenom annihilation_residual")
+    | _under("printed", "delta1 delta2 ratio log_ratio")
+    | _under("base", "Y value printed_value printed_domain_error")
+    | _under("flags", "[].name [].magnitude")
 )
-def test_parser_for_one_subcommand_matches_the_full_parser(argv):
-    # main builds only the invoked subcommand's arguments; its parse, its
-    # help and the top-level usage must be the full parser's.
-    import argparse
 
-    from dstfid.cli import build_parser
 
-    def subparser(parser):
-        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return action.choices[argv[0]]
+@pytest.mark.parametrize("argv, paths", [
+    # Y overflows: a non-finite field, written as a string
+    (["compute", "--r1", "177", "--r2", "-177", "--beta1", "29", "--beta2", "29", "--k2", "0.5",
+      "--method", "closed-form"], _PAIR_RECORD),
+    (["compute", "--k1", "0.3", "--r1", "0.2", "--nbar1", "0.5", "--k2", "0.1+0.2i",
+      "--r2", "0.5", "--nbar2", "1.0", "--method", "all"],
+     _PAIR_RECORD | _under("oracle", "fidelity cutoff_used convergence_gap")),
+    (["verify", "--preset", "quick"],
+     {"version", "passed", "preset", "pair_points", "self_points"}
+     | _under("checks", "[].name [].worst [].threshold [].passed [].detail")
+     | _under("entries", "[].formula [].max_abs_deviation [].worst_params [].verdict [].note")),
+])
+def test_record_has_its_key_set_and_is_strict_json(capsys, argv, paths):
+    from dstfid.cli import main
 
-    full, alone = build_parser(), build_parser(argv[0])
-    assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv))
-    assert subparser(alone).format_help() == subparser(full).format_help()
-    assert alone.format_usage() == full.format_usage()
+    assert main([*argv, "--format", "record"]) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_bare_constant)
+    assert _key_paths(record) == paths
+    if "177" in argv:
+        assert record["base"]["Y"] == "inf"
 
 
 def test_main_freezes_no_objects_of_its_callers(capsys):

@@ -6,7 +6,7 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +27,7 @@ from dstfid.reduction import (
     closed_form_columns,
     fidelity,
 )
-from dstfid.reduction import _at_mismatch, _pair, _pipeline_trace, _printed_display
+from dstfid.reduction import _pair, _printed_display
 from dstfid.reconcile import _matching_matrices
 from fock_reference import thermal_state
 
@@ -142,7 +142,7 @@ def multiplier_reference(r1, beta1, r2, beta2, g):
 
 def test_delta1_frozen_example():
     # dual-path value, frozen once the matrix and scalar forms agreed
-    val = _pipeline_trace(S1, S2, 0.5).delta1
+    val = fidelity(S1, replace(S2, k=0.5), NO_ORACLE).pipeline.delta1
     assert math.isclose(val, 0.585470754214681, rel_tol=0, abs_tol=1e-14)
 
 
@@ -150,11 +150,12 @@ def test_delta1_no_squeeze_closed_form():
     s2 = state(0.0, 0.0, beta=0.9)
     g = 0.4 - 0.3j
     expected = math.exp(-math.sinh(0.9) * abs(g) ** 2)
-    assert math.isclose(_pipeline_trace(S1, s2, g).delta1, expected, rel_tol=1e-13)
+    delta1 = fidelity(S1, replace(s2, k=g), NO_ORACLE).pipeline.delta1
+    assert math.isclose(delta1, expected, rel_tol=1e-13)
 
 
 def test_delta1_equal_displacements_exact_one():
-    tr = _pipeline_trace(S1, S2, 0.0)
+    tr = fidelity(S1, S2, NO_ORACLE).pipeline
     assert tr.delta1 == 1.0
     assert tr.delta2 == 1.0
 
@@ -162,15 +163,15 @@ def test_delta1_equal_displacements_exact_one():
 def test_delta_factors_past_sinh_overflow():
     # sinh(beta) overflows near beta = 710; the model accepts beta < 745
     cold = state(0.0, 0.2, beta=740.0)
-    tr = _pipeline_trace(S1, cold, 0.0)
+    tr = fidelity(S1, cold, NO_ORACLE).pipeline
     assert tr.delta1 == 1.0 and tr.delta2 == 1.0
-    assert _pipeline_trace(S1, cold, 0.1).delta1 == 0.0
+    assert fidelity(S1, replace(cold, k=0.1), NO_ORACLE).pipeline.delta1 == 0.0
 
 
 @given(gs, radii, nbars)
 def test_delta1_bounded_by_one(g, r2, n2):
     s2 = state(0.0, r2, nbar=n2)
-    assert _pipeline_trace(S1, s2, g).delta1 <= 1.0
+    assert fidelity(S1, replace(s2, k=g), NO_ORACLE).pipeline.delta1 <= 1.0
 
 
 # --- matching system ---------------------------------------------------------
@@ -199,7 +200,7 @@ def test_matching_determinant_is_minus_two_denominators():
     b = state(0.0, -0.2, nbar=1.8)
     p, _ = _matching_matrices(a, b)
     det = (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]).real
-    dd = _pipeline_trace(a, b, 0.0).DeltaDenom
+    dd = fidelity(a, b, NO_ORACLE).pipeline.DeltaDenom
     assert math.isclose(det, -2.0 * dd, rel_tol=1e-13)
 
 
@@ -210,7 +211,8 @@ def test_delta_denom_hot_states_keep_their_digits(beta1, beta2, dr):
     with mp.workdps(50):
         b1, b2 = mp.mpf(beta1), mp.mpf(beta2)
         want = mp.cosh(b1) * mp.cosh(b2) + mp.sinh(b1) * mp.sinh(b2) * mp.cosh(2 * mp.mpf(dr)) - 1
-    dd = _pipeline_trace(state(0.0, dr, beta=beta1), state(0.0, 0.0, beta=beta2), 0.0).DeltaDenom
+    a, b = state(0.0, dr, beta=beta1), state(0.0, 0.0, beta=beta2)
+    dd = fidelity(a, b, NO_ORACLE).pipeline.DeltaDenom
     assert math.isclose(dd, float(want), rel_tol=1e-12)
 
 
@@ -221,13 +223,13 @@ def test_printed_display_is_scaled_inverse_of_system():
     b = state(0.0, -0.1, nbar=2.0)
     p, _ = _matching_matrices(a, b)
     disp = _printed_display(a.r, a.beta, b.r, b.beta)
-    dd = _pipeline_trace(a, b, 0.0).DeltaDenom
+    dd = fidelity(a, b, NO_ORACLE).pipeline.DeltaDenom
     assert np.allclose(2.0 * dd * disp, p, rtol=1e-12, atol=1e-12)
     assert np.allclose(p @ p, 2.0 * dd * np.eye(2), rtol=1e-12, atol=1e-10)
 
 
 def test_multiplier_zero_mismatch_gives_zero():
-    assert _pipeline_trace(S1, S2, 0.0).l == 0j
+    assert fidelity(S1, S2, NO_ORACLE).pipeline.l == 0j
 
 
 def test_multiplier_satisfies_conjugate_pair_form(monkeypatch):
@@ -281,7 +283,7 @@ def test_degenerate_matching_system_is_a_named_error(monkeypatch, capsys, entry,
 
 def test_ratio_decomposes_as_delta_quotient():
     g = 0.4 + 0.1j
-    tr = _pipeline_trace(S1, S2, g)
+    tr = fidelity(S1, replace(S2, k=g), NO_ORACLE).pipeline
     assert math.isclose(tr.ratio, tr.delta1 / tr.delta2, rel_tol=1e-10)
 
 
@@ -289,7 +291,7 @@ def test_ratio_thermal_pair_closed_form():
     a = state(0.0, 0.0, beta=0.8)
     b = state(0.0, 0.0, beta=1.7)
     g = 0.6 - 0.2j
-    tr = _pipeline_trace(a, b, g)
+    tr = fidelity(a, replace(b, k=g), NO_ORACLE).pipeline
     num = math.sinh(0.8) * math.sinh(0.85) ** 2 + math.sinh(0.4) ** 2 * math.sinh(1.7)
     den = math.cosh(0.8) * math.cosh(1.7) + math.sinh(0.8) * math.sinh(1.7) - 1.0
     expected = -2.0 * abs(g) ** 2 * num / den
@@ -300,21 +302,19 @@ def test_ratio_printed_matches_pipeline_without_squeeze():
     a = state(0.0, 0.0, beta=0.8)
     b = state(0.0, 0.0, beta=1.7)
     g = 0.6 - 0.2j
-    assert math.isclose(
-        _at_mismatch(a, b, g).report(0).printed.ratio, _pipeline_trace(a, b, g).ratio,
-        rel_tol=1e-12,
-    )
+    rep = fidelity(a, replace(b, k=g), NO_ORACLE)
+    assert math.isclose(rep.printed.ratio, rep.pipeline.ratio, rel_tol=1e-12)
 
 
 def test_ratio_printed_deviates_on_squeezed_complex_mismatch():
     g = 1.0  # real, so Re(g^2) != 0 and the sign slip is visible
-    rep = _at_mismatch(S1, S2, g).report(0)
+    rep = fidelity(S1, replace(S2, k=g), NO_ORACLE)
     dev = abs(rep.printed.ratio - rep.pipeline.ratio)
     assert dev > 1e-3
 
 
 def test_ratio_printed_equal_displacements():
-    assert _at_mismatch(S1, S2, 0.0).report(0).printed.ratio == 1.0
+    assert fidelity(S1, S2, NO_ORACLE).printed.ratio == 1.0
 
 
 @given(gs, radii, radii, nbars, nbars)
@@ -322,7 +322,7 @@ def test_ratio_is_a_damping_factor(g, r1, r2, n1, n2):
     """delta1/delta2 lies in (0, 1]: equality only at zero mismatch."""
     a = state(0.0, r1, nbar=n1)
     b = state(0.0, r2, nbar=n2)
-    tr = _pipeline_trace(a, b, g)
+    tr = fidelity(a, replace(b, k=g), NO_ORACLE).pipeline
     assert 0.0 < tr.ratio <= 1.0
     if abs(g) > 1e-3:
         assert tr.ratio < 1.0
@@ -332,8 +332,8 @@ def test_ratio_is_a_damping_factor(g, r1, r2, n1, n2):
 def test_ratio_swap_symmetry(g, r1, r2, n1, n2):
     a = state(0.0, r1, nbar=n1)
     b = state(0.0, r2, nbar=n2)
-    fwd = _pipeline_trace(a, b, g).log_ratio
-    rev = _pipeline_trace(b, a, -g).log_ratio
+    fwd = fidelity(a, replace(b, k=g), NO_ORACLE).pipeline.log_ratio
+    rev = fidelity(b, replace(a, k=-g), NO_ORACLE).pipeline.log_ratio
     assert math.isclose(fwd, rev, rel_tol=1e-10, abs_tol=1e-13)
 
 
@@ -341,7 +341,7 @@ def test_ratio_swap_symmetry(g, r1, r2, n1, n2):
 def test_ratio_free_of_squeeze_cancellation(r, g):
     """-(1/2)(g^2 + conj(g)^2) sinh 2r - |g|^2 cosh 2r cancels when Im g
     dominates at r > 0 (Re g at r < 0); the pipeline must not."""
-    tr = _pipeline_trace(state(0.0, r, beta=1.0), state(g, r, beta=1.0), g)
+    tr = fidelity(state(0.0, r, beta=1.0), state(g, r, beta=1.0), NO_ORACLE).pipeline
     _, _, expo = gaussian_reference(r, 1.0, r, 1.0, g)
     assert math.isclose(tr.log_ratio, expo, rel_tol=1e-13)
 
@@ -428,7 +428,7 @@ def test_pipeline_reports_the_scalars_below_log_scale():
     # -sh(b2) ((Re g)^2 e^{2 r2} + (Im g)^2 e^{-2 r2}) for log delta1, and the
     # matrix route only checks them
     g = 0.7 - 0.4j
-    tr = _pipeline_trace(S1, S2, g)
+    tr = fidelity(S1, replace(S2, k=g), NO_ORACLE).pipeline
     norm = g.real ** 2 * math.exp(2.0 * S2.r) + g.imag ** 2 * math.exp(-2.0 * S2.r)
     want = -math.exp(log_sinh(np.array([S2.beta]))[0] + math.log(norm))
     assert math.isclose(tr.log_delta1, want, rel_tol=1e-15)
@@ -448,7 +448,7 @@ def test_pipeline_reports_the_scalars_below_log_scale():
      8.167289377416941e+151 - 2.5412506405629706e-111j),
 ])
 def test_log_delta2_keeps_its_digits_when_state_2_is_far_hotter(r1, b1, r2, b2, g):
-    tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
+    tr = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2), NO_ORACLE).pipeline
     want1, want2 = delta_exponents_reference(r1, b1, r2, b2, g, dps=250)
     assert math.isclose(tr.log_delta1, want1, rel_tol=1e-13)
     assert math.isclose(tr.log_delta2, want2, rel_tol=1e-13)
@@ -457,7 +457,7 @@ def test_log_delta2_keeps_its_digits_when_state_2_is_far_hotter(r1, b1, r2, b2, 
 def test_reported_multiplier_matches_reference_on_hot_pair():
     # a hot pair where the matrix solve loses digits (1.3e-10 relative here)
     r1, b1, r2, b2, g = -0.302, 5.08e-5, -2.46, 1.14e-6, 0.5j
-    tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
+    tr = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2), NO_ORACLE).pipeline
     want = multiplier_reference(r1, b1, r2, b2, g)
     assert abs(tr.l - want) <= 1e-12 * abs(want)
 
@@ -477,7 +477,7 @@ def test_reported_multiplier_matches_reference_on_hot_pair():
      -1.4656057472203098e-104 - 1.019902106193979e-121j, 1e-12),
 ])
 def test_reported_multiplier_matches_reference(r1, b1, r2, b2, g, rel):
-    tr = _pipeline_trace(state(0.0, r1, beta=b1), state(g, r2, beta=b2), g)
+    tr = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2), NO_ORACLE).pipeline
     want = multiplier_reference(r1, b1, r2, b2, g)
     assert abs(tr.l - want) <= rel * abs(want)
 
@@ -495,11 +495,11 @@ def test_multiplier_check_catches_a_wrong_closed_form(monkeypatch, beta_shift):
     s1 = state(0.0, S1.r, beta=S1.beta + beta_shift)
     s2 = state(0.0, S2.r, beta=S2.beta + beta_shift)
     with pytest.raises(PipelineCheckError, match="multiplier"):
-        _pipeline_trace(s1, s2, 0.5 * math.cosh(0.5 * s1.beta))
+        fidelity(s1, replace(s2, k=0.5 * math.cosh(0.5 * s1.beta)), NO_ORACLE)
 
 
 def test_annihilation_residual_reported_small():
-    tr = _pipeline_trace(S1, S2, 0.7 - 0.4j)
+    tr = fidelity(S1, replace(S2, k=0.7 - 0.4j), NO_ORACLE).pipeline
     assert tr.annihilation_residual is not None
     assert tr.annihilation_residual <= 1e-10
 
