@@ -42,8 +42,8 @@ def main(argv=None) -> int:
     for r1, r2, n1, n2, label in SETTINGS:
         # the whole ray is one closed-form batch
         ts = np.linspace(0.0, args.gmax, args.points)
-        batch = closed_form([state(0.0, r1, nbar=n1)] * len(ts),
-                            [state(t * direction, r2, nbar=n2) for t in ts],
+        s1 = state(0.0, r1, nbar=n1)
+        batch = closed_form([(s1, state(t * direction, r2, nbar=n2)) for t in ts],
                             FidelityOptions(oracle=False))
         for t, value in zip(ts, batch.value_matrix_pipeline.tolist()):
             lines.append(

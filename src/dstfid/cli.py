@@ -69,8 +69,9 @@ _CSV_COLUMNS = (
 )
 
 
-class UsageError(Exception):
-    """Bad invocation that argparse itself cannot catch."""
+class UsageError(ValueError):
+    """Bad invocation that argparse itself cannot catch; main reports it as
+    it reports any ValueError (exit 2)."""
 
 
 def parse_complex(text: str) -> complex:
@@ -227,8 +228,9 @@ def _csv_rows(states: list, cf: ClosedForm) -> list[str]:
         cutoff = [str(o.cutoff_used) for o in cf.oracle]
         gap = _cells([o.convergence_gap for o in cf.oracle])
     flag_sets, at = np.unique(sum(np.left_shift(mask, b, dtype=np.int64)
-                                  for b, (_, mask, _) in enumerate(flags)), return_inverse=True)
-    names = [";".join(f[0] for b, f in enumerate(flags) if s >> b & 1) for s in flag_sets.tolist()]
+                                  for b, (mask, _) in enumerate(flags.values())),
+                              return_inverse=True)
+    names = [";".join(f for b, f in enumerate(flags) if s >> b & 1) for s in flag_sets.tolist()]
     columns = (
         [str(i) for i in range(n)], *states,
         _cells(cf.g.real), _cells(cf.g.imag),
@@ -596,15 +598,13 @@ def cmd_snapshot(args) -> int:
 
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k1", type=parse_complex, default=0j,
-                   help="displacement of state 1, a+bi syntax (default 0)")
-    p.add_argument("--r1", type=float, default=0.0, help="squeeze of state 1")
-    p.add_argument("--nbar1", type=float, default=None, help="mean photon number of state 1")
-    p.add_argument("--beta1", type=float, default=None, help="inverse temperature of state 1")
-    p.add_argument("--k2", type=parse_complex, default=0j, help="displacement of state 2")
-    p.add_argument("--r2", type=float, default=0.0, help="squeeze of state 2")
-    p.add_argument("--nbar2", type=float, default=None, help="mean photon number of state 2")
-    p.add_argument("--beta2", type=float, default=None, help="inverse temperature of state 2")
+    for w in "12":
+        p.add_argument(f"--k{w}", type=parse_complex, default=0j,
+                       help=f"displacement of state {w}, a+bi syntax (default 0)")
+        p.add_argument(f"--r{w}", type=float, default=0.0,
+                       help=f"squeeze of state {w} (default 0)")
+        p.add_argument(f"--nbar{w}", type=float, help=f"mean photon number of state {w}")
+        p.add_argument(f"--beta{w}", type=float, help=f"inverse temperature of state {w}")
 
 
 def _sci(x: float) -> str:
@@ -612,17 +612,19 @@ def _sci(x: float) -> str:
     return np.format_float_scientific(x, trim="-", exp_digits=1)
 
 
+def _add_oracle_args(p: argparse.ArgumentParser, ceiling: int) -> None:
+    p.add_argument("--oracle-tol", type=float, help="oracle convergence tolerance "
+                   f"(default {_sci(FidelityOptions.oracle_tol)})")
+    p.add_argument("--ceiling", type=int, help=f"oracle cutoff ceiling (default {ceiling})")
+    p.add_argument("--config", help="key = value config file; flags override")
+
+
 def _add_common(p: argparse.ArgumentParser, default_method: str) -> None:
     p.add_argument("--method", choices=("all", "closed-form", "pipeline", "printed", "oracle"),
-                   default=None, help=f"which paths to evaluate (default {default_method})")
-    p.add_argument("--tol", type=float, default=None,
+                   help=f"which paths to evaluate (default {default_method})")
+    p.add_argument("--tol", type=float,
                    help=f"comparison tolerance (default {_sci(FidelityOptions.tol)})")
-    p.add_argument("--oracle-tol", dest="oracle_tol", type=float, default=None,
-                   help="oracle convergence tolerance "
-                   f"(default {_sci(FidelityOptions.oracle_tol)})")
-    p.add_argument("--ceiling", type=int, default=None,
-                   help=f"oracle cutoff ceiling (default {FidelityOptions.oracle_ceiling})")
-    p.add_argument("--config", default=None, help="key = value config file; flags override")
+    _add_oracle_args(p, FidelityOptions.oracle_ceiling)
     p.set_defaults(default_method=default_method)
 
 
@@ -644,14 +646,9 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=("full", "quick"), default=None)
-    p.add_argument("--oracle-tol", dest="oracle_tol", type=float, default=None,
-                   help="oracle convergence tolerance "
-                   f"(default {_sci(FidelityOptions.oracle_tol)})")
+    p.add_argument("--preset", choices=("full", "quick"))
     p.add_argument("--tol", help=argparse.SUPPRESS)  # compute's threshold: refused here
-    p.add_argument("--ceiling", type=int, default=None,
-                   help=f"oracle cutoff ceiling (default {VERIFY_CEILING})")
-    p.add_argument("--config", default=None, help="key = value config file; flags override")
+    _add_oracle_args(p, VERIFY_CEILING)
     p.add_argument("--format", choices=("human", "record"), default="human")
     p.set_defaults(func=cmd_verify)
 
@@ -691,9 +688,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -12,7 +12,6 @@ batch, which runs the oracle per pair and carries its results as columns.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -164,14 +163,6 @@ def undisplaced_pair_grid() -> list[tuple[StateParams, StateParams]]:
     return out
 
 
-def _batch(
-    pairs: list[tuple[StateParams, StateParams]], opts: FidelityOptions
-) -> ClosedForm:
-    """fidelity(s1, s2, opts) for every pair, as one closed-form batch with
-    the oracle's results as its columns (see closed_form_columns)."""
-    return closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], opts)
-
-
 # ---------------------------------------------------------------------------
 # threshold checks and per-formula reconciliation entries
 # ---------------------------------------------------------------------------
@@ -203,12 +194,12 @@ def _entry_difference_convention(
     """Adjudicate g = k2 - k1 against the printed k2 - conj(k1), the oracle
     at the run's tolerance and ceiling."""
     s = state(0.3j, 0.3, nbar=0.5)
-    cf = _batch([(s, s)], opts)
+    cf = closed_form([(s, s)], opts)
     correct_dev = abs(cf.value_matrix_pipeline - cf.value_oracle).item()
     # Same pair evaluated under the printed convention.
     g_flip = s.k - s.k.conjugate()
-    flip = _batch([(StateParams(0.0, s.r, s.beta), StateParams(g_flip, s.r, s.beta))],
-                  _NO_ORACLE)
+    flip = closed_form([(StateParams(0.0, s.r, s.beta), StateParams(g_flip, s.r, s.beta))],
+                       _NO_ORACLE)
     margin = abs(flip.pipeline.ratio * cf.base.base - cf.value_oracle).item()
     entry = ReconciliationEntry(
         formula=DIFFERENCE_CONVENTION,
@@ -245,8 +236,8 @@ def _entry_flipped_sign(
     note's {} takes its residual against the pipeline's with state 2's squeeze
     sign reversed, and state 1's too when flip_first."""
     printed, pipeline = getattr(cf.printed, field), getattr(cf.pipeline, field)
-    flipped = closed_form([_flipped(s1) if flip_first else s1 for s1, _ in pairs],
-                          [_flipped(s2) for _, s2 in pairs], _NO_ORACLE)
+    flipped = closed_form([(_flipped(s1) if flip_first else s1, _flipped(s2))
+                           for s1, s2 in pairs], _NO_ORACLE)
     residual = np.abs(printed - getattr(flipped.pipeline, field)).max()
     worst, at = _worst(np.abs(printed - pipeline), labels)
     return ReconciliationEntry(formula, worst, at, _verdict(worst), note.format(residual))
@@ -317,7 +308,7 @@ def _entries_overlap() -> tuple[ReconciliationEntry, ReconciliationEntry]:
     rs, nbars = (0.0, 0.4, 0.9), (0.2, 1.0, 2.0)
     selfs = ([state(0.0, r, beta=beta) for r in rs]
              + [state(0.0, 0.0, nbar=nbar) for nbar in (*nbars, 1e-6)])
-    printed = _batch([(s, s) for s in selfs], _NO_ORACLE).base.printed_value.tolist()
+    printed = closed_form([(s, s) for s in selfs], _NO_ORACLE).base.printed_value.tolist()
     by_r, by_nbar, printed_cold = printed[:3], printed[3:6], printed[6]
     worst, at = _worst([abs(v - by_r[0]) for v in by_r[1:]],
                        [f"self pair r={r:g} beta={beta:.6g}" for r in rs[1:]])
@@ -377,7 +368,7 @@ def run_verification(
 
     # Self-fidelity grid.
     selfs = self_grid(quick=quick)
-    cf = _batch([(s, s) for s in selfs], opts)
+    cf = closed_form([(s, s) for s in selfs], opts)
     labels = [_fmt_state(s) for s in selfs]
     checks = [
         _bound("self-fidelity-pipeline", np.abs(cf.value_matrix_pipeline - 1.0), labels, 1e-9),
@@ -386,23 +377,21 @@ def run_verification(
 
     # Equal-displacement subgrid: the ratio must be exactly 1 in log form.
     g0_grid = undisplaced_pair_grid()[::3 if quick else 1]
-    devs = np.abs(_batch(g0_grid, _NO_ORACLE).pipeline.ratio - 1.0)
+    devs = np.abs(closed_form(g0_grid, _NO_ORACLE).pipeline.ratio - 1.0)
     # reversed, so that the last of equal deviations is the one reported
     exact = _bound("equal-displacement-ratio-exact", devs[::-1],
                    [_fmt_pair(s1, s2) for s1, s2 in g0_grid][::-1], 0.0)
     checks.append(replace(exact, detail="ratio must equal 1.0 bit-exactly; " + exact.detail))
 
     # Main pair grid, three ways, with the oracle fidelity of each pair's
-    # undisplaced pair, run once per distinct undisplaced (r, beta) pair.
-    @functools.cache
-    def undisplaced(key: tuple) -> float:
-        pair = tuple(StateParams(0.0, r, beta) for r, beta in key)
-        return _batch([pair], opts).oracle[0].fidelity
-
+    # undisplaced pair: one batch of the distinct undisplaced (r, beta) pairs,
+    # in order of first appearance.
     pairs = pair_grid(quick=quick)
-    grid = _batch(pairs, opts)
-    f0 = np.array([undisplaced(tuple(sorted(((s1.r, s1.beta), (s2.r, s2.beta)))))
-                   for s1, s2 in pairs])
+    grid = closed_form(pairs, opts)
+    keys = [tuple(sorted(((s1.r, s1.beta), (s2.r, s2.beta)))) for s1, s2 in pairs]
+    distinct = list(dict.fromkeys(keys))
+    g0 = closed_form([tuple(StateParams(0.0, *rb) for rb in key) for key in distinct], opts)
+    f0 = np.array([g0.oracle[distinct.index(key)].fidelity for key in keys])
     labels = [_fmt_pair(s1, s2) for s1, s2 in pairs]
     checks += [
         _bound("pipeline-vs-oracle",
@@ -414,7 +403,7 @@ def run_verification(
 
     # Coherent pure-state limit.
     k2s = (0.5, 1.0)
-    cf = _batch([(state(0.0, 0.0, nbar=1e-6), state(k2, 0.0, nbar=1e-6)) for k2 in k2s], opts)
+    cf = closed_form([(state(0.0, 0.0, nbar=1e-6), state(k2, 0.0, nbar=1e-6)) for k2 in k2s], opts)
     values = np.stack([cf.value_matrix_pipeline, cf.value_oracle,
                        cf.printed.ratio * cf.base.base], axis=1)
     devs = np.abs(values - np.array([[math.exp(-k2 * k2)] for k2 in k2s]))

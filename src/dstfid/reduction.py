@@ -494,25 +494,23 @@ class ClosedForm:
     (numpy scalars in the batch of one that _pair makes).
 
     ``pipeline``, ``printed`` and ``base`` are the report's traces with a
-    column per field; ``flags`` lists (name, row mask, magnitudes) in report
-    order, but for the oracle's two, which `with_oracle` puts in at
-    ``oracle_flags_at``; ``checks`` lists (name, error class, message
-    builder) in check order, and ``first_failure`` holds each row's first
-    failing check index (len(checks) where every check passed; only
-    `_evaluate` returns a batch with a refused row).  ``oracle``
-    (one OracleResult per row, in flat row order) and ``value_oracle`` are
-    None until `with_oracle` sets them.
+    column per field; ``flags`` maps each flag's name to (row mask,
+    magnitudes), in report order, the oracle's two unset until
+    `closed_form_columns` runs it; ``checks`` lists (name, error class,
+    message builder) in check order, and ``first_failure`` holds each row's
+    first failing check index (len(checks) where every check passed; only
+    `_evaluate` returns a batch with a refused row).  ``oracle`` (one
+    OracleResult per row, in flat row order) and ``value_oracle`` are None
+    unless the oracle ran.
     """
 
-    tol: float
     g: np.ndarray
     value_matrix_pipeline: np.ndarray
     value_printed: np.ndarray
     pipeline: ReductionTrace
     printed: ReductionTrace
     base: BaseFactorTrace
-    flags: tuple
-    oracle_flags_at: int
+    flags: dict
     checks: tuple
     first_failure: np.ndarray
     oracle: tuple[OracleResult, ...] | None = None
@@ -529,19 +527,6 @@ class ClosedForm:
         _, kind, message = self.checks[k]
         with np.errstate(all="ignore"):  # a message value may leave double range
             return kind(message(i))
-
-    def with_oracle(self, results) -> ClosedForm:
-        """The batch with the oracle's columns: its results (one OracleResult
-        per row, in flat row order), their fidelity clamped to [0, 1] as
-        value_oracle, and the oracle's two flags put in after the clamps."""
-        fidelity = np.reshape([o.fidelity for o in results], np.shape(self.g))[()]
-        value_oracle, amount = _clamp01(fidelity)
-        dev = np.abs(self.value_matrix_pipeline - value_oracle)
-        oracle = (("oracle-value-clamped", amount > 0.0, amount),
-                  ("pipeline-vs-oracle", dev > max(self.tol, 1e-6), dev))
-        at = self.oracle_flags_at
-        return replace(self, oracle=tuple(results), value_oracle=value_oracle,
-                       flags=(*self.flags[:at], *oracle, *self.flags[at:]))
 
     def report(self, i: int) -> FidelityReport:
         """Row i as a FidelityReport, with its oracle result when one ran."""
@@ -561,21 +546,19 @@ class ClosedForm:
             base=trace(self.base),
             oracle=None if self.oracle is None else self.oracle[i],
             g=row(self.g),
-            discrepancy_flags=tuple(
-                DiscrepancyFlag(name, row(mag)) for name, mask, mag in self.flags if row(mask)),
+            discrepancy_flags=tuple(DiscrepancyFlag(name, row(mag))
+                                    for name, (mask, mag) in self.flags.items() if row(mask)),
         )
 
 
-def closed_form(states1, states2, opts: FidelityOptions) -> ClosedForm:
+def closed_form(pairs, opts: FidelityOptions) -> ClosedForm:
     """Evaluate both closed-form paths, the base factor, the flags and every
-    check for the pairs (states1[i], states2[i]), elementwise, with the
-    oracle's columns when opts.oracle (see `closed_form_columns`)."""
-
-    def column(states, attr, dtype):
-        return np.array([getattr(s, attr) for s in states], dtype=dtype)
-
-    k1, r1, b1 = (column(states1, a, t) for a, t in (("k", complex), ("r", float), ("beta", float)))
-    k2, r2, b2 = (column(states2, a, t) for a, t in (("k", complex), ("r", float), ("beta", float)))
+    check for a sequence of pairs (s1, s2), elementwise, with the oracle's
+    columns when opts.oracle (see `closed_form_columns`)."""
+    table = np.array([(s1.k, s1.r, s1.beta, s2.k, s2.r, s2.beta) for s1, s2 in pairs],
+                     dtype=complex).reshape(-1, 6).T  # an empty sequence gives empty columns
+    # one contiguous array per column: k complex, r and beta real
+    k1, r1, b1, k2, r2, b2 = (np.array(c if j % 3 == 0 else c.real) for j, c in enumerate(table))
     return closed_form_columns(k1, r1, b1, k2, r2, b2, opts)
 
 
@@ -589,7 +572,8 @@ def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> Closed
     squeezed norm in double range, then the matrix-route checks (see
     _matrix_route).  Then, with opts.oracle, the oracle runs on each row's
     pair; a ConvergenceError, like a refusal, carries its row's index as
-    ``row``.
+    ``row``.  Its results join the batch: value_oracle is their fidelity
+    clamped to [0, 1], and the oracle's two flags are set.
     """
     cf = _evaluate(k1, r1, b1, k2, r2, b2, opts.tol)
     refused = np.flatnonzero(cf.first_failure < len(cf.checks))
@@ -608,7 +592,11 @@ def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> Closed
         except ConvergenceError as exc:
             exc.row = row
             raise
-    return cf.with_oracle(results)
+    value_oracle, amount = _clamp01(np.reshape([o.fidelity for o in results], np.shape(cf.g))[()])
+    dev = np.abs(cf.value_matrix_pipeline - value_oracle)
+    flags = {**cf.flags, "oracle-value-clamped": (amount > 0.0, amount),
+             "pipeline-vs-oracle": (dev > max(opts.tol, 1e-6), dev)}
+    return replace(cf, oracle=tuple(results), value_oracle=value_oracle, flags=flags)
 
 
 # Out-of-range rows are refused by their checks (NaN fails each), not
@@ -676,22 +664,23 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     ratio_dev = np.abs(printed.ratio - pipeline.ratio)
     # Comparison flags, in the order the printed path diverges from the
     # matrix pipeline: mismatch factor, then ratio, then base display; the
-    # oracle's flags go in after the clamps.
-    before_oracle = (
-        ("printed-displacement-quadratic-form",
-         d1_dev > tol * np.maximum(1.0, np.abs(ld1)), d1_dev),
-        ("printed-ratio-quadratic-form", ratio_dev > tol, ratio_dev),
-        ("printed-base-domain", np.isnan(printed_base), np.full(shape, np.inf)),
-        ("printed-base-factor", base.discrepancy > tol, base.discrepancy),
-        ("pipeline-value-clamped", pipe_clamp > 0.0, pipe_clamp),
-        ("printed-value-clamped", printed_clamp > 0.0, printed_clamp),
-    )
-    after_oracle = (
-        ("delta1-outside-float-range",
-         (ld1 < _LOG_TINY) | ~np.isfinite(pipeline.delta1), np.abs(ld1)),
-        ("delta2-outside-float-range",
-         (ld2 < _LOG_TINY) | ~np.isfinite(pipeline.delta2), np.abs(ld2)),
-    )
+    # oracle's two, unset until it runs, come after the clamps.
+    unset = np.zeros(shape, dtype=bool), np.zeros(shape)
+    flags = {
+        "printed-displacement-quadratic-form": (d1_dev > tol * np.maximum(1.0, np.abs(ld1)),
+                                                d1_dev),
+        "printed-ratio-quadratic-form": (ratio_dev > tol, ratio_dev),
+        "printed-base-domain": (np.isnan(printed_base), np.full(shape, np.inf)),
+        "printed-base-factor": (base.discrepancy > tol, base.discrepancy),
+        "pipeline-value-clamped": (pipe_clamp > 0.0, pipe_clamp),
+        "printed-value-clamped": (printed_clamp > 0.0, printed_clamp),
+        "oracle-value-clamped": unset,
+        "pipeline-vs-oracle": unset,
+        "delta1-outside-float-range": ((ld1 < _LOG_TINY) | ~np.isfinite(pipeline.delta1),
+                                       np.abs(ld1)),
+        "delta2-outside-float-range": ((ld2 < _LOG_TINY) | ~np.isfinite(pipeline.delta2),
+                                       np.abs(ld2)),
+    }
 
     def gap_message(i):
         a, b = r1.item(i), r2.item(i)
@@ -717,10 +706,8 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     failed = np.array([mask for _, _, mask, _ in checks])
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(checks))
     return ClosedForm(
-        tol=tol, g=g,
-        value_matrix_pipeline=value_pipe, value_printed=value_printed,
-        pipeline=pipeline, printed=printed, base=base,
-        flags=before_oracle + after_oracle, oracle_flags_at=len(before_oracle),
+        g=g, value_matrix_pipeline=value_pipe, value_printed=value_printed,
+        pipeline=pipeline, printed=printed, base=base, flags=flags,
         checks=tuple((name, kind, message) for name, kind, _, message in checks),
         first_failure=first,
     )

@@ -104,7 +104,7 @@ def sweep_csv(argv: list[str]) -> str:
         sweep_states(args, {spec.axes[i][0]: values[i] for i in range(len(values))})
         for values in combos
     ]
-    batch = closed_form([s1 for s1, _ in pairs], [s2 for _, s2 in pairs], spec.opts)
+    batch = closed_form(pairs, spec.opts)
     for idx, (s1, s2) in enumerate(pairs):
         lines.append(row_for(idx, s1, s2, batch.report(idx)))
     return "\n".join(lines) + "\n"

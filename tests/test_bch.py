@@ -134,8 +134,8 @@ def test_displacement_compose_is_the_merged_displacements(k1, k2):
     assert abs(g - (k2 - k1)) <= 1e-15
     assert abs(c_log - 1j * (k1.conjugate() * k2).imag) <= 1e-15
     batch = closed_form(
-        [state(k1, 0.2, beta=1.0), state(0.3j, 0.0, beta=2.0)],
-        [state(k2, -0.1, beta=1.5), state(1.0, 0.0, beta=2.0)],
+        [(state(k1, 0.2, beta=1.0), state(k2, -0.1, beta=1.5)),
+         (state(0.3j, 0.0, beta=2.0), state(1.0, 0.0, beta=2.0))],
         FidelityOptions(oracle=False),
     )
     assert abs(batch.g[0] - g) <= 1e-15

@@ -4,12 +4,11 @@ pair."""
 
 import pytest
 
-import dstfid.reconcile as reconcile
 import dstfid.reduction as red
 from dstfid.algebra import state
 from dstfid.fock import fidelity_oracle
 from dstfid.reconcile import pair_grid, run_verification, self_grid
-from dstfid.reduction import FidelityOptions, SqueezeGapError, fidelity
+from dstfid.reduction import FidelityOptions, SqueezeGapError, closed_form, fidelity
 from test_reduction import _carried
 
 OPTS = FidelityOptions(oracle_tol=1e-8, oracle_ceiling=512)
@@ -24,7 +23,7 @@ OPTS = FidelityOptions(oracle_tol=1e-8, oracle_ceiling=512)
 def test_batch_reports_equal_fidelity(pairs, tol):
     # a coarse flag threshold drops some flags, so the batch must use opts.tol
     opts = FidelityOptions(tol=tol, oracle_tol=1e-8, oracle_ceiling=512)
-    cf = reconcile._batch(pairs, opts)
+    cf = closed_form(pairs, opts)
     assert len(cf) == len(cf.oracle) == len(cf.value_oracle) == len(pairs)
     for i, (s1, s2) in enumerate(pairs):
         got, want = cf.report(i), fidelity(s1, s2, opts)
@@ -37,7 +36,7 @@ def test_batch_reports_equal_fidelity(pairs, tol):
 
 def test_batch_without_oracle_carries_no_oracle_values():
     pairs = pair_grid(quick=True)[:3]
-    cf = reconcile._batch(pairs, FidelityOptions(oracle=False))
+    cf = closed_form(pairs, FidelityOptions(oracle=False))
     assert cf.oracle is None and cf.value_oracle is None
     for i, (s1, s2) in enumerate(pairs):
         rep = cf.report(i)
@@ -55,7 +54,7 @@ def test_refused_pair_raises_as_fidelity_does(monkeypatch):
     calls = []
     monkeypatch.setattr(red, "fidelity_oracle", lambda *a, **kw: calls.append(a))
     with pytest.raises(SqueezeGapError) as got:
-        reconcile._batch([good, refused, good], OPTS)
+        closed_form([good, refused, good], OPTS)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
     assert calls == []

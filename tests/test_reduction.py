@@ -777,7 +777,8 @@ def test_every_trace_field_is_one_number_per_row():
     (3,) on a 3-row batch, 0-d on the batch of one that fidelity runs."""
     s1 = [S1, state(0.0, -1.0, beta=40.0), state(0.1, 0.3, nbar=2.0)]
     s2 = [state(0.5, 0.3, beta=1.0), state(0.2j, 0.6, beta=2.0), state(0.1, 0.3, nbar=2.0)]
-    for cf, shape in ((closed_form(s1, s2, NO_ORACLE), (3,)), (_pair(S1, S2, NO_ORACLE), ())):
+    for cf, shape in ((closed_form(list(zip(s1, s2)), NO_ORACLE), (3,)),
+                      (_pair(S1, S2, NO_ORACLE), ())):
         for tr in (cf.pipeline, cf.printed, cf.base):
             for f in fields(tr):
                 value = getattr(tr, f.name)
@@ -840,34 +841,40 @@ def test_batch_rows_equal_batches_of_one(rows):
     refused = [i for i in range(len(rows)) if batch.error(i) is not None]
     if refused:
         with pytest.raises(type(batch.error(refused[0]))) as got:
-            closed_form(s1, s2, NO_ORACLE)
+            closed_form(list(zip(s1, s2)), NO_ORACLE)
         assert got.value.row == refused[0]
         assert str(got.value) == str(batch.error(refused[0]))
     else:
-        assert _carried(closed_form(s1, s2, NO_ORACLE).report(0)) == _carried(batch.report(0))
+        assert _carried(closed_form(list(zip(s1, s2)), NO_ORACLE).report(0)) == \
+            _carried(batch.report(0))
 
 
-def test_with_oracle_rows_equal_on_both_batch_shapes():
-    """One OracleResult attached to the batch of one that fidelity runs on
-    numpy scalars and to a 1-D batch gives equal rows; a fidelity past 1 puts
-    both oracle flags in, after the clamps."""
+_FLAG_ORDER = [
+    "printed-displacement-quadratic-form",
+    "printed-ratio-quadratic-form", "printed-base-domain", "printed-base-factor",
+    "pipeline-value-clamped", "printed-value-clamped",
+    "oracle-value-clamped", "pipeline-vs-oracle",
+    "delta1-outside-float-range", "delta2-outside-float-range",
+]
+
+
+def test_with_oracle_rows_equal_on_both_batch_shapes(monkeypatch):
+    """One OracleResult joined to the batch of one that fidelity runs on
+    numpy scalars and to a 1-D batch gives equal rows; a fidelity past 1 sets
+    both oracle flags, in their place after the clamps."""
     import dstfid.reduction as red
     from dstfid.fock import OracleResult
 
     s1, s2 = state(0.0, 0.2, nbar=0.5), state(0.5, 0.3, nbar=1.0)
     past_one = OracleResult(fidelity=1.0 + 1e-5, cutoff_used=80, convergence_gap=3e-9)
     other = OracleResult(fidelity=0.5, cutoff_used=60, convergence_gap=1e-9)
-    one = red._pair(s1, s2, NO_ORACLE).with_oracle([past_one])
-    batch = closed_form([S1, s1], [S2, s2], NO_ORACLE).with_oracle([other, past_one])
+    supplied = iter([past_one, other, past_one])
+    monkeypatch.setattr(red, "fidelity_oracle", lambda *a, **kw: next(supplied))
+    one = red._pair(s1, s2, FidelityOptions())
+    batch = closed_form([(S1, S2), (s1, s2)], FidelityOptions())
     assert np.ndim(one.value_oracle) == 0 and batch.value_oracle.shape == (2,)
     for cf in (one, batch):
-        assert [name for name, _, _ in cf.flags] == [
-            "printed-displacement-quadratic-form",
-            "printed-ratio-quadratic-form", "printed-base-domain", "printed-base-factor",
-            "pipeline-value-clamped", "printed-value-clamped",
-            "oracle-value-clamped", "pipeline-vs-oracle",
-            "delta1-outside-float-range", "delta2-outside-float-range",
-        ]
+        assert list(cf.flags) == _FLAG_ORDER
     got, want = batch.report(1), one.report(0)
     assert _carried(got) == _carried(want)
     assert {"oracle-value-clamped", "pipeline-vs-oracle"} <= {
@@ -875,6 +882,14 @@ def test_with_oracle_rows_equal_on_both_batch_shapes():
     assert repr(got.value_oracle) == repr(want.value_oracle) == "1.0"
     assert got.oracle == want.oracle == past_one
     assert batch.report(0).oracle == other
+
+
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no-oracle"])
+def test_an_empty_sequence_of_pairs_is_an_empty_batch(oracle):
+    cf = closed_form([], FidelityOptions(oracle=oracle))
+    assert len(cf) == 0
+    assert cf.oracle == (() if oracle else None)
+    assert list(cf.flags) == _FLAG_ORDER
 
 
 # --- assembled fidelity -----------------------------------------------------
