@@ -18,17 +18,11 @@ import numpy as np
 
 __all__ = [
     "DegenerateInputError",
-    "Mat2C",
-    "SIGMA",
     "StateParams",
     "state",
     "squeeze_matrix",
     "thermal_matrix",
 ]
-
-# 2x2 complex matrices are plain ndarrays; the alias names the role they play
-# in signatures.
-Mat2C = np.ndarray
 
 # Largest inverse temperature the model accepts: beyond ~745, exp(-beta)
 # underflows to 0.0 and the derived mean photon number stops being a positive
@@ -38,19 +32,6 @@ _BETA_MAX = 745.0
 
 class DegenerateInputError(ValueError):
     """Raised when parameters collapse a linear system we must invert."""
-
-
-# The antisymmetric form on (a^dag, a) coefficient pairs: it squares to minus
-# the identity, and a 2x2 matrix A preserves it (A^T SIGMA A = SIGMA) exactly
-# when det A = 1.
-SIGMA: Mat2C = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-SIGMA.setflags(write=False)
-
-
-def _require_finite(name: str, *values: complex) -> None:
-    for v in values:
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +49,8 @@ class StateParams:
         number is ``nbar = 1/(exp(beta) - 1)``.
 
     Either temperature convention works at the surface: construct with
-    ``StateParams(k, r, beta)`` or ``StateParams.from_nbar(k, r, nbar)``.
-    beta is what gets stored; the reduction formulas are written in it.
+    ``StateParams(k, r, beta)`` or ``state(k, r, nbar=nbar)``.  beta is what
+    gets stored; the reduction formulas are written in it.
     """
 
     k: complex
@@ -81,7 +62,8 @@ class StateParams:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "beta", float(self.beta))
-        _require_finite("displacement k", k)
+        if not (math.isfinite(k.real) and math.isfinite(k.imag)):
+            raise ValueError(f"displacement k must be finite, got {k!r}")
         if not math.isfinite(self.r):
             raise ValueError(f"squeeze factor r must be finite, got {self.r!r}")
         if math.isinf(self.beta) or self.beta >= _BETA_MAX:
@@ -100,17 +82,6 @@ class StateParams:
                 "number nbar = 1/expm1(beta) leaves double range"
             )
 
-    @classmethod
-    def from_nbar(cls, k: complex, r: float, nbar: float) -> "StateParams":
-        """Build from the mean photon number instead of beta."""
-        nbar = float(nbar)
-        if not math.isfinite(nbar) or nbar <= 0.0:
-            raise ValueError(
-                f"nbar must be a finite positive number, got {nbar!r} "
-                "(nbar = 0 is the pure-state limit; use a large beta instead)"
-            )
-        return cls(k, r, math.log1p(1.0 / nbar))
-
     @property
     def nbar(self) -> float:
         """Mean photon number 1/(exp(beta) - 1); past beta = 700, where
@@ -126,15 +97,21 @@ def state(
     beta: float | None = None,
     nbar: float | None = None,
 ) -> StateParams:
-    """Convenience constructor enforcing exactly one of beta/nbar."""
+    """A state from exactly one of beta and nbar, nbar as beta = log1p(1/nbar)."""
     if (beta is None) == (nbar is None):
         raise ValueError("exactly one of beta or nbar must be given")
     if beta is not None:
         return StateParams(k, r, beta)
-    return StateParams.from_nbar(k, r, nbar)
+    nbar = float(nbar)
+    if not math.isfinite(nbar) or nbar <= 0.0:
+        raise ValueError(
+            f"nbar must be a finite positive number, got {nbar!r} "
+            "(nbar = 0 is the pure-state limit; use a large beta instead)"
+        )
+    return StateParams(k, r, math.log1p(1.0 / nbar))
 
 
-def squeeze_matrix(r: float) -> Mat2C:
+def squeeze_matrix(r: float) -> np.ndarray:
     """Coefficient matrix [[cosh r, -sinh r], [-sinh r, cosh r]] for a squeeze.
 
     One-parameter group: squeeze_matrix(r1) @ squeeze_matrix(r2) equals
@@ -147,7 +124,7 @@ def squeeze_matrix(r: float) -> Mat2C:
     return np.array([[ch, -sh], [-sh, ch]], dtype=complex)
 
 
-def thermal_matrix(beta: float, power: float) -> Mat2C:
+def thermal_matrix(beta: float, power: float) -> np.ndarray:
     """diag(exp(-power*beta), exp(power*beta)): thermal conjugation to a power.
 
     The reduction only needs powers -1, -1/2, 1/2, 1, but any finite power is

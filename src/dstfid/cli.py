@@ -50,15 +50,22 @@ EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
-SWEEP_AXES = (
-    "re_k1", "im_k1", "r1", "nbar1", "beta1",
-    "re_k2", "im_k2", "r2", "nbar2", "beta2",
+# The fields of a state, in sweep-axis and CSV-column order: each field's
+# name and the StateParams value its cell shows.
+_STATE_CELLS = (
+    ("re_k", lambda s: s.k.real),
+    ("im_k", lambda s: s.k.imag),
+    ("r", lambda s: s.r),
+    ("nbar", lambda s: s.nbar),
+    ("beta", lambda s: s.beta),
 )
 
+SWEEP_AXES = tuple(f + w for w in "12" for f, _ in _STATE_CELLS)
+
+METHODS = ("all", "closed-form", "pipeline", "printed", "oracle")
+
 _CSV_COLUMNS = (
-    "idx",
-    "re_k1", "im_k1", "r1", "nbar1", "beta1",
-    "re_k2", "im_k2", "r2", "nbar2", "beta2",
+    "idx", *SWEEP_AXES,
     "re_g", "im_g",
     "f_pipeline", "f_printed", "f_oracle",
     "ratio_pipeline", "ratio_printed",
@@ -128,7 +135,7 @@ def _resolve(flag_value, config: dict[str, str], key: str, default, cast):
 def _options_from(args, config: dict[str, str]) -> tuple[FidelityOptions, str]:
     method = _resolve(getattr(args, "method", None), config, "method",
                       args.default_method, str)
-    if method not in ("all", "closed-form", "pipeline", "printed", "oracle"):
+    if method not in METHODS:
         raise UsageError(f"unknown method {method!r}")
     tol = _resolve(args.tol, config, "tol", FidelityOptions.tol, float)
     oracle_tol = _resolve(args.oracle_tol, config, "oracle_tol", FidelityOptions.oracle_tol, float)
@@ -188,17 +195,6 @@ def _json(x):
     if isinstance(x, float) and not math.isfinite(x):
         return repr(float(x))
     return x
-
-
-# The state cells of a CSV row, per state in _CSV_COLUMNS order: the sweep
-# field each follows and the StateParams value it shows.
-_STATE_CELLS = (
-    ("re_k", lambda s: s.k.real),
-    ("im_k", lambda s: s.k.imag),
-    ("r", lambda s: s.r),
-    ("nbar", lambda s: s.nbar),
-    ("beta", lambda s: s.beta),
-)
 
 
 def _cells(values) -> list[str]:
@@ -464,7 +460,7 @@ def run_sweep(spec: SweepSpec) -> str:
     # cells both follow the temperature.
     sources = []
     for swept, fixed in zip(spec.swept, spec.fixed):
-        src = dict.fromkeys(("re_k", "im_k", "r", "nbar", "beta"), (None, [_checked(fixed)]))
+        src = dict.fromkeys((f for f, _ in _STATE_CELLS), (None, [_checked(fixed)]))
         src.update((f, (a, [_checked({**fixed, f: v}) for v in grids[a]]))
                    for f, a in swept.items())
         src["nbar"] = src["beta"] = src["nbar" if "nbar" in swept else "beta"]
@@ -620,7 +616,7 @@ def _add_oracle_args(p: argparse.ArgumentParser, ceiling: int) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser, default_method: str) -> None:
-    p.add_argument("--method", choices=("all", "closed-form", "pipeline", "printed", "oracle"),
+    p.add_argument("--method", choices=METHODS,
                    help=f"which paths to evaluate (default {default_method})")
     p.add_argument("--tol", type=float,
                    help=f"comparison tolerance (default {_sci(FidelityOptions.tol)})")

@@ -5,9 +5,13 @@ One record per line, space-separated, `#` comments for the header:
     re_k1 im_k1 r1 re_k2 im_k2 r2 nbar1 nbar2 fidelity cutoff tol version
 
 Numbers are %.17g so a re-read round-trips bit-exactly; `version` is the
-package version that produced the record.  The snapshot exists so tests and
-CI can compare against the oracle without re-running large eigenproblems,
-and so a suspicious change in the oracle itself is caught loudly.
+package version that produced the record, and `cutoff` the rung the oracle's
+cutoff ladder converged at in the commit that wrote it.  `dstfid snapshot`
+re-runs the oracle on every record and compares the fresh fidelity with the
+frozen one, so a change in the oracle itself is caught loudly;
+check_snapshots reads only the fidelity (and its tol), not the cutoff.  The
+one reader of the frozen values without an oracle run is the closed-form
+test against the golden records.
 """
 
 from __future__ import annotations

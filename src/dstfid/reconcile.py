@@ -169,10 +169,8 @@ def undisplaced_pair_grid() -> list[tuple[StateParams, StateParams]]:
 
 
 def _worst(devs, labels: list[str]) -> tuple[float, str]:
-    """(the largest deviation, the label of its first occurrence), or
-    (0.0, "") for none; a NaN deviation counts as the largest."""
-    if len(devs) == 0:
-        return 0.0, ""
+    """(the largest deviation, the label of its first occurrence); a NaN
+    deviation counts as the largest."""
     i = int(np.argmax(devs))
     return float(devs[i]), labels[i]
 
@@ -186,6 +184,15 @@ def _bound(name: str, devs, labels: list[str], threshold: float) -> Verification
 
 def _verdict(worst: float) -> str:
     return "typo-confirmed" if worst > 1e-8 else "consistent"
+
+
+def _entry(
+    formula: str, devs, labels: list[str], note: str, verdict=_verdict
+) -> ReconciliationEntry:
+    """The entry for a printed display: its worst deviation, where, and the
+    verdict on it."""
+    worst, at = _worst(devs, labels)
+    return ReconciliationEntry(formula, worst, at, verdict(worst), note)
 
 
 def _entry_difference_convention(
@@ -239,8 +246,7 @@ def _entry_flipped_sign(
     flipped = closed_form([(_flipped(s1) if flip_first else s1, _flipped(s2))
                            for s1, s2 in pairs], _NO_ORACLE)
     residual = np.abs(printed - getattr(flipped.pipeline, field)).max()
-    worst, at = _worst(np.abs(printed - pipeline), labels)
-    return ReconciliationEntry(formula, worst, at, _verdict(worst), note.format(residual))
+    return _entry(formula, np.abs(printed - pipeline), labels, note.format(residual))
 
 
 def _matching_matrices(s1: StateParams, s2: StateParams) -> tuple[np.ndarray, np.ndarray]:
@@ -270,31 +276,20 @@ def _entries_matching_system(
         rel_devs.append(float(np.abs(system - 2.0 * dd * printed).max()))
         det = complex(system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0])
         det_devs.append(abs(det + 2.0 * dd) / (2.0 * dd))
-    worst, at = _worst(def_devs, labels)
-    matching = ReconciliationEntry(
-        formula=MATCHING_DISPLAY,
-        max_abs_deviation=worst,
-        worst_params=at,
-        verdict=_verdict(worst),
-        note=(
-            "the printed display does not equal its own definition line "
-            "(which also carries a bare B1 where the matching condition has "
-            "B1^(-1/2)); the true relation, exact on the whole grid, is "
-            "system = 2*Delta*(printed display), equivalently printed = "
-            f"inverse(system) since system^2 = 2*Delta*identity "
-            f"(residual <= {max(rel_devs):.3e})"
-        ),
+    matching = _entry(
+        MATCHING_DISPLAY, def_devs, labels,
+        "the printed display does not equal its own definition line "
+        "(which also carries a bare B1 where the matching condition has "
+        "B1^(-1/2)); the true relation, exact on the whole grid, is "
+        "system = 2*Delta*(printed display), equivalently printed = "
+        f"inverse(system) since system^2 = 2*Delta*identity "
+        f"(residual <= {max(rel_devs):.3e})",
     )
-    worst, at = _worst(det_devs, labels)
-    return matching, ReconciliationEntry(
-        formula=DENOMINATOR,
-        max_abs_deviation=worst,
-        worst_params=at,
-        verdict="consistent" if worst <= 1e-10 else "inconclusive",
-        note=(
-            "det(matching system) = -2*Delta holds to machine precision, so "
-            "the printed denominator is the right invariant of the system"
-        ),
+    return matching, _entry(
+        DENOMINATOR, det_devs, labels,
+        "det(matching system) = -2*Delta holds to machine precision, so "
+        "the printed denominator is the right invariant of the system",
+        verdict=lambda worst: "consistent" if worst <= 1e-10 else "inconclusive",
     )
 
 
@@ -310,37 +305,25 @@ def _entries_overlap() -> tuple[ReconciliationEntry, ReconciliationEntry]:
              + [state(0.0, 0.0, nbar=nbar) for nbar in (*nbars, 1e-6)])
     printed = closed_form([(s, s) for s in selfs], _NO_ORACLE).base.printed_value.tolist()
     by_r, by_nbar, printed_cold = printed[:3], printed[3:6], printed[6]
-    worst, at = _worst([abs(v - by_r[0]) for v in by_r[1:]],
-                       [f"self pair r={r:g} beta={beta:.6g}" for r in rs[1:]])
-    argument = ReconciliationEntry(
-        formula=OVERLAP_ARGUMENT,
-        max_abs_deviation=worst,
-        worst_params=at,
-        verdict=_verdict(worst),
-        note=(
-            "a state's fidelity with itself is 1 for every squeeze, yet the "
-            "printed argument makes the self-pair value vary with r "
-            f"({', '.join(f'r={r:g}: {v:.6f}' for r, v in zip(rs, by_r))}); no "
-            "prefactor can repair an argument with spurious r-dependence "
-            "(its two cosh^2(r1+r2) terms and missing sinh^2 term are the "
-            "structural suspects)"
-        ),
+    argument = _entry(
+        OVERLAP_ARGUMENT, [abs(v - by_r[0]) for v in by_r[1:]],
+        [f"self pair r={r:g} beta={beta:.6g}" for r in rs[1:]],
+        "a state's fidelity with itself is 1 for every squeeze, yet the "
+        "printed argument makes the self-pair value vary with r "
+        f"({', '.join(f'r={r:g}: {v:.6f}' for r, v in zip(rs, by_r))}); no "
+        "prefactor can repair an argument with spurious r-dependence "
+        "(its two cosh^2(r1+r2) terms and missing sinh^2 term are the "
+        "structural suspects)",
     )
-    worst, at = _worst([abs(v - 1.0) for v in by_nbar],
-                       [f"thermal self pair nbar={nbar:g}" for nbar in nbars])
-    prefactor = ReconciliationEntry(
-        formula=OVERLAP_PREFACTOR,
-        max_abs_deviation=worst,
-        worst_params=at,
-        verdict=_verdict(worst),
-        note=(
-            "thermal self-pairs should give exactly 1 but the printed value "
-            f"is {', '.join(f'nbar={n:g}: {v:.6f}' for n, v in zip(nbars, by_nbar))} and "
-            f"diverges toward the pure limit ({printed_cold:.4f} at "
-            "nbar=1e-6), so the error is not a constant normalization "
-            "convention; the exact base factor sidesteps the display "
-            "entirely"
-        ),
+    prefactor = _entry(
+        OVERLAP_PREFACTOR, [abs(v - 1.0) for v in by_nbar],
+        [f"thermal self pair nbar={nbar:g}" for nbar in nbars],
+        "thermal self-pairs should give exactly 1 but the printed value "
+        f"is {', '.join(f'nbar={n:g}: {v:.6f}' for n, v in zip(nbars, by_nbar))} and "
+        f"diverges toward the pure limit ({printed_cold:.4f} at "
+        "nbar=1e-6), so the error is not a constant normalization "
+        "convention; the exact base factor sidesteps the display "
+        "entirely",
     )
     return argument, prefactor
 

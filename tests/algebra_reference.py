@@ -1,9 +1,10 @@
-"""Test-side helpers for the 2x2 algebra kit (the package does not use them).
+"""Test-side names for the 2x2 algebra kit (the package does not use them).
 
-pair_vec builds the conjugate-pair column that displacement amplitudes take
-in the (a^dag, a) basis; check_symplectic tests a 2x2 factor against the
-antisymmetric form SIGMA; log_sinh is the package's unchecked log-sinh with
-its domain checked.
+Mat2C names the role a plain 2x2 complex ndarray plays in a signature; SIGMA
+is the antisymmetric form on (a^dag, a) coefficient pairs; check_symplectic
+tests a 2x2 factor against it; pair_vec builds the conjugate-pair column that
+displacement amplitudes take in the (a^dag, a) basis; log_sinh is the
+package's unchecked log-sinh with its domain checked.
 """
 
 from __future__ import annotations
@@ -12,9 +13,17 @@ import cmath
 
 import numpy as np
 
-from dstfid.algebra import SIGMA, Mat2C, _log_sinh
+from dstfid.algebra import _log_sinh
 
-__all__ = ["check_symplectic", "pair_vec", "log_sinh"]
+__all__ = ["Mat2C", "SIGMA", "check_symplectic", "pair_vec", "log_sinh"]
+
+Mat2C = np.ndarray
+
+# The antisymmetric form on (a^dag, a) coefficient pairs: it squares to minus
+# the identity, and a 2x2 matrix A preserves it (A^T SIGMA A = SIGMA) exactly
+# when det A = 1.
+SIGMA: Mat2C = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+SIGMA.setflags(write=False)
 
 
 def check_symplectic(m: Mat2C, tol: float = 1e-12) -> bool:

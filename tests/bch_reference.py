@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dstfid.algebra import Mat2C
+from algebra_reference import Mat2C
 
 __all__ = ["LinExpOp", "MergeResult", "commutator_scalar", "bch_merge"]
 

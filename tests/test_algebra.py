@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algebra_reference import check_symplectic, log_sinh, pair_vec
-from dstfid.algebra import (
-    SIGMA,
-    squeeze_matrix,
-    state,
-    thermal_matrix,
-)
+from algebra_reference import SIGMA, check_symplectic, log_sinh, pair_vec
+from dstfid.algebra import squeeze_matrix, state, thermal_matrix
 
 finite_r = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 finite_beta = st.floats(min_value=1e-3, max_value=40.0, allow_nan=False)
@@ -50,8 +45,8 @@ def test_state_rejects_nonpositive_temperatures():
 
 @pytest.mark.parametrize("beta", [5e-324, 1e-320, 5.56e-309])
 def test_state_rejects_a_beta_whose_nbar_overflows(beta):
-    # nbar = 1/expm1(beta) overflows below ~5.6e-309; from_nbar refuses a
-    # non-finite nbar, and StateParams refuses the beta that would give one
+    # nbar = 1/expm1(beta) overflows below ~5.6e-309; state(nbar=...) refuses
+    # a non-finite nbar, and StateParams refuses the beta that would give one
     with pytest.raises(ValueError, match="nbar = 1/expm1\\(beta\\) leaves double range"):
         state(0.0, 0.0, beta=beta)
     assert math.isfinite(state(0.0, 0.0, beta=5.57e-309).nbar)

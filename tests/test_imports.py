@@ -1,6 +1,7 @@
 """Import hygiene of the package modules: every imported name is used in its
 module, exported through its __all__, or marked `# noqa: F401` on its line
-(a name kept for something that looks it up there)."""
+(a name kept for something that looks it up there); and every module-level
+private name is read somewhere in the package."""
 
 import ast
 import os
@@ -68,6 +69,55 @@ def test_a_leftover_import_is_caught():
                      "__all__ = ['sep']\n\ndef f(x: 'Path') -> int:\n    return 1\n")
     kept = _used(tree) | _exported(tree)
     assert [name for name, _ in _imported(tree) if name not in kept] == ["math", "path"]
+
+
+def _private_defined(tree: ast.Module):
+    """Every module-level private name a def, class or assignment binds,
+    dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in targets
+                    if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Every name the module loads, looks up as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def _unread_private(trees: dict[str, ast.Module]) -> list[str]:
+    read = set().union(*map(_read, trees.values()))
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name in _private_defined(tree) if name not in read]
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert _unread_private(trees) == []
+
+
+def test_an_unread_helper_is_caught():
+    a = ast.parse("_KEEP = 1\n_LEFT, _PAIR = 2, 3\n__dunder__ = 4\n_ANN: int = 5\n\n"
+                  "def _helper():\n    return _KEEP\n\n"
+                  "def _stale():\n    return 0\n\n"
+                  "class _Unused:\n    pass\n")
+    b = ast.parse("import a\nfrom a import _helper\nprint(a._PAIR)\n")
+    assert _unread_private({"a.py": a, "b.py": b}) == [
+        "a.py: _LEFT", "a.py: _ANN", "a.py: _stale", "a.py: _Unused"]
 
 
 def test_importing_the_package_loads_no_scipy():

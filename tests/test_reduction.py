@@ -251,6 +251,43 @@ def test_multiplier_satisfies_conjugate_pair_form(monkeypatch):
         fidelity(S1, s2, NO_ORACLE)
 
 
+@pytest.mark.parametrize("entry", ["fidelity", "compute"])
+@pytest.mark.parametrize("fault, message", [
+    ("v0", "delta1 dual-path mismatch: matrix "),
+    ("q01", "determinant dual-path mismatch: matrix "),
+], ids=["delta1-dual-path", "determinant-dual-path"])
+def test_a_perturbed_matching_system_is_refused_by_its_dual_path(
+        monkeypatch, capsys, fault, message, entry):
+    # a relative 1e-6 on v[0] moves the matrix delta1 off the scalar one, and
+    # on the quadrature determinant's q01 moves det off -2*DeltaDenom; each is
+    # the first check to refuse, at the library and as the CLI's exit 1
+    import dstfid.cli as cli
+    import dstfid.reduction as red
+
+    right = red._matching_system
+    s2 = state(0.3 - 0.8j, S2.r, beta=S2.beta)
+    fidelity(S1, s2, NO_ORACLE)
+
+    def perturbed(*args):
+        v0, (q01, q10), rhs, factors = right(*args)
+        if fault == "v0":
+            return v0 * (1 + 1e-6), (q01, q10), rhs, factors
+        return v0, (q01 * (1 + 1e-6), q10), rhs, factors
+
+    monkeypatch.setattr(red, "_matching_system", perturbed)
+    if entry == "fidelity":
+        with pytest.raises(PipelineCheckError, match=re.escape(message)):
+            fidelity(S1, s2, NO_ORACLE)
+        return
+    argv = ["compute", "--r1", "0.2", "--nbar1", "0.8", "--k2", "0.3-0.8i", "--r2", "0.3",
+            "--beta2", "1.0", "--method", "closed-form"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("pipeline check failed: " + message)
+    assert len(out.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("scale", [0.0, math.inf], ids=["zero", "non-finite"])
 @pytest.mark.parametrize("entry", ["fidelity", "sweep"])
 def test_degenerate_matching_system_is_a_named_error(monkeypatch, capsys, entry, scale):
