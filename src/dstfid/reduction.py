@@ -86,9 +86,9 @@ class SqueezeGapError(ValueError):
 
 
 class PipelineCheckError(RuntimeError):
-    """A matrix-route check (imaginary part, dual path of delta1, the
-    determinant, the ratio or l, solve residual, conjugate-pair form,
-    annihilation residual) left its tolerance."""
+    """A matrix-route check (dual path of delta1 or the determinant, solve
+    residual, conjugate-pair form, annihilation residual, delta2's imaginary
+    part, dual path of the ratio or l) left its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -215,38 +215,38 @@ def logsumexp(terms, signs):
     return top + np.log(np.abs(total)), np.sign(total)
 
 
-def _squeezed_norm(g, r):
-    """(1/2)(g^2 + conj(g)^2) sinh 2r + |g|^2 cosh 2r, written as the exact
-    (Re g)^2 e^{2r} + (Im g)^2 e^{-2r}: two nonnegative terms, no cancellation."""
+def _squeezed_terms(g, r):
+    """The two terms of the squeezed norm N = (1/2)(g^2 + conj(g)^2) sinh 2r
+    + |g|^2 cosh 2r, written as the exact (Re g)^2 e^{2r} + (Im g)^2 e^{-2r}:
+    two nonnegative terms, no cancellation."""
     x = 2.0 * r
-    return g.real * g.real * np.exp(x) + g.imag * g.imag * np.exp(-x)
+    return g.real * g.real * np.exp(x), g.imag * g.imag * np.exp(-x)
 
 
 def _variables(r1, b1, r2, b2):
-    """(t1, t2, c1, c2, u1, u2, T, X, D', D'_l, log Delta), once per batch: t,
-    c = tanh, cosh(beta/2), T = max(t1, t2), u = t/T, X = 4 u1 u2 ch 2(r1 - r2)
-    and D' = 2 (u1^2 + u2^2) + X = Delta/(c1 c2 T)^2 >= 2 (as sh b = 2 c^2 t,
-    1/c^2 = 1 - t^2), with Delta = ch b1 ch b2 + sh b1 sh b2 ch 2(r1 - r2) - 1:
-    no term grows with beta, so no state costs D' digits."""
+    """(t1, t2, c1, c2, u1, u2, T, X, D', log c1, log Delta), once per batch:
+    t, c = tanh, cosh(beta/2), T = max(t1, t2), u = t/T, X = 4 u1 u2
+    ch 2(r1 - r2) and D' = 2 (u1^2 + u2^2) + X = Delta/(c1 c2 T)^2 >= 2 (as
+    sh b = 2 c^2 t, 1/c^2 = 1 - t^2), with Delta = ch b1 ch b2 + sh b1 sh b2
+    ch 2(r1 - r2) - 1: no term grows with beta, so no state costs D' digits."""
     t1, t2 = np.tanh(0.5 * b1), np.tanh(0.5 * b2)
     c1, c2 = np.cosh(0.5 * b1), np.cosh(0.5 * b2)  # finite below beta = 745
     top = np.maximum(t1, t2)
     u1, u2 = t1 / top, t2 / top
     gap = r1 - r2
-    x = 4.0 * (u1 * u2) * np.cosh(2.0 * gap)
-    dp_l = 2.0 * (u1 * u1 + u2 * u2) + x  # l's D' (its folded logarithms set its error)
     # X and D' take ch 2(r1 - r2) to first order in the gap's rounding error err
     # (Knuth's two-sum), which cosh(y) would turn into a relative error y times larger
     err = (r1 - (gap - (gap - r1))) - (r2 + (gap - r1))
-    x = x + 8.0 * (u1 * u2) * err * np.sinh(2.0 * gap)
+    x = 4.0 * (u1 * u2) * np.cosh(2.0 * gap) + 8.0 * (u1 * u2) * err * np.sinh(2.0 * gap)
     dp = 2.0 * (u1 * u1 + u2 * u2) + x
-    ldd = 2.0 * (np.log(c1) + np.log(c2) + np.log(top)) + np.log(dp)  # log Delta
-    return t1, t2, c1, c2, u1, u2, top, x, dp, dp_l, ldd
+    lc1 = np.log(c1)
+    ldd = 2.0 * (lc1 + np.log(c2) + np.log(top)) + np.log(dp)  # log Delta
+    return t1, t2, c1, c2, u1, u2, top, x, dp, lc1, ldd
 
 
-def _multiplier(r1, r2, g, u1, u2, dp, c1):
-    """The solved multiplier l in closed form, with u and D' = D'_l from
-    _variables, c1 = cosh(b1/2) and a, b = 2 u2^2/D', 2 u1 u2/D':
+def _multiplier(r1, r2, g, u1, u2, dp, lc1):
+    """The solved multiplier l in closed form, with u, D' and lc1 = log
+    cosh(b1/2) from _variables and a, b = 2 u2^2/D', 2 u1 u2/D':
 
         Re l = sech(b1/2) Re g [a e^{r1} + b e^{2 r2 - r1}],
         Im l = sech(b1/2) Im g [b e^{r1 - 2 r2} + a e^{-r1}].
@@ -260,7 +260,7 @@ def _multiplier(r1, r2, g, u1, u2, dp, c1):
     """
     lu1, lu2, lden = np.log(u1), np.log(u2), np.log(0.5 * dp)
     la, lb = 2.0 * lu2 - lden, lu1 + lu2 - lden
-    lre, lim = (np.log(np.abs(part)) - np.log(c1) for part in (g.real, g.imag))
+    lre, lim = (np.log(np.abs(part)) - lc1 for part in (g.real, g.imag))
     re = np.copysign(np.exp(la + r1 + lre) + np.exp(lb + 2.0 * r2 - r1 + lre), g.real)
     im = np.copysign(np.exp(lb + r1 - 2.0 * r2 + lim) + np.exp(la - r1 + lim), g.imag)
     return _complex(re, im)
@@ -320,14 +320,16 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
     /(c1 c2), ld1 and lq1 the delta1 exponent and the log of its magnitude.
     Returns (annihilation residual, checks), in check order:
 
-    both exponents real and delta1 equal to the scalar form to 1e-10; the
-    determinant against -2*Delta, checked normalised as
-    (q01/sqrt(2 Delta)) (q10/sqrt(2 Delta)) = 1 so a wide squeeze gap cannot
-    overflow it (zero or non-finite is degenerate), and the solve's
-    substitution residual; the conjugate-pair form of the solved l; the
-    quadratic multiplier term, which the symplectic structure kills, below
-    1e-10; the ratio to a conditioning-aware 1e-10; the solved l within
-    _L_TOL of the solve's first-order rounding bound.
+    delta1 equal to the scalar form to 1e-10 (its route exponent
+    -sh(b2) |v0|^2 is real by construction); the determinant against
+    -2*Delta, checked normalised as (q01/sqrt(2 Delta)) (q10/sqrt(2 Delta)) = 1
+    so a wide squeeze gap cannot overflow it (zero or non-finite is
+    degenerate), and the solve's substitution residual; the conjugate-pair
+    form of the solved l, relative to its first entry; the quadratic
+    multiplier term, which the symplectic structure kills, below 1e-10;
+    delta2's exponent real and finite; the ratio to a conditioning-aware
+    1e-10; the solved l within _L_TOL of the solve's first-order rounding
+    bound.
     Everything past delta1 runs in the quadrature basis (see
     _matching_system), where P is anti-diagonal, R Sigma R = -Sigma and every
     product below is a sum of same-signed terms; P and A are divided by c1 c2
@@ -337,10 +339,10 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
     """
     v0, (q01, q10), (rhs0, rhs1), (m, big) = _matching_system(r1, r2, g, t1, t2)
     lc2 = np.log(c2)
-    # (1/2) v^T B2^{-1/2} Sigma B2^{+1/2} v = sh(b2) v0 v1: the e^{b2} - e^{-b2}
-    # of the conjugated form is 2 sh b2, which enters as its logarithm.
-    vv = _cmul(v0, -v0.conj())
-    ld1m = lsh2 + np.log(np.abs(vv.real)), np.sign(vv.real)
+    # (1/2) v^T B2^{-1/2} Sigma B2^{+1/2} v = sh(b2) v0 v1 = -sh(b2) |v0|^2: the
+    # e^{b2} - e^{-b2} of the conjugated form is 2 sh b2, which enters as its logarithm.
+    norm_v0 = v0.real * v0.real + v0.imag * v0.imag
+    ld1m = lsh2 + np.log(norm_v0), np.sign(-norm_v0)
     det_unit = (q01 / root) * (q10 / root)
     h0, h1 = rhs1 / q10, rhs0 / q01
     rhs_norm = np.hypot(np.abs(rhs0), np.abs(rhs1))
@@ -365,9 +367,6 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
     l0c = c1 * l0
     bound = np.abs(l0c.real) + np.abs(l0c.imag) + _SQRT_HALF * (np.abs(h0) + np.abs(h1))
     checks = [
-        ("delta1-imaginary", PipelineCheckError,
-         ~(np.abs(vv.imag) <= 1e-10 * np.maximum(np.exp(-lsh2), np.abs(vv))),
-         lambda i: f"delta1 exponent acquired an imaginary part: {_times_exp(vv, lsh2, i)!r}"),
         ("delta1-dual-path", PipelineCheckError,
          ~_log_within(_DUAL_TOL, [ld1m, (lq1, 1.0)], np.maximum(0.0, ld1m[0])),
          lambda i: f"delta1 dual-path mismatch: matrix {_times_exp(*ld1m[::-1], i)!r} vs "
@@ -384,7 +383,7 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
          ~(resid <= 1e-10 * np.maximum(1.0 / c2, rhs_norm)),
          lambda i: f"matching solve residual {resid.item(i) * c2.item(i):g} too large"),
         ("conjugate-pair", PipelineCheckError,
-         ~(pair_dev <= 1e-10 * np.maximum(c1, np.abs(m0))),
+         ~(pair_dev <= 1e-10 * np.abs(m0)),
          lambda i: f"solved multiplier lost conjugate-pair form "
                    f"(dev {pair_dev.item(i) / c1.item(i):g})"),
         ("annihilation", PipelineCheckError, ~(residual <= 1e-10),
@@ -609,9 +608,10 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     g = k2 - k1
 
     # pipeline scalars, all from one set of variables
-    t1, t2, c1, c2, u1, u2, top, x, dp, dp_l, ldd = _variables(r1, b1, r2, b2)
+    t1, t2, c1, c2, u1, u2, top, x, dp, lc1, ldd = _variables(r1, b1, r2, b2)
     lsh2 = _log_sinh(b2)
-    norms = 2.0 * _squeezed_norm(g, r1), 2.0 * _squeezed_norm(g, r2)
+    n1, n2 = _squeezed_terms(g, r1), _squeezed_terms(g, r2)
+    norms = 2.0 * (n1[0] + n1[1]), 2.0 * (n2[0] + n2[1])
     # delta1's exponent -sh(b2) norms[1]/2 (state 2 only), and its log magnitude
     lq1 = lsh2 + np.log(0.5 * norms[1])
     ld1 = -np.exp(lq1) + 0.0
@@ -627,12 +627,11 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     lratio = log_ratio(-norms[0], -norms[1])
     # delta2's exponent ld1 - lratio as two terms of one sign, so nothing cancels:
     # -2 t2 w N(2 r2 - r1) - sh(b2) N2 q with q = (2 u2^2 + t2^2 (2 u1^2 + X))/D'
-    # in (0, 1]; w e^{-+2(r1 - r2)} <= 1 scales N(2 r2 - r1)'s terms to N2's
-    m = (g.real * g.real * np.exp(2.0 * r2) * (w * np.exp(2.0 * (r2 - r1)))
-         + g.imag * g.imag * np.exp(-2.0 * r2) * (w * np.exp(2.0 * (r1 - r2))))
+    # in (0, 1]; w e^{-+2(r1 - r2)} <= 1 scales N2's terms to N(2 r2 - r1)'s
+    m = n2[0] * (w * np.exp(2.0 * (r2 - r1))) + n2[1] * (w * np.exp(2.0 * (r1 - r2)))
     q = (2.0 * (u2 * u2) + (t2 * t2) * (2.0 * (u1 * u1) + x)) / dp
     ld2 = -2.0 * t2 * m - np.exp(lq1 + np.log(q)) + 0.0
-    l0 = _multiplier(r1, r2, g, u1, u2, dp_l, c1)
+    l0 = _multiplier(r1, r2, g, u1, u2, dp, lc1)
     root = top * _SQRT2 * np.sqrt(dp)  # sqrt(2 Delta)/(c1 c2); sqrt(2 D') can overflow
     residual, route_checks = _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1,
                                            lq1, lratio, l0)

@@ -235,20 +235,24 @@ def test_multiplier_zero_mismatch_gives_zero():
 def test_multiplier_satisfies_conjugate_pair_form(monkeypatch):
     # the route solves for both entries of the multiplier and refuses a pair
     # whose second entry is not -conj of the first: a real part on the
-    # second quadrature right-hand side (imaginary by construction) breaks it
+    # second quadrature right-hand side (imaginary by construction) breaks it,
+    # for a cold state 1 too (a floor of 1e-10 cosh(beta1/2) would hide it)
     import dstfid.reduction as red
 
     right = red._matching_system
     s2 = state(0.3 - 0.8j, S2.r, beta=S2.beta)
-    fidelity(S1, s2, NO_ORACLE)
+    cold = state(0.0, S1.r, beta=40.0)
+    for s1 in (S1, cold):
+        fidelity(s1, s2, NO_ORACLE)
 
     def unpaired(*args):
         v, q, (rhs0, rhs1), factors = right(*args)
         return v, q, (rhs0, rhs1 + 1e-6 * abs(rhs1)), factors
 
     monkeypatch.setattr(red, "_matching_system", unpaired)
-    with pytest.raises(PipelineCheckError, match="lost conjugate-pair form"):
-        fidelity(S1, s2, NO_ORACLE)
+    for s1 in (S1, cold):
+        with pytest.raises(PipelineCheckError, match="lost conjugate-pair form"):
+            fidelity(s1, s2, NO_ORACLE)
 
 
 @pytest.mark.parametrize("entry", ["fidelity", "compute"])
@@ -807,6 +811,35 @@ def test_seeded_refusal_scan_past_beta_30_refuses_no_row(seed, bound, n):
     g = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
     cf = closed_form_columns(np.zeros(n, dtype=complex), r1, betas[0], g, r2, betas[1], NO_ORACLE)
     assert len(cf) == n
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="N2 squares a tiny Re g or Im g into a subnormal, and both delta1 "
+                   "routes square it alike, so no check refuses the lost digits "
+                   "(ROADMAP item 6)")
+def test_delta_factors_at_the_edge_of_double_range_are_right_or_refused():
+    """Two pairs with beta2 ~ 744.7 and |r2| ~ 340, where sinh(b2) N2 is of
+    order one but N2 = (Re g)^2 e^{2 r2} + (Im g)^2 e^{-2 r2} is subnormal or 0:
+    each is refused by a named check, or its log delta1 and log delta2 match
+    the 60-digit reference to 1e-9.  F itself is right there (the ratio's
+    errors cancel)."""
+    pairs = [
+        (-1.4759098620439954, 0.321034478409255, 343.0068222918139, 744.731755276658,
+         1.223055979445069e-13j),
+        (2.6325710273918403, 0.05970540862246403, -334.2659000110422, 744.6847917351992,
+         2.6917400904636074e-17 + 0j),
+    ]
+    wrong = []
+    for r1, b1, r2, b2, g in pairs:
+        try:
+            rep = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2), NO_ORACLE)
+        except (PipelineCheckError, DegenerateInputError, ValueError):
+            continue
+        want = delta_exponents_reference(r1, b1, r2, b2, g, dps=60)
+        got = rep.pipeline.log_delta1, rep.pipeline.log_delta2
+        if not all(abs(x - w) <= 1e-9 * abs(w) for x, w in zip(got, want)):
+            wrong.append((r1, b1, r2, b2, g, got, want))
+    assert wrong == []
 
 
 def test_every_trace_field_is_one_number_per_row():

@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dstfid.reduction import _evaluate
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -23,11 +26,21 @@ def _load(name: str):
          "label,r1,r2,nbar1,nbar2,abs_g,fidelity,coherent_reference", 12),
         ("cutoff_convergence", ["--rungs", "2"],
          "cutoff,fidelity,gap_prev,gap_adaptive", 2),
+        # one line per check of the closed-form batch, then passed
+        ("refusal_census", ["--rows", "2000"], "check,rows", 15),
     ],
-    ids=["displacement_decay", "cutoff_convergence"],
+    ids=["displacement_decay", "cutoff_convergence", "refusal_census"],
 )
 def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     assert _load(name).main(argv) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
     assert lines[0] == header
     assert len(lines) == 1 + rows
+
+
+def test_refusal_census_counts_every_row_once_in_check_order(capsys):
+    assert _load("refusal_census").main(["--rows", "2000", "--seed", "3"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    checks = _evaluate(*(np.zeros(1),) * 6, 1e-8).checks
+    assert [name for name, _ in rows] == [name for name, _, _ in checks] + ["passed"]
+    assert sum(int(n) for _, n in rows) == 2000
