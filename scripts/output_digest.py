@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Digest of the CLI's output on a fixed battery of commands.
+
+Runs every command of the battery below in this process, through
+`dstfid.cli.main`, and writes CSV `command,exit,stdout_sha256,stderr_sha256`
+to stdout: one line per command, with its exit code (the type name of an
+exception that escaped main) and the SHA-256 of what it wrote to stdout and
+to stderr.  The battery's files live in a temporary directory, written `TMP`
+in the commands and in their output before hashing.  OPENBLAS_NUM_THREADS
+defaults to 1, so the oracle's columns do not depend on the core count.
+
+Two trees of the package answer the battery alike where their digests
+match; compare them with
+
+    PYTHONPATH=src python scripts/output_digest.py > new.csv
+    PYTHONPATH=/other/tree/src python scripts/output_digest.py > old.csv
+    diff old.csv new.csv
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from dstfid import cli  # noqa: E402  (after the variable: numpy reads it at import)
+from dstfid.golden import default_golden_path  # noqa: E402
+
+# the README's worked pair
+PAIR = "--k1 0.3 --r1 0.2 --nbar1 0.5 --k2 0.1+0.2i --r2 0.5 --nbar2 1.0"
+# the benchmark's sweep shapes (perfbench/inputs.py, seed 2501, repetition 0)
+DISPLACEMENT = ("sweep --r1=-0.438726059258371 --nbar1=1.5383807921815134 "
+                "--r2=-0.10509174769679797 --nbar2=0.1710117963316812 "
+                "--sweep re_k2=-2.0:2.0:41 --sweep im_k2=-2.0:2.0:41 --method closed-form")
+SQUEEZE_TEMP = ("sweep --r1=0.12761366549084985 --nbar1=0.451963439090071 "
+                "--k2=0.09252336598674149+0.48625583909168607i "
+                "--sweep r2=-1.0:1.0:8 --sweep nbar2=0.1:3.0:8 --method closed-form")
+
+# Files the battery reads, by name under TMP.
+FILES = {
+    "good.conf": "# shared defaults\nmethod = pipeline\nceiling = 256\ntol = 1e-6\n",
+    "unknown_key.conf": "methd = oracle\n",
+    "bad_tol.conf": "tol = abc\n",
+    "bad_method.conf": "method = bogus\n",
+    "bad_preset.conf": "preset = slow\n",
+}
+
+BATTERY = (
+    f"compute {PAIR}",
+    f"compute {PAIR} --format record",
+    f"compute {PAIR} --format csv",
+    f"compute {PAIR} --method closed-form --format record",
+    DISPLACEMENT,
+    SQUEEZE_TEMP,
+    "sweep --nbar1 0.5 --nbar2 1 --sweep re_k2=0:1:3 --method all",
+    "sweep --nbar1 0.5 --k2 0.3 --sweep beta2=0.5:2:4 --sweep r1=-0.5:0.5:3",
+    "sweep --nbar1 1 --nbar2 1 --sweep r2=353:357:5",
+    "sweep --k1 0.5+1e-8i --beta1 1 --k2 0.5 --beta2 744 --sweep r2=0:352:3 --method closed-form",
+    "sweep --nbar1 1 --sweep r2=0:1:2",
+    "sweep --nbar1 1 --k2 0.3 --sweep nbar2=1:2:2 --sweep beta2=1:2:2",
+    "sweep --nbar1 1 --nbar2 1 --sweep r2=-1.7e308:1.7e308:3",
+    "sweep --nbar1 1 --nbar2 1 --sweep r2=0:1:1000000000000",
+    "compute --r2 354 --beta1 1 --beta2 700 --k2 1e-300 --method closed-form",
+    "compute --r2 354 --beta1 1 --beta2 744 --k2 1e-8i --method closed-form",
+    "compute --r1 2.514573631676037 --beta1 2.2687897883326802e-21 --r2 177.19411243212278 "
+    "--beta2 18.470574823807027 --k2=-8.214789107378263e+76-4.300931720814783e+74i "
+    "--method closed-form",
+    "compute --r1 177 --r2 -177 --beta1 29 --beta2 29 --k2 0.5 --method closed-form "
+    "--format record",
+    "compute --r1 360 --r2 360 --nbar1 1 --nbar2 1 --method closed-form",
+    "compute --nbar1 1 --nbar2 1 --k2 1e154 --method closed-form",
+    "compute --nbar1 0 --nbar2 1",
+    "compute --nbar1 1",
+    f"compute {PAIR} --config TMP/good.conf",
+    f"compute {PAIR} --config TMP/unknown_key.conf",
+    f"compute {PAIR} --config TMP/bad_tol.conf",
+    f"compute {PAIR} --config TMP/bad_method.conf",
+    "verify --preset quick --config TMP/bad_preset.conf",
+    "verify --preset quick",
+    "verify --preset quick --format record",
+    "verify --preset full",
+    "verify --preset full --format record",
+    "verify --preset quick --tol 1e-6",
+    "snapshot",
+    "snapshot --file TMP/bad_tol.txt",
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(command: str, tmp: str) -> tuple[str, str, str]:
+    """(exit, stdout, stderr) of one command, TMP written for the directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main(command.replace("TMP", tmp).split()))
+        except SystemExit as exc:
+            code = str(exc.code)
+        except Exception as exc:  # an escape is an outcome too: record its type
+            code = type(exc).__name__
+    return code, out.getvalue().replace(tmp, "TMP"), err.getvalue().replace(tmp, "TMP")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            Path(tmp, name).write_text(text)
+        # the golden file with its first record's tol set to 0
+        lines = default_golden_path().read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        cols = lines[first].split()
+        cols[10] = "0"
+        lines[first] = " ".join(cols)
+        Path(tmp, "bad_tol.txt").write_text("\n".join(lines) + "\n")
+
+        print("command,exit,stdout_sha256,stderr_sha256")
+        for command in BATTERY:
+            code, out, err = run(command, tmp)
+            print(f"{command},{code},{_sha(out)},{_sha(err)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,10 @@
 """Command-line front end: compute, sweep, verify, snapshot.
 
 Exit codes: 0 ok, 1 verification failure or a refused pipeline check,
-2 usage, 3 convergence, 4 I/O.
+2 usage (a grid too large to allocate too), 3 convergence, 4 I/O.
+Each input is read once: main loads the config file, typing and checking
+each value as it is read (a bad one names its file:line), and compute and
+sweep build each state from its fields under one temperature rule.
 Machine-readable output is deterministic — no wall clock anywhere; CSV
 numbers at 17 significant digits, record numbers as each float's shortest
 round-trip repr, with non-finite values as the strings "inf", "-inf" and
@@ -17,7 +20,7 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from .golden import (
     standard_cases,
     write_snapshots,
 )
-from .reconcile import VERIFY_CEILING, ReconciliationReport, run_verification
+from .reconcile import PRESETS, VERIFY_CEILING, ReconciliationReport, run_verification
 from .reduction import (
     ClosedForm,
     FidelityOptions,
@@ -100,12 +103,23 @@ def parse_complex(text: str) -> complex:
 # ---------------------------------------------------------------------------
 
 
-# one key set for every subcommand, so one file can serve them all
-CONFIG_KEYS = ("tol", "oracle_tol", "ceiling", "method", "preset")
+def _one_of(choices: tuple[str, ...]):
+    """A config converter that accepts exactly the given choices."""
+    def check(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid choice {text!r} (choose from {', '.join(choices)})")
+        return text
+    return check
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    config: dict[str, str] = {}
+# One key set for every subcommand, so one file can serve them all: each key
+# with the converter that types and checks its value when the file is read.
+CONFIG_KEYS = {"tol": float, "oracle_tol": float, "ceiling": int,
+               "method": _one_of(METHODS), "preset": _one_of(PRESETS)}
+
+
+def load_config(path: str | Path) -> dict:
+    config = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -117,46 +131,27 @@ def load_config(path: str | Path) -> dict[str, str]:
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r} "
                              f"(choose from {', '.join(CONFIG_KEYS)})")
-        config[key] = val.strip()
+        try:
+            config[key] = CONFIG_KEYS[key](val.strip())
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: config key {key}: {exc}") from None
     return config
 
 
-def _resolve(flag_value, config: dict[str, str], key: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise UsageError(f"config key {key}: {exc}") from None
-    return default
+def _resolve(flag_value, config: dict, key: str, default):
+    """The flag, else the config value, else the default."""
+    return flag_value if flag_value is not None else config.get(key, default)
 
 
-def _options_from(args, config: dict[str, str]) -> tuple[FidelityOptions, str]:
-    method = _resolve(getattr(args, "method", None), config, "method",
-                      args.default_method, str)
-    if method not in METHODS:
-        raise UsageError(f"unknown method {method!r}")
-    tol = _resolve(args.tol, config, "tol", FidelityOptions.tol, float)
-    oracle_tol = _resolve(args.oracle_tol, config, "oracle_tol", FidelityOptions.oracle_tol, float)
-    ceiling = _resolve(args.ceiling, config, "ceiling", FidelityOptions.oracle_ceiling, int)
+def _options_from(args, config: dict) -> tuple[FidelityOptions, str]:
+    method = _resolve(args.method, config, "method", args.default_method)
     opts = FidelityOptions(
-        tol=tol,
+        tol=_resolve(args.tol, config, "tol", FidelityOptions.tol),
         oracle=method in ("all", "oracle"),
-        oracle_tol=oracle_tol,
-        oracle_ceiling=ceiling,
+        oracle_tol=_resolve(args.oracle_tol, config, "oracle_tol", FidelityOptions.oracle_tol),
+        oracle_ceiling=_resolve(args.ceiling, config, "ceiling", FidelityOptions.oracle_ceiling),
     )
     return opts, method
-
-
-def _build_state(
-    k: complex, r: float, nbar: float | None, beta: float | None, which: str
-) -> StateParams:
-    if (nbar is None) == (beta is None):
-        raise UsageError(
-            f"state {which}: exactly one of --nbar{which} / --beta{which} is required"
-        )
-    return state(k, r, nbar=nbar, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +234,12 @@ def _csv_rows(states: list, cf: ClosedForm) -> list[str]:
     return [",".join(row) for row in zip(*columns)]
 
 
+def _csv_meta(command: str, method: str, opts: FidelityOptions) -> dict[str, str]:
+    """The CSV preamble keys that compute and sweep share."""
+    return {"command": command, "method": method,
+            "oracle_tol": _g17(opts.oracle_tol), "ceiling": str(opts.oracle_ceiling)}
+
+
 def _csv_header(meta: dict[str, str]) -> str:
     lines = [f"# dstfid {__version__}"]
     for key in sorted(meta):
@@ -294,17 +295,13 @@ def _human_compute(s1, s2, rep: FidelityReport, method: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_compute(args) -> int:
-    config = load_config(args.config) if args.config else {}
+def cmd_compute(args, config: dict) -> int:
     opts, method = _options_from(args, config)
-    s1 = _build_state(args.k1, args.r1, args.nbar1, args.beta1, "1")
-    s2 = _build_state(args.k2, args.r2, args.nbar2, args.beta2, "2")
+    s1, s2 = (_state_of(_fixed_fields(args, w, {})) for w in "12")
     cf = _pair(s1, s2, opts)
     if args.format == "csv":  # a batch of one, rendered as a sweep's rows are
-        meta = {"command": "compute", "method": method,
-                "oracle_tol": _g17(opts.oracle_tol), "ceiling": str(opts.oracle_ceiling)}
         cells = [[_g17(get(s))] for s in (s1, s2) for _, get in _STATE_CELLS]
-        print(_csv_header(meta))
+        print(_csv_header(_csv_meta("compute", method, opts)))
         print(_csv_rows(cells, cf)[0])
     elif args.format == "human":
         print(_human_compute(s1, s2, cf.report(0), method))
@@ -317,20 +314,6 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated sweep request: up to two linear axes over state parameters,
-    per state the fields the axes sweep (field -> axis index) and its fixed
-    fields (see _fixed_fields), and output/method/tolerance choices."""
-
-    axes: tuple[tuple[str, float, float, int], ...]
-    swept: tuple[dict[str, int], dict[str, int]]
-    fixed: tuple[dict[str, float], dict[str, float]]
-    out: str
-    method: str
-    opts: FidelityOptions
 
 
 def _parse_axis(text: str) -> tuple[str, float, float, int]:
@@ -355,10 +338,10 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
 
 
 def _fixed_fields(args, which: str, swept: dict[str, int]) -> dict[str, float]:
-    """State `which`'s fields as the sweep fixes them: re_k, im_k, r and the
-    temperature, keyed nbar or beta as given (a swept temperature overrides a
-    fixed one).  A swept field holds 1.0, a value every field accepts, for
-    the axis values to replace."""
+    """State `which`'s fields as the flags fix them: re_k, im_k, r and the
+    temperature, keyed nbar or beta as given, which must be exactly one
+    unless an axis sweeps it.  A swept field holds 1.0, a value every field
+    accepts, for the axis values to replace."""
     k = getattr(args, f"k{which}")
     fields = {"re_k": k.real, "im_k": k.imag, "r": getattr(args, f"r{which}")}
     if not swept.keys() & {"nbar", "beta"}:
@@ -366,35 +349,10 @@ def _fixed_fields(args, which: str, swept: dict[str, int]) -> dict[str, float]:
         given = {key: value for key, value in temps.items() if value is not None}
         if len(given) != 1:
             raise UsageError(
-                f"state {which}: exactly one temperature source required "
-                f"(--nbar{which}, --beta{which}, or a swept axis)"
+                f"state {which}: exactly one of --nbar{which} / --beta{which} is required"
             )
         fields.update(given)
     return {**fields, **dict.fromkeys(swept, 1.0)}
-
-
-def build_sweep_spec(args, config: dict[str, str]) -> SweepSpec:
-    axes = tuple(_parse_axis(a) for a in args.sweep)
-    if not axes:
-        raise UsageError("sweep requires at least one --sweep axis")
-    if len(axes) > 2:
-        raise UsageError("at most 2 swept axes are supported (tabular output)")
-    names = [a[0] for a in axes]
-    if len(set(names)) != len(names):
-        raise UsageError("sweep axes must be distinct")
-    opts, method = _options_from(args, config)
-    swept = tuple({name[:-1]: a for a, name in enumerate(names) if name[-1] == w} for w in "12")
-    for w, fields in zip("12", swept):
-        if fields.keys() >= {"nbar", "beta"}:
-            raise UsageError(f"state {w}: sweep nbar{w} or beta{w}, not both (one temperature)")
-    return SweepSpec(
-        axes=axes,
-        swept=swept,
-        fixed=tuple(_fixed_fields(args, w, fields) for w, fields in zip("12", swept)),
-        out=args.out,
-        method=method,
-        opts=opts,
-    )
 
 
 def _grid_values(axis: tuple[str, float, float, int]) -> list[float]:
@@ -414,7 +372,7 @@ def _spread(column: np.ndarray, axis: int | None, shape: tuple[int, int]) -> np.
 
 
 def _state_of(fields: dict[str, float]) -> StateParams:
-    """A state from its sweep fields: re_k, im_k, r and one of nbar, beta."""
+    """A state from its fields: re_k, im_k, r and one of nbar, beta."""
     return state(complex(fields["re_k"], fields["im_k"]), fields["r"],
                  nbar=fields.get("nbar"), beta=fields.get("beta"))
 
@@ -427,30 +385,46 @@ def _checked(fields: dict[str, float]) -> StateParams | None:
         return None
 
 
-def run_sweep(spec: SweepSpec) -> str:
-    """Evaluate the grid as one closed-form batch (plus the oracle per row when
-    the method asks for it) and render the CSV in grid order, a column at a
-    time.  The first failing row raises its error, named by row, and no rows
-    are written."""
-    meta = {"command": "sweep", "method": spec.method,
-            "oracle_tol": _g17(spec.opts.oracle_tol), "ceiling": str(spec.opts.oracle_ceiling)}
-    for i, (name, start, stop, count) in enumerate(spec.axes):
+def run_sweep(args, config: dict) -> str:
+    """Check the sweep request -- up to two distinct linear axes over state
+    fields, the options, each state's fixed fields -- then evaluate the grid
+    as one closed-form batch (plus the oracle per row when the method asks
+    for it) and render the CSV in grid order, a column at a time.  The first
+    failing row raises its error, named by row, and no rows are written."""
+    axes = [_parse_axis(a) for a in args.sweep]
+    if not axes:
+        raise UsageError("sweep requires at least one --sweep axis")
+    if len(axes) > 2:
+        raise UsageError("at most 2 swept axes are supported (tabular output)")
+    names = [name for name, *_ in axes]
+    if len(set(names)) != len(names):
+        raise UsageError("sweep axes must be distinct")
+    opts, method = _options_from(args, config)
+    # per state, the fields the axes sweep (field -> axis index)
+    swept = [{name[:-1]: a for a, name in enumerate(names) if name[-1] == w} for w in "12"]
+    for w, on_axes in zip("12", swept):
+        if on_axes.keys() >= {"nbar", "beta"}:
+            raise UsageError(f"state {w}: sweep nbar{w} or beta{w}, not both (one temperature)")
+    fixed = [_fixed_fields(args, w, on_axes) for w, on_axes in zip("12", swept)]
+
+    meta = _csv_meta("sweep", method, opts)
+    for i, (name, start, stop, count) in enumerate(axes):
         meta[f"axis{i}"] = f"{name}={_g17(start)}:{_g17(stop)}:{count}"
-    grids = [_grid_values(a) for a in spec.axes]
+    grids = [_grid_values(a) for a in axes]
     shape = (len(grids[0]), len(grids[1]) if len(grids) == 2 else 1)
 
     def assignment(idx: int) -> dict[str, float]:
         at = divmod(idx, shape[1])
-        return {name: grids[a][at[a]] for a, (name, *_) in enumerate(spec.axes)}
+        return {name: grids[a][at[a]] for a, name in enumerate(names)}
 
     def named(idx: int, exc: Exception) -> str:
-        swept = ", ".join(f"{k}={_g17(v)}" for k, v in assignment(idx).items())
-        return f"sweep row {idx} ({swept}): {exc}; no rows written"
+        where = ", ".join(f"{k}={_g17(v)}" for k, v in assignment(idx).items())
+        return f"sweep row {idx} ({where}): {exc}; no rows written"
 
     def pair(idx: int) -> tuple[StateParams, StateParams]:
         values = assignment(idx)
-        return tuple(_state_of({**fixed, **{f: values[f + w] for f in swept}})
-                     for w, swept, fixed in zip("12", spec.swept, spec.fixed))
+        return tuple(_state_of({**at_rest, **{f: values[f + w] for f in on_axes}})
+                     for w, on_axes, at_rest in zip("12", swept, fixed))
 
     # Each field is fixed or one axis's, so every distinct value is checked
     # and converted once, as a state with that value in place: per state and
@@ -458,11 +432,11 @@ def run_sweep(spec: SweepSpec) -> str:
     # [the state at the fixed values]) for the others.  The nbar and beta
     # cells both follow the temperature.
     sources = []
-    for swept, fixed in zip(spec.swept, spec.fixed):
-        src = dict.fromkeys((f for f, _ in _STATE_CELLS), (None, [_checked(fixed)]))
-        src.update((f, (a, [_checked({**fixed, f: v}) for v in grids[a]]))
-                   for f, a in swept.items())
-        src["nbar"] = src["beta"] = src["nbar" if "nbar" in swept else "beta"]
+    for on_axes, at_rest in zip(swept, fixed):
+        src = dict.fromkeys((f for f, _ in _STATE_CELLS), (None, [_checked(at_rest)]))
+        src.update((f, (a, [_checked({**at_rest, f: v}) for v in grids[a]]))
+                   for f, a in on_axes.items())
+        src["nbar"] = src["beta"] = src["nbar" if "nbar" in on_axes else "beta"]
         sources.append(src)
 
     def column(j: int, field: str, get, dtype=float) -> np.ndarray:
@@ -489,7 +463,7 @@ def run_sweep(spec: SweepSpec) -> str:
         k.imag = im
         inputs += [k, r, beta]
     try:
-        cf = closed_form_columns(*inputs, spec.opts)
+        cf = closed_form_columns(*inputs, opts)
     except (ValueError, RuntimeError) as exc:
         if not hasattr(exc, "row"):  # neither a refused row nor its oracle's failure
             raise
@@ -498,14 +472,12 @@ def run_sweep(spec: SweepSpec) -> str:
     return "\n".join([_csv_header(meta), *_csv_rows(cells, cf)]) + "\n"
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    spec = build_sweep_spec(args, config)
-    text = run_sweep(spec)
-    if spec.out == "-":
+def cmd_sweep(args, config: dict) -> int:
+    text = run_sweep(args, config)
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(spec.out).write_text(text)
+        Path(args.out).write_text(text)
     return EXIT_OK
 
 
@@ -542,15 +514,15 @@ def _human_verify(report: ReconciliationReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    preset = _resolve(args.preset, config, "preset", "full", str)
+def cmd_verify(args, config: dict) -> int:
     if args.tol is not None:
         raise UsageError("verify takes the oracle tolerance as --oracle-tol; --tol is the "
                          "flag threshold of compute and sweep")
-    tol = _resolve(args.oracle_tol, config, "oracle_tol", FidelityOptions.oracle_tol, float)
-    ceiling = _resolve(args.ceiling, config, "ceiling", VERIFY_CEILING, int)
-    report = run_verification(preset=preset, tol=tol, ceiling=ceiling)
+    report = run_verification(
+        preset=_resolve(args.preset, config, "preset", "full"),
+        tol=_resolve(args.oracle_tol, config, "oracle_tol", FidelityOptions.oracle_tol),
+        ceiling=_resolve(args.ceiling, config, "ceiling", VERIFY_CEILING),
+    )
     if args.format == "record":
         payload = {**_json(report), "passed": report.passed, "version": __version__}
         print(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False))
@@ -566,7 +538,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_snapshot(args) -> int:
+def cmd_snapshot(args, config: dict) -> int:
     path = Path(args.file) if args.file else default_golden_path()
     if args.regolden:
         records = [
@@ -641,7 +613,7 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=("full", "quick"))
+    p.add_argument("--preset", choices=PRESETS)
     p.add_argument("--tol", help=argparse.SUPPRESS)  # compute's threshold: refused here
     _add_oracle_args(p, VERIFY_CEILING)
     p.add_argument("--format", choices=("human", "record"), default="human")
@@ -654,7 +626,7 @@ def _snapshot_args(p: argparse.ArgumentParser) -> None:
                    help="rewrite the golden file from a fresh oracle run")
     p.add_argument("--ceiling", type=int, default=DEFAULT_CUTOFF_CEILING,
                    help=f"oracle cutoff ceiling (default {DEFAULT_CUTOFF_CEILING})")
-    p.set_defaults(func=cmd_snapshot)
+    p.set_defaults(func=cmd_snapshot, config=None)
 
 
 _SUBCOMMANDS = {
@@ -682,15 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config) if args.config else {})
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except PipelineCheckError as exc:
         print(f"pipeline check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # bad input, or a grid too large to allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import StateParams, state
-from .fock import DEFAULT_CUTOFF_CEILING, fidelity_oracle
+from .fock import DEFAULT_CUTOFF_CEILING, _check_oracle_options, fidelity_oracle
 
 __all__ = [
     "SnapshotRecord",
@@ -118,18 +118,18 @@ def read_snapshots(path: Path | str) -> list[SnapshotRecord]:
             )
         try:
             nums = [float(p) for p in parts[:9]]
-            records.append(
-                SnapshotRecord(
-                    s1=state(complex(nums[0], nums[1]), nums[2], nbar=nums[6]),
-                    s2=state(complex(nums[3], nums[4]), nums[5], nbar=nums[7]),
-                    fidelity=nums[8],
-                    cutoff=int(parts[9]),
-                    tol=float(parts[10]),
-                    version=parts[11],
-                )
+            rec = SnapshotRecord(
+                s1=state(complex(nums[0], nums[1]), nums[2], nbar=nums[6]),
+                s2=state(complex(nums[3], nums[4]), nums[5], nbar=nums[7]),
+                fidelity=nums[8],
+                cutoff=int(parts[9]),
+                tol=float(parts[10]),
+                version=parts[11],
             )
-        except ValueError as exc:  # a field that is no number, or no state
+            _check_oracle_options(rec.tol, DEFAULT_CUTOFF_CEILING)  # tol; the ceiling is the run's
+        except ValueError as exc:  # a field that is no number, no state or no oracle tol
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        records.append(rec)
     return records
 
 

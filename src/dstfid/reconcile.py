@@ -30,6 +30,7 @@ __all__ = [
     "DIFFERENCE_CONVENTION",
     "ALL_FORMULAS",
     "VERIFY_CEILING",
+    "PRESETS",
     "ReconciliationEntry",
     "VerificationCheck",
     "ReconciliationReport",
@@ -60,6 +61,8 @@ ALL_FORMULAS = (
 
 # The verification run's cutoff ceiling, the A3 grid's.
 VERIFY_CEILING = 512
+# The verification presets: the acceptance grid and its smoke-test subsample.
+PRESETS = ("full", "quick")
 
 
 @dataclass(frozen=True)
@@ -344,7 +347,7 @@ def run_verification(
     "quick" is a subsample for smoke testing.  Exit semantics live in the
     CLI; here the report's ``passed`` summarizes the threshold checks.
     """
-    if preset not in ("full", "quick"):
+    if preset not in PRESETS:
         raise ValueError(f"unknown verification preset {preset!r}")
     quick = preset == "quick"
     opts = FidelityOptions(oracle_tol=tol, oracle_ceiling=ceiling)

@@ -15,8 +15,8 @@ from dstfid.cli import (
     _csv_header,
     _grid_values,
     _options_from,
+    _parse_axis,
     build_parser,
-    build_sweep_spec,
 )
 from dstfid.reduction import FidelityReport, closed_form, fidelity
 
@@ -85,26 +85,27 @@ def sweep_states(args, assignment: dict[str, float]) -> tuple[StateParams, State
 def sweep_csv(argv: list[str]) -> str:
     """`dstfid sweep` CSV, row by row; a refused row raises its error unnamed."""
     args = build_parser().parse_args(argv)
-    spec = build_sweep_spec(args, {})
+    axes = [_parse_axis(a) for a in args.sweep]
+    opts, method = _options_from(args, {})
     meta = {
         "command": "sweep",
-        "method": spec.method,
-        "oracle_tol": _g17(spec.opts.oracle_tol),
-        "ceiling": str(spec.opts.oracle_ceiling),
+        "method": method,
+        "oracle_tol": _g17(opts.oracle_tol),
+        "ceiling": str(opts.oracle_ceiling),
     }
-    for i, (name, start, stop, count) in enumerate(spec.axes):
+    for i, (name, start, stop, count) in enumerate(axes):
         meta[f"axis{i}"] = f"{name}={_g17(start)}:{_g17(stop)}:{count}"
     lines = [_csv_header(meta)]
-    grids = [_grid_values(a) for a in spec.axes]
+    grids = [_grid_values(a) for a in axes]
     if len(grids) == 1:
         combos = [(v,) for v in grids[0]]
     else:
         combos = [(u, v) for u in grids[0] for v in grids[1]]
     pairs = [
-        sweep_states(args, {spec.axes[i][0]: values[i] for i in range(len(values))})
+        sweep_states(args, {axes[i][0]: values[i] for i in range(len(values))})
         for values in combos
     ]
-    batch = closed_form(pairs, spec.opts)
+    batch = closed_form(pairs, opts)
     for idx, (s1, s2) in enumerate(pairs):
         lines.append(row_for(idx, s1, s2, batch.report(idx)))
     return "\n".join(lines) + "\n"

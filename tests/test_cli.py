@@ -465,8 +465,9 @@ def test_snapshot_check_detects_drift(tmp_path):
 @pytest.mark.parametrize(
     "column, value, says",
     [(0, "abc", "could not convert string to float: 'abc'"),
-     (6, "-0.5", "nbar must be a finite positive number, got -0.5")],
-    ids=["non-numeric-re_k1", "nbar1-not-positive"],
+     (6, "-0.5", "nbar must be a finite positive number, got -0.5"),
+     (10, "0", "tol must be >= 1e-10, got 0.0")],
+    ids=["non-numeric-re_k1", "nbar1-not-positive", "tol-below-floor"],
 )
 def test_snapshot_bad_field_names_its_line(tmp_path, column, value, says):
     # the golden file with one field of its first record (line 5) replaced
@@ -483,6 +484,27 @@ def test_snapshot_bad_field_names_its_line(tmp_path, column, value, says):
     res = run_cli("snapshot", "--file", str(bad))
     assert res.returncode == 2
     assert res.stderr.startswith(f"error: {bad}:5: {says}")
+
+
+def test_snapshot_regolden_writes_a_file_that_checks_against_the_committed_one(tmp_path,
+                                                                             capsys):
+    from dstfid.cli import main
+
+    fresh = tmp_path / "golden" / "fresh.txt"
+    assert main(["snapshot", "--regolden", "--file", str(fresh)]) == 0
+    assert capsys.readouterr().out == f"wrote 5 golden records to {fresh}\n"
+    assert main(["snapshot", "--file", str(fresh)]) == 0
+    assert capsys.readouterr().out == "5 golden records verified against a fresh oracle run\n"
+
+    def header(path):
+        return [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+
+    assert header(fresh) == header(GOLDEN)
+    committed = read_snapshots(GOLDEN)
+    written = read_snapshots(fresh)
+    assert [(r.s1, r.s2, r.tol) for r in written] == [(r.s1, r.s2, r.tol) for r in committed]
+    for new, old in zip(written, committed):
+        assert abs(new.fidelity - old.fidelity) <= 10 * old.tol
 
 
 def test_snapshot_missing_file_is_io_error(tmp_path):
@@ -519,6 +541,68 @@ def test_config_file_refuses_unknown_keys(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"{typo}:2: unknown config key 'methd'" in out.err
+
+
+@pytest.mark.parametrize(
+    "line, says",
+    [("tol = abc", "config key tol: could not convert string to float: 'abc'"),
+     ("ceiling = 1.5", "config key ceiling: invalid literal for int() with base 10: '1.5'"),
+     ("method = bogus", "config key method: invalid choice 'bogus' "
+                        "(choose from all, closed-form, pipeline, printed, oracle)"),
+     ("preset = slow", "config key preset: invalid choice 'slow' (choose from full, quick)")],
+    ids=["tol", "ceiling", "method", "preset"],
+)
+def test_config_file_refuses_a_bad_value_naming_its_line(tmp_path, capsys, line, says):
+    # checked when the file is read, so whichever subcommand reads the file,
+    # and whether or not that subcommand reads the key
+    from dstfid.cli import main
+
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"# defaults\n{line}\n")
+    for argv in (["compute", "--nbar1", "1", "--nbar2", "1"],
+                 ["sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "r2=0:1:2"],
+                 ["verify", "--preset", "quick"]):
+        assert main([*argv, "--config", str(conf)]) == 2
+        assert capsys.readouterr() == ("", f"error: {conf}:2: {says}\n")
+
+
+def test_config_values_are_typed_as_their_flags_are(tmp_path, capsys):
+    from dstfid.cli import main
+
+    argv = ["compute", "--nbar1", "0.5", "--nbar2", "1", "--k2", "0.4", "--format", "csv"]
+    assert main(argv + ["--method", "pipeline", "--tol", "1e-6", "--oracle-tol", "1e-9",
+                        "--ceiling", "300"]) == 0
+    flagged = capsys.readouterr().out
+    conf = tmp_path / "same.conf"
+    conf.write_text("method = pipeline\ntol = 1e-6\noracle-tol = 1e-9\nceiling = 300\n")
+    assert main(argv + ["--config", str(conf)]) == 0
+    assert capsys.readouterr().out == flagged
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--nbar1", "1"],
+    ["compute", "--nbar1", "1", "--nbar2", "1", "--beta2", "1"],
+    ["sweep", "--nbar1", "1", "--sweep", "r2=0:1:2"],
+    ["sweep", "--nbar1", "1", "--nbar2", "1", "--beta2", "1", "--sweep", "re_k1=0:1:2"],
+], ids=["compute-none", "compute-both", "sweep-none", "sweep-both"])
+def test_compute_and_sweep_state_one_temperature_rule(capsys, argv):
+    from dstfid.cli import main
+
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: state 2: exactly one of --nbar2 / --beta2 is required\n")
+
+
+def test_oversized_sweep_grid_is_one_error_line(capsys):
+    # numpy refuses the 7.28 TiB grid before allocating any of it
+    from dstfid.cli import main
+
+    assert main(["sweep", "--nbar1", "1", "--nbar2", "1",
+                 "--sweep", "r2=0:1:1000000000000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
 
 
 def test_verify_reads_oracle_tol_not_the_threshold_key(tmp_path, capsys):

@@ -44,3 +44,15 @@ def test_refusal_census_counts_every_row_once_in_check_order(capsys):
     checks = _evaluate(*(np.zeros(1),) * 6, 1e-8).checks
     assert [name for name, _ in rows] == [name for name, _, _ in checks] + ["passed"]
     assert sum(int(n) for _, n in rows) == 2000
+
+
+def test_output_digest_hashes_every_command_of_its_battery(capsys):
+    module = _load("output_digest")
+    assert module.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "command,exit,stdout_sha256,stderr_sha256"
+    rows = [line.rsplit(",", 3) for line in lines[1:]]
+    assert [command for command, *_ in rows] == list(module.BATTERY)
+    # every command ends by an exit code, none by an escaped exception
+    assert all(code.isdigit() for _, code, _, _ in rows)
+    assert all(len(out) == len(err) == 64 for _, _, out, err in rows)
