@@ -18,7 +18,13 @@ import sys
 
 from dstfid.algebra import state
 from dstfid.cli import parse_complex
-from dstfid.fock import cutoff_ladder, fidelity_oracle, rung_fidelity, thermal_cutoff_requirement
+from dstfid.fock import (
+    ConvergenceError,
+    cutoff_ladder,
+    fidelity_oracle,
+    rung_fidelity,
+    thermal_cutoff_requirement,
+)
 
 
 def main(argv=None) -> int:
@@ -32,18 +38,21 @@ def main(argv=None) -> int:
     ap.add_argument("--rungs", type=int, default=8, help="number of x1.5 rungs")
     args = ap.parse_args(argv)
 
-    s1 = state(args.k1, args.r1, nbar=args.nbar1)
-    s2 = state(args.k2, args.r2, nbar=args.nbar2)
+    try:
+        s1 = state(args.k1, args.r1, nbar=args.nbar1)
+        s2 = state(args.k2, args.r2, nbar=args.nbar2)
+        adaptive = fidelity_oracle(s1, s2)
+        floor = max(thermal_cutoff_requirement(s1.beta), thermal_cutoff_requirement(s2.beta))
+        rungs = [(n, rung_fidelity(s1, s2, n))
+                 for n in itertools.islice(cutoff_ladder(floor), args.rungs)]
+    except (ValueError, ConvergenceError) as exc:
+        ap.error(str(exc))
 
-    adaptive = fidelity_oracle(s1, s2)
     print(f"# adaptive oracle: F = {adaptive.fidelity:.12f} at cutoff "
           f"{adaptive.cutoff_used} (gap {adaptive.convergence_gap:.3e})")
     print("cutoff,fidelity,gap_prev,gap_adaptive")
-
-    floor = max(thermal_cutoff_requirement(s1.beta), thermal_cutoff_requirement(s2.beta))
     prev = None
-    for cutoff in itertools.islice(cutoff_ladder(floor), args.rungs):
-        fid = rung_fidelity(s1, s2, cutoff)
+    for cutoff, fid in rungs:
         gap = "" if prev is None else f"{abs(fid - prev):.6e}"
         print(f"{cutoff},{fid:.17g},{gap},{abs(fid - adaptive.fidelity):.6e}")
         prev = fid

@@ -39,17 +39,20 @@ def main(argv=None) -> int:
     direction = complex(math.cos(args.phase), math.sin(args.phase))
 
     lines = ["label,r1,r2,nbar1,nbar2,abs_g,fidelity,coherent_reference"]
-    for r1, r2, n1, n2, label in SETTINGS:
-        # the whole ray is one closed-form batch
-        ts = np.linspace(0.0, args.gmax, args.points)
-        s1 = state(0.0, r1, nbar=n1)
-        batch = closed_form([(s1, state(t * direction, r2, nbar=n2)) for t in ts],
-                            FidelityOptions(oracle=False))
-        for t, value in zip(ts, batch.value_matrix_pipeline.tolist()):
-            lines.append(
-                f"{label},{r1:g},{r2:g},{n1:g},{n2:g},{t:.17g},"
-                f"{value:.17g},{math.exp(-t * t):.17g}"
-            )
+    try:
+        for r1, r2, n1, n2, label in SETTINGS:
+            # the whole ray is one closed-form batch
+            ts = np.linspace(0.0, args.gmax, args.points)
+            s1 = state(0.0, r1, nbar=n1)
+            batch = closed_form([(s1, state(t * direction, r2, nbar=n2)) for t in ts],
+                                FidelityOptions(oracle=False))
+            for t, value in zip(ts, batch.value_matrix_pipeline.tolist()):
+                lines.append(
+                    f"{label},{r1:g},{r2:g},{n1:g},{n2:g},{t:.17g},"
+                    f"{value:.17g},{math.exp(-t * t):.17g}"
+                )
+    except ValueError as exc:
+        ap.error(str(exc))
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -7,12 +7,12 @@ of a^2 - a^dag^2 are real antisymmetric tridiagonal matrices that couple even
 sites to odd sites only, so one SVD of the half-size even-odd block gives
 their exponentials as real orthogonal matrices in closed form; a complex k
 enters through the diagonal phase R = diag(e^{i phi n}), D(k) =
-R D(|k|) R^dag.  Every operator is in level order, the squeeze's parity
+R D(|k|) R^dag.  Every factor is in level order, the squeeze's parity
 blocks on the strided levels p::2.  No dense matrix exponential and no
 scipy: numpy alone runs the oracle, and only matrix_exp, the dense reference
-the tests compare the operators against, imports scipy.  The density-matrix
-route the tests check a rung against (uhlmann_fidelity) lives with the
-tests, in fock_reference.
+the tests compare the factors against, imports scipy.  The full operators
+D(k) and S(r) and the density-matrix route the tests check a rung against
+(uhlmann_fidelity) live with the tests, in fock_reference.
 
 One rung of the oracle evaluates the Uhlmann/Bures fidelity
 F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
@@ -47,21 +47,14 @@ from .algebra import StateParams
 
 __all__ = [
     "ConvergenceError",
-    "FockMatrix",
     "OracleResult",
     "matrix_exp",
-    "displacement_op",
-    "squeeze_op",
     "thermal_weights",
     "dst_state",
     "rung_fidelity",
     "fidelity_oracle",
     "DEFAULT_CUTOFF_CEILING",
 ]
-
-# Dense complex square matrix over the truncated number basis; the cutoff is
-# its dimension.
-FockMatrix = np.ndarray
 
 DEFAULT_CUTOFF_CEILING = 1024
 
@@ -82,11 +75,6 @@ class ConvergenceError(RuntimeError):
         self.gaps = gaps
 
 
-def _check_cutoff(cutoff: int) -> None:
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff!r}")
-
-
 def _check_oracle_options(tol: float, ceiling: int) -> None:
     """Refuse a tol below 1e-10 or a ceiling below 2, the smallest cutoff
     (FidelityOptions too, so whether or not the oracle runs)."""
@@ -96,9 +84,9 @@ def _check_oracle_options(tol: float, ceiling: int) -> None:
         raise ValueError(f"ceiling must be >= 2 (the smallest cutoff), got {ceiling!r}")
 
 
-def matrix_exp(m: FockMatrix) -> FockMatrix:
+def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Dense matrix exponential (scaling-and-squaring core), the reference
-    the tests check the oracle's operators against; it needs scipy, which
+    the tests check the oracle's factors against; it needs scipy, which
     the test extra (dstfid[test]) installs.
 
     Inputs must be finite; a result that overflows double precision raises
@@ -213,29 +201,6 @@ def _displacement_overlap(k1: complex, k2: complex, chain: _Chain) -> np.ndarray
     return np.exp(1j * phi1 * levels)[:, None] * out * np.exp(-1j * phi2 * levels)
 
 
-def displacement_op(k: complex, cutoff: int) -> FockMatrix:
-    """D(k) = exp(k a^dag - conj(k) a) of the truncated generator; unitary.
-
-    With k = t e^{i phi} (t real), D(k) = R exp(t (a^dag - a)) R^dag for
-    R = diag(e^{i phi n}), and exp(t (a^dag - a)) is real orthogonal.
-    """
-    _check_cutoff(cutoff)
-    return _displacement_overlap(0, k, _generator_chains(cutoff)[0])
-
-
-def squeeze_op(r: float, cutoff: int) -> FockMatrix:
-    """S(r) = exp((r/2)(a^2 - a^dag^2)) of the truncated generator; unitary.
-
-    a^2 - a^dag^2 couples only levels of equal parity, so S(r) is real
-    orthogonal with one block on the even levels and one on the odd.
-    """
-    _check_cutoff(cutoff)
-    out = np.zeros((cutoff, cutoff), dtype=complex)
-    for parity, block in enumerate(_squeeze_blocks(r, _generator_chains(cutoff)[1:])):
-        out[parity::2, parity::2] = block
-    return out
-
-
 def thermal_cutoff_requirement(beta: float) -> float:
     """Smallest cutoff keeping the truncated thermal tail below 1e-12; inf
     for a beta so small (subnormal) that no cutoff in double range would."""
@@ -266,10 +231,14 @@ def thermal_weights(beta: float, cutoff: int) -> np.ndarray:
     return -math.expm1(-beta) * np.exp(-beta * n)
 
 
-def dst_state(s: StateParams, cutoff: int) -> FockMatrix:
-    """rho = D S rho_thermal S^dag D^dag at the given cutoff."""
+def dst_state(s: StateParams, cutoff: int) -> np.ndarray:
+    """rho = U rho_thermal U^dag with U = D(k) S(r) at the given cutoff, U
+    built from the rung's own factors."""
     pops = thermal_weights(s.beta, cutoff)
-    u = displacement_op(s.k, cutoff) @ squeeze_op(s.r, cutoff)
+    chains = _generator_chains(cutoff)
+    u = _displacement_overlap(0, s.k, chains[0])
+    for p, block in enumerate(_squeeze_blocks(s.r, chains[1:])):
+        u[:, p::2] = u[:, p::2] @ block
     return (u * pops) @ u.conj().T
 
 

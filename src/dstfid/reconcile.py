@@ -28,7 +28,6 @@ __all__ = [
     "OVERLAP_ARGUMENT",
     "OVERLAP_PREFACTOR",
     "DIFFERENCE_CONVENTION",
-    "ALL_FORMULAS",
     "VERIFY_CEILING",
     "PRESETS",
     "ReconciliationEntry",
@@ -48,16 +47,6 @@ RATIO_FORM = "ratio-quadratic-form"
 OVERLAP_ARGUMENT = "base-overlap-argument"
 OVERLAP_PREFACTOR = "base-overlap-prefactor"
 DIFFERENCE_CONVENTION = "displacement-difference-convention"
-
-ALL_FORMULAS = (
-    DIFFERENCE_CONVENTION,
-    QUADRATIC_FORM,
-    MATCHING_DISPLAY,
-    DENOMINATOR,
-    RATIO_FORM,
-    OVERLAP_ARGUMENT,
-    OVERLAP_PREFACTOR,
-)
 
 # The verification run's cutoff ceiling, the A3 grid's.
 VERIFY_CEILING = 512
@@ -94,12 +83,6 @@ class ReconciliationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def entry(self, formula: str) -> ReconciliationEntry:
-        for e in self.entries:
-            if e.formula == formula:
-                return e
-        raise KeyError(formula)
 
 
 def _fmt_state(s: StateParams) -> str:
@@ -211,17 +194,12 @@ def _entry_difference_convention(
     flip = closed_form([(StateParams(0.0, s.r, s.beta), StateParams(g_flip, s.r, s.beta))],
                        _NO_ORACLE)
     margin = abs(flip.pipeline.ratio * cf.base.base - cf.value_oracle).item()
-    entry = ReconciliationEntry(
-        formula=DIFFERENCE_CONVENTION,
-        max_abs_deviation=margin,
-        worst_params=_fmt_pair(s, s),
-        verdict="typo-confirmed",
-        note=(
-            "equal displacements must give unit fidelity, and the oracle "
-            f"does (pipeline dev {correct_dev:.3e}); the printed difference "
-            "k2 - conj(k1) is nonzero here and drops the fidelity by "
-            f"{margin:.6f}, far past the 1e-3 adjudication margin"
-        ),
+    entry = _entry(
+        DIFFERENCE_CONVENTION, [margin], [_fmt_pair(s, s)],
+        "equal displacements must give unit fidelity, and the oracle "
+        f"does (pipeline dev {correct_dev:.3e}); the printed difference "
+        "k2 - conj(k1) is nonzero here and drops the fidelity by "
+        f"{margin:.6f}, far past the 1e-3 adjudication margin",
     )
     check = VerificationCheck(
         name="difference-convention-margin",

@@ -130,7 +130,8 @@ class BaseFactorTrace:
     ``base`` is the exact closed form; ``printed_value`` comes from the
     verbatim printed display, and ``printed_domain_error`` carries the
     message if that display left its domain (``base`` is still produced).
-    Inside a `ClosedForm` every field holds one array entry per row.
+    Inside a `ClosedForm` every other field holds one array entry per row
+    and ``printed_domain_error`` is None: only a report's row forms it.
     """
 
     Y: float
@@ -447,27 +448,30 @@ def _printed_display(r1, b1, r2, b2):
 
 
 def _printed_base(r1, b1, r2, b2):
-    """(Y, printed base value, Y overflowed) of the verbatim display
-    2 sinh(b1/4) sinh(b2/4) / sqrt(sqrt(Y) - 1).  Y is even in both squeeze
-    factors (every term is a squared hyperbolic), so the squeeze-sign
-    convention cannot rescue it."""
+    """(Y, printed base value) of the verbatim display
+    2 sinh(b1/4) sinh(b2/4) / sqrt(sqrt(Y) - 1), with Y = inf where it
+    leaves double range.  Y is even in both squeeze factors (every term is a
+    squared hyperbolic), so the squeeze-sign convention cannot rescue it."""
     # squares as products: ** 2 on a numpy scalar calls pow, which can round
     # differently from the array loop (see _pair)
     chu, chv = np.cosh(0.25 * (b1 + b2)), np.cosh(0.25 * (b1 - b2))
     cm, cp, sm = np.cosh(r1 - r2), np.cosh(r1 + r2), np.sinh(r1 - r2)
     chu2, chv2, cm2, cp2, sm2 = chu * chu, chv * chv, cm * cm, cp * cp, sm * sm
-    overflow = ~(np.isfinite(chu2) & np.isfinite(chv2) & np.isfinite(cm2)
-                 & np.isfinite(cp2) & np.isfinite(sm2))
-    y = np.where(overflow, np.inf, cm2 * chu2 + cp2 * chu2 - sm2 * chv2 - cp2 * chv2)
+    y = cm2 * chu2 + cp2 * chu2 - sm2 * chv2 - cp2 * chv2
+    # products of finite squares can overflow with opposite signs: inf - inf
+    overflow = np.isnan(y) | ~(np.isfinite(chu2) & np.isfinite(chv2) & np.isfinite(cm2)
+                               & np.isfinite(cp2) & np.isfinite(sm2))
+    y = np.where(overflow, np.inf, y)
     pre = 2.0 * np.sinh(0.25 * b1) * np.sinh(0.25 * b2)
     outside = overflow | (y < 0.0) | (np.sqrt(np.maximum(y, 0.0)) <= 1.0)
-    return y, np.where(outside, np.nan, pre / np.sqrt(np.sqrt(y) - 1.0)), overflow
+    return y, np.where(outside, np.nan, pre / np.sqrt(np.sqrt(y) - 1.0))
 
 
-def _printed_domain_error(y: float, overflow: bool) -> str:
-    if overflow:
+def _printed_domain_error(y: float) -> str:
+    """Why the printed display of a row with argument Y is undefined."""
+    if math.isinf(y):
         return ("printed base-factor argument Y overflows double precision "
-                "(its squared hyperbolics of (b1+b2)/4 and r1+r2 leave range)")
+                "(a squared hyperbolic, or a product of two, leaves range)")
     return (f"printed base-factor argument sqrt(Y) = {math.sqrt(max(y, 0.0)):g} "
             "<= 1; display undefined here")
 
@@ -536,13 +540,16 @@ class ClosedForm:
         def trace(tr):
             return type(tr)(*[row(getattr(tr, name)) for name in _FIELDS[type(tr)]])
 
+        base = trace(self.base)
+        if math.isnan(base.printed_value):
+            base = replace(base, printed_domain_error=_printed_domain_error(base.Y))
         return FidelityReport(
             value_matrix_pipeline=row(self.value_matrix_pipeline),
             value_printed=row(self.value_printed),
             value_oracle=row(self.value_oracle),
             pipeline=trace(self.pipeline),
             printed=trace(self.printed),
-            base=trace(self.base),
+            base=base,
             oracle=None if self.oracle is None else self.oracle[i],
             g=row(self.g),
             discrepancy_flags=tuple(DiscrepancyFlag(name, row(mag))
@@ -650,12 +657,8 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     sigma = (1.0 / c1) * (1.0 / c2)  # the base factor F0 (see base_factor)
     f0 = 4.0 * (u1 * u2) * (sigma + np.sqrt(sigma * sigma + 0.5 * dp * top * top)) / dp
     exact = np.where((r1 == r2) & (b1 == b2), 1.0, f0)
-    y, printed_base, overflow = _printed_base(r1, b1, r2, b2)
-    domain_error = np.full(shape, None, dtype=object)
-    for i in np.flatnonzero(np.isnan(printed_base)):
-        domain_error.flat[i] = _printed_domain_error(y.item(i), overflow.item(i))
-    base = BaseFactorTrace(Y=y, base=exact, printed_value=printed_base,
-                           printed_domain_error=domain_error)
+    y, printed_base = _printed_base(r1, b1, r2, b2)
+    base = BaseFactorTrace(Y=y, base=exact, printed_value=printed_base)
 
     value_pipe, pipe_clamp = _clamp01(pipeline.ratio * exact)
     value_printed, printed_clamp = _clamp01(printed.ratio * printed_base)

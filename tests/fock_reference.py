@@ -2,9 +2,12 @@
 
 The oracle evaluates each cutoff rung without forming a density matrix (see
 `dstfid.fock.rung_fidelity`).  The tests check it against the plain routes
-kept here: the ladder operator, the thermal state as a matrix, the Uhlmann
+kept here: the ladder operator, the full operators D(k) and S(r) built from
+the oracle's own factors, the thermal state as a matrix, the Uhlmann
 fidelity of two density matrices, each checked to be one, and the full-size
-rung, which keeps every level and multiplies the full operators.
+rung, which keeps every level and multiplies the full operators.  Every
+matrix is dense and complex over the truncated number basis; the cutoff is
+its dimension.
 """
 
 from __future__ import annotations
@@ -12,9 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from dstfid.algebra import StateParams
-from dstfid.fock import FockMatrix, _check_cutoff, displacement_op, squeeze_op, thermal_weights
+from dstfid.fock import _displacement_overlap, _generator_chains, _squeeze_blocks, thermal_weights
 
-__all__ = ["ContractViolationError", "annihilation", "full_rung_fidelity", "thermal_state", "uhlmann_fidelity"]
+__all__ = [
+    "ContractViolationError", "annihilation", "displacement_op", "full_rung_fidelity",
+    "squeeze_op", "thermal_state", "uhlmann_fidelity",
+]
 
 # How hermitian / normalized a density matrix must be before we trust it.
 _HERMITICITY_TOL = 1e-10
@@ -25,18 +31,46 @@ class ContractViolationError(ValueError):
     """An input that was promised to be a density matrix is not one."""
 
 
-def annihilation(cutoff: int) -> FockMatrix:
+def _check_cutoff(cutoff: int) -> None:
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff!r}")
+
+
+def annihilation(cutoff: int) -> np.ndarray:
     """Ladder operator a with entries a[n-1, n] = sqrt(n), zero elsewhere."""
     _check_cutoff(cutoff)
     return np.diagflat(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
-def thermal_state(beta: float, cutoff: int) -> FockMatrix:
+def displacement_op(k: complex, cutoff: int) -> np.ndarray:
+    """D(k) = exp(k a^dag - conj(k) a) of the truncated generator; unitary.
+
+    With k = t e^{i phi} (t real), D(k) = R exp(t (a^dag - a)) R^dag for
+    R = diag(e^{i phi n}), and exp(t (a^dag - a)) is real orthogonal.
+    """
+    _check_cutoff(cutoff)
+    return _displacement_overlap(0, k, _generator_chains(cutoff)[0])
+
+
+def squeeze_op(r: float, cutoff: int) -> np.ndarray:
+    """S(r) = exp((r/2)(a^2 - a^dag^2)) of the truncated generator; unitary.
+
+    a^2 - a^dag^2 couples only levels of equal parity, so S(r) is real
+    orthogonal with one block on the even levels and one on the odd.
+    """
+    _check_cutoff(cutoff)
+    out = np.zeros((cutoff, cutoff), dtype=complex)
+    for parity, block in enumerate(_squeeze_blocks(r, _generator_chains(cutoff)[1:])):
+        out[parity::2, parity::2] = block
+    return out
+
+
+def thermal_state(beta: float, cutoff: int) -> np.ndarray:
     """Normalized thermal state diag(thermal_weights(beta, cutoff))."""
     return np.diag(thermal_weights(beta, cutoff)).astype(complex)
 
 
-def _check_density(rho: FockMatrix, name: str) -> None:
+def _check_density(rho: np.ndarray, name: str) -> None:
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > _HERMITICITY_TOL:
         raise ContractViolationError(
@@ -50,7 +84,7 @@ def _check_density(rho: FockMatrix, name: str) -> None:
         )
 
 
-def _psd_sqrt(rho: FockMatrix) -> FockMatrix:
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Hermitian square root via eigendecomposition; negative eigenvalues
     (rounding of a PSD input) are clamped to zero before the square root."""
     vals, vecs = np.linalg.eigh(rho)
@@ -58,7 +92,7 @@ def _psd_sqrt(rho: FockMatrix) -> FockMatrix:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
+def uhlmann_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 for two density matrices,
     evaluated as the squared nuclear norm ||sqrt(rho1) sqrt(rho2)||_1^2: the
     sum of singular values, which swapping the states only conjugates, so the

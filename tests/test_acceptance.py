@@ -17,9 +17,13 @@ from bch_reference import LinExpOp, bch_merge, commutator_scalar
 from dstfid.fock import fidelity_oracle, matrix_exp
 from fock_reference import annihilation
 from dstfid.reconcile import (
-    ALL_FORMULAS,
     DENOMINATOR,
     DIFFERENCE_CONVENTION,
+    MATCHING_DISPLAY,
+    OVERLAP_ARGUMENT,
+    OVERLAP_PREFACTOR,
+    QUADRATIC_FORM,
+    RATIO_FORM,
     pair_grid,
     run_verification,
     self_grid,
@@ -94,7 +98,7 @@ def test_a5_mismatch_convention_adjudicated_by_oracle(full_report):
     assert abs(f_difference - oracle) <= 1e-6
     assert abs(f_printed - oracle) > 1e-3  # the conjugated convention fails
 
-    entry = full_report.entry(DIFFERENCE_CONVENTION)
+    entry = {e.formula: e for e in full_report.entries}[DIFFERENCE_CONVENTION]
     assert entry.verdict == "typo-confirmed"
     assert entry.max_abs_deviation > 1e-3
 
@@ -213,14 +217,17 @@ def test_a9_symplectic_factors_and_annihilation_residual(a3_grid):
 
 def test_a10_reconciliation_report_complete_and_consistent(full_report):
     report = full_report
-    assert len(report.entries) == len(ALL_FORMULAS) == 7
-    assert {e.formula for e in report.entries} == set(ALL_FORMULAS)
+    formulas = (DIFFERENCE_CONVENTION, QUADRATIC_FORM, MATCHING_DISPLAY, DENOMINATOR,
+                RATIO_FORM, OVERLAP_ARGUMENT, OVERLAP_PREFACTOR)
+    entries = {e.formula: e for e in report.entries}
+    assert len(report.entries) == len(entries) == 7
+    assert set(entries) == set(formulas)
     for e in report.entries:
         assert e.verdict in ("consistent", "typo-confirmed", "inconclusive")
         assert e.note  # every verdict carries its analysis
 
     # the denominator is the one printed piece that checks out exactly
-    assert report.entry(DENOMINATOR).verdict == "consistent"
+    assert entries[DENOMINATOR].verdict == "consistent"
 
     # pass rule: every typo-confirmed print must be accompanied by a matrix
     # pipeline that satisfies the oracle-equivalence and decomposition checks

@@ -714,6 +714,28 @@ def test_record_has_its_key_set_and_is_strict_json(capsys, argv, paths):
         assert record["base"]["Y"] == "inf"
 
 
+_Y_OVERFLOWS = ("printed base-factor argument Y overflows double precision "
+                "(a squared hyperbolic, or a product of two, leaves range)")
+
+
+@pytest.mark.parametrize("argv, y, reason", [
+    # every squared hyperbolic is finite, but two products overflow with
+    # opposite signs: Y is inf - inf
+    (["--r1", "150", "--r2=-150", "--beta1", "700", "--beta2", "0.001"], "inf", _Y_OVERFLOWS),
+    (["--beta1", "744", "--beta2", "744"], "inf", _Y_OVERFLOWS),  # a square overflows
+    (["--beta1", "1e-300", "--beta2", "1e-300"], 1.0,
+     "printed base-factor argument sqrt(Y) = 1 <= 1; display undefined here"),
+], ids=["inf-minus-inf", "square-overflows", "sqrt-y-is-one"])
+def test_record_names_why_the_printed_base_is_undefined(capsys, argv, y, reason):
+    from dstfid.cli import main
+
+    assert main(["compute", *argv, "--method", "closed-form", "--format", "record"]) == 0
+    base = json.loads(capsys.readouterr().out)["base"]
+    assert base["printed_value"] == "nan"
+    assert base["Y"] == y
+    assert base["printed_domain_error"] == reason
+
+
 def test_main_freezes_no_objects_of_its_callers(capsys):
     # dstfid.cli freezes its import-time objects once, at import; main runs
     # in-process many times (tests, benchmarks) and must not freeze what

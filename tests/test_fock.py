@@ -18,19 +18,19 @@ from dstfid.algebra import state
 from dstfid.fock import (
     ConvergenceError,
     cutoff_ladder,
-    displacement_op,
     dst_state,
     fidelity_oracle,
     matrix_exp,
     rung_fidelity,
-    squeeze_op,
     thermal_cutoff_requirement,
     thermal_weights,
 )
 from fock_reference import (
     ContractViolationError,
     annihilation,
+    displacement_op,
     full_rung_fidelity,
+    squeeze_op,
     thermal_state,
     uhlmann_fidelity,
 )

@@ -855,6 +855,37 @@ def test_every_trace_field_is_one_number_per_row():
                 assert value is None or np.shape(value) == shape, (type(tr).__name__, f.name)
 
 
+def test_the_batch_forms_no_printed_domain_reason(monkeypatch):
+    """A batch never forms the printed display's domain reason: its column is
+    None.  report(i) forms it for a row whose printed base is NaN, naming an
+    overflow where Y = inf and sqrt(Y) <= 1 elsewhere, and leaves a finite
+    row's None."""
+    import dstfid.reduction as red
+
+    rng = np.random.default_rng(5)
+    n = 2000
+    r1, r2 = rng.uniform(-200.0, 200.0, (2, n))
+    b1, b2 = np.exp(rng.uniform(math.log(1e-300), math.log(744.0), (2, n)))
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def refuse(y):
+        raise AssertionError("the batch formed a printed-domain reason")
+
+    monkeypatch.setattr(red, "_printed_domain_error", refuse)
+    cf = red._evaluate(np.zeros(n, dtype=complex), r1, b1, g, r2, b2, 1e-8)
+    monkeypatch.undo()
+    assert cf.base.printed_domain_error is None
+    nan = np.isnan(cf.base.printed_value)
+    for rows, words in ((nan & np.isinf(cf.base.Y), "overflows double precision"),
+                        (nan & np.isfinite(cf.base.Y), "<= 1; display undefined here")):
+        assert rows.any()
+        for i in np.flatnonzero(rows)[:20]:
+            assert words in cf.report(i).base.printed_domain_error
+    assert (~nan).any()
+    for i in np.flatnonzero(~nan)[:20]:
+        assert cf.report(i).base.printed_domain_error is None
+
+
 # --- batch = rows of batches of one -------------------------------------------
 
 any_radii = st.one_of(radii, wide_radii, st.floats(min_value=-360.0, max_value=360.0))

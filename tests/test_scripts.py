@@ -38,6 +38,20 @@ def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     assert len(lines) == 1 + rows
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("cutoff_convergence", ["--rungs", "-1"]),
+    ("cutoff_convergence", ["--nbar1", "0"]),
+    ("cutoff_convergence", ["--r1", "400"]),  # the oracle's ladder has no rungs
+    ("displacement_decay", ["--points", "-1"]),
+    ("displacement_decay", ["--gmax", "nan"]),
+], ids=["rungs-negative", "nbar-zero", "no-rungs", "points-negative", "gmax-nan"])
+def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv):
+    with pytest.raises(SystemExit) as exc:
+        _load(name).main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_refusal_census_counts_every_row_once_in_check_order(capsys):
     assert _load("refusal_census").main(["--rows", "2000", "--seed", "3"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
