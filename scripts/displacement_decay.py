@@ -51,14 +51,14 @@ def main(argv=None) -> int:
                     f"{label},{r1:g},{r2:g},{n1:g},{n2:g},{t:.17g},"
                     f"{value:.17g},{math.exp(-t * t):.17g}"
                 )
-    except ValueError as exc:
+        text = "\n".join(lines) + "\n"
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+    except (ValueError, OSError) as exc:  # a bad state, or an --out it cannot write
         ap.error(str(exc))
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     return 0
 
 

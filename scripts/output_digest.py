@@ -73,13 +73,16 @@ BATTERY = (
     "compute --r1 177 --r2 -177 --beta1 29 --beta2 29 --k2 0.5 --method closed-form "
     "--format record",
     # the printed base display out of its domain: Y = inf - inf, a squared
-    # hyperbolic past double range, sqrt(Y) = 1
+    # hyperbolic past double range, sqrt(Y) = 1, a product of finite squares
+    # past double range
     "compute --r1 150 --r2=-150 --beta1 700 --beta2 0.001 --method closed-form --format record",
     "compute --beta1 744 --beta2 744 --method closed-form --format record",
     "compute --beta1 1e-300 --beta2 1e-300 --method closed-form --format record",
+    "compute --beta1 700 --beta2 700 --r1 10 --method closed-form --format record",
     "compute --r1 360 --r2 360 --nbar1 1 --nbar2 1 --method closed-form",
     "compute --nbar1 1 --nbar2 1 --k2 1e154 --method closed-form",
     "compute --nbar1 0 --nbar2 1",
+    "compute --beta1=-inf --nbar2 1 --method closed-form",
     "compute --nbar1 1",
     f"compute {PAIR} --config TMP/good.conf",
     f"compute {PAIR} --config TMP/unknown_key.conf",

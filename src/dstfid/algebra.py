@@ -66,7 +66,7 @@ class StateParams:
             raise ValueError(f"displacement k must be finite, got {k!r}")
         if not math.isfinite(self.r):
             raise ValueError(f"squeeze factor r must be finite, got {self.r!r}")
-        if math.isinf(self.beta) or self.beta >= _BETA_MAX:
+        if self.beta >= _BETA_MAX:
             raise ValueError(
                 "beta at or beyond the pure-state limit (requires beta < "
                 f"{_BETA_MAX:g}, got {self.beta!r}); use a large finite beta"

@@ -588,7 +588,8 @@ def _add_oracle_args(p: argparse.ArgumentParser, ceiling: int) -> None:
 
 def _add_common(p: argparse.ArgumentParser, default_method: str) -> None:
     p.add_argument("--method", choices=METHODS,
-                   help=f"which paths to evaluate (default {default_method})")
+                   help="whether the oracle runs (all, oracle) and which fidelities compute's "
+                   f"human format prints; the closed form always runs (default {default_method})")
     p.add_argument("--tol", type=float,
                    help=f"comparison tolerance (default {_sci(FidelityOptions.tol)})")
     _add_oracle_args(p, FidelityOptions.oracle_ceiling)

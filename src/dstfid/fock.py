@@ -358,18 +358,16 @@ def fidelity_oracle(
     fixed x1.5 sequence at or above _starting_cutoff) and stops when two
     successive fidelities differ by at most tol.  Raises ConvergenceError
     with the gap trace if the ceiling is reached first (at once, computing no
-    rung, when the starting cutoff already reaches it), and ValueError for a
-    tol below 1e-10, a ceiling below the smallest cutoff, 2, or a ceiling
-    that truncates more than 1e-12 of either thermal weight.
+    rung, when the starting cutoff already reaches it: a lone rung has
+    nothing to agree with), and ValueError for a tol below 1e-10, a ceiling
+    below the smallest cutoff, 2, or a ceiling that truncates more than 1e-12
+    of either thermal weight (the starting cutoff keeps both, so only a
+    ceiling at or below it can).
     """
     _check_oracle_options(tol, ceiling)
+    for s in (s1, s2):
+        _check_thermal_tail(s.beta, ceiling)
     start = _starting_cutoff(s1, s2)
-    if start >= ceiling:
-        # A lone rung at the ceiling has nothing to agree with: the ladder is
-        # empty.
-        for s in (s1, s2):
-            _check_thermal_tail(s.beta, ceiling)
-
     gaps: list[tuple[int, float]] = []
     prev: float | None = None
     for cutoff in cutoff_ladder(start, ceiling):

@@ -217,15 +217,12 @@ def _flipped(s: StateParams) -> StateParams:
 
 
 def _entry_flipped_sign(
-    formula: str, field: str, pairs: list[tuple[StateParams, StateParams]], cf: ClosedForm,
-    labels: list[str], flip_first: bool, note: str,
+    formula: str, field: str, cf: ClosedForm, flipped: ClosedForm, labels: list[str], note: str
 ) -> ReconciliationEntry:
     """A printed exponent (trace field `field`) against the pipeline's; the
-    note's {} takes its residual against the pipeline's with state 2's squeeze
-    sign reversed, and state 1's too when flip_first."""
+    note's {} takes its residual against `flipped`'s pipeline, the same pairs
+    with both squeeze signs reversed."""
     printed, pipeline = getattr(cf.printed, field), getattr(cf.pipeline, field)
-    flipped = closed_form([(_flipped(s1) if flip_first else s1, _flipped(s2))
-                           for s1, s2 in pairs], _NO_ORACLE)
     residual = np.abs(printed - getattr(flipped.pipeline, field)).max()
     return _entry(formula, np.abs(printed - pipeline), labels, note.format(residual))
 
@@ -379,18 +376,21 @@ def run_verification(
     conv_entry, conv_check = _entry_difference_convention(opts)
     checks.append(conv_check)
 
+    # The grid with both squeeze signs reversed, for both sign entries: delta1's
+    # exponent reads only g, r2 and beta2, so state 1's flip leaves it alone,
+    # and flipping both leaves r1 - r2, and so the denominator, alone.
+    flipped = closed_form([(_flipped(s1), _flipped(s2)) for s1, s2 in pairs], _NO_ORACLE)
     entries = (
         conv_entry,
         _entry_flipped_sign(
-            QUADRATIC_FORM, "log_delta1", pairs, grid, labels, False,
+            QUADRATIC_FORM, "log_delta1", grid, flipped, labels,
             "printed quadratic form equals the pipeline one with the squeeze "
             "sign reversed (flip residual <= {:.3e}); the sign itself is fixed "
             "by the Fock conjugation rule, which the pipeline matches and the "
             "print does not"),
         *_entries_matching_system(pairs, grid, labels),
-        # flipping both squeezes leaves r1 - r2, and so the denominator, alone
         _entry_flipped_sign(
-            RATIO_FORM, "log_ratio", pairs, grid, labels, True,
+            RATIO_FORM, "log_ratio", grid, flipped, labels,
             "printed exponent (eps1 + eps2)/Delta equals the pipeline ratio "
             "with both squeeze signs reversed (flip residual <= {:.3e}): same "
             "single convention slip as the quadratic form, invisible wherever "

@@ -450,7 +450,8 @@ def _printed_display(r1, b1, r2, b2):
 def _printed_base(r1, b1, r2, b2):
     """(Y, printed base value) of the verbatim display
     2 sinh(b1/4) sinh(b2/4) / sqrt(sqrt(Y) - 1), with Y = inf where it
-    leaves double range.  Y is even in both squeeze factors (every term is a
+    leaves double range, and the value NaN there and wherever sqrt(Y) <= 1
+    (Y < 0 included).  Y is even in both squeeze factors (every term is a
     squared hyperbolic), so the squeeze-sign convention cannot rescue it."""
     # squares as products: ** 2 on a numpy scalar calls pow, which can round
     # differently from the array loop (see _pair)
@@ -458,12 +459,10 @@ def _printed_base(r1, b1, r2, b2):
     cm, cp, sm = np.cosh(r1 - r2), np.cosh(r1 + r2), np.sinh(r1 - r2)
     chu2, chv2, cm2, cp2, sm2 = chu * chu, chv * chv, cm * cm, cp * cp, sm * sm
     y = cm2 * chu2 + cp2 * chu2 - sm2 * chv2 - cp2 * chv2
-    # products of finite squares can overflow with opposite signs: inf - inf
-    overflow = np.isnan(y) | ~(np.isfinite(chu2) & np.isfinite(chv2) & np.isfinite(cm2)
-                               & np.isfinite(cp2) & np.isfinite(sm2))
-    y = np.where(overflow, np.inf, y)
+    # four squares are >= 1 and one >= 0: any overflow leaves Y at +-inf or NaN
+    y = np.where(np.isfinite(y), y, np.inf)
     pre = 2.0 * np.sinh(0.25 * b1) * np.sinh(0.25 * b2)
-    outside = overflow | (y < 0.0) | (np.sqrt(np.maximum(y, 0.0)) <= 1.0)
+    outside = np.isinf(y) | (np.sqrt(np.maximum(y, 0.0)) <= 1.0)
     return y, np.where(outside, np.nan, pre / np.sqrt(np.sqrt(y) - 1.0))
 
 

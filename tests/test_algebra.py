@@ -43,6 +43,18 @@ def test_state_rejects_nonpositive_temperatures():
         state(0.0, 0.0, beta=1e6)
 
 
+@pytest.mark.parametrize("beta, words", [
+    (-math.inf, "strictly positive"),
+    (math.nan, "strictly positive"),
+    (math.inf, "pure-state limit"),
+    (745.0, "pure-state limit"),
+])
+def test_state_names_the_bound_a_beta_breaks(beta, words):
+    # one test per bound: -inf is below zero, not beyond the pure-state limit
+    with pytest.raises(ValueError, match=words):
+        state(0.0, 0.0, beta=beta)
+
+
 @pytest.mark.parametrize("beta", [5e-324, 1e-320, 5.56e-309])
 def test_state_rejects_a_beta_whose_nbar_overflows(beta):
     # nbar = 1/expm1(beta) overflows below ~5.6e-309; state(nbar=...) refuses

@@ -725,7 +725,9 @@ _Y_OVERFLOWS = ("printed base-factor argument Y overflows double precision "
     (["--beta1", "744", "--beta2", "744"], "inf", _Y_OVERFLOWS),  # a square overflows
     (["--beta1", "1e-300", "--beta2", "1e-300"], 1.0,
      "printed base-factor argument sqrt(Y) = 1 <= 1; display undefined here"),
-], ids=["inf-minus-inf", "square-overflows", "sqrt-y-is-one"])
+    # every squared hyperbolic is finite, and one product overflows to +inf
+    (["--beta1", "700", "--beta2", "700", "--r1", "10"], "inf", _Y_OVERFLOWS),
+], ids=["inf-minus-inf", "square-overflows", "sqrt-y-is-one", "product-overflows"])
 def test_record_names_why_the_printed_base_is_undefined(capsys, argv, y, reason):
     from dstfid.cli import main
 

@@ -27,7 +27,7 @@ from dstfid.reduction import (
     closed_form_columns,
     fidelity,
 )
-from dstfid.reduction import _pair, _printed_display
+from dstfid.reduction import _evaluate, _pair, _printed_display
 from dstfid.reconcile import _matching_matrices
 from fock_reference import thermal_state
 
@@ -884,6 +884,52 @@ def test_the_batch_forms_no_printed_domain_reason(monkeypatch):
     assert (~nan).any()
     for i in np.flatnonzero(~nan)[:20]:
         assert cf.report(i).base.printed_domain_error is None
+
+
+def _census_draw(seed: int, rows: int):
+    """(r1, b1, g, r2, b2) of scripts/refusal_census.py's whole-domain draw."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "refusal_census.py"
+    spec = importlib.util.spec_from_file_location("refusal_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.draw(seed, rows)
+
+
+def _evaluate_rows(r1, b1, g, r2, b2):
+    return _evaluate(np.zeros(np.shape(g), dtype=complex), r1, b1, g, r2, b2, 1e-8)
+
+
+def test_printed_base_is_undefined_exactly_where_its_one_rule_says():
+    """Over the whole domain Y is never NaN or -inf (every overflow reads
+    +inf), and the printed base is NaN exactly where Y is inf or
+    sqrt(Y) <= 1: a product that overflows to +inf gives no printed value
+    of 0."""
+    r1, b1, g, r2, b2 = _census_draw(11, 20_000)
+    base = _evaluate_rows(r1, b1, g, r2, b2).base
+    outside = np.isinf(base.Y) | (np.sqrt(np.maximum(base.Y, 0.0)) <= 1.0)
+    assert not np.isnan(base.Y).any()
+    assert not (base.Y == -np.inf).any()
+    assert np.isinf(base.Y).any() and (np.isfinite(base.Y) & outside).any()
+    assert (~outside).any()
+    np.testing.assert_array_equal(np.isnan(base.printed_value), outside)
+
+
+def test_delta1_exponents_read_nothing_of_state_1():
+    """Both delta1 exponents, the pipeline's and the printed one, read only
+    g, r2 and beta2: reversing state 1's squeeze and redrawing beta1 leaves
+    them bit-identical, which lets verify share one squeeze-flipped batch
+    between its two sign entries."""
+    r1, b1, g, r2, b2 = _census_draw(12, 20_000)
+    b1_new = np.exp(np.random.default_rng(13).uniform(math.log(1e-300), math.log(744.0),
+                                                      len(b1)))
+    one, other = _evaluate_rows(r1, b1, g, r2, b2), _evaluate_rows(-r1, b1_new, g, r2, b2)
+    for trace in ("pipeline", "printed"):
+        np.testing.assert_array_equal(
+            getattr(one, trace).log_delta1.view(np.int64),
+            getattr(other, trace).log_delta1.view(np.int64))
 
 
 # --- batch = rows of batches of one -------------------------------------------

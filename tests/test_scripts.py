@@ -1,6 +1,7 @@
 """The analysis scripts under scripts/ run against the package's API."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,10 @@ def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     ("cutoff_convergence", ["--r1", "400"]),  # the oracle's ladder has no rungs
     ("displacement_decay", ["--points", "-1"]),
     ("displacement_decay", ["--gmax", "nan"]),
-], ids=["rungs-negative", "nbar-zero", "no-rungs", "points-negative", "gmax-nan"])
+    # a path under a file, which no user can write, root included
+    ("displacement_decay", ["--points", "2", "--out", os.path.join(os.devnull, "x.csv")]),
+], ids=["rungs-negative", "nbar-zero", "no-rungs", "points-negative", "gmax-nan",
+        "out-unwritable"])
 def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv):
     with pytest.raises(SystemExit) as exc:
         _load(name).main(argv)
