@@ -63,6 +63,7 @@ BATTERY = (
     "sweep --k1 0.5+1e-8i --beta1 1 --k2 0.5 --beta2 744 --sweep r2=0:352:3 --method closed-form",
     "sweep --nbar1 1 --sweep r2=0:1:2",
     "sweep --nbar1 1 --k2 0.3 --sweep nbar2=1:2:2 --sweep beta2=1:2:2",
+    "sweep --nbar1 1 --beta2 5 --sweep nbar2=1:2:2",
     "sweep --nbar1 1 --nbar2 1 --sweep r2=-1.7e308:1.7e308:3",
     "sweep --nbar1 1 --nbar2 1 --sweep r2=0:1:1000000000000",
     "compute --r2 354 --beta1 1 --beta2 700 --k2 1e-300 --method closed-form",
@@ -82,8 +83,10 @@ BATTERY = (
     "compute --r1 360 --r2 360 --nbar1 1 --nbar2 1 --method closed-form",
     "compute --nbar1 1 --nbar2 1 --k2 1e154 --method closed-form",
     "compute --nbar1 0 --nbar2 1",
+    "compute --nbar1 1e-320 --nbar2 1 --method closed-form --format record",
     "compute --beta1=-inf --nbar2 1 --method closed-form",
     "compute --nbar1 1",
+    "compute --nbar1 1 --nbar2 1 --oracle-tol 1e-12 --method closed-form",
     f"compute {PAIR} --config TMP/good.conf",
     f"compute {PAIR} --config TMP/unknown_key.conf",
     f"compute {PAIR} --config TMP/bad_tol.conf",

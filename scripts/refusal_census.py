@@ -48,6 +48,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.rows < 1:
         ap.error(f"--rows must be >= 1, got {args.rows}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
 
     print("check,rows")
     for name, n in census(args.seed, args.rows).items():

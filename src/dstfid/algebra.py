@@ -97,7 +97,8 @@ def state(
     beta: float | None = None,
     nbar: float | None = None,
 ) -> StateParams:
-    """A state from exactly one of beta and nbar, nbar as beta = log1p(1/nbar)."""
+    """A state from exactly one of beta and nbar, nbar as beta = log1p(1/nbar),
+    which is log1p(nbar) - log(nbar) where 1/nbar overflows (below ~5.56e-309)."""
     if (beta is None) == (nbar is None):
         raise ValueError("exactly one of beta or nbar must be given")
     if beta is not None:
@@ -108,7 +109,9 @@ def state(
             f"nbar must be a finite positive number, got {nbar!r} "
             "(nbar = 0 is the pure-state limit; use a large beta instead)"
         )
-    return StateParams(k, r, math.log1p(1.0 / nbar))
+    inverse = 1.0 / nbar  # where it overflows, two terms >= 0, so nothing cancels
+    beta = math.log1p(inverse) if math.isfinite(inverse) else math.log1p(nbar) - math.log(nbar)
+    return StateParams(k, r, beta)
 
 
 def squeeze_matrix(r: float) -> np.ndarray:

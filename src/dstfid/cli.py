@@ -42,6 +42,7 @@ from .reduction import (
     FidelityOptions,
     FidelityReport,
     PipelineCheckError,
+    _complex,
     _pair,
     closed_form_columns,
     fidelity,  # noqa: F401  (perfbench's tracer wraps this name here)
@@ -339,20 +340,21 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
 
 def _fixed_fields(args, which: str, swept: dict[str, int]) -> dict[str, float]:
     """State `which`'s fields as the flags fix them: re_k, im_k, r and the
-    temperature, keyed nbar or beta as given, which must be exactly one
-    unless an axis sweeps it.  A swept field holds 1.0, a value every field
-    accepts, for the axis values to replace."""
+    temperature, keyed nbar or beta, which is exactly one of an nbar axis, a
+    beta axis, --nbarN and --betaN (a flag beside its own field's axis is that
+    axis).  A swept field holds 1.0, which every field accepts, for the axis
+    values to replace."""
     k = getattr(args, f"k{which}")
     fields = {"re_k": k.real, "im_k": k.imag, "r": getattr(args, f"r{which}")}
-    if not swept.keys() & {"nbar", "beta"}:
-        temps = {key: getattr(args, key + which) for key in ("nbar", "beta")}
-        given = {key: value for key, value in temps.items() if value is not None}
-        if len(given) != 1:
-            raise UsageError(
-                f"state {which}: exactly one of --nbar{which} / --beta{which} is required"
-            )
-        fields.update(given)
-    return {**fields, **dict.fromkeys(swept, 1.0)}
+    temps = {key: getattr(args, key + which) for key in ("nbar", "beta")}
+    given = {key: value for key, value in temps.items() if value is not None}
+    if swept.keys() >= temps.keys():
+        raise UsageError(
+            f"state {which}: sweep nbar{which} or beta{which}, not both (one temperature)")
+    if len(given.keys() | (swept.keys() & temps.keys())) != 1:
+        raise UsageError(f"state {which}: exactly one of --nbar{which} / --beta{which} "
+                         "is required")
+    return {**fields, **given, **dict.fromkeys(swept, 1.0)}
 
 
 def _grid_values(axis: tuple[str, float, float, int]) -> list[float]:
@@ -402,9 +404,6 @@ def run_sweep(args, config: dict) -> str:
     opts, method = _options_from(args, config)
     # per state, the fields the axes sweep (field -> axis index)
     swept = [{name[:-1]: a for a, name in enumerate(names) if name[-1] == w} for w in "12"]
-    for w, on_axes in zip("12", swept):
-        if on_axes.keys() >= {"nbar", "beta"}:
-            raise UsageError(f"state {w}: sweep nbar{w} or beta{w}, not both (one temperature)")
     fixed = [_fixed_fields(args, w, on_axes) for w, on_axes in zip("12", swept)]
 
     meta = _csv_meta("sweep", method, opts)
@@ -459,9 +458,7 @@ def run_sweep(args, config: dict) -> str:
              for j in (0, 1) for f, get in _STATE_CELLS]
     inputs = []
     for re, im, r, _, beta in (fields[:5], fields[5:]):
-        k = re.astype(complex)
-        k.imag = im
-        inputs += [k, r, beta]
+        inputs += [_complex(re, im), r, beta]
     try:
         cf = closed_form_columns(*inputs, opts)
     except (ValueError, RuntimeError) as exc:
@@ -542,7 +539,7 @@ def cmd_snapshot(args, config: dict) -> int:
     path = Path(args.file) if args.file else default_golden_path()
     if args.regolden:
         records = [
-            compute_record(s1, s2, tol, __version__, ceiling=args.ceiling)
+            compute_record(s1, s2, tol, ceiling=args.ceiling)
             for s1, s2, tol in standard_cases()
         ]
         write_snapshots(path, records)

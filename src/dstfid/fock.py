@@ -79,7 +79,7 @@ def _check_oracle_options(tol: float, ceiling: int) -> None:
     """Refuse a tol below 1e-10 or a ceiling below 2, the smallest cutoff
     (FidelityOptions too, so whether or not the oracle runs)."""
     if not tol >= 1e-10:  # NaN too: no gap would ever be <= it
-        raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
+        raise ValueError(f"oracle tolerance must be >= 1e-10, got {tol!r}")
     if ceiling < 2:
         raise ValueError(f"ceiling must be >= 2 (the smallest cutoff), got {ceiling!r}")
 

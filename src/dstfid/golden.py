@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .algebra import StateParams, state
 from .fock import DEFAULT_CUTOFF_CEILING, _check_oracle_options, fidelity_oracle
 
@@ -91,9 +92,9 @@ def standard_cases() -> list[tuple[StateParams, StateParams, float]]:
 
 
 def compute_record(
-    s1: StateParams, s2: StateParams, tol: float, version: str,
-    ceiling: int = DEFAULT_CUTOFF_CEILING,
+    s1: StateParams, s2: StateParams, tol: float, ceiling: int = DEFAULT_CUTOFF_CEILING,
 ) -> SnapshotRecord:
+    """The oracle's record of (s1, s2) at tol, stamped with the package version."""
     res = fidelity_oracle(s1, s2, tol=tol, ceiling=ceiling)
     return SnapshotRecord(
         s1=s1,
@@ -101,7 +102,7 @@ def compute_record(
         fidelity=res.fidelity,
         cutoff=res.cutoff_used,
         tol=tol,
-        version=version,
+        version=__version__,
     )
 
 

@@ -68,7 +68,7 @@ __all__ = [
     "SqueezeGapError",
 ]
 
-# Internal consistency tolerance for dual-path (matrix vs scalar) evaluation.
+# The matrix route's tolerance, for every check but the multiplier's.
 _DUAL_TOL = 1e-10
 
 # Tolerance of the multiplier check, in units of the matrix route's first-order
@@ -321,15 +321,15 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
     /(c1 c2), ld1 and lq1 the delta1 exponent and the log of its magnitude.
     Returns (annihilation residual, checks), in check order:
 
-    delta1 equal to the scalar form to 1e-10 (its route exponent
+    delta1 equal to the scalar form to _DUAL_TOL (its route exponent
     -sh(b2) |v0|^2 is real by construction); the determinant against
     -2*Delta, checked normalised as (q01/sqrt(2 Delta)) (q10/sqrt(2 Delta)) = 1
     so a wide squeeze gap cannot overflow it (zero or non-finite is
     degenerate), and the solve's substitution residual; the conjugate-pair
     form of the solved l, relative to its first entry; the quadratic
-    multiplier term, which the symplectic structure kills, below 1e-10;
+    multiplier term, which the symplectic structure kills, below _DUAL_TOL;
     delta2's exponent real and finite; the ratio to a conditioning-aware
-    1e-10; the solved l within _L_TOL of the solve's first-order rounding
+    _DUAL_TOL; the solved l within _L_TOL of the solve's first-order rounding
     bound.
     Everything past delta1 runs in the quadrature basis (see
     _matching_system), where P is anti-diagonal, R Sigma R = -Sigma and every
@@ -381,22 +381,22 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
          lambda i: f"determinant dual-path mismatch: matrix {-2 * _times_exp(det_unit, ldd, i)!r}"
                    f" vs -2*DeltaDenom {-2.0 * float(np.exp(ldd.item(i)))!r}"),
         ("solve-residual", PipelineCheckError,
-         ~(resid <= 1e-10 * np.maximum(1.0 / c2, rhs_norm)),
+         ~(resid <= _DUAL_TOL * np.maximum(1.0 / c2, rhs_norm)),
          lambda i: f"matching solve residual {resid.item(i) * c2.item(i):g} too large"),
         ("conjugate-pair", PipelineCheckError,
-         ~(pair_dev <= 1e-10 * np.abs(m0)),
+         ~(pair_dev <= _DUAL_TOL * np.abs(m0)),
          lambda i: f"solved multiplier lost conjugate-pair form "
                    f"(dev {pair_dev.item(i) / c1.item(i):g})"),
-        ("annihilation", PipelineCheckError, ~(residual <= 1e-10),
+        ("annihilation", PipelineCheckError, ~(residual <= _DUAL_TOL),
          lambda i: f"annihilation identity violated: residual {residual.item(i):g}"),
         ("delta2-imaginary", PipelineCheckError,
-         ~(np.abs(expo2.imag) <= 1e-10 * np.maximum(1.0 / (c2 * c2), np.abs(expo2))),
+         ~(np.abs(expo2.imag) <= _DUAL_TOL * np.maximum(1.0 / (c2 * c2), np.abs(expo2))),
          lambda i: ("delta2 exponent acquired an imaginary part: " if np.isfinite(expo2.item(i))
                     else "delta2 exponent is not finite: ")
                    + f"{expo2.item(i) * c2.item(i) * c2.item(i)!r}"),
         ("ratio-dual-path", PipelineCheckError,
-         ~_log_within(1e-10, [ld1m, (ld2m[0], -ld2m[1]),
-                              (np.log(np.abs(lratio)), -np.sign(lratio))],
+         ~_log_within(_DUAL_TOL, [ld1m, (ld2m[0], -ld2m[1]),
+                                  (np.log(np.abs(lratio)), -np.sign(lratio))],
                       np.maximum(np.maximum(0.0, ld1m[0]), ld2m[0])),
          lambda i: f"ratio dual-path mismatch: matrix "
                    f"{_times_exp(*ld1m[::-1], i) - _times_exp(*ld2m[::-1], i)!r} vs "

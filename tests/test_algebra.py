@@ -64,6 +64,16 @@ def test_state_rejects_a_beta_whose_nbar_overflows(beta):
     assert math.isfinite(state(0.0, 0.0, beta=5.57e-309).nbar)
 
 
+@pytest.mark.parametrize("nbar", [5.5e-309, 1e-320, 5e-324])
+def test_every_positive_nbar_is_a_state(nbar):
+    # 1/nbar overflows below ~5.56e-309, yet beta = log1p(nbar) - log(nbar),
+    # which is -log(nbar) to the last bit here, stays below 745
+    s = state(0.0, 0.0, nbar=nbar)
+    assert math.isfinite(s.beta) and s.beta < 745.0
+    assert s.beta == -math.log(nbar)
+    assert s.nbar > 0.0
+
+
 def test_state_rejects_nonfinite():
     with pytest.raises(ValueError):
         state(complex("nan"), 0.0, beta=1.0)

@@ -262,11 +262,12 @@ def test_mismatch_just_inside_double_range_gives_zero_with_its_flags(beta):
     "argv, says",
     [
         (("compute", "--nbar1", "1", "--nbar2", "1", "--method", "closed-form",
-          "--ceiling", "1", "--oracle-tol", "1e-12"), "error: tol must be >= 1e-10, got 1e-12\n"),
+          "--ceiling", "1", "--oracle-tol", "1e-12"),
+         "error: oracle tolerance must be >= 1e-10, got 1e-12\n"),
         (("sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "re_k2=0:1:3", "--ceiling", "1"),
          "error: ceiling must be >= 2 (the smallest cutoff), got 1\n"),
         (("sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "re_k2=0:1:3", "--method", "all",
-          "--oracle-tol", "1e-12"), "error: tol must be >= 1e-10, got 1e-12\n"),
+          "--oracle-tol", "1e-12"), "error: oracle tolerance must be >= 1e-10, got 1e-12\n"),
     ],
     ids=["compute-closed-form", "sweep-closed-form", "sweep-all"],
 )
@@ -351,6 +352,17 @@ def test_subnormal_beta_is_refused_by_compute_and_as_sweep_row_0():
     assert res.stderr.startswith(
         "error: sweep row 0 (beta2=9.9998886718268301e-321): beta=1e-320 is below ~5.6e-309")
     assert res.stderr.endswith("; no rows written\n")
+
+
+def test_subnormal_nbar_is_a_state():
+    # 1/nbar overflows, but beta = 736.8 is inside the model: F is the
+    # vacuum-versus-thermal value 1/(1 + nbar2)
+    res = run_cli("compute", "--nbar1", "1e-320", "--nbar2", "1", "--method", "closed-form",
+                  "--format", "record")
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["state1"]["nbar"] == 1e-320 and record["state1"]["beta"] < 745.0
+    assert abs(record["value_matrix_pipeline"] - 0.5) <= 1e-15
 
 
 def test_record_reports_log_delta_denom_where_delta_denom_overflows():
@@ -466,7 +478,7 @@ def test_snapshot_check_detects_drift(tmp_path):
     "column, value, says",
     [(0, "abc", "could not convert string to float: 'abc'"),
      (6, "-0.5", "nbar must be a finite positive number, got -0.5"),
-     (10, "0", "tol must be >= 1e-10, got 0.0")],
+     (10, "0", "oracle tolerance must be >= 1e-10, got 0.0")],
     ids=["non-numeric-re_k1", "nbar1-not-positive", "tol-below-floor"],
 )
 def test_snapshot_bad_field_names_its_line(tmp_path, column, value, says):
@@ -584,7 +596,11 @@ def test_config_values_are_typed_as_their_flags_are(tmp_path, capsys):
     ["compute", "--nbar1", "1", "--nbar2", "1", "--beta2", "1"],
     ["sweep", "--nbar1", "1", "--sweep", "r2=0:1:2"],
     ["sweep", "--nbar1", "1", "--nbar2", "1", "--beta2", "1", "--sweep", "re_k1=0:1:2"],
-], ids=["compute-none", "compute-both", "sweep-none", "sweep-both"])
+    # a flag beside the other temperature's axis
+    ["sweep", "--nbar1", "1", "--beta2", "5", "--sweep", "nbar2=1:2:2"],
+    ["sweep", "--nbar1", "1", "--nbar2", "5", "--sweep", "beta2=1:2:2"],
+], ids=["compute-none", "compute-both", "sweep-none", "sweep-both", "sweep-beta-flag-nbar-axis",
+        "sweep-nbar-flag-beta-axis"])
 def test_compute_and_sweep_state_one_temperature_rule(capsys, argv):
     from dstfid.cli import main
 

@@ -479,7 +479,7 @@ def test_oracle_rejects_unreachable_tolerance():
     with pytest.raises(ValueError):
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=1e-12)
     # no gap compares <= NaN, so the ladder would run to the ceiling
-    with pytest.raises(ValueError, match="tol must be >= 1e-10"):
+    with pytest.raises(ValueError, match="oracle tolerance must be >= 1e-10"):
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=math.nan)
 
 

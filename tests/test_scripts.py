@@ -47,8 +47,9 @@ def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     ("displacement_decay", ["--gmax", "nan"]),
     # a path under a file, which no user can write, root included
     ("displacement_decay", ["--points", "2", "--out", os.path.join(os.devnull, "x.csv")]),
+    ("refusal_census", ["--seed", "-1"]),  # numpy's generator takes no negative seed
 ], ids=["rungs-negative", "nbar-zero", "no-rungs", "points-negative", "gmax-nan",
-        "out-unwritable"])
+        "out-unwritable", "seed-negative"])
 def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv):
     with pytest.raises(SystemExit) as exc:
         _load(name).main(argv)
