@@ -6,7 +6,9 @@ states truncated at a cutoff) on the oracle's own cutoff ladder, the fixed
 x1.5 sequence 2, 3, 4, 6, 9, ... from its first member at or above the
 smallest cutoff whose thermal tails both states accept, and tabulates the
 successive gaps, i.e. the evidence behind the adaptive-cutoff policy (climb
-that ladder until the change drops below tol).
+that ladder until the change drops below tol).  The rungs are those of the
+pair in the oracle's joint squeeze frame, whose shift s it prints, so each
+one is the rung the adaptive oracle computes at that cutoff.
 
 Example:
     python3 scripts/cutoff_convergence.py --k2 1.5 --r1 0.3 --r2 0.5
@@ -22,6 +24,7 @@ from dstfid.fock import (
     ConvergenceError,
     cutoff_ladder,
     fidelity_oracle,
+    joint_squeeze_frame,
     rung_fidelity,
     thermal_cutoff_requirement,
 )
@@ -42,14 +45,16 @@ def main(argv=None) -> int:
         s1 = state(args.k1, args.r1, nbar=args.nbar1)
         s2 = state(args.k2, args.r2, nbar=args.nbar2)
         adaptive = fidelity_oracle(s1, s2)
+        framed1, framed2, shift = joint_squeeze_frame(s1, s2)
         floor = max(thermal_cutoff_requirement(s1.beta), thermal_cutoff_requirement(s2.beta))
-        rungs = [(n, rung_fidelity(s1, s2, n))
+        rungs = [(n, rung_fidelity(framed1, framed2, n))
                  for n in itertools.islice(cutoff_ladder(floor), args.rungs)]
     except (ValueError, ConvergenceError) as exc:
         ap.error(str(exc))
 
     print(f"# adaptive oracle: F = {adaptive.fidelity:.12f} at cutoff "
           f"{adaptive.cutoff_used} (gap {adaptive.convergence_gap:.3e})")
+    print(f"# joint squeeze frame: s = {shift:.12g}")
     print("cutoff,fidelity,gap_prev,gap_adaptive")
     prev = None
     for cutoff, fid in rungs:

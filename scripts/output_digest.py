@@ -58,6 +58,8 @@ BATTERY = (
     DISPLACEMENT,
     SQUEEZE_TEMP,
     "sweep --nbar1 0.5 --nbar2 1 --sweep re_k2=0:1:3 --method all",
+    # a large shared squeeze with a small gap: the oracle climbs in its joint squeeze frame
+    "compute --r1 3 --r2 3.2 --k2 0.01 --nbar1 0.5 --nbar2 0.5 --method all",
     "sweep --nbar1 0.5 --k2 0.3 --sweep beta2=0.5:2:4 --sweep r1=-0.5:0.5:3",
     "sweep --nbar1 1 --nbar2 1 --sweep r2=353:357:5",
     "sweep --k1 0.5+1e-8i --beta1 1 --k2 0.5 --beta2 744 --sweep r2=0:352:3 --method closed-form",

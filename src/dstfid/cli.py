@@ -341,9 +341,8 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
 def _fixed_fields(args, which: str, swept: dict[str, int]) -> dict[str, float]:
     """State `which`'s fields as the flags fix them: re_k, im_k, r and the
     temperature, keyed nbar or beta, which is exactly one of an nbar axis, a
-    beta axis, --nbarN and --betaN (a flag beside its own field's axis is that
-    axis).  A swept field holds 1.0, which every field accepts, for the axis
-    values to replace."""
+    beta axis, --nbarN and --betaN.  A swept field holds 1.0, which every
+    field accepts, for the axis values to replace."""
     k = getattr(args, f"k{which}")
     fields = {"re_k": k.real, "im_k": k.imag, "r": getattr(args, f"r{which}")}
     temps = {key: getattr(args, key + which) for key in ("nbar", "beta")}
@@ -351,7 +350,7 @@ def _fixed_fields(args, which: str, swept: dict[str, int]) -> dict[str, float]:
     if swept.keys() >= temps.keys():
         raise UsageError(
             f"state {which}: sweep nbar{which} or beta{which}, not both (one temperature)")
-    if len(given.keys() | (swept.keys() & temps.keys())) != 1:
+    if len(given) + len(swept.keys() & temps.keys()) != 1:
         raise UsageError(f"state {which}: exactly one of --nbar{which} / --beta{which} "
                          "is required")
     return {**fields, **given, **dict.fromkeys(swept, 1.0)}

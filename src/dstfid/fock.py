@@ -18,14 +18,20 @@ One rung of the oracle evaluates the Uhlmann/Bures fidelity
 F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
 either density matrix: F_N is the squared sum of the singular values of
 diag(sqrt p1) U1^dag U2 diag(sqrt p2).  Its rows and columns stop at the
-first level from which a state's sqrt p sum to at most 1e-17, which moves
-F_N by at most 4e-17; the generator SVDs depend on the cutoff alone and are
-computed once per cutoff (a bounded cache of 32).  An adaptive cutoff
-ladder certifies convergence: it climbs one fixed sequence of cutoffs, 2, 3,
-4, 6, 9, ..., each x1.5 (rounded) of the one before, from the first member
-at or above a per-pair starting cutoff, until two successive values agree.
-Every pair's rungs are then members of that one sequence, so they share the
-cached SVDs.
+first level from which a state's sqrt p sum to at most 2.5e-14, which moves
+F_N by at most 1e-13, a thousandth of the smallest oracle tolerance; the
+generator SVDs depend on the cutoff alone and are computed once per cutoff
+(a bounded cache of 32).  An adaptive cutoff ladder certifies convergence:
+it climbs one fixed sequence of cutoffs, 2, 3, 4, 6, 9, ..., each x1.5
+(rounded) of the one before, from the first member at or above a per-pair
+starting cutoff, until two successive values agree.  Every pair's rungs are
+then members of that one sequence, so they share the cached SVDs.
+
+The whole ladder runs on the pair mapped by a joint squeeze S(s), which
+leaves F as it is: S(s) D(k) S(s)^dag = D(k') with k' = e^{-s} Re k +
+i e^{s} Im k and S(s) S(r) = S(r + s), so a state goes to (k', r + s, beta).
+s minimises the larger mean photon number, so squeezes that nearly cancel
+climb from a small cutoff however large the squeeze they share.
 
 The oracle is deliberately independent of the 2x2 reduction: it never touches
 the conjugation matrices, and it builds D(k1) and D(k2) as separate factors
@@ -63,8 +69,8 @@ DEFAULT_CUTOFF_CEILING = 1024
 _THERMAL_TAIL_LOG = 12.0 * math.log(10.0)
 
 # A rung drops the levels whose sqrt-weights from them onward sum to at most
-# this, which moves F by at most 4e-17 (rung_fidelity).
-_TRIM_TAIL = 1e-17
+# this, which moves F by at most 1e-13 (rung_fidelity).
+_TRIM_TAIL = 2.5e-14
 
 
 class ConvergenceError(RuntimeError):
@@ -267,8 +273,8 @@ def rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
     M keeps only the leading n1 rows and n2 columns, where n_i is
     _kept_levels(sqrt p_i): W is unitary, so a dropped row or column has norm
     at most its sqrt p, the sum of the singular values moves by at most
-    2 * _TRIM_TAIL and F by at most 4e-17.  Equal to
-    uhlmann_fidelity(dst_state(s1, N), dst_state(s2, N)) to <= 4e-17 plus
+    2 * _TRIM_TAIL and F by at most 4 * _TRIM_TAIL = 1e-13.  Equal to
+    uhlmann_fidelity(dst_state(s1, N), dst_state(s2, N)) to <= 1e-13 plus
     rounding.
 
     S_i acts on the levels of each parity, p::2, on its own, so W is filled
@@ -300,6 +306,40 @@ class OracleResult:
     fidelity: float
     cutoff_used: int
     convergence_gap: float
+    frame_shift: float  # the joint squeeze s the ladder ran in (joint_squeeze_frame)
+
+
+@np.errstate(all="ignore")  # a squeeze near 1e308 overflows a log: that shift is never the least
+def joint_squeeze_frame(s1: StateParams,
+                        s2: StateParams) -> tuple[StateParams, StateParams, float]:
+    """The pair in the joint squeeze frame, and its s: 0, the pair as given,
+    where no shift lowers the larger mean photon number or a framed
+    displacement leaves double range.
+
+    A framed state's mean photon number is a e^{2s} + b e^{-2s} - 1/2, with
+    a = (nbar + 1/2) e^{2r}/2 + (Im k)^2 and b = (nbar + 1/2) e^{-2r}/2 +
+    (Re k)^2.  The larger of the two is convex in s: its minimiser is 0, a
+    state's own log(b/a)/4 or the crossing e^{4s} = (b2 - b1)/(a1 - a2),
+    found in logs so that |r| near 355 does not overflow.
+    """
+    def scaled(x: float, t: float) -> float:  # x e^t, where e^t alone may overflow
+        return x and math.copysign(math.exp(math.log(abs(x)) + t), x)
+
+    (a1, b1), (a2, b2) = sorted((
+        [np.logaddexp(math.log(0.5 * s.nbar + 0.25) + 2.0 * r,
+                      2.0 * math.log(abs(x)) if x else -math.inf)
+         for r, x in ((s.r, s.k.imag), (-s.r, s.k.real))] for s in (s1, s2)), reverse=True)
+    shifts = [0.0, (b1 - a1) / 4.0, (b2 - a2) / 4.0]
+    if a1 > a2 and b2 > b1:  # a1 >= a2 by the sort
+        shifts.append((b2 - a1 + math.log(math.expm1(b1 - b2) / math.expm1(a2 - a1))) / 4.0)
+    s = float(min(shifts, key=lambda t: max(np.logaddexp(a1 + 2 * t, b1 - 2 * t),
+                                            np.logaddexp(a2 + 2 * t, b2 - 2 * t))))
+    try:
+        f1, f2 = (StateParams(complex(scaled(x.k.real, -s), scaled(x.k.imag, s)), x.r + s, x.beta)
+                  for x in (s1, s2))
+    except OverflowError:
+        return s1, s2, 0.0
+    return f1, f2, s
 
 
 def _starting_cutoff(s1: StateParams, s2: StateParams) -> float:
@@ -354,7 +394,8 @@ def fidelity_oracle(
 ) -> OracleResult:
     """Adaptive-cutoff Uhlmann fidelity between two parameterized states.
 
-    Climbs cutoff_ladder from a starting cutoff (the first member of the
+    Runs on the pair in the joint squeeze frame (joint_squeeze_frame), and
+    climbs cutoff_ladder from a starting cutoff (the first member of the
     fixed x1.5 sequence at or above _starting_cutoff) and stops when two
     successive fidelities differ by at most tol.  Raises ConvergenceError
     with the gap trace if the ceiling is reached first (at once, computing no
@@ -367,16 +408,16 @@ def fidelity_oracle(
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):
         _check_thermal_tail(s.beta, ceiling)
-    start = _starting_cutoff(s1, s2)
+    s1, s2, shift = joint_squeeze_frame(s1, s2)
     gaps: list[tuple[int, float]] = []
     prev: float | None = None
-    for cutoff in cutoff_ladder(start, ceiling):
+    for cutoff in cutoff_ladder(_starting_cutoff(s1, s2), ceiling):
         fid = rung_fidelity(s1, s2, cutoff)
         if prev is not None:
             gap = abs(fid - prev)
             gaps.append((cutoff, gap))
             if gap <= tol:
-                return OracleResult(fid, cutoff, gap)
+                return OracleResult(fid, cutoff, gap, shift)
         prev = fid
     trace = ", ".join(f"N={n}: {g:.3e}" for n, g in gaps) or "no rungs"
     raise ConvergenceError(

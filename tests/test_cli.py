@@ -310,7 +310,7 @@ _NBAR_REFUSED = "nbar must be a finite positive number, got {} (nbar = 0 is the 
          "error: sweep row 2 (r2=355): squeeze factors"),
         (("--nbar1", "1"), ("nbar2=-1:1:3",), 2,
          "error: sweep row 0 (nbar2=-1): " + _NBAR_REFUSED.format("-1.0")),
-        (("--nbar1", "1", "--beta2", "1"), ("beta2=1:-1:3",), 2,
+        (("--nbar1", "1"), ("beta2=1:-1:3",), 2,
          "error: sweep row 1 (beta2=0): beta must be strictly positive (infinite-temperature "
          "point beta <= 0 is excluded), got 0.0; no rows written"),
         (("--nbar1", "1"), ("r1=0:1:2", "nbar2=2:0:3"), 2,
@@ -347,7 +347,7 @@ def test_subnormal_beta_is_refused_by_compute_and_as_sweep_row_0():
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr == ("error: beta=5e-324 is below ~5.6e-309, where the mean photon "
                           "number nbar = 1/expm1(beta) leaves double range\n")
-    res = run_cli("sweep", "--nbar1", "1", "--beta2", "1", "--sweep", "beta2=1e-320:1:3")
+    res = run_cli("sweep", "--nbar1", "1", "--sweep", "beta2=1e-320:1:3")
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith(
         "error: sweep row 0 (beta2=9.9998886718268301e-321): beta=1e-320 is below ~5.6e-309")
@@ -599,8 +599,11 @@ def test_config_values_are_typed_as_their_flags_are(tmp_path, capsys):
     # a flag beside the other temperature's axis
     ["sweep", "--nbar1", "1", "--beta2", "5", "--sweep", "nbar2=1:2:2"],
     ["sweep", "--nbar1", "1", "--nbar2", "5", "--sweep", "beta2=1:2:2"],
+    # a flag beside its own field's axis is refused, not dropped unread
+    ["sweep", "--nbar1", "1", "--beta2", "-1", "--sweep", "beta2=1:2:2"],
+    ["sweep", "--nbar1", "1", "--nbar2", "5", "--sweep", "nbar2=1:2:2"],
 ], ids=["compute-none", "compute-both", "sweep-none", "sweep-both", "sweep-beta-flag-nbar-axis",
-        "sweep-nbar-flag-beta-axis"])
+        "sweep-nbar-flag-beta-axis", "sweep-beta-flag-beta-axis", "sweep-nbar-flag-nbar-axis"])
 def test_compute_and_sweep_state_one_temperature_rule(capsys, argv):
     from dstfid.cli import main
 
@@ -637,7 +640,7 @@ def test_verify_reads_oracle_tol_not_the_threshold_key(tmp_path, capsys):
 
     plain = record()
     assert record("tol = 0.5") == plain
-    assert record("oracle_tol = 1e-4") != plain
+    assert record("oracle_tol = 1e-10") != plain
 
 
 def test_verify_takes_the_oracle_tolerance_as_oracle_tol(capsys):
@@ -650,7 +653,7 @@ def test_verify_takes_the_oracle_tolerance_as_oracle_tol(capsys):
     plain = capsys.readouterr().out
     assert main(argv + ["--oracle-tol", "1e-8"]) == 0
     assert capsys.readouterr().out == plain
-    assert main(argv + ["--oracle-tol", "1e-4"]) == 0
+    assert main(argv + ["--oracle-tol", "1e-10"]) == 0
     assert capsys.readouterr().out != plain
     assert main(argv + ["--tol", "1e-6"]) == 2
     out = capsys.readouterr()
@@ -714,7 +717,7 @@ _PAIR_RECORD = (
       "--method", "closed-form"], _PAIR_RECORD),
     (["compute", "--k1", "0.3", "--r1", "0.2", "--nbar1", "0.5", "--k2", "0.1+0.2i",
       "--r2", "0.5", "--nbar2", "1.0", "--method", "all"],
-     _PAIR_RECORD | _under("oracle", "fidelity cutoff_used convergence_gap")),
+     _PAIR_RECORD | _under("oracle", "fidelity cutoff_used convergence_gap frame_shift")),
     (["verify", "--preset", "quick"],
      {"version", "passed", "preset", "pair_points", "self_points"}
      | _under("checks", "[].name [].worst [].threshold [].passed [].detail")

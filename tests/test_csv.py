@@ -54,7 +54,7 @@ CASES = {
     "oracle-loose-tol": (["sweep", "--r1", "0.2", "--nbar1", "0.5", "--r2", "0.1",
                           "--nbar2", "0.7", "--sweep", "re_k2=0:1.5:3", "--method", "all",
                           "--oracle-tol", "0.01"], "printed-base-factor"),
-    "oracle-2d": (["sweep", "--nbar1", "0.5", "--nbar2", "0.5", "--sweep", "re_k2=0:1:2",
+    "oracle-2d": (["sweep", "--nbar2", "0.5", "--sweep", "re_k2=0:1:2",
                    "--sweep", "nbar1=0.5:1:2", "--method", "oracle", "--tol", "1e-3"], "\n3,"),
 }
 COMPUTE = {

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -270,13 +271,13 @@ def test_rung_equals_uhlmann_of_dense_states(s1, s2):
         (state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, beta=5.0), 60, (True, True)),
         (state(-0.2j, 0.3, nbar=2.0), state(-0.5, -0.1, nbar=2.0), 80, (False, False)),
         # Odd cutoffs, with an odd number of kept levels in each state.
-        (state(0.3 - 0.2j, 0.4, beta=3.0), state(-0.5j, -0.3, nbar=1.0), 61, (True, False)),
-        (state(-0.4 + 0.1j, -0.3, nbar=1.5), state(0.6 + 0.2j, 0.2, beta=3.5), 79, (False, True)),
+        (state(0.3 - 0.2j, 0.4, beta=1.5), state(-0.5j, -0.3, nbar=1.0), 61, (True, False)),
+        (state(-0.4 + 0.1j, -0.3, nbar=1.5), state(0.6 + 0.2j, 0.2, beta=5.0), 79, (False, True)),
     ],
 )
 def test_rung_matches_the_full_size_rung(s1, s2, cutoff, dropped):
     # The rung drops the levels of each state whose sqrt-weight tail is at
-    # most 1e-17; the full-size rung keeps every level and multiplies the
+    # most 2.5e-14; the full-size rung keeps every level and multiplies the
     # full operators.
     kept = [fock._kept_levels(np.sqrt(thermal_weights(s.beta, cutoff))) for s in (s1, s2)]
     assert tuple(n < cutoff for n in kept) == dropped
@@ -374,6 +375,54 @@ def test_stream_pairs_miss_the_chain_cache_once_per_cutoff(monkeypatch):
     assert fock._generator_chains.cache_info().misses <= len(set(rungs))
 
 
+def _unframed_oracle(s1, s2, tol):
+    """fidelity_oracle's climb on the pair as given, with no joint squeeze
+    frame: the converged rung, or None where the ladder reaches the ceiling."""
+    prev = None
+    for cutoff in cutoff_ladder(fock._starting_cutoff(s1, s2), fock.DEFAULT_CUTOFF_CEILING):
+        fid = rung_fidelity(s1, s2, cutoff)
+        if prev is not None and abs(fid - prev) <= tol:
+            return fid
+        prev = fid
+    return None
+
+
+def test_framed_oracle_agrees_with_the_unframed_ladder():
+    # Both states displaced, complex k, so the frame maps both displacements.
+    rng = np.random.default_rng(13)
+    tol = 1e-9
+    for _ in range(12):
+        r1, r2 = rng.uniform(-1.5, 1.5, 2)
+        n1, n2 = rng.uniform(0.05, 2.0, 2)
+        k1, k2 = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
+        s1, s2 = state(k1, r1, nbar=n1), state(k2, r2, nbar=n2)
+        framed = fidelity_oracle(s1, s2, tol=tol)
+        assert framed.frame_shift != 0.0
+        unframed = _unframed_oracle(s1, s2, tol)
+        assert unframed is not None and abs(framed.fidelity - unframed) <= tol, (s1, s2)
+
+
+def test_frame_is_the_pair_as_given_where_no_shift_helps():
+    # Equal unsqueezed states at the same temperature, displaced along both
+    # quadratures alike: the larger mean photon number is least at s = 0.
+    s = state(0.5 + 0.5j, 0.0, nbar=1.0)
+    assert fock.joint_squeeze_frame(s, s) == (s, s, 0.0)
+    assert fidelity_oracle(s, s).frame_shift == 0.0
+
+
+def test_cli_compute_converges_on_a_shared_squeeze_with_a_small_gap(capsys):
+    # Climbed in the frame the pair is given in, this pair starts past the
+    # ceiling ("gap trace: no rungs", exit 3).
+    from dstfid.cli import main
+
+    argv = ["compute", "--r1", "3", "--r2", "3.2", "--k2", "0.01", "--nbar1", "0.5",
+            "--nbar2", "0.5", "--method", "all", "--format", "record"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert abs(record["value_oracle"] - record["value_matrix_pipeline"]) <= 1e-9
+    assert record["oracle"]["frame_shift"] < -3.0
+
+
 def test_oracle_self_pair_is_one_to_rounding():
     s = state(0.3 + 0.4j, 0.8, nbar=2.0)
     res = fidelity_oracle(s, s)
@@ -439,11 +488,24 @@ def test_cli_compute_past_the_ceiling_exits_before_any_rung(monkeypatch, capsys)
 
 
 def test_oracle_squeeze_past_double_range_is_a_convergence_error(monkeypatch):
-    # 10 sinh^2(400) is past double range: the start lies above any ceiling,
-    # a named ConvergenceError rather than a bare OverflowError.
+    # 10 sinh^2(400) is past double range, and in the joint squeeze frame
+    # 0.1 e^{-s} is ~1e86: the start lies above any ceiling, a named
+    # ConvergenceError rather than a bare OverflowError.
     _refuse_rungs(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         fidelity_oracle(state(0.0, 400.0, nbar=1.0), state(0.1, 400.0, nbar=1.0))
+    assert exc.value.gaps == []
+
+
+def test_frame_past_double_range_leaves_the_pair_as_given(monkeypatch):
+    # The framed displacement 1e300 e^{-s} leaves double range, so the
+    # frame's larger mean photon number, and the given pair's, is past it
+    # too: a ConvergenceError, computing no rung.
+    s1, s2 = state(1e300, 800.0, nbar=1.0), state(0.0, 800.0, nbar=1.0)
+    assert fock.joint_squeeze_frame(s1, s2) == (s1, s2, 0.0)
+    _refuse_rungs(monkeypatch)
+    with pytest.raises(ConvergenceError) as exc:
+        fidelity_oracle(s1, s2)
     assert exc.value.gaps == []
 
 

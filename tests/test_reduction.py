@@ -698,6 +698,21 @@ def test_oracle_matches_gaussian_reference_on_seeded_pairs():
         assert abs(fidelity_oracle(s1, s2).fidelity - want) <= 1e-10
 
 
+def test_oracle_converges_on_a_large_common_squeeze_with_a_small_gap():
+    # |r| <= 4 with |r1 - r2| <= 1.5: climbed in the frame the pair is given
+    # in, 17 of these 40 pairs raise ConvergenceError; in the joint squeeze
+    # frame every one converges.
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        r1 = rng.uniform(-4.0, 4.0)
+        r2 = rng.uniform(max(-4.0, r1 - 1.5), min(4.0, r1 + 1.5))
+        n1, n2 = rng.uniform(0.05, 2.0, 2)
+        g = 1.5 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
+        s1, s2 = state(0.0, r1, nbar=n1), state(g, r2, nbar=n2)
+        _, want, _ = gaussian_reference(r1, s1.beta, r2, s2.beta, g)
+        assert abs(fidelity_oracle(s1, s2).fidelity - want) <= 1e-10, (s1, s2)
+
+
 def test_closed_form_runs_no_fock_code(monkeypatch, capsys):
     import dstfid.cli as cli
     import dstfid.fock as fock
@@ -1013,8 +1028,9 @@ def test_with_oracle_rows_equal_on_both_batch_shapes(monkeypatch):
     from dstfid.fock import OracleResult
 
     s1, s2 = state(0.0, 0.2, nbar=0.5), state(0.5, 0.3, nbar=1.0)
-    past_one = OracleResult(fidelity=1.0 + 1e-5, cutoff_used=80, convergence_gap=3e-9)
-    other = OracleResult(fidelity=0.5, cutoff_used=60, convergence_gap=1e-9)
+    past_one = OracleResult(fidelity=1.0 + 1e-5, cutoff_used=80, convergence_gap=3e-9,
+                            frame_shift=0.0)
+    other = OracleResult(fidelity=0.5, cutoff_used=60, convergence_gap=1e-9, frame_shift=0.2)
     supplied = iter([past_one, other, past_one])
     monkeypatch.setattr(red, "fidelity_oracle", lambda *a, **kw: next(supplied))
     one = red._pair(s1, s2, FidelityOptions())
