@@ -88,6 +88,7 @@ BATTERY = (
     "compute --nbar1 1e-320 --nbar2 1 --method closed-form --format record",
     "compute --beta1=-inf --nbar2 1 --method closed-form",
     "compute --nbar1 1",
+    "compute --nbar1 1 --nbar2 1 --k2 inf",
     "compute --nbar1 1 --nbar2 1 --oracle-tol 1e-12 --method closed-form",
     f"compute {PAIR} --config TMP/good.conf",
     f"compute {PAIR} --config TMP/unknown_key.conf",

@@ -8,7 +8,7 @@
 See the README for the CLI (compute / sweep / verify / snapshot).
 """
 
-from .algebra import DegenerateInputError, StateParams, state
+from .algebra import StateParams, state
 from .fock import ConvergenceError, OracleResult, fidelity_oracle
 from .reconcile import (
     ReconciliationEntry,

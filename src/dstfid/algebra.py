@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DegenerateInputError",
     "StateParams",
     "state",
     "squeeze_matrix",
@@ -28,10 +27,6 @@ __all__ = [
 # underflows to 0.0 and the derived mean photon number stops being a positive
 # finite float.  Near-pure states stay reachable below the cap.
 _BETA_MAX = 745.0
-
-
-class DegenerateInputError(ValueError):
-    """Raised when parameters collapse a linear system we must invert."""
 
 
 @dataclass(frozen=True)

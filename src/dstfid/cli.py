@@ -86,12 +86,12 @@ class UsageError(ValueError):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the CLI complex syntax `a+bi` (no spaces, optional sign)."""
+    """Parse the CLI complex syntax `a+bi` (no spaces, optional sign, a trailing i or I)."""
     cleaned = text.strip()
     if not cleaned or " " in cleaned:
         raise argparse.ArgumentTypeError(f"bad complex number {text!r}")
-    try:
-        value = complex(cleaned.replace("i", "j").replace("I", "j"))
+    try:  # only a trailing i is the unit, so inf and Infinity read as numbers
+        value = complex(cleaned[:-1] + "j" if cleaned[-1] in "iI" else cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad complex number {text!r} (expected forms like 0.3, 0.1+0.2i, -2i)"
@@ -439,19 +439,19 @@ def run_sweep(args, config: dict) -> str:
 
     def column(j: int, field: str, get, dtype=float) -> np.ndarray:
         a, states = sources[j][field]
-        return _spread(np.array([get(s) for s in states], dtype=dtype), a, shape)
+        return _spread(np.array([np.nan if s is None else get(s) for s in states],
+                                dtype=dtype), a, shape)
 
-    # A row is refused exactly when one of its fields is; rebuilding the
-    # first such row raises its error.
-    ok = np.logical_and.reduce([column(j, f, lambda s: s is not None, bool)
-                                for j in (0, 1) for f, _ in _STATE_CELLS])
-    if not ok.all():
-        idx = int(np.argmin(ok))
+    # A refused source state reads as NaN, which no state holds, so a row is
+    # refused exactly when a field is NaN; rebuilding the first raises its error.
+    fields = [column(j, f, get) for j in (0, 1) for f, get in _STATE_CELLS]
+    refused = np.isnan(fields).any(axis=0)
+    if refused.any():
+        idx = int(np.argmax(refused))
         try:
             pair(idx)
         except ValueError as exc:
             raise type(exc)(named(idx, exc)) from None
-    fields = [column(j, f, get) for j in (0, 1) for f, get in _STATE_CELLS]
     # the state cells: each source value formatted once, spread as the value is
     cells = [column(j, f, lambda s: _g17(get(s)), object).tolist()
              for j in (0, 1) for f, get in _STATE_CELLS]

@@ -44,7 +44,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .algebra import (
-    DegenerateInputError,
     StateParams,
     _log_sinh,
     squeeze_matrix,  # noqa: F401  (perfbench's tracer wraps these names here)
@@ -88,7 +87,8 @@ class SqueezeGapError(ValueError):
 class PipelineCheckError(RuntimeError):
     """A matrix-route check (dual path of delta1 or the determinant, solve
     residual, conjugate-pair form, annihilation residual, delta2's imaginary
-    part, dual path of the ratio or l) left its tolerance."""
+    part, dual path of the ratio or l) left its tolerance; a zero or
+    non-finite determinant fails its dual path too."""
 
 
 @dataclass(frozen=True)
@@ -324,13 +324,13 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
     delta1 equal to the scalar form to _DUAL_TOL (its route exponent
     -sh(b2) |v0|^2 is real by construction); the determinant against
     -2*Delta, checked normalised as (q01/sqrt(2 Delta)) (q10/sqrt(2 Delta)) = 1
-    so a wide squeeze gap cannot overflow it (zero or non-finite is
-    degenerate), and the solve's substitution residual; the conjugate-pair
-    form of the solved l, relative to its first entry; the quadratic
-    multiplier term, which the symplectic structure kills, below _DUAL_TOL;
-    delta2's exponent real and finite; the ratio to a conditioning-aware
-    _DUAL_TOL; the solved l within _L_TOL of the solve's first-order rounding
-    bound.
+    so a wide squeeze gap cannot overflow it (Delta > 0 for every pair, so a
+    zero or non-finite value fails it too), and the solve's substitution
+    residual; the conjugate-pair form of the solved l, relative to its first
+    entry; the quadratic multiplier term, which the symplectic structure
+    kills, below _DUAL_TOL; delta2's exponent real and finite; the ratio to a
+    conditioning-aware _DUAL_TOL; the solved l within _L_TOL of the solve's
+    first-order rounding bound.
     Everything past delta1 runs in the quadrature basis (see
     _matching_system), where P is anti-diagonal, R Sigma R = -Sigma and every
     product below is a sum of same-signed terms; P and A are divided by c1 c2
@@ -372,10 +372,6 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
          ~_log_within(_DUAL_TOL, [ld1m, (lq1, 1.0)], np.maximum(0.0, ld1m[0])),
          lambda i: f"delta1 dual-path mismatch: matrix {_times_exp(*ld1m[::-1], i)!r} vs "
                    f"scalar {ld1.item(i)!r}"),
-        ("determinant", DegenerateInputError, ~np.isfinite(det_unit) | (det_unit == 0.0),
-         lambda i: f"matching matrix determinant {-2 * _times_exp(det_unit, ldd, i)!r} is "
-                   "zero or not finite; the positive denominator (det = -2*DeltaDenom) has "
-                   "degenerated"),
         ("determinant-dual-path", PipelineCheckError,
          ~(np.abs(det_unit - 1.0) <= _DUAL_TOL),
          lambda i: f"determinant dual-path mismatch: matrix {-2 * _times_exp(det_unit, ldd, i)!r}"
@@ -677,10 +673,8 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
         "printed-value-clamped": (printed_clamp > 0.0, printed_clamp),
         "oracle-value-clamped": unset,
         "pipeline-vs-oracle": unset,
-        "delta1-outside-float-range": ((ld1 < _LOG_TINY) | ~np.isfinite(pipeline.delta1),
-                                       np.abs(ld1)),
-        "delta2-outside-float-range": ((ld2 < _LOG_TINY) | ~np.isfinite(pipeline.delta2),
-                                       np.abs(ld2)),
+        "delta1-outside-float-range": (ld1 < _LOG_TINY, np.abs(ld1)),
+        "delta2-outside-float-range": (ld2 < _LOG_TINY, np.abs(ld2)),
     }
 
     def gap_message(i):

@@ -143,6 +143,21 @@ def test_complex_syntax_rejected(text):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("k2, got", [
+    (("--k2", "inf"), "(inf+0j)"),
+    (("--k2=-inf",), "(-inf+0j)"),
+    (("--k2", "Infinity"), "(inf+0j)"),
+    (("--k2", "infi"), "infj"),
+], ids=["inf", "minus-inf", "Infinity", "imaginary-inf"])
+def test_an_infinite_displacement_is_refused_by_the_state(k2, got):
+    # only a trailing i is the imaginary unit, so the i of inf is read as part
+    # of the number and refused by the state, as --k2 1e400 is, not as syntax
+    res = run_cli("compute", "--nbar1", "1", "--nbar2", "1", *k2)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: displacement k must be finite, got {got}\n"
+
+
 def test_sweep_two_axes_has_all_rows_and_is_deterministic(tmp_path):
     args = (
         "sweep", "--r1", "0.2", "--nbar1", "0.5", "--r2", "0.4", "--nbar2", "1.0",

@@ -74,7 +74,7 @@ CENSUS = [
     ("v0 x (1 + 1e-6)", _system("v0", _scale(1e-6)), {"delta1-dual-path"}, None),
     ("q01 x (1 + 1e-6)", _system("q01", _scale(1e-6)), {"determinant-dual-path"}, None),
     ("q10 x (1 + 1e-6)", _system("q10", _scale(1e-6)), {"determinant-dual-path"}, None),
-    ("q01 x 0", _system("q01", lambda x: 0.0 * x), {"determinant"}, None),
+    ("q01 x 0", _system("q01", lambda x: 0.0 * x), {"determinant-dual-path"}, None),
     ("rhs0 x (1 + 1e-3)", _system("rhs0", _scale(1e-3)),
      {"ratio-dual-path", "multiplier-dual-path"}, 1e-3),
     ("rhs1 x (1 + 1e-3)", _system("rhs1", _scale(1e-3)),

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algebra_reference import log_sinh
-from dstfid.algebra import DegenerateInputError, state
+from dstfid.algebra import state
 from dstfid.fock import fidelity_oracle
 from dstfid.golden import default_golden_path, read_snapshots
 from dstfid.reduction import (
@@ -256,15 +256,20 @@ def test_multiplier_satisfies_conjugate_pair_form(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", ["fidelity", "compute"])
-@pytest.mark.parametrize("fault, message", [
-    ("v0", "delta1 dual-path mismatch: matrix "),
-    ("q01", "determinant dual-path mismatch: matrix "),
-], ids=["delta1-dual-path", "determinant-dual-path"])
+@pytest.mark.parametrize("fault, scale, message", [
+    ("v0", 1 + 1e-6, "delta1 dual-path mismatch: matrix "),
+    ("q01", 1 + 1e-6, "determinant dual-path mismatch: matrix "),
+    ("q01", 0.0, "determinant dual-path mismatch: matrix "),
+    ("q01", math.inf, "determinant dual-path mismatch: matrix "),
+], ids=["delta1-dual-path", "determinant-dual-path", "determinant-zero",
+        "determinant-non-finite"])
 def test_a_perturbed_matching_system_is_refused_by_its_dual_path(
-        monkeypatch, capsys, fault, message, entry):
+        monkeypatch, capsys, fault, scale, message, entry):
     # a relative 1e-6 on v[0] moves the matrix delta1 off the scalar one, and
-    # on the quadrature determinant's q01 moves det off -2*DeltaDenom; each is
-    # the first check to refuse, at the library and as the CLI's exit 1
+    # on the quadrature determinant's q01 moves det off -2*DeltaDenom, as a
+    # q01 of 0 or inf does (Delta > 0 for every pair, so a degenerate
+    # determinant is a route fault); each is the first check to refuse, at
+    # the library and as the CLI's exit 1
     import dstfid.cli as cli
     import dstfid.reduction as red
 
@@ -275,8 +280,8 @@ def test_a_perturbed_matching_system_is_refused_by_its_dual_path(
     def perturbed(*args):
         v0, (q01, q10), rhs, factors = right(*args)
         if fault == "v0":
-            return v0 * (1 + 1e-6), (q01, q10), rhs, factors
-        return v0, (q01 * (1 + 1e-6), q10), rhs, factors
+            return v0 * scale, (q01, q10), rhs, factors
+        return v0, (q01 * scale, q10), rhs, factors
 
     monkeypatch.setattr(red, "_matching_system", perturbed)
     if entry == "fidelity":
@@ -290,33 +295,6 @@ def test_a_perturbed_matching_system_is_refused_by_its_dual_path(
     assert out.out == ""
     assert out.err.startswith("pipeline check failed: " + message)
     assert len(out.err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("scale", [0.0, math.inf], ids=["zero", "non-finite"])
-@pytest.mark.parametrize("entry", ["fidelity", "sweep"])
-def test_degenerate_matching_system_is_a_named_error(monkeypatch, capsys, entry, scale):
-    # a quadrature determinant of 0 or -inf is refused as degenerate input
-    # (CLI exit 2), before the solve's other checks
-    import dstfid.cli as cli
-    import dstfid.reduction as red
-
-    right = red._matching_system
-
-    def degenerate(*args):
-        v, (q01, q10), rhs, factors = right(*args)
-        return v, (q01 * scale, q10), rhs, factors
-
-    monkeypatch.setattr(red, "_matching_system", degenerate)
-    if entry == "fidelity":
-        with pytest.raises(DegenerateInputError, match="matching matrix determinant"):
-            fidelity(S1, state(0.1, S2.r, beta=S2.beta), FidelityOptions(oracle=False))
-        return
-    argv = ["sweep", "--r1", "0.2", "--nbar1", "0.8", "--r2", "0.3", "--beta2", "1.0",
-            "--sweep", "re_k2=0:0.1:2", "--method", "closed-form"]
-    assert cli.main(argv) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: sweep row 0 (re_k2=0): matching matrix determinant")
 
 
 # --- ratio ------------------------------------------------------------------
@@ -789,7 +767,8 @@ def test_a_whole_domain_draw_is_refused_by_a_check_or_reported_finite():
     [1e-300, 744]; Re g and Im g of random sign and magnitude 10^U(-300, 300),
     30% of the rows scaled by 1e-300.  Every row is refused by a named check
     or reports a finite F in [0, 1] with a finite log ratio and log Delta,
-    and a log delta2 <= 0 (delta2 <= 1 for every pair)."""
+    log delta1 <= 0 and log delta2 <= 0 (each delta in [0, 1] for every pair),
+    and finite delta1 and delta2."""
     import dstfid.reduction as red
 
     rng = np.random.default_rng(22)
@@ -806,7 +785,9 @@ def test_a_whole_domain_draw_is_refused_by_a_check_or_reported_finite():
     assert np.all(np.isfinite(f) & (f >= 0.0) & (f <= 1.0))
     assert np.all(np.isfinite(cf.pipeline.log_ratio[passed]))
     assert np.all(np.isfinite(cf.pipeline.log_DeltaDenom[passed]))
+    assert np.all(cf.pipeline.log_delta1[passed] <= 0.0)
     assert np.all(cf.pipeline.log_delta2[passed] <= 0.0)
+    assert np.all(np.isfinite(cf.pipeline.delta1[passed]) & np.isfinite(cf.pipeline.delta2[passed]))
 
 
 @pytest.mark.parametrize("seed, bound, n", [(31, 4, 40000), (32, 4, 40000), (33, 8, 40000),
@@ -848,7 +829,7 @@ def test_delta_factors_at_the_edge_of_double_range_are_right_or_refused():
     for r1, b1, r2, b2, g in pairs:
         try:
             rep = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2), NO_ORACLE)
-        except (PipelineCheckError, DegenerateInputError, ValueError):
+        except (PipelineCheckError, ValueError):
             continue
         want = delta_exponents_reference(r1, b1, r2, b2, g, dps=60)
         got = rep.pipeline.log_delta1, rep.pipeline.log_delta2

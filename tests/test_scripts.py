@@ -28,7 +28,7 @@ def _load(name: str):
         ("cutoff_convergence", ["--rungs", "2"],
          "cutoff,fidelity,gap_prev,gap_adaptive", 2),
         # one line per check of the closed-form batch, then passed
-        ("refusal_census", ["--rows", "2000"], "check,rows", 15),
+        ("refusal_census", ["--rows", "2000"], "check,rows", 14),
     ],
     ids=["displacement_decay", "cutoff_convergence", "refusal_census"],
 )
