@@ -259,17 +259,12 @@ def test_multiplier_satisfies_conjugate_pair_form(monkeypatch):
 @pytest.mark.parametrize("fault, scale, message", [
     ("v0", 1 + 1e-6, "delta1 dual-path mismatch: matrix "),
     ("q01", 1 + 1e-6, "determinant dual-path mismatch: matrix "),
-    ("q01", 0.0, "determinant dual-path mismatch: matrix "),
-    ("q01", math.inf, "determinant dual-path mismatch: matrix "),
-], ids=["delta1-dual-path", "determinant-dual-path", "determinant-zero",
-        "determinant-non-finite"])
+], ids=["delta1-dual-path", "determinant-dual-path"])
 def test_a_perturbed_matching_system_is_refused_by_its_dual_path(
         monkeypatch, capsys, fault, scale, message, entry):
     # a relative 1e-6 on v[0] moves the matrix delta1 off the scalar one, and
-    # on the quadrature determinant's q01 moves det off -2*DeltaDenom, as a
-    # q01 of 0 or inf does (Delta > 0 for every pair, so a degenerate
-    # determinant is a route fault); each is the first check to refuse, at
-    # the library and as the CLI's exit 1
+    # on the quadrature determinant's q01 moves det off -2*DeltaDenom; each
+    # is the first check to refuse, at the library and as the CLI's exit 1
     import dstfid.cli as cli
     import dstfid.reduction as red
 
@@ -295,6 +290,36 @@ def test_a_perturbed_matching_system_is_refused_by_its_dual_path(
     assert out.out == ""
     assert out.err.startswith("pipeline check failed: " + message)
     assert len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("scale", [0.0, math.inf], ids=["zero", "non-finite"])
+@pytest.mark.parametrize("entry", ["fidelity", "sweep"])
+def test_degenerate_matching_system_is_a_named_error(monkeypatch, capsys, entry, scale):
+    # a quadrature determinant of 0 or -inf is a route fault (Delta > 0 for
+    # every pair): the determinant dual path refuses it, at the library and
+    # as the sweep's exit 1 with no rows written
+    import dstfid.cli as cli
+    import dstfid.reduction as red
+
+    right = red._matching_system
+
+    def degenerate(*args):
+        v, (q01, q10), rhs, factors = right(*args)
+        return v, (q01 * scale, q10), rhs, factors
+
+    monkeypatch.setattr(red, "_matching_system", degenerate)
+    if entry == "fidelity":
+        with pytest.raises(PipelineCheckError, match="determinant dual-path mismatch"):
+            fidelity(S1, state(0.1, S2.r, beta=S2.beta), FidelityOptions(oracle=False))
+        return
+    argv = ["sweep", "--r1", "0.2", "--nbar1", "0.8", "--r2", "0.3", "--beta2", "1.0",
+            "--sweep", "re_k2=0:0.1:2", "--method", "closed-form"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(
+        "pipeline check failed: sweep row 0 (re_k2=0): determinant dual-path mismatch")
+    assert out.err.rstrip().endswith("no rows written")
 
 
 # --- ratio ------------------------------------------------------------------
