@@ -90,6 +90,7 @@ BATTERY = (
     "compute --nbar1 1",
     "compute --nbar1 1 --nbar2 1 --k2 inf",
     "compute --nbar1 1 --nbar2 1 --oracle-tol 1e-12 --method closed-form",
+    "compute --nbar1 1 --nbar2 1 --oracle-tol inf",
     f"compute {PAIR} --config TMP/good.conf",
     f"compute {PAIR} --config TMP/unknown_key.conf",
     f"compute {PAIR} --config TMP/bad_tol.conf",
@@ -102,6 +103,7 @@ BATTERY = (
     "verify --preset quick --tol 1e-6",
     "snapshot",
     "snapshot --file TMP/bad_tol.txt",
+    "snapshot --file TMP/inf_tol.txt",
 )
 
 
@@ -129,13 +131,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in FILES.items():
             Path(tmp, name).write_text(text)
-        # the golden file with its first record's tol set to 0
+        # the golden file with its first record's tol set to 0, and to inf
         lines = default_golden_path().read_text().splitlines()
         first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        cols = lines[first].split()
-        cols[10] = "0"
-        lines[first] = " ".join(cols)
-        Path(tmp, "bad_tol.txt").write_text("\n".join(lines) + "\n")
+        for name, tol in (("bad_tol.txt", "0"), ("inf_tol.txt", "inf")):
+            cols = lines[first].split()
+            cols[10] = tol
+            Path(tmp, name).write_text("\n".join([*lines[:first], " ".join(cols),
+                                                  *lines[first + 1:]]) + "\n")
 
         print("command,exit,stdout_sha256,stderr_sha256")
         for command in BATTERY:

@@ -82,10 +82,12 @@ class ConvergenceError(RuntimeError):
 
 
 def _check_oracle_options(tol: float, ceiling: int) -> None:
-    """Refuse a tol below 1e-10 or a ceiling below 2, the smallest cutoff
-    (FidelityOptions too, so whether or not the oracle runs)."""
+    """Refuse a tol below 1e-10 or infinite, or a ceiling below 2, the
+    smallest cutoff (FidelityOptions too, so whether or not the oracle runs)."""
     if not tol >= 1e-10:  # NaN too: no gap would ever be <= it
         raise ValueError(f"oracle tolerance must be >= 1e-10, got {tol!r}")
+    if tol == math.inf:  # every gap is <= it: the second rung would stop the ladder
+        raise ValueError(f"oracle tolerance must be finite, got {tol!r}")
     if ceiling < 2:
         raise ValueError(f"ceiling must be >= 2 (the smallest cutoff), got {ceiling!r}")
 
@@ -400,10 +402,10 @@ def fidelity_oracle(
     successive fidelities differ by at most tol.  Raises ConvergenceError
     with the gap trace if the ceiling is reached first (at once, computing no
     rung, when the starting cutoff already reaches it: a lone rung has
-    nothing to agree with), and ValueError for a tol below 1e-10, a ceiling
-    below the smallest cutoff, 2, or a ceiling that truncates more than 1e-12
-    of either thermal weight (the starting cutoff keeps both, so only a
-    ceiling at or below it can).
+    nothing to agree with), and ValueError for an infinite tol or one below
+    1e-10, a ceiling below the smallest cutoff, 2, or a ceiling that
+    truncates more than 1e-12 of either thermal weight (the starting cutoff
+    keeps both, so only a ceiling at or below it can).
     """
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):

@@ -283,8 +283,14 @@ def test_mismatch_just_inside_double_range_gives_zero_with_its_flags(beta):
          "error: ceiling must be >= 2 (the smallest cutoff), got 1\n"),
         (("sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "re_k2=0:1:3", "--method", "all",
           "--oracle-tol", "1e-12"), "error: oracle tolerance must be >= 1e-10, got 1e-12\n"),
+        # every gap is <= inf, so the ladder would stop at its second rung
+        (("compute", "--nbar1", "1", "--nbar2", "1", "--oracle-tol", "inf"),
+         "error: oracle tolerance must be finite, got inf\n"),
+        (("verify", "--preset", "quick", "--oracle-tol", "inf"),
+         "error: oracle tolerance must be finite, got inf\n"),
     ],
-    ids=["compute-closed-form", "sweep-closed-form", "sweep-all"],
+    ids=["compute-closed-form", "sweep-closed-form", "sweep-all", "compute-infinite",
+         "verify-infinite"],
 )
 def test_oracle_options_are_refused_before_any_evaluation(monkeypatch, capsys, argv, says):
     # whether or not the method runs the oracle
@@ -493,8 +499,10 @@ def test_snapshot_check_detects_drift(tmp_path):
     "column, value, says",
     [(0, "abc", "could not convert string to float: 'abc'"),
      (6, "-0.5", "nbar must be a finite positive number, got -0.5"),
-     (10, "0", "oracle tolerance must be >= 1e-10, got 0.0")],
-    ids=["non-numeric-re_k1", "nbar1-not-positive", "tol-below-floor"],
+     (10, "0", "oracle tolerance must be >= 1e-10, got 0.0"),
+     # a drift of 10 tol would pass any fidelity
+     (10, "inf", "oracle tolerance must be finite, got inf")],
+    ids=["non-numeric-re_k1", "nbar1-not-positive", "tol-below-floor", "tol-infinite"],
 )
 def test_snapshot_bad_field_names_its_line(tmp_path, column, value, says):
     # the golden file with one field of its first record (line 5) replaced
@@ -658,6 +666,19 @@ def test_verify_reads_oracle_tol_not_the_threshold_key(tmp_path, capsys):
     assert record("oracle_tol = 1e-10") != plain
 
 
+def test_verify_refuses_an_infinite_oracle_tolerance_from_its_config(tmp_path, capsys):
+    # every gap is <= inf, so each oracle would stop at its second rung and
+    # the grid would pass unconverged
+    from dstfid.cli import main
+
+    conf = tmp_path / "verify.conf"
+    conf.write_text("oracle_tol = inf\n")
+    assert main(["verify", "--preset", "quick", "--config", str(conf)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: oracle tolerance must be finite, got inf\n"
+
+
 def test_verify_takes_the_oracle_tolerance_as_oracle_tol(capsys):
     # the flag is named as compute's and sweep's oracle flag and as the config
     # key; --tol, their flag threshold, is a usage error naming it
@@ -685,7 +706,7 @@ def test_snapshot_help_says_it_takes_no_config_file():
 
 def test_non_finite_delta2_exponent_is_refused_as_not_finite(capsys):
     # the route's delta2 exponent overflows to NaN on this pair (the closed
-    # form's log delta1 is -inf); the refusal names that, not an imaginary part
+    # form's log delta1 is -inf); the ratio check, which NaN fails, refuses it
     from dstfid.cli import main
 
     assert main(["compute", "--r1", "2.514573631676037", "--beta1", "2.2687897883326802e-21",
@@ -693,8 +714,7 @@ def test_non_finite_delta2_exponent_is_refused_as_not_finite(capsys):
                  "--k2=-8.214789107378263e+76-4.300931720814783e+74i",
                  "--method", "closed-form"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("pipeline check failed: delta2 exponent is not finite: ")
-    assert "imaginary" not in err
+    assert err.startswith("pipeline check failed: ratio dual-path mismatch: matrix nan")
 
 
 def _key_paths(value, at=""):

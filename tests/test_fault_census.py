@@ -111,10 +111,10 @@ REAL_INPUTS = {
     "mismatch-range": (0.0, 1.0, 1e160, 0.0, 1.0),
     # the solve's c1 l goes subnormal and keeps too few digits (ROADMAP item 6)
     "solve-residual": (0.0, 1.0, 1e-8j, 354.0, 744.0),
-    # the route's delta2 exponent is not finite (ROADMAP item 6)
-    "delta2-imaginary": (2.514573631676037, 2.2687897883326802e-21,
-                         complex(-8.214789107378263e+76, -4.300931720814783e+74),
-                         177.19411243212278, 18.470574823807027),
+    # the route's delta2 exponent is not finite, and NaN fails the ratio check (ROADMAP item 6)
+    "ratio-dual-path": (2.514573631676037, 2.2687897883326802e-21,
+                        complex(-8.214789107378263e+76, -4.300931720814783e+74),
+                        177.19411243212278, 18.470574823807027),
 }
 
 CANNOT_REFUSE = {

@@ -545,6 +545,12 @@ def test_oracle_rejects_unreachable_tolerance():
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=math.nan)
 
 
+def test_oracle_refuses_an_infinite_tolerance():
+    # every gap is <= inf: the ladder would stop at its second rung, unconverged
+    with pytest.raises(ValueError, match="oracle tolerance must be finite, got inf"):
+        fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=math.inf)
+
+
 @pytest.mark.parametrize("ceiling", [1, 0, -5])
 def test_oracle_refuses_ceiling_below_two(ceiling):
     # a usage error, not a ladder that "did not stabilize by cutoff 1"

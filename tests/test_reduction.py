@@ -1073,6 +1073,15 @@ def test_options_refuse_a_tolerance_that_cannot_flag(tol):
         FidelityOptions(tol=tol)
 
 
+def test_options_refuse_an_infinite_oracle_tolerance():
+    # every gap is <= inf, so the ladder would stop at its second rung (and a
+    # golden record would allow any drift); the options refuse it whether or
+    # not the oracle runs
+    for oracle in (True, False):
+        with pytest.raises(ValueError, match="oracle tolerance must be finite, got inf"):
+            FidelityOptions(oracle=oracle, oracle_tol=math.inf)
+
+
 def test_fidelity_report_composes_ratio_and_base():
     rep = fidelity(state(0.2, 0.3, nbar=0.5), state(-0.1j, 0.1, nbar=1.0),
                    FidelityOptions(oracle=False))

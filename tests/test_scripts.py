@@ -28,7 +28,7 @@ def _load(name: str):
         ("cutoff_convergence", ["--rungs", "2"],
          "cutoff,fidelity,gap_prev,gap_adaptive", 2),
         # one line per check of the closed-form batch, then passed
-        ("refusal_census", ["--rows", "2000"], "check,rows", 14),
+        ("refusal_census", ["--rows", "2000"], "check,rows", 13),
     ],
     ids=["displacement_decay", "cutoff_convergence", "refusal_census"],
 )
@@ -45,11 +45,12 @@ def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     ("cutoff_convergence", ["--r1", "400"]),  # the oracle's ladder has no rungs
     ("displacement_decay", ["--points", "-1"]),
     ("displacement_decay", ["--gmax", "nan"]),
+    ("displacement_decay", ["--gmax", "-1"]),  # abs_g would run negative
     # a path under a file, which no user can write, root included
     ("displacement_decay", ["--points", "2", "--out", os.path.join(os.devnull, "x.csv")]),
     ("refusal_census", ["--seed", "-1"]),  # numpy's generator takes no negative seed
 ], ids=["rungs-negative", "nbar-zero", "no-rungs", "points-negative", "gmax-nan",
-        "out-unwritable", "seed-negative"])
+        "gmax-negative", "out-unwritable", "seed-negative"])
 def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv):
     with pytest.raises(SystemExit) as exc:
         _load(name).main(argv)
