@@ -8,7 +8,9 @@ smallest cutoff whose thermal tails both states accept, and tabulates the
 successive gaps, i.e. the evidence behind the adaptive-cutoff policy (climb
 that ladder until the change drops below tol).  The rungs are those of the
 pair in the oracle's joint squeeze frame, whose shift s it prints, so each
-one is the rung the adaptive oracle computes at that cutoff.
+one is the rung the adaptive oracle computes at that cutoff.  Each rung's
+`kept` column is the shape of the matrix its singular values come from,
+rows x columns, after the trim of levels and of M's small rows and columns.
 
 Example:
     python3 scripts/cutoff_convergence.py --k2 1.5 --r1 0.3 --r2 0.5
@@ -22,10 +24,11 @@ from dstfid.algebra import state
 from dstfid.cli import parse_complex
 from dstfid.fock import (
     ConvergenceError,
+    _rung_matrix,
+    _svd_fidelity,
     cutoff_ladder,
     fidelity_oracle,
     joint_squeeze_frame,
-    rung_fidelity,
     thermal_cutoff_requirement,
 )
 
@@ -47,7 +50,7 @@ def main(argv=None) -> int:
         adaptive = fidelity_oracle(s1, s2)
         framed1, framed2, shift = joint_squeeze_frame(s1, s2)
         floor = max(thermal_cutoff_requirement(s1.beta), thermal_cutoff_requirement(s2.beta))
-        rungs = [(n, rung_fidelity(framed1, framed2, n))
+        rungs = [(n, _rung_matrix(framed1, framed2, n))
                  for n in itertools.islice(cutoff_ladder(floor), args.rungs)]
     except (ValueError, ConvergenceError) as exc:
         ap.error(str(exc))
@@ -55,11 +58,13 @@ def main(argv=None) -> int:
     print(f"# adaptive oracle: F = {adaptive.fidelity:.12f} at cutoff "
           f"{adaptive.cutoff_used} (gap {adaptive.convergence_gap:.3e})")
     print(f"# joint squeeze frame: s = {shift:.12g}")
-    print("cutoff,fidelity,gap_prev,gap_adaptive")
+    print("cutoff,kept,fidelity,gap_prev,gap_adaptive")
     prev = None
-    for cutoff, fid in rungs:
+    for cutoff, m in rungs:
+        fid = _svd_fidelity(m)
         gap = "" if prev is None else f"{abs(fid - prev):.6e}"
-        print(f"{cutoff},{fid:.17g},{gap},{abs(fid - adaptive.fidelity):.6e}")
+        print(f"{cutoff},{m.shape[0]}x{m.shape[1]},{fid:.17g},{gap},"
+              f"{abs(fid - adaptive.fidelity):.6e}")
         prev = fid
     return 0
 

@@ -37,6 +37,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not 0.0 <= args.gmax < math.inf:  # |g| runs from 0 to it
         ap.error(f"--gmax must be finite and >= 0, got {args.gmax!r}")
+    if not math.isfinite(args.phase):  # cos and sin of it are undefined
+        ap.error(f"--phase must be finite, got {args.phase!r}")
 
     direction = complex(math.cos(args.phase), math.sin(args.phase))
 

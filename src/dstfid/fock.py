@@ -17,15 +17,20 @@ D(k) and S(r) and the density-matrix route the tests check a rung against
 One rung of the oracle evaluates the Uhlmann/Bures fidelity
 F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
 either density matrix: F_N is the squared sum of the singular values of
-diag(sqrt p1) U1^dag U2 diag(sqrt p2).  Its rows and columns stop at the
-first level from which a state's sqrt p sum to at most 2.5e-14, which moves
-F_N by at most 1e-13, a thousandth of the smallest oracle tolerance; the
-generator SVDs depend on the cutoff alone and are computed once per cutoff
-(a bounded cache of 32).  An adaptive cutoff ladder certifies convergence:
-it climbs one fixed sequence of cutoffs, 2, 3, 4, 6, 9, ..., each x1.5
-(rounded) of the one before, from the first member at or above a per-pair
-starting cutoff, until two successive values agree.  Every pair's rungs are
-then members of that one sequence, so they share the cached SVDs.
+diag(sqrt p1) U1^dag U2 diag(sqrt p2).  Its rows and columns are trimmed
+in two stages, first at the level from which a state's sqrt p sum to at
+most 2.5e-14, then by M's measured row and column norms within what is left
+of that budget; together they move F_N by at most 1e-13, a thousandth of
+the smallest oracle tolerance.  The generator SVDs depend on the cutoff
+alone and are computed once per cutoff (a bounded cache of 32).  An
+adaptive cutoff ladder certifies convergence: it climbs one fixed sequence
+of cutoffs, 2, 3, 4, 6, 9, ..., each x1.5 (rounded) of the one before, from
+the first member at or above a per-pair starting cutoff, until two
+successive values agree.  Every pair's rungs are then members of that one
+sequence, so they share the cached SVDs.  A rung's SVD runs only where its
+value is needed: where twice a bound on the nuclear norm of the change in
+M already certifies the gap, the ladder stops with the last rung's SVD
+alone and reports that bound as its gap.
 
 The whole ladder runs on the pair mapped by a joint squeeze S(s), which
 leaves F as it is: S(s) D(k) S(s)^dag = D(k') with k' = e^{-s} Re k +
@@ -68,8 +73,8 @@ DEFAULT_CUTOFF_CEILING = 1024
 # trace deficit) below 1e-12.
 _THERMAL_TAIL_LOG = 12.0 * math.log(10.0)
 
-# A rung drops the levels whose sqrt-weights from them onward sum to at most
-# this, which moves F by at most 1e-13 (rung_fidelity).
+# Each side of a rung's M drops rows (columns) whose norm bounds sum to at
+# most this, which moves F by at most 1e-13 (_rung_matrix).
 _TRIM_TAIL = 2.5e-14
 
 
@@ -255,35 +260,38 @@ def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ x.real @ b + 1j * (a.T @ x.imag @ b)
 
 
-def _kept_levels(root: np.ndarray) -> int:
-    """How many leading levels a rung keeps of a state with sqrt-weights
-    root: level n is dropped when root[n:] sums to at most _TRIM_TAIL."""
-    tail = np.cumsum(root[::-1])[::-1]
-    return int(np.count_nonzero(tail > _TRIM_TAIL))
+def _kept_levels(bound: np.ndarray, spent: float = 0.0) -> int:
+    """How many leading rows (or columns) a rung keeps, given a bound on
+    each one's norm: index n is dropped when bound[n:] sums to at most
+    _TRIM_TAIL - spent, where spent is what an earlier trim on the same
+    side already dropped."""
+    tail = np.cumsum(bound[::-1])[::-1]
+    return int(np.count_nonzero(tail > _TRIM_TAIL - spent))
 
 
-def rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
-    """Uhlmann fidelity of the two states truncated at one cutoff: one rung
-    of the oracle's ladder, without forming either density matrix.
+def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
+    """M = diag(sqrt p1) W diag(sqrt p2) at one cutoff, trimmed to what it
+    carries; rung_fidelity is the squared sum of its singular values.
 
     rho_i = U_i diag(p_i) U_i^dag with U_i = D(k_i) S(r_i) unitary, so
-    sqrt(rho1) rho2 sqrt(rho1) = U1 M M^dag U1^dag for
-    M = diag(sqrt p1) W diag(sqrt p2) with W = U1^dag U2 =
-    S1^T D(k1)^dag D(k2) S2, and F is the squared sum of the singular values
-    of M.
+    sqrt(rho1) rho2 sqrt(rho1) = U1 M M^dag U1^dag for W = U1^dag U2 =
+    S1^T D(k1)^dag D(k2) S2.
 
-    M keeps only the leading n1 rows and n2 columns, where n_i is
-    _kept_levels(sqrt p_i): W is unitary, so a dropped row or column has norm
-    at most its sqrt p, the sum of the singular values moves by at most
-    2 * _TRIM_TAIL and F by at most 4 * _TRIM_TAIL = 1e-13.  Equal to
-    uhlmann_fidelity(dst_state(s1, N), dst_state(s2, N)) to <= 1e-13 plus
-    rounding.
+    A dropped row or column moves the sum of the singular values by at most
+    its norm, and the trim runs in two stages per side.  W is unitary, so a
+    row (column) of the full M has norm at most its sqrt p: first the
+    levels _kept_levels(sqrt p_i) are kept, n1 rows and n2 columns.  Then,
+    with W filled, M's measured row norms sqrt p1 sqrt(|W|^2 @ p2) trim
+    the trailing rows whose norms sum to at most _TRIM_TAIL less the sqrt p
+    tail already dropped, and the row-trimmed M's column norms trim its
+    columns the same way.  Each side drops at most _TRIM_TAIL in all, so
+    the sum moves by at most 2 * _TRIM_TAIL and F by at most 1e-13.
 
     S_i acts on the levels of each parity, p::2, on its own, so W is filled
     a parity block at a time on those strided views.
     """
-    root1 = np.sqrt(thermal_weights(s1.beta, cutoff))
-    root2 = np.sqrt(thermal_weights(s2.beta, cutoff))
+    p1, p2 = thermal_weights(s1.beta, cutoff), thermal_weights(s2.beta, cutoff)
+    root1, root2 = np.sqrt(p1), np.sqrt(p2)
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
     chains = _generator_chains(cutoff)
     sq1, sq2 = _squeeze_blocks(s1.r, chains[1:]), _squeeze_blocks(s2.r, chains[1:])
@@ -296,9 +304,37 @@ def rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
             left = sq1[p][:, : (n1 - p + 1) // 2]
             right = sq2[q][:, : (n2 - q + 1) // 2]
             w[p::2, q::2] = _sandwich(left, overlap[p::2, q::2], right)
-    m = root1[:n1, None] * w * root2[:n2]
-    sv = np.linalg.svd(m, compute_uv=False)
-    return float(np.sum(sv) ** 2)
+    w2 = w.real**2 + w.imag**2
+    m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))
+    m2 = _kept_levels(np.sqrt(p1[:m1] @ w2[:m1]) * root2[:n2], float(np.sum(root2[n2:])))
+    return root1[:m1, None] * w[:m1, :m2] * root2[:m2]
+
+
+def _svd_fidelity(m: np.ndarray) -> float:
+    """The squared sum of the singular values of a rung's M."""
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)) ** 2)
+
+
+def rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
+    """Uhlmann fidelity of the two states truncated at one cutoff: one rung
+    of the oracle's ladder, the squared sum of the singular values of
+    _rung_matrix, without forming either density matrix.  Equal to
+    uhlmann_fidelity(dst_state(s1, N), dst_state(s2, N)) to <= 1e-13 plus
+    rounding (the trim's budget, _rung_matrix)."""
+    return _svd_fidelity(_rung_matrix(s1, s2, cutoff))
+
+
+def _nuclear_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """An upper bound on the nuclear norm of a - b, both zero-padded to the
+    larger shape: the smaller of the sums of its row norms and of its column
+    norms.  It bounds |sum svdvals(a) - sum svdvals(b)| too, by the triangle
+    inequality of the nuclear norm."""
+    rows, cols = max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])
+    diff = np.zeros((rows, cols), dtype=complex)
+    diff[: a.shape[0], : a.shape[1]] = a
+    diff[: b.shape[0], : b.shape[1]] -= b
+    d2 = diff.real**2 + diff.imag**2
+    return float(min(np.sum(np.sqrt(d2.sum(axis=1))), np.sum(np.sqrt(d2.sum(axis=0)))))
 
 
 @dataclass(frozen=True)
@@ -399,28 +435,39 @@ def fidelity_oracle(
     Runs on the pair in the joint squeeze frame (joint_squeeze_frame), and
     climbs cutoff_ladder from a starting cutoff (the first member of the
     fixed x1.5 sequence at or above _starting_cutoff) and stops when two
-    successive fidelities differ by at most tol.  Raises ConvergenceError
-    with the gap trace if the ceiling is reached first (at once, computing no
-    rung, when the starting cutoff already reaches it: a lone rung has
-    nothing to agree with), and ValueError for an infinite tol or one below
-    1e-10, a ceiling below the smallest cutoff, 2, or a ceiling that
-    truncates more than 1e-12 of either thermal weight (the starting cutoff
-    keeps both, so only a ceiling at or below it can).
+    successive fidelities differ by at most tol.  The reported
+    convergence_gap is an upper bound on the last gap: 2 _nuclear_bound of
+    the two rungs' M where that is already <= tol (only the last rung's SVD
+    then runs), the exact difference of the two values otherwise, so the
+    ladder stops where an exact-gap ladder would.  Raises ConvergenceError
+    with the exact gap trace if the ceiling is reached first (at once,
+    computing no rung, when the starting cutoff already reaches it: a lone
+    rung has nothing to agree with), and ValueError for an infinite tol or
+    one below 1e-10, a ceiling below the smallest cutoff, 2, or a ceiling
+    that truncates more than 1e-12 of either thermal weight (the starting
+    cutoff keeps both, so only a ceiling at or below it can).
     """
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):
         _check_thermal_tail(s.beta, ceiling)
     s1, s2, shift = joint_squeeze_frame(s1, s2)
     gaps: list[tuple[int, float]] = []
-    prev: float | None = None
+    prev: tuple[np.ndarray, float | None] | None = None  # the last rung's M and F, once known
     for cutoff in cutoff_ladder(_starting_cutoff(s1, s2), ceiling):
-        fid = rung_fidelity(s1, s2, cutoff)
+        m, fid = _rung_matrix(s1, s2, cutoff), None
         if prev is not None:
-            gap = abs(fid - prev)
-            gaps.append((cutoff, gap))
+            prev_m, prev_fid = prev
+            # F = (sum svdvals M)^2 and each sum is at most |sqrt p1| |sqrt p2|
+            # <= 1, so |F - F_prev| <= 2 |sum - sum_prev| <= 2 _nuclear_bound.
+            gap = 2.0 * _nuclear_bound(m, prev_m)
+            if gap > tol:
+                prev_fid = _svd_fidelity(prev_m) if prev_fid is None else prev_fid
+                fid = _svd_fidelity(m)
+                gap = abs(fid - prev_fid)
+                gaps.append((cutoff, gap))
             if gap <= tol:
-                return OracleResult(fid, cutoff, gap, shift)
-        prev = fid
+                return OracleResult(_svd_fidelity(m) if fid is None else fid, cutoff, gap, shift)
+        prev = m, fid
     trace = ", ".join(f"N={n}: {g:.3e}" for n, g in gaps) or "no rungs"
     raise ConvergenceError(
         f"fidelity did not stabilize to {tol:g} by cutoff {ceiling} "

@@ -28,6 +28,18 @@ def run_cli(*args, **kwargs):
     )
 
 
+def test_readme_worked_compute_prints_its_output(capsys):
+    # The README's CLI block: a `$ dstfid compute ...` line and the lines it
+    # prints, compared byte for byte with what main writes.
+    from dstfid.cli import main
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```sh\n$ dstfid compute ", 1)[1].split("```", 1)[0]
+    command, expected = block.split("\n", 1)
+    assert main(["compute", *command.split()]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_compute_identical_states_prints_unity():
     res = run_cli(
         "compute", "--k1", "0.3+0.4i", "--r1", "0.8", "--nbar1", "2.0",

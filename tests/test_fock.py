@@ -263,6 +263,11 @@ def test_rung_equals_uhlmann_of_dense_states(s1, s2):
     assert abs(rung_fidelity(s1, s2, cutoff) - dense) <= 1e-8
 
 
+# The sqrt p trim keeps every level of this pair at N = 81, and M's measured
+# row and column norms still shrink it to 73 x 74.
+SHRUNK_BY_MEASURED_NORMS = (state(0.0, 0.3, nbar=1.5), state(0.8, 0.2, nbar=1.5), 81)
+
+
 @pytest.mark.parametrize(
     "s1,s2,cutoff,dropped",
     [
@@ -273,17 +278,24 @@ def test_rung_equals_uhlmann_of_dense_states(s1, s2):
         # Odd cutoffs, with an odd number of kept levels in each state.
         (state(0.3 - 0.2j, 0.4, beta=1.5), state(-0.5j, -0.3, nbar=1.0), 61, (True, False)),
         (state(-0.4 + 0.1j, -0.3, nbar=1.5), state(0.6 + 0.2j, 0.2, beta=5.0), 79, (False, True)),
+        (*SHRUNK_BY_MEASURED_NORMS, (False, False)),
     ],
 )
 def test_rung_matches_the_full_size_rung(s1, s2, cutoff, dropped):
     # The rung drops the levels of each state whose sqrt-weight tail is at
-    # most 2.5e-14; the full-size rung keeps every level and multiplies the
-    # full operators.
+    # most 2.5e-14, then the rows and the columns of M whose measured norms
+    # use up the rest of that budget; the full-size rung keeps every level
+    # and multiplies the full operators.
     kept = [fock._kept_levels(np.sqrt(thermal_weights(s.beta, cutoff))) for s in (s1, s2)]
     assert tuple(n < cutoff for n in kept) == dropped
     if cutoff % 2:
         assert all(n % 2 for n in kept)
+    assert all(m <= n for m, n in zip(fock._rung_matrix(s1, s2, cutoff).shape, kept))
     assert abs(rung_fidelity(s1, s2, cutoff) - full_rung_fidelity(s1, s2, cutoff)) <= 1e-14
+
+
+def test_measured_norms_shrink_a_rung_the_sqrt_p_trim_keeps_whole():
+    assert fock._rung_matrix(*SHRUNK_BY_MEASURED_NORMS).shape == (73, 74)
 
 
 def test_rung_value_does_not_depend_on_the_chain_cache():
@@ -309,12 +321,13 @@ CUTOFF_SEQUENCE = (2, 3, 4, 6, 9, 14, 21, 32, 48, 72, 108, 162, 243, 364, 546, 8
 
 def _record_rungs(monkeypatch) -> list[int]:
     rungs: list[int] = []
+    rung_matrix = fock._rung_matrix
 
     def recorded(s1, s2, cutoff):
         rungs.append(cutoff)
-        return rung_fidelity(s1, s2, cutoff)
+        return rung_matrix(s1, s2, cutoff)
 
-    monkeypatch.setattr(fock, "rung_fidelity", recorded)
+    monkeypatch.setattr(fock, "_rung_matrix", recorded)
     return rungs
 
 
@@ -331,7 +344,7 @@ def test_cutoff_ladder_climbs_the_fixed_sequence():
     assert list(cutoff_ladder(math.inf, 1024)) == []
 
 
-@pytest.mark.parametrize(
+SEQUENCE_PAIRS = pytest.mark.parametrize(
     "s1, s2, ceiling",
     [
         (state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0), 1024),
@@ -345,6 +358,20 @@ def test_cutoff_ladder_climbs_the_fixed_sequence():
     ],
     ids=["readme", "squeezed", "hot", "displaced", "edge"],
 )
+
+
+def _stream_pairs(seed: int, count: int):
+    """Seeded k1 = 0 pairs from the stream benchmark's box: |k2| <= 1.5,
+    |r| <= 0.8, 0.05 <= nbar <= 2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r1, r2 = rng.uniform(-0.8, 0.8, size=2)
+        nbar1, nbar2 = rng.uniform(0.05, 2.0, size=2)
+        k2 = cmath.rect(1.5 * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi))
+        yield state(0.0, r1, nbar=nbar1), state(k2, r2, nbar=nbar2)
+
+
+@SEQUENCE_PAIRS
 def test_oracle_rungs_are_sequence_members(monkeypatch, s1, s2, ceiling):
     rungs = _record_rungs(monkeypatch)
     start = fock._starting_cutoff(s1, s2)
@@ -358,33 +385,83 @@ def test_oracle_rungs_are_sequence_members(monkeypatch, s1, s2, ceiling):
 
 
 def test_stream_pairs_miss_the_chain_cache_once_per_cutoff(monkeypatch):
-    # A work count, not a timing: 32 seeded k1 = 0 pairs from the stream
-    # benchmark's box (|k2| <= 1.5, |r| <= 0.8, 0.05 <= nbar <= 2) climb the
-    # fixed sequence, a handful of cutoffs, and compute each one's generator
-    # SVDs once.  A start-dependent ladder spreads such pairs over ~50
-    # cutoffs, more than the cache holds.
-    rng = np.random.default_rng(2020)
+    # A work count, not a timing: 32 seeded pairs from the stream
+    # benchmark's box climb the fixed sequence, a handful of cutoffs, and
+    # compute each one's generator SVDs once.  A start-dependent ladder
+    # spreads such pairs over ~50 cutoffs, more than the cache holds.
     rungs = _record_rungs(monkeypatch)
     fock._generator_chains.cache_clear()
-    for _ in range(32):
-        r1, r2 = rng.uniform(-0.8, 0.8, size=2)
-        nbar1, nbar2 = rng.uniform(0.05, 2.0, size=2)
-        k2 = cmath.rect(1.5 * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi))
-        fidelity_oracle(state(0.0, r1, nbar=nbar1), state(k2, r2, nbar=nbar2))
+    for s1, s2 in _stream_pairs(2020, 32):
+        fidelity_oracle(s1, s2)
     assert set(rungs) <= set(CUTOFF_SEQUENCE)
     assert fock._generator_chains.cache_info().misses <= len(set(rungs))
 
 
-def _unframed_oracle(s1, s2, tol):
+def _exact_ladder(s1, s2, tol=1e-8, ceiling=fock.DEFAULT_CUTOFF_CEILING):
     """fidelity_oracle's climb on the pair as given, with no joint squeeze
-    frame: the converged rung, or None where the ladder reaches the ceiling."""
+    frame and every gap the exact difference of two rung values: (cutoff,
+    fidelity, gap) of the converged rung, or None where the ladder reaches
+    the ceiling."""
     prev = None
-    for cutoff in cutoff_ladder(fock._starting_cutoff(s1, s2), fock.DEFAULT_CUTOFF_CEILING):
+    for cutoff in cutoff_ladder(fock._starting_cutoff(s1, s2), ceiling):
         fid = rung_fidelity(s1, s2, cutoff)
         if prev is not None and abs(fid - prev) <= tol:
-            return fid
+            return cutoff, fid, abs(fid - prev)
         prev = fid
     return None
+
+
+def _assert_bounded_ladder_stops_with_the_exact_one(s1, s2, ceiling=fock.DEFAULT_CUTOFF_CEILING):
+    res = fidelity_oracle(s1, s2, ceiling=ceiling)
+    cutoff, fid, gap = _exact_ladder(*fock.joint_squeeze_frame(s1, s2)[:2], ceiling=ceiling)
+    assert res.cutoff_used == cutoff, (s1, s2)
+    assert res.fidelity == fid, (s1, s2)
+    assert res.convergence_gap >= gap, (s1, s2)
+
+
+@SEQUENCE_PAIRS
+def test_bounded_ladder_stops_where_the_exact_ladder_does(s1, s2, ceiling):
+    _assert_bounded_ladder_stops_with_the_exact_one(s1, s2, ceiling)
+
+
+def test_bounded_ladder_stops_where_the_exact_ladder_does_on_stream_pairs():
+    for s1, s2 in _stream_pairs(35, 32):
+        _assert_bounded_ladder_stops_with_the_exact_one(s1, s2)
+
+
+def test_nuclear_bound_covers_the_change_of_the_singular_value_sum():
+    rng = np.random.default_rng(35)
+
+    def nuclear(x):
+        return np.sum(np.linalg.svd(x, compute_uv=False))
+
+    for _ in range(200):
+        shape_a = shape_b = (0, 0)
+        while shape_a == shape_b:
+            shape_a, shape_b = (tuple(rng.integers(1, 12, size=2)) for _ in range(2))
+        a, b = (rng.normal(size=(*shape, 2)) @ (1.0, 1.0j) * rng.uniform(1e-6, 1.0)
+                for shape in (shape_a, shape_b))
+        assert fock._nuclear_bound(a, b) >= abs(nuclear(a) - nuclear(b))
+        assert fock._nuclear_bound(a, b) == fock._nuclear_bound(b, a)
+        assert fock._nuclear_bound(a, a.copy()) == 0.0
+
+
+def test_readme_pair_ladder_computes_one_svd(monkeypatch):
+    # Its second rung's gap bound is already below tol, so only the
+    # reported rung needs its singular values.
+    s1, s2 = state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0)
+    fidelity_oracle(s1, s2)  # the generator SVDs are cached from here on
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    rungs = _record_rungs(monkeypatch)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    res = fidelity_oracle(s1, s2)
+    assert rungs == [48, 72] and res.cutoff_used == 72
+    assert len(calls) == 1, calls
 
 
 def test_framed_oracle_agrees_with_the_unframed_ladder():
@@ -398,8 +475,8 @@ def test_framed_oracle_agrees_with_the_unframed_ladder():
         s1, s2 = state(k1, r1, nbar=n1), state(k2, r2, nbar=n2)
         framed = fidelity_oracle(s1, s2, tol=tol)
         assert framed.frame_shift != 0.0
-        unframed = _unframed_oracle(s1, s2, tol)
-        assert unframed is not None and abs(framed.fidelity - unframed) <= tol, (s1, s2)
+        unframed = _exact_ladder(s1, s2, tol)
+        assert unframed is not None and abs(framed.fidelity - unframed[1]) <= tol, (s1, s2)
 
 
 def test_frame_is_the_pair_as_given_where_no_shift_helps():
@@ -466,7 +543,7 @@ def _refuse_rungs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle computed a rung it cannot use")
 
-    monkeypatch.setattr(fock, "rung_fidelity", refuse)
+    monkeypatch.setattr(fock, "_rung_matrix", refuse)
 
 
 def test_oracle_starting_at_the_ceiling_computes_no_rung(monkeypatch):

@@ -26,7 +26,7 @@ def _load(name: str):
         ("displacement_decay", ["--points", "3"],
          "label,r1,r2,nbar1,nbar2,abs_g,fidelity,coherent_reference", 12),
         ("cutoff_convergence", ["--rungs", "2"],
-         "cutoff,fidelity,gap_prev,gap_adaptive", 2),
+         "cutoff,kept,fidelity,gap_prev,gap_adaptive", 2),
         # one line per check of the closed-form batch, then passed
         ("refusal_census", ["--rows", "2000"], "check,rows", 13),
     ],
@@ -46,11 +46,12 @@ def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     ("displacement_decay", ["--points", "-1"]),
     ("displacement_decay", ["--gmax", "nan"]),
     ("displacement_decay", ["--gmax", "-1"]),  # abs_g would run negative
+    ("displacement_decay", ["--points", "2", "--phase", "inf"]),
     # a path under a file, which no user can write, root included
     ("displacement_decay", ["--points", "2", "--out", os.path.join(os.devnull, "x.csv")]),
     ("refusal_census", ["--seed", "-1"]),  # numpy's generator takes no negative seed
 ], ids=["rungs-negative", "nbar-zero", "no-rungs", "points-negative", "gmax-nan",
-        "gmax-negative", "out-unwritable", "seed-negative"])
+        "gmax-negative", "phase-inf", "out-unwritable", "seed-negative"])
 def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv):
     with pytest.raises(SystemExit) as exc:
         _load(name).main(argv)
