@@ -43,6 +43,8 @@ def main(argv=None) -> int:
     ap.add_argument("--nbar2", type=float, default=1.0)
     ap.add_argument("--rungs", type=int, default=8, help="number of x1.5 rungs")
     args = ap.parse_args(argv)
+    if args.rungs < 1:  # no rung would leave an empty table
+        ap.error(f"--rungs must be >= 1, got {args.rungs!r}")
 
     try:
         s1 = state(args.k1, args.r1, nbar=args.nbar1)

@@ -35,6 +35,8 @@ def main(argv=None) -> int:
                     help="mismatch phase in radians (decay is phase-sensitive once squeezed)")
     ap.add_argument("--out", default="-", help="output CSV path (default stdout)")
     args = ap.parse_args(argv)
+    if args.points < 1:  # no sample would leave a header-only CSV
+        ap.error(f"--points must be >= 1, got {args.points!r}")
     if not 0.0 <= args.gmax < math.inf:  # |g| runs from 0 to it
         ap.error(f"--gmax must be finite and >= 0, got {args.gmax!r}")
     if not math.isfinite(args.phase):  # cos and sin of it are undefined

@@ -62,7 +62,6 @@ __all__ = [
     "matrix_exp",
     "thermal_weights",
     "dst_state",
-    "rung_fidelity",
     "fidelity_oracle",
     "DEFAULT_CUTOFF_CEILING",
 ]
@@ -271,7 +270,9 @@ def _kept_levels(bound: np.ndarray, spent: float = 0.0) -> int:
 
 def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     """M = diag(sqrt p1) W diag(sqrt p2) at one cutoff, trimmed to what it
-    carries; rung_fidelity is the squared sum of its singular values.
+    carries.  One rung of the oracle's ladder, the Uhlmann fidelity of the
+    states truncated at that cutoff, is _svd_fidelity(M) to <= 1e-13 plus
+    rounding, without forming either density matrix.
 
     rho_i = U_i diag(p_i) U_i^dag with U_i = D(k_i) S(r_i) unitary, so
     sqrt(rho1) rho2 sqrt(rho1) = U1 M M^dag U1^dag for W = U1^dag U2 =
@@ -313,15 +314,6 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
 def _svd_fidelity(m: np.ndarray) -> float:
     """The squared sum of the singular values of a rung's M."""
     return float(np.sum(np.linalg.svd(m, compute_uv=False)) ** 2)
-
-
-def rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
-    """Uhlmann fidelity of the two states truncated at one cutoff: one rung
-    of the oracle's ladder, the squared sum of the singular values of
-    _rung_matrix, without forming either density matrix.  Equal to
-    uhlmann_fidelity(dst_state(s1, N), dst_state(s2, N)) to <= 1e-13 plus
-    rounding (the trim's budget, _rung_matrix)."""
-    return _svd_fidelity(_rung_matrix(s1, s2, cutoff))
 
 
 def _nuclear_bound(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,13 +1,13 @@
 """The density-matrix route of the Fock oracle (test reference).
 
-The oracle evaluates each cutoff rung without forming a density matrix (see
-`dstfid.fock.rung_fidelity`).  The tests check it against the plain routes
-kept here: the ladder operator, the full operators D(k) and S(r) built from
-the oracle's own factors, the thermal state as a matrix, the Uhlmann
-fidelity of two density matrices, each checked to be one, and the full-size
-rung, which keeps every level and multiplies the full operators.  Every
-matrix is dense and complex over the truncated number basis; the cutoff is
-its dimension.
+The oracle evaluates each cutoff rung without forming a density matrix, as
+`dstfid.fock._svd_fidelity(_rung_matrix(...))`.  The tests check it against
+the plain routes kept here: the ladder operator, the full operators D(k) and
+S(r) built from the oracle's own factors, the thermal state as a matrix, the
+Uhlmann fidelity of two density matrices, each checked to be one, and the
+full-size rung, which keeps every level and multiplies the full operators.
+Every matrix is dense and complex over the truncated number basis; the
+cutoff is its dimension.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dstfid.algebra import StateParams
 from dstfid.fock import _displacement_overlap, _generator_chains, _squeeze_blocks, thermal_weights
 
 __all__ = [
-    "ContractViolationError", "annihilation", "displacement_op", "full_rung_fidelity",
+    "ContractViolationError", "annihilation", "displacement_op", "full_size_rung",
     "squeeze_op", "thermal_state", "uhlmann_fidelity",
 ]
 
@@ -106,7 +106,7 @@ def uhlmann_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.sum(sv) ** 2)
 
 
-def full_rung_fidelity(s1: StateParams, s2: StateParams, cutoff: int) -> float:
+def full_size_rung(s1: StateParams, s2: StateParams, cutoff: int) -> float:
     """(sum svdvals(sqrt(L1) U1^dag U2 sqrt(L2)))^2 with U_i = D(k_i) S(r_i):
     one rung at full size, every level kept and each U_i a full matrix."""
     root1, root2 = (np.sqrt(thermal_weights(s.beta, cutoff)) for s in (s1, s2))

@@ -22,7 +22,6 @@ from dstfid.fock import (
     dst_state,
     fidelity_oracle,
     matrix_exp,
-    rung_fidelity,
     thermal_cutoff_requirement,
     thermal_weights,
 )
@@ -30,7 +29,7 @@ from fock_reference import (
     ContractViolationError,
     annihilation,
     displacement_op,
-    full_rung_fidelity,
+    full_size_rung,
     squeeze_op,
     thermal_state,
     uhlmann_fidelity,
@@ -241,7 +240,7 @@ def test_oracle_converges_and_reports_rungs():
 def test_oracle_fidelity_monotone_under_cutoff_growth():
     s1 = state(0.3, 0.2, nbar=0.5)
     s2 = state(0.1 + 0.2j, 0.5, nbar=1.0)
-    fids = [rung_fidelity(s1, s2, n) for n in (40, 60, 90)]
+    fids = [fock._svd_fidelity(fock._rung_matrix(s1, s2, n)) for n in (40, 60, 90)]
     gaps = [abs(fids[i + 1] - fids[i]) for i in range(len(fids) - 1)]
     assert gaps[1] < gaps[0]  # refinement shrinks the change
 
@@ -260,7 +259,7 @@ def test_oracle_fidelity_monotone_under_cutoff_growth():
 def test_rung_equals_uhlmann_of_dense_states(s1, s2):
     cutoff = 80
     dense = uhlmann_fidelity(dst_state(s1, cutoff), dst_state(s2, cutoff))
-    assert abs(rung_fidelity(s1, s2, cutoff) - dense) <= 1e-8
+    assert abs(fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff)) - dense) <= 1e-8
 
 
 # The sqrt p trim keeps every level of this pair at N = 81, and M's measured
@@ -291,7 +290,7 @@ def test_rung_matches_the_full_size_rung(s1, s2, cutoff, dropped):
     if cutoff % 2:
         assert all(n % 2 for n in kept)
     assert all(m <= n for m, n in zip(fock._rung_matrix(s1, s2, cutoff).shape, kept))
-    assert abs(rung_fidelity(s1, s2, cutoff) - full_rung_fidelity(s1, s2, cutoff)) <= 1e-14
+    assert abs(fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff)) - full_size_rung(s1, s2, cutoff)) <= 1e-14
 
 
 def test_measured_norms_shrink_a_rung_the_sqrt_p_trim_keeps_whole():
@@ -301,8 +300,8 @@ def test_measured_norms_shrink_a_rung_the_sqrt_p_trim_keeps_whole():
 def test_rung_value_does_not_depend_on_the_chain_cache():
     s1, s2, cutoff = state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, nbar=2.0), 70
     fock._generator_chains.cache_clear()
-    cold = rung_fidelity(s1, s2, cutoff)
-    warm = rung_fidelity(s1, s2, cutoff)
+    cold = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
+    warm = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
     for chain in fock._generator_chains(cutoff):
         for part in chain:
             with pytest.raises(ValueError, match="read-only"):
@@ -310,7 +309,7 @@ def test_rung_value_does_not_depend_on_the_chain_cache():
     for other in range(2, 35):  # 33 other cutoffs evict the entry
         fock._generator_chains(other)
     misses = fock._generator_chains.cache_info().misses
-    evicted = rung_fidelity(s1, s2, cutoff)
+    evicted = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
     assert fock._generator_chains.cache_info().misses == misses + 1
     assert cold == warm == evicted
 
@@ -404,7 +403,7 @@ def _exact_ladder(s1, s2, tol=1e-8, ceiling=fock.DEFAULT_CUTOFF_CEILING):
     the ceiling."""
     prev = None
     for cutoff in cutoff_ladder(fock._starting_cutoff(s1, s2), ceiling):
-        fid = rung_fidelity(s1, s2, cutoff)
+        fid = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
         if prev is not None and abs(fid - prev) <= tol:
             return cutoff, fid, abs(fid - prev)
         prev = fid
@@ -462,6 +461,28 @@ def test_readme_pair_ladder_computes_one_svd(monkeypatch):
     res = fidelity_oracle(s1, s2)
     assert rungs == [48, 72] and res.cutoff_used == 72
     assert len(calls) == 1, calls
+
+
+def test_stream_pairs_build_no_more_rungs_or_svds_than_recorded(monkeypatch):
+    # A work count, not a timing: with the joint squeeze frame and the
+    # nuclear-norm gap bound, 32 seeded stream pairs (chain cache warm) take
+    # 72 rungs and 47 rung SVDs, at one and at two BLAS threads alike.  A
+    # change that climbs more rungs or certifies fewer gaps by the bound
+    # fails here.
+    pairs = list(_stream_pairs(35, 32))
+    for s1, s2 in pairs:
+        fidelity_oracle(s1, s2)
+    rungs, svds, svd_fidelity = _record_rungs(monkeypatch), [], fock._svd_fidelity
+
+    def counted(m):
+        svds.append(m.shape)
+        return svd_fidelity(m)
+
+    monkeypatch.setattr(fock, "_svd_fidelity", counted)
+    for s1, s2 in pairs:
+        fidelity_oracle(s1, s2)
+    assert len(rungs) <= 72, len(rungs)
+    assert len(svds) <= 47, len(svds)
 
 
 def test_framed_oracle_agrees_with_the_unframed_ladder():

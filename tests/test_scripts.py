@@ -39,24 +39,30 @@ def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     assert len(lines) == 1 + rows
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("cutoff_convergence", ["--rungs", "-1"]),
-    ("cutoff_convergence", ["--nbar1", "0"]),
-    ("cutoff_convergence", ["--r1", "400"]),  # the oracle's ladder has no rungs
-    ("displacement_decay", ["--points", "-1"]),
-    ("displacement_decay", ["--gmax", "nan"]),
-    ("displacement_decay", ["--gmax", "-1"]),  # abs_g would run negative
-    ("displacement_decay", ["--points", "2", "--phase", "inf"]),
+@pytest.mark.parametrize("name, argv, flag", [
+    ("cutoff_convergence", ["--rungs", "0"], "--rungs"),
+    ("cutoff_convergence", ["--rungs", "-1"], "--rungs"),
+    ("cutoff_convergence", ["--nbar1", "0"], None),
+    ("cutoff_convergence", ["--r1", "400"], None),  # the oracle's ladder has no rungs
+    ("displacement_decay", ["--points", "0"], "--points"),
+    ("displacement_decay", ["--points", "-1"], "--points"),
+    ("displacement_decay", ["--gmax", "nan"], None),
+    ("displacement_decay", ["--gmax", "-1"], None),  # abs_g would run negative
+    ("displacement_decay", ["--points", "2", "--phase", "inf"], None),
     # a path under a file, which no user can write, root included
-    ("displacement_decay", ["--points", "2", "--out", os.path.join(os.devnull, "x.csv")]),
-    ("refusal_census", ["--seed", "-1"]),  # numpy's generator takes no negative seed
-], ids=["rungs-negative", "nbar-zero", "no-rungs", "points-negative", "gmax-nan",
-        "gmax-negative", "phase-inf", "out-unwritable", "seed-negative"])
-def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv):
+    ("displacement_decay", ["--points", "2", "--out", os.path.join(os.devnull, "x.csv")], None),
+    ("refusal_census", ["--seed", "-1"], None),  # numpy's generator takes no negative seed
+], ids=["rungs-zero", "rungs-negative", "nbar-zero", "no-rungs", "points-zero",
+        "points-negative", "gmax-nan", "gmax-negative", "phase-inf", "out-unwritable",
+        "seed-negative"])
+def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv, flag):
     with pytest.raises(SystemExit) as exc:
         _load(name).main(argv)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if flag is not None:  # refused by the script itself, not by the library it calls
+        assert f"error: {flag} " in err, err
 
 
 def test_refusal_census_counts_every_row_once_in_check_order(capsys):
