@@ -44,6 +44,7 @@ from .reduction import (
     PipelineCheckError,
     _complex,
     _pair,
+    _sci,
     closed_form_columns,
     fidelity,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
@@ -216,7 +217,7 @@ def _csv_rows(states: list, cf: ClosedForm) -> list[str]:
     f_oracle = dev_oracle = cutoff = gap = [""] * n
     if cf.oracle is not None:
         f_oracle = _cells(cf.value_oracle)
-        dev_oracle = _cells(np.abs(value_pipe - cf.value_oracle))
+        dev_oracle = _cells(flags["pipeline-vs-oracle"][1])
         cutoff = [str(o.cutoff_used) for o in cf.oracle]
         gap = _cells([o.convergence_gap for o in cf.oracle])
     flag_sets, at = np.unique(sum(np.left_shift(mask, b, dtype=np.int64)
@@ -568,11 +569,6 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
                        help=f"squeeze of state {w} (default 0)")
         p.add_argument(f"--nbar{w}", type=float, help=f"mean photon number of state {w}")
         p.add_argument(f"--beta{w}", type=float, help=f"inverse temperature of state {w}")
-
-
-def _sci(x: float) -> str:
-    """A tolerance as the help states it: 1e-8, not 1e-08."""
-    return np.format_float_scientific(x, trim="-", exp_digits=1)
 
 
 def _add_oracle_args(p: argparse.ArgumentParser, ceiling: int) -> None:

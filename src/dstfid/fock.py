@@ -64,9 +64,11 @@ __all__ = [
     "dst_state",
     "fidelity_oracle",
     "DEFAULT_CUTOFF_CEILING",
+    "DEFAULT_ORACLE_TOL",
 ]
 
 DEFAULT_CUTOFF_CEILING = 1024
+DEFAULT_ORACLE_TOL = 1e-8
 
 # exp(-beta * N) <= 1e-12 keeps the truncated thermal tail (and hence the
 # trace deficit) below 1e-12.
@@ -419,7 +421,7 @@ def cutoff_ladder(start: float, ceiling: float = math.inf) -> Iterator[int]:
 def fidelity_oracle(
     s1: StateParams,
     s2: StateParams,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_ORACLE_TOL,
     ceiling: int = DEFAULT_CUTOFF_CEILING,
 ) -> OracleResult:
     """Adaptive-cutoff Uhlmann fidelity between two parameterized states.

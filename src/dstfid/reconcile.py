@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import StateParams, squeeze_matrix, state, thermal_matrix
-from .reduction import _NO_ORACLE, ClosedForm, FidelityOptions, _printed_display, closed_form
+from .reduction import _NO_ORACLE, ORACLE_AGREEMENT, ClosedForm, FidelityOptions, closed_form
+from .reduction import _printed_display, _sci
 
 __all__ = [
     "QUADRATIC_FORM",
@@ -182,7 +183,7 @@ def _entry_difference_convention(
     at the run's tolerance and ceiling."""
     s = state(0.3j, 0.3, nbar=0.5)
     cf = closed_form([(s, s)], opts)
-    correct_dev = abs(cf.value_matrix_pipeline - cf.value_oracle).item()
+    correct_dev = cf.flags["pipeline-vs-oracle"][1].item()
     # Same pair evaluated under the printed convention.
     g_flip = s.k - s.k.conjugate()
     flip = closed_form([(StateParams(0.0, s.r, s.beta), StateParams(g_flip, s.r, s.beta))],
@@ -195,15 +196,12 @@ def _entry_difference_convention(
         "k2 - conj(k1) is nonzero here and drops the fidelity by "
         f"{margin:.6f}, far past the 1e-3 adjudication margin",
     )
-    check = VerificationCheck(
-        name="difference-convention-margin",
-        worst=margin,
-        threshold=1e-3,
-        passed=bool(margin > 1e-3 and correct_dev <= 1e-6),
-        detail="printed-convention fidelity error must exceed 1e-3 while the "
-        f"adopted convention stays within 1e-6 (it is at {correct_dev:.3e})",
+    return entry, VerificationCheck(
+        "difference-convention-margin", margin, 1e-3,
+        bool(margin > 1e-3 and correct_dev <= ORACLE_AGREEMENT),
+        "printed-convention fidelity error must exceed 1e-3 while the adopted "
+        f"convention stays within {_sci(ORACLE_AGREEMENT)} (it is at {correct_dev:.3e})",
     )
-    return entry, check
 
 
 def _flipped(s: StateParams) -> StateParams:
@@ -241,8 +239,9 @@ def _entries_matching_system(
     beside it, and the pipeline's closed-form denominator against
     det(matching system), the system built from its definition."""
     def_devs, rel_devs, det_devs = [], [], []
-    for (s1, s2), dd in zip(pairs, cf.pipeline.DeltaDenom.tolist()):
-        printed = _printed_display(s1.r, s1.beta, s2.r, s2.beta)
+    for (s1, s2), dd, ldd in zip(pairs, cf.pipeline.DeltaDenom.tolist(),
+                                 cf.pipeline.log_DeltaDenom.tolist()):
+        printed = _printed_display(s1.r, s1.beta, s2.r, s2.beta, ldd)
         system, defn = _matching_matrices(s1, s2)
         def_devs.append(float(np.abs(printed - defn).max()))
         rel_devs.append(float(np.abs(system - 2.0 * dd * printed).max()))
@@ -351,10 +350,10 @@ def run_verification(
     f0 = np.array([g0.oracle[distinct.index(key)].fidelity for key in keys])
     labels = [_fmt_pair(s1, s2) for s1, s2 in pairs]
     checks += [
-        _bound("pipeline-vs-oracle",
-               np.abs(grid.value_matrix_pipeline - grid.value_oracle), labels, 1e-6),
+        _bound("pipeline-vs-oracle", grid.flags["pipeline-vs-oracle"][1], labels,
+               ORACLE_AGREEMENT),
         _bound("decomposition-identity",
-               np.abs(grid.value_oracle / f0 - grid.pipeline.ratio), labels, 1e-6),
+               np.abs(grid.value_oracle / f0 - grid.pipeline.ratio), labels, ORACLE_AGREEMENT),
         _bound("annihilation-residual", grid.pipeline.annihilation_residual, labels, 1e-10),
     ]
 

@@ -32,8 +32,8 @@ logarithm that grows with beta (see _variables); the matrix route is written
 without differences of nearly equal products and scaled so that its checks
 run at every beta (see _matrix_route).  The batch then raises its first
 refused row's first failing check and, when the options ask for it, runs the
-oracle per row: every refusal and every oracle run of a pair evaluation
-happens in `closed_form_columns`.
+oracle per row: every refusal, every oracle run and every comparison of the
+pipeline with the oracle happens in `closed_form_columns`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .algebra import (
     thermal_matrix,  # noqa: F401
 )
 from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError, OracleResult, fidelity_oracle
-from .fock import _check_oracle_options
+from .fock import DEFAULT_ORACLE_TOL, _check_oracle_options
 
 __all__ = [
     "DiscrepancyFlag",
@@ -78,6 +78,15 @@ _EXP_MAX = 709.0  # math.exp overflows just above this
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_TINY = math.log(1e-300)
+
+# The pipeline's agreement bound with the oracle: the floor of the
+# pipeline-vs-oracle flag, and verify's bound on the same deviation.
+ORACLE_AGREEMENT = 1e-6
+
+
+def _sci(x: float) -> str:
+    """A tolerance as the help and verify state it: 1e-8, not 1e-08."""
+    return np.format_float_scientific(x, trim="-", exp_digits=1)
 
 
 class SqueezeGapError(ValueError):
@@ -150,7 +159,7 @@ class FidelityOptions:
 
     tol: float = 1e-8  # physical comparison tolerance (flag threshold)
     oracle: bool = True  # run the full Fock oracle alongside
-    oracle_tol: float = 1e-8
+    oracle_tol: float = DEFAULT_ORACLE_TOL
     oracle_ceiling: int = DEFAULT_CUTOFF_CEILING
 
     def __post_init__(self):
@@ -427,10 +436,9 @@ def _printed_path(g, r1, r2, lsh2):
 
 
 @np.errstate(divide="ignore")  # log sh((b1 - b2)/2) is -inf at b1 = b2
-def _printed_display(r1, b1, r2, b2):
+def _printed_display(r1, b1, r2, b2, ldd):
     """The printed solve-ready matrix of one pair, verbatim, with its
-    1/denominator prefactor (only `verify` reads it)."""
-    ldd = _variables(r1, b1, r2, b2)[-1]
+    1/denominator prefactor, ldd = log Delta (only `verify` reads it)."""
     chr_, shr = np.cosh(r1 - r2), np.sinh(r1 - r2)
     # the sinh/denominator quotients come from logarithms, so the 1/denominator
     # prefactor is already applied and nothing overflows past beta ~ 710
@@ -593,7 +601,7 @@ def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> Closed
     value_oracle, amount = _clamp01(np.reshape([o.fidelity for o in results], np.shape(cf.g))[()])
     dev = np.abs(cf.value_matrix_pipeline - value_oracle)
     flags = {**cf.flags, "oracle-value-clamped": (amount > 0.0, amount),
-             "pipeline-vs-oracle": (dev > max(opts.tol, 1e-6), dev)}
+             "pipeline-vs-oracle": (dev > max(opts.tol, ORACLE_AGREEMENT), dev)}
     return replace(cf, oracle=tuple(results), value_oracle=value_oracle, flags=flags)
 
 

@@ -37,6 +37,9 @@ CASES = {
                       "--sweep", "re_k2=-0.0:1:3"], "0,-0,-0,-0,"),
     "signed-zeros-2d": (["sweep", "--r1=-0.0", "--k1=-0.0-0.0i", "--nbar1", "1", "--nbar2", "1",
                          "--sweep", "im_k1=-0.0:-1:3", "--sweep", "re_k2=-0.0:0:2"], ",-0,"),
+    # a one-point axis is its start: np.linspace(-0.0, 5, 1) gives [0.0]
+    "signed-zero-one-point": (["sweep", "--nbar1", "1", "--nbar2", "1",
+                               "--sweep", "r2=-0.0:5:1"], ",0,0,-0,1,0.69314718055994529,"),
     "log-scaled": (["sweep", "--beta1", "35", "--beta2", "31", "--r1", "0.4", "--k2", "0.7i",
                     "--sweep", "r2=-2:2:5"], "printed-value-clamped"),
     "printed-path-flags": (["sweep", "--nbar1", "0.01", "--nbar2", "0.02",

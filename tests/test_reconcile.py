@@ -2,10 +2,15 @@
 as columns: every row's report is the one fidelity() gives for the same
 pair."""
 
+import json
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import dstfid.reduction as red
 from dstfid.algebra import state
+from dstfid.cli import main
 from dstfid.fock import fidelity_oracle
 from dstfid.reconcile import pair_grid, run_verification, self_grid
 from dstfid.reduction import FidelityOptions, SqueezeGapError, closed_form, fidelity
@@ -71,3 +76,30 @@ def test_every_oracle_run_uses_the_run_ceiling(monkeypatch):
     monkeypatch.setattr(red, "fidelity_oracle", recorded)
     assert run_verification(preset="quick", ceiling=300).passed
     assert ceilings and set(ceilings) == {300}
+
+
+def test_flag_and_verify_share_one_agreement_bound(monkeypatch, capsys):
+    # verify bounds |F_pipeline - F_oracle| and the decomposition identity by
+    # the bound that floors compute's and sweep's pipeline-vs-oracle flag
+    assert main(["verify", "--preset", "quick", "--format", "record"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("pipeline-vs-oracle", "decomposition-identity"):
+        assert checks[name]["threshold"] == red.ORACLE_AGREEMENT
+    # an oracle low by 0.9, 1.1, 50 and 2000 bounds in turn: the flag fires
+    # above max(tol, bound), so the bound floors a fine tol and a coarse tol rules
+    bound, right = red.ORACLE_AGREEMENT, fidelity_oracle
+
+    def low(*args, **kwargs):
+        res = right(*args, **kwargs)
+        return replace(res, fidelity=res.fidelity - next(offsets))
+
+    monkeypatch.setattr(red, "fidelity_oracle", low)
+    pairs = [(state(0.0, 0.3, nbar=0.5), state(g, 0.3, nbar=0.5)) for g in (0.2, 0.4, 0.6, 0.8)]
+    for tol, flagged in ((bound / 100, [False, True, True, True]),
+                         (bound * 100, [False, False, False, True])):
+        offsets = iter([0.9 * bound, 1.1 * bound, 50 * bound, 2000 * bound])
+        cf = closed_form(pairs, FidelityOptions(tol=tol, oracle_ceiling=512))
+        mask, magnitude = cf.flags["pipeline-vs-oracle"]
+        assert np.array_equal(magnitude, np.abs(cf.value_matrix_pipeline - cf.value_oracle))
+        assert np.array_equal(mask, magnitude > max(tol, bound))
+        assert mask.tolist() == flagged

@@ -222,8 +222,9 @@ def test_printed_display_is_scaled_inverse_of_system():
     a = state(0.0, 0.6, nbar=0.5)
     b = state(0.0, -0.1, nbar=2.0)
     p, _ = _matching_matrices(a, b)
-    disp = _printed_display(a.r, a.beta, b.r, b.beta)
-    dd = fidelity(a, b, NO_ORACLE).pipeline.DeltaDenom
+    pipeline = fidelity(a, b, NO_ORACLE).pipeline
+    disp = _printed_display(a.r, a.beta, b.r, b.beta, pipeline.log_DeltaDenom)
+    dd = pipeline.DeltaDenom
     assert np.allclose(2.0 * dd * disp, p, rtol=1e-12, atol=1e-12)
     assert np.allclose(p @ p, 2.0 * dd * np.eye(2), rtol=1e-12, atol=1e-10)
 
@@ -661,7 +662,7 @@ def test_printed_path_matches_its_transcription(r1, b1, r2, b2, g):
     rep = fidelity(s1, s2, FidelityOptions(oracle=False))
     assert math.isclose(rep.printed.ratio, math.exp(want_ratio), rel_tol=1e-12)
     assert math.isclose(rep.printed.log_delta1, want_quad, rel_tol=1e-12)
-    display = _printed_display(r1, b1, r2, b2)
+    display = _printed_display(r1, b1, r2, b2, rep.pipeline.log_DeltaDenom)
     assert np.all(np.abs(display - want_display) <= 1e-12 * np.abs(want_display))
 
 
@@ -672,7 +673,8 @@ def test_fidelity_past_sinh_overflow_matches_gaussian_reference():
     rep = fidelity(cold, hot, FidelityOptions(oracle=False))
     _, want, _ = gaussian_reference(0.0, 740.0, 0.0, hot.beta, 0.1)
     assert math.isclose(rep.value_matrix_pipeline, want, rel_tol=1e-11)
-    assert np.all(np.isfinite(_printed_display(cold.r, cold.beta, hot.r, hot.beta)))
+    assert np.all(np.isfinite(_printed_display(cold.r, cold.beta, hot.r, hot.beta,
+                                               rep.pipeline.log_DeltaDenom)))
 
 
 def test_squeeze_gap_past_cosh_overflow_is_a_named_error():

@@ -27,10 +27,14 @@ def _load(name: str):
          "label,r1,r2,nbar1,nbar2,abs_g,fidelity,coherent_reference", 12),
         ("cutoff_convergence", ["--rungs", "2"],
          "cutoff,kept,fidelity,gap_prev,gap_adaptive", 2),
+        # the ladder stops at the oracle's ceiling: 48, ..., 819, then 1024
+        ("cutoff_convergence", ["--rungs", "40"],
+         "cutoff,kept,fidelity,gap_prev,gap_adaptive", 9),
         # one line per check of the closed-form batch, then passed
         ("refusal_census", ["--rows", "2000"], "check,rows", 13),
     ],
-    ids=["displacement_decay", "cutoff_convergence", "refusal_census"],
+    ids=["displacement_decay", "cutoff_convergence", "cutoff_convergence-ceiling",
+         "refusal_census"],
 )
 def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     assert _load(name).main(argv) == 0
