@@ -48,6 +48,8 @@ FILES = {
     "bad_tol.conf": "tol = abc\n",
     "bad_method.conf": "method = bogus\n",
     "bad_preset.conf": "preset = slow\n",
+    "tol_zero.conf": "tol = 0\n",
+    "empty.txt": "",
 }
 
 BATTERY = (
@@ -104,6 +106,12 @@ BATTERY = (
     "snapshot",
     "snapshot --file TMP/bad_tol.txt",
     "snapshot --file TMP/inf_tol.txt",
+    # the oracle refuses row 2's ceiling after rows 0 and 1 ran their ladders
+    "sweep --nbar1 0.1 --sweep nbar2=0.1:3:3 --method all --ceiling 60",
+    "snapshot --ceiling 10",
+    "snapshot --file TMP/empty.txt",
+    f"compute {PAIR} --config TMP/tol_zero.conf",
+    "verify --preset quick --config TMP/tol_zero.conf",
 )
 
 

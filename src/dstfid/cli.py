@@ -115,8 +115,10 @@ def _one_of(choices: tuple[str, ...]):
 
 
 # One key set for every subcommand, so one file can serve them all: each key
-# with the converter that types and checks its value when the file is read.
-CONFIG_KEYS = {"tol": float, "oracle_tol": float, "ceiling": int,
+# with the converter that types its value and, by its option's rule, checks it.
+CONFIG_KEYS = {"tol": lambda v: FidelityOptions(tol=float(v)).tol,
+               "oracle_tol": lambda v: FidelityOptions(oracle_tol=float(v)).oracle_tol,
+               "ceiling": lambda v: FidelityOptions(oracle_ceiling=int(v)).oracle_ceiling,
                "method": _one_of(METHODS), "preset": _one_of(PRESETS)}
 
 
@@ -392,7 +394,7 @@ def run_sweep(args, config: dict) -> str:
     fields, the options, each state's fixed fields -- then evaluate the grid
     as one closed-form batch (plus the oracle per row when the method asks
     for it) and render the CSV in grid order, a column at a time.  The first
-    failing row raises its error, named by row, and no rows are written."""
+    failing row's own error is raised, naming its row, and no rows are written."""
     axes = [_parse_axis(a) for a in args.sweep]
     if not axes:
         raise UsageError("sweep requires at least one --sweep axis")
@@ -416,14 +418,10 @@ def run_sweep(args, config: dict) -> str:
         at = divmod(idx, shape[1])
         return {name: grids[a][at[a]] for a, name in enumerate(names)}
 
-    def named(idx: int, exc: Exception) -> str:
+    def named(idx: int, exc: Exception) -> Exception:
         where = ", ".join(f"{k}={_g17(v)}" for k, v in assignment(idx).items())
-        return f"sweep row {idx} ({where}): {exc}; no rows written"
-
-    def pair(idx: int) -> tuple[StateParams, StateParams]:
-        values = assignment(idx)
-        return tuple(_state_of({**at_rest, **{f: values[f + w] for f in on_axes}})
-                     for w, on_axes, at_rest in zip("12", swept, fixed))
+        exc.args = (f"sweep row {idx} ({where}): {exc}; no rows written",)
+        return exc
 
     # Each field is fixed or one axis's, so every distinct value is checked
     # and converted once, as a state with that value in place: per state and
@@ -449,10 +447,12 @@ def run_sweep(args, config: dict) -> str:
     refused = np.isnan(fields).any(axis=0)
     if refused.any():
         idx = int(np.argmax(refused))
+        values = assignment(idx)
         try:
-            pair(idx)
+            for w, on_axes, at_rest in zip("12", swept, fixed):
+                _state_of({**at_rest, **{f: values[f + w] for f in on_axes}})
         except ValueError as exc:
-            raise type(exc)(named(idx, exc)) from None
+            raise named(idx, exc) from None
     # the state cells: each source value formatted once, spread as the value is
     cells = [column(j, f, lambda s: _g17(get(s)), object).tolist()
              for j in (0, 1) for f, get in _STATE_CELLS]
@@ -464,8 +464,7 @@ def run_sweep(args, config: dict) -> str:
     except (ValueError, RuntimeError) as exc:
         if not hasattr(exc, "row"):  # neither a refused row nor its oracle's failure
             raise
-        gaps = (exc.gaps,) if isinstance(exc, ConvergenceError) else ()
-        raise type(exc)(named(exc.row, exc), *gaps) from None
+        raise named(exc.row, exc) from None
     return "\n".join([_csv_header(meta), *_csv_rows(cells, cf)]) + "\n"
 
 

@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import StateParams, state
-from .fock import DEFAULT_CUTOFF_CEILING, _check_oracle_options, fidelity_oracle
+from .fock import (DEFAULT_CUTOFF_CEILING, DEFAULT_ORACLE_TOL, ConvergenceError,
+                   _check_oracle_options, fidelity_oracle)
 
 __all__ = [
     "SnapshotRecord",
@@ -131,6 +132,8 @@ def read_snapshots(path: Path | str) -> list[SnapshotRecord]:
         except ValueError as exc:  # a field that is no number, no state or no oracle tol
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         records.append(rec)
+    if not records:  # a drift check over no records would check nothing
+        raise ValueError(f"{path}: no golden records")
     return records
 
 
@@ -148,11 +151,17 @@ def check_snapshots(
 
     The comparison allows 10x the record's own convergence tolerance: the
     frozen value and a recomputation may land on opposite sides of the
-    adaptive ladder's last gap.
+    adaptive ladder's last gap.  A record whose oracle run fails raises that
+    run's error, its message naming the record as a drift does.
     """
+    _check_oracle_options(DEFAULT_ORACLE_TOL, ceiling)  # the run's ceiling, named by no record
     problems = []
     for i, rec in enumerate(records):
-        fresh = fidelity_oracle(rec.s1, rec.s2, tol=rec.tol, ceiling=ceiling).fidelity
+        try:
+            fresh = fidelity_oracle(rec.s1, rec.s2, tol=rec.tol, ceiling=ceiling).fidelity
+        except (ValueError, ConvergenceError) as exc:
+            exc.args = (f"record {i}: {exc}",)
+            raise
         allowed = 10.0 * rec.tol
         diff = abs(fresh - rec.fidelity)
         if not math.isfinite(diff) or diff > allowed:

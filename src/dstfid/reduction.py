@@ -336,10 +336,10 @@ def _matrix_route(r1, r2, g, t1, t2, c1, c2, lsh2, ldd, root, ld1, lq1, lratio, 
     so a wide squeeze gap cannot overflow it (Delta > 0 for every pair, so a
     zero or non-finite value fails it too), and the solve's substitution
     residual; the conjugate-pair form of the solved l, relative to its first
-    entry; the quadratic multiplier term, which the symplectic structure
-    kills, below _DUAL_TOL; the ratio to a conditioning-aware _DUAL_TOL (a
-    non-finite route delta2 exponent fails it, as NaN fails _log_within);
-    the solved l within _L_TOL of the solve's first-order rounding bound.
+    entry; the quadratic term (Ah)^T Sigma (Ah), zero for any A and h (ROADMAP
+    item 12), below _DUAL_TOL; the ratio to a conditioning-aware _DUAL_TOL (a
+    non-finite route delta2 exponent fails it, as NaN fails _log_within); the
+    solved l within _L_TOL of the solve's first-order rounding bound.
     Everything past delta1 runs in the quadrature basis (see
     _matching_system), where P is anti-diagonal, R Sigma R = -Sigma and every
     product below is a sum of same-signed terms; P and A are divided by c1 c2
@@ -577,9 +577,9 @@ def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> Closed
     squeeze gap, each squeeze factor (SqueezeGapError), a finite mismatch, a
     squeezed norm in double range, then the matrix-route checks (see
     _matrix_route).  Then, with opts.oracle, the oracle runs on each row's
-    pair; a ConvergenceError, like a refusal, carries its row's index as
-    ``row``.  Its results join the batch: value_oracle is their fidelity
-    clamped to [0, 1], and the oracle's two flags are set.
+    pair; its ValueError or ConvergenceError, like a refusal, carries its
+    row's index as ``row``.  Its results join the batch: value_oracle is
+    their fidelity clamped to [0, 1], and the oracle's two flags are set.
     """
     cf = _evaluate(k1, r1, b1, k2, r2, b2, opts.tol)
     refused = np.flatnonzero(cf.first_failure < len(cf.checks))
@@ -595,7 +595,7 @@ def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> Closed
         try:
             results.append(fidelity_oracle(StateParams(ka, ra, ba), StateParams(kb, rb, bb),
                                            tol=opts.oracle_tol, ceiling=opts.oracle_ceiling))
-        except ConvergenceError as exc:
+        except (ValueError, ConvergenceError) as exc:
             exc.row = row
             raise
     value_oracle, amount = _clamp01(np.reshape([o.fidelity for o in results], np.shape(cf.g))[()])

@@ -329,6 +329,30 @@ def test_sweep_convergence_failure_names_the_row():
     assert "no rows written" in res.stderr
 
 
+def test_sweep_oracle_refusal_names_the_row():
+    # the oracle refuses row 2's ceiling (nbar2 = 3 needs a cutoff of 97)
+    # after rows 0 and 1 have run their ladders
+    res = run_cli("sweep", "--nbar1", "0.1", "--sweep", "nbar2=0.1:3:3", "--method", "all",
+                  "--ceiling", "60")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == ("error: sweep row 2 (nbar2=3): cutoff 60 leaves a thermal tail "
+                          "above 1e-12 at beta=0.287682; need at least 97; no rows written\n")
+
+
+def test_sweep_convergence_error_keeps_its_gaps():
+    # the row is named in the error's own message, so its gap trace stays with it
+    from dstfid.cli import build_parser, run_sweep
+    from dstfid.fock import ConvergenceError
+
+    args = build_parser().parse_args(
+        ["sweep", "--nbar1", "0.5", "--nbar2", "0.5", "--sweep", "re_k2=0:3:4",
+         "--method", "all", "--ceiling", "60"])
+    with pytest.raises(ConvergenceError) as exc:
+        run_sweep(args, {})
+    assert str(exc.value).startswith("sweep row 3 (re_k2=3): fidelity did not stabilize")
+    assert str(exc.value).endswith("; no rows written")
+    assert exc.value.gaps and exc.value.gaps[-1][0] == 60
+
 _NBAR_REFUSED = "nbar must be a finite positive number, got {} (nbar = 0 is the pure-state " \
     "limit; use a large beta instead); no rows written"
 
@@ -559,6 +583,30 @@ def test_snapshot_missing_file_is_io_error(tmp_path):
     assert res.returncode == 4
 
 
+@pytest.mark.parametrize("text", ["", "# golden oracle fidelity snapshots\n\n"],
+                         ids=["empty", "comments-only"])
+def test_snapshot_file_without_records_is_refused(tmp_path, text):
+    # a drift check over no records would pass having checked nothing
+    path = tmp_path / "golden.txt"
+    path.write_text(text)
+    res = run_cli("snapshot", "--file", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"error: {path}: no golden records\n"
+
+
+@pytest.mark.parametrize(
+    "ceiling, says",
+    [("10", "record 0: cutoff 10 leaves a thermal tail above 1e-12 at beta=1.09861; "
+            "need at least 26"),
+     # the run's own ceiling, refused before any record runs
+     ("1", "ceiling must be >= 2 (the smallest cutoff), got 1")],
+    ids=["below-record-0-thermal-floor", "below-2"],
+)
+def test_snapshot_oracle_refusal_names_the_record(ceiling, says):
+    res = run_cli("snapshot", "--ceiling", ceiling)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"error: {says}\n"
+
 def test_config_file_sets_method_and_flags_override(tmp_path):
     conf = tmp_path / "dst.conf"
     conf.write_text("# sweep defaults\nmethod = pipeline\nceiling = 256\n")
@@ -596,8 +644,14 @@ def test_config_file_refuses_unknown_keys(tmp_path, capsys):
      ("ceiling = 1.5", "config key ceiling: invalid literal for int() with base 10: '1.5'"),
      ("method = bogus", "config key method: invalid choice 'bogus' "
                         "(choose from all, closed-form, pipeline, printed, oracle)"),
-     ("preset = slow", "config key preset: invalid choice 'slow' (choose from full, quick)")],
-    ids=["tol", "ceiling", "method", "preset"],
+     ("preset = slow", "config key preset: invalid choice 'slow' (choose from full, quick)"),
+     ("tol = 0", "config key tol: tol must be finite and > 0, got 0.0"),
+     ("tol = inf", "config key tol: tol must be finite and > 0, got inf"),
+     ("ceiling = 1", "config key ceiling: ceiling must be >= 2 (the smallest cutoff), got 1"),
+     ("oracle_tol = 1e-20",
+      "config key oracle_tol: oracle tolerance must be >= 1e-10, got 1e-20")],
+    ids=["tol", "ceiling", "method", "preset", "tol-zero", "tol-inf", "ceiling-below-2",
+         "oracle-tol-below-1e-10"],
 )
 def test_config_file_refuses_a_bad_value_naming_its_line(tmp_path, capsys, line, says):
     # checked when the file is read, so whichever subcommand reads the file,
@@ -688,7 +742,8 @@ def test_verify_refuses_an_infinite_oracle_tolerance_from_its_config(tmp_path, c
     assert main(["verify", "--preset", "quick", "--config", str(conf)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: oracle tolerance must be finite, got inf\n"
+    assert out.err == f"error: {conf}:1: config key oracle_tol: oracle tolerance must be " \
+        "finite, got inf\n"
 
 
 def test_verify_takes_the_oracle_tolerance_as_oracle_tol(capsys):

@@ -65,6 +65,15 @@ def test_refused_pair_raises_as_fidelity_does(monkeypatch):
     assert calls == []
 
 
+def test_oracle_refusal_carries_its_row():
+    # the oracle's own ValueError, tagged as a refused row is: a ceiling of 60
+    # clears nbar = 0.1's thermal floor but not nbar = 3's (97)
+    cold, hot = state(0.0, 0.0, nbar=0.1), state(0.0, 0.0, nbar=3.0)
+    with pytest.raises(ValueError, match=r"cutoff 60 .*; need at least 97$") as got:
+        closed_form([(cold, cold), (cold, hot), (hot, hot)], replace(OPTS, oracle_ceiling=60))
+    assert type(got.value) is ValueError and got.value.row == 1
+
+
 def test_every_oracle_run_uses_the_run_ceiling(monkeypatch):
     # the difference-convention pair included, not the default ceiling 1024
     ceilings = []
