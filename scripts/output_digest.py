@@ -112,6 +112,9 @@ BATTERY = (
     "snapshot --file TMP/empty.txt",
     f"compute {PAIR} --config TMP/tol_zero.conf",
     "verify --preset quick --config TMP/tol_zero.conf",
+    # the oracle refuses a grid point's ceiling, and a standard record's
+    "verify --preset quick --ceiling 40",
+    "snapshot --regolden --ceiling 10 --file TMP/regolden.txt",
 )
 
 

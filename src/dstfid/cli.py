@@ -537,10 +537,13 @@ def cmd_verify(args, config: dict) -> int:
 def cmd_snapshot(args, config: dict) -> int:
     path = Path(args.file) if args.file else default_golden_path()
     if args.regolden:
-        records = [
-            compute_record(s1, s2, tol, ceiling=args.ceiling)
-            for s1, s2, tol in standard_cases()
-        ]
+        records = []
+        for i, (s1, s2, tol) in enumerate(standard_cases()):
+            try:
+                records.append(compute_record(s1, s2, tol, ceiling=args.ceiling))
+            except (ValueError, ConvergenceError) as exc:  # named as check mode names it
+                exc.args = (f"record {i}: {exc}",)
+                raise
         write_snapshots(path, records)
         print(f"wrote {len(records)} golden records to {path}")
         return EXIT_OK

@@ -5,14 +5,16 @@ diagonal thermal state with populations p.  D and S are the exponentials of
 their generators truncated at cutoff N.  Both a^dag - a and each parity block
 of a^2 - a^dag^2 are real antisymmetric tridiagonal matrices that couple even
 sites to odd sites only, so one SVD of the half-size even-odd block gives
-their exponentials as real orthogonal matrices in closed form; a complex k
-enters through the diagonal phase R = diag(e^{i phi n}), D(k) =
-R D(|k|) R^dag.  Every factor is in level order, the squeeze's parity
-blocks on the strided levels p::2.  No dense matrix exponential and no
-scipy: numpy alone runs the oracle, and only matrix_exp, the dense reference
-the tests compare the factors against, imports scipy.  The full operators
-D(k) and S(r) and the density-matrix route the tests check a rung against
-(uhlmann_fidelity) live with the tests, in fock_reference.
+their exponentials as real orthogonal matrices in closed form (_chain_exp,
+the one builder, stacks them over an array of t: one call per chain builds
+both states' factors); a complex k enters through the diagonal phase R =
+diag(e^{i phi n}), D(k) = R D(|k|) R^dag.  Every factor is in level order,
+the squeeze's parity blocks on the strided levels p::2.  No dense matrix
+exponential and no scipy: numpy alone runs the oracle, and only matrix_exp,
+the dense reference the tests compare the factors against, imports scipy.
+The full operators D(k) and S(r) and the density-matrix route the tests
+check a rung against (uhlmann_fidelity) live with the tests, in
+fock_reference.
 
 One rung of the oracle evaluates the Uhlmann/Bures fidelity
 F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
@@ -142,17 +144,18 @@ def _chain(c: np.ndarray) -> _Chain:
     return np.linalg.svd(link)
 
 
-def _chain_exp(chain: _Chain, t: float) -> np.ndarray:
-    """exp(tA) in site order."""
+def _chain_exp(chain: _Chain, t: float | tuple[float, ...]) -> np.ndarray:
+    """exp(tA) in site order, one per entry of t stacked on a leading axis."""
     u, s, vt = chain
-    cos = np.ones(u.shape[0])
-    cos[: s.size] = np.cos(t * s)
-    even_odd = (u[:, : s.size] * np.sin(t * s)) @ vt
-    out = np.empty((u.shape[0] + vt.shape[0],) * 2)
-    out[0::2, 0::2] = (u * cos) @ u.T
-    out[0::2, 1::2] = even_odd
-    out[1::2, 0::2] = -even_odd.T
-    out[1::2, 1::2] = (vt.T * cos[: s.size]) @ vt
+    ts = np.multiply.outer(t, s)[..., None, :]  # broadcasts over a factor's rows
+    cos = np.ones(ts.shape[:-1] + u.shape[:1])
+    cos[..., : s.size] = np.cos(ts)
+    even_odd = (u[:, : s.size] * np.sin(ts)) @ vt
+    out = np.empty(ts.shape[:-2] + (u.shape[0] + vt.shape[0],) * 2)
+    out[..., 0::2, 0::2] = (u * cos) @ u.T
+    out[..., 0::2, 1::2] = even_odd
+    out[..., 1::2, 0::2] = -np.swapaxes(even_odd, -1, -2)
+    out[..., 1::2, 1::2] = (vt.T * cos[..., : s.size]) @ vt
     return out
 
 
@@ -179,11 +182,6 @@ def _generator_chains(cutoff: int) -> tuple[_Chain, _Chain, _Chain]:
     return chains
 
 
-def _squeeze_blocks(r: float, chains: tuple[_Chain, _Chain]) -> list[np.ndarray]:
-    """S(r) on the even and on the odd levels, each in level order."""
-    return [_chain_exp(chain, 0.5 * float(r)) for chain in chains]
-
-
 def _polar(k: complex) -> tuple[float, float]:
     """(t, phi) with k = t e^{i phi} and |phi| <= pi/2, so phi = 0 exactly
     for a real k and D(k) is real."""
@@ -204,14 +202,13 @@ def _displacement_overlap(k1: complex, k2: complex, chain: _Chain) -> np.ndarray
     about 10% more pairs per second than the product.
     """
     (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
-    out = _chain_exp(chain, t2)
-    levels = np.arange(out.shape[0])
     if k1 == 0:
-        phi1 = phi2
+        phi1, out = phi2, _chain_exp(chain, t2)
     else:
-        left = _chain_exp(chain, -t1)
-        turn = (phi2 - phi1) * levels
+        left, out = _chain_exp(chain, (-t1, t2))
+        turn = (phi2 - phi1) * np.arange(out.shape[0])
         out = (left * np.cos(turn)) @ out + 1j * ((left * np.sin(turn)) @ out)
+    levels = np.arange(out.shape[0])
     return np.exp(1j * phi1 * levels)[:, None] * out * np.exp(-1j * phi2 * levels)
 
 
@@ -251,8 +248,8 @@ def dst_state(s: StateParams, cutoff: int) -> np.ndarray:
     pops = thermal_weights(s.beta, cutoff)
     chains = _generator_chains(cutoff)
     u = _displacement_overlap(0, s.k, chains[0])
-    for p, block in enumerate(_squeeze_blocks(s.r, chains[1:])):
-        u[:, p::2] = u[:, p::2] @ block
+    for p, chain in enumerate(chains[1:]):
+        u[:, p::2] = u[:, p::2] @ _chain_exp(chain, 0.5 * s.r)
     return (u * pops) @ u.conj().T
 
 
@@ -297,15 +294,15 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     root1, root2 = np.sqrt(p1), np.sqrt(p2)
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
     chains = _generator_chains(cutoff)
-    sq1, sq2 = _squeeze_blocks(s1.r, chains[1:]), _squeeze_blocks(s2.r, chains[1:])
+    sq = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in chains[1:]]
     overlap = _displacement_overlap(s1.k, s2.k, chains[0])
 
     w = np.empty((n1, n2), dtype=complex)
     for p in (0, 1):
         for q in (0, 1):
             # Only the kept levels' columns of S1 and S2 enter the sandwich.
-            left = sq1[p][:, : (n1 - p + 1) // 2]
-            right = sq2[q][:, : (n2 - q + 1) // 2]
+            left = sq[p][0, :, : (n1 - p + 1) // 2]
+            right = sq[q][1, :, : (n2 - q + 1) // 2]
             w[p::2, q::2] = _sandwich(left, overlap[p::2, q::2], right)
     w2 = w.real**2 + w.imag**2
     m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))

@@ -22,8 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import StateParams, state
-from .fock import (DEFAULT_CUTOFF_CEILING, DEFAULT_ORACLE_TOL, ConvergenceError,
-                   _check_oracle_options, fidelity_oracle)
+from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError, fidelity_oracle
+from .reduction import FidelityOptions
 
 __all__ = [
     "SnapshotRecord",
@@ -128,7 +128,7 @@ def read_snapshots(path: Path | str) -> list[SnapshotRecord]:
                 tol=float(parts[10]),
                 version=parts[11],
             )
-            _check_oracle_options(rec.tol, DEFAULT_CUTOFF_CEILING)  # tol; the ceiling is the run's
+            FidelityOptions(oracle_tol=rec.tol)  # its tol; the ceiling is the run's
         except ValueError as exc:  # a field that is no number, no state or no oracle tol
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         records.append(rec)
@@ -154,7 +154,7 @@ def check_snapshots(
     adaptive ladder's last gap.  A record whose oracle run fails raises that
     run's error, its message naming the record as a drift does.
     """
-    _check_oracle_options(DEFAULT_ORACLE_TOL, ceiling)  # the run's ceiling, named by no record
+    FidelityOptions(oracle_ceiling=ceiling)  # the run's ceiling, named by no record
     problems = []
     for i, rec in enumerate(records):
         try:

@@ -13,6 +13,7 @@ batch, which runs the oracle per pair and carries its results as columns.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -177,12 +178,12 @@ def _entry(
 
 
 def _entry_difference_convention(
-    opts: FidelityOptions,
+    oracle_batch: Callable[[list], ClosedForm],
 ) -> tuple[ReconciliationEntry, VerificationCheck]:
     """Adjudicate g = k2 - k1 against the printed k2 - conj(k1), the oracle
-    at the run's tolerance and ceiling."""
+    in the run's batch (at its tolerance and ceiling)."""
     s = state(0.3j, 0.3, nbar=0.5)
-    cf = closed_form([(s, s)], opts)
+    cf = oracle_batch([(s, s)])
     correct_dev = cf.flags["pipeline-vs-oracle"][1].item()
     # Same pair evaluated under the printed convention.
     g_flip = s.k - s.k.conjugate()
@@ -322,9 +323,20 @@ def run_verification(
     quick = preset == "quick"
     opts = FidelityOptions(oracle_tol=tol, oracle_ceiling=ceiling)
 
+    def oracle_batch(pairs: list) -> ClosedForm:
+        """closed_form at the run's options.  A refused row's error names its
+        point: a self pair by its state, as the self-fidelity checks do."""
+        try:
+            return closed_form(pairs, opts)
+        except (ValueError, RuntimeError) as exc:
+            if hasattr(exc, "row"):
+                s1, s2 = pairs[exc.row]
+                exc.args = (f"{_fmt_state(s1) if s1 == s2 else _fmt_pair(s1, s2)}: {exc}",)
+            raise
+
     # Self-fidelity grid.
     selfs = self_grid()[::5 if quick else 1]
-    cf = closed_form([(s, s) for s in selfs], opts)
+    cf = oracle_batch([(s, s) for s in selfs])
     labels = [_fmt_state(s) for s in selfs]
     checks = [
         _bound("self-fidelity-pipeline", np.abs(cf.value_matrix_pipeline - 1.0), labels, 1e-9),
@@ -343,10 +355,10 @@ def run_verification(
     # undisplaced pair: one batch of the distinct undisplaced (r, beta) pairs,
     # in order of first appearance.
     pairs = pair_grid()[::11 if quick else 1]
-    grid = closed_form(pairs, opts)
+    grid = oracle_batch(pairs)
     keys = [tuple(sorted(((s1.r, s1.beta), (s2.r, s2.beta)))) for s1, s2 in pairs]
     distinct = list(dict.fromkeys(keys))
-    g0 = closed_form([tuple(StateParams(0.0, *rb) for rb in key) for key in distinct], opts)
+    g0 = oracle_batch([tuple(StateParams(0.0, *rb) for rb in key) for key in distinct])
     f0 = np.array([g0.oracle[distinct.index(key)].fidelity for key in keys])
     labels = [_fmt_pair(s1, s2) for s1, s2 in pairs]
     checks += [
@@ -359,7 +371,7 @@ def run_verification(
 
     # Coherent pure-state limit.
     k2s = (0.5, 1.0)
-    cf = closed_form([(state(0.0, 0.0, nbar=1e-6), state(k2, 0.0, nbar=1e-6)) for k2 in k2s], opts)
+    cf = oracle_batch([(state(0.0, 0.0, nbar=1e-6), state(k2, 0.0, nbar=1e-6)) for k2 in k2s])
     values = np.stack([cf.value_matrix_pipeline, cf.value_oracle,
                        cf.printed.ratio * cf.base.base], axis=1)
     devs = np.abs(values - np.array([[math.exp(-k2 * k2)] for k2 in k2s]))
@@ -368,7 +380,7 @@ def run_verification(
                           for label in ("pipeline", "oracle", "printed-ratio-exact-base")],
                          1e-4))
 
-    conv_entry, conv_check = _entry_difference_convention(opts)
+    conv_entry, conv_check = _entry_difference_convention(oracle_batch)
     checks.append(conv_check)
 
     # The grid with both squeeze signs reversed, for both sign entries: delta1's

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from dstfid.algebra import StateParams
-from dstfid.fock import _displacement_overlap, _generator_chains, _squeeze_blocks, thermal_weights
+from dstfid.fock import _chain_exp, _displacement_overlap, _generator_chains, thermal_weights
 
 __all__ = [
     "ContractViolationError", "annihilation", "displacement_op", "full_size_rung",
@@ -60,8 +60,8 @@ def squeeze_op(r: float, cutoff: int) -> np.ndarray:
     """
     _check_cutoff(cutoff)
     out = np.zeros((cutoff, cutoff), dtype=complex)
-    for parity, block in enumerate(_squeeze_blocks(r, _generator_chains(cutoff)[1:])):
-        out[parity::2, parity::2] = block
+    for parity, chain in enumerate(_generator_chains(cutoff)[1:]):
+        out[parity::2, parity::2] = _chain_exp(chain, 0.5 * float(r))
     return out
 
 

@@ -607,6 +607,32 @@ def test_snapshot_oracle_refusal_names_the_record(ceiling, says):
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr == f"error: {says}\n"
 
+def test_snapshot_regolden_oracle_refusal_names_the_record_and_writes_nothing(tmp_path):
+    path = tmp_path / "regolden.txt"
+    res = run_cli("snapshot", "--regolden", "--ceiling", "10", "--file", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == ("error: record 0: cutoff 10 leaves a thermal tail above 1e-12 at "
+                          "beta=1.09861; need at least 26\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "ceiling, code, says",
+    # the quick self grid's nbar = 2 point needs a cutoff of 69, and is named
+    # by its state as the self-fidelity checks name it
+    [("40", 2, "error: k=0+0i r=0.3 nbar=2: cutoff 40 leaves a thermal tail above 1e-12 "
+               "at beta=0.405465; need at least 69"),
+     # a pair of the main grid whose starting cutoff is above the ceiling
+     ("72", 3, "convergence failure: (k=0+0i r=0.9 nbar=2) vs (k=1+0i r=0.4 nbar=0.2): "
+               "fidelity did not stabilize to 1e-08 by cutoff 72 (gap trace: no rungs)")],
+    ids=["oracle-refusal", "convergence-failure"],
+)
+def test_verify_oracle_failure_names_the_grid_point(ceiling, code, says):
+    res = run_cli("verify", "--preset", "quick", "--ceiling", ceiling)
+    assert res.returncode == code and res.stdout == ""
+    assert res.stderr == says + "\n"
+
+
 def test_config_file_sets_method_and_flags_override(tmp_path):
     conf = tmp_path / "dst.conf"
     conf.write_text("# sweep defaults\nmethod = pipeline\nceiling = 256\n")

@@ -314,6 +314,16 @@ def test_rung_value_does_not_depend_on_the_chain_cache():
     assert cold == warm == evicted
 
 
+@pytest.mark.parametrize("cutoff", [72, 73])
+def test_stacked_chain_exp_is_each_t_bit_for_bit(cutoff):
+    # one call builds both states' factors: each must round exactly as a
+    # call for its t alone does, on the displacement and both squeeze chains
+    for chain in fock._generator_chains(cutoff):
+        for a, b in ((0.15, -0.4), (-1.3, 0.65)):
+            assert np.array_equal(fock._chain_exp(chain, (a, b)),
+                                  [fock._chain_exp(chain, a), fock._chain_exp(chain, b)])
+
+
 # The oracle's fixed cutoff sequence: 2, then int(round(1.5 N)) of each.
 CUTOFF_SEQUENCE = (2, 3, 4, 6, 9, 14, 21, 32, 48, 72, 108, 162, 243, 364, 546, 819, 1228)
 
