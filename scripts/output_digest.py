@@ -115,6 +115,13 @@ BATTERY = (
     # the oracle refuses a grid point's ceiling, and a standard record's
     "verify --preset quick --ceiling 40",
     "snapshot --regolden --ceiling 10 --file TMP/regolden.txt",
+    # an empty path is the directory ".", not the default file; the run's own
+    # ceiling is refused before any standard record runs
+    "snapshot --file=",
+    "snapshot --regolden --ceiling 1 --file TMP/regolden1.txt",
+    # ladders that start at or above the ceiling name their starting cutoff
+    "verify --preset quick --ceiling 69",
+    "compute --nbar1 0.5 --nbar2 0.5 --k2 3 --ceiling 40",
 )
 
 

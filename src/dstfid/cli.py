@@ -30,8 +30,8 @@ from .algebra import StateParams, state
 from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError
 from .golden import (
     check_snapshots,
-    compute_record,
     default_golden_path,
+    fresh_records,
     read_snapshots,
     standard_cases,
     write_snapshots,
@@ -535,15 +535,9 @@ def cmd_verify(args, config: dict) -> int:
 
 
 def cmd_snapshot(args, config: dict) -> int:
-    path = Path(args.file) if args.file else default_golden_path()
+    path = Path(args.file) if args.file is not None else default_golden_path()
     if args.regolden:
-        records = []
-        for i, (s1, s2, tol) in enumerate(standard_cases()):
-            try:
-                records.append(compute_record(s1, s2, tol, ceiling=args.ceiling))
-            except (ValueError, ConvergenceError) as exc:  # named as check mode names it
-                exc.args = (f"record {i}: {exc}",)
-                raise
+        records = fresh_records(standard_cases(), args.ceiling)
         write_snapshots(path, records)
         print(f"wrote {len(records)} golden records to {path}")
         return EXIT_OK

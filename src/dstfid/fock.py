@@ -432,11 +432,11 @@ def fidelity_oracle(
     then runs), the exact difference of the two values otherwise, so the
     ladder stops where an exact-gap ladder would.  Raises ConvergenceError
     with the exact gap trace if the ceiling is reached first (at once,
-    computing no rung, when the starting cutoff already reaches it: a lone
-    rung has nothing to agree with), and ValueError for an infinite tol or
-    one below 1e-10, a ceiling below the smallest cutoff, 2, or a ceiling
-    that truncates more than 1e-12 of either thermal weight (the starting
-    cutoff keeps both, so only a ceiling at or below it can).
+    computing no rung and naming the starting cutoff, when that already
+    reaches it: a lone rung has nothing to agree with), and ValueError for
+    an infinite tol or one below 1e-10, a ceiling below the smallest cutoff,
+    2, or a ceiling that truncates more than 1e-12 of either thermal weight
+    (the starting cutoff keeps both, so only a ceiling at or below it can).
     """
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):
@@ -444,7 +444,8 @@ def fidelity_oracle(
     s1, s2, shift = joint_squeeze_frame(s1, s2)
     gaps: list[tuple[int, float]] = []
     prev: tuple[np.ndarray, float | None] | None = None  # the last rung's M and F, once known
-    for cutoff in cutoff_ladder(_starting_cutoff(s1, s2), ceiling):
+    start = _starting_cutoff(s1, s2)
+    for cutoff in cutoff_ladder(start, ceiling):
         m, fid = _rung_matrix(s1, s2, cutoff), None
         if prev is not None:
             prev_m, prev_fid = prev
@@ -460,8 +461,9 @@ def fidelity_oracle(
                 return OracleResult(_svd_fidelity(m) if fid is None else fid, cutoff, gap, shift)
         prev = m, fid
     trace = ", ".join(f"N={n}: {g:.3e}" for n, g in gaps) or "no rungs"
+    past = f"; the ladder starts at cutoff {start:g}, so the ceiling must exceed it"
     raise ConvergenceError(
         f"fidelity did not stabilize to {tol:g} by cutoff {ceiling} "
-        f"(gap trace: {trace})",
+        f"(gap trace: {trace})" + (past if start >= ceiling else ""),
         gaps,
     )

@@ -6,12 +6,12 @@ One record per line, space-separated, `#` comments for the header:
 
 Numbers are %.17g so a re-read round-trips bit-exactly; `version` is the
 package version that produced the record, and `cutoff` the rung the oracle's
-cutoff ladder converged at in the commit that wrote it.  `dstfid snapshot`
-re-runs the oracle on every record and compares the fresh fidelity with the
-frozen one, so a change in the oracle itself is caught loudly;
-check_snapshots reads only the fidelity (and its tol), not the cutoff.  The
-one reader of the frozen values without an oracle run is the closed-form
-test against the golden records.
+cutoff ladder converged at in the commit that wrote it.  Both `dstfid
+snapshot` modes run the oracle through fresh_records: `--regolden` writes
+its records of standard_cases, and check_snapshots compares each frozen
+fidelity (not its cutoff) with a fresh one, so a change in the oracle itself
+is caught loudly.  The one reader of the frozen values without an oracle run
+is the closed-form test against the golden records.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "SnapshotRecord",
     "default_golden_path",
     "standard_cases",
-    "compute_record",
+    "fresh_records",
     "read_snapshots",
     "write_snapshots",
     "check_snapshots",
@@ -92,19 +92,25 @@ def standard_cases() -> list[tuple[StateParams, StateParams, float]]:
     ]
 
 
-def compute_record(
-    s1: StateParams, s2: StateParams, tol: float, ceiling: int = DEFAULT_CUTOFF_CEILING,
-) -> SnapshotRecord:
-    """The oracle's record of (s1, s2) at tol, stamped with the package version."""
-    res = fidelity_oracle(s1, s2, tol=tol, ceiling=ceiling)
-    return SnapshotRecord(
-        s1=s1,
-        s2=s2,
-        fidelity=res.fidelity,
-        cutoff=res.cutoff_used,
-        tol=tol,
-        version=__version__,
-    )
+def fresh_records(
+    cases: list[tuple[StateParams, StateParams, float]],
+    ceiling: int = DEFAULT_CUTOFF_CEILING,
+) -> list[SnapshotRecord]:
+    """Each (s1, s2, tol) case's oracle record, stamped with the package version.
+
+    The run's ceiling is checked once, before any case, and names no record;
+    a failing case's error, the same object, is re-raised prefixed `record i: `.
+    """
+    FidelityOptions(oracle_ceiling=ceiling)
+    records = []
+    for i, (s1, s2, tol) in enumerate(cases):
+        try:
+            res = fidelity_oracle(s1, s2, tol=tol, ceiling=ceiling)
+        except (ValueError, ConvergenceError) as exc:
+            exc.args = (f"record {i}: {exc}",)
+            raise
+        records.append(SnapshotRecord(s1, s2, res.fidelity, res.cutoff_used, tol, __version__))
+    return records
 
 
 def read_snapshots(path: Path | str) -> list[SnapshotRecord]:
@@ -147,27 +153,21 @@ def write_snapshots(path: Path | str, records: list[SnapshotRecord]) -> None:
 def check_snapshots(
     records: list[SnapshotRecord], ceiling: int = DEFAULT_CUTOFF_CEILING
 ) -> list[str]:
-    """Recompute every frozen record and report mismatches (empty = clean).
+    """Re-run every frozen record through fresh_records; report drifts (empty = clean).
 
     The comparison allows 10x the record's own convergence tolerance: the
     frozen value and a recomputation may land on opposite sides of the
-    adaptive ladder's last gap.  A record whose oracle run fails raises that
-    run's error, its message naming the record as a drift does.
+    adaptive ladder's last gap.  fresh_records' errors, named, pass through.
     """
-    FidelityOptions(oracle_ceiling=ceiling)  # the run's ceiling, named by no record
     problems = []
-    for i, rec in enumerate(records):
-        try:
-            fresh = fidelity_oracle(rec.s1, rec.s2, tol=rec.tol, ceiling=ceiling).fidelity
-        except (ValueError, ConvergenceError) as exc:
-            exc.args = (f"record {i}: {exc}",)
-            raise
+    fresh = fresh_records([(rec.s1, rec.s2, rec.tol) for rec in records], ceiling)
+    for i, (rec, new) in enumerate(zip(records, fresh)):
         allowed = 10.0 * rec.tol
-        diff = abs(fresh - rec.fidelity)
+        diff = abs(new.fidelity - rec.fidelity)
         if not math.isfinite(diff) or diff > allowed:
             problems.append(
                 f"record {i}: fidelity drifted by {diff:.3e} "
-                f"(frozen {rec.fidelity:.12g}, fresh {fresh:.12g}, "
+                f"(frozen {rec.fidelity:.12g}, fresh {new.fidelity:.12g}, "
                 f"allowed {allowed:.1e})"
             )
     return problems

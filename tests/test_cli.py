@@ -616,6 +616,46 @@ def test_snapshot_regolden_oracle_refusal_names_the_record_and_writes_nothing(tm
     assert not path.exists()
 
 
+def test_snapshot_regolden_ceiling_below_2_names_no_record_and_writes_nothing(tmp_path):
+    # the run's own ceiling is refused before any record runs, as in check mode
+    path = tmp_path / "regolden.txt"
+    res = run_cli("snapshot", "--regolden", "--ceiling", "1", "--file", str(path))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: ceiling must be >= 2 (the smallest cutoff), got 1\n"
+    assert not path.exists()
+
+
+def test_fresh_records_names_a_convergence_failure_and_keeps_its_gaps():
+    from dstfid.algebra import state
+    from dstfid.fock import ConvergenceError
+    from dstfid.golden import fresh_records
+
+    # record 1's ladder runs 58 and then the ceiling, 64: their gap is 3.1e-8
+    a, b = state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5)
+    with pytest.raises(ConvergenceError) as exc:
+        fresh_records([(a, a, 1e-8), (a, b, 1e-8)], ceiling=64)
+    assert str(exc.value).startswith("record 1: fidelity did not stabilize to 1e-08 by "
+                                     "cutoff 64 (gap trace: N=64: ")
+    assert [n for n, _ in exc.value.gaps] == [64]
+
+
+@pytest.mark.parametrize("regolden", [[], ["--regolden"]], ids=["check", "regolden"])
+def test_snapshot_empty_file_path_is_the_current_directory(tmp_path, monkeypatch, capsys,
+                                                           regolden):
+    # --file= names the path "" (the directory "."), not the default file
+    from dstfid import cli
+
+    default = tmp_path / "golden.txt"
+    default.write_bytes(GOLDEN.read_bytes())
+    monkeypatch.setattr(cli, "default_golden_path", lambda: default)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["snapshot", *regolden, "--file="]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "i/o error: [Errno 21] Is a directory: '.'\n"
+    assert default.read_bytes() == GOLDEN.read_bytes()
+
+
 @pytest.mark.parametrize(
     "ceiling, code, says",
     # the quick self grid's nbar = 2 point needs a cutoff of 69, and is named
@@ -624,8 +664,13 @@ def test_snapshot_regolden_oracle_refusal_names_the_record_and_writes_nothing(tm
                "at beta=0.405465; need at least 69"),
      # a pair of the main grid whose starting cutoff is above the ceiling
      ("72", 3, "convergence failure: (k=0+0i r=0.9 nbar=2) vs (k=1+0i r=0.4 nbar=0.2): "
-               "fidelity did not stabilize to 1e-08 by cutoff 72 (gap trace: no rungs)")],
-    ids=["oracle-refusal", "convergence-failure"],
+               "fidelity did not stabilize to 1e-08 by cutoff 72 (gap trace: no rungs); "
+               "the ladder starts at cutoff 74, so the ceiling must exceed it"),
+     # the self point's thermal floor, 69, is also its starting cutoff
+     ("69", 3, "convergence failure: k=0+0i r=0.3 nbar=2: fidelity did not stabilize to "
+               "1e-08 by cutoff 69 (gap trace: no rungs); the ladder starts at cutoff 69, "
+               "so the ceiling must exceed it")],
+    ids=["oracle-refusal", "convergence-failure", "ceiling-at-the-starting-cutoff"],
 )
 def test_verify_oracle_failure_names_the_grid_point(ceiling, code, says):
     res = run_cli("verify", "--preset", "quick", "--ceiling", ceiling)

@@ -566,6 +566,8 @@ def test_oracle_ceiling_exhaustion_raises_with_trace():
     with pytest.raises(ConvergenceError) as exc:
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5), ceiling=40)
     assert exc.value.gaps == []  # clamped straight to the ceiling, no rungs
+    assert str(exc.value).endswith("(gap trace: no rungs); the ladder starts at cutoff 58, "
+                                   "so the ceiling must exceed it")
 
 
 def _refuse_rungs(monkeypatch):
