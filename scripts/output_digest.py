@@ -135,6 +135,10 @@ BATTERY = (
     # their gap's last digits at two BLAS threads; this pair does not)
     "compute --k1 1+1i --r1 0.1 --nbar1 0.5 --k2=-4+4i --r2 0.2 --nbar2 0.5 --method all "
     "--format record",
+    # k1 = 0 up to cutoff 364: the rung sandwiches D(k2)'s parity blocks one at a time
+    "compute --k2 1.4+0.3i --r1 0.7 --nbar1 1.9 --r2=-0.7 --nbar2 1.9 --method all --format record",
+    # a missing directory is refused before any rung, and not made
+    "snapshot --regolden --file TMP/missing/x.txt",
 )
 
 

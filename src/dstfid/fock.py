@@ -5,9 +5,11 @@ diagonal thermal state with populations p.  D and S are the exponentials of
 their generators truncated at cutoff N.  Both a^dag - a and each parity block
 of a^2 - a^dag^2 are real antisymmetric tridiagonal matrices that couple even
 sites to odd sites only, so one SVD of the half-size even-odd block gives
-their exponentials as real orthogonal matrices in closed form (_chain_exp,
-the one builder, stacks them over an array of t: one call per chain builds
-both states' factors); a complex k enters through the diagonal phase R =
+their exponentials as real orthogonal matrices in closed form.  One builder,
+_chain_blocks, makes their four parity blocks (p::2, q::2), stacked over an
+array of t if one is given: _chain_exp assembles them into one factor, and
+_displacement_blocks phases D(k)'s one at a time, so a rung at k1 = 0 never
+forms D(k2) whole.  A complex k enters through the diagonal phase R =
 diag(e^{i phi n}), D(k) = R D(|k|) R^dag.  Every factor is in level order,
 the squeeze's parity blocks on the strided levels p::2.  No dense matrix
 exponential and no scipy: numpy alone runs the oracle, and only matrix_exp,
@@ -144,25 +146,32 @@ def _chain(c: np.ndarray) -> _Chain:
     return np.linalg.svd(link)
 
 
-def _chain_exp(chain: _Chain, t: float | tuple[float, ...],
-               out: np.ndarray | None = None) -> np.ndarray:
-    """exp(tA) in site order, one per entry of t stacked on a leading axis.
+_Blocks = Iterator[tuple[int, int, np.ndarray]]  # (p, q, block [p::2, q::2]) in parity order
 
-    out, if given, is the real array (a view, such as a complex array's
-    .real, will do) the blocks are written into and returned; the values
-    are those of a call without it, bit for bit.
-    """
+
+def _chain_blocks(chain: _Chain, t: float | tuple[float, ...]) -> _Blocks:
+    """exp(tA)'s parity blocks (p, q, block [p::2, q::2]) in the order (0, 0),
+    (0, 1), (1, 0), (1, 1), one per entry of t stacked on a leading axis.
+    U sin V^T is kept from block (0, 1) to its negated transpose, block
+    (1, 0), and no longer."""
     u, s, vt = chain
     ts = np.multiply.outer(t, s)[..., None, :]  # broadcasts over a factor's rows
     cos = np.ones(ts.shape[:-1] + u.shape[:1])
     cos[..., : s.size] = np.cos(ts)
+    yield 0, 0, (u * cos) @ u.T
     even_odd = (u[:, : s.size] * np.sin(ts)) @ vt
-    if out is None:
-        out = np.empty(ts.shape[:-2] + (u.shape[0] + vt.shape[0],) * 2)
-    out[..., 0::2, 0::2] = (u * cos) @ u.T
-    out[..., 0::2, 1::2] = even_odd
-    out[..., 1::2, 0::2] = -np.swapaxes(even_odd, -1, -2)
-    out[..., 1::2, 1::2] = (vt.T * cos[..., : s.size]) @ vt
+    yield 0, 1, even_odd
+    yield 1, 0, -np.swapaxes(even_odd, -1, -2)
+    del even_odd
+    yield 1, 1, (vt.T * cos[..., : s.size]) @ vt
+
+
+def _chain_exp(chain: _Chain, t: float | tuple[float, ...]) -> np.ndarray:
+    """exp(tA) in site order, one per entry of t stacked on a leading axis."""
+    n = chain[0].shape[0] + chain[2].shape[0]
+    out = np.empty(np.shape(t) + (n, n))
+    for p, q, block in _chain_blocks(chain, t):
+        out[..., p::2, q::2] = block
     return out
 
 
@@ -198,44 +207,78 @@ def _polar(k: complex) -> tuple[float, float]:
     return abs(k), cmath.phase(k)
 
 
+def _phases(phi1: float, phi2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of R(phi1) and R(phi2)^dag on the levels 0 .. n-1."""
+    levels = np.arange(n)
+    return np.exp(1j * phi1 * levels), np.exp(-1j * phi2 * levels)
+
+
+def _phased(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows[:, None] * x * cols in place in the complex x, in the one operand
+    order of every caller: a parity block phased with the strided diagonals
+    rows[p::2] and cols[q::2] is that block of the phased whole, bit for bit.
+    The one exception is a lone element (the 1 x 1 block of cutoffs 2 and 3,
+    which no ladder runs), which numpy multiplies in place on another loop
+    that rounds differently."""
+    np.multiply(rows[:, None], x, out=x)
+    return np.multiply(x, cols, out=x)
+
+
+def _displacement_blocks(k: complex, chain: _Chain) -> _Blocks:
+    """D(k)'s parity blocks (p, q, block [p::2, q::2]) in _chain_blocks'
+    order, each a new C-ordered complex array: Q(t)'s block, made complex
+    and phased on its own.  Only one block is held at a time."""
+    t, phi = _polar(k)
+    rows, cols = _phases(phi, phi, chain[0].shape[0] + chain[2].shape[0])
+    for p, q, block in _chain_blocks(chain, t):
+        x = block.astype(complex, order="C")
+        del block
+        yield p, q, _phased(x, rows[p::2], cols[q::2])
+        del x
+
+
+def _parity_blocks(a: np.ndarray) -> _Blocks:
+    """a's strided parity blocks (p, q, a[p::2, q::2]) in _chain_blocks' order."""
+    for p in (0, 1):
+        for q in (0, 1):
+            yield p, q, a[p::2, q::2]
+
+
 def _displacement_overlap(k1: complex, k2: complex, chain: _Chain) -> np.ndarray:
     """D(k1)^dag D(k2) in level order, each factor built on its own from the
     displacement chain at that cutoff.
 
     D(k) = R(phi) Q(t) R(phi)^dag with Q(t) real orthogonal and R diagonal,
     so the product is R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag.  A
-    zero k1 is the identity: that factor is neither built nor multiplied.
-    The oracle-stream benchmark has k1 = 0 on every pair, where this runs
-    about 10% more pairs per second than the product.
+    zero k1 is the identity: that factor is neither built nor multiplied,
+    and the array is D(k2) assembled from _displacement_blocks.  The
+    oracle's rungs never call this for k1 = 0 (_rung_matrix sandwiches
+    those blocks one at a time); dst_state and the tests' D(k) do.
 
-    The product is formed in the one complex N x N array it returns, the
-    one full-size complex operator of a rung (~16.8 MB at N = 1024;
-    _rung_matrix fills W on the levels it keeps only).  For k1 = 0, Q(t2) is
-    written into its real part through _chain_exp's out; otherwise the two
-    real products Q1 C Q2 and Q1 S Q2 (C and S the cos and sin of the middle
-    phase) come first, and the array becomes Q1 C Q2 + 1j (Q1 S Q2).  The
-    phases then multiply it in place.  Each step has the operands and order
-    of the out-of-place expression, so every entry, signed zeros included,
-    is that expression's bit for bit.
+    For k1 != 0 the product is formed in the one complex N x N array it
+    returns: the two real products Q1 C Q2 and Q1 S Q2 (C and S the cos and
+    sin of the middle phase) come first, and the array becomes Q1 C Q2 +
+    1j (Q1 S Q2); _phased then multiplies it in place.  Each step has the
+    operands and order of the out-of-place expression, so every entry,
+    signed zeros included, is that expression's bit for bit.
     """
-    (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
     n = chain[0].shape[0] + chain[2].shape[0]
     if k1 == 0:
-        phi1, out = phi2, np.zeros((n, n), dtype=complex)
-        _chain_exp(chain, t2, out=out.real)
-    else:
-        left, right = _chain_exp(chain, (-t1, t2))
-        turn = (phi2 - phi1) * np.arange(n)
-        im = (left * np.sin(turn)) @ right
-        re = (left * np.cos(turn)) @ right
-        del left, right  # the factors go before the complex array comes
-        out = np.zeros((n, n), dtype=complex)
-        out.real = im  # im + 0j, times 1j, plus re: re + 1j * im as written out of place
-        np.multiply(1j, out, out=out)
-        np.add(re, out, out=out)
-    levels = np.arange(n)
-    np.multiply(np.exp(1j * phi1 * levels)[:, None], out, out=out)
-    return np.multiply(out, np.exp(-1j * phi2 * levels), out=out)
+        out = np.empty((n, n), dtype=complex)
+        for p, q, block in _displacement_blocks(k2, chain):
+            out[p::2, q::2] = block
+        return out
+    (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
+    left, right = _chain_exp(chain, (-t1, t2))
+    turn = (phi2 - phi1) * np.arange(n)
+    im = (left * np.sin(turn)) @ right
+    re = (left * np.cos(turn)) @ right
+    del left, right  # the factors go before the complex array comes
+    out = np.zeros((n, n), dtype=complex)
+    out.real = im  # im + 0j, times 1j, plus re: re + 1j * im as written out of place
+    np.multiply(1j, out, out=out)
+    np.add(re, out, out=out)
+    return _phased(out, *_phases(phi1, phi2, n))
 
 
 def thermal_cutoff_requirement(beta: float) -> float:
@@ -314,22 +357,32 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     the sum moves by at most 2 * _TRIM_TAIL and F by at most 1e-13.
 
     S_i acts on the levels of each parity, p::2, on its own, so W is filled
-    a parity block at a time on those strided views.
+    a parity block at a time on those strided views.  For k1 = 0 (every
+    oracle-stream pair) the N x N operator D(k2) is never formed: its parity
+    blocks come one at a time from _displacement_blocks, each dropped once
+    sandwiched.  Otherwise D(k1)^dag D(k2) is formed whole and its strided
+    blocks are sandwiched.  Both of S2's parity factors are built first, S1's
+    one parity at a time, and every factor is dropped before the trim.
     """
     p1, p2 = thermal_weights(s1.beta, cutoff), thermal_weights(s2.beta, cutoff)
     root1, root2 = np.sqrt(p1), np.sqrt(p2)
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
     chains = _generator_chains(cutoff)
-    sq = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in chains[1:]]
-    overlap = _displacement_overlap(s1.k, s2.k, chains[0])
+    blocks = (_displacement_blocks(s2.k, chains[0]) if s1.k == 0
+              else _parity_blocks(_displacement_overlap(s1.k, s2.k, chains[0])))
 
+    # Only the kept levels' columns of S1 and S2 enter the sandwich.
+    right = [_chain_exp(chain, 0.5 * s2.r)[:, : (n2 - q + 1) // 2]
+             for q, chain in enumerate(chains[1:])]
     w = np.empty((n1, n2), dtype=complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            # Only the kept levels' columns of S1 and S2 enter the sandwich.
-            left = sq[p][0, :, : (n1 - p + 1) // 2]
-            right = sq[q][1, :, : (n2 - q + 1) // 2]
-            w[p::2, q::2] = _sandwich(left, overlap[p::2, q::2], right)
+    for p, q, x in blocks:
+        if q == 0:
+            left = _chain_exp(chains[1 + p], 0.5 * s1.r)[:, : (n1 - p + 1) // 2]
+        w[p::2, q::2] = _sandwich(left, x, right[q])
+        del x
+        if q == 1:
+            del left  # before S1's other parity comes
+    del right
     w2 = w.real**2 + w.imag**2
     m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))
     m2 = _kept_levels(np.sqrt(p1[:m1] @ w2[:m1]) * root2[:n2], float(np.sum(root2[n2:])))

@@ -147,11 +147,11 @@ def read_snapshots(path: Path | str) -> list[SnapshotRecord]:
 def check_writable(path: Path | str) -> None:
     """Raise the OSError that write_snapshots(path, ...) would raise, so that
     `snapshot --regolden` refuses its file before the oracle pass: a
-    directory, a read-only file, a parent that is a file or read-only.  The
-    missing parent directories the write makes are made; the file itself is
-    neither truncated nor left created (a new one is made and removed)."""
+    directory, a read-only file, a parent that is missing, a file or
+    read-only.  Nothing is left changed: the file is neither truncated nor
+    left created (a new one is made and removed), and a missing directory
+    is an error, as for `sweep --out`, not made."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
         path.open("r+").close()
     else:
@@ -160,10 +160,8 @@ def check_writable(path: Path | str) -> None:
 
 
 def write_snapshots(path: Path | str, records: list[SnapshotRecord]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     body = "".join(rec.line() + "\n" for rec in records)
-    path.write_text(_HEADER + body)
+    Path(path).write_text(_HEADER + body)
 
 
 def check_snapshots(

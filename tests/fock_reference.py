@@ -7,7 +7,9 @@ S(r) built from the oracle's own factors, the thermal state as a matrix, the
 Uhlmann fidelity of two density matrices, each checked to be one, and the
 full-size rung, which keeps every level and multiplies the full operators.
 Every matrix is dense and complex over the truncated number basis; the
-cutoff is its dimension.
+cutoff is its dimension.  level_order_rung forms the whole level-order
+overlap D(k1)^dag D(k2) for every k1 and sandwiches its strided parity
+blocks, the route the oracle's rung must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -15,11 +17,20 @@ from __future__ import annotations
 import numpy as np
 
 from dstfid.algebra import StateParams
-from dstfid.fock import _chain_exp, _displacement_overlap, _generator_chains, thermal_weights
+from dstfid.fock import (
+    _chain_exp,
+    _displacement_overlap,
+    _generator_chains,
+    _kept_levels,
+    _polar,
+    _sandwich,
+    thermal_weights,
+)
 
 __all__ = [
     "ContractViolationError", "annihilation", "displacement_op", "full_size_rung",
-    "squeeze_op", "thermal_state", "uhlmann_fidelity",
+    "level_order_overlap", "level_order_rung", "squeeze_op", "thermal_state",
+    "uhlmann_fidelity",
 ]
 
 # How hermitian / normalized a density matrix must be before we trust it.
@@ -113,3 +124,40 @@ def full_size_rung(s1: StateParams, s2: StateParams, cutoff: int) -> float:
     u1, u2 = (displacement_op(s.k, cutoff) @ squeeze_op(s.r, cutoff) for s in (s1, s2))
     sv = np.linalg.svd(root1[:, None] * (u1.conj().T @ u2) * root2, compute_uv=False)
     return float(np.sum(sv) ** 2)
+
+
+def level_order_overlap(k1: complex, k2: complex, cutoff: int) -> np.ndarray:
+    """D(k1)^dag D(k2) formed whole in level order and phased whole, written
+    out of place: R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag, with the
+    middle phase's cos and sin products for k1 != 0 and Q(t2) alone (phi1 =
+    phi2) for k1 = 0."""
+    (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
+    chain, levels = _generator_chains(cutoff)[0], np.arange(cutoff)
+    if k1 == 0:
+        phi1, product = phi2, _chain_exp(chain, t2).astype(complex)
+    else:
+        left, right = _chain_exp(chain, (-t1, t2))
+        turn = (phi2 - phi1) * levels
+        product = (left * np.cos(turn)) @ right + 1j * ((left * np.sin(turn)) @ right)
+    return np.exp(1j * phi1 * levels)[:, None] * product * np.exp(-1j * phi2 * levels)
+
+
+def level_order_rung(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
+    """The oracle's rung matrix M by the level-order route: both states'
+    squeeze factors stacked per parity, the whole level_order_overlap, its
+    strided parity blocks sandwiched, then the same two-stage trim."""
+    p1, p2 = thermal_weights(s1.beta, cutoff), thermal_weights(s2.beta, cutoff)
+    root1, root2 = np.sqrt(p1), np.sqrt(p2)
+    n1, n2 = _kept_levels(root1), _kept_levels(root2)
+    sq = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in _generator_chains(cutoff)[1:]]
+    overlap = level_order_overlap(s1.k, s2.k, cutoff)
+    w = np.empty((n1, n2), dtype=complex)
+    for p in (0, 1):
+        for q in (0, 1):
+            left = sq[p][0, :, : (n1 - p + 1) // 2]
+            right = sq[q][1, :, : (n2 - q + 1) // 2]
+            w[p::2, q::2] = _sandwich(left, overlap[p::2, q::2], right)
+    w2 = w.real**2 + w.imag**2
+    m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))
+    m2 = _kept_levels(np.sqrt(p1[:m1] @ w2[:m1]) * root2[:n2], float(np.sum(root2[n2:])))
+    return root1[:m1, None] * w[:m1, :m2] * root2[:m2]

@@ -562,6 +562,7 @@ def test_snapshot_regolden_writes_a_file_that_checks_against_the_committed_one(t
     from dstfid.cli import main
 
     fresh = tmp_path / "golden" / "fresh.txt"
+    fresh.parent.mkdir()  # the write makes no directory
     assert main(["snapshot", "--regolden", "--file", str(fresh)]) == 0
     assert capsys.readouterr().out == f"wrote 5 golden records to {fresh}\n"
     assert main(["snapshot", "--file", str(fresh)]) == 0

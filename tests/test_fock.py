@@ -30,6 +30,8 @@ from fock_reference import (
     annihilation,
     displacement_op,
     full_size_rung,
+    level_order_overlap,
+    level_order_rung,
     squeeze_op,
     thermal_state,
     uhlmann_fidelity,
@@ -96,6 +98,76 @@ def test_displacement_overlap_holds_one_complex_operator(k1, bound):
     finally:
         tracemalloc.stop()
     assert 2.0 <= peak / (8 * cutoff**2) <= bound
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """a's doubles as int64, so a comparison sees signed zeros."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
+@pytest.mark.parametrize("k2", [0.0, 0.9, -1.3, 0.7j, 0.4 - 1.1j],
+                         ids=["zero", "positive", "negative", "imaginary", "complex"])
+def test_displacement_blocks_are_the_overlap_blocks_bit_for_bit(k2, cutoff):
+    # Each parity block, made complex and phased on its own, is that block of
+    # D(k2) formed and phased whole.  A lone element (the 1 x 1 block of
+    # cutoffs 2 and 3) is the exception: numpy multiplies it in place on
+    # another loop, which rounds a complex phase differently.
+    chain = fock._generator_chains(cutoff)[0]
+    overlap = fock._displacement_overlap(0, k2, chain)
+    whole = level_order_overlap(0, k2, cutoff)
+    order = []
+    for p, q, block in fock._displacement_blocks(k2, chain):
+        order.append((p, q))
+        assert block.flags.c_contiguous
+        assert np.array_equal(_bits(block), _bits(overlap[p::2, q::2]))
+        if block.size > 1:
+            assert np.array_equal(_bits(block), _bits(whole[p::2, q::2]))
+    assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _rung_pairs() -> list[tuple]:
+    # 8 seeded pairs per cutoff, half with k1 = 0; nbar keeps the thermal tail
+    # within each cutoff
+    rng = np.random.default_rng(4242)
+    pairs = []
+    for cutoff, hot in ((41, 1.0), (108, 2.0), (243, 2.0)):
+        for i in range(8):
+            k1 = 0j if i % 2 == 0 else complex(*rng.uniform(-1.0, 1.0, 2))
+            pairs.append((state(k1, rng.uniform(-0.8, 0.8), nbar=rng.uniform(0.05, hot)),
+                          state(complex(*rng.uniform(-1.5, 1.5, 2)), rng.uniform(-0.8, 0.8),
+                                nbar=rng.uniform(0.05, hot)), cutoff))
+    return pairs
+
+
+@pytest.mark.parametrize("s1, s2, cutoff", _rung_pairs())
+def test_rung_is_the_level_order_route_bit_for_bit(s1, s2, cutoff):
+    # D(k2) sandwiched a parity block at a time (k1 = 0), with each state's
+    # squeeze factors built on their own, rounds exactly as the whole
+    # level-order overlap with both states' factors stacked does
+    assert np.array_equal(_bits(fock._rung_matrix(s1, s2, cutoff)),
+                          _bits(level_order_rung(s1, s2, cutoff)))
+
+
+@pytest.mark.parametrize("k1, bound", [(0.0, 3.5), (0.3 + 0.4j, 6.1)], ids=["k1=0", "k1!=0"])
+def test_rung_holds_one_displacement_block_at_a_time(k1, bound):
+    # Peak traced memory of a warm rung in doubles per N^2 at N = 243.  At
+    # k1 = 0, forming D(k2) whole with both states' factors stacked peaked at
+    # 5.4 on this pair; its blocks one at a time, with the factors built per
+    # state, peak at 3.05.  At k1 != 0 the whole product stays (6.03 before,
+    # 5.02 now), and the bound keeps it from growing.
+    import tracemalloc
+
+    cutoff = 243
+    s1, s2 = state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9)
+    fock._rung_matrix(s1, s2, cutoff)  # the chains and numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        fock._rung_matrix(s1, s2, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * cutoff**2) <= bound
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
@@ -345,17 +417,12 @@ def test_rung_value_does_not_depend_on_the_chain_cache():
 
 @pytest.mark.parametrize("cutoff", [72, 73])
 def test_stacked_chain_exp_is_each_t_bit_for_bit(cutoff):
-    # one call builds both states' factors: each must round exactly as a
-    # call for its t alone does, on the displacement and both squeeze chains,
-    # and so must a call written into a complex array's real part (out)
+    # a stacked call must round each factor exactly as a call for its t
+    # alone does, on the displacement and both squeeze chains
     for chain in fock._generator_chains(cutoff):
         for a, b in ((0.15, -0.4), (-1.3, 0.65)):
             stacked = fock._chain_exp(chain, (a, b))
             assert np.array_equal(stacked, [fock._chain_exp(chain, a), fock._chain_exp(chain, b)])
-            for t, want in ((a, stacked[0]), ((a, b), stacked)):
-                target = np.zeros(want.shape, dtype=complex)
-                assert np.shares_memory(fock._chain_exp(chain, t, out=target.real), target)
-                assert np.array_equal(target.real, want) and not target.imag.any()
 
 
 # The oracle's fixed cutoff sequence: 2, then int(round(1.5 N)) of each.
@@ -631,7 +698,7 @@ def test_cli_compute_past_the_ceiling_exits_before_any_rung(monkeypatch, capsys)
     assert "gap trace: no rungs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["empty", "directory", "parent-is-a-file"])
+@pytest.mark.parametrize("where", ["empty", "directory", "parent-is-a-file", "missing-directory"])
 def test_snapshot_regolden_refuses_an_unwritable_file_before_any_rung(monkeypatch, capsys,
                                                                      tmp_path, where):
     from dstfid.cli import main
@@ -639,7 +706,8 @@ def test_snapshot_regolden_refuses_an_unwritable_file_before_any_rung(monkeypatc
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a-file").write_text("kept\n")
-    path = {"empty": "", "directory": str(tmp_path), "parent-is-a-file": "a-file/golden.txt"}[where]
+    path = {"empty": "", "directory": str(tmp_path), "parent-is-a-file": "a-file/golden.txt",
+            "missing-directory": "missing/x.txt"}[where]
     with pytest.raises(OSError) as write:
         write_snapshots(Path(path), [])
     _refuse_rungs(monkeypatch)
@@ -656,7 +724,9 @@ def test_check_writable_creates_and_truncates_nothing(tmp_path):
     kept.write_text("kept\n")
     check_writable(kept)
     check_writable(new)
-    assert kept.read_text() == "kept\n" and not new.exists()
+    with pytest.raises(FileNotFoundError):  # as `sweep --out` refuses a missing directory
+        check_writable(tmp_path / "missing" / "x.txt")
+    assert kept.read_text() == "kept\n" and sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
 
 
 def test_oracle_squeeze_past_double_range_is_a_convergence_error(monkeypatch):
