@@ -63,6 +63,9 @@ BATTERY = (
     f"compute {PAIR} --format record",
     f"compute {PAIR} --format csv",
     f"compute {PAIR} --method closed-form --format record",
+    # the human view of each method that hides columns
+    f"compute {PAIR} --method printed",
+    f"compute {PAIR} --method oracle",
     DISPLACEMENT,
     SQUEEZE_TEMP,
     "sweep --nbar1 0.5 --nbar2 1 --sweep re_k2=0:1:3 --method all",

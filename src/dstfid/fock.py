@@ -7,9 +7,10 @@ of a^2 - a^dag^2 are real antisymmetric tridiagonal matrices that couple even
 sites to odd sites only, so one SVD of the half-size even-odd block gives
 their exponentials as real orthogonal matrices in closed form.  One builder,
 _chain_blocks, makes their four parity blocks (p::2, q::2), stacked over an
-array of t if one is given: _chain_exp assembles them into one factor, and
-_displacement_blocks phases D(k)'s one at a time, so a rung at k1 = 0 never
-forms D(k2) whole.  A complex k enters through the diagonal phase R =
+array of t if one is given: _chain_exp assembles them into one factor per
+entry (a rung builds both states' squeeze factors of a parity in one call),
+and _displacement_blocks phases D(k)'s one at a time, so a rung at k1 = 0
+never forms D(k2) whole.  A complex k enters through the diagonal phase R =
 diag(e^{i phi n}), D(k) = R D(|k|) R^dag.  Every factor is in level order,
 the squeeze's parity blocks on the strided levels p::2.  No dense matrix
 exponential and no scipy: numpy alone runs the oracle, and only matrix_exp,
@@ -53,6 +54,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -92,12 +94,17 @@ class ConvergenceError(RuntimeError):
 
 
 def _check_oracle_options(tol: float, ceiling: int) -> None:
-    """Refuse a tol below 1e-10 or infinite, or a ceiling below 2, the
-    smallest cutoff (FidelityOptions too, so whether or not the oracle runs)."""
+    """Refuse a tol below 1e-10 or infinite, or a ceiling that is not an
+    integer (a numpy one is) or is below 2, the smallest cutoff
+    (FidelityOptions too, so whether or not the oracle runs)."""
     if not tol >= 1e-10:  # NaN too: no gap would ever be <= it
         raise ValueError(f"oracle tolerance must be >= 1e-10, got {tol!r}")
     if tol == math.inf:  # every gap is <= it: the second rung would stop the ladder
         raise ValueError(f"oracle tolerance must be finite, got {tol!r}")
+    try:  # a float is refused: inf would leave the ladder no top
+        operator.index(ceiling)
+    except TypeError:
+        raise ValueError(f"ceiling must be an integer, got {ceiling!r}") from None
     if ceiling < 2:
         raise ValueError(f"ceiling must be >= 2 (the smallest cutoff), got {ceiling!r}")
 
@@ -237,13 +244,6 @@ def _displacement_blocks(k: complex, chain: _Chain) -> _Blocks:
         del x
 
 
-def _parity_blocks(a: np.ndarray) -> _Blocks:
-    """a's strided parity blocks (p, q, a[p::2, q::2]) in _chain_blocks' order."""
-    for p in (0, 1):
-        for q in (0, 1):
-            yield p, q, a[p::2, q::2]
-
-
 def _displacement_overlap(k1: complex, k2: complex, chain: _Chain) -> np.ndarray:
     """D(k1)^dag D(k2) in level order, each factor built on its own from the
     displacement chain at that cutoff.
@@ -360,29 +360,28 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     a parity block at a time on those strided views.  For k1 = 0 (every
     oracle-stream pair) the N x N operator D(k2) is never formed: its parity
     blocks come one at a time from _displacement_blocks, each dropped once
-    sandwiched.  Otherwise D(k1)^dag D(k2) is formed whole and its strided
-    blocks are sandwiched.  Both of S2's parity factors are built first, S1's
-    one parity at a time, and every factor is dropped before the trim.
+    sandwiched.  Otherwise D(k1)^dag D(k2) is formed whole, before the
+    squeeze factors, and its strided blocks are sandwiched.  Both states'
+    squeeze factors of a parity come from one stacked _chain_exp call.
     """
     p1, p2 = thermal_weights(s1.beta, cutoff), thermal_weights(s2.beta, cutoff)
     root1, root2 = np.sqrt(p1), np.sqrt(p2)
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
     chains = _generator_chains(cutoff)
-    blocks = (_displacement_blocks(s2.k, chains[0]) if s1.k == 0
-              else _parity_blocks(_displacement_overlap(s1.k, s2.k, chains[0])))
-
-    # Only the kept levels' columns of S1 and S2 enter the sandwich.
-    right = [_chain_exp(chain, 0.5 * s2.r)[:, : (n2 - q + 1) // 2]
-             for q, chain in enumerate(chains[1:])]
+    if s1.k == 0:
+        blocks = _displacement_blocks(s2.k, chains[0])
+    else:  # formed first, so its transient peak holds no squeeze factor
+        overlap = _displacement_overlap(s1.k, s2.k, chains[0])
+        blocks = [(p, q, overlap[p::2, q::2]) for p in (0, 1) for q in (0, 1)]
+        del overlap  # the views hold it until they go after the loop
+    squeeze = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in chains[1:]]
     w = np.empty((n1, n2), dtype=complex)
     for p, q, x in blocks:
-        if q == 0:
-            left = _chain_exp(chains[1 + p], 0.5 * s1.r)[:, : (n1 - p + 1) // 2]
-        w[p::2, q::2] = _sandwich(left, x, right[q])
+        # Only the kept levels' columns of S1 and S2 enter the sandwich.
+        w[p::2, q::2] = _sandwich(squeeze[p][0, :, : (n1 - p + 1) // 2], x,
+                                  squeeze[q][1, :, : (n2 - q + 1) // 2])
         del x
-        if q == 1:
-            del left  # before S1's other parity comes
-    del right
+    del squeeze, blocks
     w2 = w.real**2 + w.imag**2
     m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))
     m2 = _kept_levels(np.sqrt(p1[:m1] @ w2[:m1]) * root2[:n2], float(np.sum(root2[n2:])))
@@ -513,9 +512,9 @@ def fidelity_oracle(
     with the exact gap trace if the ceiling is reached first (at once,
     computing no rung and naming the starting cutoff, when that already
     reaches it: a lone rung has nothing to agree with), and ValueError for
-    an infinite tol or one below 1e-10, a ceiling below the smallest cutoff,
-    2, or a ceiling that truncates more than 1e-12 of either thermal weight
-    (the starting cutoff keeps both, so only a ceiling at or below it can).
+    an infinite tol or one below 1e-10, and for a ceiling that is not an
+    integer, is below the smallest cutoff, 2, or truncates more than 1e-12
+    of either thermal weight (only one at or below the starting cutoff can).
     """
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,20 +143,21 @@ def _rung_pairs() -> list[tuple]:
 
 @pytest.mark.parametrize("s1, s2, cutoff", _rung_pairs())
 def test_rung_is_the_level_order_route_bit_for_bit(s1, s2, cutoff):
-    # D(k2) sandwiched a parity block at a time (k1 = 0), with each state's
-    # squeeze factors built on their own, rounds exactly as the whole
-    # level-order overlap with both states' factors stacked does
+    # D(k2) sandwiched a parity block at a time (k1 = 0) rounds exactly as
+    # the whole level-order overlap does, both routes building both states'
+    # squeeze factors of a parity in one stacked call
     assert np.array_equal(_bits(fock._rung_matrix(s1, s2, cutoff)),
                           _bits(level_order_rung(s1, s2, cutoff)))
 
 
 @pytest.mark.parametrize("k1, bound", [(0.0, 3.5), (0.3 + 0.4j, 6.1)], ids=["k1=0", "k1!=0"])
 def test_rung_holds_one_displacement_block_at_a_time(k1, bound):
-    # Peak traced memory of a warm rung in doubles per N^2 at N = 243.  At
-    # k1 = 0, forming D(k2) whole with both states' factors stacked peaked at
-    # 5.4 on this pair; its blocks one at a time, with the factors built per
-    # state, peak at 3.05.  At k1 != 0 the whole product stays (6.03 before,
-    # 5.02 now), and the bound keeps it from growing.
+    # Peak traced memory of a warm rung in doubles per N^2 at N = 243, both
+    # states' squeeze factors of a parity stacked.  At k1 = 0, forming D(k2)
+    # whole peaked at 5.4 on this pair; its blocks one at a time peak at 3.30
+    # (3.05 with the factors built per state and state 1's dropped early).
+    # At k1 != 0 the whole product stays (6.03 before, 5.02 now), and the
+    # bound keeps it from growing.
     import tracemalloc
 
     cutoff = 243
@@ -168,6 +170,22 @@ def test_rung_holds_one_displacement_block_at_a_time(k1, bound):
     finally:
         tracemalloc.stop()
     assert peak / (8 * cutoff**2) <= bound
+
+
+@pytest.mark.parametrize("k1", [0.0, 0.3 + 0.4j], ids=["k1=0", "k1!=0"])
+def test_rung_builds_each_exponential_once(k1, monkeypatch):
+    # One _chain_blocks call for D(k2), or for D(k1)^dag D(k2)'s two stacked
+    # factors, and one per parity for both states' squeeze factors stacked
+    calls = []
+
+    def counted(chain, t):
+        calls.append(t)
+        return chain_blocks(chain, t)
+
+    chain_blocks = fock._chain_blocks
+    monkeypatch.setattr(fock, "_chain_blocks", counted)
+    fock._rung_matrix(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9), 72)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
@@ -656,6 +674,29 @@ def test_oracle_refuses_ceiling_below_thermal_tail():
     hot = state(0.0, 0.0, beta=0.01)
     with pytest.raises(ValueError, match="thermal tail"):
         fidelity_oracle(hot, hot, ceiling=100)
+
+
+@pytest.mark.parametrize("ceiling", [math.nan, 100.5, math.inf, "200", 2.0],
+                         ids=["nan", "fraction", "inf", "str", "integral-float"])
+def test_oracle_refuses_a_ceiling_that_is_not_an_integer(ceiling):
+    # A fraction would run a rung the ladder never names and inf a ladder with
+    # no top; the options refuse it as the oracle does
+    from dstfid.reduction import FidelityOptions
+
+    s1, s2 = state(0, 0.3, nbar=1.9), state(1.4 + 0.3j, -0.7, nbar=1.9)
+    message = f"ceiling must be an integer, got {ceiling!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fidelity_oracle(s1, s2, ceiling=ceiling)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FidelityOptions(oracle_ceiling=ceiling)
+
+
+def test_oracle_accepts_a_numpy_integer_ceiling():
+    from dstfid.reduction import FidelityOptions
+
+    s1, s2 = state(0, 0.3, nbar=1.9), state(1.4 + 0.3j, -0.7, nbar=1.9)
+    assert FidelityOptions(oracle_ceiling=np.int64(300)).oracle_ceiling == 300
+    assert fidelity_oracle(s1, s2, ceiling=np.int64(300)) == fidelity_oracle(s1, s2, ceiling=300)
 
 
 def test_oracle_golden_point():
