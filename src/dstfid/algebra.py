@@ -12,6 +12,7 @@ All values are immutable after construction and every function is pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,13 @@ __all__ = [
 # underflows to 0.0 and the derived mean photon number stops being a positive
 # finite float.  Near-pure states stay reachable below the cap.
 _BETA_MAX = 745.0
+
+
+def _check_real(name: str, x: object) -> None:
+    """Refuse an x that is no real number: a string, a complex or a bool
+    (numpy's too), which would compare as a number or not at all."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
 
 
 @dataclass(frozen=True)

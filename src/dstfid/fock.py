@@ -7,17 +7,17 @@ of a^2 - a^dag^2 are real antisymmetric tridiagonal matrices that couple even
 sites to odd sites only, so one SVD of the half-size even-odd block gives
 their exponentials as real orthogonal matrices in closed form.  One builder,
 _chain_blocks, makes their four parity blocks (p::2, q::2), stacked over an
-array of t if one is given: _chain_exp assembles them into one factor per
-entry (a rung builds both states' squeeze factors of a parity in one call),
-and _displacement_blocks phases D(k)'s one at a time, so a rung at k1 = 0
-never forms D(k2) whole.  A complex k enters through the diagonal phase R =
-diag(e^{i phi n}), D(k) = R D(|k|) R^dag.  Every factor is in level order,
-the squeeze's parity blocks on the strided levels p::2.  No dense matrix
-exponential and no scipy: numpy alone runs the oracle, and only matrix_exp,
-the dense reference the tests compare the factors against, imports scipy.
-The full operators D(k) and S(r) and the density-matrix route the tests
-check a rung against (uhlmann_fidelity) live with the tests, in
-fock_reference.
+array of t if one is given, and one loop, _assembled, sets them in level
+order: _chain_exp's factor per entry (a rung builds both states' squeeze
+factors of a parity in one call) and dst_state's D(k).  A rung at k1 = 0
+sandwiches D(k2)'s blocks from _displacement_blocks one at a time; other
+rungs take D(k1)^dag D(k2) whole from _displacement_overlap.  A complex k
+enters through the diagonal phase R = diag(e^{i phi n}), D(k) = R D(|k|)
+R^dag.  No dense matrix exponential and no scipy: numpy alone runs the
+oracle, and only matrix_exp, the dense reference the tests compare the
+factors against, imports scipy.  The full operators D(k) and S(r) and the
+density-matrix route the tests check a rung against (uhlmann_fidelity)
+live with the tests, in fock_reference.
 
 One rung of the oracle evaluates the Uhlmann/Bures fidelity
 F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StateParams
+from .algebra import StateParams, _check_real
 
 __all__ = [
     "ConvergenceError",
@@ -94,9 +94,10 @@ class ConvergenceError(RuntimeError):
 
 
 def _check_oracle_options(tol: float, ceiling: int) -> None:
-    """Refuse a tol below 1e-10 or infinite, or a ceiling that is not an
-    integer (a numpy one is) or is below 2, the smallest cutoff
-    (FidelityOptions too, so whether or not the oracle runs)."""
+    """Refuse a tol that is no real number, is below 1e-10 or is infinite,
+    or a ceiling that is not an integer (a numpy one is) or is below 2, the
+    smallest cutoff (FidelityOptions too, whether or not the oracle runs)."""
+    _check_real("oracle tolerance", tol)
     if not tol >= 1e-10:  # NaN too: no gap would ever be <= it
         raise ValueError(f"oracle tolerance must be >= 1e-10, got {tol!r}")
     if tol == math.inf:  # every gap is <= it: the second rung would stop the ladder
@@ -160,7 +161,7 @@ def _chain_blocks(chain: _Chain, t: float | tuple[float, ...]) -> _Blocks:
     """exp(tA)'s parity blocks (p, q, block [p::2, q::2]) in the order (0, 0),
     (0, 1), (1, 0), (1, 1), one per entry of t stacked on a leading axis.
     U sin V^T is kept from block (0, 1) to its negated transpose, block
-    (1, 0), and no longer."""
+    (1, 0)."""
     u, s, vt = chain
     ts = np.multiply.outer(t, s)[..., None, :]  # broadcasts over a factor's rows
     cos = np.ones(ts.shape[:-1] + u.shape[:1])
@@ -169,17 +170,21 @@ def _chain_blocks(chain: _Chain, t: float | tuple[float, ...]) -> _Blocks:
     even_odd = (u[:, : s.size] * np.sin(ts)) @ vt
     yield 0, 1, even_odd
     yield 1, 0, -np.swapaxes(even_odd, -1, -2)
-    del even_odd
     yield 1, 1, (vt.T * cos[..., : s.size]) @ vt
+
+
+def _assembled(blocks: _Blocks, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """The array of that shape with each (p, q, block) at [..., p::2, q::2]."""
+    out = np.empty(shape, dtype=dtype)
+    for p, q, block in blocks:
+        out[..., p::2, q::2] = block
+    return out
 
 
 def _chain_exp(chain: _Chain, t: float | tuple[float, ...]) -> np.ndarray:
     """exp(tA) in site order, one per entry of t stacked on a leading axis."""
     n = chain[0].shape[0] + chain[2].shape[0]
-    out = np.empty(np.shape(t) + (n, n))
-    for p, q, block in _chain_blocks(chain, t):
-        out[..., p::2, q::2] = block
-    return out
+    return _assembled(_chain_blocks(chain, t), np.shape(t) + (n, n), float)
 
 
 @functools.lru_cache(maxsize=32)
@@ -245,29 +250,20 @@ def _displacement_blocks(k: complex, chain: _Chain) -> _Blocks:
 
 
 def _displacement_overlap(k1: complex, k2: complex, chain: _Chain) -> np.ndarray:
-    """D(k1)^dag D(k2) in level order, each factor built on its own from the
-    displacement chain at that cutoff.
+    """D(k1)^dag D(k2) in level order for k1 != 0, each factor built on its
+    own from the displacement chain at that cutoff.  A rung at k1 = 0
+    sandwiches _displacement_blocks(k2) instead.
 
     D(k) = R(phi) Q(t) R(phi)^dag with Q(t) real orthogonal and R diagonal,
-    so the product is R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag.  A
-    zero k1 is the identity: that factor is neither built nor multiplied,
-    and the array is D(k2) assembled from _displacement_blocks.  The
-    oracle's rungs never call this for k1 = 0 (_rung_matrix sandwiches
-    those blocks one at a time); dst_state and the tests' D(k) do.
-
-    For k1 != 0 the product is formed in the one complex N x N array it
-    returns: the two real products Q1 C Q2 and Q1 S Q2 (C and S the cos and
-    sin of the middle phase) come first, and the array becomes Q1 C Q2 +
-    1j (Q1 S Q2); _phased then multiplies it in place.  Each step has the
-    operands and order of the out-of-place expression, so every entry,
-    signed zeros included, is that expression's bit for bit.
+    so the product is R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag.  It
+    is formed in the one complex N x N array it returns: the two real
+    products Q1 C Q2 and Q1 S Q2 (C and S the cos and sin of the middle
+    phase) come first, and the array becomes Q1 C Q2 + 1j (Q1 S Q2);
+    _phased then multiplies it in place.  Each step has the operands and
+    order of the out-of-place expression, so every entry, signed zeros
+    included, is that expression's bit for bit.
     """
     n = chain[0].shape[0] + chain[2].shape[0]
-    if k1 == 0:
-        out = np.empty((n, n), dtype=complex)
-        for p, q, block in _displacement_blocks(k2, chain):
-            out[p::2, q::2] = block
-        return out
     (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
     left, right = _chain_exp(chain, (-t1, t2))
     turn = (phi2 - phi1) * np.arange(n)
@@ -313,10 +309,11 @@ def thermal_weights(beta: float, cutoff: int) -> np.ndarray:
 
 def dst_state(s: StateParams, cutoff: int) -> np.ndarray:
     """rho = U rho_thermal U^dag with U = D(k) S(r) at the given cutoff, U
-    built from the rung's own factors."""
+    built from the rung's own factors: D(k) assembled from the parity blocks
+    a rung at k1 = 0 sandwiches."""
     pops = thermal_weights(s.beta, cutoff)
     chains = _generator_chains(cutoff)
-    u = _displacement_overlap(0, s.k, chains[0])
+    u = _assembled(_displacement_blocks(s.k, chains[0]), (cutoff, cutoff), complex)
     for p, chain in enumerate(chains[1:]):
         u[:, p::2] = u[:, p::2] @ _chain_exp(chain, 0.5 * s.r)
     return (u * pops) @ u.conj().T
@@ -512,9 +509,9 @@ def fidelity_oracle(
     with the exact gap trace if the ceiling is reached first (at once,
     computing no rung and naming the starting cutoff, when that already
     reaches it: a lone rung has nothing to agree with), and ValueError for
-    an infinite tol or one below 1e-10, and for a ceiling that is not an
-    integer, is below the smallest cutoff, 2, or truncates more than 1e-12
-    of either thermal weight (only one at or below the starting cutoff can).
+    a tol or ceiling _check_oracle_options refuses and for a ceiling that
+    truncates more than 1e-12 of either thermal weight (only one at or below
+    the starting cutoff can).
     """
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):

@@ -32,8 +32,10 @@ logarithm that grows with beta (see _variables); the matrix route is written
 without differences of nearly equal products and scaled so that its checks
 run at every beta (see _matrix_route).  The batch then raises its first
 refused row's first failing check and, when the options ask for it, runs the
-oracle per row: every refusal, every oracle run and every comparison of the
-pipeline with the oracle happens in `closed_form_columns`.
+oracle per row: every refusal, every oracle run of a batch and every
+comparison of the pipeline with the oracle happens in `closed_form_columns`
+(`golden.fresh_records` and `scripts/cutoff_convergence.py` call
+`fidelity_oracle` themselves).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 
 from .algebra import (
     StateParams,
+    _check_real,
     _log_sinh,
     squeeze_matrix,  # noqa: F401  (perfbench's tracer wraps these names here)
     thermal_matrix,  # noqa: F401
@@ -165,8 +168,11 @@ class FidelityOptions:
     def __post_init__(self):
         # a NaN threshold compares False against every mismatch (no flag ever
         # raised), and a non-positive one flags exact agreement
+        _check_real("tol", self.tol)
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if not isinstance(self.oracle, (bool, np.bool_)):  # "no" would run the oracle
+            raise ValueError(f"oracle must be a bool, got {self.oracle!r}")
         _check_oracle_options(self.oracle_tol, self.oracle_ceiling)
 
 

@@ -18,8 +18,9 @@ import numpy as np
 
 from dstfid.algebra import StateParams
 from dstfid.fock import (
+    _assembled,
     _chain_exp,
-    _displacement_overlap,
+    _displacement_blocks,
     _generator_chains,
     _kept_levels,
     _polar,
@@ -57,10 +58,13 @@ def displacement_op(k: complex, cutoff: int) -> np.ndarray:
     """D(k) = exp(k a^dag - conj(k) a) of the truncated generator; unitary.
 
     With k = t e^{i phi} (t real), D(k) = R exp(t (a^dag - a)) R^dag for
-    R = diag(e^{i phi n}), and exp(t (a^dag - a)) is real orthogonal.
+    R = diag(e^{i phi n}), and exp(t (a^dag - a)) is real orthogonal.  It is
+    assembled from the oracle's _displacement_blocks, the parity blocks a
+    rung at k1 = 0 sandwiches.
     """
     _check_cutoff(cutoff)
-    return _displacement_overlap(0, k, _generator_chains(cutoff)[0])
+    blocks = _displacement_blocks(k, _generator_chains(cutoff)[0])
+    return _assembled(blocks, (cutoff, cutoff), complex)
 
 
 def squeeze_op(r: float, cutoff: int) -> np.ndarray:

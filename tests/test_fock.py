@@ -77,7 +77,7 @@ def test_displacement_equals_exp_of_truncated_generator(k, cutoff):
                                     (0.4 - 0.7j, 0.4 - 0.7j)],
                          ids=["real", "imaginary", "complex", "equal"])
 def test_displacement_overlap_is_the_product_of_the_two_factors(k1, k2, cutoff):
-    # the k1 != 0 branch against the product of two k1 = 0 builds
+    # the k1 != 0 product against the product of two assembled D(k)
     want = displacement_op(k1, cutoff).conj().T @ displacement_op(k2, cutoff)
     chain = fock._generator_chains(cutoff)[0]
     assert np.max(np.abs(fock._displacement_overlap(k1, k2, chain) - want)) <= 1e-12
@@ -87,14 +87,21 @@ def test_displacement_overlap_is_the_product_of_the_two_factors(k1, k2, cutoff):
 def test_displacement_overlap_holds_one_complex_operator(k1, bound):
     # Peak traced memory in doubles per N^2 at N = 243: the complex product
     # itself is 2; building it out of place peaked at 5.3 (k1 = 0) and 8.3.
+    # At k1 = 0 the operator is D(k2) assembled from its parity blocks.
     import tracemalloc
 
     cutoff = 243
     chain = fock._generator_chains(cutoff)[0]
-    fock._displacement_overlap(k1, 0.5 - 0.2j, chain)  # numpy's first-call allocations
+
+    def build():
+        if k1 == 0:
+            return displacement_op(0.5 - 0.2j, cutoff)
+        return fock._displacement_overlap(k1, 0.5 - 0.2j, chain)
+
+    build()  # numpy's first-call allocations
     tracemalloc.start()
     try:
-        fock._displacement_overlap(k1, 0.5 - 0.2j, chain)
+        build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -115,7 +122,7 @@ def test_displacement_blocks_are_the_overlap_blocks_bit_for_bit(k2, cutoff):
     # cutoffs 2 and 3) is the exception: numpy multiplies it in place on
     # another loop, which rounds a complex phase differently.
     chain = fock._generator_chains(cutoff)[0]
-    overlap = fock._displacement_overlap(0, k2, chain)
+    overlap = displacement_op(k2, cutoff)
     whole = level_order_overlap(0, k2, cutoff)
     order = []
     for p, q, block in fock._displacement_blocks(k2, chain):

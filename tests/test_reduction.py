@@ -1075,6 +1075,36 @@ def test_options_refuse_a_tolerance_that_cannot_flag(tol):
         FidelityOptions(tol=tol)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: FidelityOptions(tol="1e-8"), "tol must be a real number, got '1e-8'"),
+    (lambda: FidelityOptions(tol=1e-8 + 0j), "tol must be a real number, got (1e-08+0j)"),
+    (lambda: FidelityOptions(tol=True), "tol must be a real number, got True"),
+    (lambda: FidelityOptions(tol=np.True_), "tol must be a real number, got np.True_"),
+    (lambda: FidelityOptions(oracle_tol="1e-8"),
+     "oracle tolerance must be a real number, got '1e-8'"),
+    (lambda: FidelityOptions(oracle_tol=1e-8 + 0j),
+     "oracle tolerance must be a real number, got (1e-08+0j)"),
+    (lambda: FidelityOptions(oracle_tol=True), "oracle tolerance must be a real number, got True"),
+    (lambda: FidelityOptions(oracle="no"), "oracle must be a bool, got 'no'"),
+    (lambda: FidelityOptions(oracle=1), "oracle must be a bool, got 1"),
+    (lambda: fidelity_oracle(state(0.0, 0.1, nbar=0.5), state(0.2, 0.0, nbar=0.5), tol="1e-8"),
+     "oracle tolerance must be a real number, got '1e-8'"),
+], ids=["tol-str", "tol-complex", "tol-bool", "tol-numpy-bool", "oracle_tol-str",
+        "oracle_tol-complex", "oracle_tol-bool", "oracle-str", "oracle-int", "fidelity_oracle-str"])
+def test_options_refuse_a_mistyped_option_by_name(build, message):
+    # unchecked, a string or a complex raises a bare TypeError from a
+    # comparison, a bool tolerance counts as 1 and oracle="no" runs the oracle
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_options_take_numpy_scalars():
+    opts = FidelityOptions(tol=np.float64(1e-8), oracle=np.False_, oracle_tol=np.float32(1e-8),
+                           oracle_ceiling=np.int64(300))
+    assert not opts.oracle
+
+
 def test_options_refuse_an_infinite_oracle_tolerance():
     # every gap is <= inf, so the ladder would stop at its second rung (and a
     # golden record would allow any drift); the options refuse it whether or

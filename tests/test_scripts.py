@@ -93,11 +93,13 @@ def test_output_digest_hashes_every_command_of_its_battery():
     assert all(len(out) == len(err) == 64 for _, _, out, err in rows)
 
 
-def test_output_digest_matches_the_committed_digest():
-    # one child process at one BLAS thread, as the committed digest was made;
-    # on a mismatch its output names each moved command and what moved
-    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                      "MKL_NUM_THREADS")}
+@pytest.mark.parametrize("count", ["1", "2"])
+def test_output_digest_matches_the_committed_digest(count):
+    # one child process at one BLAS thread, as the committed digest was made,
+    # and at two: the battery's output does not depend on the thread count.
+    # On a mismatch its output names each moved command and what moved.
+    threads = {name: count for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
     src = str(SCRIPTS.parent / "src")
     env = {**os.environ, **threads,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
