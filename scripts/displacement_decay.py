@@ -63,7 +63,8 @@ def main(argv=None) -> int:
         else:
             with open(args.out, "w") as fh:
                 fh.write(text)
-    except (ValueError, OSError) as exc:  # a bad state, or an --out it cannot write
+    # a bad state, an --out it cannot write, or more --points than memory holds
+    except (ValueError, OSError, MemoryError) as exc:
         ap.error(str(exc))
     return 0
 

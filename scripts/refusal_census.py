@@ -51,8 +51,12 @@ def main(argv=None) -> int:
     if args.seed < 0:
         ap.error(f"--seed must be >= 0, got {args.seed}")
 
+    try:
+        counts = census(args.seed, args.rows)
+    except MemoryError as exc:  # more --rows than memory holds
+        ap.error(str(exc))
     print("check,rows")
-    for name, n in census(args.seed, args.rows).items():
+    for name, n in counts.items():
         print(f"{name},{n}")
     return 0
 

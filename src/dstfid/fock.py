@@ -35,7 +35,8 @@ successive values agree.  Every pair's rungs are then members of that one
 sequence, so they share the cached SVDs.  A rung's SVD runs only where its
 value is needed: where twice a bound on the nuclear norm of the change in
 M already certifies the gap, the ladder stops with the last rung's SVD
-alone and reports that bound as its gap.
+alone and reports that bound as its gap.  Its result (or ConvergenceError)
+carries the ladder as it ran, one Rung per cutoff.
 
 The whole ladder runs on the pair mapped by a joint squeeze S(s), which
 leaves F as it is: S(s) D(k) S(s)^dag = D(k') with k' = e^{-s} Re k +
@@ -56,7 +57,7 @@ import functools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +66,7 @@ from .algebra import StateParams, _check_real
 __all__ = [
     "ConvergenceError",
     "OracleResult",
+    "Rung",
     "matrix_exp",
     "thermal_weights",
     "dst_state",
@@ -86,11 +88,12 @@ _TRIM_TAIL = 2.5e-14
 
 
 class ConvergenceError(RuntimeError):
-    """Cutoff ladder hit its ceiling before successive fidelities agreed."""
+    """Cutoff ladder hit its ceiling before successive fidelities agreed:
+    rungs is its climb, gaps the (cutoff, gap) of its exact-gap rungs."""
 
-    def __init__(self, message: str, gaps: list[tuple[int, float]]):
+    def __init__(self, message: str, rungs: tuple[Rung, ...]):
         super().__init__(message)
-        self.gaps = gaps
+        self.rungs, self.gaps = rungs, [(r.cutoff, r.gap) for r in rungs if r.exact]
 
 
 def _check_oracle_options(tol: float, ceiling: int) -> None:
@@ -404,13 +407,29 @@ def _nuclear_bound(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class Rung:
+    """One rung of the oracle's ladder as it ran: its cutoff, its trimmed
+    M's shape, its fidelity (None where the gap bound made its SVD unneeded)
+    and its gap to the rung before (None on the first), exact (the change
+    of fidelity) or not (twice the nuclear-norm bound of the change in M)."""
+
+    cutoff: int
+    kept: tuple[int, int]
+    fidelity: float | None
+    gap: float | None
+    exact: bool
+
+
+@dataclass(frozen=True)
 class OracleResult:
-    """Converged brute-force fidelity plus how it converged."""
+    """Converged brute-force fidelity plus how it converged: rungs is the
+    ladder as it ran, one Rung per cutoff, the last one the result's."""
 
     fidelity: float
     cutoff_used: int
     convergence_gap: float
     frame_shift: float  # the joint squeeze s the ladder ran in (joint_squeeze_frame)
+    rungs: tuple[Rung, ...]
 
 
 @np.errstate(all="ignore")  # a squeeze near 1e308 overflows a log: that shift is never the least
@@ -506,39 +525,40 @@ def fidelity_oracle(
     the two rungs' M where that is already <= tol (only the last rung's SVD
     then runs), the exact difference of the two values otherwise, so the
     ladder stops where an exact-gap ladder would.  Raises ConvergenceError
-    with the exact gap trace if the ceiling is reached first (at once,
-    computing no rung and naming the starting cutoff, when that already
-    reaches it: a lone rung has nothing to agree with), and ValueError for
-    a tol or ceiling _check_oracle_options refuses and for a ceiling that
-    truncates more than 1e-12 of either thermal weight (only one at or below
-    the starting cutoff can).
+    with its rungs and exact gap trace if the ceiling is reached first (at
+    once, computing no rung and naming the starting cutoff, when that
+    already reaches it: a lone rung has nothing to agree with), and
+    ValueError for a tol or ceiling _check_oracle_options refuses and for a
+    ceiling that truncates more than 1e-12 of either thermal weight (only
+    one at or below the starting cutoff can).
     """
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):
         _check_thermal_tail(s.beta, ceiling)
     s1, s2, shift = joint_squeeze_frame(s1, s2)
-    gaps: list[tuple[int, float]] = []
-    prev: tuple[np.ndarray, float | None] | None = None  # the last rung's M and F, once known
+    rungs: list[Rung] = []
     start = _starting_cutoff(s1, s2)
     for cutoff in cutoff_ladder(start, ceiling):
-        m, fid = _rung_matrix(s1, s2, cutoff), None
-        if prev is not None:
-            prev_m, prev_fid = prev
+        m, fid, gap, exact = _rung_matrix(s1, s2, cutoff), None, None, False
+        if rungs:
             # F = (sum svdvals M)^2 and each sum is at most |sqrt p1| |sqrt p2|
             # <= 1, so |F - F_prev| <= 2 |sum - sum_prev| <= 2 _nuclear_bound.
             gap = 2.0 * _nuclear_bound(m, prev_m)
             if gap > tol:
-                prev_fid = _svd_fidelity(prev_m) if prev_fid is None else prev_fid
+                if rungs[-1].fidelity is None:
+                    rungs[-1] = replace(rungs[-1], fidelity=_svd_fidelity(prev_m))
                 fid = _svd_fidelity(m)
-                gap = abs(fid - prev_fid)
-                gaps.append((cutoff, gap))
+                gap, exact = abs(fid - rungs[-1].fidelity), True
             if gap <= tol:
-                return OracleResult(_svd_fidelity(m) if fid is None else fid, cutoff, gap, shift)
-        prev = m, fid
-    trace = ", ".join(f"N={n}: {g:.3e}" for n, g in gaps) or "no rungs"
+                fid = _svd_fidelity(m) if fid is None else fid
+                rungs.append(Rung(cutoff, m.shape, fid, gap, exact))
+                return OracleResult(fid, cutoff, gap, shift, tuple(rungs))
+        rungs.append(Rung(cutoff, m.shape, fid, gap, exact))
+        prev_m = m
+    trace = ", ".join(f"N={r.cutoff}: {r.gap:.3e}" for r in rungs if r.exact) or "no rungs"
     past = f"; the ladder starts at cutoff {start:g}, so the ceiling must exceed it"
     raise ConvergenceError(
         f"fidelity did not stabilize to {tol:g} by cutoff {ceiling} "
         f"(gap trace: {trace})" + (past if start >= ceiling else ""),
-        gaps,
+        tuple(rungs),
     )

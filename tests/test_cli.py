@@ -891,7 +891,9 @@ _PAIR_RECORD = (
       "--method", "closed-form"], _PAIR_RECORD),
     (["compute", "--k1", "0.3", "--r1", "0.2", "--nbar1", "0.5", "--k2", "0.1+0.2i",
       "--r2", "0.5", "--nbar2", "1.0", "--method", "all"],
-     _PAIR_RECORD | _under("oracle", "fidelity cutoff_used convergence_gap frame_shift")),
+     _PAIR_RECORD | _under("oracle", "fidelity cutoff_used convergence_gap frame_shift rungs "
+                                     "rungs.[].cutoff rungs.[].kept rungs.[].fidelity "
+                                     "rungs.[].gap rungs.[].exact")),
     (["verify", "--preset", "quick"],
      {"version", "passed", "preset", "pair_points", "self_points"}
      | _under("checks", "[].name [].worst [].threshold [].passed [].detail")

@@ -109,7 +109,10 @@ REAL_INPUTS = {
     "squeeze-factor-1": (355.0, 1.0, 0.5, 354.0, 1.0),
     "finite-mismatch": (0.0, 1.0, complex(math.inf, 0.0), 0.0, 1.0),
     "mismatch-range": (0.0, 1.0, 1e160, 0.0, 1.0),
-    # the solve's c1 l goes subnormal and keeps too few digits (ROADMAP item 6)
+    # the solve's c1 l goes subnormal and keeps too few digits, and the
+    # closed-form log delta1 is wrong there (-0.322 against -0.216): this
+    # check is all that refuses it, so dividing the solve's right-hand side
+    # by |v0| (ROADMAP item 6) must wait for item 16's log N2
     "solve-residual": (0.0, 1.0, 1e-8j, 354.0, 744.0),
     # the route's delta2 exponent is not finite, and NaN fails the ratio check (ROADMAP item 6)
     "ratio-dual-path": (2.514573631676037, 2.2687897883326802e-21,

@@ -361,6 +361,9 @@ def test_oracle_converges_and_reports_rungs():
     assert res.convergence_gap <= 1e-8
     assert res.cutoff_used >= 30
     assert 0.0 < res.fidelity < 1.0
+    last = res.rungs[-1]  # the last rung is the result
+    assert (last.cutoff, last.fidelity, last.gap) == (res.cutoff_used, res.fidelity,
+                                                      res.convergence_gap)
 
 
 def test_oracle_fidelity_monotone_under_cutoff_growth():
@@ -454,18 +457,6 @@ def test_stacked_chain_exp_is_each_t_bit_for_bit(cutoff):
 CUTOFF_SEQUENCE = (2, 3, 4, 6, 9, 14, 21, 32, 48, 72, 108, 162, 243, 364, 546, 819, 1228)
 
 
-def _record_rungs(monkeypatch) -> list[int]:
-    rungs: list[int] = []
-    rung_matrix = fock._rung_matrix
-
-    def recorded(s1, s2, cutoff):
-        rungs.append(cutoff)
-        return rung_matrix(s1, s2, cutoff)
-
-    monkeypatch.setattr(fock, "_rung_matrix", recorded)
-    return rungs
-
-
 def test_cutoff_ladder_climbs_the_fixed_sequence():
     assert tuple(itertools.islice(cutoff_ladder(2), len(CUTOFF_SEQUENCE))) == CUTOFF_SEQUENCE
     assert list(cutoff_ladder(30, 1024)) == [32, 48, 72, 108, 162, 243, 364, 546, 819, 1024]
@@ -507,10 +498,10 @@ def _stream_pairs(seed: int, count: int):
 
 
 @SEQUENCE_PAIRS
-def test_oracle_rungs_are_sequence_members(monkeypatch, s1, s2, ceiling):
-    rungs = _record_rungs(monkeypatch)
+def test_oracle_rungs_are_sequence_members(s1, s2, ceiling):
     start = fock._starting_cutoff(s1, s2)
     res = fidelity_oracle(s1, s2, ceiling=ceiling)
+    rungs = [r.cutoff for r in res.rungs]
     assert rungs[0] >= start
     assert res.cutoff_used == rungs[-1]
     if min(n for n in CUTOFF_SEQUENCE if n >= start) >= ceiling:
@@ -519,15 +510,13 @@ def test_oracle_rungs_are_sequence_members(monkeypatch, s1, s2, ceiling):
         assert set(rungs) <= {*CUTOFF_SEQUENCE, ceiling}, rungs
 
 
-def test_stream_pairs_miss_the_chain_cache_once_per_cutoff(monkeypatch):
+def test_stream_pairs_miss_the_chain_cache_once_per_cutoff():
     # A work count, not a timing: 32 seeded pairs from the stream
     # benchmark's box climb the fixed sequence, a handful of cutoffs, and
     # compute each one's generator SVDs once.  A start-dependent ladder
     # spreads such pairs over ~50 cutoffs, more than the cache holds.
-    rungs = _record_rungs(monkeypatch)
     fock._generator_chains.cache_clear()
-    for s1, s2 in _stream_pairs(2020, 32):
-        fidelity_oracle(s1, s2)
+    rungs = [r.cutoff for s1, s2 in _stream_pairs(2020, 32) for r in fidelity_oracle(s1, s2).rungs]
     assert set(rungs) <= set(CUTOFF_SEQUENCE)
     assert fock._generator_chains.cache_info().misses <= len(set(rungs))
 
@@ -592,33 +581,58 @@ def test_readme_pair_ladder_computes_one_svd(monkeypatch):
         calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
-    rungs = _record_rungs(monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", counted)
     res = fidelity_oracle(s1, s2)
-    assert rungs == [48, 72] and res.cutoff_used == 72
+    assert [r.cutoff for r in res.rungs] == [48, 72] and res.cutoff_used == 72
     assert len(calls) == 1, calls
 
 
-def test_stream_pairs_build_no_more_rungs_or_svds_than_recorded(monkeypatch):
+def test_stream_pairs_build_no_more_rungs_or_svds_than_recorded():
     # A work count, not a timing: with the joint squeeze frame and the
-    # nuclear-norm gap bound, 32 seeded stream pairs (chain cache warm) take
-    # 72 rungs and 47 rung SVDs, at one and at two BLAS threads alike.  A
-    # change that climbs more rungs or certifies fewer gaps by the bound
-    # fails here.
-    pairs = list(_stream_pairs(35, 32))
-    for s1, s2 in pairs:
-        fidelity_oracle(s1, s2)
-    rungs, svds, svd_fidelity = _record_rungs(monkeypatch), [], fock._svd_fidelity
-
-    def counted(m):
-        svds.append(m.shape)
-        return svd_fidelity(m)
-
-    monkeypatch.setattr(fock, "_svd_fidelity", counted)
-    for s1, s2 in pairs:
-        fidelity_oracle(s1, s2)
+    # nuclear-norm gap bound, 32 seeded stream pairs take 72 rungs and 47
+    # rung SVDs (one per rung with a fidelity), at one and at two BLAS
+    # threads alike.  A change that climbs more rungs or certifies fewer
+    # gaps by the bound fails here.
+    rungs = [r for s1, s2 in _stream_pairs(35, 32) for r in fidelity_oracle(s1, s2).rungs]
+    svds = [r for r in rungs if r.fidelity is not None]
     assert len(rungs) <= 72, len(rungs)
     assert len(svds) <= 47, len(svds)
+
+
+def _assert_rungs_are_what_ran(monkeypatch, pairs):
+    """Each pair's oracle rungs are the rungs it built, in order: each one's
+    cutoff and kept shape are its M's, and each rung with a fidelity is the
+    one SVD taken of its M."""
+    rung_matrix, svd_fidelity = fock._rung_matrix, fock._svd_fidelity
+    built, svds = [], []
+
+    def recorded(s1, s2, cutoff):
+        built.append((cutoff, rung_matrix(s1, s2, cutoff)))
+        return built[-1][1]
+
+    def counted(m):
+        svds.append((next(n for n, x in built if x is m), svd_fidelity(m)))
+        return svds[-1][1]
+
+    monkeypatch.setattr(fock, "_rung_matrix", recorded)
+    monkeypatch.setattr(fock, "_svd_fidelity", counted)
+    for s1, s2, ceiling in pairs:
+        built.clear()
+        svds.clear()
+        rungs = fidelity_oracle(s1, s2, ceiling=ceiling).rungs
+        assert [r.cutoff for r in rungs] == [n for n, _ in built], (s1, s2)
+        assert [r.kept for r in rungs] == [m.shape for _, m in built], (s1, s2)
+        assert sorted(svds) == [(r.cutoff, r.fidelity) for r in rungs if r.fidelity is not None]
+
+
+@SEQUENCE_PAIRS
+def test_oracle_rungs_are_the_ladder_that_ran(monkeypatch, s1, s2, ceiling):
+    _assert_rungs_are_what_ran(monkeypatch, [(s1, s2, ceiling)])
+
+
+def test_oracle_rungs_are_the_ladder_that_ran_on_stream_pairs(monkeypatch):
+    _assert_rungs_are_what_ran(monkeypatch, [(s1, s2, fock.DEFAULT_CUTOFF_CEILING)
+                                             for s1, s2 in _stream_pairs(35, 32)])
 
 
 def test_framed_oracle_agrees_with_the_unframed_ladder():
@@ -714,9 +728,17 @@ def test_oracle_golden_point():
 def test_oracle_ceiling_exhaustion_raises_with_trace():
     with pytest.raises(ConvergenceError) as exc:
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5), ceiling=40)
-    assert exc.value.gaps == []  # clamped straight to the ceiling, no rungs
+    assert exc.value.gaps == [] and exc.value.rungs == ()  # clamped straight to the ceiling
     assert str(exc.value).endswith("(gap trace: no rungs); the ladder starts at cutoff 58, "
                                    "so the ceiling must exceed it")
+    # Past the start, to a tol the ceiling cannot reach: the error carries
+    # every rung climbed, and gaps holds the exact ones, the gap trace.
+    with pytest.raises(ConvergenceError) as exc:
+        fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5), tol=1e-10,
+                        ceiling=70)
+    assert [r.cutoff for r in exc.value.rungs] == [58, 70]
+    assert exc.value.gaps == [(r.cutoff, r.gap) for r in exc.value.rungs if r.exact] != []
+    assert "(gap trace: N=70: 3.832e-08)" in str(exc.value)
 
 
 def _refuse_rungs(monkeypatch):

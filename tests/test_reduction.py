@@ -865,6 +865,21 @@ def test_delta_factors_at_the_edge_of_double_range_are_right_or_refused():
     assert wrong == []
 
 
+def test_a_subnormal_solve_is_refused_or_its_delta1_is_right():
+    """At r2 = 354, beta2 = 744 and g = 1e-8i the scaled solve's c1 l is
+    subnormal.  F is right there, but the closed-form log delta1 is not
+    (-0.32200 against the reference's -0.21556), and solve-residual is the
+    one check that refuses the pair: it stays refused until its log delta1
+    matches the 50-digit reference to 1e-9."""
+    r1, b1, r2, b2, g = 0.0, 1.0, 354.0, 744.0, 1e-8j
+    try:
+        rep = fidelity(state(0.0, r1, beta=b1), state(g, r2, beta=b2), NO_ORACLE)
+    except PipelineCheckError:
+        return
+    want, _ = delta_exponents_reference(r1, b1, r2, b2, g)
+    assert abs(rep.pipeline.log_delta1 - want) <= 1e-9 * abs(want), rep.pipeline.log_delta1
+
+
 def test_every_trace_field_is_one_number_per_row():
     """Every field of a batch's traces is None or one number per row: shape
     (3,) on a 3-row batch, 0-d on the batch of one that fidelity runs."""
@@ -1037,8 +1052,9 @@ def test_with_oracle_rows_equal_on_both_batch_shapes(monkeypatch):
 
     s1, s2 = state(0.0, 0.2, nbar=0.5), state(0.5, 0.3, nbar=1.0)
     past_one = OracleResult(fidelity=1.0 + 1e-5, cutoff_used=80, convergence_gap=3e-9,
-                            frame_shift=0.0)
-    other = OracleResult(fidelity=0.5, cutoff_used=60, convergence_gap=1e-9, frame_shift=0.2)
+                            frame_shift=0.0, rungs=())
+    other = OracleResult(fidelity=0.5, cutoff_used=60, convergence_gap=1e-9, frame_shift=0.2,
+                         rungs=())
     supplied = iter([past_one, other, past_one])
     monkeypatch.setattr(red, "fidelity_oracle", lambda *a, **kw: next(supplied))
     one = red._pair(s1, s2, FidelityOptions())
