@@ -131,7 +131,7 @@ BATTERY = (
     # ladders that start at or above the ceiling name their starting cutoff
     "verify --preset quick --ceiling 69",
     "compute --nbar1 0.5 --nbar2 0.5 --k2 3 --ceiling 40",
-    # a complex k1: the oracle forms D(k1)^dag D(k2) from both factors and both phases
+    # a complex k1: the oracle's frame moves the pair to k1 = 0 and forms k2 - k1 itself
     "compute --k1 0.3-0.4i --r1 0.2 --nbar1 0.5 --k2 0.1+0.2i --r2=-0.3 --nbar2 1.0 "
     "--method all --format record",
     # far apart: the ladder runs 364 and then 546 (hot states that reach 546 move

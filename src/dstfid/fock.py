@@ -9,15 +9,14 @@ their exponentials as real orthogonal matrices in closed form.  One builder,
 _chain_blocks, makes their four parity blocks (p::2, q::2), stacked over an
 array of t if one is given, and one loop, _assembled, sets them in level
 order: _chain_exp's factor per entry (a rung builds both states' squeeze
-factors of a parity in one call) and dst_state's D(k).  A rung at k1 = 0
-sandwiches D(k2)'s blocks from _displacement_blocks one at a time; other
-rungs take D(k1)^dag D(k2) whole from _displacement_overlap.  A complex k
-enters through the diagonal phase R = diag(e^{i phi n}), D(k) = R D(|k|)
-R^dag.  No dense matrix exponential and no scipy: numpy alone runs the
-oracle, and only matrix_exp, the dense reference the tests compare the
-factors against, imports scipy.  The full operators D(k) and S(r) and the
-density-matrix route the tests check a rung against (uhlmann_fidelity)
-live with the tests, in fock_reference.
+factors of a parity in one call) and dst_state's D(k).  A rung sandwiches
+D(k2)'s blocks from _displacement_blocks one at a time; state 1 comes to
+it undisplaced.  A complex k enters through the diagonal phase
+R = diag(e^{i phi n}), D(k) = R D(|k|) R^dag.  No dense matrix exponential
+and no scipy: numpy alone runs the oracle, and only matrix_exp, the dense
+reference the tests compare the factors against, imports scipy.  The full
+operators D(k) and S(r) and the density-matrix route the tests check a rung
+against (uhlmann_fidelity) live with the tests, in fock_reference.
 
 One rung of the oracle evaluates the Uhlmann/Bures fidelity
 F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at one cutoff without forming
@@ -38,16 +37,21 @@ M already certifies the gap, the ladder stops with the last rung's SVD
 alone and reports that bound as its gap.  Its result (or ConvergenceError)
 carries the ladder as it ran, one Rung per cutoff.
 
-The whole ladder runs on the pair mapped by a joint squeeze S(s), which
-leaves F as it is: S(s) D(k) S(s)^dag = D(k') with k' = e^{-s} Re k +
-i e^{s} Im k and S(s) S(r) = S(r + s), so a state goes to (k', r + s, beta).
-s minimises the larger mean photon number, so squeezes that nearly cancel
-climb from a small cutoff however large the squeeze they share.
+The whole ladder runs on the pair mapped by two joint Gaussian unitaries,
+each of which leaves F as it is.  First D(-k1): D(-k1) D(k) = D(k - k1)
+times a phase, which rho cancels, so the pair goes to (0, r1, beta1),
+(k2 - k1, r2, beta2); a pair with k1 = 0 is left as given.  Then a joint
+squeeze S(s): S(s) D(k) S(s)^dag = D(k') with k' = e^{-s} Re k +
+i e^{s} Im k and S(s) S(r) = S(r + s), so a state goes to (k', r + s,
+beta).  s minimises the larger mean photon number, so squeezes that nearly
+cancel climb from a small cutoff however large the squeeze they share.
 
 The oracle is deliberately independent of the 2x2 reduction: it never touches
-the conjugation matrices, and it builds D(k1) and D(k2) as separate factors
-rather than assuming the displacement difference, so agreement between the
-two is evidence, not circularity.
+the conjugation matrices, and it forms its own k2 - k1, in its own frame, so
+a wrong g in the reduction does not reach it and agreement between the two
+is evidence, not circularity.  The Weyl relation its frame assumes, D(a)
+D(b) = D(a + b) times a phase, is held by the test reference, which builds
+D(k1) and D(k2) as separate factors.
 """
 
 from __future__ import annotations
@@ -222,62 +226,23 @@ def _polar(k: complex) -> tuple[float, float]:
     return abs(k), cmath.phase(k)
 
 
-def _phases(phi1: float, phi2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals of R(phi1) and R(phi2)^dag on the levels 0 .. n-1."""
-    levels = np.arange(n)
-    return np.exp(1j * phi1 * levels), np.exp(-1j * phi2 * levels)
-
-
-def _phased(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rows[:, None] * x * cols in place in the complex x, in the one operand
-    order of every caller: a parity block phased with the strided diagonals
-    rows[p::2] and cols[q::2] is that block of the phased whole, bit for bit.
-    The one exception is a lone element (the 1 x 1 block of cutoffs 2 and 3,
-    which no ladder runs), which numpy multiplies in place on another loop
-    that rounds differently."""
-    np.multiply(rows[:, None], x, out=x)
-    return np.multiply(x, cols, out=x)
-
-
 def _displacement_blocks(k: complex, chain: _Chain) -> _Blocks:
     """D(k)'s parity blocks (p, q, block [p::2, q::2]) in _chain_blocks'
     order, each a new C-ordered complex array: Q(t)'s block, made complex
-    and phased on its own.  Only one block is held at a time."""
+    and multiplied in place by the strided diagonals of R and R^dag.  Only
+    one block is held at a time.  Each is that block of R Q(t) R^dag formed
+    and phased whole, bit for bit, but for a lone element (the 1 x 1 block
+    of cutoffs 2 and 3, which no ladder runs), which numpy multiplies in
+    place on another loop that rounds differently."""
     t, phi = _polar(k)
-    rows, cols = _phases(phi, phi, chain[0].shape[0] + chain[2].shape[0])
+    levels = np.arange(chain[0].shape[0] + chain[2].shape[0])
+    rows, cols = np.exp(1j * phi * levels), np.exp(-1j * phi * levels)
     for p, q, block in _chain_blocks(chain, t):
         x = block.astype(complex, order="C")
         del block
-        yield p, q, _phased(x, rows[p::2], cols[q::2])
+        np.multiply(rows[p::2, None], x, out=x)
+        yield p, q, np.multiply(x, cols[q::2], out=x)
         del x
-
-
-def _displacement_overlap(k1: complex, k2: complex, chain: _Chain) -> np.ndarray:
-    """D(k1)^dag D(k2) in level order for k1 != 0, each factor built on its
-    own from the displacement chain at that cutoff.  A rung at k1 = 0
-    sandwiches _displacement_blocks(k2) instead.
-
-    D(k) = R(phi) Q(t) R(phi)^dag with Q(t) real orthogonal and R diagonal,
-    so the product is R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag.  It
-    is formed in the one complex N x N array it returns: the two real
-    products Q1 C Q2 and Q1 S Q2 (C and S the cos and sin of the middle
-    phase) come first, and the array becomes Q1 C Q2 + 1j (Q1 S Q2);
-    _phased then multiplies it in place.  Each step has the operands and
-    order of the out-of-place expression, so every entry, signed zeros
-    included, is that expression's bit for bit.
-    """
-    n = chain[0].shape[0] + chain[2].shape[0]
-    (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
-    left, right = _chain_exp(chain, (-t1, t2))
-    turn = (phi2 - phi1) * np.arange(n)
-    im = (left * np.sin(turn)) @ right
-    re = (left * np.cos(turn)) @ right
-    del left, right  # the factors go before the complex array comes
-    out = np.zeros((n, n), dtype=complex)
-    out.real = im  # im + 0j, times 1j, plus re: re + 1j * im as written out of place
-    np.multiply(1j, out, out=out)
-    np.add(re, out, out=out)
-    return _phased(out, *_phases(phi1, phi2, n))
 
 
 def thermal_cutoff_requirement(beta: float) -> float:
@@ -313,7 +278,7 @@ def thermal_weights(beta: float, cutoff: int) -> np.ndarray:
 def dst_state(s: StateParams, cutoff: int) -> np.ndarray:
     """rho = U rho_thermal U^dag with U = D(k) S(r) at the given cutoff, U
     built from the rung's own factors: D(k) assembled from the parity blocks
-    a rung at k1 = 0 sandwiches."""
+    a rung sandwiches."""
     pops = thermal_weights(s.beta, cutoff)
     chains = _generator_chains(cutoff)
     u = _assembled(_displacement_blocks(s.k, chains[0]), (cutoff, cutoff), complex)
@@ -342,9 +307,10 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     states truncated at that cutoff, is _svd_fidelity(M) to <= 1e-13 plus
     rounding, without forming either density matrix.
 
-    rho_i = U_i diag(p_i) U_i^dag with U_i = D(k_i) S(r_i) unitary, so
-    sqrt(rho1) rho2 sqrt(rho1) = U1 M M^dag U1^dag for W = U1^dag U2 =
-    S1^T D(k1)^dag D(k2) S2.
+    State 1 comes undisplaced from the oracle's frame (_ladder_frame); a
+    displaced one is refused.  rho_i = U_i diag(p_i) U_i^dag with U1 =
+    S(r1) and U2 = D(k2) S(r2) unitary, so sqrt(rho1) rho2 sqrt(rho1) =
+    U1 M M^dag U1^dag for W = U1^dag U2 = S1^T D(k2) S2.
 
     A dropped row or column moves the sum of the singular values by at most
     its norm, and the trim runs in two stages per side.  W is unitary, so a
@@ -357,31 +323,25 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     the sum moves by at most 2 * _TRIM_TAIL and F by at most 1e-13.
 
     S_i acts on the levels of each parity, p::2, on its own, so W is filled
-    a parity block at a time on those strided views.  For k1 = 0 (every
-    oracle-stream pair) the N x N operator D(k2) is never formed: its parity
-    blocks come one at a time from _displacement_blocks, each dropped once
-    sandwiched.  Otherwise D(k1)^dag D(k2) is formed whole, before the
-    squeeze factors, and its strided blocks are sandwiched.  Both states'
+    a parity block at a time on those strided views.  The N x N operator
+    D(k2) is never formed: its parity blocks come one at a time from
+    _displacement_blocks, each dropped once sandwiched.  Both states'
     squeeze factors of a parity come from one stacked _chain_exp call.
     """
+    if s1.k:
+        raise ValueError(f"state 1 must come undisplaced (_ladder_frame), got k1 = {s1.k!r}")
     p1, p2 = thermal_weights(s1.beta, cutoff), thermal_weights(s2.beta, cutoff)
     root1, root2 = np.sqrt(p1), np.sqrt(p2)
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
     chains = _generator_chains(cutoff)
-    if s1.k == 0:
-        blocks = _displacement_blocks(s2.k, chains[0])
-    else:  # formed first, so its transient peak holds no squeeze factor
-        overlap = _displacement_overlap(s1.k, s2.k, chains[0])
-        blocks = [(p, q, overlap[p::2, q::2]) for p in (0, 1) for q in (0, 1)]
-        del overlap  # the views hold it until they go after the loop
     squeeze = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in chains[1:]]
     w = np.empty((n1, n2), dtype=complex)
-    for p, q, x in blocks:
+    for p, q, x in _displacement_blocks(s2.k, chains[0]):
         # Only the kept levels' columns of S1 and S2 enter the sandwich.
         w[p::2, q::2] = _sandwich(squeeze[p][0, :, : (n1 - p + 1) // 2], x,
                                   squeeze[q][1, :, : (n2 - q + 1) // 2])
         del x
-    del squeeze, blocks
+    del squeeze
     w2 = w.real**2 + w.imag**2
     m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))
     m2 = _kept_levels(np.sqrt(p1[:m1] @ w2[:m1]) * root2[:n2], float(np.sum(root2[n2:])))
@@ -486,6 +446,23 @@ def _starting_cutoff(s1: StateParams, s2: StateParams) -> float:
     )
 
 
+def _ladder_frame(s1: StateParams,
+                  s2: StateParams) -> tuple[StateParams, StateParams, float, float]:
+    """The pair the oracle's ladder runs on, its joint squeeze s and its
+    starting cutoff.  D(-k1) takes a pair with k1 != 0 to (0, r1, beta1),
+    (k2 - k1, r2, beta2), and joint_squeeze_frame maps that; a pair at
+    k1 = 0 takes no new arithmetic.  The start is _starting_cutoff of the
+    framed pair, or of the pair as given in its own squeeze frame where
+    that is lower: D(-k1) can double the |k|^2 the start allows for (at
+    k2 = -k1), past the ceiling for pairs whose ladder converges below it."""
+    start = math.inf
+    if s1.k:
+        start = _starting_cutoff(*joint_squeeze_frame(s1, s2)[:2])
+        s1, s2 = replace(s1, k=0j), replace(s2, k=s2.k - s1.k)
+    s1, s2, shift = joint_squeeze_frame(s1, s2)
+    return s1, s2, shift, min(start, _starting_cutoff(s1, s2))
+
+
 def cutoff_ladder(start: float, ceiling: float = math.inf) -> Iterator[int]:
     """The oracle's cutoffs from start: the members of the fixed sequence
     2, 3, 4, 6, 9, 14, 21, 32, 48, 72, 108, 162, 243, 364, 546, 819, ...
@@ -517,27 +494,26 @@ def fidelity_oracle(
 ) -> OracleResult:
     """Adaptive-cutoff Uhlmann fidelity between two parameterized states.
 
-    Runs on the pair in the joint squeeze frame (joint_squeeze_frame), and
-    climbs cutoff_ladder from a starting cutoff (the first member of the
-    fixed x1.5 sequence at or above _starting_cutoff) and stops when two
-    successive fidelities differ by at most tol.  The reported
-    convergence_gap is an upper bound on the last gap: 2 _nuclear_bound of
-    the two rungs' M where that is already <= tol (only the last rung's SVD
-    then runs), the exact difference of the two values otherwise, so the
-    ladder stops where an exact-gap ladder would.  Raises ConvergenceError
-    with its rungs and exact gap trace if the ceiling is reached first (at
-    once, computing no rung and naming the starting cutoff, when that
-    already reaches it: a lone rung has nothing to agree with), and
-    ValueError for a tol or ceiling _check_oracle_options refuses and for a
-    ceiling that truncates more than 1e-12 of either thermal weight (only
-    one at or below the starting cutoff can).
+    Runs on the pair _ladder_frame moves state 1 to k = 0 in, and climbs
+    cutoff_ladder from its start (the first member of the fixed x1.5
+    sequence at or above it) until two successive fidelities differ by at
+    most tol.  The reported convergence_gap is an upper bound on the last
+    gap: 2 _nuclear_bound of the two rungs' M where that is already <= tol
+    (only the last rung's SVD then runs), the exact difference of the two
+    values otherwise, so the ladder stops where an exact-gap ladder would.
+    Raises ConvergenceError with its rungs and exact gap trace if the
+    ceiling is reached first (at once, computing no rung and naming the
+    starting cutoff, when that already reaches it: a lone rung has nothing
+    to agree with), and ValueError for a tol or ceiling
+    _check_oracle_options refuses and for a ceiling that truncates more than
+    1e-12 of either thermal weight (only one at or below the starting cutoff
+    can) or a k2 - k1 past double range.
     """
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):
         _check_thermal_tail(s.beta, ceiling)
-    s1, s2, shift = joint_squeeze_frame(s1, s2)
+    s1, s2, shift, start = _ladder_frame(s1, s2)
     rungs: list[Rung] = []
-    start = _starting_cutoff(s1, s2)
     for cutoff in cutoff_ladder(start, ceiling):
         m, fid, gap, exact = _rung_matrix(s1, s2, cutoff), None, None, False
         if rungs:

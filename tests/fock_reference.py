@@ -7,9 +7,12 @@ S(r) built from the oracle's own factors, the thermal state as a matrix, the
 Uhlmann fidelity of two density matrices, each checked to be one, and the
 full-size rung, which keeps every level and multiplies the full operators.
 Every matrix is dense and complex over the truncated number basis; the
-cutoff is its dimension.  level_order_rung forms the whole level-order
-overlap D(k1)^dag D(k2) for every k1 and sandwiches its strided parity
-blocks, the route the oracle's rung must equal bit for bit.
+cutoff is its dimension.  full_size_rung builds D(k1) and D(k2) as separate
+factors, so a test that holds the oracle's framed rung to it at k1 != 0
+checks the Weyl relation the frame (fock._ladder_frame) assumes: D(-k1)
+D(k2) is D(k2 - k1) times a phase.  level_order_rung forms the whole
+level-order D(k2) of a framed pair, state 1 at k = 0, and sandwiches its
+strided parity blocks, the route the oracle's rung must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dstfid.fock import (
 
 __all__ = [
     "ContractViolationError", "annihilation", "displacement_op", "full_size_rung",
-    "level_order_overlap", "level_order_rung", "squeeze_op", "thermal_state",
+    "level_order_displacement", "level_order_rung", "squeeze_op", "thermal_state",
     "uhlmann_fidelity",
 ]
 
@@ -60,7 +63,7 @@ def displacement_op(k: complex, cutoff: int) -> np.ndarray:
     With k = t e^{i phi} (t real), D(k) = R exp(t (a^dag - a)) R^dag for
     R = diag(e^{i phi n}), and exp(t (a^dag - a)) is real orthogonal.  It is
     assembled from the oracle's _displacement_blocks, the parity blocks a
-    rung at k1 = 0 sandwiches.
+    rung sandwiches.
     """
     _check_cutoff(cutoff)
     blocks = _displacement_blocks(k, _generator_chains(cutoff)[0])
@@ -130,37 +133,33 @@ def full_size_rung(s1: StateParams, s2: StateParams, cutoff: int) -> float:
     return float(np.sum(sv) ** 2)
 
 
-def level_order_overlap(k1: complex, k2: complex, cutoff: int) -> np.ndarray:
-    """D(k1)^dag D(k2) formed whole in level order and phased whole, written
-    out of place: R(phi1) Q(-t1) R(phi2 - phi1) Q(t2) R(phi2)^dag, with the
-    middle phase's cos and sin products for k1 != 0 and Q(t2) alone (phi1 =
-    phi2) for k1 = 0."""
-    (t1, phi1), (t2, phi2) = _polar(k1), _polar(k2)
-    chain, levels = _generator_chains(cutoff)[0], np.arange(cutoff)
-    if k1 == 0:
-        phi1, product = phi2, _chain_exp(chain, t2).astype(complex)
-    else:
-        left, right = _chain_exp(chain, (-t1, t2))
-        turn = (phi2 - phi1) * levels
-        product = (left * np.cos(turn)) @ right + 1j * ((left * np.sin(turn)) @ right)
-    return np.exp(1j * phi1 * levels)[:, None] * product * np.exp(-1j * phi2 * levels)
+def level_order_displacement(k: complex, cutoff: int) -> np.ndarray:
+    """D(k) formed whole in level order and phased whole, written out of
+    place: R(phi) Q(t) R(phi)^dag."""
+    t, phi = _polar(k)
+    levels = np.arange(cutoff)
+    product = _chain_exp(_generator_chains(cutoff)[0], t).astype(complex)
+    return np.exp(1j * phi * levels)[:, None] * product * np.exp(-1j * phi * levels)
 
 
 def level_order_rung(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
-    """The oracle's rung matrix M by the level-order route: both states'
-    squeeze factors stacked per parity, the whole level_order_overlap, its
-    strided parity blocks sandwiched, then the same two-stage trim."""
+    """The oracle's rung matrix M of an undisplaced state 1 by the
+    level-order route: both states' squeeze factors stacked per parity, the
+    whole level_order_displacement of k2, its strided parity blocks
+    sandwiched, then the same two-stage trim."""
+    if s1.k:
+        raise ValueError(f"state 1 must be undisplaced (fock._ladder_frame), got k1 = {s1.k!r}")
     p1, p2 = thermal_weights(s1.beta, cutoff), thermal_weights(s2.beta, cutoff)
     root1, root2 = np.sqrt(p1), np.sqrt(p2)
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
     sq = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in _generator_chains(cutoff)[1:]]
-    overlap = level_order_overlap(s1.k, s2.k, cutoff)
+    disp = level_order_displacement(s2.k, cutoff)
     w = np.empty((n1, n2), dtype=complex)
     for p in (0, 1):
         for q in (0, 1):
             left = sq[p][0, :, : (n1 - p + 1) // 2]
             right = sq[q][1, :, : (n2 - q + 1) // 2]
-            w[p::2, q::2] = _sandwich(left, overlap[p::2, q::2], right)
+            w[p::2, q::2] = _sandwich(left, disp[p::2, q::2], right)
     w2 = w.real**2 + w.imag**2
     m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))
     m2 = _kept_levels(np.sqrt(p1[:m1] @ w2[:m1]) * root2[:n2], float(np.sum(root2[n2:])))

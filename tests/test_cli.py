@@ -40,6 +40,27 @@ def test_readme_worked_compute_prints_its_output(capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_readme_examples_of_rungs_and_a_falloff_ray_run(capsys, monkeypatch, tmp_path):
+    # The README's example block: the oracle's rungs for one pair (the
+    # record's oracle.rungs) and the fidelity along a mismatch ray (a sweep
+    # over re_k2, written to decay.csv in the working directory).
+    from dstfid.cli import main
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```sh\n# sweep one or two axes", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    sweep, compute = (next(ln.split()[1:] for ln in lines if ln.startswith(f"dstfid {name} "))
+                      for name in ("sweep", "compute"))
+    monkeypatch.chdir(tmp_path)
+    assert main(compute) == 0
+    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    assert [r["cutoff"] for r in oracle["rungs"]] == [72, 108]
+    assert oracle["rungs"][-1]["fidelity"] == oracle["fidelity"]
+    assert main(sweep) == 0
+    csv = (tmp_path / "decay.csv").read_text().splitlines()
+    assert len([ln for ln in csv if not ln.startswith("#")]) == 1 + 21
+
+
 def test_compute_identical_states_prints_unity():
     res = run_cli(
         "compute", "--k1", "0.3+0.4i", "--r1", "0.8", "--nbar1", "2.0",

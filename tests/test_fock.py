@@ -31,12 +31,18 @@ from fock_reference import (
     annihilation,
     displacement_op,
     full_size_rung,
-    level_order_overlap,
+    level_order_displacement,
     level_order_rung,
     squeeze_op,
     thermal_state,
     uhlmann_fidelity,
 )
+
+
+def _framed(s1, s2):
+    """The pair the oracle's ladder runs on: state 1 at k = 0, in the joint
+    squeeze frame (fock._ladder_frame)."""
+    return fock._ladder_frame(s1, s2)[:2]
 
 
 def test_annihilation_smallest_case():
@@ -72,40 +78,21 @@ def test_displacement_equals_exp_of_truncated_generator(k, cutoff):
     assert np.max(np.abs(displacement_op(k, cutoff) - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
-@pytest.mark.parametrize("k1, k2", [(0.6, -0.2 + 0.9j), (-0.5j, 1.1), (0.4 - 0.7j, -1.2 - 0.3j),
-                                    (0.4 - 0.7j, 0.4 - 0.7j)],
-                         ids=["real", "imaginary", "complex", "equal"])
-def test_displacement_overlap_is_the_product_of_the_two_factors(k1, k2, cutoff):
-    # the k1 != 0 product against the product of two assembled D(k)
-    want = displacement_op(k1, cutoff).conj().T @ displacement_op(k2, cutoff)
-    chain = fock._generator_chains(cutoff)[0]
-    assert np.max(np.abs(fock._displacement_overlap(k1, k2, chain) - want)) <= 1e-12
-
-
-@pytest.mark.parametrize("k1, bound", [(0.0, 4.0), (0.3 + 0.4j, 6.5)], ids=["k1=0", "k1!=0"])
-def test_displacement_overlap_holds_one_complex_operator(k1, bound):
-    # Peak traced memory in doubles per N^2 at N = 243: the complex product
-    # itself is 2; building it out of place peaked at 5.3 (k1 = 0) and 8.3.
-    # At k1 = 0 the operator is D(k2) assembled from its parity blocks.
+def test_assembled_displacement_holds_one_complex_operator():
+    # Peak traced memory in doubles per N^2 at N = 243 of D(k) assembled
+    # from its parity blocks: the complex operator itself is 2; building it
+    # out of place peaked at 5.3, and block by block it reads 3.56.
     import tracemalloc
 
     cutoff = 243
-    chain = fock._generator_chains(cutoff)[0]
-
-    def build():
-        if k1 == 0:
-            return displacement_op(0.5 - 0.2j, cutoff)
-        return fock._displacement_overlap(k1, 0.5 - 0.2j, chain)
-
-    build()  # numpy's first-call allocations
+    displacement_op(0.5 - 0.2j, cutoff)  # numpy's first-call allocations
     tracemalloc.start()
     try:
-        build()
+        displacement_op(0.5 - 0.2j, cutoff)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 2.0 <= peak / (8 * cutoff**2) <= bound
+    assert 2.0 <= peak / (8 * cutoff**2) <= 4.0
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -123,7 +110,7 @@ def test_displacement_blocks_are_the_overlap_blocks_bit_for_bit(k2, cutoff):
     # another loop, which rounds a complex phase differently.
     chain = fock._generator_chains(cutoff)[0]
     overlap = displacement_op(k2, cutoff)
-    whole = level_order_overlap(0, k2, cutoff)
+    whole = level_order_displacement(k2, cutoff)
     order = []
     for p, q, block in fock._displacement_blocks(k2, chain):
         order.append((p, q))
@@ -135,40 +122,42 @@ def test_displacement_blocks_are_the_overlap_blocks_bit_for_bit(k2, cutoff):
 
 
 def _rung_pairs() -> list[tuple]:
-    # 8 seeded pairs per cutoff, half with k1 = 0; nbar keeps the thermal tail
-    # within each cutoff
+    # 8 seeded pairs per cutoff, half drawn with k1 = 0 and half with k1 != 0,
+    # each in the oracle's frame; nbar keeps the thermal tail within each
+    # cutoff
     rng = np.random.default_rng(4242)
     pairs = []
     for cutoff, hot in ((41, 1.0), (108, 2.0), (243, 2.0)):
         for i in range(8):
             k1 = 0j if i % 2 == 0 else complex(*rng.uniform(-1.0, 1.0, 2))
-            pairs.append((state(k1, rng.uniform(-0.8, 0.8), nbar=rng.uniform(0.05, hot)),
-                          state(complex(*rng.uniform(-1.5, 1.5, 2)), rng.uniform(-0.8, 0.8),
-                                nbar=rng.uniform(0.05, hot)), cutoff))
+            pairs.append((*_framed(
+                state(k1, rng.uniform(-0.8, 0.8), nbar=rng.uniform(0.05, hot)),
+                state(complex(*rng.uniform(-1.5, 1.5, 2)), rng.uniform(-0.8, 0.8),
+                      nbar=rng.uniform(0.05, hot))), cutoff))
     return pairs
 
 
 @pytest.mark.parametrize("s1, s2, cutoff", _rung_pairs())
 def test_rung_is_the_level_order_route_bit_for_bit(s1, s2, cutoff):
-    # D(k2) sandwiched a parity block at a time (k1 = 0) rounds exactly as
-    # the whole level-order overlap does, both routes building both states'
-    # squeeze factors of a parity in one stacked call
+    # D(k2) sandwiched a parity block at a time rounds exactly as the whole
+    # level-order D(k2) does, both routes building both states' squeeze
+    # factors of a parity in one stacked call
     assert np.array_equal(_bits(fock._rung_matrix(s1, s2, cutoff)),
                           _bits(level_order_rung(s1, s2, cutoff)))
 
 
-@pytest.mark.parametrize("k1, bound", [(0.0, 3.5), (0.3 + 0.4j, 6.1)], ids=["k1=0", "k1!=0"])
-def test_rung_holds_one_displacement_block_at_a_time(k1, bound):
+@pytest.mark.parametrize("k1", [0.0, 0.3 + 0.4j], ids=["k1=0", "k1!=0"])
+def test_rung_holds_one_displacement_block_at_a_time(k1):
     # Peak traced memory of a warm rung in doubles per N^2 at N = 243, both
-    # states' squeeze factors of a parity stacked.  At k1 = 0, forming D(k2)
-    # whole peaked at 5.4 on this pair; its blocks one at a time peak at 3.30
-    # (3.05 with the factors built per state and state 1's dropped early).
-    # At k1 != 0 the whole product stays (6.03 before, 5.02 now), and the
-    # bound keeps it from growing.
+    # states' squeeze factors of a parity stacked.  Forming D(k2) whole
+    # peaked at 5.4 on the k1 = 0 pair; its blocks one at a time peak at
+    # 3.30 (3.05 with the factors built per state and state 1's dropped
+    # early).  A pair at k1 != 0 comes through the oracle's frame, so its
+    # rung holds one block at a time too: 3.31.
     import tracemalloc
 
     cutoff = 243
-    s1, s2 = state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9)
+    s1, s2 = _framed(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9))
     fock._rung_matrix(s1, s2, cutoff)  # the chains and numpy's first-call allocations
     tracemalloc.start()
     try:
@@ -176,13 +165,13 @@ def test_rung_holds_one_displacement_block_at_a_time(k1, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * cutoff**2) <= bound
+    assert peak / (8 * cutoff**2) <= 3.5
 
 
 @pytest.mark.parametrize("k1", [0.0, 0.3 + 0.4j], ids=["k1=0", "k1!=0"])
 def test_rung_builds_each_exponential_once(k1, monkeypatch):
-    # One _chain_blocks call for D(k2), or for D(k1)^dag D(k2)'s two stacked
-    # factors, and one per parity for both states' squeeze factors stacked
+    # One _chain_blocks call for D(k2) (k2 - k1 once framed), and one per
+    # parity for both states' squeeze factors stacked
     calls = []
 
     def counted(chain, t):
@@ -191,7 +180,7 @@ def test_rung_builds_each_exponential_once(k1, monkeypatch):
 
     chain_blocks = fock._chain_blocks
     monkeypatch.setattr(fock, "_chain_blocks", counted)
-    fock._rung_matrix(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9), 72)
+    fock._rung_matrix(*_framed(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9)), 72)
     assert len(calls) == 3
 
 
@@ -367,8 +356,7 @@ def test_oracle_converges_and_reports_rungs():
 
 
 def test_oracle_fidelity_monotone_under_cutoff_growth():
-    s1 = state(0.3, 0.2, nbar=0.5)
-    s2 = state(0.1 + 0.2j, 0.5, nbar=1.0)
+    s1, s2 = _framed(state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0))
     fids = [fock._svd_fidelity(fock._rung_matrix(s1, s2, n)) for n in (40, 60, 90)]
     gaps = [abs(fids[i + 1] - fids[i]) for i in range(len(fids) - 1)]
     assert gaps[1] < gaps[0]  # refinement shrinks the change
@@ -386,9 +374,12 @@ def test_oracle_fidelity_monotone_under_cutoff_growth():
     ],
 )
 def test_rung_equals_uhlmann_of_dense_states(s1, s2):
+    # the rung of the pair the oracle's frame moves to k1 = 0, against the
+    # dense states as given
     cutoff = 80
     dense = uhlmann_fidelity(dst_state(s1, cutoff), dst_state(s2, cutoff))
-    assert abs(fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff)) - dense) <= 1e-8
+    rung = fock._rung_matrix(*_framed(s1, s2), cutoff)
+    assert abs(fock._svd_fidelity(rung) - dense) <= 1e-8
 
 
 # The sqrt p trim keeps every level of this pair at N = 81, and M's measured
@@ -396,24 +387,25 @@ def test_rung_equals_uhlmann_of_dense_states(s1, s2):
 SHRUNK_BY_MEASURED_NORMS = (state(0.0, 0.3, nbar=1.5), state(0.8, 0.2, nbar=1.5), 81)
 
 
-@pytest.mark.parametrize(
-    "s1,s2,cutoff,dropped",
-    [
-        (state(0.4, 0.3, beta=4.0), state(-0.7j, -0.2, nbar=2.0), 80, (True, False)),
-        (state(0.0, 0.5, nbar=2.0), state(0.6, 0.1, beta=3.0), 80, (False, True)),
-        (state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, beta=5.0), 60, (True, True)),
-        (state(-0.2j, 0.3, nbar=2.0), state(-0.5, -0.1, nbar=2.0), 80, (False, False)),
-        # Odd cutoffs, with an odd number of kept levels in each state.
-        (state(0.3 - 0.2j, 0.4, beta=1.5), state(-0.5j, -0.3, nbar=1.0), 61, (True, False)),
-        (state(-0.4 + 0.1j, -0.3, nbar=1.5), state(0.6 + 0.2j, 0.2, beta=5.0), 79, (False, True)),
-        (*SHRUNK_BY_MEASURED_NORMS, (False, False)),
-    ],
-)
+FULL_SIZE_RUNGS = [
+    (state(0.4, 0.3, beta=4.0), state(-0.7j, -0.2, nbar=2.0), 80, (True, False)),
+    (state(0.0, 0.5, nbar=2.0), state(0.6, 0.1, beta=3.0), 80, (False, True)),
+    (state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, beta=5.0), 60, (True, True)),
+    (state(-0.2j, 0.3, nbar=2.0), state(-0.5, -0.1, nbar=2.0), 80, (False, False)),
+    # Odd cutoffs, with an odd number of kept levels in each state.
+    (state(0.3 - 0.2j, 0.4, beta=1.5), state(-0.5j, -0.3, nbar=1.0), 61, (True, False)),
+    (state(-0.4 + 0.1j, -0.3, nbar=1.5), state(0.6 + 0.2j, 0.2, beta=5.0), 79, (False, True)),
+    (*SHRUNK_BY_MEASURED_NORMS, (False, False)),
+]
+
+
+@pytest.mark.parametrize("s1,s2,cutoff,dropped", FULL_SIZE_RUNGS)
 def test_rung_matches_the_full_size_rung(s1, s2, cutoff, dropped):
     # The rung drops the levels of each state whose sqrt-weight tail is at
     # most 2.5e-14, then the rows and the columns of M whose measured norms
     # use up the rest of that budget; the full-size rung keeps every level
-    # and multiplies the full operators.
+    # and multiplies the full operators.  Both take the framed pair.
+    s1, s2 = _framed(s1, s2)
     kept = [fock._kept_levels(np.sqrt(thermal_weights(s.beta, cutoff))) for s in (s1, s2)]
     assert tuple(n < cutoff for n in kept) == dropped
     if cutoff % 2:
@@ -422,12 +414,29 @@ def test_rung_matches_the_full_size_rung(s1, s2, cutoff, dropped):
     assert abs(fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff)) - full_size_rung(s1, s2, cutoff)) <= 1e-14
 
 
+# The k1 != 0 rows of FULL_SIZE_RUNGS at their cutoffs, but the hot pair (row
+# 3, nbar = 2 in both states) at 108: at 80 its full-size rung is still
+# 1.8e-9 from its value at 240, and truncation alone parts the framed and
+# unframed rungs by 6.0e-11 there (4.4e-14 at 108).
+@pytest.mark.parametrize("s1,s2,cutoff", [(s1, s2, 108 if i == 3 else cutoff)
+                                          for i, (s1, s2, cutoff, _) in enumerate(FULL_SIZE_RUNGS)
+                                          if s1.k])
+def test_framed_rung_matches_the_unframed_full_size_rung(s1, s2, cutoff):
+    # The Weyl relation the oracle's frame assumes, D(-k1) D(k2) = D(k2 - k1)
+    # times a phase, against the full-size rung of the pair as given, which
+    # builds D(k1) and D(k2) as separate factors: at a fixed cutoff the two
+    # differ by truncation alone.
+    framed = fock._svd_fidelity(fock._rung_matrix(*_framed(s1, s2), cutoff))
+    assert abs(framed - full_size_rung(s1, s2, cutoff)) <= 1e-12
+
+
 def test_measured_norms_shrink_a_rung_the_sqrt_p_trim_keeps_whole():
     assert fock._rung_matrix(*SHRUNK_BY_MEASURED_NORMS).shape == (73, 74)
 
 
 def test_rung_value_does_not_depend_on_the_chain_cache():
-    s1, s2, cutoff = state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, nbar=2.0), 70
+    s1, s2 = _framed(state(0.3 - 0.2j, -0.4, beta=3.0), state(0.5j, 0.2, nbar=2.0))
+    cutoff = 70
     fock._generator_chains.cache_clear()
     cold = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
     warm = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
@@ -477,7 +486,9 @@ SEQUENCE_PAIRS = pytest.mark.parametrize(
         (state(0.0, -0.7, beta=3.0), state(1.2 - 0.4j, 0.6, nbar=1.9), 1024),
         # hot: the thermal floor sets the start, the ladder passes 243
         (state(0.0, 0.1, nbar=8.0), state(0.2, -0.1, nbar=6.0), 1024),
-        # displaced, k1 != 0, to an odd ceiling
+        # displaced, k1 != 0, to an odd ceiling: framed at k1 = 0, |k2 - k1|
+        # would start it at 111; the pair as given starts lower (78), so it
+        # climbs 108, then the ceiling, as the next member (162) passes it
         (state(-1.5 + 1.0j, 0.3, nbar=0.2), state(1.5 - 0.5j, -0.2, nbar=0.4), 151),
         # the first member (32) reaches the ceiling: [start, ceiling]
         (state(0.0, 0.0, nbar=0.05), state(0.1, 0.0, nbar=0.05), 32),
@@ -499,7 +510,8 @@ def _stream_pairs(seed: int, count: int):
 
 @SEQUENCE_PAIRS
 def test_oracle_rungs_are_sequence_members(s1, s2, ceiling):
-    start = fock._starting_cutoff(s1, s2)
+    # the start the oracle's frame gives the pair
+    start = fock._ladder_frame(s1, s2)[3]
     res = fidelity_oracle(s1, s2, ceiling=ceiling)
     rungs = [r.cutoff for r in res.rungs]
     assert rungs[0] >= start
@@ -521,13 +533,16 @@ def test_stream_pairs_miss_the_chain_cache_once_per_cutoff():
     assert fock._generator_chains.cache_info().misses <= len(set(rungs))
 
 
-def _exact_ladder(s1, s2, tol=1e-8, ceiling=fock.DEFAULT_CUTOFF_CEILING):
-    """fidelity_oracle's climb on the pair as given, with no joint squeeze
-    frame and every gap the exact difference of two rung values: (cutoff,
-    fidelity, gap) of the converged rung, or None where the ladder reaches
-    the ceiling."""
+def _exact_ladder(s1, s2, tol=1e-8, ceiling=fock.DEFAULT_CUTOFF_CEILING, frame=False):
+    """fidelity_oracle's climb, on the pair from the start the oracle's frame
+    gives it where frame and on a pair at k1 = 0 as given otherwise, with
+    every gap the exact difference of two rung values: (cutoff, fidelity,
+    gap) of the converged rung, or None where the ladder reaches the
+    ceiling."""
+    s1, s2, _, start = fock._ladder_frame(s1, s2) if frame else (s1, s2, 0.0,
+                                                                  fock._starting_cutoff(s1, s2))
     prev = None
-    for cutoff in cutoff_ladder(fock._starting_cutoff(s1, s2), ceiling):
+    for cutoff in cutoff_ladder(start, ceiling):
         fid = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
         if prev is not None and abs(fid - prev) <= tol:
             return cutoff, fid, abs(fid - prev)
@@ -537,7 +552,7 @@ def _exact_ladder(s1, s2, tol=1e-8, ceiling=fock.DEFAULT_CUTOFF_CEILING):
 
 def _assert_bounded_ladder_stops_with_the_exact_one(s1, s2, ceiling=fock.DEFAULT_CUTOFF_CEILING):
     res = fidelity_oracle(s1, s2, ceiling=ceiling)
-    cutoff, fid, gap = _exact_ladder(*fock.joint_squeeze_frame(s1, s2)[:2], ceiling=ceiling)
+    cutoff, fid, gap = _exact_ladder(s1, s2, ceiling=ceiling, frame=True)
     assert res.cutoff_used == cutoff, (s1, s2)
     assert res.fidelity == fid, (s1, s2)
     assert res.convergence_gap >= gap, (s1, s2)
@@ -636,7 +651,9 @@ def test_oracle_rungs_are_the_ladder_that_ran_on_stream_pairs(monkeypatch):
 
 
 def test_framed_oracle_agrees_with_the_unframed_ladder():
-    # Both states displaced, complex k, so the frame maps both displacements.
+    # Both states displaced, complex k: D(-k1) moves state 1 to k = 0 and the
+    # joint squeeze maps state 2's k2 - k1.  The ladder it must agree with
+    # climbs the pair D(-k1) makes, outside the joint squeeze frame.
     rng = np.random.default_rng(13)
     tol = 1e-9
     for _ in range(12):
@@ -646,8 +663,69 @@ def test_framed_oracle_agrees_with_the_unframed_ladder():
         s1, s2 = state(k1, r1, nbar=n1), state(k2, r2, nbar=n2)
         framed = fidelity_oracle(s1, s2, tol=tol)
         assert framed.frame_shift != 0.0
-        unframed = _exact_ladder(s1, s2, tol)
+        unframed = _exact_ladder(state(0.0, r1, nbar=n1), state(k2 - k1, r2, nbar=n2), tol)
         assert unframed is not None and abs(framed.fidelity - unframed[1]) <= tol, (s1, s2)
+
+
+def test_oracle_rungs_run_on_the_pair_moved_to_k1_zero(monkeypatch):
+    # D(-k1) first, then the joint squeeze: every rung is built on the pair
+    # _ladder_frame gives, which is the joint squeeze frame of (0, r1,
+    # beta1), (k2 - k1, r2, beta2)
+    rung_matrix, seen = fock._rung_matrix, set()
+
+    def recorded(s1, s2, cutoff):
+        seen.add((s1, s2))
+        return rung_matrix(s1, s2, cutoff)
+
+    monkeypatch.setattr(fock, "_rung_matrix", recorded)
+    s1, s2 = state(-1.5 + 1.0j, 0.3, nbar=0.2), state(1.5 - 0.5j, -0.2, nbar=0.4)
+    framed1, framed2, shift, _ = fock._ladder_frame(s1, s2)
+    moved = state(0.0, 0.3, nbar=0.2), state(3.0 - 1.5j, -0.2, nbar=0.4)
+    assert fock.joint_squeeze_frame(*moved) == (framed1, framed2, shift)
+    assert fidelity_oracle(s1, s2).frame_shift == shift
+    assert seen == {(framed1, framed2)} and framed1.k == 0
+
+
+def test_rung_refuses_a_displaced_state_1():
+    # a rung reads state 2's k alone, so a pair that skipped the oracle's
+    # frame would be the wrong pair
+    with pytest.raises(ValueError, match="state 1 must come undisplaced"):
+        fock._rung_matrix(state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0), 48)
+
+
+# k2 = -k1, as given and as the oracle converges on them at its default
+# ceiling: the ladder's rungs and the start of the pair D(-k1) makes.
+OPPOSITE_PAIRS = [
+    (4.0 + 4.0j, 0.1, 0.0, [546, 819], 1055),
+    (cmath.rect(5.6, math.pi / 4), 1.0, 0.0, [546, 819], 1044),
+    (cmath.rect(5.6, math.pi / 4), 4.0, 0.5, [819, 1024], 1078),
+]
+
+
+@pytest.mark.parametrize("k, nbar, r, rungs, framed_start", OPPOSITE_PAIRS)
+def test_oracle_starts_opposite_displacements_where_the_pair_as_given_does(
+        k, nbar, r, rungs, framed_start):
+    # D(-k1) doubles |k| here, so |k2 - k1|^2 is twice |k1|^2 + |k2|^2 and
+    # the framed pair's own start passes the default ceiling: a ladder from
+    # it would refuse at once.  The start of the pair as given is lower,
+    # and the ladder converges from it, on the rungs an oracle without
+    # D(-k1) climbed, to the closed form.
+    from dstfid.reduction import FidelityOptions, fidelity
+
+    s1, s2 = state(k, r, nbar=nbar), state(-k, -r, nbar=nbar)
+    assert fock._starting_cutoff(*_framed(s1, s2)) == framed_start
+    res = fidelity_oracle(s1, s2)
+    assert [x.cutoff for x in res.rungs] == rungs
+    want = fidelity(s1, s2, FidelityOptions(oracle=False)).value_matrix_pipeline
+    assert abs(res.fidelity - want) <= 1e-11
+
+
+def test_oracle_refuses_a_displacement_difference_past_double_range(monkeypatch):
+    # k2 - k1 overflows: the oracle's frame cannot hold it, and the closed
+    # form refuses the same g ("g must be finite")
+    _refuse_rungs(monkeypatch)
+    with pytest.raises(ValueError, match="displacement k must be finite"):
+        fidelity_oracle(state(1e308, 0.0, nbar=1.0), state(-1e308, 0.0, nbar=1.0))
 
 
 def test_frame_is_the_pair_as_given_where_no_shift_helps():

@@ -693,14 +693,18 @@ def test_single_squeeze_past_double_range_is_a_named_error(beta, g):
 
 
 def test_oracle_matches_gaussian_reference_on_seeded_pairs():
+    # 24 k1 != 0 pairs from the stream box (|r| <= 0.8, nbar <= 2, |k1| <= 1,
+    # |k2| <= 1.5), which the oracle's frame moves to k1 = 0: on 128 such
+    # pairs the worst error read 1.1e-12
     rng = np.random.default_rng(2026)
-    for _ in range(6):
-        k1, k2 = complex(*rng.uniform(-1.0, 1.0, 2)), complex(*rng.uniform(-1.0, 1.0, 2))
-        r1, r2 = rng.uniform(-0.6, 0.6, 2)
+    for _ in range(24):
+        k1, k2 = (bound * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
+                  for bound in (1.0, 1.5))
+        r1, r2 = rng.uniform(-0.8, 0.8, 2)
         n1, n2 = rng.uniform(0.05, 2.0, 2)
         s1, s2 = state(k1, r1, nbar=n1), state(k2, r2, nbar=n2)
         _, want, _ = gaussian_reference(r1, s1.beta, r2, s2.beta, k2 - k1)
-        assert abs(fidelity_oracle(s1, s2).fidelity - want) <= 1e-10
+        assert abs(fidelity_oracle(s1, s2).fidelity - want) <= 1e-11, (s1, s2)
 
 
 def test_oracle_converges_on_a_large_common_squeeze_with_a_small_gap():

@@ -24,20 +24,10 @@ def _load(name: str):
 @pytest.mark.parametrize(
     "name, argv, header, rows",
     [
-        # four (squeeze, temperature) settings, three points along the ray each
-        ("displacement_decay", ["--points", "3"],
-         "label,r1,r2,nbar1,nbar2,abs_g,fidelity,coherent_reference", 12),
-        # one line per rung the oracle climbed: 72, then 108
-        ("cutoff_convergence", [], "cutoff,kept,fidelity,gap,gap_kind", 2),
-        # a shared squeeze whose ladder would start past the ceiling unframed:
-        # the oracle climbs 48, then 72, in its joint squeeze frame
-        ("cutoff_convergence", ["--r1", "3", "--r2", "3.2", "--k2", "0.01", "--nbar1", "0.5",
-                                "--nbar2", "0.5"], "cutoff,kept,fidelity,gap,gap_kind", 2),
         # one line per check of the closed-form batch, then passed
         ("refusal_census", ["--rows", "2000"], "check,rows", 13),
     ],
-    ids=["displacement_decay", "cutoff_convergence", "cutoff_convergence-ceiling",
-         "refusal_census"],
+    ids=["refusal_census"],
 )
 def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     assert _load(name).main(argv) == 0
@@ -46,30 +36,16 @@ def test_script_runs_and_writes_its_csv(capsys, name, argv, header, rows):
     assert len(lines) == 1 + rows
 
 
-@pytest.mark.parametrize("name, argv, flag", [
-    ("cutoff_convergence", ["--nbar1", "0"], None),
-    ("cutoff_convergence", ["--r1", "400"], None),  # the oracle's ladder has no rungs
-    ("displacement_decay", ["--points", "0"], "--points"),
-    ("displacement_decay", ["--points", "-1"], "--points"),
-    ("displacement_decay", ["--gmax", "nan"], None),
-    ("displacement_decay", ["--gmax", "-1"], None),  # abs_g would run negative
-    ("displacement_decay", ["--points", "2", "--phase", "inf"], None),
-    # a path under a file, which no user can write, root included
-    ("displacement_decay", ["--points", "2", "--out", os.path.join(os.devnull, "x.csv")], None),
-    # more samples or rows than memory holds: numpy's allocation fails at once
-    ("displacement_decay", ["--points", "1000000000000"], None),
-    ("refusal_census", ["--seed", "-1"], None),  # numpy's generator takes no negative seed
-    ("refusal_census", ["--rows", "1000000000000"], None),
-], ids=["nbar-zero", "no-rungs", "points-zero", "points-negative", "gmax-nan", "gmax-negative",
-        "phase-inf", "out-unwritable", "points-past-memory", "seed-negative", "rows-past-memory"])
-def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv, flag):
+@pytest.mark.parametrize("name, argv", [
+    ("refusal_census", ["--seed", "-1"]),  # numpy's generator takes no negative seed
+    # more rows than memory holds: numpy's allocation fails at once
+    ("refusal_census", ["--rows", "1000000000000"]),
+], ids=["seed-negative", "rows-past-memory"])
+def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv):
     with pytest.raises(SystemExit) as exc:
         _load(name).main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
-    if flag is not None:  # refused by the script itself, not by the library it calls
-        assert f"error: {flag} " in err, err
+    assert "error:" in capsys.readouterr().err
 
 
 def test_refusal_census_counts_every_row_once_in_check_order(capsys):
