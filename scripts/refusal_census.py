@@ -3,9 +3,9 @@
 
 Draws seeded pairs over the whole supported domain -- r uniform in
 [-354, 354], beta log-uniform in [1e-300, 744], Re g and Im g of random
-sign and magnitude log-uniform in [1e-320, 1e160], k1 = 0 -- runs them
-through the closed-form batch without the oracle, and counts, for each
-check, the rows it refuses first.  Two trees of the package refuse alike
+sign and magnitude log-uniform in [1e-320, 1e160] -- runs them through
+the closed-form batch without the oracle, and counts, for each check, the
+rows it refuses first.  Two trees of the package refuse alike
 where the two CSVs match, which makes this the acceptance scan of any
 change to a check or to the values the checks read.
 
@@ -35,9 +35,9 @@ def draw(seed: int, rows: int):
 def census(seed: int, rows: int) -> dict[str, int]:
     """First-refusal count per check name, in check order, then 'passed'."""
     r1, b1, g, r2, b2 = draw(seed, rows)
-    cf = _evaluate(np.zeros(rows, dtype=complex), r1, b1, g, r2, b2, 1e-8)
-    names = [name for name, _, _ in cf.checks] + ["passed"]
-    return dict(zip(names, np.bincount(cf.first_failure, minlength=len(names)).tolist()))
+    _, checks, first = _evaluate(g, r1, b1, r2, b2, 1e-8)
+    names = [name for name, _, _ in checks] + ["passed"]
+    return dict(zip(names, np.bincount(first, minlength=len(names)).tolist()))
 
 
 def main(argv=None) -> int:

@@ -93,11 +93,11 @@ _TRIM_TAIL = 2.5e-14
 
 class ConvergenceError(RuntimeError):
     """Cutoff ladder hit its ceiling before successive fidelities agreed:
-    rungs is its climb, gaps the (cutoff, gap) of its exact-gap rungs."""
+    rungs is its climb."""
 
     def __init__(self, message: str, rungs: tuple[Rung, ...]):
         super().__init__(message)
-        self.rungs, self.gaps = rungs, [(r.cutoff, r.gap) for r in rungs if r.exact]
+        self.rungs = rungs
 
 
 def _check_oracle_options(tol: float, ceiling: int) -> None:
@@ -417,6 +417,8 @@ def joint_squeeze_frame(s1: StateParams,
         shifts.append((b2 - a1 + math.log(math.expm1(b1 - b2) / math.expm1(a2 - a1))) / 4.0)
     s = float(min(shifts, key=lambda t: max(np.logaddexp(a1 + 2 * t, b1 - 2 * t),
                                             np.logaddexp(a2 + 2 * t, b2 - 2 * t))))
+    if not s:  # scaled(x, 0) rounds x through exp(log|x|)
+        return s1, s2, 0.0
     try:
         f1, f2 = (StateParams(complex(scaled(x.k.real, -s), scaled(x.k.imag, s)), x.r + s, x.beta)
                   for x in (s1, s2))

@@ -504,12 +504,8 @@ class ClosedForm:
     ``pipeline``, ``printed`` and ``base`` are the report's traces with a
     column per field; ``flags`` maps each flag's name to (row mask,
     magnitudes), in report order, the oracle's two unset until
-    `closed_form_columns` runs it; ``checks`` lists (name, error class,
-    message builder) in check order, and ``first_failure`` holds each row's
-    first failing check index (len(checks) where every check passed; only
-    `_evaluate` returns a batch with a refused row).  ``oracle`` (one
-    OracleResult per row, in flat row order) and ``value_oracle`` are None
-    unless the oracle ran.
+    `closed_form_columns` runs it.  ``oracle`` (one OracleResult per row, in
+    flat row order) and ``value_oracle`` are None unless the oracle ran.
     """
 
     g: np.ndarray
@@ -519,22 +515,11 @@ class ClosedForm:
     printed: ReductionTrace
     base: BaseFactorTrace
     flags: dict
-    checks: tuple
-    first_failure: np.ndarray
     oracle: tuple[OracleResult, ...] | None = None
     value_oracle: np.ndarray | None = None
 
     def __len__(self) -> int:
         return np.size(self.g)
-
-    def error(self, i: int) -> Exception | None:
-        """Row i's first failing check as the exception it raises, or None."""
-        k = self.first_failure.item(i)
-        if k == len(self.checks):
-            return None
-        _, kind, message = self.checks[k]
-        with np.errstate(all="ignore"):  # a message value may leave double range
-            return kind(message(i))
 
     def report(self, i: int) -> FidelityReport:
         """Row i as a FidelityReport, with its oracle result when one ran."""
@@ -586,11 +571,16 @@ def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> Closed
     row's index as ``row``.  Its results join the batch: value_oracle is
     their fidelity clamped to [0, 1], and the oracle's two flags are set.
     """
-    cf = _evaluate(k1, r1, b1, k2, r2, b2, opts.tol)
-    refused = np.flatnonzero(cf.first_failure < len(cf.checks))
+    # only the mismatch enters the fidelity: D(k1)^dag D(k2) is D(k2 - k1)
+    # up to a phase, which cancels
+    cf, checks, first = _evaluate(k2 - k1, r1, b1, r2, b2, opts.tol)
+    refused = np.flatnonzero(first < len(checks))
     if refused.size:
-        err = cf.error(refused[0])
-        err.row = int(refused[0])
+        row = int(refused[0])
+        _, kind, message = checks[first.item(row)]
+        with np.errstate(all="ignore"):  # a message value may leave double range
+            err = kind(message(row))
+        err.row = row
         raise err
     if not opts.oracle:
         return cf
@@ -613,11 +603,11 @@ def closed_form_columns(k1, r1, b1, k2, r2, b2, opts: FidelityOptions) -> Closed
 # Out-of-range rows are refused by their checks (NaN fails each), not
 # reported as numpy warnings.
 @np.errstate(all="ignore")
-def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
-    shape = np.shape(k1)
-    # only the mismatch enters the fidelity: D(k1)^dag D(k2) is D(k2 - k1)
-    # up to a phase, which cancels
-    g = k2 - k1
+def _evaluate(g, r1, b1, r2, b2, tol) -> tuple[ClosedForm, tuple, np.ndarray]:
+    """(ClosedForm, checks, first) of the mismatches g = k2 - k1: checks the
+    (name, error class, message builder) of every check in check order, first
+    each row's first failing check index (len(checks) where all passed)."""
+    shape = np.shape(g)
 
     # pipeline scalars, all from one set of variables
     t1, t2, c1, c2, u1, u2, top, x, dp, lc1, ldd = _variables(r1, b1, r2, b2)
@@ -710,12 +700,9 @@ def _evaluate(k1, r1, b1, k2, r2, b2, tol) -> ClosedForm:
     checks = input_checks + route_checks
     failed = np.array([mask for _, _, mask, _ in checks])
     first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(checks))
-    return ClosedForm(
-        g=g, value_matrix_pipeline=value_pipe, value_printed=value_printed,
-        pipeline=pipeline, printed=printed, base=base, flags=flags,
-        checks=tuple((name, kind, message) for name, kind, _, message in checks),
-        first_failure=first,
-    )
+    cf = ClosedForm(g=g, value_matrix_pipeline=value_pipe, value_printed=value_printed,
+                    pipeline=pipeline, printed=printed, base=base, flags=flags)
+    return cf, tuple((name, kind, message) for name, kind, _, message in checks), first
 
 
 # ---------------------------------------------------------------------------

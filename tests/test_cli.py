@@ -372,7 +372,8 @@ def test_sweep_convergence_error_keeps_its_gaps():
         run_sweep(args, {})
     assert str(exc.value).startswith("sweep row 3 (re_k2=3): fidelity did not stabilize")
     assert str(exc.value).endswith("; no rows written")
-    assert exc.value.gaps and exc.value.gaps[-1][0] == 60
+    gaps = [(r.cutoff, r.gap) for r in exc.value.rungs if r.exact]
+    assert gaps and gaps[-1][0] == 60
 
 _NBAR_REFUSED = "nbar must be a finite positive number, got {} (nbar = 0 is the pure-state " \
     "limit; use a large beta instead); no rows written"
@@ -658,7 +659,7 @@ def test_fresh_records_names_a_convergence_failure_and_keeps_its_gaps():
         fresh_records([(a, a, 1e-8), (a, b, 1e-8)], ceiling=64)
     assert str(exc.value).startswith("record 1: fidelity did not stabilize to 1e-08 by "
                                      "cutoff 64 (gap trace: N=64: ")
-    assert [n for n, _ in exc.value.gaps] == [64]
+    assert [r.cutoff for r in exc.value.rungs if r.exact] == [64]
 
 
 @pytest.mark.parametrize("regolden", [[], ["--regolden"]], ids=["check", "regolden"])

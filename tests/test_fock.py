@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dstfid.fock as fock
-from dstfid.algebra import state
+from dstfid.algebra import StateParams, state
 from dstfid.fock import (
     ConvergenceError,
     cutoff_ladder,
@@ -37,6 +38,7 @@ from fock_reference import (
     thermal_state,
     uhlmann_fidelity,
 )
+from gaussian_reference import gaussian_reference
 
 
 def _framed(s1, s2):
@@ -497,15 +499,16 @@ SEQUENCE_PAIRS = pytest.mark.parametrize(
 )
 
 
-def _stream_pairs(seed: int, count: int):
-    """Seeded k1 = 0 pairs from the stream benchmark's box: |k2| <= 1.5,
-    |r| <= 0.8, 0.05 <= nbar <= 2."""
+def _stream_pairs(seed: int, count: int, k1_bound: float = 0.0):
+    """Seeded pairs from the stream benchmark's box: |k1| <= k1_bound (k1 = 0
+    by default), |k2| <= 1.5, |r| <= 0.8, 0.05 <= nbar <= 2."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         r1, r2 = rng.uniform(-0.8, 0.8, size=2)
         nbar1, nbar2 = rng.uniform(0.05, 2.0, size=2)
-        k2 = cmath.rect(1.5 * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi))
-        yield state(0.0, r1, nbar=nbar1), state(k2, r2, nbar=nbar2)
+        k1, k2 = (cmath.rect(bound * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi))
+                  if bound else 0.0 for bound in (k1_bound, 1.5))
+        yield state(k1, r1, nbar=nbar1), state(k2, r2, nbar=nbar2)
 
 
 @SEQUENCE_PAIRS
@@ -614,6 +617,63 @@ def test_stream_pairs_build_no_more_rungs_or_svds_than_recorded():
     assert len(svds) <= 47, len(svds)
 
 
+def _squeezed(s, a):
+    """s under the squeeze S(a): k -> e^{-a} Re k + i e^{a} Im k, r -> r + a."""
+    return StateParams(complex(math.exp(-a) * s.k.real, math.exp(a) * s.k.imag), s.r + a, s.beta)
+
+
+# Joint Gaussian unitaries leave the fidelity unchanged (Banchi, Braunstein
+# and Pirandola 2015), and so does swapping the states.  Each map takes a
+# pair and a seeded displacement c and squeeze a.
+INVARIANCES = {
+    "swap": lambda s1, s2, c, a: (s2, s1),
+    "displacement": lambda s1, s2, c, a: tuple(replace(s, k=s.k + c) for s in (s1, s2)),
+    "rotation": lambda s1, s2, c, a: tuple(replace(s, k=1j * s.k, r=-s.r) for s in (s1, s2)),
+    "squeeze": lambda s1, s2, c, a: tuple(_squeezed(s, a) for s in (s1, s2)),
+}
+
+
+@pytest.mark.parametrize("move", INVARIANCES.values(), ids=INVARIANCES.keys())
+def test_oracle_is_invariant_under_joint_gaussian_unitaries(move):
+    # 16 k1 != 0 stream-box pairs, each with c (|c| <= 1) and a (|a| <= 0.5):
+    # the worst deviations read 1.5e-13 (swap), 5.6e-16 (displacement),
+    # 1.7e-16 (rotation) and 5.6e-16 (squeeze), at one and two BLAS threads.
+    rng = np.random.default_rng(48)
+    for s1, s2 in _stream_pairs(48, 16, k1_bound=1.0):
+        c = cmath.rect(math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi))
+        moved = fidelity_oracle(*move(s1, s2, c, rng.uniform(-0.5, 0.5))).fidelity
+        assert abs(moved - fidelity_oracle(s1, s2).fidelity) <= 1e-11, (s1, s2)
+
+
+def test_k1_stream_pairs_match_the_reference_in_no_more_rungs_or_svds_than_recorded():
+    # The invariance test's 16 pairs against the 50-digit reference (the
+    # worst error reads 1.5e-13), and their work count, counted as
+    # test_stream_pairs_build_no_more_rungs_or_svds_than_recorded counts its
+    # own: 35 rungs and 23 rung SVDs, at one and at two BLAS threads.
+    rungs = []
+    for s1, s2 in _stream_pairs(48, 16, k1_bound=1.0):
+        res = fidelity_oracle(s1, s2)
+        _, want, _ = gaussian_reference(s1.r, s1.beta, s2.r, s2.beta, s2.k - s1.k)
+        assert abs(res.fidelity - want) <= 1e-11, (s1, s2)
+        rungs += res.rungs
+    svds = [r for r in rungs if r.fidelity is not None]
+    assert len(rungs) <= 35, len(rungs)
+    assert len(svds) <= 23, len(svds)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the joint squeeze frame weighs squeeze photons like displacement "
+                   "photons and frames this pair as (0), (-6) at s = 1.07, so its ladder "
+                   "stops at 162 with an error of 3.4e-13 (CHANGES.md FOUND 98, ROADMAP "
+                   "item 25)")
+def test_oracle_on_opposite_displacements_is_as_accurate_as_in_its_own_frame():
+    # In the pair's own squeeze frame (s = 0.74) the rung at 162 is 5e-20
+    # from the reference.
+    s1, s2 = state(3.0, 0.0, nbar=0.5), state(-3.0, 0.0, nbar=0.5)
+    _, want, _ = gaussian_reference(0.0, s1.beta, 0.0, s2.beta, s2.k - s1.k)
+    assert abs(fidelity_oracle(s1, s2).fidelity - want) <= 1e-14
+
+
 def _assert_rungs_are_what_ran(monkeypatch, pairs):
     """Each pair's oracle rungs are the rungs it built, in order: each one's
     cutoff and kept shape are its M's, and each rung with a fidelity is the
@@ -696,7 +756,7 @@ def test_rung_refuses_a_displaced_state_1():
 # k2 = -k1, as given and as the oracle converges on them at its default
 # ceiling: the ladder's rungs and the start of the pair D(-k1) makes.
 OPPOSITE_PAIRS = [
-    (4.0 + 4.0j, 0.1, 0.0, [546, 819], 1055),
+    (4.0 + 4.0j, 0.1, 0.0, [546, 819], 1056),
     (cmath.rect(5.6, math.pi / 4), 1.0, 0.0, [546, 819], 1044),
     (cmath.rect(5.6, math.pi / 4), 4.0, 0.5, [819, 1024], 1078),
 ]
@@ -730,10 +790,15 @@ def test_oracle_refuses_a_displacement_difference_past_double_range(monkeypatch)
 
 def test_frame_is_the_pair_as_given_where_no_shift_helps():
     # Equal unsqueezed states at the same temperature, displaced along both
-    # quadratures alike: the larger mean photon number is least at s = 0.
+    # quadratures alike: the larger mean photon number is least at s = 0,
+    # and the pair comes back bit for bit (0.1 and 1e308 are not rounded
+    # through exp(log|x|)).
     s = state(0.5 + 0.5j, 0.0, nbar=1.0)
     assert fock.joint_squeeze_frame(s, s) == (s, s, 0.0)
     assert fidelity_oracle(s, s).frame_shift == 0.0
+    for k in (0.1 + 0.1j, 1e308 + 1e308j):
+        s = state(k, 0.0, nbar=1.0)
+        assert fock.joint_squeeze_frame(s, s) == (s, s, 0.0)
 
 
 def test_cli_compute_converges_on_a_shared_squeeze_with_a_small_gap(capsys):
@@ -806,16 +871,16 @@ def test_oracle_golden_point():
 def test_oracle_ceiling_exhaustion_raises_with_trace():
     with pytest.raises(ConvergenceError) as exc:
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5), ceiling=40)
-    assert exc.value.gaps == [] and exc.value.rungs == ()  # clamped straight to the ceiling
+    assert exc.value.rungs == ()  # clamped straight to the ceiling: no rung, no gap
     assert str(exc.value).endswith("(gap trace: no rungs); the ladder starts at cutoff 58, "
                                    "so the ceiling must exceed it")
     # Past the start, to a tol the ceiling cannot reach: the error carries
-    # every rung climbed, and gaps holds the exact ones, the gap trace.
+    # every rung climbed, and its exact ones hold the gap trace.
     with pytest.raises(ConvergenceError) as exc:
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5), tol=1e-10,
                         ceiling=70)
     assert [r.cutoff for r in exc.value.rungs] == [58, 70]
-    assert exc.value.gaps == [(r.cutoff, r.gap) for r in exc.value.rungs if r.exact] != []
+    assert [(r.cutoff, r.gap) for r in exc.value.rungs if r.exact] != []
     assert "(gap trace: N=70: 3.832e-08)" in str(exc.value)
 
 
@@ -834,7 +899,7 @@ def test_oracle_starting_at_the_ceiling_computes_no_rung(monkeypatch):
     _refuse_rungs(monkeypatch)
     with pytest.raises(ConvergenceError, match=r"by cutoff 1024 \(gap trace: no rungs\)") as exc:
         fidelity_oracle(state(0.0, 30.0, nbar=1.0), state(0.1, 30.0, nbar=1.0))
-    assert exc.value.gaps == []
+    assert [(r.cutoff, r.gap) for r in exc.value.rungs if r.exact] == []
 
 
 def test_cli_compute_past_the_ceiling_exits_before_any_rung(monkeypatch, capsys):
@@ -884,7 +949,7 @@ def test_oracle_squeeze_past_double_range_is_a_convergence_error(monkeypatch):
     _refuse_rungs(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         fidelity_oracle(state(0.0, 400.0, nbar=1.0), state(0.1, 400.0, nbar=1.0))
-    assert exc.value.gaps == []
+    assert [(r.cutoff, r.gap) for r in exc.value.rungs if r.exact] == []
 
 
 def test_frame_past_double_range_leaves_the_pair_as_given(monkeypatch):
@@ -896,7 +961,7 @@ def test_frame_past_double_range_leaves_the_pair_as_given(monkeypatch):
     _refuse_rungs(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         fidelity_oracle(s1, s2)
-    assert exc.value.gaps == []
+    assert [(r.cutoff, r.gap) for r in exc.value.rungs if r.exact] == []
 
 
 def test_oracle_subnormal_beta_is_a_thermal_tail_error(monkeypatch):

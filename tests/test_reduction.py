@@ -30,6 +30,7 @@ from dstfid.reduction import (
 from dstfid.reduction import _evaluate, _pair, _printed_display
 from dstfid.reconcile import _matching_matrices
 from fock_reference import thermal_state
+from gaussian_reference import gaussian_reference, log_fidelity_reference
 
 S1 = state(0.0, 0.2, nbar=0.8)
 S2 = state(0.0, 0.3, beta=1.0)
@@ -44,38 +45,6 @@ hot_to_warm = st.floats(min_value=1e-3, max_value=1e6).map(lambda n: math.log1p(
 cold = st.floats(min_value=25.0, max_value=700.0)
 colder = st.floats(min_value=30.0, max_value=744.0, exclude_min=True)
 wide_betas = st.one_of(hot_to_warm, cold)
-
-
-def _gaussian(r1, beta1, r2, beta2, g):
-    """(F0, log(F/F0)) at the working precision from the quadrature covariance
-    matrices V = coth(beta/2) diag(e^{-2r}, e^{2r}) (vacuum = identity) and
-    the mean difference d = sqrt(2) (Re g, Im g):
-    F = 2 (sqrt(a + delta) + sqrt(delta))/a exp(-d^T (V1+V2)^{-1} d), with
-    a = det(V1+V2) and delta = (det V1 - 1)(det V2 - 1).  That is
-    2/(sqrt(a + delta) - sqrt(delta)) rationalised: the difference cancels
-    over hundreds of digits for hot states, the sum does not."""
-    r1, beta1, r2, beta2 = (mp.mpf(x) for x in (r1, beta1, r2, beta2))
-    c1, c2 = mp.coth(beta1 / 2), mp.coth(beta2 / 2)
-    sx = c1 * mp.exp(-2 * r1) + c2 * mp.exp(-2 * r2)
-    sp = c1 * mp.exp(2 * r1) + c2 * mp.exp(2 * r2)
-    a = sx * sp
-    delta = 1 / (mp.sinh(beta1 / 2) * mp.sinh(beta2 / 2)) ** 2
-    f0 = 2 * (mp.sqrt(a + delta) + mp.sqrt(delta)) / a
-    return f0, -2 * mp.mpf(g.real) ** 2 / sx - 2 * mp.mpf(g.imag) ** 2 / sp
-
-
-def gaussian_reference(r1, beta1, r2, beta2, g=0j, dps=50):
-    """(F0, F, log(F/F0)) at dps digits (see _gaussian)."""
-    with mp.workdps(dps):
-        f0, expo = _gaussian(r1, beta1, r2, beta2, g)
-        return float(f0), float(f0 * mp.exp(expo)), float(expo)
-
-
-def log_fidelity_reference(r1, beta1, r2, beta2, g, dps=60):
-    """log F at dps digits (see _gaussian), defined where F underflows."""
-    with mp.workdps(dps):
-        f0, expo = _gaussian(r1, beta1, r2, beta2, g)
-        return float(mp.log(f0) + expo)
 
 
 def printed_reference(r1, beta1, r2, beta2, g):
@@ -809,8 +778,8 @@ def test_a_whole_domain_draw_is_refused_by_a_check_or_reported_finite():
     b1, b2 = np.exp(rng.uniform(math.log(1e-300), math.log(744.0), (2, n)))
     re, im = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
     g = np.where(rng.random(n) < 0.3, 1e-300, 1.0) * (re + 1j * im)
-    cf = red._evaluate(np.zeros(n, dtype=complex), r1, b1, g, r2, b2, 1e-8)
-    passed = cf.first_failure == len(cf.checks)
+    cf, checks, first = red._evaluate(g, r1, b1, r2, b2, 1e-8)
+    passed = first == len(checks)
     assert passed.any() and not passed.all()
     f = cf.value_matrix_pipeline[passed]
     assert np.all(np.isfinite(f) & (f >= 0.0) & (f <= 1.0))
@@ -914,7 +883,7 @@ def test_the_batch_forms_no_printed_domain_reason(monkeypatch):
         raise AssertionError("the batch formed a printed-domain reason")
 
     monkeypatch.setattr(red, "_printed_domain_error", refuse)
-    cf = red._evaluate(np.zeros(n, dtype=complex), r1, b1, g, r2, b2, 1e-8)
+    cf, _, _ = red._evaluate(g, r1, b1, r2, b2, 1e-8)
     monkeypatch.undo()
     assert cf.base.printed_domain_error is None
     nan = np.isnan(cf.base.printed_value)
@@ -941,7 +910,7 @@ def _census_draw(seed: int, rows: int):
 
 
 def _evaluate_rows(r1, b1, g, r2, b2):
-    return _evaluate(np.zeros(np.shape(g), dtype=complex), r1, b1, g, r2, b2, 1e-8)
+    return _evaluate(g, r1, b1, r2, b2, 1e-8)[0]
 
 
 def test_printed_base_is_undefined_exactly_where_its_one_rule_says():
@@ -995,12 +964,20 @@ def _carried(rep):
 
 def _kept(states1, states2):
     """The closed-form batch with its refused rows kept (closed_form raises
-    the first)."""
+    the first): `_evaluate`'s (ClosedForm, checks, first failing check)."""
     import dstfid.reduction as red
 
-    return red._evaluate(*[np.array([getattr(s, a) for s in states], dtype=t)
-                           for states in (states1, states2)
-                           for a, t in (("k", complex), ("r", float), ("beta", float))], 1e-8)
+    (k1, r1, b1), (k2, r2, b2) = ([np.array([getattr(s, a) for s in states], dtype=t)
+                                   for a, t in (("k", complex), ("r", float), ("beta", float))]
+                                  for states in (states1, states2))
+    return red._evaluate(k2 - k1, r1, b1, r2, b2, 1e-8)
+
+
+def _refusal(checks, first, i):
+    """Row i's first failing check as (error class, message)."""
+    _, kind, message = checks[first[i]]
+    with np.errstate(all="ignore"):  # a message value may leave double range
+        return kind, message(i)
 
 
 @settings(max_examples=60)
@@ -1014,25 +991,26 @@ def test_batch_rows_equal_batches_of_one(rows):
 
     s1 = [state(0.0, r1, beta=b1) for r1, b1, _, _, _ in rows]
     s2 = [state(g, r2, beta=b2) for _, _, r2, b2, g in rows]
-    batch = _kept(s1, s2)
+    batch, checks, first = _kept(s1, s2)
     for i in range(len(rows)):
-        one = _kept([s1[i]], [s2[i]])
-        assert batch.first_failure[i] == one.first_failure[0]
+        one, one_checks, one_first = _kept([s1[i]], [s2[i]])
+        assert first[i] == one_first[0]
         assert _carried(batch.report(i)) == _carried(one.report(0))
-        err = batch.error(i)
-        if err is None:
+        if first[i] == len(checks):
             assert _carried(batch.report(i)) == \
                 _carried(red._pair(s1[i], s2[i], NO_ORACLE).report(0))
         else:
-            assert str(err) == str(one.error(0))
-            with pytest.raises(type(err), match=re.escape(str(err))):
+            kind, message = _refusal(checks, first, i)
+            assert message == _refusal(one_checks, one_first, 0)[1]
+            with pytest.raises(kind, match=re.escape(message)):
                 red._pair(s1[i], s2[i], NO_ORACLE)
-    refused = [i for i in range(len(rows)) if batch.error(i) is not None]
-    if refused:
-        with pytest.raises(type(batch.error(refused[0]))) as got:
+    refused = np.flatnonzero(first < len(checks))
+    if refused.size:
+        kind, message = _refusal(checks, first, refused[0])
+        with pytest.raises(kind) as got:
             closed_form(list(zip(s1, s2)), NO_ORACLE)
         assert got.value.row == refused[0]
-        assert str(got.value) == str(batch.error(refused[0]))
+        assert str(got.value) == message
     else:
         assert _carried(closed_form(list(zip(s1, s2)), NO_ORACLE).report(0)) == \
             _carried(batch.report(0))

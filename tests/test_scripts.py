@@ -51,7 +51,7 @@ def test_script_refuses_bad_input_with_a_usage_error(capsys, name, argv):
 def test_refusal_census_counts_every_row_once_in_check_order(capsys):
     assert _load("refusal_census").main(["--rows", "2000", "--seed", "3"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    checks = _evaluate(*(np.zeros(1),) * 6, 1e-8).checks
+    _, checks, _ = _evaluate(*(np.zeros(1),) * 5, 1e-8)
     assert [name for name, _ in rows] == [name for name, _, _ in checks] + ["passed"]
     assert sum(int(n) for _, n in rows) == 2000
 
