@@ -7,11 +7,9 @@ of a^2 - a^dag^2 are real antisymmetric tridiagonal matrices that couple even
 sites to odd sites only, so one SVD of the half-size even-odd block gives
 their exponentials as real orthogonal matrices in closed form.  One builder,
 _chain_blocks, makes their four parity blocks (p::2, q::2), stacked over an
-array of t if one is given, and one loop, _assembled, sets them in level
-order: _chain_exp's factor per entry (a rung builds both states' squeeze
-factors of a parity in one call) and dst_state's D(k).  A rung sandwiches
-D(k2)'s blocks from _displacement_blocks one at a time; state 1 comes to
-it undisplaced.  A complex k enters through the diagonal phase
+array of t if one is given or on the first rows alone, and one loop,
+_assembled, sets them in level order: _chain_exp's factor per entry and
+dst_state's D(k).  A complex k enters through the diagonal phase
 R = diag(e^{i phi n}), D(k) = R D(|k|) R^dag.  No dense matrix exponential
 and no scipy: numpy alone runs the oracle, and only matrix_exp, the dense
 reference the tests compare the factors against, imports scipy.  The full
@@ -40,18 +38,20 @@ carries the ladder as it ran, one Rung per cutoff.
 The whole ladder runs on the pair mapped by two joint Gaussian unitaries,
 each of which leaves F as it is.  First D(-k1): D(-k1) D(k) = D(k - k1)
 times a phase, which rho cancels, so the pair goes to (0, r1, beta1),
-(k2 - k1, r2, beta2); a pair with k1 = 0 is left as given.  Then a joint
-squeeze S(s): S(s) D(k) S(s)^dag = D(k') with k' = e^{-s} Re k +
-i e^{s} Im k and S(s) S(r) = S(r + s), so a state goes to (k', r + s,
-beta).  s minimises the larger mean photon number, so squeezes that nearly
-cancel climb from a small cutoff however large the squeeze they share.
+(k2 - k1, r2, beta2).  Then a joint squeeze S(s): S(s) D(k) S(s)^dag = D(k')
+with k' = e^{-s} Re k + i e^{s} Im k and S(s) S(r) = S(r + s), so a state
+goes to (k', r + s, beta).  s = -r1 takes state 1 to its Williamson form,
+thermal, so that a rung builds one squeeze factor and only the rows of
+D(k2) that state 1 keeps.  Where that frame starts the ladder at its
+ceiling (or k' leaves double range), s minimises the larger mean photon
+number instead, and a rung sandwiches D(k2) between both squeeze factors.
 
 The oracle is deliberately independent of the 2x2 reduction: it never touches
-the conjugation matrices, and it forms its own k2 - k1, in its own frame, so
-a wrong g in the reduction does not reach it and agreement between the two
-is evidence, not circularity.  The Weyl relation its frame assumes, D(a)
-D(b) = D(a + b) times a phase, is held by the test reference, which builds
-D(k1) and D(k2) as separate factors.
+the conjugation matrices, and it forms its own k2 - k1 and k', in its own
+frame, so a wrong g in the reduction does not reach it and agreement between
+the two is evidence, not circularity.  The Weyl relation its frame assumes,
+D(a) D(b) = D(a + b) times a phase, is held by the test reference, which
+builds D(k1) and D(k2) as separate factors.
 """
 
 from __future__ import annotations
@@ -164,20 +164,22 @@ def _chain(c: np.ndarray) -> _Chain:
 _Blocks = Iterator[tuple[int, int, np.ndarray]]  # (p, q, block [p::2, q::2]) in parity order
 
 
-def _chain_blocks(chain: _Chain, t: float | tuple[float, ...]) -> _Blocks:
+def _chain_blocks(chain: _Chain, t: float | tuple[float, ...], rows: int | None = None) -> _Blocks:
     """exp(tA)'s parity blocks (p, q, block [p::2, q::2]) in the order (0, 0),
-    (0, 1), (1, 0), (1, 1), one per entry of t stacked on a leading axis.
-    U sin V^T is kept from block (0, 1) to its negated transpose, block
-    (1, 0)."""
+    (0, 1), (1, 0), (1, 1), one per entry of t stacked on a leading axis,
+    on the rows of the first `rows` sites alone where given, each C-ordered.
+    U sin V^T is kept whole from block (0, 1) to its negated transpose,
+    block (1, 0)."""
     u, s, vt = chain
+    even, odd = (u, vt.T) if rows is None else (u[: (rows + 1) // 2], vt.T[: rows // 2])
     ts = np.multiply.outer(t, s)[..., None, :]  # broadcasts over a factor's rows
     cos = np.ones(ts.shape[:-1] + u.shape[:1])
     cos[..., : s.size] = np.cos(ts)
-    yield 0, 0, (u * cos) @ u.T
+    yield 0, 0, (even * cos) @ u.T
     even_odd = (u[:, : s.size] * np.sin(ts)) @ vt
-    yield 0, 1, even_odd
-    yield 1, 0, -np.swapaxes(even_odd, -1, -2)
-    yield 1, 1, (vt.T * cos[..., : s.size]) @ vt
+    yield 0, 1, even_odd[..., : even.shape[0], :]
+    yield 1, 0, np.negative(np.swapaxes(even_odd[..., : odd.shape[0]], -1, -2), order="C")
+    yield 1, 1, (odd * cos[..., : s.size]) @ vt
 
 
 def _assembled(blocks: _Blocks, shape: tuple[int, ...], dtype: type) -> np.ndarray:
@@ -310,7 +312,10 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     State 1 comes undisplaced from the oracle's frame (_ladder_frame); a
     displaced one is refused.  rho_i = U_i diag(p_i) U_i^dag with U1 =
     S(r1) and U2 = D(k2) S(r2) unitary, so sqrt(rho1) rho2 sqrt(rho1) =
-    U1 M M^dag U1^dag for W = U1^dag U2 = S1^T D(k2) S2.
+    U1 M M^dag U1^dag for W = U1^dag U2 = S1^T D(k2) S2.  Where r1 = 0, W =
+    R Q(t) R^dag S2 (k2 = t e^{i phi}) and R commutes with diag(sqrt p1), so
+    M's singular values and |W| hold with W = Q(t) R^dag S2: its kept rows
+    are those of Q(t), times S2 phased by R^dag, one product per block.
 
     A dropped row or column moves the sum of the singular values by at most
     its norm, and the trim runs in two stages per side.  W is unitary, so a
@@ -325,8 +330,10 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     S_i acts on the levels of each parity, p::2, on its own, so W is filled
     a parity block at a time on those strided views.  The N x N operator
     D(k2) is never formed: its parity blocks come one at a time from
-    _displacement_blocks, each dropped once sandwiched.  Both states'
-    squeeze factors of a parity come from one stacked _chain_exp call.
+    _displacement_blocks, each dropped once sandwiched (where r1 = 0, from
+    _chain_blocks on state 1's kept rows).  Both states' squeeze factors of
+    a parity come from one stacked _chain_exp call (state 2's alone where
+    r1 = 0).
     """
     if s1.k:
         raise ValueError(f"state 1 must come undisplaced (_ladder_frame), got k1 = {s1.k!r}")
@@ -334,14 +341,22 @@ def _rung_matrix(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     root1, root2 = np.sqrt(p1), np.sqrt(p2)
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
     chains = _generator_chains(cutoff)
-    squeeze = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in chains[1:]]
     w = np.empty((n1, n2), dtype=complex)
-    for p, q, x in _displacement_blocks(s2.k, chains[0]):
-        # Only the kept levels' columns of S1 and S2 enter the sandwich.
-        w[p::2, q::2] = _sandwich(squeeze[p][0, :, : (n1 - p + 1) // 2], x,
-                                  squeeze[q][1, :, : (n2 - q + 1) // 2])
-        del x
-    del squeeze
+    if s1.r:
+        squeeze = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in chains[1:]]
+        for p, q, x in _displacement_blocks(s2.k, chains[0]):
+            # Only the kept levels' columns of S1 and S2 enter the sandwich.
+            w[p::2, q::2] = _sandwich(squeeze[p][0, :, : (n1 - p + 1) // 2], x,
+                                      squeeze[q][1, :, : (n2 - q + 1) // 2])
+            del x
+        del squeeze
+    else:  # state 1 thermal: W = D(k2) S2 on state 1's kept rows, less D's left phase R
+        t, phi = _polar(s2.k)
+        phased = [_chain_exp(chain, 0.5 * s2.r)[:, : (n2 - q + 1) // 2]
+                  * np.exp(-1j * phi * np.arange(q, cutoff, 2))[:, None]
+                  for q, chain in enumerate(chains[1:])]
+        for p, q, x in _chain_blocks(chains[0], t, rows=n1):
+            w[p::2, q::2] = (x @ phased[q].view(float)).view(complex)
     w2 = w.real**2 + w.imag**2
     m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))
     m2 = _kept_levels(np.sqrt(p1[:m1] @ w2[:m1]) * root2[:n2], float(np.sum(root2[n2:])))
@@ -388,7 +403,7 @@ class OracleResult:
     fidelity: float
     cutoff_used: int
     convergence_gap: float
-    frame_shift: float  # the joint squeeze s the ladder ran in (joint_squeeze_frame)
+    frame_shift: float  # the joint squeeze s the ladder ran in: -r1, or joint_squeeze_frame's
     rungs: tuple[Rung, ...]
 
 
@@ -448,19 +463,29 @@ def _starting_cutoff(s1: StateParams, s2: StateParams) -> float:
     )
 
 
-def _ladder_frame(s1: StateParams,
-                  s2: StateParams) -> tuple[StateParams, StateParams, float, float]:
+def _ladder_frame(s1: StateParams, s2: StateParams,
+                  ceiling: int) -> tuple[StateParams, StateParams, float, float]:
     """The pair the oracle's ladder runs on, its joint squeeze s and its
-    starting cutoff.  D(-k1) takes a pair with k1 != 0 to (0, r1, beta1),
-    (k2 - k1, r2, beta2), and joint_squeeze_frame maps that; a pair at
-    k1 = 0 takes no new arithmetic.  The start is _starting_cutoff of the
-    framed pair, or of the pair as given in its own squeeze frame where
-    that is lower: D(-k1) can double the |k|^2 the start allows for (at
-    k2 = -k1), past the ceiling for pairs whose ladder converges below it."""
+    starting cutoff.  D(-k1) then S(-r1) take state 1 to its Williamson
+    form (0, 0, beta1) and state 2 to (k', r2 - r1, beta2), k' = e^{r1}
+    Re(k2 - k1) + i e^{-r1} Im(k2 - k1), and the start is _starting_cutoff
+    of that pair.  Where that start reaches the ceiling or k' leaves double
+    range, the pair goes to (0, r1, beta1), (k2 - k1, r2, beta2) and
+    joint_squeeze_frame maps that, from the lower of its framed start and
+    that of the pair as given in its own squeeze frame: D(-k1) can double
+    the |k|^2 the start allows for (at k2 = -k1)."""
+    g = s2.k - s1.k
+    try:  # a k' past double range falls back; a k2 - k1 past it is refused there
+        framed = (StateParams(0j, 0.0, s1.beta), StateParams(
+            complex(math.exp(s1.r) * g.real, math.exp(-s1.r) * g.imag), s2.r - s1.r, s2.beta))
+        if (start := _starting_cutoff(*framed)) < ceiling:
+            return *framed, 0.0 - s1.r, start  # 0.0 - r1: no -0.0 shift
+    except (OverflowError, ValueError):
+        pass
     start = math.inf
     if s1.k:
         start = _starting_cutoff(*joint_squeeze_frame(s1, s2)[:2])
-        s1, s2 = replace(s1, k=0j), replace(s2, k=s2.k - s1.k)
+        s1, s2 = replace(s1, k=0j), replace(s2, k=g)
     s1, s2, shift = joint_squeeze_frame(s1, s2)
     return s1, s2, shift, min(start, _starting_cutoff(s1, s2))
 
@@ -496,11 +521,12 @@ def fidelity_oracle(
 ) -> OracleResult:
     """Adaptive-cutoff Uhlmann fidelity between two parameterized states.
 
-    Runs on the pair _ladder_frame moves state 1 to k = 0 in, and climbs
-    cutoff_ladder from its start (the first member of the fixed x1.5
-    sequence at or above it) until two successive fidelities differ by at
-    most tol.  The reported convergence_gap is an upper bound on the last
-    gap: 2 _nuclear_bound of the two rungs' M where that is already <= tol
+    Runs on the pair _ladder_frame maps state 1 to its Williamson form in
+    (or to k = 0 in the joint squeeze frame), and climbs cutoff_ladder from
+    its start (the first member of the fixed x1.5 sequence at or above it)
+    until two successive fidelities differ by at most tol.  The reported
+    convergence_gap is an upper bound on the last gap: 2 _nuclear_bound of
+    the two rungs' M plus the SVDs' rounding where that is already <= tol
     (only the last rung's SVD then runs), the exact difference of the two
     values otherwise, so the ladder stops where an exact-gap ladder would.
     Raises ConvergenceError with its rungs and exact gap trace if the
@@ -514,14 +540,19 @@ def fidelity_oracle(
     _check_oracle_options(tol, ceiling)
     for s in (s1, s2):
         _check_thermal_tail(s.beta, ceiling)
-    s1, s2, shift, start = _ladder_frame(s1, s2)
+    s1, s2, shift, start = _ladder_frame(s1, s2, ceiling)
     rungs: list[Rung] = []
     for cutoff in cutoff_ladder(start, ceiling):
         m, fid, gap, exact = _rung_matrix(s1, s2, cutoff), None, None, False
         if rungs:
             # F = (sum svdvals M)^2 and each sum is at most |sqrt p1| |sqrt p2|
-            # <= 1, so |F - F_prev| <= 2 |sum - sum_prev| <= 2 _nuclear_bound.
-            gap = 2.0 * _nuclear_bound(m, prev_m)
+            # <= 1, so |F - F_prev| <= 2 |sum - sum_prev| <= 2 _nuclear_bound,
+            # plus the rounding of each computed sum: r eps for r values (its
+            # worst measured is 0.14 r eps, on rungs equal but for rounding),
+            # and eps for the square.  The bound is rounded up to a multiple of
+            # that, so a threaded BLAS's last-bit noise in M misses its digits.
+            rounding = np.finfo(float).eps * (min(m.shape) + min(prev_m.shape) + 1)
+            gap = 2.0 * rounding * (math.ceil(_nuclear_bound(m, prev_m) / rounding) + 1)
             if gap > tol:
                 if rungs[-1].fidelity is None:
                     rungs[-1] = replace(rungs[-1], fidelity=_svd_fidelity(prev_m))

@@ -22,6 +22,7 @@ import numpy as np
 from dstfid.algebra import StateParams
 from dstfid.fock import (
     _assembled,
+    _chain_blocks,
     _chain_exp,
     _displacement_blocks,
     _generator_chains,
@@ -144,22 +145,37 @@ def level_order_displacement(k: complex, cutoff: int) -> np.ndarray:
 
 def level_order_rung(s1: StateParams, s2: StateParams, cutoff: int) -> np.ndarray:
     """The oracle's rung matrix M of an undisplaced state 1 by the
-    level-order route: both states' squeeze factors stacked per parity, the
-    whole level_order_displacement of k2, its strided parity blocks
-    sandwiched, then the same two-stage trim."""
+    level-order route, then the same two-stage trim.  A squeezed state 1:
+    both states' squeeze factors stacked per parity, the whole
+    level_order_displacement of k2, its strided parity blocks sandwiched.  A
+    thermal state 1: the real Q(t) of k2 = t e^{i phi} on its first n1
+    rows in level order (assembled from the blocks _chain_blocks makes of
+    those rows: a threaded BLAS may round a product of fewer rows apart from
+    the whole one's), its strided parity blocks times state 2's squeeze
+    factor phased by R^dag = diag(e^{-i phi n}), on its kept columns."""
     if s1.k:
         raise ValueError(f"state 1 must be undisplaced (fock._ladder_frame), got k1 = {s1.k!r}")
     p1, p2 = thermal_weights(s1.beta, cutoff), thermal_weights(s2.beta, cutoff)
     root1, root2 = np.sqrt(p1), np.sqrt(p2)
     n1, n2 = _kept_levels(root1), _kept_levels(root2)
-    sq = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in _generator_chains(cutoff)[1:]]
-    disp = level_order_displacement(s2.k, cutoff)
+    chains = _generator_chains(cutoff)
     w = np.empty((n1, n2), dtype=complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            left = sq[p][0, :, : (n1 - p + 1) // 2]
-            right = sq[q][1, :, : (n2 - q + 1) // 2]
-            w[p::2, q::2] = _sandwich(left, disp[p::2, q::2], right)
+    if s1.r:
+        sq = [_chain_exp(chain, (0.5 * s1.r, 0.5 * s2.r)) for chain in chains[1:]]
+        disp = level_order_displacement(s2.k, cutoff)
+        for p in (0, 1):
+            for q in (0, 1):
+                left = sq[p][0, :, : (n1 - p + 1) // 2]
+                right = sq[q][1, :, : (n2 - q + 1) // 2]
+                w[p::2, q::2] = _sandwich(left, disp[p::2, q::2], right)
+    else:
+        t, phi = _polar(s2.k)
+        rows = _assembled(_chain_blocks(chains[0], t, n1), (n1, cutoff), float)
+        for q, chain in enumerate(chains[1:]):
+            right = (_chain_exp(chain, 0.5 * s2.r)[:, : (n2 - q + 1) // 2]
+                     * np.exp(-1j * phi * np.arange(q, cutoff, 2))[:, None])
+            for p in (0, 1):
+                w[p::2, q::2] = (rows[p::2, q::2] @ right.view(float)).view(complex)
     w2 = w.real**2 + w.imag**2
     m1 = _kept_levels(root1[:n1] * np.sqrt(w2 @ p2[:n2]), float(np.sum(root1[n1:])))
     m2 = _kept_levels(np.sqrt(p1[:m1] @ w2[:m1]) * root2[:n2], float(np.sum(root2[n2:])))

@@ -809,11 +809,13 @@ def test_oversized_sweep_grid_is_one_error_line(capsys):
 
 def test_verify_reads_oracle_tol_not_the_threshold_key(tmp_path, capsys):
     # A file shared with compute sets tol, compute's flag threshold: verify
-    # must not take it as its oracle tolerance.
+    # must not take it as its oracle tolerance.  Every quick-preset ladder
+    # stops at its second rung at any oracle tolerance, so the full preset
+    # shows that oracle_tol is read.
     from dstfid.cli import main
 
-    def record(config=None):
-        argv = ["verify", "--preset", "quick", "--format", "record"]
+    def record(config=None, preset="quick"):
+        argv = ["verify", "--preset", preset, "--format", "record"]
         if config is not None:
             conf = tmp_path / "verify.conf"
             conf.write_text(config + "\n")
@@ -821,9 +823,8 @@ def test_verify_reads_oracle_tol_not_the_threshold_key(tmp_path, capsys):
         assert main(argv) == 0
         return capsys.readouterr().out
 
-    plain = record()
-    assert record("tol = 0.5") == plain
-    assert record("oracle_tol = 1e-10") != plain
+    assert record("tol = 0.5") == record()
+    assert record("oracle_tol = 1e-10", "full") != record(preset="full")
 
 
 def test_verify_refuses_an_infinite_oracle_tolerance_from_its_config(tmp_path, capsys):
@@ -850,7 +851,12 @@ def test_verify_takes_the_oracle_tolerance_as_oracle_tol(capsys):
     plain = capsys.readouterr().out
     assert main(argv + ["--oracle-tol", "1e-8"]) == 0
     assert capsys.readouterr().out == plain
-    assert main(argv + ["--oracle-tol", "1e-10"]) == 0
+    # every quick-preset ladder stops at its second rung at any oracle
+    # tolerance; the full preset's records differ at 1e-10
+    full = ["verify", "--preset", "full", "--format", "record"]
+    assert main(full) == 0
+    plain = capsys.readouterr().out
+    assert main(full + ["--oracle-tol", "1e-10"]) == 0
     assert capsys.readouterr().out != plain
     assert main(argv + ["--tol", "1e-6"]) == 2
     out = capsys.readouterr()

@@ -41,10 +41,11 @@ from fock_reference import (
 from gaussian_reference import gaussian_reference
 
 
-def _framed(s1, s2):
-    """The pair the oracle's ladder runs on: state 1 at k = 0, in the joint
-    squeeze frame (fock._ladder_frame)."""
-    return fock._ladder_frame(s1, s2)[:2]
+def _framed(s1, s2, ceiling=fock.DEFAULT_CUTOFF_CEILING):
+    """The pair the oracle's ladder runs on under that ceiling: state 1 in
+    its Williamson frame, or at k = 0 in the joint squeeze frame where the
+    Williamson start reaches the ceiling (fock._ladder_frame)."""
+    return fock._ladder_frame(s1, s2, ceiling)[:2]
 
 
 def test_annihilation_smallest_case():
@@ -125,65 +126,74 @@ def test_displacement_blocks_are_the_overlap_blocks_bit_for_bit(k2, cutoff):
 
 def _rung_pairs() -> list[tuple]:
     # 8 seeded pairs per cutoff, half drawn with k1 = 0 and half with k1 != 0,
-    # each in the oracle's frame; nbar keeps the thermal tail within each
-    # cutoff
+    # each in the oracle's Williamson frame, then the same 24 in the joint
+    # squeeze frame (a ceiling of 2 is below every Williamson start); nbar
+    # keeps the thermal tail within each cutoff
     rng = np.random.default_rng(4242)
     pairs = []
     for cutoff, hot in ((41, 1.0), (108, 2.0), (243, 2.0)):
         for i in range(8):
             k1 = 0j if i % 2 == 0 else complex(*rng.uniform(-1.0, 1.0, 2))
-            pairs.append((*_framed(
-                state(k1, rng.uniform(-0.8, 0.8), nbar=rng.uniform(0.05, hot)),
-                state(complex(*rng.uniform(-1.5, 1.5, 2)), rng.uniform(-0.8, 0.8),
-                      nbar=rng.uniform(0.05, hot))), cutoff))
-    return pairs
+            pairs.append((state(k1, rng.uniform(-0.8, 0.8), nbar=rng.uniform(0.05, hot)),
+                          state(complex(*rng.uniform(-1.5, 1.5, 2)), rng.uniform(-0.8, 0.8),
+                                nbar=rng.uniform(0.05, hot)), cutoff))
+    return [(*_framed(s1, s2, ceiling), cutoff) for ceiling in (fock.DEFAULT_CUTOFF_CEILING, 2)
+            for s1, s2, cutoff in pairs]
 
 
 @pytest.mark.parametrize("s1, s2, cutoff", _rung_pairs())
 def test_rung_is_the_level_order_route_bit_for_bit(s1, s2, cutoff):
-    # D(k2) sandwiched a parity block at a time rounds exactly as the whole
-    # level-order D(k2) does, both routes building both states' squeeze
-    # factors of a parity in one stacked call
+    # A thermal state 1: the rows of D(k2) that state 1 keeps, times state
+    # 2's phased squeeze factor a parity block at a time, round exactly as
+    # the strided blocks of those rows assembled in level order do.  A
+    # squeezed state 1: D(k2) sandwiched a parity block at a time rounds
+    # exactly as the whole level-order D(k2) does, both routes building both
+    # states' squeeze factors of a parity in one stacked call.
     assert np.array_equal(_bits(fock._rung_matrix(s1, s2, cutoff)),
                           _bits(level_order_rung(s1, s2, cutoff)))
 
 
 @pytest.mark.parametrize("k1", [0.0, 0.3 + 0.4j], ids=["k1=0", "k1!=0"])
 def test_rung_holds_one_displacement_block_at_a_time(k1):
-    # Peak traced memory of a warm rung in doubles per N^2 at N = 243, both
-    # states' squeeze factors of a parity stacked.  Forming D(k2) whole
-    # peaked at 5.4 on the k1 = 0 pair; its blocks one at a time peak at
-    # 3.30 (3.05 with the factors built per state and state 1's dropped
-    # early).  A pair at k1 != 0 comes through the oracle's frame, so its
-    # rung holds one block at a time too: 3.31.
+    # Peak traced memory of a warm rung in doubles per N^2 at N = 243.  In
+    # the joint squeeze frame, both states' squeeze factors of a parity
+    # stacked: forming D(k2) whole peaked at 5.4 on the k1 = 0 pair, and its
+    # blocks one at a time at 3.30 (3.31 at k1 != 0).  In the Williamson
+    # frame the rung holds state 2's phased squeeze factors and one block of
+    # D(k2)'s kept rows at a time: 3.19 at k1 = 0 and at k1 != 0.
     import tracemalloc
 
     cutoff = 243
-    s1, s2 = _framed(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9))
-    fock._rung_matrix(s1, s2, cutoff)  # the chains and numpy's first-call allocations
-    tracemalloc.start()
-    try:
-        fock._rung_matrix(s1, s2, cutoff)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (8 * cutoff**2) <= 3.5
+    for ceiling in (fock.DEFAULT_CUTOFF_CEILING, 2):  # the Williamson, then the joint squeeze frame
+        s1, s2 = _framed(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9), ceiling)
+        fock._rung_matrix(s1, s2, cutoff)  # the chains and numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            fock._rung_matrix(s1, s2, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * cutoff**2) <= 3.5, ceiling
 
 
 @pytest.mark.parametrize("k1", [0.0, 0.3 + 0.4j], ids=["k1=0", "k1!=0"])
 def test_rung_builds_each_exponential_once(k1, monkeypatch):
     # One _chain_blocks call for D(k2) (k2 - k1 once framed), and one per
-    # parity for both states' squeeze factors stacked
+    # parity for the squeeze factors: state 2's alone in the Williamson
+    # frame, both states' stacked in the joint squeeze frame
     calls = []
 
-    def counted(chain, t):
-        calls.append(t)
-        return chain_blocks(chain, t)
+    def counted(chain, t, rows=None):
+        calls.append(np.shape(t))
+        return chain_blocks(chain, t, rows)
 
     chain_blocks = fock._chain_blocks
     monkeypatch.setattr(fock, "_chain_blocks", counted)
-    fock._rung_matrix(*_framed(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9)), 72)
-    assert len(calls) == 3
+    for ceiling, squeeze in ((fock.DEFAULT_CUTOFF_CEILING, ()), (2, (2,))):
+        calls.clear()
+        fock._rung_matrix(*_framed(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9),
+                                   ceiling), 72)
+        assert sorted(calls) == [(), squeeze, squeeze], ceiling
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
@@ -406,13 +416,26 @@ def test_rung_matches_the_full_size_rung(s1, s2, cutoff, dropped):
     # The rung drops the levels of each state whose sqrt-weight tail is at
     # most 2.5e-14, then the rows and the columns of M whose measured norms
     # use up the rest of that budget; the full-size rung keeps every level
-    # and multiplies the full operators.  Both take the framed pair.
-    s1, s2 = _framed(s1, s2)
+    # and multiplies the full operators.  Both take the pair in the joint
+    # squeeze frame these rows were written for (a ceiling of 2 is below
+    # every Williamson start).
+    s1, s2 = _framed(s1, s2, ceiling=2)
     kept = [fock._kept_levels(np.sqrt(thermal_weights(s.beta, cutoff))) for s in (s1, s2)]
     assert tuple(n < cutoff for n in kept) == dropped
     if cutoff % 2:
         assert all(n % 2 for n in kept)
     assert all(m <= n for m, n in zip(fock._rung_matrix(s1, s2, cutoff).shape, kept))
+    assert abs(fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff)) - full_size_rung(s1, s2, cutoff)) <= 1e-14
+
+
+@pytest.mark.parametrize("s1,s2,cutoff", [row[:3] for row in FULL_SIZE_RUNGS
+                                          if row[:3] != SHRUNK_BY_MEASURED_NORMS])
+def test_williamson_framed_rung_matches_the_full_size_rung(s1, s2, cutoff):
+    # FULL_SIZE_RUNGS in the oracle's Williamson frame, state 1 thermal.  The
+    # frame moves the pair's trim: SHRUNK_BY_MEASURED_NORMS's rung reads
+    # 1.8e-14 from its full-size rung there (1e-13 is the trim's bound).
+    s1, s2 = _framed(s1, s2)
+    assert (s1.k, s1.r) == (0, 0)
     assert abs(fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff)) - full_size_rung(s1, s2, cutoff)) <= 1e-14
 
 
@@ -488,9 +511,11 @@ SEQUENCE_PAIRS = pytest.mark.parametrize(
         (state(0.0, -0.7, beta=3.0), state(1.2 - 0.4j, 0.6, nbar=1.9), 1024),
         # hot: the thermal floor sets the start, the ladder passes 243
         (state(0.0, 0.1, nbar=8.0), state(0.2, -0.1, nbar=6.0), 1024),
-        # displaced, k1 != 0, to an odd ceiling: framed at k1 = 0, |k2 - k1|
-        # would start it at 111; the pair as given starts lower (78), so it
-        # climbs 108, then the ceiling, as the next member (162) passes it
+        # displaced, k1 != 0, to an odd ceiling: its Williamson start (178)
+        # passes the ceiling, so it runs in the joint squeeze frame, where
+        # |k2 - k1| would start it at 111; the pair as given starts lower
+        # (78), so it climbs 108, then the ceiling, as the next member (162)
+        # passes it
         (state(-1.5 + 1.0j, 0.3, nbar=0.2), state(1.5 - 0.5j, -0.2, nbar=0.4), 151),
         # the first member (32) reaches the ceiling: [start, ceiling]
         (state(0.0, 0.0, nbar=0.05), state(0.1, 0.0, nbar=0.05), 32),
@@ -499,22 +524,64 @@ SEQUENCE_PAIRS = pytest.mark.parametrize(
 )
 
 
-def _stream_pairs(seed: int, count: int, k1_bound: float = 0.0):
+def _stream_pairs(seed: int, count: int, k1_bound: float = 0.0, r_bound: float = 0.8,
+                  r_gap: float = math.inf, nbar: tuple[float, float] = (0.05, 2.0)):
     """Seeded pairs from the stream benchmark's box: |k1| <= k1_bound (k1 = 0
-    by default), |k2| <= 1.5, |r| <= 0.8, 0.05 <= nbar <= 2."""
+    by default), |k2| <= 1.5, |r| <= 0.8, 0.05 <= nbar <= 2; r_bound, nbar
+    and r_gap (r2 clipped to r1 +- r_gap) widen or move the box."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        r1, r2 = rng.uniform(-0.8, 0.8, size=2)
-        nbar1, nbar2 = rng.uniform(0.05, 2.0, size=2)
+        r1, r2 = rng.uniform(-r_bound, r_bound, size=2)
+        nbar1, nbar2 = rng.uniform(*nbar, size=2)
         k1, k2 = (cmath.rect(bound * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi))
                   if bound else 0.0 for bound in (k1_bound, 1.5))
-        yield state(k1, r1, nbar=nbar1), state(k2, r2, nbar=nbar2)
+        yield state(k1, r1, nbar=nbar1), state(k2, min(max(r2, r1 - r_gap), r1 + r_gap), nbar=nbar2)
+
+
+def _near_pairs(seed: int, count: int):
+    """k1 != 0 stream-box states, each with a state 1e-4 away in k, r and
+    relative nbar: 1 - F <= 1e-6."""
+    rng = np.random.default_rng(seed)
+    for s1, _ in _stream_pairs(seed, count, k1_bound=1.0):
+        dk_re, dk_im, dr, dn = rng.uniform(-1e-4, 1e-4, size=4)
+        yield s1, state(s1.k + complex(dk_re, dk_im), s1.r + dr, nbar=s1.nbar * (1.0 + dn))
+
+
+# ROADMAP item 24's reference battery: five families of 20 seeded pairs, each
+# with the rungs and rung SVDs its 20 pairs took in the joint squeeze frame
+# (at one and at two BLAS threads alike) as its bounds.  The Williamson frame
+# takes 43/26, 40/22, 47/35, 47/33 and 40/20.
+BATTERY = {
+    "stream": (lambda: _stream_pairs(4901, 20), 45, 32),
+    "k1": (lambda: _stream_pairs(4902, 20, k1_bound=1.0), 44, 30),
+    "wide-squeeze": (lambda: _stream_pairs(4903, 20, k1_bound=1.0, r_bound=3.0, r_gap=1.5), 61, 58),
+    "hot": (lambda: _stream_pairs(4904, 20, k1_bound=1.0, nbar=(2.0, 8.0)), 48, 35),
+    "near-identical": (lambda: _near_pairs(4905, 20), 40, 20),
+}
+
+
+@pytest.mark.parametrize("pairs, max_rungs, max_svds", BATTERY.values(), ids=BATTERY.keys())
+def test_battery_matches_the_reference_in_no_more_rungs_or_svds_than_recorded(pairs, max_rungs,
+                                                                              max_svds):
+    # Each pair within 1e-11 of the 50-digit reference; the worst errors read
+    # 3.2e-14 (stream), 8.9e-13 (k1), 3.8e-13 (wide-squeeze), 5.4e-13 (hot)
+    # and 8.5e-14 (near-identical, where 1 - F is 1e-9 or more); in the joint
+    # squeeze frame 9.1e-14, 5.4e-13, 4.7e-13, 7.0e-13 and 8.5e-14.
+    rungs = []
+    for s1, s2 in pairs():
+        res = fidelity_oracle(s1, s2)
+        _, want, _ = gaussian_reference(s1.r, s1.beta, s2.r, s2.beta, s2.k - s1.k)
+        assert abs(res.fidelity - want) <= 1e-11, (s1, s2)
+        rungs += res.rungs
+    svds = [r for r in rungs if r.fidelity is not None]
+    assert len(rungs) <= max_rungs, len(rungs)
+    assert len(svds) <= max_svds, len(svds)
 
 
 @SEQUENCE_PAIRS
 def test_oracle_rungs_are_sequence_members(s1, s2, ceiling):
-    # the start the oracle's frame gives the pair
-    start = fock._ladder_frame(s1, s2)[3]
+    # the start the oracle's frame gives the pair under that ceiling
+    start = fock._ladder_frame(s1, s2, ceiling)[3]
     res = fidelity_oracle(s1, s2, ceiling=ceiling)
     rungs = [r.cutoff for r in res.rungs]
     assert rungs[0] >= start
@@ -542,8 +609,8 @@ def _exact_ladder(s1, s2, tol=1e-8, ceiling=fock.DEFAULT_CUTOFF_CEILING, frame=F
     every gap the exact difference of two rung values: (cutoff, fidelity,
     gap) of the converged rung, or None where the ladder reaches the
     ceiling."""
-    s1, s2, _, start = fock._ladder_frame(s1, s2) if frame else (s1, s2, 0.0,
-                                                                  fock._starting_cutoff(s1, s2))
+    s1, s2, _, start = fock._ladder_frame(s1, s2, ceiling) if frame else (
+        s1, s2, 0.0, fock._starting_cutoff(s1, s2))
     prev = None
     for cutoff in cutoff_ladder(start, ceiling):
         fid = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
@@ -606,15 +673,15 @@ def test_readme_pair_ladder_computes_one_svd(monkeypatch):
 
 
 def test_stream_pairs_build_no_more_rungs_or_svds_than_recorded():
-    # A work count, not a timing: with the joint squeeze frame and the
-    # nuclear-norm gap bound, 32 seeded stream pairs take 72 rungs and 47
+    # A work count, not a timing: with the Williamson frame and the
+    # nuclear-norm gap bound, 32 seeded stream pairs take 71 rungs and 46
     # rung SVDs (one per rung with a fidelity), at one and at two BLAS
-    # threads alike.  A change that climbs more rungs or certifies fewer
-    # gaps by the bound fails here.
+    # threads alike (72 and 47 in the joint squeeze frame).  A change that
+    # climbs more rungs or certifies fewer gaps by the bound fails here.
     rungs = [r for s1, s2 in _stream_pairs(35, 32) for r in fidelity_oracle(s1, s2).rungs]
     svds = [r for r in rungs if r.fidelity is not None]
-    assert len(rungs) <= 72, len(rungs)
-    assert len(svds) <= 47, len(svds)
+    assert len(rungs) <= 71, len(rungs)
+    assert len(svds) <= 46, len(svds)
 
 
 def _squeezed(s, a):
@@ -647,9 +714,10 @@ def test_oracle_is_invariant_under_joint_gaussian_unitaries(move):
 
 def test_k1_stream_pairs_match_the_reference_in_no_more_rungs_or_svds_than_recorded():
     # The invariance test's 16 pairs against the 50-digit reference (the
-    # worst error reads 1.5e-13), and their work count, counted as
+    # worst error reads 9.3e-14), and their work count, counted as
     # test_stream_pairs_build_no_more_rungs_or_svds_than_recorded counts its
-    # own: 35 rungs and 23 rung SVDs, at one and at two BLAS threads.
+    # own: 34 rungs and 21 rung SVDs, at one and at two BLAS threads (35 and
+    # 23 in the joint squeeze frame).
     rungs = []
     for s1, s2 in _stream_pairs(48, 16, k1_bound=1.0):
         res = fidelity_oracle(s1, s2)
@@ -657,18 +725,15 @@ def test_k1_stream_pairs_match_the_reference_in_no_more_rungs_or_svds_than_recor
         assert abs(res.fidelity - want) <= 1e-11, (s1, s2)
         rungs += res.rungs
     svds = [r for r in rungs if r.fidelity is not None]
-    assert len(rungs) <= 35, len(rungs)
-    assert len(svds) <= 23, len(svds)
+    assert len(rungs) <= 34, len(rungs)
+    assert len(svds) <= 21, len(svds)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the joint squeeze frame weighs squeeze photons like displacement "
-                   "photons and frames this pair as (0), (-6) at s = 1.07, so its ladder "
-                   "stops at 162 with an error of 3.4e-13 (CHANGES.md FOUND 98, ROADMAP "
-                   "item 25)")
 def test_oracle_on_opposite_displacements_is_as_accurate_as_in_its_own_frame():
     # In the pair's own squeeze frame (s = 0.74) the rung at 162 is 5e-20
-    # from the reference.
+    # from the reference.  The joint squeeze frame of (0), (-6) (s = 1.07)
+    # stopped its ladder at 162 with an error of 3.4e-13; the Williamson
+    # frame, (0), (-6) unsqueezed, reads 6.3e-20 at 546.
     s1, s2 = state(3.0, 0.0, nbar=0.5), state(-3.0, 0.0, nbar=0.5)
     _, want, _ = gaussian_reference(0.0, s1.beta, 0.0, s2.beta, s2.k - s1.k)
     assert abs(fidelity_oracle(s1, s2).fidelity - want) <= 1e-14
@@ -728,9 +793,11 @@ def test_framed_oracle_agrees_with_the_unframed_ladder():
 
 
 def test_oracle_rungs_run_on_the_pair_moved_to_k1_zero(monkeypatch):
-    # D(-k1) first, then the joint squeeze: every rung is built on the pair
-    # _ladder_frame gives, which is the joint squeeze frame of (0, r1,
-    # beta1), (k2 - k1, r2, beta2)
+    # D(-k1), then S(-r1): every rung is built on the pair _ladder_frame
+    # gives, state 1 at (0, 0, beta1) and state 2 at (e^{r1} Re(k2 - k1) +
+    # i e^{-r1} Im(k2 - k1), r2 - r1, beta2), and the frame shift is -r1.
+    # Under a ceiling its start (178) reaches, the rungs run on the joint
+    # squeeze frame of (0, r1, beta1), (k2 - k1, r2, beta2).
     rung_matrix, seen = fock._rung_matrix, set()
 
     def recorded(s1, s2, cutoff):
@@ -739,10 +806,16 @@ def test_oracle_rungs_run_on_the_pair_moved_to_k1_zero(monkeypatch):
 
     monkeypatch.setattr(fock, "_rung_matrix", recorded)
     s1, s2 = state(-1.5 + 1.0j, 0.3, nbar=0.2), state(1.5 - 0.5j, -0.2, nbar=0.4)
-    framed1, framed2, shift, _ = fock._ladder_frame(s1, s2)
+    williamson = (StateParams(0j, 0.0, s1.beta),
+                  StateParams(complex(3.0 * math.exp(0.3), -1.5 * math.exp(-0.3)), -0.5, s2.beta))
+    assert fock._ladder_frame(s1, s2, 1024)[:3] == (*williamson, -0.3)
+    assert fidelity_oracle(s1, s2).frame_shift == -0.3
+    assert seen == {williamson}
+    seen.clear()
+    framed1, framed2, shift, _ = fock._ladder_frame(s1, s2, 178)
     moved = state(0.0, 0.3, nbar=0.2), state(3.0 - 1.5j, -0.2, nbar=0.4)
     assert fock.joint_squeeze_frame(*moved) == (framed1, framed2, shift)
-    assert fidelity_oracle(s1, s2).frame_shift == shift
+    assert fidelity_oracle(s1, s2, ceiling=178).frame_shift == shift
     assert seen == {(framed1, framed2)} and framed1.k == 0
 
 
@@ -811,7 +884,7 @@ def test_cli_compute_converges_on_a_shared_squeeze_with_a_small_gap(capsys):
     assert main(argv) == 0
     record = json.loads(capsys.readouterr().out)
     assert abs(record["value_oracle"] - record["value_matrix_pipeline"]) <= 1e-9
-    assert record["oracle"]["frame_shift"] < -3.0
+    assert record["oracle"]["frame_shift"] == -3.0  # the Williamson frame's, -r1
 
 
 def test_oracle_self_pair_is_one_to_rounding():
