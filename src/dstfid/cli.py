@@ -37,7 +37,7 @@ from .golden import (
     standard_cases,
     write_snapshots,
 )
-from .reconcile import PRESETS, VERIFY_CEILING, ReconciliationReport, run_verification
+from .reconcile import PRESETS, ReconciliationReport, run_verification
 from .reduction import (
     ClosedForm,
     FidelityOptions,
@@ -518,7 +518,7 @@ def cmd_verify(args, config: dict) -> int:
     report = run_verification(
         preset=_resolve(args.preset, config, "preset", "full"),
         tol=_resolve(args.oracle_tol, config, "oracle_tol", FidelityOptions.oracle_tol),
-        ceiling=_resolve(args.ceiling, config, "ceiling", VERIFY_CEILING),
+        ceiling=_resolve(args.ceiling, config, "ceiling", FidelityOptions.oracle_ceiling),
     )
     if args.format == "record":
         payload = {**_json(report), "passed": report.passed, "version": __version__}
@@ -569,10 +569,11 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--beta{w}", type=float, help=f"inverse temperature of state {w}")
 
 
-def _add_oracle_args(p: argparse.ArgumentParser, ceiling: int) -> None:
+def _add_oracle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oracle-tol", type=float, help="oracle convergence tolerance "
                    f"(default {_sci(FidelityOptions.oracle_tol)})")
-    p.add_argument("--ceiling", type=int, help=f"oracle cutoff ceiling (default {ceiling})")
+    p.add_argument("--ceiling", type=int,
+                   help=f"oracle cutoff ceiling (default {FidelityOptions.oracle_ceiling})")
     p.add_argument("--config", help="key = value config file; flags override")
 
 
@@ -582,7 +583,7 @@ def _add_common(p: argparse.ArgumentParser, default_method: str) -> None:
                    f"human format prints; the closed form always runs (default {default_method})")
     p.add_argument("--tol", type=float,
                    help=f"comparison tolerance (default {_sci(FidelityOptions.tol)})")
-    _add_oracle_args(p, FidelityOptions.oracle_ceiling)
+    _add_oracle_args(p)
     p.set_defaults(default_method=default_method)
 
 
@@ -606,7 +607,7 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESETS)
     p.add_argument("--tol", help=argparse.SUPPRESS)  # compute's threshold: refused here
-    _add_oracle_args(p, VERIFY_CEILING)
+    _add_oracle_args(p)
     p.add_argument("--format", choices=("human", "record"), default="human")
     p.set_defaults(func=cmd_verify)
 

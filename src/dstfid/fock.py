@@ -101,14 +101,12 @@ class ConvergenceError(RuntimeError):
 
 
 def _check_oracle_options(tol: float, ceiling: int) -> None:
-    """Refuse a tol that is no real number, is below 1e-10 or is infinite,
-    or a ceiling that is not an integer (a numpy one is) or is below 2, the
+    """Refuse a tol that is no real number or lies outside [1e-10, 1), or a
+    ceiling that is not an integer (a numpy one is) or is below 2, the
     smallest cutoff (FidelityOptions too, whether or not the oracle runs)."""
     _check_real("oracle tolerance", tol)
-    if not tol >= 1e-10:  # NaN too: no gap would ever be <= it
-        raise ValueError(f"oracle tolerance must be >= 1e-10, got {tol!r}")
-    if tol == math.inf:  # every gap is <= it: the second rung would stop the ladder
-        raise ValueError(f"oracle tolerance must be finite, got {tol!r}")
+    if not 1e-10 <= tol < 1.0:  # NaN too; a gap is <= 1, so tol >= 1 stops at rung 2
+        raise ValueError(f"oracle tolerance must be >= 1e-10 and < 1, got {tol!r}")
     try:  # a float is refused: inf would leave the ladder no top
         operator.index(ceiling)
     except TypeError:

@@ -2,16 +2,16 @@
 
 One record per line, space-separated, `#` comments for the header:
 
-    re_k1 im_k1 r1 re_k2 im_k2 r2 nbar1 nbar2 fidelity cutoff tol version
+    re_k1 im_k1 r1 re_k2 im_k2 r2 nbar1 nbar2 fidelity cutoff version
 
 Numbers are %.17g so a re-read round-trips bit-exactly; `version` is the
 package version that produced the record, and `cutoff` the rung the oracle's
 cutoff ladder converged at in the commit that wrote it.  Both `dstfid
-snapshot` modes run the oracle through fresh_records: `--regolden` writes
-its records of standard_cases, and check_snapshots compares each frozen
-fidelity (not its cutoff) with a fresh one, so a change in the oracle itself
-is caught loudly.  The one reader of the frozen values without an oracle run
-is the closed-form test against the golden records.
+snapshot` modes run the oracle through fresh_records at GOLDEN_TOL, which no
+record carries: `--regolden` writes standard_cases' records, check_snapshots
+compares each frozen fidelity (not its cutoff) with a fresh one, so a change
+in the oracle itself is caught loudly.  The one reader of the frozen values
+without an oracle run is the closed-form test against the golden records.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import StateParams, state
-from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError, fidelity_oracle
+from .fock import DEFAULT_CUTOFF_CEILING, DEFAULT_ORACLE_TOL, ConvergenceError, fidelity_oracle
 from .reduction import FidelityOptions
 
 __all__ = [
+    "GOLDEN_TOL",
     "SnapshotRecord",
     "default_golden_path",
     "standard_cases",
@@ -38,10 +39,13 @@ __all__ = [
 
 _HEADER = """\
 # golden oracle fidelity snapshots
-# columns: re_k1 im_k1 r1 re_k2 im_k2 r2 nbar1 nbar2 fidelity cutoff tol version
+# columns: re_k1 im_k1 r1 re_k2 im_k2 r2 nbar1 nbar2 fidelity cutoff version
 # produced by the adaptive-cutoff Fock oracle (dstfid snapshot --regolden)
 # fidelity is the converged Uhlmann value; cutoff is the rung it converged at
 """
+
+# The oracle tolerance of every golden record; a drift check allows 10x it.
+GOLDEN_TOL = DEFAULT_ORACLE_TOL
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class SnapshotRecord:
     s2: StateParams
     fidelity: float
     cutoff: int
-    tol: float
     version: str
 
     def line(self) -> str:
@@ -67,7 +70,6 @@ class SnapshotRecord:
         ]
         cols = [f"{x:.17g}" for x in nums]
         cols.append(str(self.cutoff))
-        cols.append(f"{self.tol:.17g}")
         cols.append(self.version)
         return " ".join(cols)
 
@@ -77,40 +79,40 @@ def default_golden_path() -> Path:
     return Path(__file__).resolve().parents[2] / "golden" / "fidelity_snapshots.txt"
 
 
-def standard_cases() -> list[tuple[StateParams, StateParams, float]]:
-    """The frozen snapshot suite: (s1, s2, oracle tolerance) triples."""
+def standard_cases() -> list[tuple[StateParams, StateParams]]:
+    """The frozen snapshot suite: (s1, s2) pairs."""
     return [
         # the canonical worked pair
-        (state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0), 1e-8),
+        (state(0.3, 0.2, nbar=0.5), state(0.1 + 0.2j, 0.5, nbar=1.0)),
         # identical mixed squeezed state: fidelity must sit at 1
-        (state(0.3 + 0.4j, 0.8, nbar=2.0), state(0.3 + 0.4j, 0.8, nbar=2.0), 1e-8),
+        (state(0.3 + 0.4j, 0.8, nbar=2.0), state(0.3 + 0.4j, 0.8, nbar=2.0)),
         # pure thermal pair: matches the exact closed form
-        (state(0.0, 0.0, nbar=0.5), state(0.0, 0.0, nbar=1.5), 1e-8),
+        (state(0.0, 0.0, nbar=0.5), state(0.0, 0.0, nbar=1.5)),
         # displaced thermal pair (no squeezing)
-        (state(0.5, 0.0, nbar=0.2), state(-0.3 + 0.2j, 0.0, nbar=1.0), 1e-8),
+        (state(0.5, 0.0, nbar=0.2), state(-0.3 + 0.2j, 0.0, nbar=1.0)),
         # large separation |g| = 4: deep fidelity tail, still converged
-        (state(0.0, 0.3, nbar=0.5), state(4.0, 0.5, nbar=1.0), 1e-8),
+        (state(0.0, 0.3, nbar=0.5), state(4.0, 0.5, nbar=1.0)),
     ]
 
 
 def fresh_records(
-    cases: list[tuple[StateParams, StateParams, float]],
+    cases: list[tuple[StateParams, StateParams]],
     ceiling: int = DEFAULT_CUTOFF_CEILING,
 ) -> list[SnapshotRecord]:
-    """Each (s1, s2, tol) case's oracle record, stamped with the package version.
+    """Each (s1, s2) case's oracle record at GOLDEN_TOL, stamped with the package version.
 
     The run's ceiling is checked once, before any case, and names no record;
     a failing case's error, the same object, is re-raised prefixed `record i: `.
     """
     FidelityOptions(oracle_ceiling=ceiling)
     records = []
-    for i, (s1, s2, tol) in enumerate(cases):
+    for i, (s1, s2) in enumerate(cases):
         try:
-            res = fidelity_oracle(s1, s2, tol=tol, ceiling=ceiling)
+            res = fidelity_oracle(s1, s2, tol=GOLDEN_TOL, ceiling=ceiling)
         except (ValueError, ConvergenceError) as exc:
             exc.args = (f"record {i}: {exc}",)
             raise
-        records.append(SnapshotRecord(s1, s2, res.fidelity, res.cutoff_used, tol, __version__))
+        records.append(SnapshotRecord(s1, s2, res.fidelity, res.cutoff_used, __version__))
     return records
 
 
@@ -121,24 +123,21 @@ def read_snapshots(path: Path | str) -> list[SnapshotRecord]:
         if not text or text.startswith("#"):
             continue
         parts = text.split()
-        if len(parts) != 12:
+        if len(parts) != 11:
             raise ValueError(
-                f"{path}:{lineno}: expected 12 columns, found {len(parts)}"
+                f"{path}:{lineno}: expected 11 columns, found {len(parts)}"
             )
         try:
             nums = [float(p) for p in parts[:9]]
-            rec = SnapshotRecord(
+            records.append(SnapshotRecord(
                 s1=state(complex(nums[0], nums[1]), nums[2], nbar=nums[6]),
                 s2=state(complex(nums[3], nums[4]), nums[5], nbar=nums[7]),
                 fidelity=nums[8],
                 cutoff=int(parts[9]),
-                tol=float(parts[10]),
-                version=parts[11],
-            )
-            FidelityOptions(oracle_tol=rec.tol)  # its tol; the ceiling is the run's
-        except ValueError as exc:  # a field that is no number, no state or no oracle tol
+                version=parts[10],
+            ))
+        except ValueError as exc:  # a field that is no number or no state
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        records.append(rec)
     if not records:  # a drift check over no records would check nothing
         raise ValueError(f"{path}: no golden records")
     return records
@@ -169,14 +168,15 @@ def check_snapshots(
 ) -> list[str]:
     """Re-run every frozen record through fresh_records; report drifts (empty = clean).
 
-    The comparison allows 10x the record's own convergence tolerance: the
-    frozen value and a recomputation may land on opposite sides of the
-    adaptive ladder's last gap.  fresh_records' errors, named, pass through.
+    The comparison allows 10x GOLDEN_TOL, the tolerance the oracle converges
+    to here and in the run that froze the value: the two may land on
+    opposite sides of the adaptive ladder's last gap.  fresh_records'
+    errors, named, pass through.
     """
     problems = []
-    fresh = fresh_records([(rec.s1, rec.s2, rec.tol) for rec in records], ceiling)
+    allowed = 10.0 * GOLDEN_TOL
+    fresh = fresh_records([(rec.s1, rec.s2) for rec in records], ceiling)
     for i, (rec, new) in enumerate(zip(records, fresh)):
-        allowed = 10.0 * rec.tol
         diff = abs(new.fidelity - rec.fidelity)
         if not math.isfinite(diff) or diff > allowed:
             problems.append(

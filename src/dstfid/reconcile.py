@@ -30,7 +30,6 @@ __all__ = [
     "OVERLAP_ARGUMENT",
     "OVERLAP_PREFACTOR",
     "DIFFERENCE_CONVENTION",
-    "VERIFY_CEILING",
     "PRESETS",
     "ReconciliationEntry",
     "VerificationCheck",
@@ -50,8 +49,6 @@ OVERLAP_ARGUMENT = "base-overlap-argument"
 OVERLAP_PREFACTOR = "base-overlap-prefactor"
 DIFFERENCE_CONVENTION = "displacement-difference-convention"
 
-# The verification run's cutoff ceiling, the A3 grid's.
-VERIFY_CEILING = 512
 # The verification presets: the acceptance grid and its smoke-test subsample.
 PRESETS = ("full", "quick")
 
@@ -308,7 +305,7 @@ def _entries_overlap() -> tuple[ReconciliationEntry, ReconciliationEntry]:
 def run_verification(
     preset: str = "full",
     tol: float = FidelityOptions.oracle_tol,
-    ceiling: int = VERIFY_CEILING,
+    ceiling: int = FidelityOptions.oracle_ceiling,
 ) -> ReconciliationReport:
     """Run the standard grids three ways and build the reconciliation report.
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dstfid.golden import read_snapshots
+from dstfid.golden import GOLDEN_TOL, read_snapshots
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "fidelity_snapshots.txt"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -311,19 +311,24 @@ def test_mismatch_just_inside_double_range_gives_zero_with_its_flags(beta):
     [
         (("compute", "--nbar1", "1", "--nbar2", "1", "--method", "closed-form",
           "--ceiling", "1", "--oracle-tol", "1e-12"),
-         "error: oracle tolerance must be >= 1e-10, got 1e-12\n"),
+         "error: oracle tolerance must be >= 1e-10 and < 1, got 1e-12\n"),
         (("sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "re_k2=0:1:3", "--ceiling", "1"),
          "error: ceiling must be >= 2 (the smallest cutoff), got 1\n"),
         (("sweep", "--nbar1", "1", "--nbar2", "1", "--sweep", "re_k2=0:1:3", "--method", "all",
-          "--oracle-tol", "1e-12"), "error: oracle tolerance must be >= 1e-10, got 1e-12\n"),
-        # every gap is <= inf, so the ladder would stop at its second rung
+          "--oracle-tol", "1e-12"),
+         "error: oracle tolerance must be >= 1e-10 and < 1, got 1e-12\n"),
+        # a gap is at most 1, so at inf or 1 every ladder would stop at its second rung
         (("compute", "--nbar1", "1", "--nbar2", "1", "--oracle-tol", "inf"),
-         "error: oracle tolerance must be finite, got inf\n"),
+         "error: oracle tolerance must be >= 1e-10 and < 1, got inf\n"),
         (("verify", "--preset", "quick", "--oracle-tol", "inf"),
-         "error: oracle tolerance must be finite, got inf\n"),
+         "error: oracle tolerance must be >= 1e-10 and < 1, got inf\n"),
+        (("compute", "--nbar1", "1", "--nbar2", "1", "--oracle-tol", "1"),
+         "error: oracle tolerance must be >= 1e-10 and < 1, got 1.0\n"),
+        (("verify", "--preset", "quick", "--oracle-tol", "1"),
+         "error: oracle tolerance must be >= 1e-10 and < 1, got 1.0\n"),
     ],
     ids=["compute-closed-form", "sweep-closed-form", "sweep-all", "compute-infinite",
-         "verify-infinite"],
+         "verify-infinite", "compute-one", "verify-one"],
 )
 def test_oracle_options_are_refused_before_any_evaluation(monkeypatch, capsys, argv, says):
     # whether or not the method runs the oracle
@@ -557,10 +562,9 @@ def test_snapshot_check_detects_drift(tmp_path):
     "column, value, says",
     [(0, "abc", "could not convert string to float: 'abc'"),
      (6, "-0.5", "nbar must be a finite positive number, got -0.5"),
-     (10, "0", "oracle tolerance must be >= 1e-10, got 0.0"),
-     # a drift of 10 tol would pass any fidelity
-     (10, "inf", "oracle tolerance must be finite, got inf")],
-    ids=["non-numeric-re_k1", "nbar1-not-positive", "tol-below-floor", "tol-infinite"],
+     # the record as the file held it before records lost their tol column
+     (10, "1e-08 0.1.0", "expected 11 columns, found 12")],
+    ids=["non-numeric-re_k1", "nbar1-not-positive", "old-tol-column"],
 )
 def test_snapshot_bad_field_names_its_line(tmp_path, column, value, says):
     # the golden file with one field of its first record (line 5) replaced
@@ -596,9 +600,9 @@ def test_snapshot_regolden_writes_a_file_that_checks_against_the_committed_one(t
     assert header(fresh) == header(GOLDEN)
     committed = read_snapshots(GOLDEN)
     written = read_snapshots(fresh)
-    assert [(r.s1, r.s2, r.tol) for r in written] == [(r.s1, r.s2, r.tol) for r in committed]
+    assert [(r.s1, r.s2) for r in written] == [(r.s1, r.s2) for r in committed]
     for new, old in zip(written, committed):
-        assert abs(new.fidelity - old.fidelity) <= 10 * old.tol
+        assert abs(new.fidelity - old.fidelity) <= 10 * GOLDEN_TOL
 
 
 def test_snapshot_missing_file_is_io_error(tmp_path):
@@ -656,7 +660,7 @@ def test_fresh_records_names_a_convergence_failure_and_keeps_its_gaps():
     # record 1's ladder runs 58 and then the ceiling, 64: their gap is 3.1e-8
     a, b = state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5)
     with pytest.raises(ConvergenceError) as exc:
-        fresh_records([(a, a, 1e-8), (a, b, 1e-8)], ceiling=64)
+        fresh_records([(a, a), (a, b)], ceiling=64)
     assert str(exc.value).startswith("record 1: fidelity did not stabilize to 1e-08 by "
                                      "cutoff 64 (gap trace: N=64: ")
     assert [r.cutoff for r in exc.value.rungs if r.exact] == [64]
@@ -743,7 +747,7 @@ def test_config_file_refuses_unknown_keys(tmp_path, capsys):
      ("tol = inf", "config key tol: tol must be finite and > 0, got inf"),
      ("ceiling = 1", "config key ceiling: ceiling must be >= 2 (the smallest cutoff), got 1"),
      ("oracle_tol = 1e-20",
-      "config key oracle_tol: oracle tolerance must be >= 1e-10, got 1e-20")],
+      "config key oracle_tol: oracle tolerance must be >= 1e-10 and < 1, got 1e-20")],
     ids=["tol", "ceiling", "method", "preset", "tol-zero", "tol-inf", "ceiling-below-2",
          "oracle-tol-below-1e-10"],
 )
@@ -838,7 +842,7 @@ def test_verify_refuses_an_infinite_oracle_tolerance_from_its_config(tmp_path, c
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {conf}:1: config key oracle_tol: oracle tolerance must be " \
-        "finite, got inf\n"
+        ">= 1e-10 and < 1, got inf\n"
 
 
 def test_verify_takes_the_oracle_tolerance_as_oracle_tol(capsys):

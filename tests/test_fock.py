@@ -1069,13 +1069,13 @@ def test_oracle_rejects_unreachable_tolerance():
     with pytest.raises(ValueError):
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=1e-12)
     # no gap compares <= NaN, so the ladder would run to the ceiling
-    with pytest.raises(ValueError, match="oracle tolerance must be >= 1e-10"):
+    with pytest.raises(ValueError, match="oracle tolerance must be >= 1e-10 and < 1, got nan"):
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=math.nan)
 
 
 def test_oracle_refuses_an_infinite_tolerance():
     # every gap is <= inf: the ladder would stop at its second rung, unconverged
-    with pytest.raises(ValueError, match="oracle tolerance must be finite, got inf"):
+    with pytest.raises(ValueError, match="oracle tolerance must be >= 1e-10 and < 1, got inf"):
         fidelity_oracle(state(0.0, 0.0, nbar=0.5), state(0.1, 0.0, nbar=0.5), tol=math.inf)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from algebra_reference import log_sinh
 from dstfid.algebra import state
 from dstfid.fock import fidelity_oracle
-from dstfid.golden import default_golden_path, read_snapshots
+from dstfid.golden import GOLDEN_TOL, default_golden_path, read_snapshots
 from dstfid.reduction import (
     FidelityOptions,
     PipelineCheckError,
@@ -737,7 +737,7 @@ def test_every_oracle_run_goes_through_reduction(monkeypatch, capsys):
 @pytest.mark.parametrize("rec", read_snapshots(default_golden_path()), ids=range(5))
 def test_closed_form_matches_golden_records(rec):
     rep = fidelity(rec.s1, rec.s2, FidelityOptions(oracle=False))
-    assert abs(rep.value_matrix_pipeline - rec.fidelity) <= rec.tol
+    assert abs(rep.value_matrix_pipeline - rec.fidelity) <= GOLDEN_TOL
 
 
 # --- every check at every beta -------------------------------------------------
@@ -1104,12 +1104,17 @@ def test_options_take_numpy_scalars():
 
 
 def test_options_refuse_an_infinite_oracle_tolerance():
-    # every gap is <= inf, so the ladder would stop at its second rung (and a
-    # golden record would allow any drift); the options refuse it whether or
-    # not the oracle runs
+    # every gap is <= inf, so the ladder would stop at its second rung; the
+    # options refuse it whether or not the oracle runs
     for oracle in (True, False):
-        with pytest.raises(ValueError, match="oracle tolerance must be finite, got inf"):
+        with pytest.raises(ValueError, match="oracle tolerance must be >= 1e-10 and < 1, got inf"):
             FidelityOptions(oracle=oracle, oracle_tol=math.inf)
+
+
+def test_options_take_every_oracle_tolerance_from_the_floor_to_below_one():
+    # the CLI tests refuse 1 and inf, the fock tests NaN and 1e-12
+    for tol in (1e-10, 1e-8, 0.5, math.nextafter(1.0, 0.0)):
+        assert FidelityOptions(oracle_tol=tol).oracle_tol == tol
 
 
 def test_fidelity_report_composes_ratio_and_base():
