@@ -86,6 +86,11 @@ DEFAULT_ORACLE_TOL = 1e-8
 # trace deficit) below 1e-12.
 _THERMAL_TAIL_LOG = 12.0 * math.log(10.0)
 
+# Past 2**53 a needed cutoff is the ceiling of a double whose trailing
+# digits carry nothing (and a rung of that size no memory holds): a
+# refusal names it as %g, as the ladder's start is named.
+_EXACT_CUTOFF = 2**53
+
 # Each side of a rung's M drops rows (columns) whose norm bounds sum to at
 # most this, which moves F by at most 1e-13 (_rung_matrix).
 _TRIM_TAIL = 2.5e-14
@@ -255,9 +260,10 @@ def thermal_cutoff_requirement(beta: float) -> float:
 def _check_thermal_tail(beta: float, cutoff: int) -> None:
     needed = thermal_cutoff_requirement(beta)
     if cutoff < needed:
+        shown = needed if needed <= _EXACT_CUTOFF else f"{needed:g}"
         raise ValueError(
             f"cutoff {cutoff} leaves a thermal tail above 1e-12 at beta="
-            f"{beta:g}; need at least {needed}"
+            f"{beta:g}; need at least {shown}"
         )
 
 

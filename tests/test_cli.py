@@ -363,6 +363,11 @@ def test_sweep_oracle_refusal_names_the_row():
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr == ("error: sweep row 2 (nbar2=3): cutoff 60 leaves a thermal tail "
                           "above 1e-12 at beta=0.287682; need at least 97; no rows written\n")
+    # a needed cutoff past 2**53 is named as the ladder's start is, not in 302 digits
+    res = run_cli("compute", "--nbar1", "1e300", "--nbar2", "1", "--method", "oracle")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == ("error: cutoff 1024 leaves a thermal tail above 1e-12 at "
+                          "beta=1e-300; need at least 2.7631e+301\n")
 
 
 def test_sweep_convergence_error_keeps_its_gaps():

