@@ -108,6 +108,35 @@ def test_assembled_displacement_holds_one_complex_operator():
     assert 2.0 <= peak / (8 * cutoff**2) <= 4.0
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """a's doubles as int64, so a comparison sees signed zeros."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 41, 256])
+@pytest.mark.parametrize("k2", [0.0, 0.9, -1.3, 0.7j, 0.4 - 1.1j],
+                         ids=["zero", "positive", "negative", "imaginary", "complex"])
+def test_displacement_blocks_are_the_overlap_blocks_bit_for_bit(k2, cutoff):
+    # Each parity block, made complex and phased on its own, is that block of
+    # D(k2) = R(phi) Q(t) R(phi)^dag formed and phased whole.  A lone element
+    # (the 1 x 1 block of cutoffs 2 and 3) is the exception: numpy multiplies
+    # it in place on another loop, which rounds a complex phase differently.
+    chain = fock._generator_chains(cutoff)[0]
+    overlap = _oracle_displacement(k2, cutoff)
+    t, phi = fock._polar(k2)
+    levels = np.arange(cutoff)
+    whole = (np.exp(1j * phi * levels)[:, None] * fock._chain_exp(chain, t).astype(complex)
+             * np.exp(-1j * phi * levels))
+    order = []
+    for p, q, block in fock._displacement_blocks(k2, chain):
+        order.append((p, q))
+        assert block.flags.c_contiguous
+        assert np.array_equal(_bits(block), _bits(overlap[p::2, q::2]))
+        if block.size > 1:
+            assert np.array_equal(_bits(block), _bits(whole[p::2, q::2]))
+    assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 @pytest.mark.parametrize("k1", [0.0, 0.3 + 0.4j], ids=["k1=0", "k1!=0"])
 def test_rung_holds_one_displacement_block_at_a_time(k1):
     # Peak traced memory of a warm rung in doubles per N^2 at N = 243.  In
