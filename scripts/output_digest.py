@@ -58,6 +58,10 @@ FILES = {
     # a record as the golden file held it before records lost their tol column
     "tol_column.txt": "0 0 0 0 0 0 0.50000000000000011 1.4999999999999998 "
                       "0.87267799624996489 82 1e-08 0.1.0\n",
+    # a record too hot for the default ceiling, and one whose squeeze gap the
+    # closed form refuses before any oracle run
+    "hot.txt": "0 0 0 0.3 0 0 50 1 0.5 100 0.1.0\n",
+    "wide_gap.txt": "0 0 0 0 0 400 1 1 0.5 100 0.1.0\n",
 }
 
 BATTERY = (
@@ -121,17 +125,15 @@ BATTERY = (
     "snapshot --file TMP/tol_column.txt",
     # the oracle refuses row 2's ceiling after rows 0 and 1 ran their ladders
     "sweep --nbar1 0.1 --sweep nbar2=0.1:3:3 --method all --ceiling 60",
-    "snapshot --ceiling 10",
+    "snapshot --file TMP/hot.txt",
+    "snapshot --file TMP/wide_gap.txt",
     "snapshot --file TMP/empty.txt",
     f"compute {PAIR} --config TMP/tol_zero.conf",
     "verify --preset quick --config TMP/tol_zero.conf",
-    # the oracle refuses a grid point's ceiling, and a standard record's
+    # the oracle refuses a grid point's ceiling
     "verify --preset quick --ceiling 40",
-    "snapshot --regolden --ceiling 10 --file TMP/regolden.txt",
-    # an empty path is the directory ".", not the default file; the run's own
-    # ceiling is refused before any standard record runs
+    # an empty path is the directory ".", not the default file
     "snapshot --file=",
-    "snapshot --regolden --ceiling 1 --file TMP/regolden1.txt",
     # ladders that start at or above the ceiling name their starting cutoff
     "verify --preset quick --ceiling 69",
     "compute --nbar1 0.5 --nbar2 0.5 --k2 3 --ceiling 40",

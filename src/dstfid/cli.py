@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import StateParams, state
-from .fock import DEFAULT_CUTOFF_CEILING, ConvergenceError
+from .fock import ConvergenceError
 from .golden import (
     check_snapshots,
     check_writable,
@@ -539,12 +539,12 @@ def cmd_snapshot(args, config: dict) -> int:
     path = Path(args.file) if args.file is not None else default_golden_path()
     if args.regolden:
         check_writable(path)  # an unwritable file is refused before the oracle pass
-        records = fresh_records(standard_cases(), args.ceiling)
+        records = fresh_records(standard_cases())
         write_snapshots(path, records)
         print(f"wrote {len(records)} golden records to {path}")
         return EXIT_OK
     records = read_snapshots(path)
-    problems = check_snapshots(records, ceiling=args.ceiling)
+    problems = check_snapshots(records)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
@@ -616,8 +616,6 @@ def _snapshot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", default=None, help="snapshot path (default: repo golden file)")
     p.add_argument("--regolden", action="store_true",
                    help="rewrite the golden file from a fresh oracle run")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CUTOFF_CEILING,
-                   help=f"oracle cutoff ceiling (default {DEFAULT_CUTOFF_CEILING})")
     p.set_defaults(func=cmd_snapshot, config=None)
 
 

@@ -7,11 +7,12 @@ One record per line, space-separated, `#` comments for the header:
 Numbers are %.17g so a re-read round-trips bit-exactly; `version` is the
 package version that produced the record, and `cutoff` the rung the oracle's
 cutoff ladder converged at in the commit that wrote it.  Both `dstfid
-snapshot` modes run the oracle through fresh_records at GOLDEN_TOL, which no
-record carries: `--regolden` writes standard_cases' records, check_snapshots
-compares each frozen fidelity (not its cutoff) with a fresh one, so a change
-in the oracle itself is caught loudly.  The one reader of the frozen values
-without an oracle run is the closed-form test against the golden records.
+snapshot` modes run fresh_records, one closed-form batch at GOLDEN_TOL and
+the default ceiling, which no record carries: `--regolden` writes
+standard_cases' records, check_snapshots compares each frozen fidelity (not
+its cutoff) with a fresh one, so a change in the oracle itself is caught
+loudly.  The one reader of the frozen values without an oracle run is the
+closed-form test against the golden records.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import StateParams, state
-from .fock import DEFAULT_CUTOFF_CEILING, DEFAULT_ORACLE_TOL, ConvergenceError, fidelity_oracle
-from .reduction import FidelityOptions
+from .reduction import FidelityOptions, closed_form
 
 __all__ = [
     "GOLDEN_TOL",
@@ -45,7 +45,7 @@ _HEADER = """\
 """
 
 # The oracle tolerance of every golden record; a drift check allows 10x it.
-GOLDEN_TOL = DEFAULT_ORACLE_TOL
+GOLDEN_TOL = FidelityOptions.oracle_tol
 
 
 @dataclass(frozen=True)
@@ -95,25 +95,20 @@ def standard_cases() -> list[tuple[StateParams, StateParams]]:
     ]
 
 
-def fresh_records(
-    cases: list[tuple[StateParams, StateParams]],
-    ceiling: int = DEFAULT_CUTOFF_CEILING,
-) -> list[SnapshotRecord]:
+def fresh_records(cases: list[tuple[StateParams, StateParams]]) -> list[SnapshotRecord]:
     """Each (s1, s2) case's oracle record at GOLDEN_TOL, stamped with the package version.
 
-    The run's ceiling is checked once, before any case, and names no record;
-    a failing case's error, the same object, is re-raised prefixed `record i: `.
+    The cases run as one closed_form batch; its error for a refused or failing
+    row, the same object, is re-raised prefixed `record i: `.  A record keeps
+    the oracle's fidelity, not the batch's value_oracle clamped to [0, 1].
     """
-    FidelityOptions(oracle_ceiling=ceiling)
-    records = []
-    for i, (s1, s2) in enumerate(cases):
-        try:
-            res = fidelity_oracle(s1, s2, tol=GOLDEN_TOL, ceiling=ceiling)
-        except (ValueError, ConvergenceError) as exc:
-            exc.args = (f"record {i}: {exc}",)
-            raise
-        records.append(SnapshotRecord(s1, s2, res.fidelity, res.cutoff_used, __version__))
-    return records
+    try:
+        cf = closed_form(cases, FidelityOptions(oracle_tol=GOLDEN_TOL))
+    except (ValueError, RuntimeError) as exc:  # a refusal or an oracle failure: it has a row
+        exc.args = (f"record {exc.row}: {exc}",)
+        raise
+    return [SnapshotRecord(s1, s2, res.fidelity, res.cutoff_used, __version__)
+            for (s1, s2), res in zip(cases, cf.oracle)]
 
 
 def read_snapshots(path: Path | str) -> list[SnapshotRecord]:
@@ -163,9 +158,7 @@ def write_snapshots(path: Path | str, records: list[SnapshotRecord]) -> None:
     Path(path).write_text(_HEADER + body)
 
 
-def check_snapshots(
-    records: list[SnapshotRecord], ceiling: int = DEFAULT_CUTOFF_CEILING
-) -> list[str]:
+def check_snapshots(records: list[SnapshotRecord]) -> list[str]:
     """Re-run every frozen record through fresh_records; report drifts (empty = clean).
 
     The comparison allows 10x GOLDEN_TOL, the tolerance the oracle converges
@@ -175,7 +168,7 @@ def check_snapshots(
     """
     problems = []
     allowed = 10.0 * GOLDEN_TOL
-    fresh = fresh_records([(rec.s1, rec.s2) for rec in records], ceiling)
+    fresh = fresh_records([(rec.s1, rec.s2) for rec in records])
     for i, (rec, new) in enumerate(zip(records, fresh)):
         diff = abs(new.fidelity - rec.fidelity)
         if not math.isfinite(diff) or diff > allowed:

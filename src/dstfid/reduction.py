@@ -33,8 +33,7 @@ without differences of nearly equal products and scaled so that its checks
 run at every beta (see _matrix_route).  The batch then raises its first
 refused row's first failing check and, when the options ask for it, runs the
 oracle per row: every refusal, every oracle run of a batch and every
-comparison of the pipeline with the oracle happens in `closed_form_columns`
-(`golden.fresh_records` calls `fidelity_oracle` itself).
+comparison of the pipeline with the oracle happens in `closed_form_columns`.
 """
 
 from __future__ import annotations

@@ -626,49 +626,61 @@ def test_snapshot_file_without_records_is_refused(tmp_path, text):
     assert res.stderr == f"error: {path}: no golden records\n"
 
 
+# A record the oracle refuses, and one the closed form refuses before any oracle run.
+HOT_RECORD = "0 0 0 0.3 0 0 50 1 0.5 100 0.1.0\n"
+WIDE_GAP_RECORD = "0 0 0 0 0 400 1 1 0.5 100 0.1.0\n"
+
+
 @pytest.mark.parametrize(
-    "ceiling, says",
-    [("10", "record 0: cutoff 10 leaves a thermal tail above 1e-12 at beta=1.09861; "
-            "need at least 26"),
-     # the run's own ceiling, refused before any record runs
-     ("1", "ceiling must be >= 2 (the smallest cutoff), got 1")],
-    ids=["below-record-0-thermal-floor", "below-2"],
+    "text, says",
+    [(HOT_RECORD, "record 0: cutoff 1024 leaves a thermal tail above 1e-12 at "
+                  "beta=0.0198026; need at least 1396"),
+     (WIDE_GAP_RECORD, "record 0: squeeze factors r1=0.0, r2=400.0 differ by 400; "
+                       "cosh 2(r1 - r2) leaves double range beyond |r1 - r2| = 354.5")],
+    ids=["below-record-0-thermal-floor", "squeeze-gap-refused-by-the-closed-form"],
 )
-def test_snapshot_oracle_refusal_names_the_record(ceiling, says):
-    res = run_cli("snapshot", "--ceiling", ceiling)
+def test_snapshot_oracle_refusal_names_the_record(tmp_path, text, says):
+    path = tmp_path / "golden.txt"
+    path.write_text(text)
+    res = run_cli("snapshot", "--file", str(path))
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr == f"error: {says}\n"
 
-def test_snapshot_regolden_oracle_refusal_names_the_record_and_writes_nothing(tmp_path):
-    path = tmp_path / "regolden.txt"
-    res = run_cli("snapshot", "--regolden", "--ceiling", "10", "--file", str(path))
-    assert res.returncode == 2 and res.stdout == ""
-    assert res.stderr == ("error: record 0: cutoff 10 leaves a thermal tail above 1e-12 at "
-                          "beta=1.09861; need at least 26\n")
-    assert not path.exists()
 
+def test_snapshot_regolden_oracle_refusal_names_the_record_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    from dstfid import cli
+    from dstfid.algebra import state
 
-def test_snapshot_regolden_ceiling_below_2_names_no_record_and_writes_nothing(tmp_path):
-    # the run's own ceiling is refused before any record runs, as in check mode
+    cold, hot = state(0.0, 0.0, nbar=0.5), state(0.0, 0.0, nbar=50.0)
+    cases = [(cold, cold), (hot, state(0.3, 0.0, nbar=1.0))]
+    monkeypatch.setattr(cli, "standard_cases", lambda: cases)
     path = tmp_path / "regolden.txt"
-    res = run_cli("snapshot", "--regolden", "--ceiling", "1", "--file", str(path))
-    assert res.returncode == 2 and res.stdout == ""
-    assert res.stderr == "error: ceiling must be >= 2 (the smallest cutoff), got 1\n"
+    assert cli.main(["snapshot", "--regolden", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: record 1: cutoff 1024 leaves a thermal tail above 1e-12 at "
+                            "beta=0.0198026; need at least 1396\n")
     assert not path.exists()
 
 
 def test_fresh_records_names_a_convergence_failure_and_keeps_its_gaps():
-    from dstfid.algebra import state
+    from dstfid.algebra import StateParams, state
     from dstfid.fock import ConvergenceError
     from dstfid.golden import fresh_records
 
-    # record 1's ladder runs 58 and then the ceiling, 64: their gap is 3.1e-8
-    a, b = state(0.0, 0.0, nbar=0.5), state(3.0, 0.0, nbar=0.5)
+    # record 1's ladder climbs 243 to the default ceiling, 1024, where its gap is 4.3e-8
+    a = state(0.0, 0.0, nbar=0.5)
+    s1 = StateParams(0.04569474795680655 + 0.722272039405396j, -2.8612294771582203,
+                     0.4349821645157412)
+    s2 = StateParams(1.2368430747997883 - 0.4023997835979532j, 0.1387705228417797,
+                     0.43268085683517626)
     with pytest.raises(ConvergenceError) as exc:
-        fresh_records([(a, a), (a, b)], ceiling=64)
+        fresh_records([(a, a), (s1, s2)])
     assert str(exc.value).startswith("record 1: fidelity did not stabilize to 1e-08 by "
-                                     "cutoff 64 (gap trace: N=64: ")
-    assert [r.cutoff for r in exc.value.rungs if r.exact] == [64]
+                                     "cutoff 1024 (gap trace: N=364: 2.089e-03, ")
+    assert [r.cutoff for r in exc.value.rungs] == [243, 364, 546, 819, 1024]
+    assert [r.cutoff for r in exc.value.rungs if r.exact] == [364, 546, 819, 1024]
 
 
 @pytest.mark.parametrize("regolden", [[], ["--regolden"]], ids=["check", "regolden"])

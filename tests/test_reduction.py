@@ -711,7 +711,7 @@ def test_closed_form_runs_no_fock_code(monkeypatch, capsys):
     assert capsys.readouterr().out.count("\n0,") == 3  # every sweep wrote row 0
 
 
-def test_every_oracle_run_goes_through_reduction(monkeypatch, capsys):
+def test_every_oracle_run_goes_through_reduction(monkeypatch, capsys, tmp_path):
     import dstfid.cli as cli
     import dstfid.reduction as red
 
@@ -719,7 +719,7 @@ def test_every_oracle_run_goes_through_reduction(monkeypatch, capsys):
     right = red.fidelity_oracle
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs)
         return right(*args, **kwargs)
 
     monkeypatch.setattr(red, "fidelity_oracle", counted)
@@ -731,6 +731,11 @@ def test_every_oracle_run_goes_through_reduction(monkeypatch, capsys):
     assert cli.main(["sweep", "--nbar1", "0.5", "--nbar2", "0.5", "--method", "all",
                      "--sweep", "re_k2=0:1:3"]) == 0
     assert len(calls) == 5
+    # both snapshot modes: one run per standard record, at the golden settings
+    assert cli.main(["snapshot"]) == 0
+    assert len(calls) == 10
+    assert cli.main(["snapshot", "--regolden", "--file", str(tmp_path / "golden.txt")]) == 0
+    assert calls[5:] == [{"tol": GOLDEN_TOL, "ceiling": 1024}] * 10
     capsys.readouterr()
 
 
